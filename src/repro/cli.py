@@ -470,17 +470,23 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8337)
+    # Unset micro-batch flags defer to ServiceConfig's defaults (their
+    # single definition); importing the service here would tax every
+    # CLI start-up.
     parser.add_argument(
         "--max-batch",
         type=int,
-        default=32,
-        help="flush a micro-batch at this many queued spectra",
+        default=None,
+        help="largest micro-batch handed to the engine (default 32)",
     )
     parser.add_argument(
         "--max-wait-ms",
         type=float,
-        default=5.0,
-        help="flush when the oldest queued spectrum has waited this long",
+        default=None,
+        help=(
+            "linger this long for a partial micro-batch to fill (default "
+            "0: dispatch whenever the engine is idle, batch by back-pressure)"
+        ),
     )
     parser.add_argument(
         "--cache-size",
@@ -1335,10 +1341,27 @@ def _parse_index_routes(entries) -> dict:
     return routes
 
 
+def _service_config_from_args(args):
+    """The :class:`~repro.service.ServiceConfig` the ``serve`` flags describe."""
+    from .constants import DEFAULT_STANDARD_WINDOW_DA
+    from .service import ServiceConfig
+
+    batching = {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms}
+    return ServiceConfig(
+        **{name: value for name, value in batching.items() if value is not None},
+        cache_capacity=args.cache_size,
+        mode=args.mode,
+        open_window_da=args.open_window,
+        standard_tolerance_da=DEFAULT_STANDARD_WINDOW_DA,
+        engine_config=engine_config_from_args(
+            args, ann=_ann_config_from_args(args)
+        ),
+    )
+
+
 def cmd_serve(args) -> int:
     """Entry point for ``hdoms serve`` (HTTP search service)."""
-    from .constants import DEFAULT_STANDARD_WINDOW_DA
-    from .service import ServiceConfig, serve
+    from .service import serve
     from .service.server import ServiceStartupError
 
     from .obs.slowlog import DEFAULT_SLOW_MS
@@ -1350,17 +1373,7 @@ def cmd_serve(args) -> int:
     try:
         _setup_logging_from_args(args)
         routes = _parse_index_routes(args.indexes)
-        config = ServiceConfig(
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            cache_capacity=args.cache_size,
-            mode=args.mode,
-            open_window_da=args.open_window,
-            standard_tolerance_da=DEFAULT_STANDARD_WINDOW_DA,
-            engine_config=engine_config_from_args(
-                args, ann=_ann_config_from_args(args)
-            ),
-        )
+        config = _service_config_from_args(args)
     except ValueError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2

@@ -24,24 +24,23 @@ a local worker fleet first.
 
 from __future__ import annotations
 
-import json
 import logging
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..obs.logging import ensure_default_logging
-from ..obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
+from ..obs.trace import DEFAULT_CAPACITY, get_tracer
+from ..service.httpbase import BodyTooLarge, DrainingHTTPServer, JsonRequestHandler
 from ..service.protocol import (
     DEFAULT_ROUTE,
     ProtocolError,
     route_from_payload,
     spectrum_from_payload,
 )
-from ..service.server import ServiceStartupError, _REQUEST_ID_PATTERN
+from ..service.server import ServiceStartupError
 from ..store.store import SegmentedStore
 from .coordinator import Coordinator, CoordinatorError
 from .fleet import LocalWorkerFleet
@@ -117,103 +116,19 @@ class CoordinatorService:
         self.coordinator.close()
 
 
-class CoordinatorServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the coordinator service.
-
-    Mirrors :class:`~repro.service.server.SearchServer`: non-daemon
-    handler threads so ``server_close()`` joins them, and a
-    ``draining`` flag that makes every post-shutdown response close
-    its connection so that join cannot be held up by keep-alive
-    pollers.
-    """
-
-    daemon_threads = False
-    allow_reuse_address = True
-    draining = False
+class CoordinatorServer(DrainingHTTPServer):
+    """:class:`DrainingHTTPServer` carrying the coordinator service."""
 
     def __init__(self, address, service: CoordinatorService, quiet: bool = True):
         super().__init__(address, CoordinatorRequestHandler)
         self.coordinator_service = service
         self.quiet = quiet
 
-    def shutdown(self) -> None:
-        """Stop accepting requests and drain keep-alive connections."""
-        self.draining = True
-        super().shutdown()
 
-
-class CoordinatorRequestHandler(BaseHTTPRequestHandler):
+class CoordinatorRequestHandler(JsonRequestHandler):
     """Routes the JSON API onto a :class:`CoordinatorService`."""
 
     server_version = "hdoms-coordinator"
-    protocol_version = "HTTP/1.1"
-    timeout = 10.0
-    max_body_bytes = 64 * 1024 * 1024
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Per-request stderr logging, silenced unless ``quiet=False``."""
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
-
-    # -- plumbing (same wire behavior as the worker handler) -----------
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        request_id: Optional[str] = None,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        if status >= 400 or getattr(self.server, "draining", False):
-            self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        if status >= 400 or getattr(self.server, "draining", False):
-            self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _request_id(self) -> str:
-        supplied = self.headers.get("X-Request-Id")
-        if supplied and _REQUEST_ID_PATTERN.match(supplied):
-            return supplied
-        return new_request_id()
-
-    def _read_json(self) -> object:
-        raw = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(raw)
-        except ValueError:
-            raise ProtocolError(f"bad Content-Length header: {raw!r}") from None
-        if length <= 0:
-            raise ProtocolError("request body required")
-        if length > self.max_body_bytes:
-            raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes} byte limit"
-            )
-        try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(f"bad JSON body: {error}") from None
 
     @property
     def coordinator_service(self) -> CoordinatorService:
@@ -244,7 +159,7 @@ class CoordinatorRequestHandler(BaseHTTPRequestHandler):
         try:
             if self.path == "/healthz":
                 service.metrics.requests.inc(endpoint="healthz")
-                if getattr(self.server, "draining", False):
+                if self.server.draining:
                     self._send_json(
                         503, {"status": "draining", "draining": True}
                     )
@@ -277,6 +192,8 @@ class CoordinatorRequestHandler(BaseHTTPRequestHandler):
                 self._handle_search_batch()
             else:
                 self._send_json(404, {"error": f"unknown path {self.path!r}"})
+        except BodyTooLarge as error:
+            self._send_json(413, {"error": str(error)})
         except ProtocolError as error:
             self._send_json(400, {"error": str(error)})
         except CoordinatorError as error:

@@ -7,8 +7,9 @@ subpackage keeps all of that hot in a long-lived process and serves
 concurrent clients over a stdlib HTTP JSON API:
 
 * :class:`~repro.service.scheduler.MicroBatchScheduler` — dynamic
-  micro-batching; single-spectrum requests coalesce into vectorized
-  batch searches (flush on ``max_batch`` or ``max_wait_ms``);
+  work-conserving micro-batching; single-spectrum requests arriving
+  while the engine is busy coalesce into one vectorized batch search
+  (up to ``max_batch``; ``max_wait_ms`` is an opt-in linger);
 * :class:`~repro.service.cache.ResultCache` — LRU result cache keyed
   by spectrum content digest + configuration fingerprint;
 * :class:`~repro.service.registry.IndexRegistry` — multi-index

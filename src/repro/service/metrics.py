@@ -361,7 +361,8 @@ class ServiceMetrics:
         )
         self.batch_flushes = self.registry.counter(
             "hdoms_service_batch_flushes_total",
-            "Micro-batch flushes, by route and reason (full/timeout/drain).",
+            "Micro-batch flushes, by route and reason "
+            "(immediate/full/timeout/drain).",
             ("route", "reason"),
         )
         self.batch_size = self.registry.histogram(

@@ -6,16 +6,22 @@ online clients arrive one spectrum at a time.
 The :class:`MicroBatchScheduler` bridges the two: ``submit`` enqueues a
 spectrum and returns a :class:`~concurrent.futures.Future`; a single
 background flusher thread collects the queue into batches and hands
-them to the runner callback, flushing as soon as either
+them to the runner callback.
 
-* ``max_batch`` requests are waiting (**full** flush — zero added
-  latency for saturated traffic), or
-* the *oldest* queued request has waited ``max_wait_ms`` (**timeout**
-  flush — bounded latency for trickle traffic).
+The flusher is **work-conserving**: whenever it is idle and anything is
+queued it dispatches the whole queue (up to ``max_batch``) at once — an
+**immediate** flush — so a lone client never waits for company that is
+not coming.  Batches form from back-pressure instead: the runner
+executes outside the queue lock, clients keep enqueuing while a batch
+is being scored, and the flusher takes everything that piled up when it
+comes back (a **full** flush once ``max_batch`` are waiting).  That is
+what lets batches grow exactly when there is load to amortise (the
+HyperOMS observation: OMS throughput is batching).
 
-The runner executes outside the queue lock, so clients keep enqueuing
-while a batch is being scored; that is what lets the next batch grow
-under load (the HyperOMS observation: OMS throughput is batching).
+``max_wait_ms > 0`` is an opt-in linger on top: the flusher then holds
+a partial batch until it fills or its *oldest* request has waited that
+long (a **timeout** flush), trading that much latency for larger
+batches under trickle traffic.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ class SchedulerStats:
     requests: int = 0
     batches: int = 0
     full_flushes: int = 0
+    immediate_flushes: int = 0
     timeout_flushes: int = 0
     drain_flushes: int = 0
     max_batch_size: int = 0
@@ -57,6 +64,8 @@ class SchedulerStats:
             self.total_queue_wait_seconds += wait_seconds
             if reason == "full":
                 self.full_flushes += 1
+            elif reason == "immediate":
+                self.immediate_flushes += 1
             elif reason == "timeout":
                 self.timeout_flushes += 1
             else:
@@ -69,6 +78,7 @@ class SchedulerStats:
                 "requests": self.requests,
                 "batches": self.batches,
                 "full_flushes": self.full_flushes,
+                "immediate_flushes": self.immediate_flushes,
                 "timeout_flushes": self.timeout_flushes,
                 "drain_flushes": self.drain_flushes,
                 "max_batch_size": self.max_batch_size,
@@ -95,10 +105,13 @@ class MicroBatchScheduler:
         ``items[i]``.  A runner exception fails every future in the
         batch (clients see the error, the scheduler survives).
     max_batch:
-        Flush as soon as this many requests are queued (>= 1).
+        Largest batch handed to the runner (>= 1); a queue this deep
+        flushes without lingering.
     max_wait_ms:
-        Flush when the oldest queued request is this old (>= 0; zero
-        means every request flushes immediately, i.e. no batching).
+        How long an idle flusher lingers for a partial batch to fill
+        (>= 0), measured from the oldest queued request.  Zero — the
+        service default, see :class:`~repro.service.server.ServiceConfig`
+        — never lingers: batching then comes from back-pressure alone.
     flush_observer:
         Optional ``observer(size, reason, wait_seconds)`` called once
         per flushed batch (``wait_seconds`` is the summed queue wait of
@@ -114,8 +127,9 @@ class MicroBatchScheduler:
     def __init__(
         self,
         runner: Callable[[List[object]], Sequence[object]],
-        max_batch: int = 32,
-        max_wait_ms: float = 5.0,
+        *,
+        max_batch: int,
+        max_wait_ms: float,
         flush_observer: Optional[Callable[[int, str, float], None]] = None,
         route: Optional[str] = None,
     ) -> None:
@@ -251,6 +265,8 @@ class MicroBatchScheduler:
                     reason = "full"
                 elif self._closed:
                     reason = "drain"
+                elif self.max_wait == 0:
+                    reason = "immediate"
                 else:
                     reason = "timeout"
                 batch = self._queue[: self.max_batch]

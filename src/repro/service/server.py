@@ -44,15 +44,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import logging
-import re
 import signal
 import threading
 import time
 import warnings
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
@@ -67,12 +64,13 @@ from ..ms.spectrum import Spectrum
 from ..obs.export import chrome_trace
 from ..obs.logging import ensure_default_logging
 from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog, stage_breakdown
-from ..obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
+from ..obs.trace import DEFAULT_CAPACITY, get_tracer
 from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.candidates import WindowConfig
 from ..oms.psm import PSM
 from ..oms.search import HDSearchConfig
 from .cache import MISSING, ResultCache
+from .httpbase import BodyTooLarge, DrainingHTTPServer, JsonRequestHandler
 from .metrics import RouteMetrics, ServiceMetrics
 from .protocol import (
     DEFAULT_ROUTE,
@@ -85,11 +83,6 @@ from .protocol import (
 from .scheduler import MicroBatchScheduler
 
 logger = logging.getLogger(__name__)
-
-#: Client-supplied request ids must match this or be replaced (they end
-#: up in log lines, trace exports, and response headers verbatim).
-_REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
-
 
 #: ServiceConfig engine fields the EngineConfig consolidation shims.
 _LEGACY_ENGINE_FIELDS = (
@@ -122,10 +115,17 @@ class ServiceConfig:
     become approximate (see ``docs/ann-tuning.md``) and the cache
     fingerprint changes, so toggling it can never serve stale exact
     results for approximate requests or vice versa.
+
+    ``max_batch`` / ``max_wait_ms`` are the micro-batcher's knobs, and
+    these defaults are their only definition (the scheduler has none,
+    the CLI flags defer to them).  ``max_wait_ms=0`` is the
+    work-conserving batcher: an idle flusher dispatches at once and
+    batches form from back-pressure; a positive value opts into
+    lingering that long for a partial batch to fill.
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 5.0
+    max_wait_ms: float = 0.0
     cache_capacity: int = 1024
     engine: str = "auto"  # deprecated: use engine_config.kind
     num_shards: int = 1  # deprecated: use engine_config
@@ -267,7 +267,7 @@ class SearchService:
         Passing a path enables argument-less :meth:`reload`.
     config:
         :class:`ServiceConfig`; defaults serve open-mode dense search
-        with a 32-spectrum / 5 ms micro-batch window.
+        with work-conserving micro-batches of up to 32 spectra.
     metrics:
         Optional shared :class:`~repro.service.metrics.ServiceMetrics`.
         When several services sit behind one
@@ -896,29 +896,13 @@ class SearchService:
 # ----------------------------------------------------------------------
 
 
-class SearchServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the route registry for its handlers.
+class SearchServer(DrainingHTTPServer):
+    """:class:`DrainingHTTPServer` carrying the route registry.
 
     Accepts either a bare :class:`SearchService` (wrapped into a
     single-route :class:`~repro.service.registry.IndexRegistry`) or a
     pre-built registry serving several libraries.
-
-    Handler threads are non-daemon so ``server_close()`` joins them:
-    responses for already-accepted requests are fully written before
-    shutdown proceeds (daemon threads would be killed at interpreter
-    exit mid-write).  Two mechanisms bound how long keep-alive clients
-    can delay that join: the handler's idle read timeout (silent
-    connections), and the ``draining`` flag set by :meth:`shutdown`,
-    which makes every subsequent response close its connection (active
-    pollers would otherwise keep a persistent connection served
-    forever).
     """
-
-    daemon_threads = False
-    allow_reuse_address = True
-    #: Once True, handlers answer the current request then close the
-    #: connection, so server_close() can join their threads.
-    draining = False
 
     def __init__(
         self,
@@ -946,11 +930,6 @@ class SearchServer(ThreadingHTTPServer):
         """The default route's service (single-route back-compat)."""
         return self.registry.get()
 
-    def shutdown(self) -> None:
-        """Stop accepting requests and drain keep-alive connections."""
-        self.draining = True
-        super().shutdown()
-
     def server_close(self) -> None:
         """Close the socket, then drain routes this server itself added."""
         super().server_close()
@@ -962,79 +941,10 @@ class SearchServer(ThreadingHTTPServer):
             self.registry.close_added_routes(timeout=30.0)
 
 
-class _BodyTooLarge(ProtocolError):
-    """Request body exceeds the server's acceptance limit."""
-
-
-class SearchRequestHandler(BaseHTTPRequestHandler):
+class SearchRequestHandler(JsonRequestHandler):
     """Routes the JSON API onto a :class:`SearchService`."""
 
     server_version = "hdoms-service"
-    protocol_version = "HTTP/1.1"
-    # Socket read timeout: closes idle keep-alive connections so
-    # server_close() cannot block on a silent client.
-    timeout = 10.0
-    # Upper bound on request bodies: a long-lived service must not
-    # buffer an arbitrarily large POST into memory.  Generous for any
-    # real /search_batch (a spectrum payload is a few KiB).
-    max_body_bytes = 64 * 1024 * 1024
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Per-request stderr logging, silenced unless ``quiet=False``."""
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
-
-    # -- plumbing ------------------------------------------------------
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        request_id: Optional[str] = None,
-    ) -> None:
-        if status >= 400 or getattr(self.server, "draining", False):
-            # Error paths may leave an unread request body on the
-            # socket (e.g. a POST to an unknown path); keeping the
-            # HTTP/1.1 connection alive would desync the next request,
-            # so close it.  A draining server closes every connection
-            # after its in-flight response so shutdown can join the
-            # handler threads.
-            self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        request_id: Optional[str] = None,
-    ) -> None:
-        self._send_body(
-            status,
-            json.dumps(payload).encode("utf-8"),
-            "application/json",
-            request_id=request_id,
-        )
-
-    def _request_id(self) -> str:
-        """The request's trace id: client-supplied when sane, else fresh.
-
-        A client may pin its own ``X-Request-Id`` (to correlate with
-        its logs); anything not matching the safe token pattern is
-        replaced, since the id is echoed into headers and log lines.
-        """
-        supplied = self.headers.get("X-Request-Id")
-        if supplied and _REQUEST_ID_PATTERN.match(supplied):
-            return supplied
-        return new_request_id()
 
     def _observe_slow(
         self,
@@ -1062,32 +972,6 @@ class SearchRequestHandler(BaseHTTPRequestHandler):
             **extra,
         )
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_body(status, text.encode("utf-8"), content_type)
-
-    def _content_length(self) -> int:
-        raw = self.headers.get("Content-Length") or "0"
-        try:
-            return int(raw)
-        except ValueError:
-            raise ProtocolError(
-                f"bad Content-Length header: {raw!r}"
-            ) from None
-
-    def _read_json(self) -> object:
-        length = self._content_length()
-        if length <= 0:
-            raise ProtocolError("request body required")
-        if length > self.max_body_bytes:
-            raise _BodyTooLarge(
-                f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes} byte limit"
-            )
-        try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(f"bad JSON body: {error}") from None
-
     @property
     def registry(self):
         """The index registry owned by the server."""
@@ -1105,7 +989,7 @@ class SearchRequestHandler(BaseHTTPRequestHandler):
         try:
             parsed = urlsplit(self.path)
             if parsed.path == "/healthz":
-                if getattr(self.server, "draining", False):
+                if self.server.draining:
                     # A draining server still answers in-flight work but
                     # must fail its readiness probe immediately, so load
                     # balancers and the coordinator's routing table stop
@@ -1155,7 +1039,7 @@ class SearchRequestHandler(BaseHTTPRequestHandler):
                 self._handle_reload()
             else:
                 self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except _BodyTooLarge as error:
+        except BodyTooLarge as error:
             self._send_json(413, {"error": str(error)})
         except UnknownRouteError as error:
             self._send_json(404, {"error": str(error)})

@@ -123,11 +123,24 @@ class TestServeParser:
         args = build_parser().parse_args(["serve", "--index", "i.npz"])
         assert args.host == "127.0.0.1"
         assert args.port == 8337
-        assert args.max_batch == 32
-        assert args.max_wait_ms == 5.0
         assert args.cache_size == 1024
         assert args.engine == "auto"
         assert args.mode == "open"
+
+    def test_micro_batch_flags_defer_to_service_config(self):
+        from repro.cli import _service_config_from_args
+        from repro.service import ServiceConfig
+
+        parse = build_parser().parse_args
+        config = _service_config_from_args(parse(["serve", "--index", "i.npz"]))
+        assert config.max_batch == ServiceConfig.max_batch
+        assert config.max_wait_ms == ServiceConfig.max_wait_ms == 0.0
+        config = _service_config_from_args(
+            parse(
+                ["serve", "--index", "i.npz", "--max-batch", "4", "--max-wait-ms", "2.5"]
+            )
+        )
+        assert (config.max_batch, config.max_wait_ms) == (4, 2.5)
 
     def test_serve_requires_index(self):
         with pytest.raises(SystemExit):

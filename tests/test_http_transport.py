@@ -1,0 +1,209 @@
+"""Transport invariants shared by the worker and coordinator front-ends.
+
+Both handlers subclass :class:`repro.service.httpbase.JsonRequestHandler`;
+these tests pin the two properties that removed the ~40 ms
+Nagle/delayed-ACK floor from every round trip, without timing anything:
+
+* every accepted connection has ``TCP_NODELAY`` set, and
+* every reply — 200, 4xx, ``/metrics`` text, and the draining variants
+  that add ``Connection: close`` — reaches the socket as exactly one
+  write holding status line, headers and body.
+"""
+
+from __future__ import annotations
+
+import http.client
+import io
+import json
+import socket
+import threading
+
+import pytest
+
+from repro.coord import (
+    Coordinator,
+    CoordinatorService,
+    PartitionPlan,
+    start_coordinator_server,
+)
+from repro.hdc.spaces import HDSpaceConfig
+from repro.service import SearchServer, SearchService, start_server
+from repro.service.httpbase import DrainingHTTPServer, JsonRequestHandler
+from repro.service.protocol import spectrum_to_payload
+from repro.store import build_store
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory, small_workload, binning):
+    store = build_store(
+        small_workload.references,
+        tmp_path_factory.mktemp("transport") / "store",
+        space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=17),
+        binning=binning,
+        segment_rows=30,
+    )
+    yield store
+    store.close()
+
+
+@pytest.fixture(scope="module", params=["worker", "coordinator"])
+def server(request, store):
+    """A bound (not yet serving) front-end of either tier."""
+    if request.param == "worker":
+        backend = SearchService(store.root)
+        server = start_server(backend)
+    else:
+        # The worker URL is never reached: these tests only exercise
+        # endpoints the coordinator answers by itself.
+        backend = Coordinator(
+            PartitionPlan.build(store, 1, "rows").partitions,
+            [["http://127.0.0.1:9"]],
+            probe_interval=3600.0,
+        )
+        server = start_coordinator_server(CoordinatorService(backend))
+    yield server
+    server.server_close()
+    backend.close()
+
+
+class RecordingSocket:
+    """Stand-in for an accepted connection that records every write."""
+
+    def __init__(self, request: bytes) -> None:
+        self._request = io.BytesIO(request)
+        self.writes = []
+
+    def makefile(self, mode, buffering=None):
+        assert mode == "rb"
+        return self._request
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def setsockopt(self, *option) -> None:
+        pass
+
+
+def exchange(server, method: str, path: str, body: bytes = b""):
+    """Run one request through the server's handler; return its writes."""
+    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n\r\n"
+    connection = RecordingSocket(head.encode("ascii") + body)
+    server.RequestHandlerClass(connection, ("127.0.0.1", 0), server)
+    return connection.writes
+
+
+def parse_reply(raw: bytes):
+    """Split one raw HTTP reply into (status, headers, body)."""
+    reply = http.client.HTTPResponse(_FakeSocket(raw))
+    reply.begin()
+    return reply.status, reply.headers, reply.read()
+
+
+class _FakeSocket:
+    def __init__(self, raw: bytes) -> None:
+        self._raw = raw
+
+    def makefile(self, mode):
+        return io.BytesIO(self._raw)
+
+
+REPLIES = [
+    ("GET", "/stats", b"", 200, "application/json"),
+    ("POST", "/search", b"{not json", 400, "application/json"),
+    ("POST", "/nowhere", b"{}", 404, "application/json"),
+    ("GET", "/metrics", b"", 200, "text/plain"),
+]
+
+
+class TestOneSegmentReplies:
+    @pytest.mark.parametrize("draining", [False, True])
+    @pytest.mark.parametrize("method, path, body, status, content_type", REPLIES)
+    def test_reply_is_a_single_write(
+        self, server, method, path, body, status, content_type, draining
+    ):
+        server.draining = draining
+        try:
+            writes = exchange(server, method, path, body)
+        finally:
+            server.draining = False
+        assert len(writes) == 1
+        got_status, headers, payload = parse_reply(writes[0])
+        assert got_status == status
+        assert headers["Content-Type"].startswith(content_type)
+        assert int(headers["Content-Length"]) == len(payload) > 0
+        # The whole write is the reply: nothing trails the declared body.
+        assert writes[0].endswith(payload)
+        closes = status >= 400 or draining
+        assert (headers.get("Connection") == "close") == closes
+        if content_type == "application/json":
+            json.loads(payload)
+
+    def test_search_reply_with_request_id_is_a_single_write(
+        self, server, small_workload
+    ):
+        if not isinstance(server, SearchServer):
+            pytest.skip("the coordinator's /search needs a reachable worker")
+        body = json.dumps(
+            {"spectrum": spectrum_to_payload(small_workload.queries[0])}
+        ).encode("utf-8")
+        writes = exchange(server, "POST", "/search", body)
+        assert len(writes) == 1
+        status, headers, payload = parse_reply(writes[0])
+        assert status == 200
+        assert headers["X-Request-Id"] == json.loads(payload)["request_id"]
+
+
+def test_oversized_body_is_413_before_it_is_read(server, monkeypatch):
+    monkeypatch.setattr(JsonRequestHandler, "max_body_bytes", 10)
+    writes = exchange(server, "POST", "/search", b"x" * 11)
+    assert len(writes) == 1
+    status, headers, _payload = parse_reply(writes[0])
+    assert status == 413
+    assert headers["Connection"] == "close"
+
+
+class TestNoDelay:
+    def test_accepted_connection_has_tcp_nodelay(self, server):
+        seen = []
+
+        class Probe(server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                seen.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        original = server.RequestHandlerClass
+        server.RequestHandlerClass = Probe
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            connection.request("GET", "/stats")
+            reply = connection.getresponse()
+            reply.read()
+            assert reply.status == 200
+            connection.close()
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.RequestHandlerClass = original
+            server.draining = False
+        assert not thread.is_alive()
+        assert seen and all(seen)
+
+
+def test_both_front_ends_share_the_one_response_writer():
+    from repro.coord.server import CoordinatorRequestHandler, CoordinatorServer
+    from repro.service.server import SearchRequestHandler
+
+    for handler in (SearchRequestHandler, CoordinatorRequestHandler):
+        assert issubclass(handler, JsonRequestHandler)
+        for name in ("_send_body", "_send_json", "_send_text", "_read_json", "_request_id"):
+            assert name not in vars(handler)
+    for server_class in (SearchServer, CoordinatorServer):
+        assert issubclass(server_class, DrainingHTTPServer)

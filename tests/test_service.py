@@ -365,9 +365,120 @@ class TestScheduler:
     def test_rejects_bad_parameters(self):
         runner = RecordingRunner()
         with pytest.raises(ValueError):
-            MicroBatchScheduler(runner, max_batch=0)
+            MicroBatchScheduler(runner, max_batch=0, max_wait_ms=0)
         with pytest.raises(ValueError):
-            MicroBatchScheduler(runner, max_wait_ms=-1)
+            MicroBatchScheduler(runner, max_batch=1, max_wait_ms=-1)
+
+
+def default_scheduler(runner, **overrides):
+    """A scheduler with ``ServiceConfig``'s micro-batch defaults."""
+    knobs = dict(
+        max_batch=ServiceConfig.max_batch, max_wait_ms=ServiceConfig.max_wait_ms
+    )
+    knobs.update(overrides)
+    return MicroBatchScheduler(runner, **knobs)
+
+
+class LingerRecorder(list):
+    """Every *timed* wait of the flusher (its only way to linger)."""
+
+    def __init__(self, scheduler):
+        super().__init__()
+        self.started = threading.Event()
+        wait = scheduler._wakeup.wait
+
+        def recording_wait(timeout=None):
+            if timeout is not None:
+                self.append(timeout)
+                self.started.set()
+            return wait(timeout)
+
+        scheduler._wakeup.wait = recording_wait
+
+
+class ParkedRunner(RecordingRunner):
+    """Echo runner whose first call blocks until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, items):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+        return super().__call__(items)
+
+
+class TestWorkConservingScheduler:
+    """Proven without sleeping: events gate the runner, not the clock."""
+
+    def test_lone_submit_on_idle_flusher_dispatches_immediately(self):
+        runner = RecordingRunner()
+        flushes = []
+        scheduler = default_scheduler(
+            runner, flush_observer=lambda *event: flushes.append(event)
+        )
+        lingers = LingerRecorder(scheduler)
+        try:
+            assert scheduler.submit("solo").result(timeout=5) == "done-solo"
+            assert runner.batches == [["solo"]]
+            assert [(size, reason) for size, reason, _wait in flushes] == [
+                (1, "immediate")
+            ]
+            assert lingers == []
+            stats = scheduler.stats.snapshot()
+            assert stats["immediate_flushes"] == 1
+            assert stats["timeout_flushes"] == stats["full_flushes"] == 0
+        finally:
+            scheduler.close()
+
+    @pytest.mark.parametrize("later", [5, 11])
+    def test_batches_form_from_back_pressure(self, later):
+        max_batch = 8
+        runner = ParkedRunner()
+        scheduler = default_scheduler(runner, max_batch=max_batch)
+        lingers = LingerRecorder(scheduler)
+        try:
+            first = scheduler.submit("first")
+            assert runner.entered.wait(timeout=5)  # runner busy from here on
+            futures = [scheduler.submit(i) for i in range(later)]
+            runner.release.set()
+            assert first.result(timeout=5) == "done-first"
+            for future in futures:
+                future.result(timeout=5)
+            # Everything that queued behind the busy runner left as one
+            # batch, capped at max_batch; only the overflow trails it.
+            coalesced = min(later, max_batch)
+            assert runner.batches[:2] == [["first"], list(range(coalesced))]
+            assert sum(map(len, runner.batches)) == 1 + later
+            assert lingers == []
+            stats = scheduler.stats.snapshot()
+            assert stats["timeout_flushes"] == 0
+            assert stats["full_flushes"] == (1 if later >= max_batch else 0)
+        finally:
+            runner.release.set()
+            scheduler.close()
+
+    def test_explicit_max_wait_still_lingers_and_flushes_early_when_full(self):
+        runner = RecordingRunner()
+        scheduler = default_scheduler(runner, max_batch=3, max_wait_ms=60_000)
+        lingers = LingerRecorder(scheduler)
+        try:
+            partial = [scheduler.submit(i) for i in range(2)]
+            # Two of three queued: the flusher must be holding them back.
+            assert lingers.started.wait(timeout=5)
+            assert not any(future.done() for future in partial)
+            full = scheduler.submit(2)
+            assert full.result(timeout=5) == "done-2"
+            assert runner.batches == [[0, 1, 2]]
+            assert lingers and all(0 < linger <= 60.0 for linger in lingers)
+            stats = scheduler.stats.snapshot()
+            assert stats["full_flushes"] == 1
+            assert stats["immediate_flushes"] == stats["timeout_flushes"] == 0
+        finally:
+            scheduler.close()
 
 
 # ----------------------------------------------------------------------
