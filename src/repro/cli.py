@@ -1104,7 +1104,7 @@ def _open_searcher(index_path: Path, *, windows, config, engine):
     :class:`~repro.store.SegmentedSearcher`; anything else loads as a
     monolithic index behind a
     :class:`~repro.index.sharded.ShardedSearcher`.  Both support the
-    context-manager protocol and release their arenas on ``close``.
+    context-manager protocol and release pools and arenas on ``close``.
     """
     from .index import LibraryIndex, ShardedSearcher
     from .store import MANIFEST_NAME, SegmentedSearcher

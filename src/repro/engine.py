@@ -47,7 +47,8 @@ class EngineConfig:
             one scoring task per query micro-batch).
         num_workers: Worker count; ``None`` auto-sizes to
             ``min(num_shards, cpu_count)``, ``0`` scores serially
-            in-process.
+            in-process (as does a sharded engine that resolves to one
+            worker).
         executor: ``"process"`` or ``"thread"`` (ignored when
             ``num_workers == 0``; segmented searchers always score
             in-process and treat ``"process"`` as ``"thread"``).

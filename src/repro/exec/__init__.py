@@ -17,8 +17,8 @@ without duplicating the packed library per worker:
 * :func:`~repro.exec.pipeline.pipeline_map` — the two-deep bounded
   queue that overlaps encoding of micro-batch ``k+1`` with scoring of
   micro-batch ``k``.
-* :class:`~repro.exec.scorer.ShardScorer` — one shard's prepared
-  backend + per-charge mass index, shared by every execution mode.
+* :class:`~repro.exec.scorer.ShardScorer` — one shard's window-scoring
+  kernel (:mod:`repro.oms.kernel`), shared by every execution mode.
 
 See ``docs/performance.md`` for mode selection and tuning guidance.
 """

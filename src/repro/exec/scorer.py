@@ -1,10 +1,12 @@
 """Per-shard scoring shared by every execution mode.
 
 :class:`ShardScorer` is the unit of work each executor runs: one
-shard's prepared similarity backend plus its per-charge mass index,
-built from a *payload* dict (see :func:`shard_payload`).  Serial,
-thread, and process execution all construct the identical scorer from
-identical inputs, which is what keeps the three modes bit-identical.
+shard's :class:`~repro.oms.kernel.WindowKernel` — its rows laid out in
+(charge, mass, position) order and scored a query block at a time, no
+per-query gather — built from a *payload* dict (see
+:func:`shard_payload`).  Serial, thread, and process execution all
+construct the identical scorer from identical inputs, which is what
+keeps the three modes bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..ann import OUTCOMES, CandidatePrefilter, HammingLSHIndex
-from ..hdc.packing import unpack_bipolar
+from ..oms.kernel import WindowKernel
 from ..oms.search import DenseBackend, PackedBackend
 
 #: Named backend factories usable across process boundaries.
@@ -83,55 +85,45 @@ def shard_payload(
 
 
 class ShardScorer:
-    """One shard's prepared backend plus its per-charge mass index."""
+    """One shard's :class:`~repro.oms.kernel.WindowKernel` plus bookkeeping.
+
+    The kernel holds the shard's rows in (charge, mass, position) order
+    and scores whole query blocks against contiguous windows; this class
+    maps its winners back to (mass, global library position) and runs
+    the optional ANN prefilter in front of it.
+    """
 
     def __init__(self, payload: Dict) -> None:
         dim = int(payload["dim"])
         packed = np.asarray(payload["packed"])
-        self.backend = resolve_backend(payload["backend"])()
-        block_rows = payload.get("score_block_rows")
-        if block_rows is not None and hasattr(self.backend, "set_block_rows"):
-            self.backend.set_block_rows(block_rows)
-        if hasattr(self.backend, "prepare_packed"):
-            # The payload already uses pack_bipolar layout — skip the
-            # unpack/re-pack round trip (8x transient memory otherwise).
-            self.backend.prepare_packed(packed, dim)
-        else:
-            self.backend.prepare(unpack_bipolar(packed, dim))
-        self.global_positions = np.asarray(payload["positions"])
         masses = np.asarray(payload["masses"], dtype=np.float64)
         charges = np.asarray(payload["charges"], dtype=np.int64)
         self.charge_aware = bool(payload["charge_aware"])
-        # Mirrors CandidateIndex: stable mass sort per charge bucket, so
-        # equal-mass ties stay ordered by (global) library position.
-        self._buckets: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if self.charge_aware:
-            for charge in np.unique(charges):
-                local = np.flatnonzero(charges == charge)
-                order = np.argsort(masses[local], kind="stable")
-                local = local[order]
-                self._buckets[int(charge)] = (masses[local], local)
-        else:
-            order = np.argsort(masses, kind="stable")
-            self._buckets[0] = (masses[order], np.arange(len(masses))[order])
+        self.kernel = WindowKernel(
+            packed,
+            masses,
+            charges,
+            dim=dim,
+            backend=payload["backend"],
+            charge_aware=self.charge_aware,
+            block_rows=payload.get("score_block_rows"),
+        )
+        # Layout row -> global library position of the winner.
+        self._positions = np.asarray(payload["positions"])[self.kernel.positions]
         # Optional ANN prefilter: each shard hashes its *own* rows, so
         # the shortlist union across shards is at least as inclusive as
         # one global prefilter (every shard gets its full candidate
         # budget).  Pre-built tables (from the arena) are adopted as-is;
         # building here from the same rows + config yields identical
         # tables, so both paths stay bit-identical.
-        self._local_masses = masses
         self.prefilter: Optional[CandidatePrefilter] = None
         ann = payload.get("ann")
         tables = payload.get("ann_tables")
+        if tables is None and ann is not None:
+            tables = HammingLSHIndex.build(packed, dim, ann)
         if tables is not None:
             self.prefilter = CandidatePrefilter(
                 tables, masses, charges, charge_aware=self.charge_aware
-            )
-        elif ann is not None:
-            lsh = HammingLSHIndex.build(packed, dim, ann)
-            self.prefilter = CandidatePrefilter(
-                lsh, masses, charges, charge_aware=self.charge_aware
             )
 
     def score_batch(
@@ -152,56 +144,22 @@ class ShardScorer:
         :data:`repro.ann.OUTCOMES` order and ``ann_scored_rows`` the
         rows actually scored (both all-zero without a prefilter).
         """
-        num_queries = len(query_masses)
-        counts = np.zeros(num_queries, dtype=np.int64)
-        best_scores = np.full(num_queries, -np.inf, dtype=np.float64)
-        best_masses = np.full(num_queries, np.inf, dtype=np.float64)
-        best_positions = np.full(num_queries, -1, dtype=np.int64)
+        winners = self.kernel.search(
+            query_hvs, query_masses, query_charges, half_width, self.prefilter
+        )
         ann_outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
         ann_scored = np.zeros(1, dtype=np.int64)
-        for row in range(num_queries):
-            if self.prefilter is not None:
-                selection = self.prefilter.select(
-                    query_hvs[row],
-                    float(query_masses[row]),
-                    int(query_charges[row]),
-                    half_width,
-                )
-                ann_outcomes[OUTCOMES.index(selection.outcome)] += 1
-                ann_scored[0] += len(selection.positions)
-                if selection.window_count == 0:
-                    continue
-                window = selection.positions
-                scores = self.backend.scores(query_hvs[row], window)
-                best = int(np.argmax(scores))
-                counts[row] = selection.window_count
-                best_scores[row] = float(scores[best])
-                best_masses[row] = float(self._local_masses[window[best]])
-                best_positions[row] = int(self.global_positions[window[best]])
-                continue
-            key = int(query_charges[row]) if self.charge_aware else 0
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                continue
-            sorted_masses, local_positions = bucket
-            low = np.searchsorted(
-                sorted_masses, query_masses[row] - half_width, "left"
-            )
-            high = np.searchsorted(
-                sorted_masses, query_masses[row] + half_width, "right"
-            )
-            if high <= low:
-                continue
-            window = local_positions[low:high]
-            scores = self.backend.scores(query_hvs[row], window)
-            best = int(np.argmax(scores))
-            counts[row] = high - low
-            best_scores[row] = float(scores[best])
-            best_masses[row] = float(sorted_masses[low + best])
-            best_positions[row] = int(self.global_positions[window[best]])
+        for selection in winners.selections:
+            ann_outcomes[OUTCOMES.index(selection.outcome)] += 1
+            ann_scored[0] += len(selection.positions)
+        found = winners.rows >= 0
+        best_masses = np.full(len(found), np.inf, dtype=np.float64)
+        best_masses[found] = self.kernel.masses[winners.rows[found]]
+        best_positions = np.full(len(found), -1, dtype=np.int64)
+        best_positions[found] = self._positions[winners.rows[found]]
         return (
-            counts,
-            best_scores,
+            winners.counts,
+            winners.scores,
             best_masses,
             best_positions,
             ann_outcomes,

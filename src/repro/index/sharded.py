@@ -130,7 +130,8 @@ class ShardedSearcher(MicroBatchSearchMixin):
         *Deprecated — use* ``engine``.  Worker count; ``None`` picks
         ``min(num_shards, cpu_count)`` and ``0`` disables parallelism
         entirely (shards are scored serially in-process — handy for
-        tests and tiny workloads).
+        tests and tiny workloads).  A count that resolves to one worker
+        also scores serially: no arena, no pool.
     backend:
         *Deprecated — use* ``engine``.  ``"dense"``, ``"packed"``, or a
         picklable zero-argument factory returning a
@@ -219,6 +220,10 @@ class ShardedSearcher(MicroBatchSearchMixin):
         num_workers = engine.num_workers
         if num_workers is None:
             num_workers = min(engine.num_shards, os.cpu_count() or 1)
+        if num_workers == 1:
+            # A one-worker pool scores exactly what this process would,
+            # after an arena copy, a fork and a pickled query matrix.
+            num_workers = 0
         self._num_workers = num_workers
         self._executor_name = engine.executor
         self._score_block_rows = engine.score_block_rows

@@ -2,20 +2,22 @@
 
 The per-query searcher (:class:`~repro.oms.search.HDOmsSearcher`)
 gathers each query's candidates and scores just those rows.  GPUs (and
-the in-memory fabric) prefer the opposite: one dense score matrix of
-*all* queries against *all* references per charge bucket, with the
-precursor-window constraint applied as a mask afterwards — exactly how
-HyperOMS lays the problem out.  Results are bit-identical to the
+the in-memory fabric) prefer the opposite: references kept in (charge,
+precursor mass) order so a window is a contiguous slab, and whole
+blocks of queries scored against it in one matmul — how HyperOMS and
+RapidOMS lay the problem out.  Results are bit-identical to the
 per-query path; only the schedule differs.
 
-Useful at library scale: one BLAS call per charge bucket instead of one
-gather + matmul per query.
+The layout and the blocked scoring live in
+:class:`~repro.oms.kernel.WindowKernel`, the same kernel the sharded and
+segmented searchers run per shard; this class is its single-process
+consumer: preprocess, encode, one kernel call, PSMs.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +26,9 @@ from ..hdc.noise import flip_bits
 from ..hdc.packing import pack_bipolar
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
-from ..obs.trace import get_tracer
+from ..obs.trace import NULL_SPAN, get_tracer
 from .candidates import WindowConfig
+from .kernel import WindowKernel
 from .psm import PSM, SearchResult
 from .search import encode_queries
 
@@ -35,11 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class BatchedHDOmsSearcher:
-    """Charge-bucketed dense-matrix open search.
+    """Single-process dense-matrix open search over the window kernel.
 
     Same constructor contract as :class:`HDOmsSearcher` (encoder +
     references + configs); ``search`` produces the same PSMs, scheduled
-    as dense matmuls.
+    as one query-blocked matmul per overlapping group of windows.
     """
 
     def __init__(
@@ -55,7 +58,7 @@ class BatchedHDOmsSearcher:
         ann: Optional[AnnConfig] = None,
         score_block_rows: Optional[int] = None,
     ) -> None:
-        """Encode *references* and lay them out as charge buckets.
+        """Encode *references* and lay them out for window scoring.
 
         Args:
             encoder: Object with ``encode_batch(spectra) -> (n, dim)``.
@@ -69,10 +72,9 @@ class BatchedHDOmsSearcher:
             ann: Optional ANN prefilter config; when set, large windows
                 are shortlisted via Hamming LSH instead of the dense
                 matmul.
-            score_block_rows: Reference rows per matmul block (``None``
-                or ``0`` = one unblocked gemm; BLAS tiles internally, so
-                blocking here mainly bounds the transient score slab).
-                Never changes results.
+            score_block_rows: Bound on the reference rows per matmul
+                tile (``None`` = sized from the cache budget, ``0`` =
+                untiled).  Never changes results.
 
         Raises:
             ValueError: On unsupported ``mode`` or when no reference
@@ -101,40 +103,30 @@ class BatchedHDOmsSearcher:
         hvs = encoder.encode_batch([p for _, p in kept])
         if reference_ber > 0:
             hvs = flip_bits(hvs, reference_ber, self._noise_rng)
-        self._build_buckets(hvs)
-        self._init_prefilter(ann, hvs)
+        self._init_kernel(pack_bipolar(hvs), hvs.shape[1], ann)
 
-    def _build_buckets(self, hvs: np.ndarray) -> None:
-        """Charge buckets: references sorted by neutral mass within each.
-
-        With ``charge_aware=False`` everything lands in bucket 0,
-        matching how ``search`` keys queries (and CandidateIndex).
-        """
-        self._buckets: Dict[int, Dict[str, np.ndarray]] = {}
-        masses = np.array([ref.neutral_mass for ref in self.references])
-        if self.windows.charge_aware:
-            charges = np.array(
-                [ref.precursor_charge for ref in self.references]
-            )
-        else:
-            charges = np.zeros(len(self.references), dtype=np.int64)
-        for charge in np.unique(charges):
-            positions = np.flatnonzero(charges == charge)
-            order = np.argsort(masses[positions], kind="stable")
-            sorted_positions = positions[order]
-            self._buckets[int(charge)] = {
-                "positions": sorted_positions,
-                "masses": masses[sorted_positions],
-                "hvs": hvs[sorted_positions].astype(np.float32),
-            }
-
-    def _init_prefilter(
+    def _init_kernel(
         self,
+        packed: np.ndarray,
+        dim: int,
         ann: Optional[AnnConfig],
-        hvs: np.ndarray,
         persisted: Optional[HammingLSHIndex] = None,
     ) -> None:
-        """Build (or adopt) the ANN prefilter when ``ann`` is set."""
+        """Lay the packed rows out for window scoring; build the prefilter.
+
+        Persisted ANN tables are adopted when they were built with the
+        same config; otherwise fresh tables are hashed from ``packed``.
+        """
+        masses = np.array([ref.neutral_mass for ref in self.references])
+        charges = np.array([ref.precursor_charge for ref in self.references])
+        self._kernel = WindowKernel(
+            packed,
+            masses,
+            charges,
+            dim=dim,
+            charge_aware=self.windows.charge_aware,
+            block_rows=self._score_block_rows,
+        )
         self.ann_config = ann
         self._prefilter: Optional[CandidatePrefilter] = None
         self.ann_stats: Optional[AnnStats] = None
@@ -142,9 +134,7 @@ class BatchedHDOmsSearcher:
             return
         lsh = persisted if persisted is not None and persisted.config == ann else None
         if lsh is None:
-            lsh = HammingLSHIndex.build(pack_bipolar(hvs), hvs.shape[1], ann)
-        masses = np.array([ref.neutral_mass for ref in self.references])
-        charges = np.array([ref.precursor_charge for ref in self.references])
+            lsh = HammingLSHIndex.build(packed, dim, ann)
         self._prefilter = CandidatePrefilter(
             lsh, masses, charges, charge_aware=self.windows.charge_aware
         )
@@ -182,8 +172,8 @@ class BatchedHDOmsSearcher:
             encoder: Optional shared encoder (validated against the
                 index provenance).
             ann: Optional ANN prefilter config.
-            score_block_rows: Reference rows per matmul block (``None``
-                or ``0`` disables blocking).
+            score_block_rows: Bound on the reference rows per matmul
+                tile (``None`` = auto, ``0`` = untiled).
             engine: Optional :class:`~repro.engine.EngineConfig`
                 supplying ``ann`` / ``score_block_rows`` defaults when
                 the explicit kwargs are unset.
@@ -223,12 +213,16 @@ class BatchedHDOmsSearcher:
         searcher.query_ber = query_ber
         searcher._score_block_rows = score_block_rows
         searcher.references = index.records()
-        hvs = index.hypervectors()
+        packed = np.asarray(index.packed)
         if reference_ber > 0:
-            hvs = flip_bits(hvs, reference_ber, searcher._noise_rng)
-        searcher._build_buckets(hvs)
-        searcher._init_prefilter(
-            ann, hvs, persisted=index.ann if reference_ber == 0 else None
+            packed = pack_bipolar(
+                flip_bits(index.hypervectors(), reference_ber, searcher._noise_rng)
+            )
+        searcher._init_kernel(
+            packed,
+            index.dim,
+            ann,
+            persisted=index.ann if reference_ber == 0 else None,
         )
         return searcher
 
@@ -243,108 +237,39 @@ class BatchedHDOmsSearcher:
         return self.windows.open_window_da
 
     def search(self, queries: Sequence[Spectrum]) -> SearchResult:
-        """Search all queries via one dense matmul per charge bucket.
+        """Search all queries through one window-kernel call.
 
         The whole batch is encoded through the fused vectorized pipeline
         first (one ``encode_batch`` pass in arrival order — this is what
-        the service's micro-batch flushes ride on), then bucketed by
-        charge; BER injection stays per query in arrival order so
-        results are bit-identical to the per-query schedule.
+        the service's micro-batch flushes ride on); BER injection stays
+        per query in arrival order so results are bit-identical to the
+        per-query schedule.
         """
         start = time.perf_counter()
-        prepared: Dict[int, List[Tuple[int, Spectrum, np.ndarray]]] = {}
-        unmatched = 0
-        admitted: List[Tuple[Spectrum, Spectrum, int]] = []
+        admitted: List[Tuple[Spectrum, Spectrum]] = []
         for query in queries:
             processed = preprocess(query, self.preprocessing)
-            if processed is None:
-                unmatched += 1
-                continue
-            charge = (
-                query.precursor_charge if self.windows.charge_aware else 0
-            )
-            bucket_key = charge if charge in self._buckets else None
-            if bucket_key is None and self.windows.charge_aware:
-                unmatched += 1
-                continue
-            admitted.append((query, processed, bucket_key))
-        query_hvs = encode_queries(
-            self.encoder, [processed for _, processed, _ in admitted]
-        )
-        for order_index, ((query, _processed, bucket_key), query_hv) in enumerate(
-            zip(admitted, query_hvs)
-        ):
-            if self.query_ber > 0:
-                query_hv = flip_bits(query_hv, self.query_ber, self._noise_rng)
-            prepared.setdefault(bucket_key, []).append(
-                (order_index, query, query_hv)
-            )
-
-        indexed_psms: List[Tuple[int, PSM]] = []
-        half_width = self._half_width()
-        for charge, items in prepared.items():
-            bucket = self._buckets[charge]
-            if self._prefilter is not None:
-                # ANN path: no dense (q, n) matmul — each query scores
-                # only its shortlist rows, gathered from the bucket by
-                # local rank (the prefilter and the bucket share the
-                # same stable mass ordering).
-                for order_key, query, query_hv in items:
-                    psm = self._search_prefiltered(
-                        bucket, query, query_hv, half_width
-                    )
-                    if psm is None:
-                        unmatched += 1
-                    else:
-                        indexed_psms.append((order_key, psm))
-                continue
-            with get_tracer().span(
-                "score.dense",
-                charge=int(charge),
-                queries=len(items),
-                refs=int(bucket["hvs"].shape[0]),
+            if processed is not None and self._kernel.has_bucket(
+                query.precursor_charge
             ):
-                query_matrix = np.stack(
-                    [hv for _, _, hv in items]
-                ).astype(np.float32)
-                scores = self._bucket_scores(query_matrix, bucket["hvs"])
-            masses = bucket["masses"]
-            for row, (order_key, query, _hv) in enumerate(items):
-                low = np.searchsorted(
-                    masses, query.neutral_mass - half_width, "left"
+                admitted.append((query, processed))
+        psms: List[PSM] = []
+        if admitted:
+            query_hvs = encode_queries(
+                self.encoder, [processed for _, processed in admitted]
+            )
+            if self.query_ber > 0:
+                query_hvs = np.stack(
+                    [
+                        flip_bits(query_hv, self.query_ber, self._noise_rng)
+                        for query_hv in query_hvs
+                    ]
                 )
-                high = np.searchsorted(
-                    masses, query.neutral_mass + half_width, "right"
-                )
-                if high <= low:
-                    unmatched += 1
-                    continue
-                window_scores = scores[row, low:high]
-                best = int(np.argmax(window_scores))
-                position = int(bucket["positions"][low + best])
-                reference = self.references[position]
-                indexed_psms.append(
-                    (
-                        order_key,
-                        PSM(
-                            query_id=query.identifier,
-                            reference_id=reference.identifier,
-                            peptide_key=reference.peptide_key(),
-                            score=float(window_scores[best]),
-                            is_decoy=reference.is_decoy,
-                            precursor_mass_difference=query.neutral_mass
-                            - reference.neutral_mass,
-                            mode=self.mode,
-                            reference_mass=float(reference.neutral_mass),
-                            library_position=position,
-                        ),
-                    )
-                )
-        indexed_psms.sort(key=lambda pair: pair[0])
+            psms = self._score([query for query, _ in admitted], query_hvs)
         return SearchResult(
-            psms=[psm for _, psm in indexed_psms],
+            psms=psms,
             num_queries=len(queries),
-            num_unmatched=unmatched,
+            num_unmatched=len(queries) - len(psms),
             elapsed_seconds=time.perf_counter() - start,
             backend_name=(
                 "batched-dense+ann"
@@ -353,65 +278,47 @@ class BatchedHDOmsSearcher:
             ),
         )
 
-    def _bucket_scores(
-        self, query_matrix: np.ndarray, refs: np.ndarray
-    ) -> np.ndarray:
-        """Dense ``(q, n)`` scores, optionally column-blocked.
-
-        Each output element is one row-column dot product, so blocking
-        the reference axis never changes any accumulation order — the
-        result is bit-identical to the single gemm.
-        """
-        block = self._score_block_rows
-        num_refs = refs.shape[0]
-        if not block or num_refs <= block:
-            return query_matrix @ refs.T  # (q, n) dense
-        scores = np.empty((query_matrix.shape[0], num_refs), dtype=np.float32)
-        for start in range(0, num_refs, block):
-            stop = min(start + block, num_refs)
-            np.matmul(
-                query_matrix, refs[start:stop].T, out=scores[:, start:stop]
-            )
-        return scores
-
-    def _search_prefiltered(
-        self,
-        bucket: Dict[str, np.ndarray],
-        query: Spectrum,
-        query_hv: np.ndarray,
-        half_width: float,
-    ) -> Optional[PSM]:
-        """Score one query against its ANN shortlist rows only."""
-        tracer = get_tracer()
-        with tracer.span("ann.prefilter") as span:
-            selection = self._prefilter.select(
-                query_hv, query.neutral_mass, query.precursor_charge, half_width
-            )
-            span.tag(
-                outcome=selection.outcome,
-                window=selection.window_count,
-                shortlist=len(selection.positions),
-            )
-        self.ann_stats.record(
-            selection.outcome, selection.window_count, len(selection.positions)
+    def _score(
+        self, queries: Sequence[Spectrum], query_hvs: np.ndarray
+    ) -> List[PSM]:
+        """One kernel pass over encoded queries; PSMs in arrival order."""
+        masses = np.array([query.neutral_mass for query in queries])
+        charges = np.array(
+            [query.precursor_charge for query in queries], dtype=np.int64
         )
-        if selection.window_count == 0:
-            return None
-        with tracer.span("score.rerank", rows=len(selection.positions)):
-            rows = bucket["hvs"][selection.ranks]
-            scores = rows @ query_hv.astype(np.float32)
-        best = int(np.argmax(scores))
-        position = int(selection.positions[best])
-        reference = self.references[position]
-        return PSM(
-            query_id=query.identifier,
-            reference_id=reference.identifier,
-            peptide_key=reference.peptide_key(),
-            score=float(scores[best]),
-            is_decoy=reference.is_decoy,
-            precursor_mass_difference=query.neutral_mass
-            - reference.neutral_mass,
-            mode=self.mode,
-            reference_mass=float(reference.neutral_mass),
-            library_position=position,
-        )
+        # Under ANN the kernel spans each prefilter decision and re-rank
+        # itself; the plain pass is one dense stage.
+        span = NULL_SPAN
+        if self._prefilter is None:
+            span = get_tracer().span(
+                "score.dense", queries=len(queries), refs=self.num_references
+            )
+        with span:
+            winners = self._kernel.search(
+                query_hvs, masses, charges, self._half_width(), self._prefilter
+            )
+        for selection in winners.selections:
+            self.ann_stats.record(
+                selection.outcome, selection.window_count, len(selection.positions)
+            )
+        psms: List[PSM] = []
+        for query, row, score in zip(queries, winners.rows, winners.scores):
+            if row < 0:
+                continue
+            position = int(self._kernel.positions[row])
+            reference = self.references[position]
+            psms.append(
+                PSM(
+                    query_id=query.identifier,
+                    reference_id=reference.identifier,
+                    peptide_key=reference.peptide_key(),
+                    score=float(score),
+                    is_decoy=reference.is_decoy,
+                    precursor_mass_difference=query.neutral_mass
+                    - reference.neutral_mass,
+                    mode=self.mode,
+                    reference_mass=float(reference.neutral_mass),
+                    library_position=position,
+                )
+            )
+        return psms

@@ -48,6 +48,9 @@ class DrainingHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = False
     allow_reuse_address = True
+    # http.server's listen backlog of 5 resets or stalls a burst of
+    # simultaneous connects before the accept loop gets to them.
+    request_queue_size = 128
     #: Once True, handlers answer the current request then close the
     #: connection, so server_close() can join their threads.
     draining = False

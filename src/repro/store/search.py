@@ -11,13 +11,13 @@ zero candidate rows to *every* query in the batch by construction, so
 pruning is exact: results are bit-identical to a monolithic search,
 ``min_candidates`` gating included.
 
-Each opened segment gets its own :class:`~repro.exec.arena.SharedShardArena`
-(packed rows, masses, charges copied out of the mmap once) and a
-:class:`~repro.exec.scorer.ShardScorer` whose positions are offset to
-global row numbers.  Scoring runs in-process — serially or on a thread
-pool over the GIL-releasing kernels; ``executor="process"`` is accepted
-for config compatibility but downgraded to threads, because a process
-pool would force every segment open up front, defeating the pruning.
+Each opened segment gets a :class:`~repro.exec.scorer.ShardScorer`
+built straight from the segment's mmap'd arrays, with positions offset
+to global row numbers.  Scoring runs in-process — serially or on a
+thread pool over the GIL-releasing kernels — so nothing is ever copied
+into shared memory; ``executor="process"`` is accepted for config
+compatibility but downgraded to threads, because a process pool would
+force every segment open up front, defeating the pruning.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 from ..ann import AnnStats, HammingLSHIndex
 from ..engine import EngineConfig
-from ..exec.arena import SharedShardArena
 from ..exec.scorer import ShardScorer, resolve_backend, shard_payload
 from ..index.library import IndexCompatibilityError, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
@@ -127,14 +126,13 @@ class SegmentedSearcher(MicroBatchSearchMixin):
         self._pipeline_batch = engine.pipeline_batch or ENCODE_BLOCK_SIZE
         self._offsets = store.offsets
         self._scorers: Dict[int, ShardScorer] = {}
-        self._arenas: Dict[int, SharedShardArena] = {}
         self._records: Dict[int, List[ReferenceRecord]] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self.ann_stats = AnnStats() if config.ann is not None else None
         # Concurrent searches share this searcher (the coordinator's
         # workers, storm tests): _open_lock serializes segment
-        # materialization (a double-open would leak a shared-memory
-        # arena), _stats_lock guards the plain-int counters that
+        # materialization (a double-open would build the float32 rows
+        # twice), _stats_lock guards the plain-int counters that
         # scoring threads bump.
         self._open_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -146,13 +144,12 @@ class SegmentedSearcher(MicroBatchSearchMixin):
     # ------------------------------------------------------------------
 
     def _scorer(self, segment_id: int) -> ShardScorer:
-        """Open one segment on first use: arena + offset scorer + records.
+        """Open one segment on first use: offset scorer + records.
 
         Thread-safe: concurrent searches race to materialize the same
-        segment, and an unsynchronized double-open would build two
-        arenas and leak one (shared memory is unlinked by name).  The
-        fast path stays lock-free — dict reads are atomic and entries
-        are only ever added, never replaced.
+        segment, and an unsynchronized double-open would build its
+        scorer twice.  The fast path stays lock-free — dict reads are
+        atomic and entries are only ever added, never replaced.
         """
         scorer = self._scorers.get(segment_id)
         if scorer is not None:
@@ -166,26 +163,21 @@ class SegmentedSearcher(MicroBatchSearchMixin):
         if scorer is not None:
             return scorer
         segment = self.store.segment(segment_id)
-        arrays = {
-            "packed": np.asarray(segment.packed),
-            "masses": np.asarray(segment.neutral_masses, dtype=np.float64),
-            "charges": np.asarray(segment.charges, dtype=np.int64),
-        }
+        packed = np.asarray(segment.packed)
         tables = None
         if self.config.ann is not None:
             if segment.ann is not None and segment.ann.config == self.config.ann:
                 tables = segment.ann
             else:
                 tables = HammingLSHIndex.build(
-                    arrays["packed"], segment.dim, self.config.ann
+                    packed, segment.dim, self.config.ann
                 )
-        arena = SharedShardArena.create(arrays)
         payload = shard_payload(
             segment_id,
             (0, segment.num_references),
-            arena.array("packed"),
-            arena.array("masses"),
-            arena.array("charges"),
+            packed,
+            segment.neutral_masses,
+            segment.charges,
             dim=segment.dim,
             backend=self._backend,
             charge_aware=self.windows.charge_aware,
@@ -199,7 +191,6 @@ class SegmentedSearcher(MicroBatchSearchMixin):
             self._offsets[segment_id]
         )
         scorer = ShardScorer(payload)
-        self._arenas[segment_id] = arena
         self._records[segment_id] = segment.records()
         self._scorers[segment_id] = scorer
         with self._stats_lock:
@@ -217,16 +208,13 @@ class SegmentedSearcher(MicroBatchSearchMixin):
         ]
 
     def close(self, timeout: float = 10.0) -> None:
-        """Release the thread pool and unlink all segment arenas."""
+        """Release the thread pool and drop every opened segment."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
         with self._open_lock:
             self._scorers.clear()
             self._records.clear()
-            arenas, self._arenas = self._arenas, {}
-        for arena in arenas.values():
-            arena.close()
         if self._owns_store:
             self.store.close()
 
@@ -267,8 +255,8 @@ class SegmentedSearcher(MicroBatchSearchMixin):
 
     @property
     def arena_nbytes(self) -> int:
-        """Shared-memory bytes across the currently opened segments."""
-        return sum(arena.nbytes for arena in self._arenas.values())
+        """Shared-memory bytes in use: always 0, scoring never leaves the process."""
+        return 0
 
     @property
     def segments_opened(self) -> int:
@@ -294,8 +282,7 @@ class SegmentedSearcher(MicroBatchSearchMixin):
         query_charges: np.ndarray,
         half_width: float,
     ) -> List[Tuple[np.ndarray, ...]]:
-        # Open in the caller thread under _open_lock (arena creation
-        # must never race); score concurrently.
+        # Open in the caller thread under _open_lock; score concurrently.
         scorers = [self._scorer(segment_id) for segment_id in relevant]
 
         def score(task: Tuple[int, ShardScorer]) -> Tuple[float, Tuple]:

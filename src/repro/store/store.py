@@ -5,7 +5,7 @@ memory-mapped on first touch (:meth:`SegmentedStore.segment`) and
 cached.  :meth:`SegmentedStore.segments_for_range` is the pruning
 primitive the searcher builds on: given a precursor-mass interval it
 names exactly the segments whose recorded range intersects it, so a
-window-restricted search never pays I/O — or arena bytes — for
+window-restricted search never pays I/O — or scorer memory — for
 segments it cannot match.  Per-segment open counters make that
 laziness assertable in tests.
 """

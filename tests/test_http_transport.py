@@ -197,6 +197,31 @@ class TestNoDelay:
         assert seen and all(seen)
 
 
+def test_connect_burst_waits_in_the_listen_backlog(server):
+    """32 clients connect before the first accept; every one gets a 200."""
+    host, port = server.server_address[:2]
+    request = b"GET /stats HTTP/1.1\r\nHost: burst\r\nConnection: close\r\n\r\n"
+    clients = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    try:
+        for _ in range(32):
+            clients.append(socket.create_connection((host, port), timeout=5))
+            clients[-1].sendall(request)
+        thread.start()
+        for client in clients:
+            with client.makefile("rb") as reply:
+                status, _headers, _payload = parse_reply(reply.read())
+            assert status == 200
+    finally:
+        for client in clients:
+            client.close()
+        if thread.is_alive():
+            server.shutdown()
+            thread.join(timeout=10)
+            server.draining = False
+    assert not thread.is_alive()
+
+
 def test_both_front_ends_share_the_one_response_writer():
     from repro.coord.server import CoordinatorRequestHandler, CoordinatorServer
     from repro.service.server import SearchRequestHandler

@@ -1,0 +1,323 @@
+"""Property tests for the window-scoring kernel (repro.oms.kernel).
+
+Two oracles, both brute force:
+
+* at the shard level, the per-query gather loop the kernel replaced is
+  kept here as the reference implementation — select the window rows,
+  order them by (mass, position), score every one, take the first
+  maximum;
+* at the searcher level, :class:`~repro.oms.search.HDOmsSearcher`, the
+  engine every composition must equal PSM for PSM.
+
+The generated libraries are small and low-dimensional on purpose:
+duplicate masses, identical rows and equal-score ties are the common
+case, windows are often empty, and some queries carry a charge no
+library row has.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro.oms.kernel as kernel_module
+from repro.ann import AnnConfig, CandidatePrefilter, HammingLSHIndex
+from repro.constants import PROTON_MASS
+from repro.engine import EngineConfig
+from repro.exec import ShardScorer, shard_payload
+from repro.hdc.packing import pack_bipolar, unpack_bipolar
+from repro.hdc.spaces import HDSpaceConfig
+from repro.index import LibraryIndex, ShardedSearcher
+from repro.ms.synthetic import WorkloadConfig, build_workload
+from repro.ms.vectorize import BinningConfig
+from repro.oms import (
+    BatchedHDOmsSearcher,
+    DenseBackend,
+    HDOmsSearcher,
+    HDSearchConfig,
+    WindowConfig,
+)
+from repro.store import SegmentedSearcher, build_store
+
+DIM = 64
+#: Offsets (Da) from a base mass: exact duplicates, a staggered run whose
+#: 0.5 Da standard windows overlap only partly, pairs that straddle the
+#: 12 Da open window edge, and far outliers.
+MASS_OFFSETS = (0.0, 0.0, 0.2, 0.4, 0.5, 0.6, 0.75, 1.0, 1.2, 11.5, 12.0, 12.5, 400.0)
+BASE_MASS = 1000.0
+TINY_ANN = AnnConfig(
+    num_tables=2,
+    bits_per_hash=4,
+    multiprobe_radius=0,
+    candidate_budget=4,
+    ann_threshold=2,
+    seed=1,
+)
+
+
+@contextlib.contextmanager
+def block_cells(cells: int):
+    """Cap the kernel's score slab at ``cells`` so tiny batches cut blocks."""
+    saved = kernel_module.SCORE_BLOCK_BYTES
+    kernel_module.SCORE_BLOCK_BYTES = 4 * cells
+    try:
+        yield
+    finally:
+        kernel_module.SCORE_BLOCK_BYTES = saved
+
+
+# ----------------------------------------------------------------------
+# shard level: ShardScorer vs the gather loop it replaced
+# ----------------------------------------------------------------------
+
+
+def gather_loop(payload, prefilter, query_hvs, query_masses, query_charges, half_width):
+    """Reference ``score_batch``: one gathered window per query."""
+    rows = unpack_bipolar(payload["packed"], payload["dim"]).astype(np.int64)
+    masses = np.asarray(payload["masses"], dtype=np.float64)
+    charges = np.asarray(payload["charges"])
+    expected = []
+    for hv, mass, charge in zip(query_hvs, query_masses, query_charges):
+        inside = (masses >= mass - half_width) & (masses <= mass + half_width)
+        if payload["charge_aware"]:
+            inside &= charges == charge
+        window = np.flatnonzero(inside)
+        window = window[np.lexsort((window, masses[window]))]
+        count = len(window)
+        if prefilter is not None:
+            selection = prefilter.select(hv, float(mass), int(charge), half_width)
+            assert selection.window_count == count
+            window = selection.positions
+        if count == 0:
+            expected.append((0, -np.inf, np.inf, -1))
+            continue
+        scores = rows[window] @ hv.astype(np.int64)
+        best = int(np.argmax(scores))
+        expected.append(
+            (
+                count,
+                float(scores[best]),
+                float(masses[window[best]]),
+                int(payload["positions"][window[best]]),
+            )
+        )
+    return expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_shard_scorer_equals_the_gather_loop(data):
+    num_rows = data.draw(st.integers(1, 40), label="rows")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    # Few distinct rows, so equal scores inside one window are routine.
+    distinct = rng.choice(np.array([-1, 1], dtype=np.int8), size=(4, DIM))
+    hvs = distinct[rng.integers(0, len(distinct), num_rows)]
+    masses = BASE_MASS + rng.choice(MASS_OFFSETS, num_rows)
+    charges = rng.integers(2, 4, num_rows).astype(np.int64)
+    start = data.draw(st.integers(0, 100), label="position offset")
+    backend = data.draw(
+        st.sampled_from(["dense", "packed", DenseBackend]), label="backend"
+    )
+    payload = shard_payload(
+        0,
+        (0, num_rows),
+        pack_bipolar(hvs),
+        masses,
+        charges,
+        dim=DIM,
+        backend=backend,
+        charge_aware=data.draw(st.booleans(), label="charge_aware"),
+        ann=data.draw(st.sampled_from([None, TINY_ANN]), label="ann"),
+        score_block_rows=data.draw(st.sampled_from([None, 0, 1, 3]), label="tile"),
+    )
+    payload["positions"] = payload["positions"] + start
+    prefilter = None
+    if payload["ann"] is not None:
+        prefilter = CandidatePrefilter(
+            HammingLSHIndex.build(payload["packed"], DIM, payload["ann"]),
+            masses,
+            charges,
+            charge_aware=payload["charge_aware"],
+        )
+
+    num_queries = data.draw(st.integers(1, 24), label="queries")
+    query_hvs = distinct[rng.integers(0, len(distinct), num_queries)].copy()
+    flips = rng.random(query_hvs.shape) < 0.1
+    query_hvs[flips] *= -1
+    query_masses = BASE_MASS + rng.choice(MASS_OFFSETS, num_queries)
+    query_charges = rng.integers(2, 5, num_queries).astype(np.int64)  # 4: no bucket
+    half_width = data.draw(st.sampled_from([0.0, 0.3, 0.5, 12.0, 1e9]), label="half width")
+
+    with block_cells(data.draw(st.sampled_from([7, 1 << 20]), label="cells")):
+        got = ShardScorer(payload).score_batch(
+            query_hvs, query_masses, query_charges, half_width
+        )
+    expected = gather_loop(
+        payload, prefilter, query_hvs, query_masses, query_charges, half_width
+    )
+    assert list(zip(*(column.tolist() for column in got[:4]))) == expected
+    if prefilter is None:
+        assert not got[4].any() and not got[5].any()
+    else:
+        assert int(got[4].sum()) == num_queries
+
+
+def test_rows_outside_a_window_never_win_in_a_shared_block():
+    """Staggered windows share one slab; each argmax sees only its own."""
+    rng = np.random.default_rng(5)
+    hvs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, DIM))
+    masses = BASE_MASS + np.arange(5.0)
+    for backend in ("dense", "packed"):
+        kernel = kernel_module.WindowKernel(
+            pack_bipolar(hvs), masses, np.full(5, 2), dim=DIM, backend=backend
+        )
+        # Query i is row i itself (score DIM) but its +-1 Da window is
+        # centred two rows away: the perfect match is the first row
+        # below the window (queries 0, 1) or the first above it (2-4).
+        centres = np.array([2, 3, 0, 1, 2])
+        winners = kernel.search(hvs, masses[centres], np.full(5, 2), 1.0)
+        assert list(kernel_module._cut_blocks(*kernel.windows(
+            np.sort(masses[centres]), np.full(5, 2), 1.0
+        ))) == [(0, 5)]
+        for query, centre in enumerate(centres):
+            window = [row for row in range(5) if abs(row - centre) <= 1]
+            scores = hvs[window].astype(np.int64) @ hvs[query].astype(np.int64)
+            assert winners.rows[query] == window[int(np.argmax(scores))]
+            assert winners.scores[query] == scores.max() < DIM
+
+
+def test_block_cutter_covers_every_window_once():
+    lows = np.array([0, 0, 2, 2, 9, 40, 41])
+    highs = np.array([5, 6, 6, 30, 12, 45, 45])
+    for cells in (1, 12, 1 << 20):
+        with block_cells(cells):
+            blocks = list(kernel_module._cut_blocks(lows, highs))
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == len(lows)
+        for start, stop in blocks:
+            union = highs[start:stop].max() - lows[start]
+            assert stop - start == 1 or (stop - start) * union <= cells
+    # Uncapped: the window inside the first union joins it for free, the
+    # disjoint pair far away would only add wasted cells and starts anew.
+    assert blocks == [(0, 5), (5, 7)]
+
+
+# ----------------------------------------------------------------------
+# searcher level: every engine vs brute-force HDOmsSearcher
+# ----------------------------------------------------------------------
+
+BINNING = BinningConfig()
+SPACE = HDSpaceConfig(dim=DIM, num_bins=BINNING.num_bins, seed=3)
+WORKLOAD = build_workload(
+    WorkloadConfig(name="kernel-prop", num_references=6, num_queries=4, seed=41)
+)
+PATTERNS = WORKLOAD.references + WORKLOAD.queries
+
+
+def _spectrum(identifier: str, pattern: int, offset: int, charge: int):
+    mass = BASE_MASS + MASS_OFFSETS[offset]
+    return dataclasses.replace(
+        PATTERNS[pattern],
+        identifier=identifier,
+        precursor_charge=charge,
+        precursor_mz=(mass + charge * PROTON_MASS) / charge,
+    )
+
+
+def _spectra(prefix: str, charges, min_size: int, max_size: int):
+    return st.lists(
+        st.tuples(
+            st.integers(0, len(PATTERNS) - 1),
+            st.integers(0, len(MASS_OFFSETS) - 1),
+            st.sampled_from(charges),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    ).map(
+        lambda rows: [
+            _spectrum(f"{prefix}{i}", *row) for i, row in enumerate(rows)
+        ]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    references=_spectra("ref", (2, 3), 3, 24),
+    queries=_spectra("query", (2, 3, 4), 1, 30),
+    kind=st.sampled_from(["sharded", "segmented", "batched"]),
+    backend=st.sampled_from(["dense", "packed"]),
+    mode=st.sampled_from(["standard", "open", "cascade"]),
+    parts=st.integers(1, 3),
+    use_ann=st.booleans(),
+    charge_aware=st.booleans(),
+    cells=st.sampled_from([3, 16, 1 << 20]),
+)
+def test_every_engine_equals_brute_force(
+    references, queries, kind, backend, mode, parts, use_ann, charge_aware, cells
+):
+    if kind == "batched":
+        assume(mode != "cascade")
+        backend, parts = "dense", 1
+    if use_ann:
+        # Each shard hashes its own rows; only one shard sees exactly
+        # the rows (and so the shortlist) the oracle's prefilter sees.
+        parts = 1
+    ann = TINY_ANN if use_ann else None
+    index = LibraryIndex.build(references, space_config=SPACE, binning=BINNING)
+    parts = min(parts, index.num_references)
+    windows = WindowConfig(
+        standard_tolerance_da=0.5, open_window_da=12.0, charge_aware=charge_aware
+    )
+    config = HDSearchConfig(mode=mode, ann=ann)
+    expected = HDOmsSearcher.from_index(index, windows=windows, config=config).search(queries)
+
+    engine = EngineConfig(kind=kind, backend=backend, num_shards=parts, num_workers=0)
+    with block_cells(cells), tempfile.TemporaryDirectory() as scratch:
+        if kind == "batched":
+            got = BatchedHDOmsSearcher.from_index(
+                index, windows=windows, mode=mode, ann=ann
+            ).search(queries)
+        elif kind == "sharded":
+            with ShardedSearcher(
+                index, windows=windows, config=config, engine=engine
+            ) as searcher:
+                got = searcher.search(queries)
+        else:
+            store = build_store(
+                references,
+                Path(scratch) / "store",
+                space_config=SPACE,
+                binning=BINNING,
+                segment_rows=math.ceil(index.num_references / parts),
+            )
+            with store, SegmentedSearcher(
+                store, windows=windows, config=config, engine=engine
+            ) as searcher:
+                got = searcher.search(queries)
+    assert got.psms == expected.psms
+    assert got.num_unmatched == expected.num_unmatched
+
+
+def test_one_shard_default_searcher_is_serial_and_reopens():
+    """`--shards 1` with auto workers resolves to one worker: no pool."""
+    index = LibraryIndex.build(WORKLOAD.references, space_config=SPACE, binning=BINNING)
+    expected = HDOmsSearcher.from_index(index).search(WORKLOAD.queries).psms
+    engine = EngineConfig(kind="sharded", num_shards=1, num_workers=None)
+    shm = Path("/dev/shm")
+    before = set(shm.iterdir()) if shm.is_dir() else set()
+    with ShardedSearcher(index, engine=engine) as searcher:
+        assert searcher.executor_kind == "serial"
+        assert searcher.search(WORKLOAD.queries).psms == expected
+        assert searcher.arena_nbytes == 0
+        assert searcher._executor is None
+        assert not shm.is_dir() or set(shm.iterdir()) <= before
+        searcher.close()
+        assert searcher.search(WORKLOAD.queries).psms == expected

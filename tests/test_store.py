@@ -155,6 +155,30 @@ class TestBuildParity:
                 _search_pairs(searcher, baseline, queries)
         store.close()
 
+    def test_search_allocates_no_shared_memory(
+        self, tmp_path, references, queries, space_config, binning, monolithic
+    ):
+        """Store search never leaves the process, so it maps no arena."""
+        shm = Path("/dev/shm")
+        if not shm.is_dir():
+            pytest.skip("no /dev/shm on this platform")
+        store = build_store(
+            references,
+            tmp_path / "store",
+            space_config=space_config,
+            binning=binning,
+            segment_rows=13,
+        )
+        before = set(shm.iterdir())
+        with SegmentedSearcher(
+            store, engine=EngineConfig(num_workers=2, executor="process")
+        ) as searcher:
+            _search_pairs(searcher, HDOmsSearcher.from_index(monolithic), queries)
+            assert searcher.segments_opened > 1
+            assert searcher.arena_nbytes == 0
+            assert set(shm.iterdir()) <= before
+        store.close()
+
     def test_empty_store_rejected(self, tmp_path, space_config, binning):
         with pytest.raises(ValueError, match="survived preprocessing"):
             build_store(
