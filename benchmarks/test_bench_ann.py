@@ -15,25 +15,23 @@ of components flipped — the regime the prefilter is designed for, see
   brute-force cost ~10x but the ANN cost far less, because the scored
   shortlist stays capped at the budget.
 
-Asserted: >= 3x speedup at >= 0.99 top-1 recall on the full-size
-library, and ANN per-query growth at most half the brute-force growth
-across the 10x size step.  ``REPRO_BENCH_SCALE`` (default 1.0) scales
+Asserted: >= 0.99 top-1 recall on the full-size library, and ANN
+per-query growth at most half the brute-force growth across the 10x
+size step.  The speed-up itself is recorded, not gated (5.6-11.5x at
+recall 1.0 on the reference host).  ``REPRO_BENCH_SCALE`` (default 1.0) scales
 the library for CI smoke; the tiny recall sanity check at the bottom is
 scale-independent.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ANN_KEYS, record_trajectory
 
 from repro.ann import AnnConfig, CandidatePrefilter, HammingLSHIndex
 from repro.hdc.packing import pack_bipolar
-
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_ann.json"
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 DIM = 1024
@@ -45,7 +43,6 @@ MASS_RANGE = (700.0, 3_000.0)
 BUDGET_CURVE = (64, 128, 256, 512)
 DEFAULT_BUDGET = 256
 TIMING_ROUNDS = 3
-MIN_SPEEDUP = 3.0
 MIN_RECALL = 0.99
 
 
@@ -122,20 +119,6 @@ def _per_query_seconds(func, queries) -> float:
     return _best_of(_run) / len(queries)
 
 
-def _append_trajectory(entry: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(entry)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
-
-
 @pytest.fixture(scope="module")
 def large_library():
     return _SyntheticLibrary(LIBRARY_ROWS, seed=101)
@@ -205,7 +188,8 @@ def test_bench_ann_recall_speedup_curve(large_library, capsys):
         1000 * small_ann, 1e-9
     )
 
-    _append_trajectory(
+    record_trajectory(
+        "BENCH_ann.json",
         {
             "bench": "ann_prefilter",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -220,7 +204,8 @@ def test_bench_ann_recall_speedup_curve(large_library, capsys):
                 "brute_growth": round(brute_growth, 2),
                 "ann_growth": round(ann_growth, 2),
             },
-        }
+        },
+        ANN_KEYS,
     )
     with capsys.disabled():
         print(
@@ -243,10 +228,6 @@ def test_bench_ann_recall_speedup_curve(large_library, capsys):
     assert default_row["recall_top1"] >= MIN_RECALL, (
         f"top-1 recall {default_row['recall_top1']} at budget "
         f"{DEFAULT_BUDGET} (need >= {MIN_RECALL})"
-    )
-    assert default_row["speedup"] >= MIN_SPEEDUP, (
-        f"ANN only {default_row['speedup']:.2f}x brute force at budget "
-        f"{DEFAULT_BUDGET} (need >= {MIN_SPEEDUP}x)"
     )
     assert ann_growth <= 0.5 * brute_growth, (
         f"ANN per-query cost grew {ann_growth:.1f}x across the 10x "

@@ -6,34 +6,30 @@ rows with two fancy-index operations, and segment-sums per spectrum.
 This benchmark races it against the *row-loop baseline* — the seed
 implementation: a Python loop over spectra, each paying per-spectrum
 quantisation, a per-peak Python loop stacking ID rows, and one einsum —
-and asserts the fused path wins by >= 3x at batch 256.
+and records the speed-up at batch 256 (a wall-clock ratio is a number to
+track, not a Tier-1 verdict: 5.0-6.1x on the reference host).
 
-Parity is asserted before timing, so the benchmark doubles as a
-correctness gate.  Results are appended to
-``benchmarks/results/BENCH_encode.json`` as a per-machine perf
-trajectory (one entry per run; gitignored because the entries are
-timing-dependent).
+Parity is asserted before timing — that is the gate.  Results are
+appended to ``benchmarks/results/BENCH_encode.json`` as a per-machine
+perf trajectory (one schema-checked entry per run; gitignored because
+the entries are timing-dependent).
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
+from conftest import CORE_KEYS, record_trajectory
 
 from repro.hdc.encoder import SpectrumEncoder, sign_with_tiebreak
 from repro.hdc.spaces import HDSpace, HDSpaceConfig
 from repro.ms.vectorize import BinningConfig, SparseVector, quantize_intensities
 from repro.obs import get_tracer
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_encode.json"
-
 BATCH = 256
 DIM = 2048
 NUM_LEVELS = 16
 MAX_PEAKS = 48
 TIMING_ROUNDS = 5
-MIN_SPEEDUP = 3.0
 
 
 def _row_loop_encode_batch(encoder: SpectrumEncoder, vectors) -> np.ndarray:
@@ -69,22 +65,8 @@ def _best_of(func, rounds=TIMING_ROUNDS) -> float:
     return best
 
 
-def _append_trajectory(entry: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(entry)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def test_bench_encode_fused_vs_row_loop(capsys):
-    """Fused batch encode must be bit-identical and >= 3x the row loop."""
+    """Fused batch encode must be bit-identical; its speed-up is recorded."""
     binning = BinningConfig()
     space = HDSpace(
         HDSpaceConfig(
@@ -114,7 +96,8 @@ def test_bench_encode_fused_vs_row_loop(capsys):
     speedup = baseline_seconds / max(fused_seconds, 1e-12)
     spectra_per_second = BATCH / max(fused_seconds, 1e-12)
 
-    _append_trajectory(
+    record_trajectory(
+        "BENCH_encode.json",
         {
             "bench": "encode_batch",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -126,7 +109,8 @@ def test_bench_encode_fused_vs_row_loop(capsys):
             "fused_seconds": round(fused_seconds, 6),
             "speedup": round(speedup, 2),
             "spectra_per_second": round(spectra_per_second, 1),
-        }
+        },
+        CORE_KEYS,
     )
     with capsys.disabled():
         print(
@@ -135,10 +119,6 @@ def test_bench_encode_fused_vs_row_loop(capsys):
             f"fused {1000 * fused_seconds:.2f} ms "
             f"({speedup:.1f}x, {spectra_per_second:.0f} spectra/s)"
         )
-    assert speedup >= MIN_SPEEDUP, (
-        f"fused encode_batch only {speedup:.2f}x the row-loop baseline "
-        f"(need >= {MIN_SPEEDUP}x at batch {BATCH})"
-    )
 
 
 # ----------------------------------------------------------------------

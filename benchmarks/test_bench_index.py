@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig
 from repro.hdc.encoder import SpectrumEncoder
 from repro.hdc.spaces import HDSpace, HDSpaceConfig
 from repro.index import LibraryIndex, ShardedSearcher
@@ -132,7 +133,8 @@ def test_bench_build_once_search_many_speedup(bench_setup, capsys):
 def test_bench_sharded_scaling(benchmark, bench_setup, num_shards):
     """Shard fan-out keeps PSM parity at every shard count."""
     workload, _binning, _space, _encoder, index, _path, baseline = bench_setup
-    with ShardedSearcher(index, num_shards=num_shards) as searcher:
+    engine = EngineConfig(num_shards=num_shards, num_workers=None)
+    with ShardedSearcher(index, engine=engine) as searcher:
         searcher.search(workload.queries)  # warm the pool + shard caches
         result = benchmark.pedantic(
             searcher.search, args=(workload.queries,), rounds=2, iterations=1

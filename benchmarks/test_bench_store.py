@@ -39,8 +39,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_store.json"
+from conftest import STORE_KEYS, record_trajectory
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -154,18 +153,6 @@ def _run_child(mode: str, msp_path: Path, store_root: Path) -> dict:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
-def _append_trajectory(entry: dict) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(entry)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def test_streaming_ingest_bounds_peak_rss(tmp_path):
     from repro.ms import write_msp
 
@@ -209,7 +196,7 @@ def test_streaming_ingest_bounds_peak_rss(tmp_path):
         "memory_ratio": round(memory_ratio, 4),
         "seconds": round(seconds, 2),
     }
-    _append_trajectory(entry)
+    record_trajectory("BENCH_store.json", entry, STORE_KEYS)
     print(
         f"\nstore ingest: {NUM_REFERENCES} refs, baseline "
         f"{baseline['hwm_mb']:.0f} MB, monolithic +{mono_extra:.0f} MB, "

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 from repro.ann import AnnConfig
+from repro.engine import EngineConfig
 from repro.hdc import HDSpaceConfig, SpectrumEncoder, HDSpace
 from repro.index import LibraryIndex, ShardedSearcher
 from repro.ms import WorkloadConfig, build_workload
@@ -78,7 +79,8 @@ with tempfile.TemporaryDirectory() as scratch:
 
     # --- 2b. search #2: same index, sharded fan-out -------------------
     start = time.perf_counter()
-    with ShardedSearcher(loaded, num_shards=4) as sharded:
+    engine = EngineConfig(num_shards=4, num_workers=None)  # one worker per core
+    with ShardedSearcher(loaded, engine=engine) as sharded:
         second = sharded.search(workload.queries)
     second_s = time.perf_counter() - start
     print(

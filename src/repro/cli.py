@@ -140,12 +140,7 @@ def _ann_config_from_args(args):
     return AnnConfig(**{key: value for key, (_, value) in given.items()})
 
 
-def add_engine_args(
-    parser,
-    *,
-    workers_default: Optional[int] = None,
-    include_engine: bool = False,
-) -> None:
+def add_engine_args(parser, *, workers_default: Optional[int] = None) -> None:
     """The shared engine flag group (index search/append/merge, serve, profile).
 
     One definition feeds every entry point so the flags cannot drift
@@ -156,22 +151,10 @@ def add_engine_args(
         parser: The subcommand parser to extend.
         workers_default: Default ``--workers`` (``0`` = in-process,
             ``None`` = auto-size to the shard/segment count).
-        include_engine: Also expose ``--engine`` (the service is the
-            only consumer that lets users pin the engine family).
     """
     group = parser.add_argument_group(
         "engine", "execution knobs shared by every search entry point"
     )
-    if include_engine:
-        group.add_argument(
-            "--engine",
-            choices=("auto", "batched", "sharded", "segmented"),
-            default="auto",
-            help=(
-                "engine family (auto = batched dense when possible, "
-                "segmented for store directories)"
-            ),
-        )
     group.add_argument(
         "--shards", type=int, default=1, help="library partitions to score"
     )
@@ -191,8 +174,8 @@ def add_engine_args(
         default="process",
         help=(
             "parallel scoring mode: process = worker pool over a shared-"
-            "memory arena, thread = in-process threads over the same "
-            "arena (zero IPC; segmented stores always score in-process)"
+            "memory arena, thread = in-process threads (no arena, zero "
+            "IPC; segmented stores always score in-process)"
         ),
     )
     group.add_argument(
@@ -220,7 +203,6 @@ def engine_config_from_args(args, ann=None):
     from .engine import EngineConfig
 
     return EngineConfig(
-        kind=getattr(args, "engine", "auto"),
         backend=args.backend,
         num_shards=args.shards,
         num_workers=args.workers,
@@ -494,7 +476,7 @@ def _add_serve_parser(subparsers) -> None:
         default=1024,
         help="LRU result-cache capacity (0 disables caching)",
     )
-    add_engine_args(parser, workers_default=0, include_engine=True)
+    add_engine_args(parser, workers_default=0)
     parser.add_argument(
         "--mode", choices=("open", "standard", "cascade"), default="open"
     )
@@ -1112,16 +1094,10 @@ def _open_searcher(index_path: Path, *, windows, config, engine):
     path = Path(index_path)
     if path.is_dir() or path.name == MANIFEST_NAME:
         return SegmentedSearcher(
-            path,
-            windows=windows,
-            config=config,
-            engine=engine.replace(kind="segmented"),
+            path, windows=windows, config=config, engine=engine
         )
     return ShardedSearcher(
-        LibraryIndex.load(path),
-        windows=windows,
-        config=config,
-        engine=engine.replace(kind="sharded"),
+        LibraryIndex.load(path), windows=windows, config=config, engine=engine
     )
 
 
@@ -1211,11 +1187,8 @@ def _verify_store(args, store) -> int:
     from .oms.search import HDSearchConfig
     from .store import SegmentedSearcher
 
-    engine = engine_config_from_args(args)
     with SegmentedSearcher(
-        store,
-        config=HDSearchConfig(),
-        engine=engine.replace(kind="segmented"),
+        store, config=HDSearchConfig(), engine=engine_config_from_args(args)
     ) as searcher:
         result = searcher.search(list(read_mgf(args.verify_queries)))
     print(
@@ -1367,9 +1340,9 @@ def cmd_serve(args) -> int:
     from .obs.slowlog import DEFAULT_SLOW_MS
     from .obs.trace import DEFAULT_CAPACITY
 
-    # Bad flag combinations (e.g. batched engine + cascade mode) and
-    # unreadable index files are usage errors, not crashes; failures
-    # after startup keep their tracebacks.
+    # Bad flag values (e.g. --shards 0) and unreadable index files are
+    # usage errors, not crashes; failures after startup keep their
+    # tracebacks.
     try:
         _setup_logging_from_args(args)
         routes = _parse_index_routes(args.indexes)

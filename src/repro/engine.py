@@ -2,32 +2,30 @@
 
 The knobs that control *how* a searcher executes — shard count, worker
 pool, executor kind, similarity backend, score-block tiling, pipeline
-batching, and the ANN prefilter — accreted independently onto
-:class:`~repro.index.sharded.ShardedSearcher`,
-:class:`~repro.service.server.ServiceConfig`, and three separate CLI
-flag groups, drifting a little with every addition.
-:class:`EngineConfig` is now the single source of truth: every entry
-point accepts one (the ``engine=`` keyword on the searchers, the
+batching, and the ANN prefilter — live in one place.
+:class:`EngineConfig` is the single way to name them: every entry point
+accepts one (the ``engine=`` keyword on the searchers, the
 ``engine_config`` field on :class:`~repro.service.server.ServiceConfig`,
-the shared flag group built by :func:`repro.cli.add_engine_args`), the
-legacy kwargs keep working behind :class:`DeprecationWarning` shims,
-and the service reports the fully resolved config under
-``/stats``.
+the shared flag group built by :func:`repro.cli.add_engine_args`), none
+has per-knob arguments of its own, and the service reports the fully
+resolved config under ``/stats``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .ann import AnnConfig
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .oms.search import HDSearchConfig
+
 #: The engine families a config can request.  ``auto`` defers the
-#: choice to the consumer (the service picks ``batched`` for trivially
-#: serial configs, ``segmented`` for manifest-backed stores, and
-#: ``sharded`` otherwise).
-ENGINE_KINDS = ("auto", "batched", "sharded", "segmented")
+#: choice to the consumer (``segmented`` for manifest-backed stores,
+#: ``sharded`` for monolithic indexes).
+ENGINE_KINDS = ("auto", "sharded", "segmented")
 
 #: The supported parallel execution modes.
 EXECUTOR_KINDS = ("process", "thread")
@@ -40,15 +38,12 @@ class EngineConfig:
     Attributes:
         kind: Engine family — one of :data:`ENGINE_KINDS`.  ``auto``
             lets the consumer pick.
-        backend: ``"dense"``, ``"packed"``, or a picklable
-            zero-argument factory returning a
-            :class:`~repro.oms.search.SimilarityBackend`.
+        backend: ``"dense"`` or ``"packed"``.
         num_shards: Contiguous row partitions per index (each becomes
             one scoring task per query micro-batch).
         num_workers: Worker count; ``None`` auto-sizes to
             ``min(num_shards, cpu_count)``, ``0`` scores serially
-            in-process (as does a sharded engine that resolves to one
-            worker).
+            in-process (as does an engine that resolves to one worker).
         executor: ``"process"`` or ``"thread"`` (ignored when
             ``num_workers == 0``; segmented searchers always score
             in-process and treat ``"process"`` as ``"thread"``).
@@ -62,7 +57,7 @@ class EngineConfig:
     """
 
     kind: str = "auto"
-    backend: Union[str, Callable] = "dense"
+    backend: str = "dense"
     num_shards: int = 1
     num_workers: Optional[int] = 0
     executor: str = "process"
@@ -75,10 +70,9 @@ class EngineConfig:
             raise ValueError(
                 f"unknown engine kind {self.kind!r}; expected one of {ENGINE_KINDS}"
             )
-        if not callable(self.backend) and self.backend not in ("dense", "packed"):
+        if self.backend not in ("dense", "packed"):
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'dense', 'packed', "
-                "or a backend factory"
+                f"unknown backend {self.backend!r}; expected 'dense' or 'packed'"
             )
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
@@ -100,13 +94,6 @@ class EngineConfig:
                 f"pipeline_batch must be >= 1, got {self.pipeline_batch}"
             )
 
-    @property
-    def backend_label(self) -> str:
-        """Human-readable backend name (factories report ``__name__``)."""
-        if isinstance(self.backend, str):
-            return self.backend
-        return getattr(self.backend, "__name__", "custom")
-
     def replace(self, **changes) -> "EngineConfig":
         """Return a copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
@@ -115,7 +102,7 @@ class EngineConfig:
         """JSON-safe view of the fully resolved config (for ``/stats``)."""
         return {
             "kind": self.kind,
-            "backend": self.backend_label,
+            "backend": self.backend,
             "num_shards": self.num_shards,
             "num_workers": self.num_workers,
             "executor": self.executor,
@@ -124,16 +111,30 @@ class EngineConfig:
             "ann": dataclasses.asdict(self.ann) if self.ann is not None else None,
         }
 
-    def build_backend(self):
-        """Instantiate the similarity backend this config names.
+    def search_config(
+        self, config: Optional["HDSearchConfig"] = None
+    ) -> "HDSearchConfig":
+        """``config`` (default: a fresh one) with this engine's ``ann`` folded in.
 
-        Applies ``score_block_rows`` when the backend supports tiling.
-        Imported lazily to keep :mod:`repro.engine` dependency-free at
-        import time.
+        Raises:
+            ValueError: When both carry an ANN config and they disagree.
         """
-        from .exec.scorer import resolve_backend
+        if config is None:
+            # Lazy: repro.engine stays dependency-free at import time.
+            from .oms.search import HDSearchConfig
 
-        backend = resolve_backend(self.backend)()
-        if self.score_block_rows is not None and hasattr(backend, "set_block_rows"):
-            backend.set_block_rows(self.score_block_rows)
-        return backend
+            config = HDSearchConfig()
+        if self.ann is None or self.ann == config.ann:
+            return config
+        if config.ann is not None:
+            raise ValueError(
+                "conflicting ANN configs: engine.ann disagrees with config.ann"
+            )
+        return dataclasses.replace(config, ann=self.ann)
+
+    def build_backend(self):
+        """The brute-force similarity backend this config names, tiled as configured."""
+        from .oms.search import DenseBackend, PackedBackend
+
+        backends = {"dense": DenseBackend, "packed": PackedBackend}
+        return backends[self.backend](self.score_block_rows)

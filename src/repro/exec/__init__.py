@@ -5,32 +5,27 @@ without duplicating the packed library per worker:
 
 * :class:`~repro.exec.arena.SharedShardArena` — the single sanctioned
   owner of ``multiprocessing.shared_memory`` segments.  Packed shard
-  rows, precursor metadata, and persisted ANN tables are copied into
-  one named segment exactly once; worker *processes* reattach by name
-  and worker *threads* share the parent's mapping, so neither pays a
-  per-worker index copy.
-* :class:`~repro.exec.pool.ProcessShardExecutor` /
-  :class:`~repro.exec.pool.ThreadShardExecutor` — the two
-  ``executor={"process","thread"}`` modes behind
-  :class:`~repro.index.sharded.ShardedSearcher`, with identical task
-  and result layouts (results stay bit-identical across modes).
+  rows, precursor metadata, and per-shard ANN tables are copied into
+  one named segment exactly once and worker *processes* reattach it by
+  name, so no worker pays an index copy.
+* :class:`~repro.exec.pool.ProcessShardExecutor` — the
+  ``executor="process"`` mode of
+  :class:`~repro.index.sharded.ShardedSearcher`.  (``"thread"`` and
+  serial scoring stay in the parent over its own row views — no arena —
+  on the fan-out core's thread pool, :mod:`repro.oms.loop`.)
 * :func:`~repro.exec.pipeline.pipeline_map` — the two-deep bounded
   queue that overlaps encoding of micro-batch ``k+1`` with scoring of
   micro-batch ``k``.
-* :class:`~repro.exec.scorer.ShardScorer` — one shard's window-scoring
-  kernel (:mod:`repro.oms.kernel`), shared by every execution mode.
+* :class:`~repro.oms.kernel.ShardScorer` — one shard's window-scoring
+  kernel, shared by every execution mode (re-exported here).
 
 See ``docs/performance.md`` for mode selection and tuning guidance.
 """
 
 from .arena import ArenaSpec, SharedShardArena
 from .pipeline import PIPELINE_DEPTH, pipeline_map
-from .pool import (
-    POOL_START_TIMEOUT,
-    ProcessShardExecutor,
-    ThreadShardExecutor,
-)
-from .scorer import BACKEND_FACTORIES, ShardScorer, resolve_backend, shard_payload
+from .pool import POOL_START_TIMEOUT, ProcessShardExecutor
+from ..oms.kernel import ShardScorer, shard_payload
 
 __all__ = [
     "ArenaSpec",
@@ -39,9 +34,6 @@ __all__ = [
     "pipeline_map",
     "POOL_START_TIMEOUT",
     "ProcessShardExecutor",
-    "ThreadShardExecutor",
-    "BACKEND_FACTORIES",
     "ShardScorer",
-    "resolve_backend",
     "shard_payload",
 ]

@@ -1,22 +1,14 @@
-"""Process- and thread-pool shard executors over a shared arena.
+"""The process-pool shard executor over a shared arena.
 
-Both executors consume the same task tuples
-``(shard_id, query_hvs, query_masses, query_charges, half_width)`` and
-return the same result tuples
-``(shard_id, wall_seconds, *score_batch_results)``, so the merging
-parent (:class:`~repro.index.sharded.ShardedSearcher`) is oblivious to
-the mode:
-
-* :class:`ProcessShardExecutor` — a ``multiprocessing`` pool whose
-  workers reattach the arena **by name** in their initializer; only the
-  query batch and the per-shard winners cross the pipe, never index
-  rows.  Works under fork and spawn start methods (the setup dict is
-  picklable).
-* :class:`ThreadShardExecutor` — a thread pool scoring shards
-  concurrently in-process.  The scoring kernels (BLAS matmul,
-  large-array ``bitwise_xor`` / ``bitwise_count`` ufuncs) release the
-  GIL on contiguous slabs, so shards genuinely overlap, and queries
-  are handed over by reference — zero IPC.
+:class:`ProcessShardExecutor` is a ``multiprocessing`` pool whose
+workers reattach the arena **by name** in their initializer; only the
+query batch and the per-shard winners cross the pipe, never index rows.
+It consumes task tuples ``(shard_id, query_hvs, query_masses,
+query_charges, half_width)`` and returns ``(shard_id, wall_seconds,
+*score_batch_results)``.  Works under fork and spawn start methods (the
+setup dict is picklable).  In-process scoring — serial or on threads —
+needs neither the arena nor this module: the fan-out core
+(:mod:`repro.oms.loop`) scores the parent's own row views.
 """
 
 from __future__ import annotations
@@ -25,12 +17,14 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from ..ann import HammingLSHIndex
+from ..oms.kernel import ShardScorer, shard_payload
 from .arena import SharedShardArena
-from .scorer import ANN_ARRAY_KEYS, ShardScorer, shard_payload
+
+#: The ANN table arrays shipped per shard (``HammingLSHIndex.to_arrays``).
+ANN_ARRAY_KEYS = ("ann_bit_positions", "ann_sorted_keys", "ann_row_order")
 
 #: How long pool startup may take before the first scoring call gives
 #: up, terminates the half-started pool, and raises.  A failing pool
@@ -44,12 +38,7 @@ _WORKER_STATE: Dict[str, object] = {}
 
 
 def arena_shard_payload(arena: SharedShardArena, setup: Dict, shard_id: int) -> Dict:
-    """One shard's scorer payload built from arena views.
-
-    Used identically by the parent (thread mode) and by pool workers
-    (process mode) — both read the very same segments, so the scorers
-    they build are indistinguishable.
-    """
+    """One shard's scorer payload built from arena views (worker side)."""
     tables = None
     provenance = setup.get("ann_provenance")
     if provenance is not None:
@@ -122,8 +111,6 @@ class ProcessShardExecutor:
     the caller can still unlink the arena cleanly.
     """
 
-    kind = "process"
-
     def __init__(
         self,
         setup: Dict,
@@ -179,73 +166,3 @@ class ProcessShardExecutor:
         if waiter.is_alive():
             pool.terminate()
             waiter.join()
-
-
-class ThreadShardExecutor:
-    """Shard scoring on an in-process thread pool (zero IPC).
-
-    Scorers are built lazily per shard from the owner's arena views, so
-    all threads share one copy of the packed rows; the XOR/popcount and
-    matmul kernels release the GIL over contiguous slabs, which is
-    where the concurrency comes from.
-    """
-
-    kind = "thread"
-
-    def __init__(
-        self, arena: SharedShardArena, setup: Dict, num_workers: int
-    ) -> None:
-        self._arena = arena
-        self._setup = setup
-        self._num_workers = num_workers
-        self._scorers: Dict[int, ShardScorer] = {}
-        self._build_lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._num_workers,
-                thread_name_prefix="repro-score",
-            )
-        return self._executor
-
-    def _scorer(self, shard_id: int) -> ShardScorer:
-        scorer = self._scorers.get(shard_id)
-        if scorer is None:
-            with self._build_lock:
-                scorer = self._scorers.get(shard_id)
-                if scorer is None:
-                    scorer = ShardScorer(
-                        arena_shard_payload(self._arena, self._setup, shard_id)
-                    )
-                    self._scorers[shard_id] = scorer
-        return scorer
-
-    def _run_task(self, task: Tuple) -> Tuple:
-        scorer = self._scorer(task[0])
-        started = time.perf_counter()
-        scored = scorer.score_batch(*task[1:])
-        return (task[0], time.perf_counter() - started) + scored
-
-    def run(self, tasks: List[Tuple]) -> List[Tuple]:
-        """Score all shard tasks concurrently, results in shard order."""
-        return list(self._ensure_executor().map(self._run_task, tasks))
-
-    def close(self, timeout: float = 10.0) -> None:
-        """Shut the thread pool down gracefully (idempotent).
-
-        Mirrors the process executor: wait up to ``timeout`` seconds
-        for in-flight tasks, then abandon them (daemon-joined at exit)
-        with pending work cancelled.
-        """
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        waiter = threading.Thread(
-            target=lambda: executor.shutdown(wait=True), daemon=True
-        )
-        waiter.start()
-        waiter.join(timeout)
-        if waiter.is_alive():
-            executor.shutdown(wait=False, cancel_futures=True)

@@ -10,11 +10,10 @@ re-paying the build cost (the same amortisation argument HyperOMS makes
 for GPUs and ANN-SoLo makes for its on-disk ANN index).
 
 :class:`ShardedSearcher` consumes a loaded index, partitions it into N
-row shards, and fans query batches across a ``multiprocessing`` pool;
-workers score their shard through the existing
-:class:`~repro.oms.search.SimilarityBackend` protocol and the parent
-merges per-query bests.  Results are bit-identical to
-:class:`~repro.oms.search.HDOmsSearcher`.
+row shards, and scores every query batch against all of them through
+the shared fan-out core (:mod:`repro.oms.loop`) — serially, on threads,
+or on a ``multiprocessing`` pool over a shared-memory arena.  Results
+are bit-identical to :class:`~repro.oms.search.HDOmsSearcher`.
 """
 
 from .library import (

@@ -8,41 +8,39 @@ blocks of queries scored against it in one matmul — how HyperOMS and
 RapidOMS lay the problem out.  Results are bit-identical to the
 per-query path; only the schedule differs.
 
-The layout and the blocked scoring live in
-:class:`~repro.oms.kernel.WindowKernel`, the same kernel the sharded and
-segmented searchers run per shard; this class is its single-process
-consumer: preprocess, encode, one kernel call, PSMs.
+The query loop, the scoring pass and the PSMs are the shared fan-out
+core's (:class:`~repro.oms.loop.FanOutSearcher`); this class is its
+simplest row-layout provider: the whole library as **one in-process
+part**, built either from raw spectra (encoded here) or from a
+persisted index.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..ann import AnnConfig, AnnStats, CandidatePrefilter, HammingLSHIndex
+from ..ann import AnnConfig
+from ..engine import EngineConfig
 from ..hdc.noise import flip_bits
 from ..hdc.packing import pack_bipolar
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
-from ..obs.trace import NULL_SPAN, get_tracer
 from .candidates import WindowConfig
-from .kernel import WindowKernel
-from .psm import PSM, SearchResult
-from .search import encode_queries
+from .loop import FanOutSearcher
+from .search import HDSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engine import EngineConfig
     from ..index.library import LibraryIndex
 
 
-class BatchedHDOmsSearcher:
-    """Single-process dense-matrix open search over the window kernel.
+class BatchedHDOmsSearcher(FanOutSearcher):
+    """Single-process open search: the fan-out core over one part.
 
     Same constructor contract as :class:`HDOmsSearcher` (encoder +
-    references + configs); ``search`` produces the same PSMs, scheduled
-    as one query-blocked matmul per overlapping group of windows.
+    references), with the :class:`~repro.oms.search.HDSearchConfig`
+    fields spelled out as keyword arguments; ``search`` produces the
+    same PSMs, scheduled as one query-blocked matmul per overlapping
+    group of windows.
     """
 
     def __init__(
@@ -57,6 +55,7 @@ class BatchedHDOmsSearcher:
         noise_seed: int = 1234,
         ann: Optional[AnnConfig] = None,
         score_block_rows: Optional[int] = None,
+        min_candidates: int = 1,
     ) -> None:
         """Encode *references* and lay them out for window scoring.
 
@@ -65,7 +64,7 @@ class BatchedHDOmsSearcher:
             references: Library spectra (targets and decoys).
             preprocessing: Spectrum preprocessing config.
             windows: Precursor window config.
-            mode: ``"open"`` or ``"standard"``.
+            mode: ``"open"``, ``"standard"`` or ``"cascade"``.
             query_ber: Per-query random bit-flip rate.
             reference_ber: Reference-side random bit-flip rate.
             noise_seed: Seed of the bit-flip generator.
@@ -75,70 +74,45 @@ class BatchedHDOmsSearcher:
             score_block_rows: Bound on the reference rows per matmul
                 tile (``None`` = sized from the cache budget, ``0`` =
                 untiled).  Never changes results.
+            min_candidates: Smallest precursor window that may yield a
+                match.
 
         Raises:
-            ValueError: On unsupported ``mode`` or when no reference
+            ValueError: On an unknown ``mode`` or when no reference
                 survives preprocessing.
         """
-        if mode not in ("open", "standard"):
-            raise ValueError(
-                f"batched search supports 'open'/'standard', got {mode!r}"
-            )
-        self.encoder = encoder
-        self.preprocessing = preprocessing or PreprocessingConfig()
-        self.windows = windows or WindowConfig()
-        self.mode = mode
-        self._noise_rng = np.random.default_rng(noise_seed)
-        self.query_ber = query_ber
-        self._score_block_rows = score_block_rows
-
+        preprocessing = preprocessing or PreprocessingConfig()
         kept: List[Tuple[Spectrum, Spectrum]] = []
         for reference in references:
-            processed = preprocess(reference, self.preprocessing)
+            processed = preprocess(reference, preprocessing)
             if processed is not None:
                 kept.append((reference, processed))
         if not kept:
             raise ValueError("no reference spectrum survived preprocessing")
-        self.references = [original for original, _ in kept]
-        hvs = encoder.encode_batch([p for _, p in kept])
+        self._init_core(
+            encoder=encoder,
+            preprocessing=preprocessing,
+            windows=windows,
+            config=HDSearchConfig(
+                mode, query_ber, reference_ber, noise_seed, min_candidates, ann
+            ),
+            engine=EngineConfig(score_block_rows=score_block_rows),
+            num_parts=1,
+            label="batched-dense",
+        )
+        originals = [original for original, _ in kept]
+        hvs = encoder.encode_batch([processed for _, processed in kept])
         if reference_ber > 0:
             hvs = flip_bits(hvs, reference_ber, self._noise_rng)
-        self._init_kernel(pack_bipolar(hvs), hvs.shape[1], ann)
-
-    def _init_kernel(
-        self,
-        packed: np.ndarray,
-        dim: int,
-        ann: Optional[AnnConfig],
-        persisted: Optional[HammingLSHIndex] = None,
-    ) -> None:
-        """Lay the packed rows out for window scoring; build the prefilter.
-
-        Persisted ANN tables are adopted when they were built with the
-        same config; otherwise fresh tables are hashed from ``packed``.
-        """
-        masses = np.array([ref.neutral_mass for ref in self.references])
-        charges = np.array([ref.precursor_charge for ref in self.references])
-        self._kernel = WindowKernel(
-            packed,
-            masses,
-            charges,
-            dim=dim,
-            charge_aware=self.windows.charge_aware,
-            block_rows=self._score_block_rows,
+        self._adopt_rows(
+            originals,
+            pack_bipolar(hvs),
+            [reference.neutral_mass for reference in originals],
+            [reference.precursor_charge for reference in originals],
+            hvs.shape[1],
+            [(0, len(originals))],
         )
-        self.ann_config = ann
-        self._prefilter: Optional[CandidatePrefilter] = None
-        self.ann_stats: Optional[AnnStats] = None
-        if ann is None:
-            return
-        lsh = persisted if persisted is not None and persisted.config == ann else None
-        if lsh is None:
-            lsh = HammingLSHIndex.build(packed, dim, ann)
-        self._prefilter = CandidatePrefilter(
-            lsh, masses, charges, charge_aware=self.windows.charge_aware
-        )
-        self.ann_stats = AnnStats()
+        self.warm()
 
     @classmethod
     def from_index(
@@ -152,7 +126,8 @@ class BatchedHDOmsSearcher:
         encoder=None,
         ann: Optional[AnnConfig] = None,
         score_block_rows: Optional[int] = None,
-        engine: Optional["EngineConfig"] = None,
+        engine: Optional[EngineConfig] = None,
+        min_candidates: int = 1,
     ) -> "BatchedHDOmsSearcher":
         """Build the batched searcher from a persisted library index.
 
@@ -165,7 +140,7 @@ class BatchedHDOmsSearcher:
         Args:
             index: The persisted library index.
             windows: Precursor window config.
-            mode: ``"open"`` or ``"standard"``.
+            mode: ``"open"``, ``"standard"`` or ``"cascade"``.
             query_ber: Per-query random bit-flip rate.
             reference_ber: Reference-side random bit-flip rate.
             noise_seed: Seed of the bit-flip generator.
@@ -175,150 +150,37 @@ class BatchedHDOmsSearcher:
             score_block_rows: Bound on the reference rows per matmul
                 tile (``None`` = auto, ``0`` = untiled).
             engine: Optional :class:`~repro.engine.EngineConfig`
-                supplying ``ann`` / ``score_block_rows`` defaults when
-                the explicit kwargs are unset.
+                supplying the backend, ``ann`` and ``score_block_rows``
+                when the explicit kwargs are unset.
+            min_candidates: Smallest precursor window that may yield a
+                match.
 
         Returns:
             A ready-to-search batched searcher.
 
         Raises:
-            ValueError: On unsupported ``mode`` or when ``engine.ann``
+            ValueError: On an unknown ``mode`` or when ``engine.ann``
                 disagrees with an explicit ``ann``.
             IndexCompatibilityError: If ``encoder`` disagrees with the
                 index provenance.
         """
-        if mode not in ("open", "standard"):
-            raise ValueError(
-                f"batched search supports 'open'/'standard', got {mode!r}"
-            )
-        if engine is not None:
-            if score_block_rows is None:
-                score_block_rows = engine.score_block_rows
-            if engine.ann is not None:
-                if ann is None:
-                    ann = engine.ann
-                elif ann != engine.ann:
-                    raise ValueError(
-                        "conflicting ANN configs: engine.ann disagrees "
-                        "with the explicit ann argument"
-                    )
+        engine = engine or EngineConfig()
+        if score_block_rows is not None:
+            engine = engine.replace(score_block_rows=score_block_rows)
         if encoder is not None:
             index.validate(encoder.space.config, encoder.binning)
         searcher = cls.__new__(cls)
-        searcher.encoder = encoder if encoder is not None else index.make_encoder()
-        searcher.preprocessing = index.preprocessing
-        searcher.windows = windows or WindowConfig()
-        searcher.mode = mode
-        searcher._noise_rng = np.random.default_rng(noise_seed)
-        searcher.query_ber = query_ber
-        searcher._score_block_rows = score_block_rows
-        searcher.references = index.records()
-        packed = np.asarray(index.packed)
-        if reference_ber > 0:
-            packed = pack_bipolar(
-                flip_bits(index.hypervectors(), reference_ber, searcher._noise_rng)
-            )
-        searcher._init_kernel(
-            packed,
-            index.dim,
-            ann,
-            persisted=index.ann if reference_ber == 0 else None,
-        )
-        return searcher
-
-    @property
-    def num_references(self) -> int:
-        """Number of library rows this searcher scores against."""
-        return len(self.references)
-
-    def _half_width(self) -> float:
-        if self.mode == "standard":
-            return self.windows.standard_tolerance_da
-        return self.windows.open_window_da
-
-    def search(self, queries: Sequence[Spectrum]) -> SearchResult:
-        """Search all queries through one window-kernel call.
-
-        The whole batch is encoded through the fused vectorized pipeline
-        first (one ``encode_batch`` pass in arrival order — this is what
-        the service's micro-batch flushes ride on); BER injection stays
-        per query in arrival order so results are bit-identical to the
-        per-query schedule.
-        """
-        start = time.perf_counter()
-        admitted: List[Tuple[Spectrum, Spectrum]] = []
-        for query in queries:
-            processed = preprocess(query, self.preprocessing)
-            if processed is not None and self._kernel.has_bucket(
-                query.precursor_charge
-            ):
-                admitted.append((query, processed))
-        psms: List[PSM] = []
-        if admitted:
-            query_hvs = encode_queries(
-                self.encoder, [processed for _, processed in admitted]
-            )
-            if self.query_ber > 0:
-                query_hvs = np.stack(
-                    [
-                        flip_bits(query_hv, self.query_ber, self._noise_rng)
-                        for query_hv in query_hvs
-                    ]
-                )
-            psms = self._score([query for query, _ in admitted], query_hvs)
-        return SearchResult(
-            psms=psms,
-            num_queries=len(queries),
-            num_unmatched=len(queries) - len(psms),
-            elapsed_seconds=time.perf_counter() - start,
-            backend_name=(
-                "batched-dense+ann"
-                if self._prefilter is not None
-                else "batched-dense"
+        searcher._init_core(
+            encoder=encoder if encoder is not None else index.make_encoder(),
+            preprocessing=index.preprocessing,
+            windows=windows,
+            config=HDSearchConfig(
+                mode, query_ber, reference_ber, noise_seed, min_candidates, ann
             ),
+            engine=engine,
+            num_parts=1,
+            label=f"batched-{engine.backend}",
         )
-
-    def _score(
-        self, queries: Sequence[Spectrum], query_hvs: np.ndarray
-    ) -> List[PSM]:
-        """One kernel pass over encoded queries; PSMs in arrival order."""
-        masses = np.array([query.neutral_mass for query in queries])
-        charges = np.array(
-            [query.precursor_charge for query in queries], dtype=np.int64
-        )
-        # Under ANN the kernel spans each prefilter decision and re-rank
-        # itself; the plain pass is one dense stage.
-        span = NULL_SPAN
-        if self._prefilter is None:
-            span = get_tracer().span(
-                "score.dense", queries=len(queries), refs=self.num_references
-            )
-        with span:
-            winners = self._kernel.search(
-                query_hvs, masses, charges, self._half_width(), self._prefilter
-            )
-        for selection in winners.selections:
-            self.ann_stats.record(
-                selection.outcome, selection.window_count, len(selection.positions)
-            )
-        psms: List[PSM] = []
-        for query, row, score in zip(queries, winners.rows, winners.scores):
-            if row < 0:
-                continue
-            position = int(self._kernel.positions[row])
-            reference = self.references[position]
-            psms.append(
-                PSM(
-                    query_id=query.identifier,
-                    reference_id=reference.identifier,
-                    peptide_key=reference.peptide_key(),
-                    score=float(score),
-                    is_decoy=reference.is_decoy,
-                    precursor_mass_difference=query.neutral_mass
-                    - reference.neutral_mass,
-                    mode=self.mode,
-                    reference_mass=float(reference.neutral_mass),
-                    library_position=position,
-                )
-            )
-        return psms
+        searcher._adopt_index(index, 1)
+        searcher.warm()
+        return searcher

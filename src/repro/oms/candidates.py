@@ -35,6 +35,12 @@ class WindowConfig:
         if self.open_window_da < self.standard_tolerance_da:
             raise ValueError("open window must be at least the standard window")
 
+    def half_width(self, mode: str) -> float:
+        """Precursor window half-width (Da) of one ``standard``/``open`` pass."""
+        if mode == "standard":
+            return self.standard_tolerance_da
+        return self.open_window_da
+
 
 class CandidateIndex:
     """Sorted precursor-mass index over a reference library.

@@ -1,4 +1,4 @@
-"""The window-scoring kernel under every batched and fan-out searcher.
+"""The window-scoring kernel under every fan-out searcher.
 
 Rows are laid out **once** in (charge, precursor mass, library position)
 order, so every precursor window is a contiguous row range ``[low,
@@ -14,18 +14,23 @@ brute-force :class:`~repro.oms.search.HDOmsSearcher` tie-break.
 Two slab scorers implement the pass: float32 rows and one BLAS GEMM per
 block (``"dense"``), or bit-packed rows and one contiguous XOR/popcount
 pass per window (``"packed"``).  Both produce the same integers, so the
-choice never changes a PSM.  A user-supplied
-:class:`~repro.oms.search.SimilarityBackend` factory is adapted to the
-same interface.
+choice never changes a PSM.
+
+:class:`ShardScorer` is the unit of work the fan-out core
+(:mod:`repro.oms.loop`) and the process pool (:mod:`repro.exec.pool`)
+run: one part's kernel plus its optional ANN prefilter, built from a
+*payload* dict (:func:`shard_payload`).  Serial, thread and process
+execution construct the identical scorer from identical inputs, which
+is what keeps the three modes bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..ann import CandidatePrefilter, PrefilterSelection
+from ..ann import OUTCOMES, CandidatePrefilter, HammingLSHIndex, PrefilterSelection
 from ..hdc.packing import pack_bipolar, unpack_bipolar
 from ..hdc.similarity import packed_dot_scores
 from ..obs.trace import get_tracer
@@ -121,78 +126,28 @@ class _PackedSlab:
     ) -> Tuple[np.ndarray, np.ndarray]:
         # XOR/popcount has no GEMM-style reuse across queries, so each
         # query streams exactly its own contiguous window.
-        return _best_per_window(
-            lambda query, low, high: packed_dot_scores(
+        best_rows = np.empty(len(queries), dtype=np.int64)
+        best_scores = np.empty(len(queries), dtype=np.float64)
+        for slot, (query, low, high) in enumerate(zip(queries, lows, highs)):
+            scores = packed_dot_scores(
                 self._rows[low:high], query, self._dim, self._tile
-            ),
-            queries,
-            lows,
-            highs,
-        )
+            )
+            best = int(np.argmax(scores))
+            best_rows[slot] = low + best
+            best_scores[slot] = scores[best]
+        return best_rows, best_scores
 
     def row_scores(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return packed_dot_scores(self._rows[rows], query, self._dim)
 
 
-class _BackendSlab:
-    """Adapter: any :class:`SimilarityBackend` behind the slab interface."""
-
-    def __init__(
-        self,
-        backend,
-        packed: np.ndarray,
-        order: np.ndarray,
-        dim: int,
-        block_rows: Optional[int],
-    ) -> None:
-        self._backend = backend
-        if block_rows is not None and hasattr(backend, "set_block_rows"):
-            backend.set_block_rows(block_rows)
-        backend.prepare(unpack_bipolar(packed[order], dim))
-
-    def prepare_queries(self, query_hvs: np.ndarray) -> np.ndarray:
-        return query_hvs
-
-    def best_in_block(
-        self, queries: np.ndarray, lows: np.ndarray, highs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return _best_per_window(
-            lambda query, low, high: self._backend.scores(
-                query, np.arange(low, high)
-            ),
-            queries,
-            lows,
-            highs,
-        )
-
-    def row_scores(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return self._backend.scores(query, rows)
-
-
-def _best_per_window(
-    window_scores: Callable, queries: np.ndarray, lows: np.ndarray, highs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``best_in_block`` for slabs that score one window at a time."""
-    best_rows = np.empty(len(queries), dtype=np.int64)
-    best_scores = np.empty(len(queries), dtype=np.float64)
-    for slot, (query, low, high) in enumerate(zip(queries, lows, highs)):
-        scores = window_scores(query, low, high)
-        best = int(np.argmax(scores))
-        best_rows[slot] = low + best
-        best_scores[slot] = scores[best]
-    return best_rows, best_scores
-
-
-def _make_slab(backend: Union[str, Callable], *args):
+def _make_slab(backend: str, *args):
     if backend == "dense":
         return _DenseSlab(*args)
     if backend == "packed":
         return _PackedSlab(*args)
-    if callable(backend):
-        return _BackendSlab(backend(), *args)
     raise ValueError(
-        f"unknown backend {backend!r}; expected 'dense', 'packed' or a "
-        "factory callable"
+        f"unknown backend {backend!r}; expected 'dense' or 'packed'"
     )
 
 
@@ -226,8 +181,7 @@ class WindowKernel:
     dim:
         Hypervector dimension.
     backend:
-        ``"dense"``, ``"packed"``, or a zero-argument factory returning
-        a :class:`~repro.oms.search.SimilarityBackend`.
+        ``"dense"`` or ``"packed"``.
     charge_aware:
         When False all rows share one bucket and query charges are
         ignored.
@@ -251,7 +205,7 @@ class WindowKernel:
         charges: np.ndarray,
         *,
         dim: int,
-        backend: Union[str, Callable] = "dense",
+        backend: str = "dense",
         charge_aware: bool = True,
         block_rows: Optional[int] = None,
     ) -> None:
@@ -275,10 +229,6 @@ class WindowKernel:
         self._slab = _make_slab(
             backend, np.asarray(packed), self.positions, int(dim), block_rows
         )
-
-    def has_bucket(self, charge: int) -> bool:
-        """Whether any row can match a query of ``charge``."""
-        return not self.charge_aware or int(charge) in self._buckets
 
     def windows(
         self,
@@ -404,3 +354,124 @@ def _cut_blocks(lows: np.ndarray, highs: np.ndarray):
             stop += 1
         yield start, stop
         start = stop
+
+
+def shard_payload(
+    shard_id: int,
+    bounds: Tuple[int, int],
+    packed: np.ndarray,
+    masses: np.ndarray,
+    charges: np.ndarray,
+    *,
+    dim: int,
+    backend: str,
+    charge_aware: bool,
+    ann=None,
+    ann_tables: Optional[HammingLSHIndex] = None,
+    score_block_rows: Optional[int] = None,
+) -> Dict:
+    """Build one shard's scorer payload from whole-library arrays.
+
+    ``packed`` / ``masses`` / ``charges`` are the *full* library arrays
+    (typically zero-copy views into a
+    :class:`~repro.exec.arena.SharedShardArena`); the shard's
+    ``bounds = (start, stop)`` row range is sliced out as views, never
+    copied — shards are contiguous row ranges by construction.
+    """
+    start, stop = bounds
+    return {
+        "shard_id": shard_id,
+        "positions": np.arange(start, stop, dtype=np.int64),
+        "packed": packed[start:stop],
+        "dim": dim,
+        "masses": masses[start:stop],
+        "charges": charges[start:stop],
+        "backend": backend,
+        "charge_aware": charge_aware,
+        "ann": ann,
+        "ann_tables": ann_tables,
+        "score_block_rows": score_block_rows,
+    }
+
+
+class ShardScorer:
+    """One shard's :class:`~repro.oms.kernel.WindowKernel` plus bookkeeping.
+
+    The kernel holds the shard's rows in (charge, mass, position) order
+    and scores whole query blocks against contiguous windows; this class
+    maps its winners back to (mass, global library position) and runs
+    the optional ANN prefilter in front of it.
+    """
+
+    def __init__(self, payload: Dict) -> None:
+        dim = int(payload["dim"])
+        packed = np.asarray(payload["packed"])
+        masses = np.asarray(payload["masses"], dtype=np.float64)
+        charges = np.asarray(payload["charges"], dtype=np.int64)
+        self.charge_aware = bool(payload["charge_aware"])
+        self.kernel = WindowKernel(
+            packed,
+            masses,
+            charges,
+            dim=dim,
+            backend=payload["backend"],
+            charge_aware=self.charge_aware,
+            block_rows=payload.get("score_block_rows"),
+        )
+        # Layout row -> global library position of the winner.
+        self._positions = np.asarray(payload["positions"])[self.kernel.positions]
+        # Optional ANN prefilter: each shard hashes its *own* rows, so
+        # the shortlist union across shards is at least as inclusive as
+        # one global prefilter (every shard gets its full candidate
+        # budget).  Pre-built tables (from the arena) are adopted as-is;
+        # building here from the same rows + config yields identical
+        # tables, so both paths stay bit-identical.
+        self.prefilter: Optional[CandidatePrefilter] = None
+        ann = payload.get("ann")
+        tables = payload.get("ann_tables")
+        if tables is None and ann is not None:
+            tables = HammingLSHIndex.build(packed, dim, ann)
+        if tables is not None:
+            self.prefilter = CandidatePrefilter(
+                tables, masses, charges, charge_aware=self.charge_aware
+            )
+
+    def score_batch(
+        self,
+        query_hvs: np.ndarray,
+        query_masses: np.ndarray,
+        query_charges: np.ndarray,
+        half_width: float,
+    ) -> Tuple[np.ndarray, ...]:
+        """Best candidate per query within this shard.
+
+        Returns ``(counts, best_scores, best_masses, best_positions,
+        ann_outcomes, ann_scored_rows)`` where empty windows yield
+        ``(0, -inf, +inf, -1)`` so they lose every merge comparison.
+        ``counts`` holds full precursor-window sizes (even under ANN) so
+        ``min_candidates`` gating in the parent is unchanged;
+        ``ann_outcomes`` is a length-3 count vector in
+        :data:`repro.ann.OUTCOMES` order and ``ann_scored_rows`` the
+        rows actually scored (both all-zero without a prefilter).
+        """
+        winners = self.kernel.search(
+            query_hvs, query_masses, query_charges, half_width, self.prefilter
+        )
+        ann_outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
+        ann_scored = np.zeros(1, dtype=np.int64)
+        for selection in winners.selections:
+            ann_outcomes[OUTCOMES.index(selection.outcome)] += 1
+            ann_scored[0] += len(selection.positions)
+        found = winners.rows >= 0
+        best_masses = np.full(len(found), np.inf, dtype=np.float64)
+        best_masses[found] = self.kernel.masses[winners.rows[found]]
+        best_positions = np.full(len(found), -1, dtype=np.int64)
+        best_positions[found] = self._positions[winners.rows[found]]
+        return (
+            winners.counts,
+            winners.scores,
+            best_masses,
+            best_positions,
+            ann_outcomes,
+            ann_scored,
+        )

@@ -1,39 +1,399 @@
-"""Shared micro-batched preprocess → encode → score consumer loop.
+"""The fan-out search core: one query pass over differently laid-out rows.
 
-:class:`MicroBatchSearchMixin` factors the pipelined query loop out of
-the fan-out searchers (:class:`~repro.index.sharded.ShardedSearcher`,
-:class:`~repro.store.search.SegmentedSearcher`): queries are
-preprocessed and encoded in micro-batches on a producer thread running
-one stage ahead of scoring, BER noise injection stays in the consumer
-in arrival order, and cascade mode retries unmatched queries through
-the open pass.  Hosts provide the fan-out itself via ``_run_pass`` plus
-the ``preprocessing`` / ``encoder`` / ``config`` / ``_noise_rng`` /
-``_pipeline_batch`` / ``backend_name`` attributes.
+HyperOMS and RapidOMS each describe *one* dataflow — encode, window,
+score, best match — over reference memory that happens to be laid out
+differently.  :class:`FanOutSearcher` is that dataflow, once: queries
+are preprocessed and encoded in micro-batches on a producer thread one
+stage ahead of scoring, BER noise is injected in the consumer in
+arrival order, cascade mode retries unmatched queries through the open
+pass, and each pass scores the batch against a list of *parts* (each a
+:class:`~repro.oms.kernel.ShardScorer` over a contiguous set of
+library rows), merges the per-part winners with the brute-force
+tie-break and builds the PSMs.
+
+The three searchers are row-layout providers on top of it — they say
+which parts a batch needs, how a part is opened and which record sits
+at library row *p*:
+
+* :class:`~repro.oms.batch.BatchedHDOmsSearcher` — one in-process part;
+* :class:`~repro.index.sharded.ShardedSearcher` — N row ranges of one
+  index (optionally scored by a process pool over a shared arena);
+* :class:`~repro.store.search.SegmentedSearcher` — lazily opened,
+  mass-pruned store segments.
+
+:class:`~repro.oms.search.HDOmsSearcher`, the per-query brute force, is
+deliberately *not* built on this: it is the oracle all three equal.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..ann import AnnStats
+from ..engine import EngineConfig
 from ..exec.pipeline import pipeline_map
 from ..hdc.noise import flip_bits
-from ..ms.preprocessing import preprocess
+from ..hdc.packing import pack_bipolar
+from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
+from ..obs.trace import get_tracer
+from .candidates import WindowConfig
+from .kernel import ShardScorer, shard_payload
 from .psm import PSM, SearchResult
-from .search import encode_queries
+from .search import ENCODE_BLOCK_SIZE, HDSearchConfig, encode_queries
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..index.library import LibraryIndex
 
 
-class MicroBatchSearchMixin:
-    """Pipelined query loop shared by the fan-out searchers.
+class FanOutSearcher:
+    """Preprocess → encode-ahead → BER → mode/cascade → scored, merged pass.
 
-    Subclasses implement ``_run_pass(pairs, mode)`` — one windowed
-    scoring pass over already-encoded ``(query, hypervector)`` pairs —
-    and the mixin supplies batching, pipelining, noise injection, and
-    cascade retry on top.
+    Subclasses call :meth:`_init_core`, then either hand over rows that
+    are already in memory (:meth:`_adopt_rows` / :meth:`_adopt_index`:
+    contiguous row ranges, every range scored for every batch) or
+    override
+
+    * ``_parts_for(low, high)`` — ids of the parts that may hold a row
+      with precursor mass in ``[low, high]``;
+    * ``_part_payload(part)`` — the :func:`~repro.oms.kernel.shard_payload`
+      of one part, with ``positions`` carrying *library-wide* row
+      numbers (called once per part, under ``_open_lock``);
+    * ``_reference(position)`` — the record at a library row.
     """
+
+    #: Names one unit of fan-out in spans (``<part>.fanout`` /
+    #: ``<part>.score``).
+    part_name = "shard"
+    #: The :attr:`EngineConfig.kind` this provider answers to besides
+    #: ``"auto"`` (``None`` = any).
+    engine_kind: Optional[str] = None
+
+    def _init_core(
+        self,
+        *,
+        encoder,
+        preprocessing: PreprocessingConfig,
+        windows: Optional[WindowConfig],
+        config: Optional[HDSearchConfig],
+        engine: EngineConfig,
+        num_parts: int,
+        label: str,
+    ) -> None:
+        """Adopt the search-stage configs and size the scoring threads.
+
+        ``engine.num_workers`` threads score parts concurrently
+        (``None`` = one per part up to the CPU count); zero or one
+        worker scores serially in the calling thread.
+        """
+        if self.engine_kind and engine.kind not in ("auto", self.engine_kind):
+            raise ValueError(
+                f"{type(self).__name__} cannot host engine kind {engine.kind!r}"
+            )
+        self.encoder = encoder
+        self.preprocessing = preprocessing
+        self.windows = windows or WindowConfig()
+        self.config = engine.search_config(config)
+        self.engine = engine
+        self._label = label
+        self._noise_rng = np.random.default_rng(self.config.noise_seed)
+        workers = engine.num_workers
+        if workers is None:
+            workers = min(max(num_parts, 1), os.cpu_count() or 1)
+        # One worker scores exactly what the caller would, one hand-off later.
+        self._num_workers = 0 if workers == 1 else workers
+        self._scorers: Dict[int, ShardScorer] = {}
+        self._pool: Optional[ThreadPoolExecutor] = None
+        # Concurrent searches share one searcher (service batches, the
+        # coordinator's workers): part opens and pool creation serialize.
+        self._open_lock = threading.Lock()
+        self.ann_stats = AnnStats() if self.config.ann is not None else None
+
+    # ------------------------------------------------------------------
+    # row layout: in-memory row ranges unless a provider overrides
+    # ------------------------------------------------------------------
+
+    def _adopt_rows(
+        self, references, packed, masses, charges, dim, bounds, ann_tables=None
+    ) -> None:
+        """Lay in-memory library arrays out as contiguous row ranges.
+
+        ``ann_tables`` (prebuilt over exactly these rows with
+        ``config.ann``) is only meaningful for a single range.
+        """
+        self.references = references
+        self._rows = (
+            packed,
+            np.asarray(masses, dtype=np.float64),
+            np.asarray(charges, dtype=np.int64),
+            int(dim),
+        )
+        self._bounds = tuple(bounds)
+        self._ann_tables = ann_tables
+
+    def warm(self) -> None:
+        """Open every in-memory row range now, not under the first batch.
+
+        Left alone, a range is laid out by the first pass that scores it
+        — in a multi-batch search that overlaps the next micro-batch's
+        encode, which is what a one-shot CLI run wants.  A service calls
+        this instead, so a route that reports ready (or was just
+        reloaded) answers its first request at full speed.  A process
+        pool's workers open their own ranges.
+        """
+        if self.executor_kind != "process":
+            for part in range(len(self._bounds)):
+                self._scorer(part)
+
+    def _adopt_index(self, index: "LibraryIndex", num_parts: int) -> None:
+        """Lay a library index out as ``num_parts`` row ranges.
+
+        One range reuses the index's persisted ANN tables when they were
+        built with ``config.ann`` and no reference noise is injected.
+        """
+        packed = np.asarray(index.packed)
+        tables = index.ann if num_parts == 1 else None
+        if self.config.reference_ber > 0:
+            # Same RNG draw order as HDOmsSearcher: one flip pass over
+            # the full matrix before any query is touched.
+            packed = pack_bipolar(
+                flip_bits(
+                    index.hypervectors(), self.config.reference_ber, self._noise_rng
+                )
+            )
+            tables = None
+        if tables is not None and tables.config != self.config.ann:
+            tables = None
+        self._adopt_rows(
+            index.records(),
+            packed,
+            index.neutral_masses,
+            index.charges,
+            index.dim,
+            index.shard_bounds(num_parts),
+            tables,
+        )
+
+    def _parts_for(self, low: float, high: float) -> Sequence[int]:
+        return range(len(self._bounds))
+
+    def _part_payload(self, part: int) -> Dict:
+        return self._payload(
+            part, self._bounds[part], *self._rows, ann_tables=self._ann_tables
+        )
+
+    def _reference(self, position: int):
+        """The record at library row ``position``."""
+        return self.references[position]
+
+    def _payload(
+        self, part, bounds, packed, masses, charges, dim, ann_tables=None
+    ) -> Dict:
+        """:func:`shard_payload` with this searcher's scoring knobs filled in."""
+        return shard_payload(
+            part,
+            bounds,
+            packed,
+            masses,
+            charges,
+            dim=dim,
+            backend=self.engine.backend,
+            charge_aware=self.windows.charge_aware,
+            ann=self.config.ann,
+            ann_tables=ann_tables,
+            score_block_rows=self.engine.score_block_rows,
+        )
+
+    # ------------------------------------------------------------------
+    # properties and lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def num_references(self) -> int:
+        """Total library rows across all parts."""
+        return len(self.references)
+
+    @property
+    def backend_name(self) -> str:
+        """Human-readable engine label (feeds logs, results and ``/stats``)."""
+        return self._label + ("+ann" if self.config.ann is not None else "")
+
+    @property
+    def executor_kind(self) -> str:
+        """The active execution mode: ``serial``, ``thread`` or ``process``."""
+        return "serial" if self._num_workers == 0 else "thread"
+
+    @property
+    def arena_nbytes(self) -> int:
+        """Shared-memory bytes in use: 0 whenever scoring stays in-process."""
+        return 0
+
+    def close(self, timeout: float = 10.0) -> None:
+        """Release the scoring threads and every opened part (idempotent).
+
+        In-flight scoring gets ``timeout`` seconds to finish; after that
+        the pool is abandoned with its pending work cancelled, so a
+        wedged scorer cannot hang the caller.  A closed searcher reopens
+        its parts on the next search.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            waiter = threading.Thread(target=pool.shutdown, daemon=True)
+            waiter.start()
+            waiter.join(timeout)
+            if waiter.is_alive():
+                pool.shutdown(wait=False, cancel_futures=True)
+        with self._open_lock:
+            self._scorers.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # ------------------------------------------------------------------
+    # one scoring pass
+    # ------------------------------------------------------------------
+
+    def _scorer(self, part: int) -> ShardScorer:
+        """The part's scorer, opened on first use.
+
+        The fast path is lock-free — dict reads are atomic and entries
+        are only added (until :meth:`close`); a racing first use builds
+        the scorer once, under ``_open_lock``.
+        """
+        scorer = self._scorers.get(part)
+        if scorer is None:
+            with self._open_lock:
+                scorer = self._scorers.get(part)
+                if scorer is None:
+                    scorer = ShardScorer(self._part_payload(part))
+                    self._scorers[part] = scorer
+        return scorer
+
+    def _map_parts(
+        self, parts: Sequence[int], batch: Tuple
+    ) -> List[Tuple[float, Tuple]]:
+        """``(wall_seconds, score_batch result)`` per part, in ``parts`` order."""
+        # Open in the caller thread; score concurrently.
+        scorers = [self._scorer(part) for part in parts]
+
+        def score(scorer: ShardScorer) -> Tuple[float, Tuple]:
+            started = time.perf_counter()
+            scored = scorer.score_batch(*batch)
+            return time.perf_counter() - started, scored
+
+        if self._num_workers == 0 or len(scorers) <= 1:
+            return [score(scorer) for scorer in scorers]
+        with self._open_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._num_workers,
+                    thread_name_prefix=f"{self.part_name}-score",
+                )
+            pool = self._pool
+        return list(pool.map(score, scorers))
+
+    def _run_pass(
+        self, pairs: Sequence[Tuple[Spectrum, np.ndarray]], mode: str
+    ) -> List[Optional[PSM]]:
+        """One windowed scoring pass over already-encoded queries."""
+        query_hvs = np.stack([hv for _, hv in pairs])
+        query_masses = np.array([q.neutral_mass for q, _ in pairs])
+        query_charges = np.array(
+            [q.precursor_charge for q, _ in pairs], dtype=np.int64
+        )
+        half_width = self.windows.half_width(mode)
+        # A part outside this interval holds no row within ±half_width of
+        # *any* query in the batch: it can add neither candidates nor
+        # counts, so skipping it is exact.
+        parts = self._parts_for(
+            float(query_masses.min()) - half_width,
+            float(query_masses.max()) + half_width,
+        )
+        if not parts:
+            return [None] * len(pairs)
+        tracer = get_tracer()
+        with tracer.span(
+            f"{self.part_name}.fanout",
+            workers=self._num_workers,
+            executor=self.executor_kind,
+            queries=len(pairs),
+            **{f"{self.part_name}s": len(parts)},
+        ):
+            timed = self._map_parts(
+                parts, (query_hvs, query_masses, query_charges, half_width)
+            )
+            if tracer.enabled:
+                # Scorers time themselves (a bare float also crosses a
+                # process-pool boundary); the timings become spans on
+                # virtual per-part lanes under the fan-out span.
+                for part, (wall, _scored) in zip(parts, timed):
+                    tracer.emit(
+                        f"{self.part_name}.score",
+                        duration=float(wall),
+                        thread=f"{self.part_name}-{part}",
+                        queries=len(pairs),
+                        **{self.part_name: int(part)},
+                    )
+        per_part = [scored for _wall, scored in timed]
+        if self.ann_stats is not None:
+            # Scorers pre-aggregate their outcome counts, one merge per
+            # part; counts are per (query, part) pair.
+            for scored in per_part:
+                self.ann_stats.record_batch(
+                    scored[4], int(scored[0].sum()), int(scored[5][0])
+                )
+        # (parts, queries) matrices; np.array on equal-length rows is the
+        # cheap spelling of np.stack, and this runs once per request.
+        totals = np.array([scored[0] for scored in per_part]).sum(axis=0)
+        scores = np.array([scored[1] for scored in per_part])
+        masses = np.array([scored[2] for scored in per_part])
+        positions = np.array([scored[3] for scored in per_part])
+        # Winner per query: max score, ties to lowest reference mass,
+        # then lowest library position — exactly HDOmsSearcher's argmax
+        # over its mass-sorted candidate window.
+        winner = np.lexsort((positions, masses, -scores), axis=0)[0]
+
+        results: List[Optional[PSM]] = []
+        for column, (query, _hv) in enumerate(pairs):
+            if totals[column] == 0 or totals[column] < self.config.min_candidates:
+                results.append(None)
+                continue
+            position = int(positions[winner[column], column])
+            reference = self._reference(position)
+            results.append(
+                PSM(
+                    query_id=query.identifier,
+                    reference_id=reference.identifier,
+                    peptide_key=reference.peptide_key(),
+                    score=float(scores[winner[column], column]),
+                    is_decoy=reference.is_decoy,
+                    precursor_mass_difference=query.neutral_mass
+                    - reference.neutral_mass,
+                    mode=mode,
+                    reference_mass=float(reference.neutral_mass),
+                    library_position=position,
+                )
+            )
+        return results
+
+    # ------------------------------------------------------------------
+    # the query loop
+    # ------------------------------------------------------------------
 
     def _search_batch(
         self, survivors: Sequence[Tuple[Spectrum, np.ndarray]]
@@ -41,8 +401,9 @@ class MicroBatchSearchMixin:
         """Noise injection + mode dispatch for one encoded micro-batch.
 
         BER flips draw from the searcher's RNG here — in the consumer
-        stage, per query in arrival order — so the noise stream is
-        identical whether or not the encode stage ran ahead.
+        stage, for every preprocessed query in arrival order — so the
+        noise stream is identical whether or not the encode stage ran
+        ahead, and identical to the oracle's.
         """
         pairs: List[Tuple[Spectrum, np.ndarray]] = []
         for query, query_hv in survivors:
@@ -71,18 +432,19 @@ class MicroBatchSearchMixin:
         """Search all queries; PSM stream identical to HDOmsSearcher.
 
         Queries are preprocessed and encoded in micro-batches of
-        ``pipeline_batch`` on a producer thread running one stage ahead
-        of scoring (two-deep bounded queue — encode batch ``k+1`` while
-        batch ``k`` is scored and merged).  Deterministic work (the
-        preprocess + fused ``encode_batch``) moves ahead; everything
-        consuming the searcher's RNG (BER injection) stays in the
-        consumer in arrival order, so the PSM stream is unchanged.
+        ``engine.pipeline_batch`` on a producer thread running one stage
+        ahead of scoring (two-deep bounded queue — encode batch ``k+1``
+        while batch ``k`` is scored and merged).  Deterministic work
+        (the preprocess + fused ``encode_batch``) moves ahead;
+        everything consuming the searcher's RNG (BER injection) stays in
+        the consumer in arrival order, so the PSM stream is unchanged.
         """
         start = time.perf_counter()
         unmatched = 0
+        step = self.engine.pipeline_batch or ENCODE_BLOCK_SIZE
         chunks = [
-            queries[position : position + self._pipeline_batch]
-            for position in range(0, len(queries), self._pipeline_batch)
+            queries[position : position + step]
+            for position in range(0, len(queries), step)
         ]
 
         def encode_chunk(chunk):

@@ -13,7 +13,6 @@ the robustness study of Section 5.3.2 / Figure 11.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
@@ -105,10 +104,6 @@ class DenseBackend:
         self._refs: Optional[np.ndarray] = None
         self._block_rows = block_rows
 
-    def set_block_rows(self, block_rows: Optional[int]) -> None:
-        """Override the scoring block size (``None`` = auto, ``0`` = off)."""
-        self._block_rows = block_rows
-
     def _resolved_block_rows(self) -> int:
         if self._block_rows is None:
             return _auto_block_rows(self._refs.shape[1] * 4)
@@ -160,10 +155,6 @@ class PackedBackend:
     def __init__(self, block_rows: Optional[int] = None) -> None:
         self._packed: Optional[np.ndarray] = None
         self._dim: int = 0
-        self._block_rows = block_rows
-
-    def set_block_rows(self, block_rows: Optional[int]) -> None:
-        """Override the scoring block size (``None`` = auto, ``0`` = off)."""
         self._block_rows = block_rows
 
     def _resolved_block_rows(self) -> int:
@@ -317,15 +308,7 @@ class HDOmsSearcher:
         if engine is not None:
             if backend is None:
                 backend = engine.build_backend()
-            if engine.ann is not None:
-                config = config or HDSearchConfig()
-                if config.ann is None:
-                    config = dataclasses.replace(config, ann=engine.ann)
-                elif config.ann != engine.ann:
-                    raise ValueError(
-                        "conflicting ANN configs: engine.ann disagrees "
-                        "with config.ann"
-                    )
+            config = engine.search_config(config)
         if encoder is not None:
             index.validate(encoder.space.config, encoder.binning)
         searcher = cls.__new__(cls)

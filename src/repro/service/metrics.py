@@ -46,7 +46,6 @@ STAGE_SPANS: Dict[str, str] = {
     "engine.search": "engine",
     "encode.batch": "encode",
     "ann.prefilter": "ann_prefilter",
-    "score.dense": "score_dense",
     "score.rerank": "score_rerank",
     "score.window": "score_window",
     "shard.fanout": "shard_fanout",

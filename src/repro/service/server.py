@@ -48,7 +48,6 @@ import logging
 import signal
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -65,7 +64,6 @@ from ..obs.export import chrome_trace
 from ..obs.logging import ensure_default_logging
 from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog, stage_breakdown
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer
-from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.candidates import WindowConfig
 from ..oms.psm import PSM
 from ..oms.search import HDSearchConfig
@@ -84,31 +82,17 @@ from .scheduler import MicroBatchScheduler
 
 logger = logging.getLogger(__name__)
 
-#: ServiceConfig engine fields the EngineConfig consolidation shims.
-_LEGACY_ENGINE_FIELDS = (
-    "engine",
-    "num_shards",
-    "num_workers",
-    "backend",
-    "executor",
-    "score_block_rows",
-)
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Knobs of one online search service instance.
 
     Engine construction is configured by ``engine_config`` (an
-    :class:`~repro.engine.EngineConfig`); its ``kind="auto"`` picks the
-    dense batched searcher (one matmul per charge bucket — the fastest
-    schedule for coalesced micro-batches) whenever the configuration
-    allows it, the segmented searcher for manifest-backed stores, and
-    the sharded searcher otherwise — every engine choice over the same
-    index rows returns bit-identical PSMs.  The individual engine
-    fields (``engine``, ``num_shards``, ``num_workers``, ``backend``,
-    ``executor``, ``score_block_rows``) remain as deprecated shims and
-    may not be combined with ``engine_config``.
+    :class:`~repro.engine.EngineConfig`, default: one shard scored
+    in-process).  The index decides the engine family — a segmented
+    searcher for manifest-backed stores, a sharded one for monolithic
+    indexes — and every configuration over the same index rows returns
+    bit-identical PSMs.
 
     ``ann`` (optional :class:`~repro.ann.AnnConfig`) turns on the
     Hamming-LSH candidate prefilter for this route's engine; results
@@ -127,55 +111,23 @@ class ServiceConfig:
     max_batch: int = 32
     max_wait_ms: float = 0.0
     cache_capacity: int = 1024
-    engine: str = "auto"  # deprecated: use engine_config.kind
-    num_shards: int = 1  # deprecated: use engine_config
-    num_workers: Optional[int] = 0  # deprecated: use engine_config
-    backend: str = "dense"  # deprecated: use engine_config
     mode: str = "open"
     open_window_da: float = DEFAULT_OPEN_WINDOW_DA
     standard_tolerance_da: float = DEFAULT_STANDARD_WINDOW_DA
     charge_aware: bool = True
     ann: Optional[AnnConfig] = None
-    executor: str = "process"  # deprecated: use engine_config
-    score_block_rows: Optional[int] = None  # deprecated: use engine_config
     engine_config: Optional[EngineConfig] = None
-
-    def _legacy_overrides(self) -> Dict[str, object]:
-        """The deprecated engine fields that differ from their defaults."""
-        defaults = {
-            "engine": "auto",
-            "num_shards": 1,
-            "num_workers": 0,
-            "backend": "dense",
-            "executor": "process",
-            "score_block_rows": None,
-        }
-        return {
-            name: getattr(self, name)
-            for name in _LEGACY_ENGINE_FIELDS
-            if getattr(self, name) != defaults[name]
-        }
 
     def resolved_engine(self) -> EngineConfig:
         """The single :class:`~repro.engine.EngineConfig` this service runs.
 
-        Either ``engine_config`` verbatim (with ``ann`` folded in when
-        only the legacy field carries it) or one assembled from the
-        deprecated per-field knobs.
+        ``engine_config`` (or the default one), with the ``ann`` field
+        folded in when the engine config carries none.
         """
-        if self.engine_config is not None:
-            if self.engine_config.ann is None and self.ann is not None:
-                return self.engine_config.replace(ann=self.ann)
-            return self.engine_config
-        return EngineConfig(
-            kind=self.engine,
-            backend=self.backend,
-            num_shards=self.num_shards,
-            num_workers=self.num_workers,
-            executor=self.executor,
-            score_block_rows=self.score_block_rows,
-            ann=self.ann,
-        )
+        engine = self.engine_config or EngineConfig()
+        if engine.ann is None and self.ann is not None:
+            return engine.replace(ann=self.ann)
+        return engine
 
     def resolved_ann(self) -> Optional[AnnConfig]:
         """The effective ANN prefilter config (whichever field holds it)."""
@@ -190,44 +142,9 @@ class ServiceConfig:
         return dataclasses.replace(self, ann=ann)
 
     def __post_init__(self) -> None:
-        """Fail fast on any inconsistent knob combination."""
-        legacy = self._legacy_overrides()
-        if self.engine_config is not None and legacy:
-            raise ValueError(
-                "pass engine knobs via engine_config=EngineConfig(...) or "
-                f"the legacy fields, not both: {sorted(legacy)}"
-            )
-        if legacy:
-            warnings.warn(
-                f"ServiceConfig engine fields ({', '.join(_LEGACY_ENGINE_FIELDS)}) "
-                "are deprecated; pass engine_config=repro.engine.EngineConfig(...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        # EngineConfig validates the execution knobs (kind, backend,
-        # worker counts, executor, tiling); re-raised here so a bad
-        # config fails at construction, not on the first search.
-        resolved = self.resolved_engine()
+        """Fail fast on an unknown mode."""
         if self.mode not in ("open", "standard", "cascade"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if resolved.kind == "batched" and self.mode == "cascade":
-            raise ValueError("the batched engine does not support cascade mode")
-        if resolved.kind == "batched" and resolved.backend_label != "dense":
-            raise ValueError(
-                f"the batched engine is dense-only; use engine='sharded' "
-                f"for backend {resolved.backend_label!r}"
-            )
-        if resolved.kind == "batched" and resolved.num_shards != 1:
-            raise ValueError(
-                "the batched engine does not shard; use engine='sharded' "
-                f"for num_shards={resolved.num_shards}"
-            )
-        if resolved.kind == "batched" and resolved.num_workers != 0:
-            raise ValueError(
-                "the batched engine runs in-process; use engine='sharded' "
-                f"for num_workers={resolved.num_workers}"
-            )
 
     def windows(self) -> WindowConfig:
         """The precursor-window config the engines search with."""
@@ -338,80 +255,33 @@ class SearchService:
     # engine construction / batch execution
     # ------------------------------------------------------------------
 
-    def _engine_kind(
-        self,
-        config: Optional[ServiceConfig] = None,
-        index: Union[LibraryIndex, SegmentedStore, None] = None,
-    ) -> str:
-        config = config or self.config
-        index = index if index is not None else self.index
-        resolved = config.resolved_engine()
-        segmented = isinstance(index, SegmentedStore)
-        if resolved.kind != "auto":
-            if segmented and resolved.kind != "segmented":
-                raise ValueError(
-                    f"engine kind {resolved.kind!r} cannot serve a segmented "
-                    "store; use 'auto' or 'segmented'"
-                )
-            if not segmented and resolved.kind == "segmented":
-                raise ValueError(
-                    "engine kind 'segmented' requires a manifest-backed "
-                    "store, not a monolithic index"
-                )
-            return resolved.kind
-        if segmented:
-            return "segmented"
-        if (
-            config.mode in ("open", "standard")
-            and resolved.num_shards == 1
-            and resolved.backend_label == "dense"
-            # Asking for workers (N > 0, or None = one per CPU) is an
-            # explicit request for the process pool — honour it rather
-            # than silently serving in-process.
-            and resolved.num_workers == 0
-        ):
-            return "batched"
-        return "sharded"
-
     def _build_engine(
         self,
         index: Union[LibraryIndex, SegmentedStore],
         config: Optional[ServiceConfig] = None,
     ):
-        """Build the warm searcher + the cache fingerprint for it."""
+        """Build the warm searcher + the cache fingerprint for it.
+
+        A manifest-backed store gets the segmented searcher, a
+        monolithic index the sharded one (a single in-process part by
+        default); ``EngineConfig.kind`` may only agree with that.
+        """
         config = config or self.config
         windows = config.windows()
         search_config = config.search_config()
-        engine_config = config.resolved_engine()
-        kind = self._engine_kind(config, index)
-        if kind == "batched":
-            engine = BatchedHDOmsSearcher.from_index(
-                index,
-                windows=windows,
-                mode=config.mode,
-                engine=engine_config,
-            )
-            label = (
-                "batched-dense+ann"
-                if engine_config.ann is not None
-                else "batched-dense"
-            )
-        elif kind == "segmented":
-            engine = SegmentedSearcher(
-                index,
-                windows=windows,
-                config=search_config,
-                engine=engine_config.replace(kind="segmented"),
-            )
-            label = engine.backend_name
-        else:
-            engine = ShardedSearcher(
-                index,
-                windows=windows,
-                config=search_config,
-                engine=engine_config.replace(kind="sharded"),
-            )
-            label = engine.backend_name
+        segmented = isinstance(index, SegmentedStore)
+        engine = (SegmentedSearcher if segmented else ShardedSearcher)(
+            index,
+            windows=windows,
+            config=search_config,
+            engine=config.resolved_engine(),
+        )
+        if not segmented:
+            # The rows are in memory: lay them out before the route
+            # takes (or a reload hands over) its first request.  Store
+            # segments stay lazy, that is their pruning.
+            engine.warm()
+        label = engine.backend_name
         fingerprint = config_fingerprint(
             index.provenance(), windows, search_config, label
         )
@@ -714,7 +584,7 @@ class SearchService:
             ann: Optional explicit config when enabling.
 
         Returns:
-            The new engine label (e.g. ``"batched-dense+ann"``).
+            The new engine label (e.g. ``"sharded-densex1+ann"``).
 
         Raises:
             RuntimeError: If the service is closed or the in-flight

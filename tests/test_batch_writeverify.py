@@ -67,10 +67,30 @@ class TestBatchedSearcher:
         ]
         assert per_query.num_unmatched == batched.num_unmatched
 
-    def test_cascade_mode_rejected(self, batch_setup):
+    @pytest.mark.parametrize("min_candidates", [1, 2])
+    def test_cascade_and_min_candidates_match(self, batch_setup, min_candidates):
         workload, encoder = batch_setup
-        with pytest.raises(ValueError, match="batched"):
-            BatchedHDOmsSearcher(encoder, workload.references, mode="cascade")
+        per_query = HDOmsSearcher(
+            encoder,
+            workload.references,
+            config=HDSearchConfig(mode="cascade", min_candidates=min_candidates),
+        ).search(workload.queries)
+        batched = BatchedHDOmsSearcher(
+            encoder,
+            workload.references,
+            mode="cascade",
+            min_candidates=min_candidates,
+        ).search(workload.queries)
+        assert batched.psms == per_query.psms
+        # One-row standard windows pass the gate of 1 and fail the gate of 2.
+        assert {psm.mode for psm in batched.psms} == (
+            {"standard", "open"} if min_candidates == 1 else {"open"}
+        )
+
+    def test_unknown_mode_rejected(self, batch_setup):
+        workload, encoder = batch_setup
+        with pytest.raises(ValueError, match="mode"):
+            BatchedHDOmsSearcher(encoder, workload.references, mode="sideways")
 
     def test_backend_name(self, batch_setup):
         workload, encoder = batch_setup

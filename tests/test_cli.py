@@ -124,7 +124,6 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8337
         assert args.cache_size == 1024
-        assert args.engine == "auto"
         assert args.mode == "open"
 
     def test_micro_batch_flags_defer_to_service_config(self):
@@ -146,20 +145,14 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
-    def test_serve_rejects_bad_flag_combination(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--index",
-                "idx.npz",
-                "--engine",
-                "batched",
-                "--mode",
-                "cascade",
-            ]
-        )
+    def test_serve_rejects_bad_flag_value(self, capsys):
+        code = main(["serve", "--index", "idx.npz", "--shards", "0"])
         assert code == 2
-        assert "cascade" in capsys.readouterr().err
+        assert "num_shards" in capsys.readouterr().err
+
+    def test_serve_has_no_engine_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--index", "i.npz", "--engine", "auto"])
 
     def test_serve_reports_missing_index(self, tmp_path, capsys):
         code = main(["serve", "--index", str(tmp_path / "nope.npz")])

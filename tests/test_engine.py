@@ -1,15 +1,15 @@
-"""Tests for the unified EngineConfig API and its deprecation shims.
+"""Tests for the unified EngineConfig API.
 
 Every engine entry point — :class:`ShardedSearcher`,
 :class:`HDOmsSearcher.from_index`, :class:`BatchedHDOmsSearcher`,
-:class:`ServiceConfig` — must accept one :class:`EngineConfig`; the old
-per-entry-point kwargs keep working but warn, and mixing the two styles
-is rejected outright.
+:class:`ServiceConfig` — accepts one :class:`EngineConfig`, and it is
+the only way to name an execution knob: the per-entry-point kwargs and
+fields it replaced are gone.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 
@@ -69,63 +69,32 @@ class TestEngineConfigValidation:
         assert payload["backend"] == "dense"
         assert isinstance(payload["ann"], dict)
 
-    def test_backend_label_for_factory(self):
-        def my_backend():  # pragma: no cover - label only
-            raise NotImplementedError
-
-        assert EngineConfig(backend=my_backend).backend_label == "my_backend"
+    def test_backend_factories_are_gone(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            EngineConfig(backend=lambda: None)
 
     def test_build_backend_applies_block_rows(self):
         backend = EngineConfig(backend="packed", score_block_rows=64).build_backend()
         assert backend.name == "packed"
+        assert backend._block_rows == 64
 
 
-class TestShardedSearcherShims:
-    def test_bare_call_keeps_historical_defaults_silently(self, index):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            searcher = ShardedSearcher(index)
-        assert searcher.num_shards == 2
-        assert searcher.engine.kind == "sharded"
-        searcher.close()
-
-    def test_legacy_kwarg_warns_but_works(self, index, queries):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            searcher = ShardedSearcher(index, num_shards=3)
-        assert searcher.num_shards == 3
-        try:
+class TestShardedSearcherEngine:
+    def test_bare_call_is_one_serial_shard(self, index, queries):
+        with ShardedSearcher(index) as searcher:
+            assert searcher.engine == EngineConfig()
+            assert (searcher.num_shards, searcher.executor_kind) == (1, "serial")
             assert len(searcher.search(queries).psms) > 0
-        finally:
-            searcher.close()
 
-    def test_engine_plus_legacy_rejected(self, index):
-        with pytest.raises(ValueError, match="not both"):
-            ShardedSearcher(
-                index, num_shards=3, engine=EngineConfig(num_shards=2)
-            )
+    def test_legacy_kwargs_are_gone(self, index):
+        for name in ("num_shards", "num_workers", "backend", "executor",
+                     "score_block_rows", "pipeline_batch"):
+            with pytest.raises(TypeError, match=name):
+                ShardedSearcher(index, **{name: EngineConfig().__dict__[name]})
 
     def test_engine_kind_mismatch_rejected(self, index):
         with pytest.raises(ValueError, match="cannot host engine kind"):
-            ShardedSearcher(index, engine=EngineConfig(kind="batched"))
-
-    def test_engine_path_matches_legacy_path(self, index, queries):
-        with pytest.warns(DeprecationWarning):
-            legacy = ShardedSearcher(
-                index, num_shards=3, backend="packed", num_workers=0
-            )
-        modern = ShardedSearcher(
-            index,
-            engine=EngineConfig(
-                kind="sharded", num_shards=3, backend="packed", num_workers=0
-            ),
-        )
-        try:
-            legacy_psms = [_psm_key(p) for p in legacy.search(queries).psms]
-            modern_psms = [_psm_key(p) for p in modern.search(queries).psms]
-            assert legacy_psms == modern_psms
-        finally:
-            legacy.close()
-            modern.close()
+            ShardedSearcher(index, engine=EngineConfig(kind="segmented"))
 
     def test_engine_ann_folds_into_config(self, index):
         ann = AnnConfig(ann_threshold=1)
@@ -185,34 +154,27 @@ class TestFromIndexEngine:
             )
 
 
-class TestServiceConfigShims:
-    def test_defaults_are_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = ServiceConfig()
-        assert config.resolved_engine() == EngineConfig(
+class TestServiceConfigEngine:
+    def test_default_is_one_serial_shard(self):
+        assert ServiceConfig().resolved_engine() == EngineConfig(
             kind="auto", num_shards=1, num_workers=0
         )
 
-    def test_legacy_field_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = ServiceConfig(num_shards=4)
-        assert config.resolved_engine().num_shards == 4
-
-    def test_engine_config_plus_legacy_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServiceConfig(
-                num_shards=4, engine_config=EngineConfig(num_shards=2)
-            )
+    def test_legacy_engine_fields_are_gone(self):
+        fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+        assert not fields & {
+            "engine", "num_shards", "num_workers", "backend", "executor",
+            "score_block_rows",
+        }
+        assert len(fields) == 9
+        with pytest.raises(TypeError, match="num_shards"):
+            ServiceConfig(num_shards=4)
 
     def test_engine_config_passes_through(self):
         engine = EngineConfig(kind="sharded", num_shards=3, executor="thread")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = ServiceConfig(engine_config=engine)
-        assert config.resolved_engine() == engine
+        assert ServiceConfig(engine_config=engine).resolved_engine() == engine
 
-    def test_legacy_ann_folds_into_engine_config(self):
+    def test_ann_field_folds_into_engine_config(self):
         ann = AnnConfig(ann_threshold=1)
         config = ServiceConfig(
             ann=ann, engine_config=EngineConfig(kind="sharded")
@@ -228,13 +190,6 @@ class TestServiceConfigShims:
         assert updated.engine_config.ann == ann
         assert updated.with_ann(None).resolved_ann() is None
 
-    def test_batched_constraints_apply_to_resolved_config(self):
-        with pytest.raises(ValueError, match="cascade"):
-            ServiceConfig(
-                mode="cascade",
-                engine_config=EngineConfig(kind="batched"),
-            )
-        with pytest.raises(ValueError, match="batched"):
-            ServiceConfig(
-                engine_config=EngineConfig(kind="batched", num_shards=2)
-            )
+    def test_batched_is_no_longer_an_engine_kind(self):
+        with pytest.raises(ValueError, match="engine kind"):
+            EngineConfig(kind="batched")

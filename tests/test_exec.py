@@ -1,11 +1,12 @@
-"""Zero-copy executor tests: arena lifecycle, pipeline, 3-way parity.
+"""Zero-copy executor tests: arena lifecycle, pipeline, process parity.
 
 The contract under test is the tentpole guarantee of ``repro.exec``:
-serial, thread-pool, and process-pool scoring return **bit-identical**
-results from the same shared-memory arena, the encode/score pipeline
-never reorders results, and no execution path — graceful close,
-terminate fallback, crashing pool initializer, SIGTERM mid-storm — can
-leak a shared-memory segment.
+process-pool scoring over the shared-memory arena returns results
+**bit-identical** to in-process scoring of the same rows (thread-pool
+scoring is a cell of ``tests/test_property_kernel.py``'s engine
+matrix), the encode/score pipeline never reorders results, and no
+execution path — graceful close, terminate fallback, crashing pool
+initializer, SIGTERM mid-storm — can leak a shared-memory segment.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.exec import (
     ProcessShardExecutor,
     SharedShardArena,
     ShardScorer,
-    ThreadShardExecutor,
     pipeline_map,
     shard_payload,
 )
@@ -205,7 +205,7 @@ class TestPipelineMap:
 
 
 # ----------------------------------------------------------------------
-# 3-way executor parity (hypothesis)
+# process-pool vs in-process parity (hypothesis)
 # ----------------------------------------------------------------------
 
 
@@ -223,8 +223,8 @@ def _make_setup(arrays, *, backend, ann=None, ann_provenance=None, block=None):
 
 @pytest.fixture(scope="module")
 def parity_env():
-    """One arena + one process pool + one thread pool, shared by all
-    hypothesis examples (pool startup is far too slow per-example)."""
+    """One arena + one process pool, shared by all hypothesis examples
+    (pool startup is far too slow per-example)."""
     from repro.ann import HammingLSHIndex
 
     _, packed, masses, charges = _library_arrays()
@@ -255,22 +255,20 @@ def parity_env():
             spec=arena.spec(),
         )
         process = ProcessShardExecutor(setup, num_workers=2)
-        thread = ThreadShardExecutor(arena, setup, num_workers=2)
         serial = [
             ShardScorer(arena_shard_payload(arena, setup, shard_id))
             for shard_id in range(NUM_SHARDS)
         ]
-        envs[label] = (process, thread, serial)
+        envs[label] = (process, serial)
     yield envs, masses
-    for process, thread, _ in envs.values():
+    for process, _ in envs.values():
         process.close(timeout=5.0)
-        thread.close(timeout=5.0)
     arena.close()
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_three_way_scores_bit_identical(parity_env, data):
+def test_process_scores_bit_identical_to_in_process(parity_env, data):
     envs, masses = parity_env
     label = data.draw(
         st.sampled_from(["dense", "packed-blocked", "dense-ann"])
@@ -291,27 +289,23 @@ def test_three_way_scores_bit_identical(parity_env, data):
         (shard_id, query_hvs, query_masses, query_charges, half_width)
         for shard_id in range(NUM_SHARDS)
     ]
-    process, thread, serial = envs[label]
+    process, serial = envs[label]
     from_process = process.run(tasks)
-    from_thread = thread.run(tasks)
     from_serial = [
         (task[0], 0.0) + serial[task[0]].score_batch(*task[1:])
         for task in tasks
     ]
-    for result_p, result_t, result_s in zip(
-        from_process, from_thread, from_serial
-    ):
-        assert result_p[0] == result_t[0] == result_s[0]
+    for result_p, result_s in zip(from_process, from_serial):
+        assert result_p[0] == result_s[0]
         for column in range(2, 8):
             np.testing.assert_array_equal(result_p[column], result_s[column])
-            np.testing.assert_array_equal(result_t[column], result_s[column])
 
 
 def test_full_coverage_window_hits_fast_path(parity_env):
     """half_width=1e9 covers every row; parity already asserted above —
     this pins that the window really is full-coverage (fast path)."""
     envs, masses = parity_env
-    _, thread, _ = envs["dense"]
+    process, _ = envs["dense"]
     query_hvs = np.ones((2, DIM), dtype=np.int8)
     query_masses = np.array([masses[0], masses[-1]])
     query_charges = np.array([2, 3], dtype=np.int64)
@@ -319,7 +313,7 @@ def test_full_coverage_window_hits_fast_path(parity_env):
         (shard_id, query_hvs, query_masses, query_charges, 1e9)
         for shard_id in range(NUM_SHARDS)
     ]
-    results = thread.run(tasks)
+    results = process.run(tasks)
     _, packed, _, charges = _library_arrays()
     for shard_id, (start, stop) in enumerate(_bounds(NUM_ROWS, NUM_SHARDS)):
         for row in range(2):
@@ -388,7 +382,9 @@ from repro.ms.vectorize import BinningConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index.library import LibraryIndex
 from repro.index.sharded import ShardedSearcher
+from repro.engine import EngineConfig
 
+TWO_PROCESSES = EngineConfig(num_shards=2, num_workers=2)
 wl = build_workload(WorkloadConfig(name="t", num_references=40, num_queries=8, seed=9))
 binning = BinningConfig()
 space = HDSpaceConfig(dim=256, num_bins=binning.num_bins, num_levels=8,
@@ -412,7 +408,7 @@ class TestLifecycleRegressions:
 
     def test_normal_close_unlinks(self):
         body = _SCRIPT_PRELUDE + """
-with ShardedSearcher(index, num_shards=2, num_workers=2) as searcher:
+with ShardedSearcher(index, engine=TWO_PROCESSES) as searcher:
     searcher.search(wl.queries)
 """ + _SCRIPT_CHECK
         self._assert_clean(_run_lifecycle_script(body))
@@ -430,7 +426,7 @@ def slow_task(task):
 # Patched before the pool forks, so workers inherit the slow task.
 pool_module._score_arena_task = slow_task
 
-searcher = ShardedSearcher(index, num_shards=2, num_workers=2)
+searcher = ShardedSearcher(index, engine=TWO_PROCESSES)
 runner = threading.Thread(
     target=lambda: searcher.search(wl.queries), daemon=True
 )
@@ -450,7 +446,7 @@ def bad_init(setup):
     raise RuntimeError("initializer died")
 pool_module._init_arena_worker = bad_init
 
-searcher = ShardedSearcher(index, num_shards=2, num_workers=2)
+searcher = ShardedSearcher(index, engine=TWO_PROCESSES)
 try:
     searcher.search(wl.queries)
 except RuntimeError as error:
@@ -465,7 +461,7 @@ searcher.close()
         """SIGTERM mid-storm: the atexit/SIGTERM hook unlinks arenas."""
         ready = tmp_path / "ready"
         body = _SCRIPT_PRELUDE + f"""
-searcher = ShardedSearcher(index, num_shards=2, num_workers=2)
+searcher = ShardedSearcher(index, engine=TWO_PROCESSES)
 searcher.search(wl.queries)  # warm the pool
 open({str(ready)!r}, "w").write(searcher._arena.name)
 while True:
@@ -511,6 +507,7 @@ def test_pipelined_search_matches_single_batch():
     from repro.ms.vectorize import BinningConfig
     from repro.hdc.spaces import HDSpaceConfig
     from repro.index.library import LibraryIndex
+    from repro.engine import EngineConfig
     from repro.index.sharded import ShardedSearcher
     from repro.oms.search import HDSearchConfig
 
@@ -531,11 +528,13 @@ def test_pipelined_search_matches_single_batch():
     def run(pipeline_batch, query_ber=0.0):
         with ShardedSearcher(
             index,
-            num_shards=2,
-            num_workers=2,
-            executor="thread",
             config=HDSearchConfig(mode="cascade", query_ber=query_ber),
-            pipeline_batch=pipeline_batch,
+            engine=EngineConfig(
+                num_shards=2,
+                num_workers=2,
+                executor="thread",
+                pipeline_batch=pipeline_batch,
+            ),
         ) as searcher:
             result = searcher.search(wl.queries)
         return [

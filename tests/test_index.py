@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig
 from repro.hdc.encoder import SpectrumEncoder
 from repro.hdc.spaces import HDSpace, HDSpaceConfig
 from repro.index import (
@@ -220,7 +221,7 @@ class TestFromIndex:
         ).search(workload.queries)
         assert batched.psms == expected.psms
         sharded = ShardedSearcher(
-            index, num_shards=2, windows=windows, num_workers=0
+            index, windows=windows, engine=EngineConfig(num_shards=2)
         ).search(workload.queries)
         assert sharded.psms == expected.psms
 
@@ -245,7 +246,9 @@ class TestShardedSearcher:
     def test_psms_identical_serial(
         self, index, workload, baseline_result, num_shards
     ):
-        searcher = ShardedSearcher(index, num_shards=num_shards, num_workers=0)
+        searcher = ShardedSearcher(
+            index, engine=EngineConfig(num_shards=num_shards)
+        )
         result = searcher.search(workload.queries)
         assert result.psms == baseline_result.psms
         assert result.num_unmatched == baseline_result.num_unmatched
@@ -254,7 +257,9 @@ class TestShardedSearcher:
     def test_psms_identical_process_pool(
         self, index, workload, baseline_result
     ):
-        with ShardedSearcher(index, num_shards=3, num_workers=2) as searcher:
+        with ShardedSearcher(
+            index, engine=EngineConfig(num_shards=3, num_workers=2)
+        ) as searcher:
             first = searcher.search(workload.queries)
             second = searcher.search(workload.queries)
         assert first.psms == baseline_result.psms
@@ -267,7 +272,7 @@ class TestShardedSearcher:
             encoder, workload.references, backend=PackedBackend()
         ).search(workload.queries)
         searcher = ShardedSearcher(
-            index, num_shards=2, backend="packed", num_workers=0
+            index, engine=EngineConfig(num_shards=2, backend="packed")
         )
         assert searcher.search(workload.queries).psms == expected.psms
 
@@ -278,7 +283,7 @@ class TestShardedSearcher:
             encoder, workload.references, config=config
         ).search(workload.queries)
         searcher = ShardedSearcher(
-            index, num_shards=2, config=config, num_workers=0
+            index, config=config, engine=EngineConfig(num_shards=2)
         )
         result = searcher.search(workload.queries)
         assert result.psms == expected.psms
@@ -292,23 +297,25 @@ class TestShardedSearcher:
             encoder, workload.references, config=config
         ).search(workload.queries)
         searcher = ShardedSearcher(
-            index, num_shards=2, config=config, num_workers=0
+            index, config=config, engine=EngineConfig(num_shards=2)
         )
         assert searcher.search(workload.queries).psms == expected.psms
 
     def test_backend_name_reports_shards(self, index):
-        searcher = ShardedSearcher(index, num_shards=2, num_workers=0)
+        searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2))
         assert searcher.backend_name == "sharded-densex2"
 
     def test_rejects_bad_shard_counts(self, index):
         with pytest.raises(ValueError):
-            ShardedSearcher(index, num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedSearcher(index, num_shards=index.num_references + 1)
+            EngineConfig(num_shards=0)
+        with pytest.raises(ValueError, match="cannot split"):
+            ShardedSearcher(
+                index, engine=EngineConfig(num_shards=index.num_references + 1)
+            )
 
     def test_rejects_unknown_backend(self, index):
         with pytest.raises(ValueError, match="unknown backend"):
-            ShardedSearcher(index, num_shards=2, backend="gpu")
+            EngineConfig(num_shards=2, backend="gpu")
 
 
 class TestIndexCli:

@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index import LibraryIndex
 from repro.index.sharded import ShardedSearcher
@@ -95,7 +96,8 @@ class TestSchedulerSpans:
             "scheduler.batch",
             "engine.search",
             "encode.batch",
-            "score.dense",
+            "shard.fanout",
+            "shard.score",
         ):
             assert stage in spans, f"missing {stage} in {sorted(spans)}"
         root = spans["service.search"][0]
@@ -115,7 +117,10 @@ class TestSchedulerSpans:
         engine = spans["engine.search"][0]
         assert engine.parent_id == batch.span_id
         assert spans["encode.batch"][0].parent_id == engine.span_id
-        assert spans["score.dense"][0].parent_id == engine.span_id
+        fanout = spans["shard.fanout"][0]
+        assert fanout.parent_id == engine.span_id
+        assert fanout.tags["executor"] == "serial"
+        assert spans["shard.score"][0].parent_id == fanout.span_id
         # The root span covers its children's durations.
         assert root.duration >= spans["service.await_batch"][0].duration
         assert batch.duration >= engine.duration >= spans["encode.batch"][0].duration
@@ -205,7 +210,7 @@ class TestShardedSpans:
     def test_shard_scores_merge_under_fanout(self, index, workload, traced):
         num_shards = 3
         with ShardedSearcher(
-            index, num_shards=num_shards, num_workers=0
+            index, engine=EngineConfig(num_shards=num_shards)
         ) as searcher:
             searcher.search(workload.queries[:4])
         spans = by_name(traced.records())
@@ -296,7 +301,7 @@ class TestRequestIdRoundTrip:
             "scheduler.batch",
             "engine.search",
             "encode.batch",
-            "score.dense",
+            "shard.fanout",
             "service.serialize",
         } <= names
         # The filtered export only contains this request's spans.

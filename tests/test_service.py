@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig
 from repro.index import LibraryIndex
 from repro.hdc.spaces import HDSpaceConfig
 from repro.ms.spectrum import Spectrum
@@ -498,7 +499,7 @@ class TestSearchService:
 
     def test_sharded_engine_identical(self, index_path, workload, baseline):
         with make_service(
-            index_path, engine="sharded", num_shards=2, num_workers=0
+            index_path, engine_config=EngineConfig(kind="sharded", num_shards=2)
         ) as service:
             for query in workload.queries:
                 assert service.search_one(query) == baseline.get(
@@ -592,11 +593,18 @@ class TestSearchService:
             # One unique digest -> one scheduled search.
             assert service.scheduler.stats.snapshot()["requests"] == 1
 
-    def test_auto_engine_honours_worker_request(self, index_path):
-        with make_service(index_path, num_workers=2) as service:
-            assert service.engine_name.startswith("sharded")
+    def test_default_engine_is_one_serial_part(self, index_path):
         with make_service(index_path) as service:
-            assert service.engine_name == "batched-dense"
+            assert service.engine_name == "sharded-densex1"
+            engine = service.stats()["engine"]
+            assert (engine["executor"], engine["arena_bytes"]) == ("serial", 0)
+            # A route that reports ready has its rows laid out already.
+            assert len(service._engine._scorers) == 1
+        with make_service(
+            index_path, engine_config=EngineConfig(num_shards=2, num_workers=2)
+        ) as service:
+            assert service.engine_name == "sharded-densex2"
+            assert service.stats()["engine"]["executor"] == "process"
 
     def test_search_many_aligns_and_coalesces(
         self, index_path, workload, baseline
@@ -675,19 +683,22 @@ class TestSearchService:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"engine": "batched", "mode": "cascade"},
-            {"engine": "batched", "backend": "packed"},
-            {"engine": "batched", "num_shards": 2},
-            {"engine": "batched", "num_workers": 2},
-            {"engine": "batched", "num_workers": None},
-            {"engine": "warp-drive"},
-            {"mode": "sideways"},
+            {"kind": "batched"},
+            {"kind": "warp-drive"},
             {"num_workers": -1},
         ],
     )
-    def test_config_rejects_unsupported_combinations(self, overrides):
+    def test_config_rejects_unsupported_values(self, overrides):
         with pytest.raises(ValueError):
-            ServiceConfig(**overrides)
+            ServiceConfig(engine_config=EngineConfig(**overrides))
+        with pytest.raises(ValueError, match="mode"):
+            ServiceConfig(mode="sideways")
+
+    def test_engine_kind_must_match_the_index(self, index, tmp_path):
+        with pytest.raises(ValueError, match="cannot host engine kind"):
+            SearchService(
+                index, ServiceConfig(engine_config=EngineConfig(kind="segmented"))
+            )
 
     def test_stats_shape(self, index_path, workload):
         with make_service(index_path) as service:
@@ -1069,7 +1080,9 @@ class TestGracefulShardedClose:
     def test_close_joins_pool_gracefully(self, index, workload, baseline):
         from repro.index import ShardedSearcher
 
-        searcher = ShardedSearcher(index, num_shards=2, num_workers=2)
+        searcher = ShardedSearcher(
+            index, engine=EngineConfig(num_shards=2, num_workers=2)
+        )
         result = searcher.search(workload.queries)
         assert {psm.query_id: psm for psm in result.psms} == baseline
         searcher.close()
@@ -1082,7 +1095,9 @@ class TestGracefulShardedClose:
     ):
         from repro.index import ShardedSearcher
 
-        with ShardedSearcher(index, num_shards=2, num_workers=2) as searcher:
+        with ShardedSearcher(
+            index, engine=EngineConfig(num_shards=2, num_workers=2)
+        ) as searcher:
             searcher.search(workload.queries)
             searcher.close()
             result = searcher.search(workload.queries)

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index import LibraryIndex, ShardedSearcher
 from repro.ms.synthetic import WorkloadConfig, build_workload
@@ -417,9 +418,9 @@ class TestShutdownOrdering:
             ServiceConfig(
                 max_batch=4,
                 max_wait_ms=20.0,
-                engine="sharded",
-                num_shards=2,
-                num_workers=2,
+                engine_config=EngineConfig(
+                    kind="sharded", num_shards=2, num_workers=2
+                ),
             ),
         )
         results = {}
@@ -521,7 +522,9 @@ class TestShutdownOrdering:
 
     def test_sharded_close_during_inflight_search(self, index_a, workload_a):
         index, _path = index_a
-        searcher = ShardedSearcher(index, num_shards=2, num_workers=2)
+        searcher = ShardedSearcher(
+            index, engine=EngineConfig(num_shards=2, num_workers=2)
+        )
         outcome = {}
 
         def worker():

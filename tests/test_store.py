@@ -411,6 +411,56 @@ class TestThreadedCounterStorm:
             store.close()
 
 
+class TestCloseTimeout:
+    def test_close_returns_while_a_scorer_is_wedged(
+        self, tmp_path, references, queries, space_config, binning, monkeypatch
+    ):
+        """close(timeout) used to be pool.shutdown(wait=True): forever."""
+        import threading
+        import time
+
+        from repro.oms.kernel import ShardScorer
+
+        parked, release = threading.Event(), threading.Event()
+        score_batch = ShardScorer.score_batch
+
+        def wedged(scorer, *batch):
+            parked.set()
+            release.wait(60.0)
+            return score_batch(scorer, *batch)
+
+        monkeypatch.setattr(ShardScorer, "score_batch", wedged)
+        store = build_store(
+            references[:30],
+            tmp_path / "wedged-store",
+            space_config=space_config,
+            binning=binning,
+            segment_rows=10,
+        )
+        searcher = SegmentedSearcher(store, engine=EngineConfig(num_workers=2))
+        assert searcher.executor_kind == "thread"
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(searcher.search(queries))
+            except Exception as error:  # a cancelled future lands here
+                outcome.append(error)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        try:
+            assert parked.wait(10.0)
+            started = time.perf_counter()
+            searcher.close(timeout=0.2)
+            assert time.perf_counter() - started < 5.0
+        finally:
+            release.set()
+            runner.join(30.0)
+            store.close()
+        assert not runner.is_alive() and len(outcome) == 1
+
+
 class TestAnnOnStore:
     def test_persisted_tables_reused_and_parity(
         self, tmp_path, references, queries, space_config, binning
@@ -450,7 +500,7 @@ class TestSegmentedSearcherValidation:
             binning=binning,
         )
         with pytest.raises(ValueError, match="cannot host engine kind"):
-            SegmentedSearcher(store, engine=EngineConfig(kind="batched"))
+            SegmentedSearcher(store, engine=EngineConfig(kind="sharded"))
         store.close()
 
     def test_rejects_reference_ber(
@@ -510,7 +560,7 @@ class TestServiceOverStore:
         from repro.service.server import SearchService, ServiceConfig
 
         config = ServiceConfig(engine_config=EngineConfig(kind="sharded"))
-        with pytest.raises(ValueError, match="segmented"):
+        with pytest.raises(ValueError, match="SegmentedSearcher cannot host"):
             SearchService(store_path, config=config)
 
 
