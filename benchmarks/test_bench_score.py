@@ -58,15 +58,13 @@ def score_setup():
         space_config=HDSpaceConfig(dim=DIM, num_bins=binning.num_bins, seed=29),
         binning=binning,
     )
-    packed = EngineConfig(backend="packed")
-    expected = HDOmsSearcher.from_index(index, engine=packed).search(workload.queries)
+    expected = HDOmsSearcher.from_index(index).search(workload.queries)
     return index, workload.queries, expected.psms
 
 
 def _engine(executor: str, **changes) -> EngineConfig:
     knobs = dict(
         kind="sharded",
-        backend="packed",
         num_shards=NUM_SHARDS,
         num_workers=NUM_WORKERS,
         executor=executor,
@@ -162,20 +160,3 @@ def test_bench_score_thread_vs_process_executor(score_setup, capsys):
         f"{thread_rss_base:.1f} MB single-process baseline"
     )
 
-
-def test_bench_block_tiling_parity_and_throughput(score_setup, capsys):
-    """Cache-tiled scoring must be bit-identical; throughput recorded."""
-    index, queries, expected = score_setup
-    seconds = {}
-    for label, block_rows in (("untiled", 0), ("auto-tiled", None)):
-        engine = _engine("thread", num_workers=0, score_block_rows=block_rows)
-        with ShardedSearcher(index, engine=engine) as searcher:
-            assert searcher.search(queries).psms == expected
-            seconds[label], _ = _best_of(lambda: searcher.search(queries))
-    with capsys.disabled():
-        print(
-            f"\n[bench-score] block tiling: untiled "
-            f"{1000 * seconds['untiled']:.1f} ms, auto-tiled "
-            f"{1000 * seconds['auto-tiled']:.1f} ms "
-            f"({seconds['untiled'] / max(seconds['auto-tiled'], 1e-12):.2f}x)"
-        )

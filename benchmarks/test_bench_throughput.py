@@ -1,8 +1,8 @@
 """Bench: software search-backend throughput (supplementary).
 
 Not a paper figure — this measures the repository's own software
-backends (dense BLAS, packed XOR/popcount, batched dense) so regressions
-in the hot path are caught, and the relative cost of the digital paths
+paths (the oracle on dense BLAS and on packed XOR/popcount, and the
+batched packed-window searcher) so regressions in the hot path are caught, and the relative cost of the digital paths
 can be compared against the analytical model in ``accelerator/perf.py``.
 
 ``REPRO_BENCH_SCALE`` (a float, default 1.0) scales the workload; CI's

@@ -41,8 +41,8 @@ class AnnConfig:
             index), so the cap drops the least-corroborated candidates
             first.
         ann_threshold: Precursor windows smaller than this many rows
-            bypass the prefilter and are scored exactly — below it the
-            brute-force matmul is already cheaper than hashing.
+            bypass the prefilter and are scored exactly — a small
+            window is cheaper to XOR/popcount whole than to hash.
         seed: Seed for the sampled bit positions; two indexes built with
             the same seed and dimension sample identical positions.
 

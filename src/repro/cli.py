@@ -178,19 +178,6 @@ def add_engine_args(parser, *, workers_default: Optional[int] = None) -> None:
             "IPC; segmented stores always score in-process)"
         ),
     )
-    group.add_argument(
-        "--score-block-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "rows per scoring block (cache tiling; default auto, "
-            "0 = untiled; never changes results)"
-        ),
-    )
-    group.add_argument(
-        "--backend", choices=("dense", "packed"), default="dense"
-    )
 
 
 def engine_config_from_args(args, ann=None):
@@ -203,11 +190,9 @@ def engine_config_from_args(args, ann=None):
     from .engine import EngineConfig
 
     return EngineConfig(
-        backend=args.backend,
         num_shards=args.shards,
         num_workers=args.workers,
         executor=args.executor,
-        score_block_rows=args.score_block_rows,
         ann=ann,
     )
 
@@ -931,15 +916,21 @@ def cmd_search(args) -> int:
 
 def cmd_index(args) -> int:
     """Entry point for ``hdoms index`` (build/inspect/search indexes)."""
-    if args.index_command == "build":
-        return _cmd_index_build(args)
-    if args.index_command == "search":
-        return _cmd_index_search(args)
-    if args.index_command == "append":
-        return _cmd_index_append(args)
-    if args.index_command == "merge":
-        return _cmd_index_merge(args)
-    raise AssertionError(f"unhandled index command {args.index_command!r}")
+    from .store import StoreCompatibilityError
+
+    commands = {
+        "build": _cmd_index_build,
+        "search": _cmd_index_search,
+        "append": _cmd_index_append,
+        "merge": _cmd_index_merge,
+    }
+    try:
+        return commands[args.index_command](args)
+    except StoreCompatibilityError as error:
+        # A store that is not what its manifest says (or not the format
+        # this build reads): one line, exit 2, never a PSM.
+        print(f"index {args.index_command}: {error}", file=sys.stderr)
+        return 2
 
 
 def _cmd_index_build(args) -> int:
@@ -1201,7 +1192,7 @@ def _verify_store(args, store) -> int:
 def _cmd_index_append(args) -> int:
     import time
 
-    from .store import StoreCompatibilityError, append_store
+    from .store import append_store
 
     try:
         engine_config_from_args(args)  # fail fast on bad engine flags
@@ -1221,7 +1212,7 @@ def _cmd_index_append(args) -> int:
             source=str(args.library),
             **extra,
         )
-    except (StoreCompatibilityError, ValueError) as error:
+    except ValueError as error:  # includes StoreCompatibilityError
         print(f"index append: {error}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
@@ -1239,7 +1230,7 @@ def _cmd_index_append(args) -> int:
 def _cmd_index_merge(args) -> int:
     import time
 
-    from .store import StoreCompatibilityError, merge_store
+    from .store import merge_store
 
     try:
         engine_config_from_args(args)  # fail fast on bad engine flags
@@ -1254,11 +1245,7 @@ def _cmd_index_merge(args) -> int:
         )
         return 2
     start = time.perf_counter()
-    try:
-        store = merge_store(args.store, target_rows=args.target_rows)
-    except StoreCompatibilityError as error:
-        print(f"index merge: {error}", file=sys.stderr)
-        return 2
+    store = merge_store(args.store, target_rows=args.target_rows)
     elapsed = time.perf_counter() - start
     print(store.summary())
     print(

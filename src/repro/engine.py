@@ -1,8 +1,8 @@
 """Unified engine-construction configuration.
 
 The knobs that control *how* a searcher executes — shard count, worker
-pool, executor kind, similarity backend, score-block tiling, pipeline
-batching, and the ANN prefilter — live in one place.
+pool, executor kind, pipeline batching, and the ANN prefilter — live in
+one place.
 :class:`EngineConfig` is the single way to name them: every entry point
 accepts one (the ``engine=`` keyword on the searchers, the
 ``engine_config`` field on :class:`~repro.service.server.ServiceConfig`,
@@ -38,7 +38,6 @@ class EngineConfig:
     Attributes:
         kind: Engine family — one of :data:`ENGINE_KINDS`.  ``auto``
             lets the consumer pick.
-        backend: ``"dense"`` or ``"packed"``.
         num_shards: Contiguous row partitions per index (each becomes
             one scoring task per query micro-batch).
         num_workers: Worker count; ``None`` auto-sizes to
@@ -47,9 +46,6 @@ class EngineConfig:
         executor: ``"process"`` or ``"thread"`` (ignored when
             ``num_workers == 0``; segmented searchers always score
             in-process and treat ``"process"`` as ``"thread"``).
-        score_block_rows: Rows per scoring block for backends that
-            tile (``None`` = auto-size, ``0`` = untiled).  Never
-            changes results.
         pipeline_batch: Queries per encode micro-batch; ``None`` uses
             :data:`~repro.oms.search.ENCODE_BLOCK_SIZE`.
         ann: Optional :class:`~repro.ann.AnnConfig` enabling the
@@ -57,11 +53,9 @@ class EngineConfig:
     """
 
     kind: str = "auto"
-    backend: str = "dense"
     num_shards: int = 1
     num_workers: Optional[int] = 0
     executor: str = "process"
-    score_block_rows: Optional[int] = None
     pipeline_batch: Optional[int] = None
     ann: Optional[AnnConfig] = None
 
@@ -69,10 +63,6 @@ class EngineConfig:
         if self.kind not in ENGINE_KINDS:
             raise ValueError(
                 f"unknown engine kind {self.kind!r}; expected one of {ENGINE_KINDS}"
-            )
-        if self.backend not in ("dense", "packed"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'dense' or 'packed'"
             )
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
@@ -84,10 +74,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; expected one of "
                 f"{EXECUTOR_KINDS}"
-            )
-        if self.score_block_rows is not None and self.score_block_rows < 0:
-            raise ValueError(
-                f"score_block_rows must be >= 0 or None, got {self.score_block_rows}"
             )
         if self.pipeline_batch is not None and self.pipeline_batch < 1:
             raise ValueError(
@@ -102,11 +88,9 @@ class EngineConfig:
         """JSON-safe view of the fully resolved config (for ``/stats``)."""
         return {
             "kind": self.kind,
-            "backend": self.backend,
             "num_shards": self.num_shards,
             "num_workers": self.num_workers,
             "executor": self.executor,
-            "score_block_rows": self.score_block_rows,
             "pipeline_batch": self.pipeline_batch,
             "ann": dataclasses.asdict(self.ann) if self.ann is not None else None,
         }
@@ -131,10 +115,3 @@ class EngineConfig:
                 "conflicting ANN configs: engine.ann disagrees with config.ann"
             )
         return dataclasses.replace(config, ann=self.ann)
-
-    def build_backend(self):
-        """The brute-force similarity backend this config names, tiled as configured."""
-        from .oms.search import DenseBackend, PackedBackend
-
-        backends = {"dense": DenseBackend, "packed": PackedBackend}
-        return backends[self.backend](self.score_block_rows)

@@ -56,11 +56,9 @@ def arena_shard_payload(arena: SharedShardArena, setup: Dict, shard_id: int) -> 
         arena.array("masses"),
         arena.array("charges"),
         dim=setup["dim"],
-        backend=setup["backend"],
         charge_aware=setup["charge_aware"],
         ann=setup.get("ann"),
         ann_tables=tables,
-        score_block_rows=setup.get("score_block_rows"),
     )
 
 
@@ -104,11 +102,12 @@ class ProcessShardExecutor:
     """Shard scoring on a lazily created multiprocessing pool.
 
     Workers attach the arena by name in their initializer, so the only
-    per-worker memory is the prepared backend state — never a copy of
-    the packed index.  ``run`` raises :class:`RuntimeError` when the
-    pool cannot start within ``start_timeout`` seconds (wedged or
-    crashing initializer); the half-started pool is terminated first so
-    the caller can still unlink the arena cleanly.
+    per-worker memory is the window-ordered packed rows of the shards it
+    has scored — never a copy of the whole index.  ``run`` raises
+    :class:`RuntimeError` when the pool cannot start within
+    ``start_timeout`` seconds (wedged or crashing initializer); the
+    half-started pool is terminated first so the caller can still
+    unlink the arena cleanly.
     """
 
     def __init__(

@@ -50,16 +50,21 @@ def hamming_rowsums(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
     """Row-wise Hamming distances between packed bit arrays, fused.
 
     Equivalent to ``popcount(packed_a ^ packed_b).sum(axis=-1)`` but
-    keeps the per-word counts in the uint8 XOR buffer itself (the
-    native ``bitwise_count`` path counts in place) instead of
-    materialising an int64 matrix 8x the packed size.  On contiguous
+    never materialises an int64 matrix 8x the packed size: the native
+    ``bitwise_count`` path counts whole 64-bit words when the row length
+    allows, else in place in the uint8 XOR buffer.  On contiguous
     slabs the XOR and popcount ufuncs release the GIL, which is what
     lets thread-pool scoring overlap across shards.  Broadcasting
     applies as in :func:`np.bitwise_xor`; the summed axis is the last.
     """
     xored = np.bitwise_xor(packed_a, packed_b)
     if hasattr(np, "bitwise_count"):
-        counts = np.bitwise_count(xored, out=xored)
+        if xored.shape[-1] % 8 == 0 and xored.flags.c_contiguous:
+            # The same bits as 64-bit words: an eighth of the elements
+            # to count and to sum.
+            counts = np.bitwise_count(xored.view(np.uint64))
+        else:
+            counts = np.bitwise_count(xored, out=xored)
     else:  # pragma: no cover - exercised only on NumPy < 2.0
         counts = _POPCOUNT_TABLE[xored]
     return counts.sum(axis=-1, dtype=np.int64)

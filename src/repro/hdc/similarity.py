@@ -81,7 +81,7 @@ def packed_dot_scores(
     """Dot-product scores of packed rows against one packed query.
 
     ``dot = dim - 2 * hamming`` for bipolar vectors, returned as int32
-    (matching the dense backend).  With ``block_rows`` set, rows are
+    (matching :func:`batch_dot_similarity`).  With ``block_rows`` set, rows are
     scored in blocks of that many at a time so the XOR buffer stays
     cache-resident instead of streaming a ``(rows, words)`` temporary
     through memory — bit-identical either way, since every row's score

@@ -55,8 +55,8 @@ class ShardedSearcher(FanOutSearcher):
         (``None`` = ``min(num_shards, cpu_count)``; zero or one worker
         scores serially in-process: no arena, no pool), ``executor``
         (``"process"`` = a multiprocessing pool over a shared arena,
-        ``"thread"`` = in-process threads), backend, tiling, pipeline
-        batch and ANN.  Defaults to one shard scored serially.
+        ``"thread"`` = in-process threads), pipeline batch and ANN.
+        Defaults to one shard scored serially.
     """
 
     engine_kind = "sharded"
@@ -82,7 +82,7 @@ class ShardedSearcher(FanOutSearcher):
             config=config,
             engine=engine,
             num_parts=engine.num_shards,
-            label=f"sharded-{engine.backend}x{engine.num_shards}",
+            label=f"shardedx{engine.num_shards}",
         )
         self._arena: Optional[SharedShardArena] = None
         self._executor: Optional[ProcessShardExecutor] = None
@@ -130,12 +130,10 @@ class ShardedSearcher(FanOutSearcher):
         setup = {
             "spec": arena.spec(),
             "dim": dim,
-            "backend": self.engine.backend,
             "charge_aware": self.windows.charge_aware,
             "bounds": self._bounds,
             "ann": self.config.ann,
             "ann_provenance": ann_provenance,
-            "score_block_rows": self.engine.score_block_rows,
         }
         return arena, setup
 

@@ -1,12 +1,12 @@
-"""Batched open search: the dense-matrix dataflow of GPU accelerators.
+"""Batched open search: the contiguous-window dataflow of the accelerators.
 
 The per-query searcher (:class:`~repro.oms.search.HDOmsSearcher`)
 gathers each query's candidates and scores just those rows.  GPUs (and
-the in-memory fabric) prefer the opposite: references kept in (charge,
-precursor mass) order so a window is a contiguous slab, and whole
-blocks of queries scored against it in one matmul — how HyperOMS and
-RapidOMS lay the problem out.  Results are bit-identical to the
-per-query path; only the schedule differs.
+the in-memory fabric) prefer the opposite: bit-packed references kept
+in (charge, precursor mass) order so a window is a contiguous slab that
+a query streams through XOR + popcount without a gather — how HyperOMS
+and RapidOMS lay the problem out.  Results are bit-identical to the
+per-query path; only the layout and the schedule differ.
 
 The query loop, the scoring pass and the PSMs are the shared fan-out
 core's (:class:`~repro.oms.loop.FanOutSearcher`); this class is its
@@ -39,8 +39,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
     Same constructor contract as :class:`HDOmsSearcher` (encoder +
     references), with the :class:`~repro.oms.search.HDSearchConfig`
     fields spelled out as keyword arguments; ``search`` produces the
-    same PSMs, scheduled as one query-blocked matmul per overlapping
-    group of windows.
+    same PSMs, each query scored against its contiguous packed window.
     """
 
     def __init__(
@@ -54,7 +53,6 @@ class BatchedHDOmsSearcher(FanOutSearcher):
         reference_ber: float = 0.0,
         noise_seed: int = 1234,
         ann: Optional[AnnConfig] = None,
-        score_block_rows: Optional[int] = None,
         min_candidates: int = 1,
     ) -> None:
         """Encode *references* and lay them out for window scoring.
@@ -69,11 +67,8 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             reference_ber: Reference-side random bit-flip rate.
             noise_seed: Seed of the bit-flip generator.
             ann: Optional ANN prefilter config; when set, large windows
-                are shortlisted via Hamming LSH instead of the dense
-                matmul.
-            score_block_rows: Bound on the reference rows per matmul
-                tile (``None`` = sized from the cache budget, ``0`` =
-                untiled).  Never changes results.
+                are shortlisted via Hamming LSH instead of being
+                scored row by row.
             min_candidates: Smallest precursor window that may yield a
                 match.
 
@@ -96,9 +91,9 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             config=HDSearchConfig(
                 mode, query_ber, reference_ber, noise_seed, min_candidates, ann
             ),
-            engine=EngineConfig(score_block_rows=score_block_rows),
+            engine=EngineConfig(),
             num_parts=1,
-            label="batched-dense",
+            label="batched",
         )
         originals = [original for original, _ in kept]
         hvs = encoder.encode_batch([processed for _, processed in kept])
@@ -125,7 +120,6 @@ class BatchedHDOmsSearcher(FanOutSearcher):
         noise_seed: int = 1234,
         encoder=None,
         ann: Optional[AnnConfig] = None,
-        score_block_rows: Optional[int] = None,
         engine: Optional[EngineConfig] = None,
         min_candidates: int = 1,
     ) -> "BatchedHDOmsSearcher":
@@ -147,11 +141,9 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             encoder: Optional shared encoder (validated against the
                 index provenance).
             ann: Optional ANN prefilter config.
-            score_block_rows: Bound on the reference rows per matmul
-                tile (``None`` = auto, ``0`` = untiled).
             engine: Optional :class:`~repro.engine.EngineConfig`
-                supplying the backend, ``ann`` and ``score_block_rows``
-                when the explicit kwargs are unset.
+                supplying ``pipeline_batch``, and ``ann`` when the
+                explicit kwarg is unset.
             min_candidates: Smallest precursor window that may yield a
                 match.
 
@@ -165,8 +157,6 @@ class BatchedHDOmsSearcher(FanOutSearcher):
                 index provenance.
         """
         engine = engine or EngineConfig()
-        if score_block_rows is not None:
-            engine = engine.replace(score_block_rows=score_block_rows)
         if encoder is not None:
             index.validate(encoder.space.config, encoder.binning)
         searcher = cls.__new__(cls)
@@ -179,7 +169,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             ),
             engine=engine,
             num_parts=1,
-            label=f"batched-{engine.backend}",
+            label="batched",
         )
         searcher._adopt_index(index, 1)
         searcher.warm()

@@ -203,11 +203,9 @@ class FanOutSearcher:
             masses,
             charges,
             dim=dim,
-            backend=self.engine.backend,
             charge_aware=self.windows.charge_aware,
             ann=self.config.ann,
             ann_tables=ann_tables,
-            score_block_rows=self.engine.score_block_rows,
         )
 
     # ------------------------------------------------------------------

@@ -91,23 +91,16 @@ class SimilarityBackend(Protocol):
 class DenseBackend:
     """Exact similarity via BLAS matmul on the int8 reference matrix.
 
-    ``block_rows`` tiles the gather path: ``None`` (default) derives a
-    block from :data:`SCORE_BLOCK_BYTES` so the gathered row copy stays
-    cache-resident, ``0`` disables tiling, any positive value is used
-    as-is.  Tiling never changes results — float32 accumulation of
-    integer dot products below 2^24 is exact in any order.
+    The gather path is tiled to :data:`SCORE_BLOCK_BYTES` so the
+    gathered row copy stays cache-resident.  Tiling never changes
+    results — float32 accumulation of integer dot products below 2^24 is
+    exact in any order.
     """
 
     name = "dense"
 
-    def __init__(self, block_rows: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._refs: Optional[np.ndarray] = None
-        self._block_rows = block_rows
-
-    def _resolved_block_rows(self) -> int:
-        if self._block_rows is None:
-            return _auto_block_rows(self._refs.shape[1] * 4)
-        return self._block_rows
 
     def prepare(self, reference_hvs: np.ndarray) -> None:
         """Stage the reference matrix for repeated scoring."""
@@ -125,8 +118,8 @@ class DenseBackend:
             # fancy-index gather copy.  Exact for any positions order —
             # (refs @ q)[positions][i] == refs[positions[i]] @ q.
             return (self._refs @ query).astype(np.int32)[positions]
-        block = self._resolved_block_rows()
-        if block and len(positions) > block:
+        block = _auto_block_rows(self._refs.shape[1] * 4)
+        if len(positions) > block:
             # Tile the gather: each block's (block, dim) float32 copy
             # fits the cache budget instead of materialising the whole
             # (window, dim) temporary at once.
@@ -143,45 +136,28 @@ class DenseBackend:
 class PackedBackend:
     """Digital-hardware reference path: packed bits, XOR + popcount.
 
-    ``block_rows`` follows the :class:`DenseBackend` contract (``None``
-    auto-sizes from :data:`SCORE_BLOCK_BYTES`, ``0`` disables tiling).
+    Tiled to :data:`SCORE_BLOCK_BYTES` like :class:`DenseBackend`.
     Full-coverage windows score the prepared matrix as one contiguous
-    slab — no gather copy, and the XOR/popcount ufuncs release the GIL
-    over the slab, which is what thread-pool scoring overlaps on.
+    slab — no gather copy.
     """
 
     name = "packed"
 
-    def __init__(self, block_rows: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._packed: Optional[np.ndarray] = None
         self._dim: int = 0
-        self._block_rows = block_rows
-
-    def _resolved_block_rows(self) -> int:
-        if self._block_rows is None:
-            return _auto_block_rows(self._packed.shape[1])
-        return self._block_rows
 
     def prepare(self, reference_hvs: np.ndarray) -> None:
-        """Stage the float32 copy of the reference matrix."""
+        """Bit-pack the reference matrix for repeated scoring."""
         self._dim = reference_hvs.shape[1]
         self._packed = pack_bipolar(reference_hvs)
-
-    def prepare_packed(self, packed: np.ndarray, dim: int) -> None:
-        """Adopt an already bit-packed matrix (pack_bipolar layout).
-
-        Lets index-backed callers hand over persisted packed rows
-        without a decode/re-encode round trip.
-        """
-        self._dim = dim
-        self._packed = np.asarray(packed)
 
     def scores(self, query_hv: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Similarity scores of ``query_hv`` against rows at ``positions``."""
         if self._packed is None:
             raise RuntimeError("backend not prepared")
         packed_query = pack_bipolar(query_hv[np.newaxis, :])[0]
-        block = self._resolved_block_rows()
+        block = _auto_block_rows(self._packed.shape[1])
         if len(positions) == self._packed.shape[0]:
             # Full-coverage fast path, mirroring DenseBackend: score the
             # contiguous prepared matrix and reorder the (n,) result —
@@ -300,14 +276,11 @@ class HDOmsSearcher:
         searcher built from the original spectra bit for bit.
 
         ``engine`` (an :class:`~repro.engine.EngineConfig`) supplies the
-        backend and the ANN prefilter config when ``backend`` /
-        ``config.ann`` do not; an explicit ``backend`` argument wins,
-        and an ``engine.ann`` that disagrees with ``config.ann`` is an
-        error rather than a silent preference.
+        ANN prefilter config when ``config.ann`` does not; an
+        ``engine.ann`` that disagrees with ``config.ann`` is an error
+        rather than a silent preference.
         """
         if engine is not None:
-            if backend is None:
-                backend = engine.build_backend()
             config = engine.search_config(config)
         if encoder is not None:
             index.validate(encoder.space.config, encoder.binning)

@@ -12,7 +12,7 @@ them:
   key no matter what the client called them;
 * a **configuration fingerprint** (:func:`config_fingerprint`) mixing
   the index provenance with the search-stage knobs, so cached results
-  can never leak across indexes, windows, modes, or backends;
+  can never leak across indexes, windows, or modes;
 * the **route** field of the multi-index protocol
   (:func:`route_from_payload`, :data:`ROUTE_PATTERN`): requests may
   name which loaded library they target, and both the server and the
@@ -140,7 +140,7 @@ def spectrum_digest(spectrum: Spectrum) -> str:
     return hasher.hexdigest()
 
 
-def config_fingerprint(index_provenance: dict, windows, search_config, backend: str) -> str:
+def config_fingerprint(index_provenance: dict, windows, search_config) -> str:
     """Hash of everything that can change a search result.
 
     ``index_provenance`` is :meth:`LibraryIndex.provenance`; ``windows``
@@ -153,7 +153,6 @@ def config_fingerprint(index_provenance: dict, windows, search_config, backend: 
             "index": index_provenance,
             "windows": dataclasses.asdict(windows),
             "search": dataclasses.asdict(search_config),
-            "backend": backend,
         },
         sort_keys=True,
     )

@@ -1,7 +1,7 @@
 """Dynamic micro-batching: coalesce single-spectrum requests.
 
 The service's hot path is a *vectorized batch search* (one fused
-``encode_batch`` pass plus one dense matmul per charge bucket), but
+``encode_batch`` pass, then XOR/popcount over packed windows), but
 online clients arrive one spectrum at a time.
 The :class:`MicroBatchScheduler` bridges the two: ``submit`` enqueues a
 spectrum and returns a :class:`~concurrent.futures.Future`; a single

@@ -8,8 +8,8 @@ everything with a :class:`~repro.service.cache.ResultCache` keyed by
 spectrum content digest + configuration fingerprint.  Every flushed
 micro-batch reaches the engine as one ``search`` call, so the whole
 batch is *encoded* through the fused vectorized
-``SpectrumEncoder.encode_batch`` pipeline and *scored* as dense
-matmuls — the micro-batching win compounds through both stages.  Results are
+``SpectrumEncoder.encode_batch`` pipeline and *scored* in one fan-out
+pass over the bit-packed rows.  Results are
 bit-identical to a direct :class:`~repro.oms.search.HDOmsSearcher` run
 on the same index and configuration, whatever order or batch the
 requests arrive in.
@@ -183,7 +183,7 @@ class SearchService:
         A loaded :class:`LibraryIndex` or a path to a persisted one.
         Passing a path enables argument-less :meth:`reload`.
     config:
-        :class:`ServiceConfig`; defaults serve open-mode dense search
+        :class:`ServiceConfig`; defaults serve open-mode exact search
         with work-conserving micro-batches of up to 32 spectra.
     metrics:
         Optional shared :class:`~repro.service.metrics.ServiceMetrics`.
@@ -281,11 +281,10 @@ class SearchService:
             # takes (or a reload hands over) its first request.  Store
             # segments stay lazy, that is their pruning.
             engine.warm()
-        label = engine.backend_name
         fingerprint = config_fingerprint(
-            index.provenance(), windows, search_config, label
+            index.provenance(), windows, search_config
         )
-        return engine, label, fingerprint
+        return engine, engine.backend_name, fingerprint
 
     def _run_batch(
         self, batch: List[Spectrum]
@@ -584,7 +583,7 @@ class SearchService:
             ann: Optional explicit config when enabling.
 
         Returns:
-            The new engine label (e.g. ``"sharded-densex1+ann"``).
+            The new engine label (e.g. ``"shardedx1+ann"``).
 
         Raises:
             RuntimeError: If the service is closed or the in-flight

@@ -22,6 +22,7 @@ from .manifest import (
     MANIFEST_NAME,
     SEGMENT_DIR,
     STORE_FORMAT_VERSION,
+    SegmentIntegrityError,
     SegmentMeta,
     StoreCompatibilityError,
     StoreManifest,
@@ -34,6 +35,7 @@ __all__ = [
     "MANIFEST_NAME",
     "SEGMENT_DIR",
     "STORE_FORMAT_VERSION",
+    "SegmentIntegrityError",
     "SegmentMeta",
     "SegmentedSearcher",
     "SegmentedStore",

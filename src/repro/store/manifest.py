@@ -53,6 +53,10 @@ class StoreCompatibilityError(ValueError):
     """A store's recorded provenance conflicts with the requested config."""
 
 
+class SegmentIntegrityError(StoreCompatibilityError):
+    """A segment file is missing, unreadable, or not the one the manifest names."""
+
+
 @dataclass(frozen=True)
 class SegmentMeta:
     """One segment's row count, precursor-mass range, and lineage.

@@ -92,7 +92,7 @@ class SegmentedSearcher(FanOutSearcher):
             config=config,
             engine=engine,
             num_parts=store.num_segments,
-            label=f"segmented-{engine.backend}x{store.num_segments}",
+            label=f"segmentedx{store.num_segments}",
         )
         if engine.executor == "process" and self._num_workers > 0:
             logger.info(

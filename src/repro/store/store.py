@@ -13,6 +13,7 @@ laziness assertable in tests.
 from __future__ import annotations
 
 import threading
+import zipfile
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
@@ -23,7 +24,13 @@ from ..hdc.spaces import HDSpaceConfig
 from ..index.library import LibraryIndex, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.vectorize import BinningConfig
-from .manifest import MANIFEST_NAME, SegmentMeta, StoreCompatibilityError, StoreManifest
+from .manifest import (
+    MANIFEST_NAME,
+    SegmentIntegrityError,
+    SegmentMeta,
+    StoreCompatibilityError,
+    StoreManifest,
+)
 
 
 class SegmentedStore:
@@ -75,6 +82,11 @@ class SegmentedStore:
 
         The per-segment open counter increments only on an actual disk
         open, not on cache hits — it measures laziness, not traffic.
+
+        Raises:
+            SegmentIntegrityError: When the file is missing, is not a
+                readable index archive, or is not the segment the
+                manifest describes.
         """
         index = self._segments.get(segment_id)
         if index is not None:
@@ -82,10 +94,42 @@ class SegmentedStore:
         with self._segment_lock:
             index = self._segments.get(segment_id)
             if index is None:
-                meta = self.manifest.segments[segment_id]
-                index = LibraryIndex.load(self.root / meta.file, mmap=mmap)
+                index = self._load_segment(
+                    self.manifest.segments[segment_id], mmap
+                )
                 self._segments[segment_id] = index
                 self._open_counts[segment_id] += 1
+        return index
+
+    def _load_segment(self, meta: SegmentMeta, mmap: bool) -> LibraryIndex:
+        """Open one segment archive and check it against its manifest entry.
+
+        Global row numbers, mass pruning and the query encoder all come
+        from the manifest, so a file that disagrees with it would yield
+        wrong PSMs rather than an error further down.
+        """
+        expected = (
+            meta.num_references, self.manifest.dim, meta.mass_min, meta.mass_max
+        )
+        try:
+            index = LibraryIndex.load(self.root / meta.file, mmap=mmap)
+            index.validate(*self.manifest.configs()[:3])
+            masses = index.neutral_masses
+            found = (
+                index.num_references, index.dim, float(masses.min()), float(masses.max())
+            )
+            if found != expected:
+                raise ValueError(
+                    "its (rows, dim, mass_min, mass_max) is "
+                    f"{found}, the manifest says {expected}"
+                )
+        # ValueError: the mismatch above, IndexCompatibilityError, or a
+        # truncated .npy member.
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as error:
+            raise SegmentIntegrityError(
+                f"segment {meta.file} cannot be used: "
+                f"{type(error).__name__}: {' '.join(str(error).split())}"
+            ) from error
         return index
 
     def segments_for_range(self, lo: float, hi: float) -> List[int]:

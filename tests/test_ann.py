@@ -415,7 +415,7 @@ def test_service_set_ann_toggles_engine_and_clears_cache(
             ann=AnnConfig(num_tables=4, bits_per_hash=8, ann_threshold=0)
         ),
     ) as service:
-        assert service.engine_name == "sharded-densex1+ann"
+        assert service.engine_name == "shardedx1+ann"
         first = service.search_many(small_workload_module.queries[:6])
         ann_section = service.stats()["engine"]["ann"]
         assert ann_section["enabled"] is True
@@ -426,17 +426,17 @@ def test_service_set_ann_toggles_engine_and_clears_cache(
             > 0
         )
         label = service.set_ann(False)
-        assert label == "sharded-densex1"
+        assert label == "shardedx1"
         assert service.stats()["engine"]["ann"] == {"enabled": False}
         exact = service.search_many(small_workload_module.queries[:6])
         assert len(exact) == len(first)
         # Re-enable without an explicit config: the remembered one
         # comes back (4 tables, not the 8-table default).
-        assert service.set_ann(True) == "sharded-densex1+ann"
+        assert service.set_ann(True) == "shardedx1+ann"
         assert service.config.ann.num_tables == 4
         # No-op toggle keeps the engine untouched.
         generation = service._generation
-        assert service.set_ann(True) == "sharded-densex1+ann"
+        assert service.set_ann(True) == "shardedx1+ann"
         assert service._generation == generation
 
 

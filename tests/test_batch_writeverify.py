@@ -97,7 +97,7 @@ class TestBatchedSearcher:
         result = BatchedHDOmsSearcher(
             encoder, workload.references
         ).search(workload.queries[:3])
-        assert result.backend_name == "batched-dense"
+        assert result.backend_name == "batched"
 
     def test_reference_ber_injection(self, batch_setup):
         workload, encoder = batch_setup

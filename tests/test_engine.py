@@ -55,7 +55,10 @@ class TestEngineConfigValidation:
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # The scoring representation is not a choice any more: its two
+        # former fields are unknown keywords, not bad values.
+        removed = kwargs.keys() & {"backend", "score_block_rows"}
+        with pytest.raises(TypeError if removed else ValueError):
             EngineConfig(**kwargs)
 
     def test_replace_revalidates(self):
@@ -66,17 +69,15 @@ class TestEngineConfigValidation:
         config = EngineConfig(ann=AnnConfig())
         payload = config.to_dict()
         assert payload["kind"] == "auto"
-        assert payload["backend"] == "dense"
+        assert set(payload) == {
+            "kind", "num_shards", "num_workers", "executor", "pipeline_batch", "ann",
+        }
         assert isinstance(payload["ann"], dict)
 
     def test_backend_factories_are_gone(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(TypeError, match="backend"):
             EngineConfig(backend=lambda: None)
-
-    def test_build_backend_applies_block_rows(self):
-        backend = EngineConfig(backend="packed", score_block_rows=64).build_backend()
-        assert backend.name == "packed"
-        assert backend._block_rows == 64
+        assert not hasattr(EngineConfig, "build_backend")
 
 
 class TestShardedSearcherEngine:
@@ -90,7 +91,7 @@ class TestShardedSearcherEngine:
         for name in ("num_shards", "num_workers", "backend", "executor",
                      "score_block_rows", "pipeline_batch"):
             with pytest.raises(TypeError, match=name):
-                ShardedSearcher(index, **{name: EngineConfig().__dict__[name]})
+                ShardedSearcher(index, **{name: None})
 
     def test_engine_kind_mismatch_rejected(self, index):
         with pytest.raises(ValueError, match="cannot host engine kind"):
@@ -115,10 +116,10 @@ class TestShardedSearcherEngine:
 class TestFromIndexEngine:
     def test_hd_searcher_accepts_engine(self, index, queries):
         baseline = HDOmsSearcher.from_index(index)
-        engined = HDOmsSearcher.from_index(
-            index, engine=EngineConfig(backend="packed")
-        )
-        assert engined.backend.name == "packed"
+        engined = HDOmsSearcher.from_index(index, engine=EngineConfig())
+        # The oracle's arithmetic is its own: an engine config cannot
+        # move it off the GEMM.
+        assert engined.backend.name == "dense"
         assert [_psm_key(p) for p in engined.search(queries).psms] == [
             _psm_key(p) for p in baseline.search(queries).psms
         ]
@@ -139,7 +140,7 @@ class TestFromIndexEngine:
     def test_batched_searcher_accepts_engine(self, index, queries):
         baseline = BatchedHDOmsSearcher.from_index(index)
         engined = BatchedHDOmsSearcher.from_index(
-            index, engine=EngineConfig(score_block_rows=16)
+            index, engine=EngineConfig(pipeline_batch=3)
         )
         assert [_psm_key(p) for p in engined.search(queries).psms] == [
             _psm_key(p) for p in baseline.search(queries).psms

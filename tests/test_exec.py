@@ -209,15 +209,13 @@ class TestPipelineMap:
 # ----------------------------------------------------------------------
 
 
-def _make_setup(arrays, *, backend, ann=None, ann_provenance=None, block=None):
+def _make_setup(arrays, *, ann=None, ann_provenance=None):
     return {
         "dim": DIM,
-        "backend": backend,
         "charge_aware": True,
         "bounds": _bounds(NUM_ROWS, NUM_SHARDS),
         "ann": ann,
         "ann_provenance": ann_provenance,
-        "score_block_rows": block,
     }
 
 
@@ -239,19 +237,12 @@ def parity_env():
     arena = SharedShardArena.create(arrays)
 
     envs = {}
-    for label, backend, ann_cfg, prov, block in [
-        ("dense", "dense", None, None, None),
-        ("packed-blocked", "packed", None, None, 5),
-        ("dense-ann", "dense", ann, tuple(provenance), None),
+    for label, ann_cfg, prov in [
+        ("exact", None, None),
+        ("ann", ann, tuple(provenance)),
     ]:
         setup = dict(
-            _make_setup(
-                arrays,
-                backend=backend,
-                ann=ann_cfg,
-                ann_provenance=prov,
-                block=block,
-            ),
+            _make_setup(arrays, ann=ann_cfg, ann_provenance=prov),
             spec=arena.spec(),
         )
         process = ProcessShardExecutor(setup, num_workers=2)
@@ -270,13 +261,11 @@ def parity_env():
 @given(data=st.data())
 def test_process_scores_bit_identical_to_in_process(parity_env, data):
     envs, masses = parity_env
-    label = data.draw(
-        st.sampled_from(["dense", "packed-blocked", "dense-ann"])
-    )
+    label = data.draw(st.sampled_from(["exact", "ann"]))
     num_queries = data.draw(st.integers(1, 5))
     seed = data.draw(st.integers(0, 2**31 - 1))
-    # Huge half-width produces full-coverage windows (the backend fast
-    # path); tiny ones produce empty/sparse windows.
+    # Huge half-width produces full-coverage windows; tiny ones produce
+    # empty/sparse windows.
     half_width = data.draw(st.sampled_from([0.01, 5.0, 250.0, 1e9]))
     rng = np.random.default_rng(seed)
     query_hvs = rng.choice(
@@ -305,7 +294,7 @@ def test_full_coverage_window_hits_fast_path(parity_env):
     """half_width=1e9 covers every row; parity already asserted above —
     this pins that the window really is full-coverage (fast path)."""
     envs, masses = parity_env
-    process, _ = envs["dense"]
+    process, _ = envs["exact"]
     query_hvs = np.ones((2, DIM), dtype=np.int8)
     query_masses = np.array([masses[0], masses[-1]])
     query_charges = np.array([2, 3], dtype=np.int64)
@@ -337,7 +326,7 @@ def test_process_pool_start_failure_raises_cleanly(monkeypatch):
         {"packed": packed, "masses": masses, "charges": charges}
     )
     try:
-        setup = dict(_make_setup(None, backend="dense"), spec=arena.spec())
+        setup = dict(_make_setup(None), spec=arena.spec())
 
         def bad_init(_setup):
             raise RuntimeError("initializer died")

@@ -167,6 +167,21 @@ class TestSimilarity:
         )
         assert int(distance) == 10
 
+    @pytest.mark.parametrize("dim", [64, 100, 128, 8191])
+    def test_packed_hamming_distance_any_row_width(self, rng, dim):
+        """Whole-word counting (8-byte multiples) and the byte path agree."""
+        rows = (rng.integers(0, 2, (7, dim)) * 2 - 1).astype(np.int8)
+        query = (rng.integers(0, 2, dim) * 2 - 1).astype(np.int8)
+        expected = (rows != query).sum(axis=1)
+        packed = pack_bipolar(rows)
+        assert packed_hamming_distance(packed, pack_bipolar(query)).tolist() == (
+            expected.tolist()
+        )
+        # Column-major rows cannot be viewed as words along the last axis.
+        assert packed_hamming_distance(
+            np.asfortranarray(packed), pack_bipolar(query)
+        ).tolist() == expected.tolist()
+
     def test_top_k(self):
         scores = np.array([5, 9, 1, 9, 3])
         assert top_k(scores, 2).tolist() == [1, 3]  # stable tie-break

@@ -271,9 +271,7 @@ class TestShardedSearcher:
         expected = HDOmsSearcher(
             encoder, workload.references, backend=PackedBackend()
         ).search(workload.queries)
-        searcher = ShardedSearcher(
-            index, engine=EngineConfig(num_shards=2, backend="packed")
-        )
+        searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2))
         assert searcher.search(workload.queries).psms == expected.psms
 
     @pytest.mark.parametrize("mode", ["standard", "cascade"])
@@ -303,7 +301,7 @@ class TestShardedSearcher:
 
     def test_backend_name_reports_shards(self, index):
         searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2))
-        assert searcher.backend_name == "sharded-densex2"
+        assert searcher.backend_name == "shardedx2"
 
     def test_rejects_bad_shard_counts(self, index):
         with pytest.raises(ValueError):
@@ -314,7 +312,7 @@ class TestShardedSearcher:
             )
 
     def test_rejects_unknown_backend(self, index):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(TypeError, match="backend"):
             EngineConfig(num_shards=2, backend="gpu")
 
 
@@ -393,4 +391,7 @@ class TestIndexCli:
         )
         assert args.shards == 1
         assert args.workers is None
-        assert args.backend == "dense"
+        # Scoring is packed XOR/popcount: the engine verbs take no
+        # --backend (only `repro search`, the oracle/RRAM verb, does).
+        assert not hasattr(args, "backend")
+        assert not hasattr(args, "score_block_rows")

@@ -21,9 +21,11 @@ import contextlib
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,10 +64,10 @@ TINY_ANN = AnnConfig(
 
 
 @contextlib.contextmanager
-def block_cells(cells: int):
-    """Cap the kernel's score slab at ``cells`` so tiny batches cut blocks."""
+def tile_rows(rows: int, dim: int = DIM):
+    """Shrink the kernel's XOR budget to ``rows`` packed rows per tile."""
     saved = kernel_module.SCORE_BLOCK_BYTES
-    kernel_module.SCORE_BLOCK_BYTES = 4 * cells
+    kernel_module.SCORE_BLOCK_BYTES = rows * math.ceil(dim / 8)
     try:
         yield
     finally:
@@ -115,31 +117,30 @@ def gather_loop(payload, prefilter, query_hvs, query_masses, query_charges, half
 def test_shard_scorer_equals_the_gather_loop(data):
     num_rows = data.draw(st.integers(1, 40), label="rows")
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    # 100 and 8191 leave pad bits in the last packed byte.
+    dim = data.draw(st.sampled_from([DIM, 100, 8191]), label="dim")
     rng = np.random.default_rng(seed)
     # Few distinct rows, so equal scores inside one window are routine.
-    distinct = rng.choice(np.array([-1, 1], dtype=np.int8), size=(4, DIM))
+    distinct = rng.choice(np.array([-1, 1], dtype=np.int8), size=(4, dim))
     hvs = distinct[rng.integers(0, len(distinct), num_rows)]
     masses = BASE_MASS + rng.choice(MASS_OFFSETS, num_rows)
     charges = rng.integers(2, 4, num_rows).astype(np.int64)
     start = data.draw(st.integers(0, 100), label="position offset")
-    backend = data.draw(st.sampled_from(["dense", "packed"]), label="backend")
     payload = shard_payload(
         0,
         (0, num_rows),
         pack_bipolar(hvs),
         masses,
         charges,
-        dim=DIM,
-        backend=backend,
+        dim=dim,
         charge_aware=data.draw(st.booleans(), label="charge_aware"),
         ann=data.draw(st.sampled_from([None, TINY_ANN]), label="ann"),
-        score_block_rows=data.draw(st.sampled_from([None, 0, 1, 3]), label="tile"),
     )
     payload["positions"] = payload["positions"] + start
     prefilter = None
     if payload["ann"] is not None:
         prefilter = CandidatePrefilter(
-            HammingLSHIndex.build(payload["packed"], DIM, payload["ann"]),
+            HammingLSHIndex.build(payload["packed"], dim, payload["ann"]),
             masses,
             charges,
             charge_aware=payload["charge_aware"],
@@ -153,7 +154,7 @@ def test_shard_scorer_equals_the_gather_loop(data):
     query_charges = rng.integers(2, 5, num_queries).astype(np.int64)  # 4: no bucket
     half_width = data.draw(st.sampled_from([0.0, 0.3, 0.5, 12.0, 1e9]), label="half width")
 
-    with block_cells(data.draw(st.sampled_from([7, 1 << 20]), label="cells")):
+    with tile_rows(data.draw(st.sampled_from([1, 3, 1 << 12]), label="tile"), dim):
         got = ShardScorer(payload).score_batch(
             query_hvs, query_masses, query_charges, half_width
         )
@@ -167,44 +168,26 @@ def test_shard_scorer_equals_the_gather_loop(data):
         assert int(got[4].sum()) == num_queries
 
 
-def test_rows_outside_a_window_never_win_in_a_shared_block():
-    """Staggered windows share one slab; each argmax sees only its own."""
+def test_a_window_that_straddles_tiles_keeps_bounds_and_tie_break():
+    """Ten rows, four per tile: windows cross one or two tile edges."""
     rng = np.random.default_rng(5)
-    hvs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, DIM))
-    masses = BASE_MASS + np.arange(5.0)
-    for backend in ("dense", "packed"):
-        kernel = kernel_module.WindowKernel(
-            pack_bipolar(hvs), masses, np.full(5, 2), dim=DIM, backend=backend
-        )
-        # Query i is row i itself (score DIM) but its +-1 Da window is
-        # centred two rows away: the perfect match is the first row
-        # below the window (queries 0, 1) or the first above it (2-4).
-        centres = np.array([2, 3, 0, 1, 2])
-        winners = kernel.search(hvs, masses[centres], np.full(5, 2), 1.0)
-        assert list(kernel_module._cut_blocks(*kernel.windows(
-            np.sort(masses[centres]), np.full(5, 2), 1.0
-        ))) == [(0, 5)]
-        for query, centre in enumerate(centres):
-            window = [row for row in range(5) if abs(row - centre) <= 1]
+    hvs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(10, DIM))
+    hvs[7] = hvs[2]  # equal rows two tiles apart: the lower row must win
+    masses = BASE_MASS + np.arange(10.0)
+    charges = np.full(10, 2)
+    with tile_rows(4):
+        kernel = kernel_module.WindowKernel(pack_bipolar(hvs), masses, charges, dim=DIM)
+    assert kernel._tile == 4
+    for centre, half_width in ((4, 3.0), (5, 4.0), (3, 1.0)):
+        window = [row for row in range(10) if abs(row - centre) <= half_width]
+        # Every row is offered as the query, also the rows just outside
+        # the window: a perfect match there must not win.
+        winners = kernel.search(hvs, np.full(10, masses[centre]), charges, half_width)
+        assert winners.counts.tolist() == [len(window)] * 10
+        for query in range(10):
             scores = hvs[window].astype(np.int64) @ hvs[query].astype(np.int64)
             assert winners.rows[query] == window[int(np.argmax(scores))]
-            assert winners.scores[query] == scores.max() < DIM
-
-
-def test_block_cutter_covers_every_window_once():
-    lows = np.array([0, 0, 2, 2, 9, 40, 41])
-    highs = np.array([5, 6, 6, 30, 12, 45, 45])
-    for cells in (1, 12, 1 << 20):
-        with block_cells(cells):
-            blocks = list(kernel_module._cut_blocks(lows, highs))
-        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-        assert blocks[-1][1] == len(lows)
-        for start, stop in blocks:
-            union = highs[start:stop].max() - lows[start]
-            assert stop - start == 1 or (stop - start) * union <= cells
-    # Uncapped: the window inside the first union joins it for free, the
-    # disjoint pair far away would only add wasted cells and starts anew.
-    assert blocks == [(0, 5), (5, 7)]
+            assert winners.scores[query] == scores.max()
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +233,6 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     references=_spectra("ref", (2, 3), 3, 24),
     queries=_spectra("query", (2, 3, 4), 1, 30),
     kind=st.sampled_from(["sharded", "segmented", "batched"]),
-    backend=st.sampled_from(["dense", "packed"]),
     mode=st.sampled_from(["standard", "open", "cascade"]),
     parts=st.integers(1, 3),
     use_ann=st.booleans(),
@@ -258,11 +240,11 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     min_candidates=st.sampled_from([1, 2, 5]),
     query_ber=st.sampled_from([0.0, 0.1]),
     execution=st.sampled_from([(0, "process"), (2, "thread")]),
-    cells=st.sampled_from([3, 16, 1 << 20]),
+    tile=st.sampled_from([1, 5, 1 << 12]),
 )
 def test_every_engine_equals_brute_force(
-    references, queries, kind, backend, mode, parts, use_ann, charge_aware,
-    min_candidates, query_ber, execution, cells,
+    references, queries, kind, mode, parts, use_ann, charge_aware,
+    min_candidates, query_ber, execution, tile,
 ):
     if kind == "batched" or use_ann:
         # Each shard hashes its own rows; only one shard sees exactly
@@ -283,9 +265,9 @@ def test_every_engine_equals_brute_force(
 
     num_workers, executor = execution
     engine = EngineConfig(
-        backend=backend, num_shards=parts, num_workers=num_workers, executor=executor
+        num_shards=parts, num_workers=num_workers, executor=executor
     )
-    with block_cells(cells), tempfile.TemporaryDirectory() as scratch:
+    with tile_rows(tile), tempfile.TemporaryDirectory() as scratch:
         if kind == "batched":
             searcher = BatchedHDOmsSearcher.from_index(
                 index,
@@ -395,3 +377,28 @@ def test_one_shard_default_searcher_is_serial_and_reopens():
         assert not shm.is_dir() or set(shm.iterdir()) <= before
         searcher.close()
         assert searcher.search(WORKLOAD.queries).psms == expected
+
+
+def test_a_warm_searcher_holds_packed_rows_only():
+    """One representation: no float32 copy, and no knob that asks for one."""
+    workload = build_workload(
+        WorkloadConfig(name="packed-only", num_references=400, num_queries=1, seed=3)
+    )
+    index = LibraryIndex.build(
+        workload.references,
+        space_config=HDSpaceConfig(dim=8192, num_bins=BINNING.num_bins, seed=3),
+        binning=BINNING,
+    )
+    encoder = index.make_encoder()
+    tracemalloc.start()
+    try:
+        with ShardedSearcher(index, encoder=encoder) as searcher:
+            searcher.warm()
+            _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * index.packed.nbytes  # float32 rows would be 32x
+    with pytest.raises(TypeError):
+        EngineConfig(backend="packed")
+    with pytest.raises(TypeError):
+        EngineConfig(score_block_rows=64)

@@ -124,21 +124,22 @@ class TestProtocol:
             spectrum_from_payload(payload)
 
     def test_fingerprint_separates_configs(self, index):
+        from repro.ann import AnnConfig
         from repro.oms.candidates import WindowConfig
 
         base = config_fingerprint(
-            index.provenance(), WindowConfig(), HDSearchConfig(), "dense"
+            index.provenance(), WindowConfig(), HDSearchConfig()
         )
         other_mode = config_fingerprint(
-            index.provenance(),
-            WindowConfig(),
-            HDSearchConfig(mode="standard"),
-            "dense",
+            index.provenance(), WindowConfig(), HDSearchConfig(mode="standard")
         )
-        other_backend = config_fingerprint(
-            index.provenance(), WindowConfig(), HDSearchConfig(), "packed"
+        other_window = config_fingerprint(
+            index.provenance(), WindowConfig(open_window_da=50.0), HDSearchConfig()
         )
-        assert len({base, other_mode, other_backend}) == 3
+        other_ann = config_fingerprint(
+            index.provenance(), WindowConfig(), HDSearchConfig(ann=AnnConfig())
+        )
+        assert len({base, other_mode, other_window, other_ann}) == 4
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +596,7 @@ class TestSearchService:
 
     def test_default_engine_is_one_serial_part(self, index_path):
         with make_service(index_path) as service:
-            assert service.engine_name == "sharded-densex1"
+            assert service.engine_name == "shardedx1"
             engine = service.stats()["engine"]
             assert (engine["executor"], engine["arena_bytes"]) == ("serial", 0)
             # A route that reports ready has its rows laid out already.
@@ -603,7 +604,7 @@ class TestSearchService:
         with make_service(
             index_path, engine_config=EngineConfig(num_shards=2, num_workers=2)
         ) as service:
-            assert service.engine_name == "sharded-densex2"
+            assert service.engine_name == "shardedx2"
             assert service.stats()["engine"]["executor"] == "process"
 
     def test_search_many_aligns_and_coalesces(

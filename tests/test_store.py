@@ -10,6 +10,7 @@ merging must search bit-identically to one monolithic
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.oms.candidates import WindowConfig
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.store import (
     MANIFEST_NAME,
+    SegmentIntegrityError,
     SegmentedSearcher,
     SegmentedStore,
     StoreCompatibilityError,
@@ -539,7 +541,7 @@ class TestServiceOverStore:
         baseline = SearchService(monolithic)
         service = SearchService(store_path)
         try:
-            assert service.engine_name.startswith("segmented-")
+            assert service.engine_name.startswith("segmentedx")
             stats = service.stats()["engine"]
             assert stats["config"]["kind"] == "auto"
             assert [_psm_key(p) for p in service.search_many(queries)] == [
@@ -673,6 +675,78 @@ class TestCliStoreVerbs:
             )
             == 2
         )
+
+
+def _break_first_segment(root: Path, fault: str) -> str:
+    """Damage the first segment file the way ``fault`` says; its name."""
+    segments = StoreManifest.load(root).segments
+    victim = root / segments[0].file
+    if fault == "missing":
+        victim.unlink()
+    elif fault == "truncated":
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+    else:
+        # "swapped": the last segment is the short remainder;
+        # "swapped-same-rows": the second has the first's row count, so
+        # only its mass range gives it away.
+        donor = segments[-1 if fault == "swapped" else 1]
+        assert (donor.num_references == segments[0].num_references) == (
+            fault == "swapped-same-rows"
+        )
+        shutil.copyfile(root / donor.file, victim)
+    return victim.name
+
+
+@pytest.mark.parametrize(
+    "fault", ["swapped", "swapped-same-rows", "missing", "truncated"]
+)
+class TestSegmentFileFaults:
+    """A segment file that is not what the manifest says never yields a PSM."""
+
+    def test_searcher_raises_the_typed_error(
+        self, tmp_path, references, queries, space_config, binning, fault
+    ):
+        build_store(
+            references,
+            tmp_path / "store",
+            space_config=space_config,
+            binning=binning,
+            segment_rows=25,
+        ).close()
+        name = _break_first_segment(tmp_path / "store", fault)
+        with SegmentedSearcher(tmp_path / "store") as searcher:
+            with pytest.raises(SegmentIntegrityError, match=name) as excinfo:
+                searcher.search(queries)
+            assert isinstance(excinfo.value, StoreCompatibilityError)
+            # The healthy segments still open.
+            assert searcher.store.segment(2).num_references == 10
+
+    def test_cli_reports_one_line_and_exits_2(
+        self, tmp_path, references, queries, capsys, fault
+    ):
+        from repro.cli import main
+        from repro.ms import write_mgf, write_msp
+
+        write_msp(references, tmp_path / "library.msp")
+        write_mgf(queries, tmp_path / "queries.mgf")
+        store, output = tmp_path / "store", tmp_path / "psms.tsv"
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(store), "--segment-rows", "25", "--dim", "512",
+             "--no-decoys"]
+        ) == 0
+        name = _break_first_segment(store, fault)
+        capsys.readouterr()
+        assert main(
+            ["index", "search", "--index", str(store), "--queries",
+             str(tmp_path / "queries.mgf"), "--output", str(output)]
+        ) == 2
+        captured = capsys.readouterr()
+        # Log records may precede it; the report itself is one line.
+        report = captured.err.splitlines()[-1]
+        assert report.startswith("index search: segment ") and name in report
+        assert "Traceback" not in captured.err
+        assert "accepted" not in captured.out and not output.exists()
 
 
 class TestOpenSearchSource:
