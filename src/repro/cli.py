@@ -413,6 +413,50 @@ def _add_index_parser(subparsers) -> None:
     _add_logging_arguments(merge)
 
 
+def _add_server_arguments(parser, *, port: int) -> None:
+    """Flags ``serve`` and ``coordinate`` share: bind address, search, tracing."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port)
+    parser.add_argument(
+        "--mode", choices=("open", "standard", "cascade"), default="open"
+    )
+    parser.add_argument("--open-window", type=float, default=500.0)
+    parser.add_argument(
+        "--verbose",
+        action="store_true",
+        help="log one line per HTTP request",
+    )
+    parser.add_argument(
+        "--no-trace",
+        action="store_true",
+        help="disable span tracing (/debug/trace returns an empty trace)",
+    )
+    parser.add_argument(
+        "--trace-capacity",
+        type=int,
+        default=None,
+        metavar="N",
+        help="span ring-buffer size (default 4096)",
+    )
+
+
+def _server_kwargs(args) -> dict:
+    """The runner arguments the :func:`_add_server_arguments` flags describe."""
+    from .obs.trace import DEFAULT_CAPACITY
+
+    return {
+        "host": args.host,
+        "port": args.port,
+        "quiet": not args.verbose,
+        "trace": not args.no_trace,
+        "trace_capacity": (
+            args.trace_capacity
+            if args.trace_capacity is not None
+            else DEFAULT_CAPACITY
+        ),
+    }
+
+
 def _add_serve_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "serve",
@@ -435,8 +479,7 @@ def _add_serve_parser(subparsers) -> None:
         default=None,
         help="route answering requests that name none (default: first --index)",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8337)
+    _add_server_arguments(parser, port=8337)
     # Unset micro-batch flags defer to ServiceConfig's defaults (their
     # single definition); importing the service here would tax every
     # CLI start-up.
@@ -463,18 +506,6 @@ def _add_serve_parser(subparsers) -> None:
     )
     add_engine_args(parser, workers_default=0)
     parser.add_argument(
-        "--mode", choices=("open", "standard", "cascade"), default="open"
-    )
-    parser.add_argument("--open-window", type=float, default=500.0)
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log one line per HTTP request",
-    )
-    observability = parser.add_argument_group(
-        "observability", "span tracing + slow-query log (docs/observability.md)"
-    )
-    observability.add_argument(
         "--slow-ms",
         type=float,
         default=None,
@@ -483,18 +514,6 @@ def _add_serve_parser(subparsers) -> None:
             "record requests slower than this in the /debug/slow ring "
             "buffer (default 250; 0 records every request)"
         ),
-    )
-    observability.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable span tracing (/debug/trace returns an empty trace)",
-    )
-    observability.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="span ring-buffer size (default 4096)",
     )
     _add_ann_arguments(parser)
     _add_logging_arguments(parser)
@@ -551,12 +570,7 @@ def _add_coordinate_parser(subparsers) -> None:
             "repro serve per partition"
         ),
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8347)
-    parser.add_argument(
-        "--mode", choices=("open", "standard", "cascade"), default="open"
-    )
-    parser.add_argument("--open-window", type=float, default=500.0)
+    _add_server_arguments(parser, port=8347)
     parser.add_argument(
         "--worker-threads",
         type=int,
@@ -606,26 +620,6 @@ def _add_coordinate_parser(subparsers) -> None:
         default=60.0,
         metavar="S",
         help="seconds to wait for every partition to turn healthy",
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log one line per HTTP request",
-    )
-    observability = parser.add_argument_group(
-        "observability", "span tracing (docs/observability.md)"
-    )
-    observability.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable span tracing",
-    )
-    observability.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="span ring-buffer size (default 4096)",
     )
     _add_logging_arguments(parser)
 
@@ -1321,39 +1315,22 @@ def _service_config_from_args(args):
 
 def cmd_serve(args) -> int:
     """Entry point for ``hdoms serve`` (HTTP search service)."""
-    from .service import serve
-    from .service.server import ServiceStartupError
-
     from .obs.slowlog import DEFAULT_SLOW_MS
-    from .obs.trace import DEFAULT_CAPACITY
+    from .service import ServiceStartupError, serve
 
     # Bad flag values (e.g. --shards 0) and unreadable index files are
     # usage errors, not crashes; failures after startup keep their
     # tracebacks.
     try:
         _setup_logging_from_args(args)
-        routes = _parse_index_routes(args.indexes)
-        config = _service_config_from_args(args)
-    except ValueError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-    try:
         return serve(
-            routes,
-            host=args.host,
-            port=args.port,
-            config=config,
-            quiet=not args.verbose,
+            _parse_index_routes(args.indexes),
+            config=_service_config_from_args(args),
             default_route=args.default_route,
             slow_ms=args.slow_ms if args.slow_ms is not None else DEFAULT_SLOW_MS,
-            trace=not args.no_trace,
-            trace_capacity=(
-                args.trace_capacity
-                if args.trace_capacity is not None
-                else DEFAULT_CAPACITY
-            ),
+            **_server_kwargs(args),
         )
-    except ServiceStartupError as error:
+    except (ValueError, ServiceStartupError) as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
 
@@ -1362,8 +1339,7 @@ def cmd_coordinate(args) -> int:
     """Entry point for ``hdoms coordinate`` (scatter-gather front-end)."""
     from .constants import DEFAULT_STANDARD_WINDOW_DA
     from .coord import serve_coordinate
-    from .obs.trace import DEFAULT_CAPACITY
-    from .service.server import ServiceStartupError
+    from .service import ServiceStartupError
 
     try:
         _setup_logging_from_args(args)
@@ -1377,8 +1353,6 @@ def cmd_coordinate(args) -> int:
             strategy=args.strategy,
             worker_urls=args.workers,
             spawn_workers=args.spawn_workers,
-            host=args.host,
-            port=args.port,
             mode=args.mode,
             open_window=args.open_window,
             standard_tolerance=DEFAULT_STANDARD_WINDOW_DA,
@@ -1388,18 +1362,9 @@ def cmd_coordinate(args) -> int:
             probe_interval=args.probe_interval,
             hedge_floor_ms=args.hedge_floor_ms,
             startup_timeout=args.startup_timeout,
-            quiet=not args.verbose,
-            trace=not args.no_trace,
-            trace_capacity=(
-                args.trace_capacity
-                if args.trace_capacity is not None
-                else DEFAULT_CAPACITY
-            ),
+            **_server_kwargs(args),
         )
-    except ValueError as error:
-        print(f"coordinate: {error}", file=sys.stderr)
-        return 2
-    except ServiceStartupError as error:
+    except (ValueError, ServiceStartupError) as error:
         print(f"coordinate: {error}", file=sys.stderr)
         return 2
 

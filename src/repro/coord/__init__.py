@@ -9,9 +9,10 @@
   and materialize each as a zero-copy store directory;
 * :mod:`repro.coord.fleet` — spawn/reap local ``repro serve`` workers
   for the one-command demo topology;
-* :mod:`repro.coord.aioclient` — pooled asyncio HTTP/1.1 transport;
 * :mod:`repro.coord.coordinator` — routing, health probing, hedged
-  calls with bounded retry, and the exact cross-worker winner merge;
+  calls with bounded retry over the pooled
+  :class:`~repro.service.client.SearchClient`, and the exact
+  cross-worker winner merge;
 * :mod:`repro.coord.server` — the HTTP front-end with backpressure
   admission, speaking the same JSON API as a worker;
 * :mod:`repro.coord.metrics` — the ``hdoms_coord_`` metric families.
@@ -19,7 +20,6 @@
 See ``docs/scale-out.md`` for topology and tuning guidance.
 """
 
-from .aioclient import AsyncClientError, AsyncHTTPError, AsyncSearchClient
 from .coordinator import Coordinator, CoordinatorError, merge_psm_payloads
 from .fleet import FleetError, LocalWorkerFleet
 from .metrics import CoordinatorMetrics
@@ -37,9 +37,6 @@ from .server import (
 )
 
 __all__ = [
-    "AsyncClientError",
-    "AsyncHTTPError",
-    "AsyncSearchClient",
     "Coordinator",
     "CoordinatorError",
     "CoordinatorMetrics",

@@ -22,22 +22,27 @@ Because per-row scores are independent of batch composition and JSON
 round-trips floats exactly, the merged output is **bit-identical** to a
 single-node search over the unpartitioned library.
 
-All network I/O runs on one asyncio loop in a daemon thread; the
-public ``search_payloads`` / ``wait_ready`` / ``close`` facade is
-blocking and thread-safe, so the ThreadingHTTPServer front-end in
-:mod:`repro.coord.server` calls straight into it.
+Worker calls go through the same pooled blocking
+:class:`~repro.service.client.SearchClient` every other caller uses,
+each on a thread of the target replica's own small pool — a wedged
+worker can exhaust only its own threads.  The scatter, the hedge timer
+and the merge run on the calling thread, so the public
+``search_payloads`` / ``wait_ready`` / ``close`` facade is plain
+blocking, thread-safe code that the ThreadingHTTPServer front-end in
+:mod:`repro.coord.server` calls straight into.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
+import time
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.trace import get_tracer
+from ..service.client import SearchClient
 from ..service.protocol import spectrum_from_payload
-from .aioclient import AsyncSearchClient
 from .metrics import CoordinatorMetrics
 from .partition import PartitionSpec
 
@@ -51,6 +56,13 @@ MIN_HEDGE_SAMPLES = 16
 
 #: Per-partition latency samples retained for the hedge deadline.
 LATENCY_WINDOW = 256
+
+#: Calls one replica can have on the wire at once (the size of its
+#: thread pool); further calls to it queue behind them.
+MAX_CALLS_PER_WORKER = 32
+
+#: Socket timeout of a health probe (never above ``worker_timeout``).
+PROBE_TIMEOUT = 5.0
 
 
 class CoordinatorError(RuntimeError):
@@ -113,38 +125,59 @@ def merge_psm_payloads(
 
 
 class WorkerHandle:
-    """One worker replica: its URL, client, and probed health."""
+    """One worker replica: its URL, clients, call threads and probed health."""
 
-    def __init__(
-        self,
-        url: str,
-        partition: int,
-        max_connections: int,
-        timeout: float,
-    ) -> None:
+    def __init__(self, url: str, partition: int, timeout: float) -> None:
         self.url = url.rstrip("/")
         self.partition = partition
-        self.client = AsyncSearchClient(
-            self.url, max_connections=max_connections, timeout=timeout
+        self.client = SearchClient(self.url, timeout=timeout)
+        self.probe_client = SearchClient(
+            self.url, timeout=min(PROBE_TIMEOUT, timeout)
+        )
+        # Per replica, not shared: calls parked on a wedged worker can
+        # use up only that worker's threads.
+        self.pool = ThreadPoolExecutor(
+            max_workers=MAX_CALLS_PER_WORKER,
+            thread_name_prefix=f"coord-p{partition}",
         )
         self.healthy = False
         self.last_error: Optional[str] = None
         self._warned_mismatch = False
+
+    def close(self) -> None:
+        """Drop queued calls; hang up, so a call parked on the wire fails now."""
+        self.pool.shutdown(wait=False, cancel_futures=True)
+        self.client.close()
+        self.probe_client.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "healthy" if self.healthy else "unhealthy"
         return f"WorkerHandle(p{self.partition}, {self.url}, {state})"
 
 
-def _consume_result(task: "asyncio.Task") -> None:
-    """Done-callback keeping cancelled/raced tasks from logging noise."""
-    if task.cancelled():
-        return
-    task.exception()
+class _PartitionCall:
+    """One partition's share of a scatter while it is being gathered."""
+
+    def __init__(
+        self,
+        spec: PartitionSpec,
+        indices: List[int],
+        payloads: List[dict],
+        replicas: List[WorkerHandle],
+    ) -> None:
+        self.spec = spec
+        self.indices = indices  # positions of the routed queries in the batch
+        self.payloads = payloads
+        self.queue = replicas  # replicas not fired yet, preferred first
+        self.inflight: Dict[Future, WorkerHandle] = {}
+        self.hedge: Optional[Future] = None  # the one hedged call, once fired
+        self.hedge_at = 0.0  # monotonic time the running call is hedged at
+        self.errors: List[str] = []
+        self.reply: Optional[dict] = None  # the winning replica's answer
 
 
 class Coordinator:
-    """Blocking facade over the async scatter-gather engine.
+    """Scatter-gather engine over the worker fleet (blocking, thread-safe).
 
     Args:
         partitions: The plan's :class:`PartitionSpec` list, in order.
@@ -155,14 +188,9 @@ class Coordinator:
         standard_tolerance: Standard-window half-width in Dalton.
         open_window: Open-window half-width in Dalton.
         metrics: Shared metric schema (a fresh one by default).
-        worker_timeout: Per-call worker deadline in seconds.
+        worker_timeout: Socket timeout of worker calls in seconds.
         probe_interval: Seconds between health-probe rounds.
         hedge_floor_ms: Lower bound on the hedge deadline.
-        verify_partitions: Cross-check each worker's reported
-            ``num_references`` against its partition spec during
-            probes; a mismatched worker is marked unhealthy (it is
-            serving the wrong library slice — merging its winners
-            would be silently incorrect).
     """
 
     def __init__(
@@ -176,8 +204,6 @@ class Coordinator:
         worker_timeout: float = 60.0,
         probe_interval: float = 2.0,
         hedge_floor_ms: float = 20.0,
-        max_connections_per_worker: int = 32,
-        verify_partitions: bool = True,
     ) -> None:
         if len(partitions) != len(worker_urls):
             raise ValueError(
@@ -195,64 +221,32 @@ class Coordinator:
         self.worker_timeout = float(worker_timeout)
         self.probe_interval = float(probe_interval)
         self.hedge_floor = float(hedge_floor_ms) / 1000.0
-        self.verify_partitions = verify_partitions
         self._workers: List[List[WorkerHandle]] = [
-            [
-                WorkerHandle(
-                    url,
-                    spec.index,
-                    max_connections=max_connections_per_worker,
-                    timeout=worker_timeout,
-                )
-                for url in urls
-            ]
+            [WorkerHandle(url, spec.index, self.worker_timeout) for url in urls]
             for spec, urls in zip(partitions, worker_urls)
         ]
+        # Guards the round-robin cursors and the latency windows, which
+        # every searching thread and every call thread touches.
+        self._lock = threading.Lock()
         self._round_robin = [0] * len(self.partitions)
         self._latencies: List[List[float]] = [[] for _ in self.partitions]
-        self._closing = False
-        self._probe_task: Optional["asyncio.Task"] = None
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="coordinator-loop", daemon=True
+        self._stop = threading.Event()
+        self._prober = threading.Thread(
+            target=self._probe_loop, name="coordinator-prober", daemon=True
         )
-        self._thread.start()
-        self._submit(self._start_prober()).result()
-
-    # ------------------------------------------------------------------
-    # loop plumbing
-    # ------------------------------------------------------------------
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def _submit(self, coroutine) -> "asyncio.Future":
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-
-    async def _start_prober(self) -> None:
-        self._probe_task = asyncio.ensure_future(self._probe_loop())
+        self._prober.start()
 
     def close(self) -> None:
-        """Stop probing, close every client, and stop the loop thread."""
-        if self._closing:
-            return
-        self._closing = True
-        self._submit(self._shutdown()).result(timeout=30.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
+        """Stop probing and hang up on every worker (idempotent).
 
-    async def _shutdown(self) -> None:
-        if self._probe_task is not None:
-            self._probe_task.cancel()
-            try:
-                await self._probe_task
-            except asyncio.CancelledError:
-                pass
+        Calls still on the wire fail immediately; searches blocked on
+        them end in :class:`CoordinatorError`.
+        """
+        self._stop.set()
         for group in self._workers:
             for handle in group:
-                await handle.client.close()
+                handle.close()
+        self._prober.join(timeout=PROBE_TIMEOUT + 5.0)
 
     def __enter__(self) -> "Coordinator":
         return self
@@ -260,33 +254,64 @@ class Coordinator:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _start(self, handle: WorkerHandle, function, *args) -> Future:
+        """Run ``function(handle, *args)`` on one of the replica's threads."""
+        try:
+            return handle.pool.submit(function, handle, *args)
+        except RuntimeError:  # the pool was shut down by close()
+            raise CoordinatorError("coordinator is closed") from None
+
     # ------------------------------------------------------------------
     # health probing
     # ------------------------------------------------------------------
 
-    async def _probe_loop(self) -> None:
+    def _probe_loop(self) -> None:
         while True:
-            await self._probe_all()
-            await asyncio.sleep(self.probe_interval)
+            try:
+                self._probe_all()
+            except CoordinatorError:  # closed under the prober
+                return
+            if self._stop.wait(self.probe_interval):
+                return
 
-    async def _probe_all(self) -> None:
-        await asyncio.gather(
-            *(
-                self._probe(handle, spec)
-                for spec, group in zip(self.partitions, self._workers)
-                for handle in group
-            ),
-            return_exceptions=True,
-        )
+    def _probe_all(self) -> None:
+        """Probe every replica once, in parallel on their own threads."""
+        futures = [
+            self._start(handle, self._probe, spec)
+            for spec, group in zip(self.partitions, self._workers)
+            for handle in group
+        ]
+        _, late = wait(futures, timeout=PROBE_TIMEOUT + 1.0)
+        for future in late:
+            # Still queued behind calls parked on a wedged worker; the
+            # next round probes again.
+            future.cancel()
 
-    async def _probe(self, handle: WorkerHandle, spec: PartitionSpec) -> None:
+    def _mismatch(self, body: dict, spec: PartitionSpec) -> Optional[str]:
+        """Why a worker's ``/healthz`` rules it out for ``spec``, if it does.
+
+        A worker serving another library slice, or answering another
+        search (mode, window widths) than this coordinator routes and
+        merges for, would make the merged winners silently incorrect.
+        """
+        expected = {
+            "num_references": spec.num_references,
+            "mode": self.mode,
+            "open_window_da": self.open_window,
+            "standard_tolerance_da": self.standard_tolerance,
+        }
+        wrong = [
+            f"{key} {body[key]!r}, partition p{spec.index} expects {value!r}"
+            for key, value in expected.items()
+            if body.get(key) is not None and body[key] != value
+        ]
+        return "serves " + "; ".join(wrong) if wrong else None
+
+    def _probe(self, handle: WorkerHandle, spec: PartitionSpec) -> None:
         try:
-            status, body = await handle.client.request_json(
-                "GET",
-                "/healthz",
-                timeout=min(5.0, self.worker_timeout),
-                raise_for_status=False,
-            )
+            # A draining (or, for a nested coordinator, degraded)
+            # worker answers 503, which the client raises.
+            mismatch = self._mismatch(handle.probe_client.healthz(), spec)
         except Exception as error:  # noqa: BLE001 - probe boundary
             was_healthy = handle.healthy
             handle.healthy = False
@@ -299,31 +324,11 @@ class Coordinator:
                     error,
                 )
             return
-        healthy = status == 200 and not body.get("draining", False)
-        if healthy and self.verify_partitions:
-            reported = body.get("num_references")
-            if reported is not None and int(reported) != spec.num_references:
-                healthy = False
-                handle.last_error = (
-                    f"serves {reported} references, partition p{spec.index} "
-                    f"expects {spec.num_references}"
-                )
-                if not handle._warned_mismatch:
-                    handle._warned_mismatch = True
-                    logger.warning(
-                        "worker %s rejected: %s", handle.url, handle.last_error
-                    )
-        if healthy:
-            handle.last_error = None
-        elif handle.healthy:
-            logger.warning(
-                "worker %s (p%d) went unhealthy (status %d, draining=%s)",
-                handle.url,
-                handle.partition,
-                status,
-                body.get("draining"),
-            )
-        handle.healthy = healthy
+        handle.last_error = mismatch
+        if mismatch is not None and not handle._warned_mismatch:
+            handle._warned_mismatch = True
+            logger.warning("worker %s rejected: %s", handle.url, mismatch)
+        handle.healthy = mismatch is None
 
     def wait_ready(self, timeout: float = 60.0) -> None:
         """Block until every partition has at least one healthy worker.
@@ -331,33 +336,30 @@ class Coordinator:
         Raises:
             CoordinatorError: When the deadline passes first.
         """
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while True:
-            self._submit(self._probe_all()).result()
-            missing = [
-                spec.index
+            self._probe_all()
+            missing = {
+                spec.index: group
                 for spec, group in zip(self.partitions, self._workers)
                 if not any(handle.healthy for handle in group)
-            ]
+            }
             if not missing:
                 return
-            if _time.monotonic() >= deadline:
+            if time.monotonic() >= deadline:
                 details = "; ".join(
-                    f"p{spec.index}: "
+                    f"p{index}: "
                     + ", ".join(
                         f"{handle.url} ({handle.last_error or 'unprobed'})"
                         for handle in group
                     )
-                    for spec, group in zip(self.partitions, self._workers)
-                    if spec.index in missing
+                    for index, group in missing.items()
                 )
                 raise CoordinatorError(
-                    f"partitions {missing} have no healthy worker after "
-                    f"{timeout:.0f}s — {details}"
+                    f"partitions {list(missing)} have no healthy worker "
+                    f"after {timeout:.0f}s — {details}"
                 )
-            _time.sleep(0.2)
+            time.sleep(0.2)
 
     # ------------------------------------------------------------------
     # scatter-gather
@@ -380,181 +382,184 @@ class Coordinator:
         Each element of the result is the merged winner PSM payload
         (``library_position`` in *global* rows) or None; the list
         aligns with the input order exactly like a worker's
-        ``/search_batch``.
+        ``/search_batch``.  ``request_id`` names this request's spans
+        here and, forwarded as ``X-Request-Id``, on every worker called.
         """
-        return self._submit(
-            self._search_batch(list(spectra_payloads), request_id)
-        ).result()
-
-    async def _search_batch(
-        self,
-        payloads: List[dict],
-        request_id: Optional[str] = None,
-    ) -> List[Optional[dict]]:
+        payloads = list(spectra_payloads)
         half_width = self._half_width()
-        targets: List[List[int]] = []
-        with get_tracer().span("coord.route", request_id=request_id):
-            for payload in payloads:
-                mass = spectrum_from_payload(payload).neutral_mass
-                lo, hi = mass - half_width, mass + half_width
-                routed = [
-                    spec.index
-                    for spec in self.partitions
-                    if spec.intersects(lo, hi)
-                ]
-                targets.append(routed)
-                self.metrics.fanout.observe(len(routed))
-                for spec in self.partitions:
-                    if spec.index not in routed:
-                        self.metrics.skipped.inc(partition=str(spec.index))
         # One sub-batch per partition, holding only the queries routed
         # to it; worker replies align with the sub-batch order.
         sub_batches: Dict[int, List[int]] = {}
-        for query_index, routed in enumerate(targets):
-            for partition_index in routed:
-                sub_batches.setdefault(partition_index, []).append(query_index)
-
-        async def call(partition_index: int, indices: List[int]):
-            spec = self.partitions[partition_index]
+        with get_tracer().span("coord.route", request_id=request_id):
+            for query_index, payload in enumerate(payloads):
+                mass = spectrum_from_payload(payload).neutral_mass
+                fanout = 0
+                for spec in self.partitions:
+                    if spec.intersects(mass - half_width, mass + half_width):
+                        sub_batches.setdefault(spec.index, []).append(query_index)
+                        fanout += 1
+                    else:
+                        self.metrics.skipped.inc(partition=str(spec.index))
+                self.metrics.fanout.observe(fanout)
+        calls = []
+        for partition_index, indices in sorted(sub_batches.items()):
             self.metrics.scatter.inc(
                 len(indices), partition=str(partition_index)
             )
-            body = {"spectra": [payloads[i] for i in indices]}
-            reply = await self._call_partition(spec, "/search_batch", body)
-            psms = reply.get("psms")
-            if not isinstance(psms, list) or len(psms) != len(indices):
-                raise CoordinatorError(
-                    f"partition p{partition_index} returned "
-                    f"{len(psms) if isinstance(psms, list) else 'no'} PSMs "
-                    f"for {len(indices)} queries"
+            calls.append(
+                _PartitionCall(
+                    self.partitions[partition_index],
+                    indices,
+                    [payloads[i] for i in indices],
+                    self._replicas_in_order(partition_index),
                 )
-            return partition_index, dict(zip(indices, psms))
-
-        ordered = sorted(sub_batches.items())
-        replies = await asyncio.gather(
-            *(call(partition, indices) for partition, indices in ordered)
-        )
-        by_partition = dict(replies)
+            )
+        self._gather(calls, request_id)
+        # Per query, the (winner, partition) pairs of the partitions it
+        # was routed to, in partition order.
+        entries: List[List[Tuple[Optional[dict], PartitionSpec]]] = [
+            [] for _ in payloads
+        ]
+        for call in calls:
+            psms = call.reply.get("psms")
+            if not isinstance(psms, list) or len(psms) != len(call.indices):
+                raise CoordinatorError(
+                    f"partition p{call.spec.index} returned "
+                    f"{len(psms) if isinstance(psms, list) else 'no'} PSMs "
+                    f"for {len(call.indices)} queries"
+                )
+            for query_index, psm in zip(call.indices, psms):
+                entries[query_index].append((psm, call.spec))
         with get_tracer().span("coord.merge", request_id=request_id):
-            merged: List[Optional[dict]] = []
-            for query_index, routed in enumerate(targets):
-                entries = [
-                    (
-                        by_partition[partition_index][query_index],
-                        self.partitions[partition_index],
-                    )
-                    for partition_index in routed
-                ]
-                merged.append(merge_psm_payloads(entries))
-        return merged
+            return [merge_psm_payloads(routed) for routed in entries]
 
     # ------------------------------------------------------------------
-    # per-partition call with hedging and bounded retry
+    # per-partition calls with hedging and bounded retry
     # ------------------------------------------------------------------
 
     def _replicas_in_order(self, partition_index: int) -> List[WorkerHandle]:
         group = self._workers[partition_index]
-        start = self._round_robin[partition_index] % len(group)
-        self._round_robin[partition_index] += 1
+        with self._lock:
+            start = self._round_robin[partition_index] % len(group)
+            self._round_robin[partition_index] += 1
         rotated = group[start:] + group[:start]
         # Stable sort: healthy replicas first, rotation preserved
         # within each health class.
         return sorted(rotated, key=lambda handle: not handle.healthy)
 
     def _hedge_deadline(self, partition_index: int) -> float:
-        samples = self._latencies[partition_index]
-        if len(samples) < MIN_HEDGE_SAMPLES:
+        with self._lock:
+            ranked = sorted(self._latencies[partition_index])
+        if len(ranked) < MIN_HEDGE_SAMPLES:
             deadline = DEFAULT_HEDGE_SECONDS
         else:
-            ranked = sorted(samples)
             deadline = ranked[int(0.99 * (len(ranked) - 1))]
         return max(deadline, self.hedge_floor)
 
-    async def _call_worker(
-        self, handle: WorkerHandle, spec: PartitionSpec, path: str, body: dict
+    def _call_worker(
+        self,
+        handle: WorkerHandle,
+        spec: PartitionSpec,
+        payloads: List[dict],
+        request_id: Optional[str],
     ) -> dict:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        status, reply = await handle.client.request_json(
-            "POST", path, body, timeout=self.worker_timeout
-        )
-        elapsed = loop.time() - started
-        samples = self._latencies[spec.index]
-        samples.append(elapsed)
-        if len(samples) > LATENCY_WINDOW:
-            del samples[: len(samples) - LATENCY_WINDOW]
+        """One ``/search_batch`` round trip; runs on a thread of ``handle``."""
+        started = time.perf_counter()
+        reply = handle.client.search_batch_raw(payloads, request_id=request_id)
+        elapsed = time.perf_counter() - started
+        with self._lock:
+            samples = self._latencies[spec.index]
+            samples.append(elapsed)
+            if len(samples) > LATENCY_WINDOW:
+                del samples[: len(samples) - LATENCY_WINDOW]
         self.metrics.worker_latency.observe(elapsed, partition=str(spec.index))
         return reply
 
-    async def _call_partition(
-        self, spec: PartitionSpec, path: str, body: dict
-    ) -> dict:
-        """Call one partition: healthy-first replicas, hedge, retry.
+    def _gather(
+        self, calls: List[_PartitionCall], request_id: Optional[str]
+    ) -> None:
+        """Fill in every call's ``reply``: healthy-first, hedge, retry.
 
-        The primary replica gets the request first; if it exceeds the
-        partition's p99-derived hedge deadline, the same request is
-        *also* fired at the next replica (first success wins, the
-        loser is cancelled).  A replica that fails outright is retried
-        on the next unfired replica.  Every replica is fired at most
-        once, so the work is bounded even in a full outage.
+        Each partition's primary replica gets the request first; if it
+        exceeds the partition's p99-derived hedge deadline, the same
+        request is *also* fired at the next replica (first success
+        wins).  A replica that fails outright is retried on the next
+        unfired replica.  Every replica is fired at most once per
+        partition, so the work is bounded even in a full outage.  The
+        calling thread drives all of it with one wait over every call
+        in flight.
+
+        Raises:
+            CoordinatorError: When every replica of a partition failed.
         """
-        queue = self._replicas_in_order(spec.index)
-        inflight: Dict["asyncio.Task", WorkerHandle] = {}
-        errors: List[str] = []
-        hedged = False
+        owner: Dict[Future, _PartitionCall] = {}
 
-        def fire() -> "asyncio.Task":
-            handle = queue.pop(0)
-            task = asyncio.ensure_future(
-                self._call_worker(handle, spec, path, body)
+        def fire(call: _PartitionCall) -> Future:
+            handle = call.queue.pop(0)
+            future = self._start(
+                handle, self._call_worker, call.spec, call.payloads, request_id
             )
-            task.add_done_callback(_consume_result)
-            inflight[task] = handle
-            return task
+            call.inflight[future] = handle
+            owner[future] = call
+            call.hedge_at = time.monotonic() + self._hedge_deadline(call.spec.index)
+            return future
 
-        primary = fire()
         try:
-            while inflight:
-                timeout = (
-                    self._hedge_deadline(spec.index)
-                    if not hedged and queue
-                    else None
+            for call in calls:
+                fire(call)
+            while owner:
+                now = time.monotonic()
+                timers = []  # hedge deadlines still ahead
+                for call in calls:
+                    if not call.inflight or call.hedge is not None or not call.queue:
+                        continue
+                    if now >= call.hedge_at:
+                        # The hedge deadline passed with the call still
+                        # running: fire the same request at a sibling.
+                        self.metrics.hedges.inc(partition=str(call.spec.index))
+                        call.hedge = fire(call)
+                    else:
+                        timers.append(call.hedge_at)
+                done, _ = wait(
+                    list(owner),
+                    timeout=min(timers) - now if timers else None,
+                    return_when=FIRST_COMPLETED,
                 )
-                done, _ = await asyncio.wait(
-                    set(inflight),
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Hedge deadline expired with the primary still
-                    # running: fire the same request at a sibling.
-                    hedged = True
-                    self.metrics.hedges.inc(partition=str(spec.index))
-                    fire()
-                    continue
-                for task in done:
-                    handle = inflight.pop(task)
-                    error = task.exception()
+                for future in done:
+                    call = owner.pop(future, None)
+                    if call is None:  # lost to a sibling in this same batch
+                        continue
+                    handle = call.inflight.pop(future)
+                    partition = str(call.spec.index)
+                    error = future.exception()
                     if error is None:
-                        if hedged and task is not primary:
-                            self.metrics.hedge_wins.inc(
-                                partition=str(spec.index)
-                            )
-                        return task.result()
+                        if future is call.hedge:
+                            self.metrics.hedge_wins.inc(partition=partition)
+                        call.reply = future.result()
+                        # A queued loser never starts; one already on
+                        # the wire finishes on its own thread and its
+                        # reply is discarded.
+                        for loser in call.inflight:
+                            loser.cancel()
+                            del owner[loser]
+                        call.inflight.clear()
+                        continue
                     handle.healthy = False
                     handle.last_error = str(error)
-                    errors.append(f"{handle.url}: {error}")
+                    call.errors.append(f"{handle.url}: {error}")
                     self.metrics.worker_errors.inc(worker=handle.url)
-                    if queue and not inflight:
-                        self.metrics.retries.inc(partition=str(spec.index))
-                        fire()
+                    if call.inflight:
+                        continue  # its hedge is still running
+                    if not call.queue:
+                        raise CoordinatorError(
+                            f"partition p{partition}: every replica failed "
+                            f"({'; '.join(call.errors)})"
+                        )
+                    self.metrics.retries.inc(partition=partition)
+                    fire(call)
         finally:
-            for task in inflight:
-                task.cancel()
-        raise CoordinatorError(
-            f"partition p{spec.index}: every replica failed "
-            f"({'; '.join(errors)})"
-        )
+            for future in owner:
+                future.cancel()
 
     # ------------------------------------------------------------------
     # introspection

@@ -1,9 +1,12 @@
 """HTTP front-end of the coordinator tier (``repro coordinate``).
 
 Speaks the same JSON API as :mod:`repro.service.server` — ``/search``,
-``/search_batch``, ``/healthz``, ``/stats``, ``/metrics`` — so a stock
-:class:`~repro.service.client.SearchClient` points at a coordinator
-without knowing it fronts a fleet.  Differences from a worker:
+``/search_batch``, ``/healthz``, ``/stats``, ``/metrics``,
+``/debug/trace``, ``/debug/slow`` — through the same
+:class:`~repro.service.httpbase.JsonRequestHandler` skeleton, so a
+stock :class:`~repro.service.client.SearchClient` points at a
+coordinator without knowing it fronts a fleet.  Differences from a
+worker:
 
 * admission control — at most ``max_inflight`` search requests run at
   once; excess requests get **429** with a ``Retry-After`` header
@@ -15,32 +18,23 @@ without knowing it fronts a fleet.  Differences from a worker:
 * ``/metrics`` exports the ``hdoms_coord_`` fan-out/hedge/retry
   families instead of the worker's ``hdoms_service_`` ones.
 
-:func:`serve_coordinate` is the process runner behind the CLI verb; it
-mirrors :func:`repro.service.server.serve` (signal handling, the
-load-bearing ``listening on http://host:port`` line, drain-then-close
-shutdown), and can optionally materialize the partition plan and spawn
-a local worker fleet first.
+:func:`serve_coordinate` is the process runner behind the CLI verb: it
+optionally materializes the partition plan and spawns a local worker
+fleet, builds the coordinator, and hands the loop to
+:func:`repro.service.httpbase.run_server` like ``repro serve`` does.
 """
 
 from __future__ import annotations
 
 import logging
-import signal
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..obs.logging import ensure_default_logging
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer
-from ..service.httpbase import BodyTooLarge, DrainingHTTPServer, JsonRequestHandler
-from ..service.protocol import (
-    DEFAULT_ROUTE,
-    ProtocolError,
-    route_from_payload,
-    spectrum_from_payload,
-)
-from ..service.server import ServiceStartupError
+from ..service.httpbase import DrainingHTTPServer, JsonRequestHandler, run_server
+from ..service.protocol import DEFAULT_ROUTE, ProtocolError, spectrum_from_payload
 from ..store.store import SegmentedStore
 from .coordinator import Coordinator, CoordinatorError
 from .fleet import LocalWorkerFleet
@@ -111,8 +105,12 @@ class CoordinatorService:
             **self.coordinator.stats(),
         }
 
+    def render_metrics(self) -> str:
+        """The Prometheus text payload for ``/metrics``."""
+        return self.metrics.render()
+
     def close(self) -> None:
-        """Shut the coordinator (probes, clients, loop thread) down."""
+        """Shut the coordinator (probes, pooled worker connections) down."""
         self.coordinator.close()
 
 
@@ -126,85 +124,46 @@ class CoordinatorServer(DrainingHTTPServer):
 
 
 class CoordinatorRequestHandler(JsonRequestHandler):
-    """Routes the JSON API onto a :class:`CoordinatorService`."""
+    """The coordinator tier's part of the JSON API: admission gate, scatter."""
 
     server_version = "hdoms-coordinator"
 
+    # The fleet could not answer (every replica of some partition
+    # failed): unavailable, not a client error.
+    error_statuses = {**JsonRequestHandler.error_statuses, CoordinatorError: 503}
+
     @property
-    def coordinator_service(self) -> CoordinatorService:
+    def backend(self) -> CoordinatorService:
         """The coordinator service owned by the server."""
         return self.server.coordinator_service
 
-    def _check_route(self, payload: object) -> None:
-        """Reject routed requests naming anything but the default route.
-
-        The coordinator fronts exactly one logical library; accepting
-        an unknown route name and answering from the fleet anyway
-        would be the wrong-library leak the worker's routing layer
-        exists to prevent.
-        """
-        if isinstance(payload, dict):
-            route = route_from_payload(payload)
-            if route is not None and route != DEFAULT_ROUTE:
-                raise ProtocolError(
-                    f"coordinator serves only the {DEFAULT_ROUTE!r} route, "
-                    f"got {route!r}"
-                )
-
     # -- routes --------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Read-only endpoints: /healthz, /stats, /metrics."""
-        service = self.coordinator_service
-        try:
-            if self.path == "/healthz":
-                service.metrics.requests.inc(endpoint="healthz")
-                if self.server.draining:
-                    self._send_json(
-                        503, {"status": "draining", "draining": True}
-                    )
-                    return
-                payload = service.healthz()
-                payload["draining"] = False
-                status = 200 if payload["status"] == "ok" else 503
-                self._send_json(status, payload)
-            elif self.path == "/stats":
-                service.metrics.requests.inc(endpoint="stats")
-                self._send_json(200, service.stats())
-            elif self.path == "/metrics":
-                service.metrics.requests.inc(endpoint="metrics")
-                self._send_text(
-                    200,
-                    service.metrics.render(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except Exception as error:  # noqa: BLE001 - boundary
-            self._send_json(500, {"error": str(error)})
+    def _handle_search(self) -> None:
+        route, payload = self._read_search()
+        self._scatter(
+            "search", route, [payload], lambda merged: {"psm": merged[0], "cached": False}
+        )
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """The scatter-gather endpoints: /search and /search_batch."""
-        try:
-            if self.path == "/search":
-                self._handle_search()
-            elif self.path == "/search_batch":
-                self._handle_search_batch()
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except BodyTooLarge as error:
-            self._send_json(413, {"error": str(error)})
-        except ProtocolError as error:
-            self._send_json(400, {"error": str(error)})
-        except CoordinatorError as error:
-            # The fleet could not answer (every replica of some
-            # partition failed): unavailable, not a client error.
-            self._send_json(503, {"error": str(error)})
-        except Exception as error:  # noqa: BLE001 - boundary
-            self._send_json(500, {"error": str(error)})
+    def _handle_search_batch(self) -> None:
+        route, spectra_payload = self._read_search_batch()
+        self._scatter(
+            "search_batch", route, spectra_payload, lambda merged: {"psms": merged}
+        )
 
-    def _admit(self, endpoint: str) -> bool:
-        service = self.coordinator_service
+    def _scatter(self, endpoint: str, route: Optional[str], payloads: list, result) -> None:
+        """Validate, pass the admission gate, scatter-gather, reply."""
+        if route is not None and route != DEFAULT_ROUTE:
+            # The coordinator fronts exactly one logical library;
+            # accepting an unknown route name and answering from the
+            # fleet anyway would be the wrong-library leak the worker's
+            # routing layer exists to prevent.
+            raise ProtocolError(
+                f"coordinator serves only the {DEFAULT_ROUTE!r} route, got {route!r}"
+            )
+        for entry in payloads:
+            spectrum_from_payload(entry)  # validate before admission
+        service = self.backend
         service.metrics.requests.inc(endpoint=endpoint)
         if not service.try_admit():
             service.metrics.rejected.inc(endpoint=endpoint)
@@ -218,18 +177,7 @@ class CoordinatorRequestHandler(JsonRequestHandler):
                 },
                 extra_headers={"Retry-After": "1"},
             )
-            return False
-        return True
-
-    def _handle_search(self) -> None:
-        payload = self._read_json()
-        self._check_route(payload)
-        if isinstance(payload, dict) and "spectrum" in payload:
-            payload = payload["spectrum"]
-        spectrum_from_payload(payload)  # validate before admission
-        if not self._admit("search"):
             return
-        service = self.coordinator_service
         request_id = self._request_id()
         started = time.perf_counter()
         try:
@@ -237,59 +185,15 @@ class CoordinatorRequestHandler(JsonRequestHandler):
                 "coord.request", request_id=request_id, route=DEFAULT_ROUTE
             ):
                 merged = service.coordinator.search_payloads(
-                    [payload], request_id=request_id
+                    payloads, request_id=request_id
                 )
         finally:
             service.release()
-        elapsed = time.perf_counter() - started
-        service.metrics.latency.observe(elapsed, endpoint="search")
-        self._send_json(
-            200,
-            {
-                "psm": merged[0],
-                "cached": False,
-                "route": DEFAULT_ROUTE,
-                "request_id": request_id,
-                "elapsed_ms": round(1000.0 * elapsed, 3),
-            },
-            request_id=request_id,
+        service.metrics.latency.observe(
+            time.perf_counter() - started, endpoint=endpoint
         )
-
-    def _handle_search_batch(self) -> None:
-        payload = self._read_json()
-        if not isinstance(payload, dict) or "spectra" not in payload:
-            raise ProtocolError('body must be {"spectra": [...]}')
-        self._check_route(payload)
-        spectra_payload = payload["spectra"]
-        if not isinstance(spectra_payload, list):
-            raise ProtocolError('"spectra" must be a list')
-        for entry in spectra_payload:
-            spectrum_from_payload(entry)  # validate before admission
-        if not self._admit("search_batch"):
-            return
-        service = self.coordinator_service
-        request_id = self._request_id()
-        started = time.perf_counter()
-        try:
-            with get_tracer().span(
-                "coord.request", request_id=request_id, route=DEFAULT_ROUTE
-            ):
-                merged = service.coordinator.search_payloads(
-                    spectra_payload, request_id=request_id
-                )
-        finally:
-            service.release()
-        elapsed = time.perf_counter() - started
-        service.metrics.latency.observe(elapsed, endpoint="search_batch")
-        self._send_json(
-            200,
-            {
-                "psms": merged,
-                "route": DEFAULT_ROUTE,
-                "request_id": request_id,
-                "elapsed_ms": round(1000.0 * elapsed, 3),
-            },
-            request_id=request_id,
+        self._reply_search(
+            started, request_id, DEFAULT_ROUTE, endpoint, result(merged), spectra=len(payloads)
         )
 
 
@@ -358,25 +262,18 @@ def serve_coordinate(
       per partition (the one-command demo topology);
     * ``worker_urls`` — pre-started worker URLs dealt round-robin into
       per-partition replica groups (see :func:`assign_replicas`); each
-      worker must already be serving its partition's store.
+      worker must already be serving its partition's store with this
+      coordinator's ``mode`` and window widths.
 
-    Shutdown closes the HTTP front first (new connections refused,
-    in-flight responses finish), then the coordinator (probes and
-    pooled worker connections), then any spawned fleet.
+    :func:`~repro.service.httpbase.run_server` owns the loop; shutdown
+    closes the HTTP front first (new connections refused, in-flight
+    responses finish), then the coordinator (probes and pooled worker
+    connections), then any spawned fleet.
     """
-    ensure_default_logging()
-    tracer = get_tracer()
-    tracer_was_enabled = tracer.enabled
-    if trace:
-        tracer.enable(trace_capacity)
 
-    def _restore_tracer() -> None:
-        if trace and not tracer_was_enabled:
-            tracer.disable()
-
-    fleet: Optional[LocalWorkerFleet] = None
-    coordinator: Optional[Coordinator] = None
-    try:
+    def build():
+        fleet: Optional[LocalWorkerFleet] = None
+        coordinator: Optional[Coordinator] = None
         try:
             store = SegmentedStore.open(store_path)
             plan = PartitionPlan.build(store, num_partitions, strategy)
@@ -419,67 +316,39 @@ def serve_coordinate(
             coordinator.wait_ready(timeout=startup_timeout)
             service = CoordinatorService(coordinator, max_inflight=max_inflight)
             server = start_coordinator_server(service, host, port)
-        except (ValueError, OSError, CoordinatorError) as error:
+        except (ValueError, OSError, CoordinatorError):
             if coordinator is not None:
                 coordinator.close()
             if fleet is not None:
                 fleet.close()
-            _restore_tracer()
-            raise ServiceStartupError(str(error)) from error
-        server.quiet = quiet
-
-        def _shutdown(signum, frame) -> None:
-            # shutdown() must not run on the serve_forever thread.
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-        installed = []
-        for signame in ("SIGINT", "SIGTERM"):
-            signum = getattr(signal, signame, None)
-            if signum is None:
-                continue
-            try:
-                installed.append((signum, signal.signal(signum, _shutdown)))
-            except ValueError:  # not the main thread
-                pass
-        bound_host, bound_port = server.server_address[:2]
-        for spec, group in zip(plan.partitions, coordinator._workers):
+            raise
+        for spec, urls in zip(plan.partitions, groups):
             logger.info(
                 "partition p%d: %d references, mass [%.2f, %.2f], workers %s",
                 spec.index,
                 spec.num_references,
                 spec.mass_min,
                 spec.mass_max,
-                ", ".join(handle.url for handle in group),
+                ", ".join(urls),
             )
-        # Same load-bearing phrasing as the worker runner: supervisors
-        # and the fault-injection tests parse the bound port from it.
-        logger.info(
-            "listening on http://%s:%s (coordinator: partitions=%s, "
-            "strategy=%s, mode=%s, max_inflight=%s)",
-            bound_host,
-            bound_port,
-            len(plan),
-            plan.strategy,
-            mode,
-            max_inflight,
-        )
-        try:
-            server.serve_forever()
-        finally:
-            watchdog = threading.Timer(drain_timeout, service.close)
-            watchdog.daemon = True
-            watchdog.start()
-            try:
-                server.server_close()
-            finally:
-                watchdog.cancel()
-                service.close()
+
+        def close(timeout: Optional[float] = None) -> None:
+            service.close()
             if fleet is not None:
                 fleet.close()
-            for signum, previous in installed:
-                signal.signal(signum, previous)
-            _restore_tracer()
-            logger.info("coordinator drained and closed")
-        return 0
-    except ServiceStartupError:
-        raise
+
+        detail = (
+            f"coordinator: partitions={len(plan)}, strategy={plan.strategy}, "
+            f"mode={mode}, max_inflight={max_inflight}"
+        )
+        return server, detail, close
+
+    return run_server(
+        build,
+        name="coordinator",
+        quiet=quiet,
+        drain_timeout=drain_timeout,
+        trace=trace,
+        trace_capacity=trace_capacity,
+        startup_errors=(ValueError, OSError, CoordinatorError),
+    )

@@ -24,9 +24,13 @@ concurrent clients over a stdlib HTTP JSON API:
   :class:`~repro.service.server.SearchServer` — the engine room and
   its ``ThreadingHTTPServer`` front (``/search``, ``/search_batch``,
   ``/healthz``, ``/stats``, ``/metrics``, ``/reload``);
-* :class:`~repro.service.client.SearchClient` — a thin ``urllib``
-  client returning first-class :class:`~repro.oms.psm.PSM` objects,
-  with per-client or per-call route selection.
+* :mod:`repro.service.httpbase` — the one HTTP stack under this
+  server and the coordinator's (:mod:`repro.coord.server`): draining
+  server, request-handler skeleton, process runner;
+* :class:`~repro.service.client.SearchClient` — a thin pooled
+  ``http.client`` client returning first-class
+  :class:`~repro.oms.psm.PSM` objects, with per-client or per-call
+  route selection; also the coordinator's transport to its workers.
 
 Responses are bit-identical to a direct
 :class:`~repro.oms.search.HDOmsSearcher` run on the same index and

@@ -83,6 +83,9 @@ class SearchClient:
         self._local = threading.local()
         self._pool_lock = threading.Lock()
         self._connections: List[http.client.HTTPConnection] = []
+        # Counts close() calls, so a request can tell a hang-up that
+        # happened under it from a stale socket.
+        self._closes = 0
 
     def for_route(self, route: Optional[str]) -> "SearchClient":
         """A sibling client bound to ``route`` (same URL and timeout)."""
@@ -119,11 +122,21 @@ class SearchClient:
                 self._connections.remove(connection)
 
     def close(self) -> None:
-        """Close every pooled connection (the client stays usable)."""
+        """Hang up every pooled connection (the client stays usable).
+
+        A request another thread has parked on one of them fails at
+        once with :class:`ServiceError` instead of waiting out the
+        timeout, and is not retried.
+        """
         with self._pool_lock:
+            self._closes += 1
             connections, self._connections = self._connections, []
         for connection in connections:
             try:
+                if connection.sock is not None:
+                    # close() alone does not wake a thread blocked in
+                    # recv() on the socket; shutting it down does.
+                    connection.sock.shutdown(socket.SHUT_RDWR)
                 connection.close()
             except Exception:  # noqa: BLE001 - best-effort socket teardown
                 pass
@@ -152,6 +165,7 @@ class SearchClient:
         # after the server closed its end; the request never reached a
         # handler, so exactly one transparent retry on a fresh
         # connection is safe for every method.
+        closes = self._closes
         for attempt in (0, 1):
             connection = self._connection()
             fresh = connection.sock is None
@@ -166,7 +180,7 @@ class SearchClient:
                 BrokenPipeError,
             ) as error:
                 self._discard(connection)
-                if attempt == 0 and not fresh:
+                if attempt == 0 and not fresh and closes == self._closes:
                     continue
                 raise ServiceError(
                     f"cannot reach {self.base_url}: {error}"
@@ -245,16 +259,31 @@ class SearchClient:
         request_id: Optional[str] = None,
     ) -> List[Optional[PSM]]:
         """Search many spectra in one round trip; result aligns to input."""
-        body = {"spectra": [spectrum_to_payload(s) for s in spectra]}
-        resolved = self._resolve_route(route)
-        if resolved is not None:
-            body["route"] = resolved
-        headers = {"X-Request-Id": request_id} if request_id else None
-        reply = self._request("POST", "/search_batch", body, headers=headers)
+        reply = self.search_batch_raw(
+            [spectrum_to_payload(s) for s in spectra], route, request_id
+        )
         return [
             PSM.from_dict(payload) if payload is not None else None
             for payload in reply["psms"]
         ]
+
+    def search_batch_raw(
+        self,
+        payloads: Sequence[dict],
+        route: Optional[str] = None,
+        request_id: Optional[str] = None,
+    ) -> dict:
+        """The raw ``/search_batch`` reply for already-serialized spectra.
+
+        The coordinator's scatter hop forwards the payloads it received
+        without parsing them into spectra and back.
+        """
+        body = {"spectra": list(payloads)}
+        resolved = self._resolve_route(route)
+        if resolved is not None:
+            body["route"] = resolved
+        headers = {"X-Request-Id": request_id} if request_id else None
+        return self._request("POST", "/search_batch", body, headers=headers)
 
     def healthz(self) -> dict:
         """Liveness probe payload (includes the per-route breakdown)."""

@@ -1,10 +1,22 @@
-"""Shared HTTP plumbing of the worker and coordinator front-ends.
+"""The one HTTP stack under the worker and coordinator front-ends.
 
-Both servers speak the same JSON-over-HTTP/1.1 wire protocol; what they
-share lives here once: the draining ``ThreadingHTTPServer`` base and a
-request handler that validates request ids, bounds and parses JSON
-bodies, and writes every response as **one** segment on a
-``TCP_NODELAY`` socket.
+Both tiers speak the same JSON-over-HTTP/1.1 wire protocol; everything
+they share lives here once:
+
+* :class:`DrainingHTTPServer` — a ``ThreadingHTTPServer`` whose
+  shutdown joins its handler threads without waiting out idle
+  keep-alive connections;
+* :class:`JsonRequestHandler` — table-driven dispatch (path -> method),
+  the one exception -> status map, the endpoints both tiers answer
+  identically (``/healthz``, ``/stats``, ``/metrics``,
+  ``/debug/trace``, ``/debug/slow``), the ``/search`` and
+  ``/search_batch`` body parsers and reply envelope, and the response
+  writer that puts every reply on a ``TCP_NODELAY`` socket as **one**
+  segment;
+* :func:`run_server` — the process runner behind ``repro serve`` and
+  ``repro coordinate``: tracer, signal handlers, the load-bearing
+  ``listening on http://host:port`` line, ``serve_forever`` and the
+  watchdog-bounded drain.
 
 The one-segment rule is a latency fix, not a nicety.  ``http.server``
 flushes the header block and then the body as two small writes; on a
@@ -16,12 +28,23 @@ acknowledgement for ~40 ms — a fixed floor under every round trip.
 from __future__ import annotations
 
 import json
+import logging
 import re
+import signal
+import socket
+import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs, urlsplit
 
-from ..obs.trace import new_request_id
-from .protocol import ProtocolError
+from ..obs.export import chrome_trace
+from ..obs.logging import ensure_default_logging
+from ..obs.slowlog import SlowQueryLog, stage_breakdown
+from ..obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
+from .protocol import ProtocolError, UnknownRouteError, route_from_payload
+
+logger = logging.getLogger(__name__)
 
 #: Client-supplied request ids must match this or be replaced (they end
 #: up in log lines, trace exports, and response headers verbatim).
@@ -32,18 +55,28 @@ class BodyTooLarge(ProtocolError):
     """Request body exceeds the server's acceptance limit."""
 
 
+class ServiceStartupError(RuntimeError):
+    """The server could not start (bad config / unreadable index).
+
+    Raised by :func:`run_server` for failures *before* the serve loop
+    so the CLI can print a clean usage error, while genuine runtime
+    crashes keep their tracebacks.
+    """
+
+
 class DrainingHTTPServer(ThreadingHTTPServer):
     """``ThreadingHTTPServer`` whose shutdown can join its handlers.
 
     Handler threads are non-daemon so ``server_close()`` joins them:
     responses for already-accepted requests are fully written before
     shutdown proceeds (daemon threads would be killed at interpreter
-    exit mid-write).  Two mechanisms bound how long keep-alive clients
-    can delay that join: the handler's idle read timeout (silent
-    connections), and the ``draining`` flag set by :meth:`shutdown`,
-    which makes every subsequent response close its connection (active
+    exit mid-write).  Two mechanisms keep keep-alive clients from
+    delaying that join: the ``draining`` flag set by :meth:`shutdown`
+    makes every subsequent response close its connection (active
     pollers would otherwise keep a persistent connection served
-    forever).
+    forever), and :meth:`server_close` hangs up on connections that are
+    idle *between* requests, whose handler threads would otherwise sit
+    in a read until the idle timeout.
     """
 
     daemon_threads = False
@@ -57,14 +90,70 @@ class DrainingHTTPServer(ThreadingHTTPServer):
     #: Per-request stderr logging is off unless a runner turns it on.
     quiet = True
 
+    def __init__(self, address, handler_class) -> None:
+        super().__init__(address, handler_class)
+        #: Ring buffer behind ``/debug/slow``; requests slower than its
+        #: threshold are recorded with their per-stage breakdown.
+        self.slowlog = SlowQueryLog()
+        # Connections parked between requests, and whether server_close()
+        # has begun hanging up on them.
+        self._idle_lock = threading.Lock()
+        self._idle: set = set()
+        self._hanging_up = False
+
     def shutdown(self) -> None:
         """Stop accepting requests and drain keep-alive connections."""
         self.draining = True
         super().shutdown()
 
+    def park(self, connection) -> None:
+        """Note that ``connection`` is waiting for its next request line."""
+        with self._idle_lock:
+            self._idle.add(connection)
+            if self._hanging_up:
+                _hang_up(connection)
+
+    def unpark(self, connection) -> None:
+        """``connection`` got a request line (or is gone): not idle."""
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def server_close(self) -> None:
+        """Close the listener, hang up on idle connections, join handlers.
+
+        A connection whose request is being read or answered is not
+        touched — it gets its full reply, then closes because the
+        server is draining.  One idle between requests has nothing in
+        flight; without the hang-up its handler thread would hold the
+        join for the whole idle read timeout.
+        """
+        with self._idle_lock:
+            self._hanging_up = True
+            for connection in self._idle:
+                _hang_up(connection)
+        super().server_close()
+
+
+def _hang_up(connection) -> None:
+    """End the read side so a handler parked in ``readline`` sees EOF.
+
+    Bytes already received stay readable, so a request that raced the
+    hang-up is still parsed and answered.
+    """
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:  # the peer already went away
+        pass
+
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Request/response plumbing for a :class:`DrainingHTTPServer`."""
+    """The request skeleton both tiers' handlers fill in.
+
+    A subclass provides ``backend`` (an object with ``healthz()``,
+    ``stats()`` and ``render_metrics()``) and the two search methods
+    named in :attr:`ROUTES`; it may extend that table and
+    :attr:`error_statuses`.
+    """
 
     protocol_version = "HTTP/1.1"
     # Socket read timeout: closes idle keep-alive connections so
@@ -76,6 +165,160 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     max_body_bytes = 64 * 1024 * 1024
     # TCP_NODELAY on every accepted connection (see the module docstring).
     disable_nagle_algorithm = True
+
+    #: (HTTP method, path) -> name of the handler method that answers it.
+    ROUTES: Dict[Tuple[str, str], str] = {
+        ("GET", "/healthz"): "_get_healthz",
+        ("GET", "/stats"): "_get_stats",
+        ("GET", "/metrics"): "_get_metrics",
+        ("GET", "/debug/trace"): "_get_debug_trace",
+        ("GET", "/debug/slow"): "_get_debug_slow",
+        ("POST", "/search"): "_handle_search",
+        ("POST", "/search_batch"): "_handle_search_batch",
+    }
+    #: Exception type -> reply status; the most specific listed base of
+    #: an error decides, anything unlisted is a 500.
+    error_statuses: Dict[type, int] = {
+        BodyTooLarge: 413,
+        UnknownRouteError: 404,
+        ProtocolError: 400,
+    }
+
+    # -- connection lifecycle ------------------------------------------
+
+    def handle_one_request(self) -> None:
+        """Serve one request, parked as idle until its first line arrives."""
+        self.server.park(self.connection)
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        """Parse the request line just read; the connection is now busy."""
+        self.server.unpark(self.connection)
+        return super().parse_request()
+
+    def finish(self) -> None:
+        """Forget the connection (it may have ended while parked)."""
+        self.server.unpark(self.connection)
+        super().finish()
+
+    # -- dispatch ------------------------------------------------------
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        """Answer a read-only endpoint of :attr:`ROUTES`."""
+        self._dispatch()
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        """Answer a search or mutating endpoint of :attr:`ROUTES`."""
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        try:
+            name = self.ROUTES.get((self.command, urlsplit(self.path).path))
+            if name is None:
+                self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            else:
+                getattr(self, name)()
+        except Exception as error:  # noqa: BLE001 - boundary
+            known = [k for k in type(error).__mro__ if k in self.error_statuses]
+            status = self.error_statuses[known[0]] if known else 500
+            self._send_json(status, {"error": str(error)})
+
+    # -- endpoints both tiers answer identically -----------------------
+
+    def _get_healthz(self) -> None:
+        if self.server.draining:
+            # A draining server still answers in-flight work but must
+            # fail its readiness probe immediately, so load balancers
+            # and the coordinator's routing table stop sending new
+            # traffic before the socket goes away.
+            self._send_json(503, {"status": "draining", "draining": True})
+            return
+        payload = self.backend.healthz()
+        payload["draining"] = False
+        self._send_json(200 if payload["status"] == "ok" else 503, payload)
+
+    def _get_stats(self) -> None:
+        self._send_json(200, self.backend.stats())
+
+    def _get_metrics(self) -> None:
+        self._send_text(
+            200,
+            self.backend.render_metrics(),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
+
+    def _get_debug_trace(self) -> None:
+        params = parse_qs(urlsplit(self.path).query)
+        request_id = params.get("request_id", [None])[0]
+        self._send_json(200, chrome_trace(get_tracer(), request_id=request_id))
+
+    def _get_debug_slow(self) -> None:
+        self._send_json(200, self.server.slowlog.snapshot())
+
+    # -- /search and /search_batch: body parsers, reply envelope -------
+
+    def _read_search(self) -> Tuple[Optional[str], object]:
+        """The ``/search`` body as ``(route or None, spectrum payload)``."""
+        payload = self._read_json()
+        if isinstance(payload, dict) and "spectrum" in payload:
+            return route_from_payload(payload), payload["spectrum"]
+        if isinstance(payload, dict) and "route" in payload:
+            # The legacy bare-spectrum form has no route slot; silently
+            # answering from the default route would be exactly the
+            # wrong-library leak the routing layer exists to prevent.
+            raise ProtocolError(
+                'a routed search must use the wrapped form '
+                '{"spectrum": {...}, "route": "<name>"}'
+            )
+        return None, payload
+
+    def _read_search_batch(self) -> Tuple[Optional[str], List[object]]:
+        """The ``/search_batch`` body as ``(route or None, spectrum payloads)``."""
+        payload = self._read_json()
+        if not isinstance(payload, dict) or "spectra" not in payload:
+            raise ProtocolError('body must be {"spectra": [...]}')
+        spectra_payload = payload["spectra"]
+        if not isinstance(spectra_payload, list):
+            raise ProtocolError('"spectra" must be a list')
+        return route_from_payload(payload), spectra_payload
+
+    def _reply_search(
+        self,
+        started: float,
+        request_id: str,
+        route: str,
+        endpoint: str,
+        result: Dict[str, object],
+        **slow_extra: object,
+    ) -> None:
+        """Send one search reply and offer the request to the slow log.
+
+        ``result`` holds the endpoint's own fields (``psm`` + ``cached``
+        or ``psms``); route, request id and elapsed time are appended
+        here.  ``slow_extra`` annotates the slow-log record.
+        """
+        response = {
+            **result,
+            "route": route,
+            "request_id": request_id,
+            "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
+        }
+        tracer = get_tracer()
+        with tracer.span("service.serialize", request_id=request_id, route=route):
+            self._send_json(200, response, request_id=request_id)
+        slowlog = self.server.slowlog
+        elapsed_ms = 1000.0 * (time.perf_counter() - started)
+        stages = None
+        if tracer.enabled and elapsed_ms >= slowlog.threshold_ms:
+            stages = stage_breakdown(tracer.spans_for(request_id))
+        slowlog.observe(
+            elapsed_ms,
+            request_id=request_id,
+            route=route,
+            endpoint=endpoint,
+            stages=stages,
+            **slow_extra,
+        )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Per-request stderr logging, silenced unless ``quiet=False``."""
@@ -171,3 +414,84 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             return json.loads(self.rfile.read(length).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(f"bad JSON body: {error}") from None
+
+
+def run_server(
+    build: Callable[[], Tuple[DrainingHTTPServer, str, Callable[..., None]]],
+    *,
+    name: str,
+    quiet: bool = False,
+    drain_timeout: float = 30.0,
+    trace: bool = True,
+    trace_capacity: int = DEFAULT_CAPACITY,
+    startup_errors: Tuple[type, ...] = (ValueError, OSError),
+) -> int:
+    """Run one HTTP front-end until SIGINT/SIGTERM; drains before exiting.
+
+    ``build()`` constructs everything and returns ``(server, detail,
+    close)``: the bound server, the parenthesised tail of the listening
+    line, and ``close(timeout=...)``, which releases whatever sits
+    behind the server (idempotent, safe to call from two threads).  A
+    ``startup_errors`` exception out of ``build`` becomes
+    :class:`ServiceStartupError`; ``build`` cleans up after itself.
+
+    ``trace`` enables the process tracer for the server's lifetime
+    (restored on exit), sizing its ring buffer to ``trace_capacity``
+    spans.  Shutdown order matters: stop accepting connections, join
+    the in-flight handlers (their replies complete), then ``close``.
+    ``drain_timeout`` bounds that join against a wedged backend: if it
+    takes longer, a watchdog calls ``close`` early, which fails the
+    parked handlers' pending work (clients get errors, not silence) so
+    the process still exits.  ``name`` labels the final log line.
+    """
+    ensure_default_logging()
+    tracer = get_tracer()
+    tracer_was_enabled = tracer.enabled
+    if trace:
+        tracer.enable(trace_capacity)
+    try:
+        try:
+            server, detail, close = build()
+        except startup_errors as error:
+            raise ServiceStartupError(str(error)) from error
+        server.quiet = quiet
+
+        def _shutdown(signum, frame) -> None:
+            # shutdown() must not run on the serve_forever thread.
+            threading.Thread(target=server.shutdown, daemon=True).start()
+
+        installed = []
+        for signame in ("SIGINT", "SIGTERM"):
+            signum = getattr(signal, signame, None)
+            if signum is None:
+                continue
+            try:
+                installed.append((signum, signal.signal(signum, _shutdown)))
+            except ValueError:  # not the main thread
+                pass
+        # The "listening on http://host:port" phrasing is load-bearing:
+        # supervisors, the worker fleet and the fault-injection tests
+        # parse the bound port out of this exact line.
+        logger.info(
+            "listening on http://%s:%s (%s)", *server.server_address[:2], detail
+        )
+        try:
+            server.serve_forever()
+        finally:
+            watchdog = threading.Timer(
+                drain_timeout, close, kwargs={"timeout": 5.0}
+            )
+            watchdog.daemon = True
+            watchdog.start()
+            try:
+                server.server_close()
+            finally:
+                watchdog.cancel()
+                close(timeout=drain_timeout)
+            for signum, previous in installed:
+                signal.signal(signum, previous)
+            logger.info("%s drained and closed", name)
+    finally:
+        if trace and not tracer_was_enabled:
+            tracer.disable()
+    return 0

@@ -48,6 +48,20 @@ ROUTE_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 DEFAULT_ROUTE = "default"
 
 
+class UnknownRouteError(LookupError):
+    """A request named a route the server does not serve (HTTP 404).
+
+    Lives here, like :data:`DEFAULT_ROUTE`, so the HTTP layer can map
+    it to a status without importing the registry that raises it.
+    """
+
+    def __init__(self, route: str, known) -> None:
+        super().__init__(
+            f"unknown route {route!r}; serving {sorted(known)}"
+        )
+        self.route = route
+
+
 def validate_route_name(route: str) -> str:
     """Return ``route`` if it is a legal route name, else raise."""
     if not isinstance(route, str) or not ROUTE_PATTERN.match(route):

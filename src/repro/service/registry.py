@@ -40,7 +40,7 @@ from ..index.library import LibraryIndex
 from ..obs.trace import get_tracer
 from ..store import SegmentedStore
 from .metrics import ServiceMetrics
-from .protocol import DEFAULT_ROUTE, validate_route_name
+from .protocol import DEFAULT_ROUTE, UnknownRouteError, validate_route_name
 from .server import SearchService, ServiceConfig
 
 #: One loadable index source: a path (``.npz`` file or segmented-store
@@ -59,16 +59,6 @@ IndexSources = Union[
 #: pending futures after this many seconds instead of parking the
 #: handler thread forever.
 ROUTE_CLOSE_TIMEOUT = 30.0
-
-
-class UnknownRouteError(LookupError):
-    """A request named a route the registry does not serve."""
-
-    def __init__(self, route: str, known: Sequence[str]) -> None:
-        super().__init__(
-            f"unknown route {route!r}; serving {sorted(known)}"
-        )
-        self.route = route
 
 
 def normalize_index_sources(indexes: IndexSources) -> "Dict[str, object]":

@@ -45,13 +45,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import logging
-import signal
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
 
 from ..ann import AnnConfig
 from ..constants import DEFAULT_OPEN_WINDOW_DA, DEFAULT_STANDARD_WINDOW_DA
@@ -60,15 +58,18 @@ from ..index.library import LibraryIndex
 from ..index.sharded import ShardedSearcher
 from ..store import SegmentedSearcher, SegmentedStore, open_search_source
 from ..ms.spectrum import Spectrum
-from ..obs.export import chrome_trace
-from ..obs.logging import ensure_default_logging
-from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog, stage_breakdown
+from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer
 from ..oms.candidates import WindowConfig
 from ..oms.psm import PSM
 from ..oms.search import HDSearchConfig
 from .cache import MISSING, ResultCache
-from .httpbase import BodyTooLarge, DrainingHTTPServer, JsonRequestHandler
+from .httpbase import (
+    DrainingHTTPServer,
+    JsonRequestHandler,
+    ServiceStartupError,
+    run_server,
+)
 from .metrics import RouteMetrics, ServiceMetrics
 from .protocol import (
     DEFAULT_ROUTE,
@@ -79,6 +80,16 @@ from .protocol import (
     spectrum_from_payload,
 )
 from .scheduler import MicroBatchScheduler
+
+__all__ = [
+    "SearchRequestHandler",
+    "SearchServer",
+    "SearchService",
+    "ServiceConfig",
+    "ServiceStartupError",
+    "serve",
+    "start_server",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -94,11 +105,11 @@ class ServiceConfig:
     indexes — and every configuration over the same index rows returns
     bit-identical PSMs.
 
-    ``ann`` (optional :class:`~repro.ann.AnnConfig`) turns on the
-    Hamming-LSH candidate prefilter for this route's engine; results
-    become approximate (see ``docs/ann-tuning.md``) and the cache
-    fingerprint changes, so toggling it can never serve stale exact
-    results for approximate requests or vice versa.
+    An ``engine_config.ann`` (:class:`~repro.ann.AnnConfig`) turns on
+    the Hamming-LSH candidate prefilter for this route's engine;
+    results become approximate (see ``docs/ann-tuning.md``) and the
+    cache fingerprint changes, so toggling it can never serve stale
+    exact results for approximate requests or vice versa.
 
     ``max_batch`` / ``max_wait_ms`` are the micro-batcher's knobs, and
     these defaults are their only definition (the scheduler has none,
@@ -115,31 +126,21 @@ class ServiceConfig:
     open_window_da: float = DEFAULT_OPEN_WINDOW_DA
     standard_tolerance_da: float = DEFAULT_STANDARD_WINDOW_DA
     charge_aware: bool = True
-    ann: Optional[AnnConfig] = None
     engine_config: Optional[EngineConfig] = None
 
     def resolved_engine(self) -> EngineConfig:
-        """The single :class:`~repro.engine.EngineConfig` this service runs.
-
-        ``engine_config`` (or the default one), with the ``ann`` field
-        folded in when the engine config carries none.
-        """
-        engine = self.engine_config or EngineConfig()
-        if engine.ann is None and self.ann is not None:
-            return engine.replace(ann=self.ann)
-        return engine
+        """The :class:`~repro.engine.EngineConfig` this service runs."""
+        return self.engine_config or EngineConfig()
 
     def resolved_ann(self) -> Optional[AnnConfig]:
-        """The effective ANN prefilter config (whichever field holds it)."""
+        """The effective ANN prefilter config, if any."""
         return self.resolved_engine().ann
 
     def with_ann(self, ann: Optional[AnnConfig]) -> "ServiceConfig":
-        """A copy with the ANN config swapped, wherever it lives."""
-        if self.engine_config is not None:
-            return dataclasses.replace(
-                self, ann=None, engine_config=self.engine_config.replace(ann=ann)
-            )
-        return dataclasses.replace(self, ann=ann)
+        """A copy with the engine's ANN config swapped."""
+        return dataclasses.replace(
+            self, engine_config=self.resolved_engine().replace(ann=ann)
+        )
 
     def __post_init__(self) -> None:
         """Fail fast on an unknown mode."""
@@ -163,15 +164,6 @@ class ServiceConfig:
 #: (the normal wait is one batch's search; only a wedged engine ever
 #: approaches this).
 ENGINE_SWAP_TIMEOUT = 60.0
-
-
-class ServiceStartupError(RuntimeError):
-    """The service could not start (bad config / unreadable index).
-
-    Raised by :func:`serve` for failures *before* the server loop so the
-    CLI can print a clean usage error, while genuine runtime crashes
-    keep their tracebacks.
-    """
 
 
 class SearchService:
@@ -484,39 +476,28 @@ class SearchService:
         self._record_latency(started)
         return results
 
-    def reload(self, index_path: Union[str, Path, None] = None) -> str:
-        """Hot-swap the index; queued requests are never dropped.
+    def _swap_engine(self, built, install, what: str) -> None:
+        """Put a freshly built engine in service; close the one it replaces.
 
-        The replacement index is built off to the side while the old
-        engine keeps serving; the swap itself waits only for the batch
-        currently in flight.  The cache is cleared, and the generation
-        bump keeps results that were computed on the old engine — but
-        arrive at their requester after the clear — from being cached
-        (a rebuilt index at the same path can share a fingerprint, so
-        clearing alone would not be enough).  The old engine is closed
-        gracefully.
+        ``built`` is :meth:`_build_engine`'s result, ``install`` sets
+        whatever else changes with the engine (index, config) and runs
+        inside the swap.  The engine was built off to the side, so the
+        swap waits only for the batch in flight; queued requests are
+        never dropped.  The cache is cleared, and the generation bump
+        keeps results that were computed on the old engine — but arrive
+        at their requester after the clear — from being cached (a
+        rebuilt index at the same path can share a fingerprint, so
+        clearing alone would not be enough).
         """
-        if self._closed:
-            # Building a replacement engine for a closed service would
-            # leak it (nothing will ever serve from or close it).
-            raise RuntimeError("service is closed")
-        path = Path(index_path) if index_path is not None else self.index_path
-        if path is None:
-            raise ValueError(
-                "service was built from an in-memory index; "
-                "pass index_path to reload"
-            )
-        new_index = open_search_source(path)
-        new_engine, new_label, new_fingerprint = self._build_engine(new_index)
+        new_engine, new_label, new_fingerprint = built
         # Bounded engine-lock acquire: the swap normally waits only for
         # the batch in flight, but a *wedged* batch holds the lock
         # forever — an unbounded wait here would park the /reload
         # handler thread and hang server_close() at shutdown.
         if not self._engine_lock.acquire(timeout=ENGINE_SWAP_TIMEOUT):
-            if hasattr(new_engine, "close"):
-                new_engine.close()
+            new_engine.close()
             raise RuntimeError(
-                "reload timed out waiting for the in-flight batch "
+                f"{what} timed out waiting for the in-flight batch "
                 f"({ENGINE_SWAP_TIMEOUT}s); is the engine wedged?"
             )
         try:
@@ -530,30 +511,46 @@ class SearchService:
             # here) or close() won and the swap aborts; the engine can
             # never be installed unseen into a closed service.
             with self._swap_lock:
-                if self._closed:
-                    aborted_engine = new_engine
-                else:
-                    aborted_engine = None
+                closed = self._closed
+                if not closed:
                     old_engine = self._engine
-                    old_index = self.index
                     self._engine = new_engine
                     self._engine_label = new_label
                     self._fingerprint = new_fingerprint
                     self._generation += 1
-                    self.index = new_index
-                    self.index_path = path
+                    install()
                     self.cache.clear()
         finally:
             self._engine_lock.release()
-        if aborted_engine is not None:
-            if hasattr(aborted_engine, "close"):
-                aborted_engine.close()
+        if closed:
+            new_engine.close()
             raise RuntimeError("service is closed")
         with self._stats_lock:
             self._reloads += 1
         self._route_metrics.observe_reload()
-        if hasattr(old_engine, "close"):
-            old_engine.close()
+        old_engine.close()
+
+    def reload(self, index_path: Union[str, Path, None] = None) -> str:
+        """Hot-swap the index (see :meth:`_swap_engine`); returns its summary."""
+        if self._closed:
+            # Building a replacement engine for a closed service would
+            # leak it (nothing will ever serve from or close it).
+            raise RuntimeError("service is closed")
+        path = Path(index_path) if index_path is not None else self.index_path
+        if path is None:
+            raise ValueError(
+                "service was built from an in-memory index; "
+                "pass index_path to reload"
+            )
+        new_index = open_search_source(path)
+        old_index = self.index
+
+        def install() -> None:
+            self.index = new_index
+            self.index_path = path
+
+        built = self._build_engine(new_index)
+        self._swap_engine(built, install, "reload")
         if isinstance(old_index, SegmentedStore) and old_index is not new_index:
             old_index.close()
         logger.info(
@@ -561,7 +558,7 @@ class SearchService:
             self.route,
             path,
             new_index.num_references,
-            new_label,
+            built[1],
         )
         return new_index.summary()
 
@@ -574,9 +571,8 @@ class SearchService:
         concrete :class:`~repro.ann.AnnConfig` this route ran with (the
         startup config, or whatever a previous ``set_ann`` installed),
         falling back to the defaults if there never was one.  The swap
-        follows :meth:`reload` exactly — built off to the side, queued
-        requests never dropped, cache cleared under the generation bump
-        — because the cache fingerprint changes with the ANN setting.
+        is :meth:`reload`'s (:meth:`_swap_engine`), because the cache
+        fingerprint changes with the ANN setting.
 
         Args:
             enabled: Whether the rebuilt engine should prefilter.
@@ -592,53 +588,24 @@ class SearchService:
         if self._closed:
             raise RuntimeError("service is closed")
         target = (ann or self._last_ann or AnnConfig()) if enabled else None
-        new_config = self.config.with_ann(target)
-        if new_config == self.config:
+        if target == self.config.resolved_ann():
             return self._engine_label
-        index = self.index
-        new_engine, new_label, new_fingerprint = self._build_engine(
-            index, config=new_config
-        )
-        if not self._engine_lock.acquire(timeout=ENGINE_SWAP_TIMEOUT):
-            if hasattr(new_engine, "close"):
-                new_engine.close()
-            raise RuntimeError(
-                "ANN toggle timed out waiting for the in-flight batch "
-                f"({ENGINE_SWAP_TIMEOUT}s); is the engine wedged?"
-            )
-        try:
-            with self._swap_lock:
-                if self._closed:
-                    aborted_engine = new_engine
-                else:
-                    aborted_engine = None
-                    old_engine = self._engine
-                    self._engine = new_engine
-                    self._engine_label = new_label
-                    self._fingerprint = new_fingerprint
-                    self._generation += 1
-                    self.config = new_config
-                    if target is not None:
-                        self._last_ann = target
-                    self.cache.clear()
-        finally:
-            self._engine_lock.release()
-        if aborted_engine is not None:
-            if hasattr(aborted_engine, "close"):
-                aborted_engine.close()
-            raise RuntimeError("service is closed")
-        with self._stats_lock:
-            self._reloads += 1
-        self._route_metrics.observe_reload()
-        if hasattr(old_engine, "close"):
-            old_engine.close()
+        new_config = self.config.with_ann(target)
+
+        def install() -> None:
+            self.config = new_config
+            if target is not None:
+                self._last_ann = target
+
+        built = self._build_engine(self.index, config=new_config)
+        self._swap_engine(built, install, "ANN toggle")
         logger.info(
             "route %s ANN prefilter %s (engine=%s)",
             self.route,
             "enabled" if enabled else "disabled",
-            new_label,
+            built[1],
         )
-        return new_label
+        return built[1]
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -650,7 +617,7 @@ class SearchService:
         return self._engine_label
 
     def healthz(self) -> Dict[str, object]:
-        """Liveness payload: index summary, engine label, ANN flag."""
+        """Liveness payload: index summary, engine label, search config."""
         return {
             "status": "ok",
             "route": self.route,
@@ -658,6 +625,11 @@ class SearchService:
             "num_references": self.index.num_references,
             "engine": self.engine_name,
             "ann": self.config.resolved_ann() is not None,
+            # What a coordinator must agree with before it may merge
+            # this route's winners with other workers'.
+            "mode": self.config.mode,
+            "open_window_da": self.config.open_window_da,
+            "standard_tolerance_da": self.config.standard_tolerance_da,
             "uptime_seconds": round(time.time() - self._started, 3),
         }
 
@@ -783,6 +755,7 @@ class SearchServer(DrainingHTTPServer):
         from .registry import IndexRegistry
 
         super().__init__(address, SearchRequestHandler)
+        self.slowlog = SlowQueryLog(threshold_ms=slow_ms)
         if isinstance(service, SearchService):
             self.registry = IndexRegistry.from_service(service)
             self._implicit_registry = True
@@ -790,14 +763,6 @@ class SearchServer(DrainingHTTPServer):
             self.registry = service
             self._implicit_registry = False
         self.quiet = quiet
-        #: Ring buffer behind ``/debug/slow``; requests slower than
-        #: ``slow_ms`` are recorded with their per-stage breakdown.
-        self.slowlog = SlowQueryLog(threshold_ms=slow_ms)
-
-    @property
-    def service(self) -> SearchService:
-        """The default route's service (single-route back-compat)."""
-        return self.registry.get()
 
     def server_close(self) -> None:
         """Close the socket, then drain routes this server itself added."""
@@ -811,181 +776,50 @@ class SearchServer(DrainingHTTPServer):
 
 
 class SearchRequestHandler(JsonRequestHandler):
-    """Routes the JSON API onto a :class:`SearchService`."""
+    """The worker tier's part of the JSON API: registry lookup, ``/reload``."""
 
     server_version = "hdoms-service"
 
-    def _observe_slow(
-        self,
-        started: float,
-        request_id: str,
-        route: str,
-        endpoint: str,
-        **extra: object,
-    ) -> None:
-        """Offer one finished request to the server's slow-query log."""
-        slowlog = getattr(self.server, "slowlog", None)
-        if slowlog is None:
-            return
-        elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        stages = None
-        tracer = get_tracer()
-        if tracer.enabled and elapsed_ms >= slowlog.threshold_ms:
-            stages = stage_breakdown(tracer.spans_for(request_id))
-        slowlog.observe(
-            elapsed_ms,
-            request_id=request_id,
-            route=route,
-            endpoint=endpoint,
-            stages=stages,
-            **extra,
-        )
+    ROUTES = {**JsonRequestHandler.ROUTES, ("POST", "/reload"): "_handle_reload"}
 
     @property
-    def registry(self):
+    def backend(self):
         """The index registry owned by the server."""
         return self.server.registry
 
-    @property
-    def service(self) -> SearchService:
-        """Default-route service (single-route back-compat)."""
-        return self.server.service
-
     # -- routes --------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Read-only endpoints: /healthz, /stats, /metrics, /debug/*."""
-        try:
-            parsed = urlsplit(self.path)
-            if parsed.path == "/healthz":
-                if self.server.draining:
-                    # A draining server still answers in-flight work but
-                    # must fail its readiness probe immediately, so load
-                    # balancers and the coordinator's routing table stop
-                    # sending new traffic before the socket goes away.
-                    self._send_json(
-                        503, {"status": "draining", "draining": True}
-                    )
-                else:
-                    payload = self.registry.healthz()
-                    payload["draining"] = False
-                    self._send_json(200, payload)
-            elif parsed.path == "/stats":
-                self._send_json(200, self.registry.stats())
-            elif parsed.path == "/metrics":
-                self._send_text(
-                    200,
-                    self.registry.render_metrics(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif parsed.path == "/debug/slow":
-                slowlog = getattr(self.server, "slowlog", None)
-                if slowlog is None:
-                    self._send_json(404, {"error": "slow-query log not enabled"})
-                else:
-                    self._send_json(200, slowlog.snapshot())
-            elif parsed.path == "/debug/trace":
-                params = parse_qs(parsed.query)
-                request_id = params.get("request_id", [None])[0]
-                self._send_json(
-                    200, chrome_trace(get_tracer(), request_id=request_id)
-                )
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except Exception as error:  # noqa: BLE001 - boundary
-            self._send_json(500, {"error": str(error)})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """Serve the mutating endpoints: /search, /search_batch, /reload."""
-        from .registry import UnknownRouteError
-
-        try:
-            if self.path == "/search":
-                self._handle_search()
-            elif self.path == "/search_batch":
-                self._handle_search_batch()
-            elif self.path == "/reload":
-                self._handle_reload()
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except BodyTooLarge as error:
-            self._send_json(413, {"error": str(error)})
-        except UnknownRouteError as error:
-            self._send_json(404, {"error": str(error)})
-        except ProtocolError as error:
-            self._send_json(400, {"error": str(error)})
-        except Exception as error:  # noqa: BLE001 - boundary
-            self._send_json(500, {"error": str(error)})
-
     def _handle_search(self) -> None:
-        payload = self._read_json()
-        route = None
-        if isinstance(payload, dict) and "spectrum" in payload:
-            route = route_from_payload(payload)
-            payload = payload["spectrum"]
-        elif isinstance(payload, dict) and "route" in payload:
-            # The legacy bare-spectrum form has no route slot; silently
-            # answering from the default route would be exactly the
-            # wrong-library leak the routing layer exists to prevent.
-            raise ProtocolError(
-                'a routed search must use the wrapped form '
-                '{"spectrum": {...}, "route": "<name>"}'
-            )
-        service = self.registry.get(route)
+        route, payload = self._read_search()
+        service = self.backend.get(route)
         spectrum = spectrum_from_payload(payload)
         request_id = self._request_id()
         started = time.perf_counter()
         psm, cached = service.search_one_detailed(
             spectrum, request_id=request_id
         )
-        response = {
-            "psm": psm.to_dict() if psm is not None else None,
-            "cached": cached,
-            "route": service.route,
-            "request_id": request_id,
-            "elapsed_ms": round(
-                1000.0 * (time.perf_counter() - started), 3
-            ),
-        }
-        with get_tracer().span(
-            "service.serialize", request_id=request_id, route=service.route
-        ):
-            self._send_json(200, response, request_id=request_id)
-        self._observe_slow(
-            started, request_id, service.route, "search", cached=cached
+        self._reply_search(
+            started,
+            request_id,
+            service.route,
+            "search",
+            {"psm": psm.to_dict() if psm is not None else None, "cached": cached},
+            cached=cached,
         )
 
     def _handle_search_batch(self) -> None:
-        payload = self._read_json()
-        if not isinstance(payload, dict) or "spectra" not in payload:
-            raise ProtocolError('body must be {"spectra": [...]}')
-        spectra_payload = payload["spectra"]
-        if not isinstance(spectra_payload, list):
-            raise ProtocolError('"spectra" must be a list')
-        service = self.registry.get(route_from_payload(payload))
+        route, spectra_payload = self._read_search_batch()
+        service = self.backend.get(route)
         spectra = [spectrum_from_payload(entry) for entry in spectra_payload]
         request_id = self._request_id()
         started = time.perf_counter()
         psms = service.search_many(spectra, request_id=request_id)
-        response = {
-            "psms": [
-                psm.to_dict() if psm is not None else None for psm in psms
-            ],
-            "route": service.route,
-            "request_id": request_id,
-            "elapsed_ms": round(
-                1000.0 * (time.perf_counter() - started), 3
-            ),
-        }
-        with get_tracer().span(
-            "service.serialize", request_id=request_id, route=service.route
-        ):
-            self._send_json(200, response, request_id=request_id)
-        self._observe_slow(
+        self._reply_search(
             started,
             request_id,
             service.route,
             "search_batch",
+            {"psms": [psm.to_dict() if psm is not None else None for psm in psms]},
             spectra=len(spectra),
         )
 
@@ -1018,7 +852,7 @@ class SearchRequestHandler(JsonRequestHandler):
                 raise ProtocolError(
                     '"ann" is mutually exclusive with "index" and "remove"'
                 )
-            service = self.registry.get(route)
+            service = self.backend.get(route)
             try:
                 label = service.set_ann(ann_flag)
             except RuntimeError as error:
@@ -1030,7 +864,7 @@ class SearchRequestHandler(JsonRequestHandler):
                     "route": service.route,
                     "ann": ann_flag,
                     "engine": label,
-                    "routes": self.registry.route_names(),
+                    "routes": self.backend.route_names(),
                 },
             )
             return
@@ -1042,7 +876,7 @@ class SearchRequestHandler(JsonRequestHandler):
             if route is None:
                 raise ProtocolError('"remove" requires a "route"')
             try:
-                self.registry.remove_route(route)
+                self.backend.remove_route(route)
             except ValueError as error:
                 raise ProtocolError(str(error)) from None
             self._send_json(
@@ -1050,12 +884,12 @@ class SearchRequestHandler(JsonRequestHandler):
                 {
                     "status": "ok",
                     "removed": route,
-                    "routes": self.registry.route_names(),
+                    "routes": self.backend.route_names(),
                 },
             )
             return
         try:
-            service = self.registry.reload_route(route, index_path)
+            service = self.backend.reload_route(route, index_path)
         except (ValueError, OSError) as error:
             raise ProtocolError(str(error)) from None
         self._send_json(
@@ -1065,7 +899,7 @@ class SearchRequestHandler(JsonRequestHandler):
                 "route": service.route,
                 "index": service.index.summary(),
                 "num_references": service.index.num_references,
-                "routes": self.registry.route_names(),
+                "routes": self.backend.route_names(),
             },
         )
 
@@ -1102,91 +936,46 @@ def serve(
     This is the ``repro serve`` entry point.  ``index_path`` accepts a
     single path (served as the ``"default"`` route) or a
     ``{route: path}`` mapping / sequence of pairs for multi-index
-    routing.  Shutdown order matters: stop accepting connections first,
-    then drain each route's micro-batch queue (queued requests still
-    get real answers), then close the sharded pools gracefully.
-    ``drain_timeout`` bounds the whole shutdown against a wedged
-    engine: if joining the in-flight handlers takes longer, their
-    pending futures are failed (clients get errors, not silence) so
-    the process still exits.
-
-    ``trace`` enables the process tracer for the server's lifetime
-    (restored on exit), sizing its ring buffer to ``trace_capacity``
-    spans; ``slow_ms`` is the ``/debug/slow`` recording threshold.
+    routing.  :func:`~repro.service.httpbase.run_server` owns the loop
+    and the shutdown order: stop accepting connections first, then
+    drain each route's micro-batch queue (queued requests still get
+    real answers), then close the sharded pools gracefully; past
+    ``drain_timeout`` a wedged engine's pending futures are failed so
+    the process still exits.  ``slow_ms`` is the ``/debug/slow``
+    recording threshold.
     """
     from .registry import IndexRegistry
 
-    ensure_default_logging()
-    tracer = get_tracer()
-    tracer_was_enabled = tracer.enabled
-    if trace:
-        tracer.enable(trace_capacity)
-    try:
+    def build():
         registry = IndexRegistry(
             index_path, default_route=default_route, config=config
         )
-        server = start_server(registry, host, port, slow_ms=slow_ms)
-    except (ValueError, OSError) as error:
-        if trace and not tracer_was_enabled:
-            tracer.disable()
-        raise ServiceStartupError(str(error)) from error
-    server.quiet = quiet
-
-    def _shutdown(signum, frame) -> None:
-        # shutdown() must not run on the serve_forever thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    installed = []
-    for signame in ("SIGINT", "SIGTERM"):
-        signum = getattr(signal, signame, None)
-        if signum is None:
-            continue
         try:
-            installed.append((signum, signal.signal(signum, _shutdown)))
-        except ValueError:  # not the main thread
-            pass
-    bound_host, bound_port = server.server_address[:2]
-    for name in registry.route_names():
-        marker = " (default)" if name == registry.default_route else ""
-        logger.info(
-            "route %s%s: %s", name, marker, registry.get(name).index.summary()
+            server = start_server(registry, host, port, slow_ms=slow_ms)
+        except OSError:
+            registry.close()
+            raise
+        for name in registry.route_names():
+            marker = " (default)" if name == registry.default_route else ""
+            logger.info(
+                "route %s%s: %s",
+                name,
+                marker,
+                registry.get(name).index.summary(),
+            )
+        service_config = registry.get().config
+        detail = (
+            f"max_batch={service_config.max_batch}, "
+            f"max_wait_ms={service_config.max_wait_ms}, "
+            f"slow_ms={slow_ms}, trace={trace}"
         )
-    service_config = registry.get().config
-    # The "listening on http://host:port" phrasing is load-bearing:
-    # supervisors (and the fault-injection tests) parse the bound port
-    # out of this exact line.
-    logger.info(
-        "listening on http://%s:%s (max_batch=%s, max_wait_ms=%s, "
-        "slow_ms=%s, trace=%s)",
-        bound_host,
-        bound_port,
-        service_config.max_batch,
-        service_config.max_wait_ms,
-        slow_ms,
-        trace,
+        return server, detail, registry.close
+
+    return run_server(
+        build,
+        name="service",
+        quiet=quiet,
+        drain_timeout=drain_timeout,
+        trace=trace,
+        trace_capacity=trace_capacity,
     )
-    try:
-        server.serve_forever()
-    finally:
-        # server_close() joins the non-daemon handler threads, which
-        # block in future.result() until their batches drain — the
-        # graceful path.  A wedged engine would park them forever, so a
-        # watchdog force-closes the registry (failing the pending
-        # futures, which unblocks the handlers) if the join outlives
-        # drain_timeout.
-        watchdog = threading.Timer(
-            drain_timeout, registry.close, kwargs={"timeout": 5.0}
-        )
-        watchdog.daemon = True
-        watchdog.start()
-        try:
-            server.server_close()
-        finally:
-            watchdog.cancel()
-            registry.close(timeout=drain_timeout)
-        for signum, previous in installed:
-            signal.signal(signum, previous)
-        if trace and not tracer_was_enabled:
-            tracer.disable()
-        logger.info("service drained and closed")
-    return 0

@@ -40,6 +40,7 @@ from ..ms.vectorize import BinningConfig
 from .manifest import (
     MANIFEST_NAME,
     SEGMENT_DIR,
+    SegmentIntegrityError,
     SegmentMeta,
     StoreCompatibilityError,
     StoreManifest,
@@ -354,6 +355,7 @@ def merge_store(
     if all(len(group) == 1 for group in groups):
         return SegmentedStore.open(root)  # nothing to compact
 
+    store = SegmentedStore(root, manifest)
     next_id = manifest.next_segment_id()
     new_segments: List[SegmentMeta] = []
     written: List[Path] = []
@@ -361,9 +363,16 @@ def merge_store(
         if len(group) == 1:
             new_segments.append(group[0])
             continue
-        parts = [
-            LibraryIndex.load(root / meta.file, mmap=False) for meta in group
-        ]
+        try:
+            # Through the store, so every file is checked against its
+            # manifest entry before its rows are copied anywhere.
+            parts = [store.load_segment(meta, mmap=False) for meta in group]
+        except SegmentIntegrityError:
+            # The manifest has not flipped; without the groups already
+            # rewritten the store is exactly what it was.
+            for path in written:
+                path.unlink()
+            raise
         merged = LibraryIndex(
             packed=np.concatenate([np.asarray(part.packed) for part in parts]),
             dim=manifest.dim,

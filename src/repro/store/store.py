@@ -94,17 +94,18 @@ class SegmentedStore:
         with self._segment_lock:
             index = self._segments.get(segment_id)
             if index is None:
-                index = self._load_segment(
+                index = self.load_segment(
                     self.manifest.segments[segment_id], mmap
                 )
                 self._segments[segment_id] = index
                 self._open_counts[segment_id] += 1
         return index
 
-    def _load_segment(self, meta: SegmentMeta, mmap: bool) -> LibraryIndex:
+    def load_segment(self, meta: SegmentMeta, mmap: bool) -> LibraryIndex:
         """Open one segment archive and check it against its manifest entry.
 
-        Global row numbers, mass pruning and the query encoder all come
+        Uncached — :meth:`segment` is the caching accessor.  Global row
+        numbers, mass pruning and the query encoder all come
         from the manifest, so a file that disagrees with it would yield
         wrong PSMs rather than an error further down.
         """

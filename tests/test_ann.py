@@ -401,6 +401,7 @@ def test_service_set_ann_toggles_engine_and_clears_cache(
     small_workload_module, tmp_path
 ):
     """set_ann swaps the engine, flips labels/stats, and re-serves."""
+    from repro.engine import EngineConfig
     from repro.service.server import SearchService, ServiceConfig
 
     index = LibraryIndex.build(
@@ -412,7 +413,9 @@ def test_service_set_ann_toggles_engine_and_clears_cache(
     with SearchService(
         path,
         ServiceConfig(
-            ann=AnnConfig(num_tables=4, bits_per_hash=8, ann_threshold=0)
+            engine_config=EngineConfig(
+                ann=AnnConfig(num_tables=4, bits_per_hash=8, ann_threshold=0)
+            )
         ),
     ) as service:
         assert service.engine_name == "shardedx1+ann"
@@ -433,7 +436,7 @@ def test_service_set_ann_toggles_engine_and_clears_cache(
         # Re-enable without an explicit config: the remembered one
         # comes back (4 tables, not the 8-table default).
         assert service.set_ann(True) == "shardedx1+ann"
-        assert service.config.ann.num_tables == 4
+        assert service.config.resolved_ann().num_tables == 4
         # No-op toggle keeps the engine untouched.
         generation = service._generation
         assert service.set_ann(True) == "shardedx1+ann"

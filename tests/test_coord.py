@@ -7,18 +7,20 @@ ascending manifest order, so a worker's local row order is the global
 order restricted to its subset.  Merging per-partition winners with
 that rule (via the PSM merge fields on the wire) must therefore be
 **bit-identical** to a single-node search, for every partition count
-and strategy.  Everything else here — the async client pool, hedging,
-admission control, the HTTP front-end — is robustness plumbing around
-that invariant.
+and strategy.  Everything else here — hedging, retry, the config
+cross-check, admission control, the HTTP front-end — is robustness
+plumbing around that invariant.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
+import http.server
 import json
+import logging
 import socketserver
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,8 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coord import (
-    AsyncClientError,
-    AsyncSearchClient,
     Coordinator,
     CoordinatorError,
     CoordinatorServer,
@@ -426,136 +426,6 @@ def test_partitioned_search_merges_bit_identically(
 
 
 # ----------------------------------------------------------------------
-# the asyncio client
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture()
-def worker_server(store):
-    service = SearchService(
-        store.root, ServiceConfig(max_batch=8, max_wait_ms=2.0)
-    )
-    server = start_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    service.close()
-
-
-class _OneRequestPerConnectionServer(socketserver.ThreadingTCPServer):
-    """Serves one JSON response per connection, then closes it silently.
-
-    Simulates a worker whose keep-alive sockets die between requests
-    (idle timeout, restart) without advertising ``Connection: close``.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self):
-        self.connections = 0
-        self.requests = 0
-        self._lock = threading.Lock()
-
-        outer = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                with outer._lock:
-                    outer.connections += 1
-                # Read one request: headers, then the body if any.
-                length = 0
-                while True:
-                    line = self.rfile.readline()
-                    if not line or line in (b"\r\n", b"\n"):
-                        break
-                    if line.lower().startswith(b"content-length:"):
-                        length = int(line.split(b":", 1)[1])
-                if length:
-                    self.rfile.read(length)
-                with outer._lock:
-                    outer.requests += 1
-                body = json.dumps({"status": "ok"}).encode()
-                self.wfile.write(
-                    b"HTTP/1.1 200 OK\r\n"
-                    b"Content-Type: application/json\r\n"
-                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                    + body
-                )
-                # Returning closes the connection without a close header.
-
-        super().__init__(("127.0.0.1", 0), Handler)
-
-
-class TestAsyncSearchClient:
-    def test_round_trips_and_reuses_the_connection(
-        self, worker_server, queries
-    ):
-        url, _server = worker_server
-
-        async def scenario():
-            client = AsyncSearchClient(url)
-            status, health = await client.request_json("GET", "/healthz")
-            assert status == 200 and health["status"] == "ok"
-            status, reply = await client.request_json(
-                "POST",
-                "/search",
-                {"spectrum": spectrum_to_payload(queries[0])},
-            )
-            assert status == 200 and "psm" in reply
-            # Sequential requests reuse one pooled connection.
-            assert len(client._idle) == 1
-            await client.close()
-
-        asyncio.run(scenario())
-
-    def test_stale_pooled_connection_retries_once(self):
-        server = _OneRequestPerConnectionServer()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address
-
-        async def scenario():
-            client = AsyncSearchClient(f"http://{host}:{port}")
-            for _ in range(3):
-                status, _body = await client.request_json("GET", "/healthz")
-                assert status == 200
-            await client.close()
-
-        try:
-            asyncio.run(scenario())
-            # Three successful requests over three connections: each
-            # reuse hit a closed socket and was transparently retried
-            # on a fresh one.
-            assert server.requests == 3
-            assert server.connections == 3
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-
-    def test_fresh_connection_failure_is_not_retried(self):
-        async def scenario():
-            probe = socketserver.TCPServer(("127.0.0.1", 0), None)
-            host, port = probe.server_address
-            probe.server_close()  # port is now closed
-            client = AsyncSearchClient(f"http://{host}:{port}")
-            with pytest.raises(AsyncClientError, match="cannot reach"):
-                await client.request_json("GET", "/healthz")
-            await client.close()
-
-        asyncio.run(scenario())
-
-    def test_rejects_non_http_urls(self):
-        with pytest.raises(ValueError, match="plain http"):
-            AsyncSearchClient("https://example.com")
-
-
-# ----------------------------------------------------------------------
 # coordinator end-to-end over in-process workers
 # ----------------------------------------------------------------------
 
@@ -623,6 +493,33 @@ class TestCoordinatorHTTP:
         assert reply["request_id"] == "coord-test-1"
         assert reply["route"] == "default"
         assert reply["psm"] == baseline.get(queries[0].identifier)
+
+    def test_request_id_crosses_the_hop_and_debug_trace_answers(
+        self, coordinator_stack, queries
+    ):
+        from repro.obs.trace import get_tracer
+
+        url, _coordinator, _plan = coordinator_stack
+        client = SearchClient(url)
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enable()
+        try:
+            client.search_batch(queries[:4], request_id="coord-hop-1")
+            # Workers and coordinator share this process's tracer: the
+            # worker-side span carries the id minted at the coordinator.
+            names = {span.name for span in tracer.spans_for("coord-hop-1")}
+            assert {"coord.request", "coord.route", "coord.merge"} <= names
+            assert "service.search_batch" in names
+            events = client.debug_trace(request_id="coord-hop-1")["traceEvents"]
+            assert "coord.request" in {
+                event["name"] for event in events if event.get("ph") == "X"
+            }
+            slow = client.debug_slow()
+            assert slow["observed"] >= 1
+        finally:
+            if not was_enabled:
+                tracer.disable()
 
     def test_healthz_reports_fleet_and_topology(self, coordinator_stack):
         url, _coordinator, plan = coordinator_stack
@@ -832,8 +729,139 @@ class TestStandardModeRouting:
 # ----------------------------------------------------------------------
 
 
+class _StubWorker(http.server.ThreadingHTTPServer):
+    """A worker that matches nothing; ``parked`` makes it never answer.
+
+    ``/healthz`` says ok without naming a row count or search config,
+    so the coordinator's cross-check has nothing to reject.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, parked: bool = False):
+        self.parked = parked
+        self.release = threading.Event()
+        self.batches = 0
+        stub = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def _reply(self, payload):
+                body = json.dumps(payload).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def do_GET(self):  # noqa: N802 - http.server API
+                self._reply({"status": "ok"})
+
+            def do_POST(self):  # noqa: N802 - http.server API
+                length = int(self.headers["Content-Length"])
+                spectra = json.loads(self.rfile.read(length))["spectra"]
+                stub.batches += 1
+                if stub.parked:
+                    stub.release.wait(60)
+                    self.close_connection = True
+                    return
+                self._reply({"psms": [None] * len(spectra)})
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self.thread.start()
+
+    @property
+    def url(self) -> str:
+        return "http://%s:%s" % self.server_address[:2]
+
+    def stop(self) -> None:
+        self.release.set()
+        self.shutdown()
+        self.server_close()
+        self.thread.join(timeout=10)
+
+
+class TestHedging:
+    def test_parked_primary_is_hedged_and_starves_nobody(
+        self, store, queries, monkeypatch
+    ):
+        from repro.coord import coordinator as coordinator_module
+
+        # Until a partition has latency samples the hedge deadline is
+        # this constant; the real second would only slow the test.
+        monkeypatch.setattr(coordinator_module, "DEFAULT_HEDGE_SECONDS", 0.1)
+        plan = PartitionPlan.build(store, 1, "rows")
+        parked, sibling = _StubWorker(parked=True), _StubWorker()
+        before = set(threading.enumerate())
+        coordinator = Coordinator(
+            plan.partitions,
+            [[parked.url, sibling.url]],
+            probe_interval=30.0,
+            worker_timeout=30.0,
+        )
+        label = str(plan.partitions[0].index)
+        batch = [spectrum_to_payload(query) for query in queries[:3]]
+        try:
+            coordinator.wait_ready(timeout=10)
+            # Both replicas are healthy and the rotation starts at the
+            # first: the parked worker is the primary of this batch.
+            started = time.monotonic()
+            assert coordinator.search_payloads(batch) == [None] * 3
+            assert time.monotonic() - started < 5.0  # not worker_timeout
+            assert parked.batches == 1
+            assert coordinator.metrics.hedges.value(partition=label) == 1
+            assert coordinator.metrics.hedge_wins.value(partition=label) == 1
+            # That call is still parked on one of its replica's threads
+            # (and every second batch parks one more); nobody waits for
+            # them.
+            for _ in range(20):
+                assert coordinator.search_payloads(batch) == [None] * 3
+            assert parked.batches > 1
+            assert coordinator.metrics.retries.value(partition=label) == 0
+            started = time.monotonic()
+            coordinator.close()
+            assert time.monotonic() - started < 2.0
+            # close() hung up on the parked calls, so their threads end
+            # now, not after worker_timeout.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and _call_threads(before):
+                time.sleep(0.02)
+            assert not _call_threads(before)
+        finally:
+            coordinator.close()
+            parked.stop()
+            sibling.stop()
+
+    def test_search_after_close_is_a_coordinator_error(self, store, queries):
+        plan = PartitionPlan.build(store, 1, "rows")
+        worker = _StubWorker()
+        try:
+            coordinator = Coordinator(
+                plan.partitions, [[worker.url]], probe_interval=30.0
+            )
+            coordinator.close()
+            with pytest.raises(CoordinatorError, match="closed"):
+                coordinator.search_payloads([spectrum_to_payload(queries[0])])
+        finally:
+            worker.stop()
+
+
+def _call_threads(before):
+    """Live coordinator worker-call threads started since ``before``."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("coord-p") and thread not in before
+    ]
+
+
 class TestCoordinatorRobustness:
-    def test_all_replicas_down_is_a_coordinator_error(self, store):
+    def test_all_replicas_down_is_a_coordinator_error(self, store, queries):
         plan = PartitionPlan.build(store, 1, "rows")
         probe = socketserver.TCPServer(("127.0.0.1", 0), None)
         host, port = probe.server_address
@@ -845,13 +873,8 @@ class TestCoordinatorRobustness:
             worker_timeout=5.0,
         )
         try:
-            payload = {"spectrum": None}
             with pytest.raises(CoordinatorError, match="every replica"):
-                coordinator._submit(
-                    coordinator._call_partition(
-                        plan.partitions[0], "/search_batch", payload
-                    )
-                ).result(timeout=30)
+                coordinator.search_payloads([spectrum_to_payload(queries[0])])
             assert (
                 coordinator.metrics.worker_errors.value(
                     worker=f"http://{host}:{port}"
@@ -929,3 +952,79 @@ class TestCoordinatorRobustness:
             server.server_close()
             thread.join(timeout=10)
             service.close()
+
+
+class TestSearchConfigCrossCheck:
+    """Workers answering a different search than the coordinator merges for.
+
+    The coordinator routes and merges for one ``mode`` and window pair;
+    a stock open-mode worker behind a standard-mode coordinator would
+    hand back open-mode winners under ``status: ok``.
+    """
+
+    def test_mode_mismatched_workers_are_rejected_with_one_warning(
+        self, coordinator_stack
+    ):
+        _url, serving, plan = coordinator_stack
+        urls = [
+            [worker["url"] for worker in partition["workers"]]
+            for partition in serving.stats()["partitions"]
+        ]
+        # Straight off the logger: a CLI test earlier in the run may
+        # have stopped the package logger propagating to caplog's root.
+        messages = []
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = lambda record: messages.append(record.getMessage())
+        logger = logging.getLogger("repro.coord")
+        logger.addHandler(handler)
+        try:
+            with Coordinator(
+                plan.partitions, urls, mode="standard", probe_interval=0.1
+            ) as coordinator:
+                with pytest.raises(CoordinatorError, match="no healthy worker"):
+                    coordinator.wait_ready(timeout=0.3)
+                for partition in coordinator.stats()["partitions"]:
+                    (worker,) = partition["workers"]
+                    assert worker["healthy"] is False
+                    assert "mode 'open'" in worker["last_error"]
+                    assert "expects 'standard'" in worker["last_error"]
+        finally:
+            logger.removeHandler(handler)
+        rejected = [message for message in messages if "rejected" in message]
+        assert len(rejected) == len(plan)  # once per worker, not per probe
+
+    def test_window_mismatch_is_rejected_too(self, coordinator_stack):
+        _url, serving, plan = coordinator_stack
+        urls = [
+            [worker["url"] for worker in partition["workers"]]
+            for partition in serving.stats()["partitions"]
+        ]
+        with Coordinator(
+            plan.partitions, urls, open_window=250.0, probe_interval=30.0
+        ) as coordinator:
+            with pytest.raises(CoordinatorError, match="open_window_da 500.0"):
+                coordinator.wait_ready(timeout=0.3)
+
+    def test_cli_exits_2_with_one_line_and_never_serves(
+        self, coordinator_stack, store, capsys
+    ):
+        from repro.cli import main
+
+        _url, serving, _plan = coordinator_stack
+        workers = [
+            flag
+            for partition in serving.stats()["partitions"]
+            for flag in ("--worker", partition["workers"][0]["url"])
+        ]
+        code = main(
+            ["coordinate", "--store", str(store.root), "--partitions", "2",
+             "--mode", "standard", *workers, "--port", "0",
+             "--startup-timeout", "0.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        report = captured.err.splitlines()[-1]
+        assert report.startswith("coordinate: partitions [0, 1] have no healthy")
+        assert "mode 'open'" in report and "expects 'standard'" in report
+        assert "Traceback" not in captured.err
+        assert "listening on" not in captured.err + captured.out

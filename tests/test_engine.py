@@ -165,23 +165,15 @@ class TestServiceConfigEngine:
         fields = {field.name for field in dataclasses.fields(ServiceConfig)}
         assert not fields & {
             "engine", "num_shards", "num_workers", "backend", "executor",
-            "score_block_rows",
+            "score_block_rows", "ann",
         }
-        assert len(fields) == 9
+        assert len(fields) == 8
         with pytest.raises(TypeError, match="num_shards"):
             ServiceConfig(num_shards=4)
 
     def test_engine_config_passes_through(self):
         engine = EngineConfig(kind="sharded", num_shards=3, executor="thread")
         assert ServiceConfig(engine_config=engine).resolved_engine() == engine
-
-    def test_ann_field_folds_into_engine_config(self):
-        ann = AnnConfig(ann_threshold=1)
-        config = ServiceConfig(
-            ann=ann, engine_config=EngineConfig(kind="sharded")
-        )
-        assert config.resolved_engine().ann == ann
-        assert config.resolved_ann() == ann
 
     def test_with_ann_targets_engine_config(self):
         ann = AnnConfig(ann_threshold=1)

@@ -5,9 +5,10 @@ these tests pin the two properties that removed the ~40 ms
 Nagle/delayed-ACK floor from every round trip, without timing anything:
 
 * every accepted connection has ``TCP_NODELAY`` set, and
-* every reply — 200, 4xx, ``/metrics`` text, and the draining variants
-  that add ``Connection: close`` — reaches the socket as exactly one
-  write holding status line, headers and body.
+* every reply — 200, 4xx, ``/metrics`` text, the ``/debug/*`` routes,
+  and the draining variants that add ``Connection: close`` — reaches
+  the socket as exactly one write holding status line, headers and
+  body, and an error reply closes its connection.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ REPLIES = [
     ("POST", "/search", b"{not json", 400, "application/json"),
     ("POST", "/nowhere", b"{}", 404, "application/json"),
     ("GET", "/metrics", b"", 200, "text/plain"),
+    # The GET routes both tiers inherit from the shared handler.
+    ("GET", "/debug/trace", b"", 200, "application/json"),
+    ("GET", "/debug/trace?request_id=transport-1", b"", 200, "application/json"),
+    ("GET", "/debug/slow", b"", 200, "application/json"),
+    ("GET", "/nowhere", b"", 404, "application/json"),
 ]
 
 
@@ -154,6 +160,13 @@ class TestOneSegmentReplies:
         status, headers, payload = parse_reply(writes[0])
         assert status == 200
         assert headers["X-Request-Id"] == json.loads(payload)["request_id"]
+
+
+def test_debug_routes_answer_on_both_tiers(server):
+    _status, _headers, payload = parse_reply(exchange(server, "GET", "/debug/trace")[0])
+    assert json.loads(payload)["displayTimeUnit"] == "ms"
+    _status, _headers, payload = parse_reply(exchange(server, "GET", "/debug/slow")[0])
+    assert json.loads(payload)["threshold_ms"] == server.slowlog.threshold_ms
 
 
 def test_oversized_body_is_413_before_it_is_read(server, monkeypatch):
@@ -228,7 +241,10 @@ def test_both_front_ends_share_the_one_response_writer():
 
     for handler in (SearchRequestHandler, CoordinatorRequestHandler):
         assert issubclass(handler, JsonRequestHandler)
-        for name in ("_send_body", "_send_json", "_send_text", "_read_json", "_request_id"):
+        for name in (
+            "_send_body", "_send_json", "_send_text", "_read_json", "_request_id",
+            "do_GET", "do_POST", "_dispatch", "_reply_search",
+        ):
             assert name not in vars(handler)
     for server_class in (SearchServer, CoordinatorServer):
         assert issubclass(server_class, DrainingHTTPServer)

@@ -940,6 +940,51 @@ class TestHttpApi:
             conn.close()
             service.close()
 
+    def test_close_hangs_up_idle_connections_but_finishes_replies(
+        self, index_path, workload, baseline
+    ):
+        # A pooled client that is merely *connected* (idle between
+        # requests) used to hold server_close() for the handler's whole
+        # 10 s read timeout; a request in flight must still get its
+        # full reply.
+        service = SearchService(index_path, ServiceConfig(max_wait_ms=1.0))
+        server = start_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        idle = SearchClient(f"http://{host}:{port}")
+        busy = SearchClient(f"http://{host}:{port}")
+        entered = threading.Event()
+        real_search = service._engine.search
+
+        def slow_search(batch):
+            entered.set()
+            time.sleep(0.5)
+            return real_search(batch)
+
+        service._engine.search = slow_search
+        replies = []
+        query = workload.queries[0]
+        caller = threading.Thread(
+            target=lambda: replies.append(busy.search(query))
+        )
+        try:
+            assert idle.healthz()["status"] == "ok"  # now parked, keep-alive
+            caller.start()
+            assert entered.wait(5)
+            started = time.monotonic()
+            server.shutdown()
+            server.server_close()  # joins both handler threads
+            assert time.monotonic() - started < 2.0
+            caller.join(timeout=5)
+            assert replies == [baseline.get(query.identifier)]
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            idle.close()
+            busy.close()
+            service.close()
+
     def test_unreachable_server_raises_service_error(self):
         client = SearchClient("http://127.0.0.1:9", timeout=1)
         with pytest.raises(ServiceError, match="cannot reach"):

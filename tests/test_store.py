@@ -677,10 +677,10 @@ class TestCliStoreVerbs:
         )
 
 
-def _break_first_segment(root: Path, fault: str) -> str:
-    """Damage the first segment file the way ``fault`` says; its name."""
+def _break_segment(root: Path, fault: str, position: int = 0) -> str:
+    """Damage one segment file the way ``fault`` says; its name."""
     segments = StoreManifest.load(root).segments
-    victim = root / segments[0].file
+    victim = root / segments[position].file
     if fault == "missing":
         victim.unlink()
     elif fault == "truncated":
@@ -690,7 +690,7 @@ def _break_first_segment(root: Path, fault: str) -> str:
         # "swapped-same-rows": the second has the first's row count, so
         # only its mass range gives it away.
         donor = segments[-1 if fault == "swapped" else 1]
-        assert (donor.num_references == segments[0].num_references) == (
+        assert (donor.num_references == segments[position].num_references) == (
             fault == "swapped-same-rows"
         )
         shutil.copyfile(root / donor.file, victim)
@@ -713,7 +713,7 @@ class TestSegmentFileFaults:
             binning=binning,
             segment_rows=25,
         ).close()
-        name = _break_first_segment(tmp_path / "store", fault)
+        name = _break_segment(tmp_path / "store", fault)
         with SegmentedSearcher(tmp_path / "store") as searcher:
             with pytest.raises(SegmentIntegrityError, match=name) as excinfo:
                 searcher.search(queries)
@@ -735,7 +735,7 @@ class TestSegmentFileFaults:
              "--output", str(store), "--segment-rows", "25", "--dim", "512",
              "--no-decoys"]
         ) == 0
-        name = _break_first_segment(store, fault)
+        name = _break_segment(store, fault)
         capsys.readouterr()
         assert main(
             ["index", "search", "--index", str(store), "--queries",
@@ -747,6 +747,43 @@ class TestSegmentFileFaults:
         assert report.startswith("index search: segment ") and name in report
         assert "Traceback" not in captured.err
         assert "accepted" not in captured.out and not output.exists()
+
+
+    def test_merge_refuses_and_leaves_the_store_untouched(
+        self, tmp_path, references, capsys, fault
+    ):
+        from repro.cli import main
+        from repro.ms import write_msp
+
+        write_msp(references, tmp_path / "library.msp")
+        store = tmp_path / "store"
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(store), "--segment-rows", "13", "--dim", "512",
+             "--no-decoys"]
+        ) == 0
+        # 13+13 | 13+13 | 8 rows: the fault sits in the second group,
+        # met when the first is already rewritten.
+        name = _break_segment(store, fault, position=2)
+
+        def snapshot():
+            return {
+                path.relative_to(store): path.read_bytes()
+                for path in sorted(store.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        capsys.readouterr()
+        assert main(
+            ["index", "merge", "--store", str(store), "--target-rows", "26"]
+        ) == 2
+        captured = capsys.readouterr()
+        report = captured.err.splitlines()[-1]
+        assert report.startswith("index merge: segment ") and name in report
+        assert "Traceback" not in captured.err
+        assert "compacted" not in captured.out
+        assert snapshot() == before
 
 
 class TestOpenSearchSource:
