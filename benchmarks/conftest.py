@@ -46,9 +46,6 @@ SCORE_KEYS = CORE_KEYS | {
     "rss_extra_mb",
 }
 
-#: Keys of the ANN recall/speed-up curve trajectory.
-ANN_KEYS = {"bench", "timestamp", "dim", "library_rows", "curve", "flattening"}
-
 #: Keys the streaming-ingest memory trajectory pins.
 STORE_KEYS = {
     "bench",
@@ -87,14 +84,13 @@ def record_trajectory(filename: str, entry: dict, required: set) -> None:
 
     Every required key must be present; ``bench`` is a string,
     ``timestamp`` is ``YYYY-MM-DDTHH:MM:SS`` and every other required
-    scalar is a number (``curve`` / ``flattening`` bodies are
-    bench-specific).  An unreadable history file is started afresh.
+    key is a number.  An unreadable history file is started afresh.
     """
     missing = required - entry.keys()
     assert not missing, f"{filename}: entry missing {sorted(missing)}"
     assert isinstance(entry["bench"], str)
     assert _TIMESTAMP.match(entry["timestamp"]), entry["timestamp"]
-    for key in required - {"bench", "timestamp", "curve", "flattening"}:
+    for key in required - {"bench", "timestamp"}:
         assert isinstance(entry[key], (int, float)), f"{filename}: {key} must be numeric"
     path = RESULTS_DIR / filename
     path.parent.mkdir(exist_ok=True)

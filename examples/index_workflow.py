@@ -12,10 +12,10 @@ production shape of the system:
 3. verify both returned exactly the same PSMs as a searcher built from
    scratch.
 
-With ``--ann``, the index additionally persists Hamming-LSH hash
-tables and a fourth search runs through the approximate candidate
-prefilter (see docs/ann-tuning.md), reporting how many of its PSMs
-match the exact ones.
+With ``--ann``, a third search runs through the approximate candidate
+pass (a search-time option: nothing is built or persisted; see
+docs/ann-tuning.md), reporting how many of its PSMs match the exact
+ones.
 
 Run:  python examples/index_workflow.py [--ann]
 """
@@ -34,9 +34,10 @@ from repro.ms.vectorize import BinningConfig
 from repro.oms import HDOmsSearcher, HDSearchConfig
 
 USE_ANN = "--ann" in sys.argv[1:]
-# A low threshold so the prefilter engages on this small demo library;
-# production libraries should keep the default (see docs).
-ANN = AnnConfig(ann_threshold=256) if USE_ANN else None
+# A low threshold and a quarter-row prefix (8 of the 32 words of a
+# D = 2048 row) so the coarse pass engages on this small demo library;
+# production libraries should keep the defaults (see docs).
+ANN = AnnConfig(prefix_words=8, ann_threshold=256) if USE_ANN else None
 
 workload = build_workload(
     WorkloadConfig(
@@ -62,7 +63,6 @@ with tempfile.TemporaryDirectory() as scratch:
         space_config=space_config,
         binning=binning,
         source="index_workflow example",
-        ann=ANN,
     )
     saved = index.save(index_path)
     build_s = time.perf_counter() - start
@@ -88,7 +88,7 @@ with tempfile.TemporaryDirectory() as scratch:
         f"{len(second.psms)} PSMs on {second.backend_name}"
     )
 
-    # --- 2c. optional: the ANN prefilter on the persisted tables ------
+    # --- 2c. optional: the ANN candidate pass over the same rows ------
     if USE_ANN:
         start = time.perf_counter()
         ann_searcher = HDOmsSearcher.from_index(
@@ -106,8 +106,7 @@ with tempfile.TemporaryDirectory() as scratch:
         print(
             f"search #3 (ANN)     : {ann_s * 1000:8.1f} ms, "
             f"{len(approx.psms)} PSMs, {agree}/{len(approx.psms)} "
-            f"identical to exact (modified queries are Hamming-far; "
-            f"see docs/ann-tuning.md)"
+            f"identical to exact (see docs/ann-tuning.md)"
         )
 
 # --- 3. parity with the from-scratch searcher -------------------------

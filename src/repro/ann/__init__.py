@@ -1,24 +1,29 @@
-"""Sublinear Hamming-LSH candidate prefilter with exact re-rank.
+"""Truncated-precision candidate shortlisting with exact re-rank.
 
 The package provides the approximate stage of the cascade described in
-``docs/architecture.md``: :class:`HammingLSHIndex` shortlists library
-rows likely Hamming-close to a query hypervector,
-:class:`CandidatePrefilter` intersects the shortlist with the precursor
-window in exact-search order, and the searchers re-rank the survivors
-with the usual exact backends.  ``docs/ann-tuning.md`` covers the
-knobs.
+``docs/architecture.md``: :func:`shortlist` scores every row of a large
+precursor window on a prefix of its packed hypervector and keeps the
+best few, which the searchers re-rank with the exact full-width score.
+:class:`CandidatePrefilter` is the standalone form of the same pass.
+``docs/ann-tuning.md`` covers the knobs.
 """
 
-from .config import ANN_FORMAT_VERSION, AnnConfig
-from .lsh import HammingLSHIndex
-from .prefilter import OUTCOMES, AnnStats, CandidatePrefilter, PrefilterSelection
+from .config import AnnConfig
+from .prefilter import (
+    OUTCOMES,
+    AnnRows,
+    AnnStats,
+    CandidatePrefilter,
+    PrefilterSelection,
+    shortlist,
+)
 
 __all__ = [
-    "ANN_FORMAT_VERSION",
     "OUTCOMES",
     "AnnConfig",
+    "AnnRows",
     "AnnStats",
     "CandidatePrefilter",
-    "HammingLSHIndex",
     "PrefilterSelection",
+    "shortlist",
 ]

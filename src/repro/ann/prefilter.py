@@ -1,62 +1,92 @@
-"""Precursor-window-aware candidate selection on top of the LSH index.
+"""The coarse pass: shortlist a window on a row prefix, re-rank exactly.
 
-:class:`CandidatePrefilter` is the piece the searchers talk to.  It
-combines the :class:`~repro.ann.lsh.HammingLSHIndex` shortlist with the
-same per-charge mass ordering the exact searchers use, and returns the
-shortlist **in that exact ordering** — so downstream ``argmax`` breaks
-score ties identically to brute force (lowest precursor mass, then
-lowest library position), and the final PSM is bit-identical whenever
-the true winner survives the shortlist.
+Identifications survive a tenth of the bits being wrong (the paper's
+Figure 11), so the first ``prefix_words`` 64-bit words of a packed
+hypervector already rank a window well enough to keep the true best row
+among the ``candidate_budget`` closest.  :func:`shortlist` is that pass
+— one XOR/popcount over a column slice of rows the caller already
+holds, nothing built, nothing persisted — and its **only** definition:
+the window kernel (:mod:`repro.oms.kernel`) calls it on its contiguous
+ranges, :class:`CandidatePrefilter` is the standalone form the
+brute-force oracle and the benchmark ladder call.
 
-Each query resolves to one of three outcomes:
-
-``bypass``
-    The precursor window holds fewer than ``ann_threshold`` rows —
-    exact scoring is already cheap, so the full window is returned.
-``prefiltered``
-    The LSH shortlist intersected the window; only those rows are
-    scored exactly.
-``fallback``
-    The shortlist missed the window entirely; the full window is
-    returned so the prefilter can never *lose* a match outright.
-
-:class:`AnnStats` accumulates these outcomes (thread-safe) so services
-and benchmarks can report recall pressure and candidate ratios.
+A shortlist comes back in layout order, so the exact ``argmax`` over it
+breaks score ties like brute force (lowest precursor mass, then lowest
+library position).  A query either takes the pass (``prefiltered``) or
+its window is too small to be worth one and is scored whole
+(``bypass``); :class:`AnnStats` counts both, thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .lsh import HammingLSHIndex
+from ..hdc.packing import pack_bipolar
+from ..hdc.similarity import packed_dot_scores
+from .config import AnnConfig
 
-#: The three possible ways one query moves through the prefilter.
-OUTCOMES = ("bypass", "prefiltered", "fallback")
+#: The two ways one query moves through the candidate tier.
+OUTCOMES = ("bypass", "prefiltered")
 
 
-@dataclass(frozen=True)
-class PrefilterSelection:
+def shortlist(
+    rows: np.ndarray,
+    query: np.ndarray,
+    config: AnnConfig,
+    block_rows: Optional[int] = None,
+) -> np.ndarray:
+    """Ascending indices of the ``candidate_budget`` rows nearest on the prefix.
+
+    Args:
+        rows: ``(n, row_bytes)`` packed window rows in layout order
+            (any strides: only the prefix columns are read), with
+            ``config.shortlists(n)`` true.
+        query: ``(row_bytes,)`` packed query.
+        config: The pass's ``prefix_words`` and ``candidate_budget``.
+        block_rows: Rows XORed at a time (``None`` = all at once).
+
+    Returns:
+        ``candidate_budget`` indices into ``rows``, ascending.  Equal
+        estimates at the cut keep the lower row, so the result is a
+        pure function of the rows; with a prefix that covers the whole
+        row it always holds the exact winner.
+    """
+    width = config.prefix_bytes
+    prefix = rows[:, :width]
+    estimate = packed_dot_scores(
+        prefix, query[:width], 8 * prefix.shape[1], block_rows
+    )
+    # Unique keys: descending estimate, then ascending row.
+    keys = np.arange(len(rows)) - estimate.astype(np.int64) * len(rows)
+    kept = np.argpartition(keys, config.candidate_budget - 1)[: config.candidate_budget]
+    kept.sort()
+    return kept
+
+
+class AnnRows(NamedTuple):
+    """An index's own packed matrix paired with a pass config (a view)."""
+
+    packed: np.ndarray
+    config: AnnConfig
+
+
+class PrefilterSelection(NamedTuple):
     """What the prefilter decided for one query.
 
     Attributes:
-        positions: Global library row indices to score, ordered by
-            (precursor mass, library position) exactly like the
-            brute-force candidate window.
-        ranks: The same rows as local ranks into the per-charge
-            mass-sorted bucket (what batched searchers index their
-            bucket matrices with).
+        positions: Library row indices to score, ordered by (precursor
+            mass, library position) exactly like the brute-force
+            candidate window.
         window_count: Rows the full precursor window holds; this is the
             number ``min_candidates`` gates compare against, regardless
             of how small the shortlist is.
-        outcome: ``"bypass"``, ``"prefiltered"``, or ``"fallback"``.
+        outcome: ``"bypass"`` or ``"prefiltered"``.
     """
 
     positions: np.ndarray
-    ranks: np.ndarray
     window_count: int
     outcome: str
 
@@ -100,8 +130,7 @@ class AnnStats:
         """Merge pre-aggregated counts (e.g. returned by shard workers).
 
         Args:
-            outcomes: Length-3 integer array of counts in
-                :data:`OUTCOMES` order.
+            outcomes: Integer array of counts in :data:`OUTCOMES` order.
             window_rows: Summed window sizes across the batch.
             scored_rows: Summed scored rows across the batch.
         """
@@ -117,48 +146,31 @@ class AnnStats:
             return {
                 "bypassed": self._outcomes["bypass"],
                 "prefiltered": self._outcomes["prefiltered"],
-                "fallbacks": self._outcomes["fallback"],
                 "window_rows": self._window_rows,
                 "scored_rows": self._scored_rows,
             }
 
 
-class _ChargeBucket:
-    """Mass-sorted view of one charge's library rows (internal)."""
-
-    __slots__ = ("sorted_masses", "sorted_positions", "rank_of_global")
-
-    def __init__(self, positions: np.ndarray, masses: np.ndarray, num_rows: int):
-        order = np.argsort(masses, kind="stable")
-        self.sorted_masses = masses[order]
-        self.sorted_positions = positions[order]
-        # Global row index -> local rank in this bucket (-1 elsewhere),
-        # so "is row r in the window?" is a range check on one gather.
-        self.rank_of_global = np.full(num_rows, -1, dtype=np.int64)
-        self.rank_of_global[self.sorted_positions] = np.arange(
-            len(order), dtype=np.int64
-        )
-
-
 class CandidatePrefilter:
-    """Window-aware LSH candidate selection with exact-order output.
+    """The coarse pass over library rows in their original order.
 
-    Built once per searcher from the library's masses/charges plus a
-    ready :class:`HammingLSHIndex`; :meth:`select` is read-only and
-    thread-safe.
+    The standalone form of what :class:`~repro.oms.kernel.WindowKernel`
+    does on its own layout: it orders row *numbers* by (charge, mass,
+    position), gathers each window's prefix columns and hands them to
+    :func:`shortlist`.  :meth:`select` is read-only and thread-safe.
     """
 
     def __init__(
         self,
-        lsh: HammingLSHIndex,
+        rows: AnnRows,
         masses: np.ndarray,
         charges: np.ndarray,
         charge_aware: bool = True,
     ) -> None:
-        """Organise library rows into per-charge mass-sorted buckets.
+        """Order the library's rows for window lookup.
 
         Args:
-            lsh: Hash tables over the same rows ``masses`` describes.
+            rows: The packed matrix and the pass config.
             masses: ``(num_rows,)`` neutral masses, original row order.
             charges: ``(num_rows,)`` precursor charges, original order.
             charge_aware: When True (the searchers' default), queries
@@ -166,35 +178,24 @@ class CandidatePrefilter:
                 rows share one bucket.
 
         Raises:
-            ValueError: If array lengths disagree with ``lsh.num_rows``.
+            ValueError: If array lengths disagree with ``rows.packed``.
         """
         masses = np.asarray(masses, dtype=np.float64)
         charges = np.asarray(charges, dtype=np.int64)
-        if len(masses) != lsh.num_rows or len(charges) != lsh.num_rows:
+        num_rows = len(rows.packed)
+        if len(masses) != num_rows or len(charges) != num_rows:
             raise ValueError(
                 f"metadata rows ({len(masses)} masses, {len(charges)} "
-                f"charges) disagree with LSH rows ({lsh.num_rows})"
+                f"charges) disagree with packed rows ({num_rows})"
             )
-        self.lsh = lsh
-        self.config = lsh.config
+        self.rows = rows
+        self.config = rows.config
         self.charge_aware = bool(charge_aware)
-        self._buckets: Dict[int, _ChargeBucket] = {}
-        num_rows = lsh.num_rows
-        if self.charge_aware:
-            for charge in np.unique(charges):
-                mask = charges == charge
-                positions = np.nonzero(mask)[0].astype(np.int64)
-                self._buckets[int(charge)] = _ChargeBucket(
-                    positions, masses[mask], num_rows
-                )
-        else:
-            positions = np.arange(num_rows, dtype=np.int64)
-            self._buckets[0] = _ChargeBucket(positions, masses, num_rows)
-
-    def _bucket_for(self, charge: int) -> Optional[_ChargeBucket]:
-        if not self.charge_aware:
-            return self._buckets[0]
-        return self._buckets.get(int(charge))
+        keys = charges if self.charge_aware else np.zeros_like(charges)
+        # lexsort is stable: equal (charge, mass) rows keep library order.
+        self._order = np.lexsort((masses, keys))
+        self._keys = keys[self._order]
+        self._masses = masses[self._order]
 
     def select(
         self,
@@ -217,43 +218,14 @@ class CandidatePrefilter:
             ``window_count == 0`` when no library row shares the charge
             or falls in the window.
         """
-        empty = np.empty(0, dtype=np.int64)
-        bucket = self._bucket_for(charge)
-        if bucket is None:
-            return PrefilterSelection(empty, empty, 0, "bypass")
-        low = int(
-            np.searchsorted(bucket.sorted_masses, neutral_mass - half_width, "left")
-        )
-        high = int(
-            np.searchsorted(bucket.sorted_masses, neutral_mass + half_width, "right")
-        )
-        window_count = high - low
-        if window_count == 0:
-            return PrefilterSelection(empty, empty, 0, "bypass")
-        window_ranks = np.arange(low, high, dtype=np.int64)
-        if window_count < self.config.ann_threshold:
-            return PrefilterSelection(
-                bucket.sorted_positions[low:high],
-                window_ranks,
-                window_count,
-                "bypass",
-            )
-        candidates = self.lsh.query(query_hv)
-        if candidates.size:
-            ranks = bucket.rank_of_global[candidates]
-            ranks = ranks[(ranks >= low) & (ranks < high)]
-        else:
-            ranks = empty
-        if ranks.size == 0:
-            return PrefilterSelection(
-                bucket.sorted_positions[low:high],
-                window_ranks,
-                window_count,
-                "fallback",
-            )
-        # Ascending rank == ascending (mass, library position): scoring
-        # in this order reproduces brute force's argmax tie-breaking.
-        ranks = np.sort(ranks)
-        return PrefilterSelection(
-            bucket.sorted_positions[ranks], ranks, window_count, "prefiltered"
-        )
+        key = int(charge) if self.charge_aware else 0
+        start, stop = np.searchsorted(self._keys, (key, key + 1))
+        bucket = self._masses[start:stop]
+        low = start + np.searchsorted(bucket, neutral_mass - half_width, "left")
+        high = start + np.searchsorted(bucket, neutral_mass + half_width, "right")
+        window = self._order[low:high]
+        if not self.config.shortlists(len(window)):
+            return PrefilterSelection(window, len(window), "bypass")
+        prefix = np.asarray(self.rows.packed)[window, : self.config.prefix_bytes]
+        kept = shortlist(prefix, pack_bipolar(query_hv), self.config)
+        return PrefilterSelection(window[kept], len(window), "prefiltered")

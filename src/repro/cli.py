@@ -61,44 +61,30 @@ def _setup_logging_from_args(args) -> None:
 
 
 def _add_ann_arguments(parser) -> None:
-    """The shared ``--ann*`` flag group (index build/search, serve)."""
+    """The shared ``--ann*`` flag group (index search, serve, profile)."""
     group = parser.add_argument_group(
         "approximate search",
-        "Hamming-LSH candidate prefilter with exact re-rank "
+        "truncated-precision candidate pass with exact re-rank "
         "(see docs/ann-tuning.md)",
     )
     group.add_argument(
         "--ann",
         action="store_true",
-        help="enable the ANN candidate prefilter",
+        help="enable the ANN candidate pass",
     )
     group.add_argument(
-        "--ann-tables",
+        "--ann-words",
         type=int,
         default=None,
-        metavar="T",
-        help="number of LSH hash tables (default 8)",
-    )
-    group.add_argument(
-        "--ann-bits",
-        type=int,
-        default=None,
-        metavar="B",
-        help="sampled bits per hash key (default 16)",
-    )
-    group.add_argument(
-        "--ann-probe-radius",
-        type=int,
-        default=None,
-        metavar="R",
-        help="multiprobe Hamming radius around each key, 0-2 (default 1)",
+        metavar="W",
+        help="leading 64-bit words of each row the coarse pass reads (default 32)",
     )
     group.add_argument(
         "--ann-budget",
         type=int,
         default=None,
         metavar="N",
-        help="max candidates kept per query after voting (default 256)",
+        help="rows kept per query for the exact re-rank (default 256)",
     )
     group.add_argument(
         "--ann-threshold",
@@ -107,7 +93,7 @@ def _add_ann_arguments(parser) -> None:
         metavar="N",
         help=(
             "precursor windows smaller than this many rows skip the "
-            "prefilter and stay exact (default 1024)"
+            "coarse pass and stay exact (default 1024)"
         ),
     )
 
@@ -121,9 +107,7 @@ def _ann_config_from_args(args):
     from .ann import AnnConfig
 
     overrides = {
-        "num_tables": ("--ann-tables", args.ann_tables),
-        "bits_per_hash": ("--ann-bits", args.ann_bits),
-        "multiprobe_radius": ("--ann-probe-radius", args.ann_probe_radius),
+        "prefix_words": ("--ann-words", args.ann_words),
         "candidate_budget": ("--ann-budget", args.ann_budget),
         "ann_threshold": ("--ann-threshold", args.ann_threshold),
     }
@@ -284,7 +268,6 @@ def _add_index_parser(subparsers) -> None:
             "peak memory stays bounded (see docs/index-format.md)"
         ),
     )
-    _add_ann_arguments(build)
     _add_logging_arguments(build)
 
     search = index_sub.add_parser(
@@ -910,6 +893,7 @@ def cmd_search(args) -> int:
 
 def cmd_index(args) -> int:
     """Entry point for ``hdoms index`` (build/inspect/search indexes)."""
+    from .index import IndexCompatibilityError
     from .store import StoreCompatibilityError
 
     commands = {
@@ -920,9 +904,10 @@ def cmd_index(args) -> int:
     }
     try:
         return commands[args.index_command](args)
-    except StoreCompatibilityError as error:
-        # A store that is not what its manifest says (or not the format
-        # this build reads): one line, exit 2, never a PSM.
+    except (IndexCompatibilityError, StoreCompatibilityError) as error:
+        # An index file that cannot be read, or a store that is not what
+        # its manifest says (or not the format this build reads): one
+        # line, exit 2, never a PSM.
         print(f"index {args.index_command}: {error}", file=sys.stderr)
         return 2
 
@@ -935,7 +920,6 @@ def _cmd_index_build(args) -> int:
     from .ms.vectorize import BinningConfig
 
     try:
-        ann = _ann_config_from_args(args)
         _setup_logging_from_args(args)
     except ValueError as error:
         print(f"index build: {error}", file=sys.stderr)
@@ -957,7 +941,6 @@ def _cmd_index_build(args) -> int:
             args.output,
             space_config=space_config,
             binning=binning,
-            ann=ann,
             segment_rows=args.segment_rows,
             chunk_size=args.chunk_size,
             source=str(args.library),
@@ -980,7 +963,6 @@ def _cmd_index_build(args) -> int:
         binning=binning,
         chunk_size=args.chunk_size,
         source=str(args.library),
-        ann=ann,
     )
     build_seconds = time.perf_counter() - start
     saved = index.save(args.output)
@@ -1057,8 +1039,8 @@ def _print_ann_summary(searcher, stream) -> None:
     )
     print(
         f"ann prefilter: {snapshot['bypassed']} bypassed, "
-        f"{snapshot['prefiltered']} prefiltered, "
-        f"{snapshot['fallbacks']} fallbacks; mean candidate ratio {ratio} "
+        f"{snapshot['prefiltered']} prefiltered; "
+        f"mean candidate ratio {ratio} "
         f"({snapshot['scored_rows']}/{window_rows} window rows scored)",
         file=stream,
     )
@@ -1073,17 +1055,14 @@ def _open_searcher(index_path: Path, *, windows, config, engine):
     :class:`~repro.index.sharded.ShardedSearcher`.  Both support the
     context-manager protocol and release pools and arenas on ``close``.
     """
-    from .index import LibraryIndex, ShardedSearcher
-    from .store import MANIFEST_NAME, SegmentedSearcher
+    from .index import ShardedSearcher
+    from .store import SegmentedSearcher, SegmentedStore, open_search_source
 
-    path = Path(index_path)
-    if path.is_dir() or path.name == MANIFEST_NAME:
-        return SegmentedSearcher(
-            path, windows=windows, config=config, engine=engine
-        )
-    return ShardedSearcher(
-        LibraryIndex.load(path), windows=windows, config=config, engine=engine
+    source = open_search_source(index_path)
+    searcher_type = (
+        SegmentedSearcher if isinstance(source, SegmentedStore) else ShardedSearcher
     )
+    return searcher_type(source, windows=windows, config=config, engine=engine)
 
 
 def _cmd_index_search(args) -> int:

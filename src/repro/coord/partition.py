@@ -259,7 +259,6 @@ def materialize_partitions(
             space=store.manifest.space,
             binning=store.manifest.binning,
             preprocessing=store.manifest.preprocessing,
-            ann=store.manifest.ann,
             segments=segments,
         )
         manifest.save(partition_root)

@@ -49,7 +49,7 @@ class EngineConfig:
         pipeline_batch: Queries per encode micro-batch; ``None`` uses
             :data:`~repro.oms.search.ENCODE_BLOCK_SIZE`.
         ann: Optional :class:`~repro.ann.AnnConfig` enabling the
-            Hamming-LSH candidate prefilter.
+            truncated-precision candidate pass.
     """
 
     kind: str = "auto"

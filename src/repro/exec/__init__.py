@@ -5,9 +5,9 @@ without duplicating the packed library per worker:
 
 * :class:`~repro.exec.arena.SharedShardArena` — the single sanctioned
   owner of ``multiprocessing.shared_memory`` segments.  Packed shard
-  rows, precursor metadata, and per-shard ANN tables are copied into
-  one named segment exactly once and worker *processes* reattach it by
-  name, so no worker pays an index copy.
+  rows and precursor metadata are copied into one named segment
+  exactly once and worker *processes* reattach it by name, so no
+  worker pays an index copy.
 * :class:`~repro.exec.pool.ProcessShardExecutor` — the
   ``executor="process"`` mode of
   :class:`~repro.index.sharded.ShardedSearcher`.  (``"thread"`` and

@@ -1,8 +1,8 @@
 """Shared-memory arena for zero-copy shard scoring.
 
 A :class:`SharedShardArena` places a set of named NumPy arrays (the
-packed hypervector matrix, precursor masses/charges, optional per-shard
-ANN tables) in **one** ``multiprocessing.shared_memory`` segment.  The
+packed hypervector matrix, precursor masses/charges) in **one**
+``multiprocessing.shared_memory`` segment.  The
 creating process copies each array in exactly once; worker processes
 reattach by name via the picklable :class:`ArenaSpec` and build views,
 worker threads simply share the owner's views — nobody pays a second

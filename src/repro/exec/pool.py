@@ -19,12 +19,8 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..ann import HammingLSHIndex
 from ..oms.kernel import ShardScorer, shard_payload
 from .arena import SharedShardArena
-
-#: The ANN table arrays shipped per shard (``HammingLSHIndex.to_arrays``).
-ANN_ARRAY_KEYS = ("ann_bit_positions", "ann_sorted_keys", "ann_row_order")
 
 #: How long pool startup may take before the first scoring call gives
 #: up, terminates the half-started pool, and raises.  A failing pool
@@ -39,16 +35,6 @@ _WORKER_STATE: Dict[str, object] = {}
 
 def arena_shard_payload(arena: SharedShardArena, setup: Dict, shard_id: int) -> Dict:
     """One shard's scorer payload built from arena views (worker side)."""
-    tables = None
-    provenance = setup.get("ann_provenance")
-    if provenance is not None:
-        tables = HammingLSHIndex.from_arrays(
-            provenance[shard_id],
-            {
-                key: arena.array(f"shard{shard_id}.{key}")
-                for key in ANN_ARRAY_KEYS
-            },
-        )
     return shard_payload(
         shard_id,
         setup["bounds"][shard_id],
@@ -58,7 +44,6 @@ def arena_shard_payload(arena: SharedShardArena, setup: Dict, shard_id: int) -> 
         dim=setup["dim"],
         charge_aware=setup["charge_aware"],
         ann=setup.get("ann"),
-        ann_tables=tables,
     )
 
 

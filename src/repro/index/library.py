@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..ann import AnnConfig, HammingLSHIndex
+from ..ann import AnnConfig, AnnRows
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.packing import pack_bipolar, unpack_bipolar
 from ..hdc.spaces import HDSpace, HDSpaceConfig
@@ -150,7 +150,6 @@ class LibraryIndex:
         binning: BinningConfig,
         preprocessing: PreprocessingConfig,
         source: str = "",
-        ann: Optional[HammingLSHIndex] = None,
     ) -> None:
         """Adopt ready-made arrays; prefer :meth:`build` / :meth:`load`.
 
@@ -166,12 +165,9 @@ class LibraryIndex:
             binning: Peak binning the rows were encoded with.
             preprocessing: Preprocessing the rows went through.
             source: Free-form origin string (provenance only).
-            ann: Optional pre-built Hamming-LSH tables over the same rows.
 
         Raises:
             ValueError: If array lengths or the packed width disagree.
-            IndexCompatibilityError: If ``ann`` covers different rows or
-                a different dimensionality than ``packed``.
         """
         self.packed = packed
         self.dim = int(dim)
@@ -200,12 +196,8 @@ class LibraryIndex:
                 f"packed matrix has {packed.shape[1] if packed.ndim == 2 else '?'} "
                 f"words per row, expected {expected_words} for dim {self.dim}"
             )
-        if ann is not None and (ann.num_rows != n or ann.dim != self.dim):
-            raise IndexCompatibilityError(
-                f"ANN tables cover {ann.num_rows} rows at dim {ann.dim}, "
-                f"index holds {n} rows at dim {self.dim}"
-            )
-        self.ann = ann
+        #: Set by :meth:`attach_ann`; never persisted.
+        self.ann: Optional[AnnRows] = None
 
     def shard_bounds(self, num_shards: int) -> List[Tuple[int, int]]:
         """Contiguous ``[start, stop)`` row ranges splitting the library.
@@ -246,7 +238,6 @@ class LibraryIndex:
         preprocessing: Optional[PreprocessingConfig] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         source: str = "",
-        ann: Optional[AnnConfig] = None,
     ) -> "LibraryIndex":
         """Encode *references* once into a reusable index.
 
@@ -267,9 +258,6 @@ class LibraryIndex:
             preprocessing: Spectrum preprocessing config.
             chunk_size: Spectra encoded per fused batch call.
             source: Free-form origin string stored in the provenance.
-            ann: When given, Hamming-LSH hash tables are built with this
-                configuration and persisted alongside the vectors by
-                :meth:`save`.
 
         Returns:
             The fully encoded, searchable index.
@@ -358,23 +346,18 @@ class LibraryIndex:
             num_kept,
             time.perf_counter() - encode_started,
         )
-        if ann is not None:
-            index.attach_ann(ann)
         return index
 
-    def attach_ann(self, config: Optional[AnnConfig] = None) -> HammingLSHIndex:
-        """Build Hamming-LSH tables over this index's rows in place.
+    def attach_ann(self, config: Optional[AnnConfig] = None) -> AnnRows:
+        """Pair this index's rows with a candidate-pass config.
+
+        Nothing is built: ``self.ann`` becomes a view of the packed
+        matrix a :class:`~repro.ann.CandidatePrefilter` can read.
 
         Args:
             config: ANN knobs; defaults to :class:`~repro.ann.AnnConfig`.
-
-        Returns:
-            The freshly built tables (also stored as ``self.ann`` and
-            persisted by subsequent :meth:`save` calls).
         """
-        self.ann = HammingLSHIndex.build(
-            np.asarray(self.packed), self.dim, config or AnnConfig()
-        )
+        self.ann = AnnRows(self.packed, config or AnnConfig())
         return self.ann
 
     # ------------------------------------------------------------------
@@ -391,15 +374,10 @@ class LibraryIndex:
             "source": self.source,
             "num_references": self.num_references,
             "dim": self.dim,
-            "ann": self.ann.provenance() if self.ann is not None else None,
         }
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the index as an uncompressed ``.npz`` (mmap-friendly).
-
-        When ANN tables are attached (:meth:`attach_ann` or
-        ``build(..., ann=...)``), their arrays and provenance ride in
-        the same archive and are revalidated by :meth:`load`.
 
         Args:
             path: Destination path; ``.npz`` is appended when missing.
@@ -422,17 +400,13 @@ class LibraryIndex:
             "charges": self.charges,
             "provenance_json": np.array(json.dumps(self.provenance())),
         }
-        if self.ann is not None:
-            members.update(self.ann.to_arrays())
-            members["ann_json"] = np.array(json.dumps(self.ann.provenance()))
         np.savez(path, **members)
         # np.savez appends ".npz" when missing; report the real file.
         written = path if path.suffix == ".npz" else Path(str(path) + ".npz")
         logger.info(
-            "saved index with %d references (%d bytes packed%s) to %s",
+            "saved index with %d references (%d bytes packed) to %s",
             len(self.identifiers),
             self.packed.nbytes,
-            ", ANN tables attached" if self.ann is not None else "",
             written,
         )
         return written
@@ -442,9 +416,9 @@ class LibraryIndex:
         """Reload a persisted index, memory-mapping the bit matrix.
 
         ``mmap=False`` forces an eager in-memory read (useful when the
-        file will be deleted while the index is still in use).
-        Persisted ANN tables are reloaded and revalidated against the
-        index (row count, dimensionality, format version).
+        file will be deleted while the index is still in use).  Only
+        the members :meth:`save` writes are read; anything else in the
+        archive (the ``ann_*`` tables older builds persisted) is ignored.
 
         Args:
             path: Archive previously written by :meth:`save`.
@@ -454,12 +428,26 @@ class LibraryIndex:
             The reconstructed index.
 
         Raises:
-            IndexCompatibilityError: If the archive is not a
-                LibraryIndex, its format version is unsupported, or its
-                ANN tables disagree with the index or their own
-                provenance.
+            IndexCompatibilityError: If the file is missing, truncated,
+                not a LibraryIndex archive or lacks a member, or its
+                format version is unsupported.
         """
         path = Path(path)
+        try:
+            return cls._read(path, mmap)
+        except IndexCompatibilityError:
+            raise
+        # ValueError: np.load on a non-archive, a truncated .npy member,
+        # or arrays that disagree on the row count.
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as error:
+            raise IndexCompatibilityError(
+                f"{path} cannot be read as a LibraryIndex archive: "
+                f"{type(error).__name__}: {' '.join(str(error).split())}"
+            ) from error
+
+    @classmethod
+    def _read(cls, path: Path, mmap: bool) -> "LibraryIndex":
+        """:meth:`load` without the fault typing."""
         with np.load(path, allow_pickle=False) as archive:
             if "format_version" not in archive or "provenance_json" not in archive:
                 raise IndexCompatibilityError(
@@ -486,38 +474,12 @@ class LibraryIndex:
             is_decoy = archive["is_decoy"]
             neutral_masses = archive["neutral_masses"]
             charges = archive["charges"]
-            ann = None
-            if "ann_json" in archive:
-                ann_provenance = json.loads(str(archive["ann_json"][()]))
-                try:
-                    ann = HammingLSHIndex.from_arrays(
-                        ann_provenance,
-                        {
-                            name: archive[name]
-                            for name in (
-                                "ann_bit_positions",
-                                "ann_sorted_keys",
-                                "ann_row_order",
-                            )
-                        },
-                    )
-                except (KeyError, TypeError, ValueError) as error:
-                    raise IndexCompatibilityError(
-                        f"persisted ANN tables are unusable: {error}"
-                    ) from None
-                if ann.num_rows != len(identifiers) or ann.dim != dim:
-                    raise IndexCompatibilityError(
-                        f"ANN tables cover {ann.num_rows} rows at dim "
-                        f"{ann.dim}, index holds {len(identifiers)} rows "
-                        f"at dim {dim}"
-                    )
         logger.info(
-            "loaded index from %s: %d references, dim=%d, mmap=%s, ann=%s",
+            "loaded index from %s: %d references, dim=%d, mmap=%s",
             path,
             len(identifiers),
             dim,
             isinstance(packed, np.memmap),
-            ann is not None,
         )
         return cls(
             packed=packed,
@@ -531,7 +493,6 @@ class LibraryIndex:
             binning=BinningConfig(**provenance["binning"]),
             preprocessing=PreprocessingConfig(**provenance["preprocessing"]),
             source=provenance.get("source", ""),
-            ann=ann,
         )
 
     # ------------------------------------------------------------------
@@ -608,15 +569,9 @@ class LibraryIndex:
     def summary(self) -> str:
         """One-line human description (CLI / logging)."""
         decoys = int(self.is_decoy.sum())
-        ann_note = ""
-        if self.ann is not None:
-            ann_note = (
-                f", ANN {self.ann.config.num_tables}x"
-                f"{self.ann.config.bits_per_hash}b"
-            )
         return (
             f"LibraryIndex: {self.num_references} references "
             f"({decoys} decoys), D={self.dim}, "
             f"{self.nbytes() / 1024:.0f} KiB packed, "
-            f"charges {sorted(set(self.charges.tolist()))}{ann_note}"
+            f"charges {sorted(set(self.charges.tolist()))}"
         )

@@ -13,19 +13,16 @@ every mode, shard count, worker count, and executor.
 Serial and ``executor="thread"`` scoring stay in this process, over
 zero-copy row-range views of the packed matrix (the core's thread pool
 relies on the GIL-releasing NumPy kernels).  Only
-``executor="process"`` copies the packed rows, precursor metadata and
-per-shard ANN tables into one
-:class:`~repro.exec.arena.SharedShardArena` segment that pool workers
-reattach by name, so only query batches and winners cross the pipe.
+``executor="process"`` copies the packed rows and precursor metadata
+into one :class:`~repro.exec.arena.SharedShardArena` segment that pool
+workers reattach by name, so only query batches and winners cross the
+pipe.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..ann import HammingLSHIndex
 from ..engine import EngineConfig
 from ..exec.arena import SharedShardArena
 from ..exec.pool import ProcessShardExecutor
@@ -102,38 +99,17 @@ class ShardedSearcher(FanOutSearcher):
         return self._executor
 
     def _build_arena(self) -> Tuple[SharedShardArena, Dict]:
-        """Copy the scoring inputs into shared memory, once.
-
-        Per-shard ANN tables (when configured) are built here in the
-        parent — from exactly the rows and config a worker would use,
-        so the tables are identical — and shipped through the arena
-        instead of being rebuilt N_workers times.
-        """
+        """Copy the scoring inputs into shared memory, once."""
         packed, masses, charges, dim = self._rows
-        arrays: Dict[str, np.ndarray] = {
-            "packed": packed,
-            "masses": masses,
-            "charges": charges,
-        }
-        ann_provenance = None
-        if self.config.ann is not None:
-            provenance = []
-            for shard_id, (start, stop) in enumerate(self._bounds):
-                lsh = self._ann_tables or HammingLSHIndex.build(
-                    packed[start:stop], dim, self.config.ann
-                )
-                provenance.append(lsh.provenance())
-                for key, value in lsh.to_arrays().items():
-                    arrays[f"shard{shard_id}.{key}"] = value
-            ann_provenance = tuple(provenance)
-        arena = SharedShardArena.create(arrays)
+        arena = SharedShardArena.create(
+            {"packed": packed, "masses": masses, "charges": charges}
+        )
         setup = {
             "spec": arena.spec(),
             "dim": dim,
             "charge_aware": self.windows.charge_aware,
             "bounds": self._bounds,
             "ann": self.config.ann,
-            "ann_provenance": ann_provenance,
         }
         return arena, setup
 

@@ -66,9 +66,8 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             query_ber: Per-query random bit-flip rate.
             reference_ber: Reference-side random bit-flip rate.
             noise_seed: Seed of the bit-flip generator.
-            ann: Optional ANN prefilter config; when set, large windows
-                are shortlisted via Hamming LSH instead of being
-                scored row by row.
+            ann: Optional ANN config; when set, large windows are
+                shortlisted on a row prefix before exact scoring.
             min_candidates: Smallest precursor window that may yield a
                 match.
 
@@ -127,9 +126,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
 
         Same amortisation as :meth:`HDOmsSearcher.from_index`: reference
         preprocessing and encoding are skipped, query preprocessing and
-        the encoder come from the index provenance.  Persisted ANN
-        tables are reused when ``ann`` matches the config they were
-        built with and no reference-side bit errors are injected.
+        the encoder come from the index provenance.
 
         Args:
             index: The persisted library index.

@@ -15,7 +15,7 @@ same integers with a GEMM.
 
 :class:`ShardScorer` is the unit of work the fan-out core
 (:mod:`repro.oms.loop`) and the process pool (:mod:`repro.exec.pool`)
-run: one part's kernel plus its optional ANN prefilter, built from a
+run: one part's kernel plus its optional ANN config, built from a
 *payload* dict (:func:`shard_payload`).  Serial, thread and process
 execution construct the identical scorer from identical inputs, which
 is what keeps the three modes bit-identical.
@@ -23,11 +23,11 @@ is what keeps the three modes bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..ann import OUTCOMES, CandidatePrefilter, HammingLSHIndex, PrefilterSelection
+from ..ann import OUTCOMES, AnnConfig, shortlist
 from ..hdc.packing import pack_bipolar
 from ..hdc.similarity import packed_dot_scores
 from ..obs.trace import get_tracer
@@ -41,14 +41,16 @@ class WindowWinners(NamedTuple):
         counts: Rows in each query's full precursor window.
         rows: Winning layout row per query (``-1`` for empty windows).
         scores: Winning dot-product score (``-inf`` for empty windows).
-        selections: The prefilter's decision per query, in query order
-            (empty without a prefilter).
+        ann_outcomes: Queries per :data:`repro.ann.OUTCOMES` entry
+            (all zero without an ANN config).
+        ann_scored_rows: Rows scored exactly for those queries.
     """
 
     counts: np.ndarray
     rows: np.ndarray
     scores: np.ndarray
-    selections: List[PrefilterSelection]
+    ann_outcomes: np.ndarray
+    ann_scored_rows: int
 
 
 class WindowKernel:
@@ -143,60 +145,54 @@ class WindowKernel:
         query_masses: np.ndarray,
         query_charges: np.ndarray,
         half_width: float,
-        prefilter: Optional[CandidatePrefilter] = None,
+        ann: Optional[AnnConfig] = None,
     ) -> WindowWinners:
         """Best row per query inside its ``+-half_width`` precursor window.
 
-        With a ``prefilter`` (built over the same rows, in the caller's
-        row order) every query is first offered to it: a
-        ``prefiltered`` outcome scores only the shortlist, gathered by
-        rank from the layout; ``bypass`` and ``fallback`` score their
-        whole contiguous window like everyone else.
+        With an ``ann`` config, a window it :meth:`~repro.ann.AnnConfig.
+        shortlists` is first ranked on the row prefix
+        (:func:`repro.ann.shortlist`, over the same contiguous range)
+        and only the shortlist is scored at full width; every other
+        window is scored whole.
         """
-        query_hvs = np.asarray(query_hvs)
         lows, highs = self.windows(query_masses, query_charges, half_width)
         counts = highs - lows
-        queries = pack_bipolar(query_hvs)
+        queries = pack_bipolar(np.asarray(query_hvs))
         rows = np.full(len(counts), -1, dtype=np.int64)
         scores = np.full(len(counts), -np.inf, dtype=np.float64)
-        selections: List[PrefilterSelection] = []
-        if prefilter is not None:
-            tracer = get_tracer()
-            for row in range(len(counts)):
-                with tracer.span("ann.prefilter") as span:
-                    selection = prefilter.select(
-                        query_hvs[row],
-                        float(query_masses[row]),
-                        int(query_charges[row]),
-                        half_width,
-                    )
-                    span.tag(
-                        outcome=selection.outcome,
-                        window=selection.window_count,
-                        shortlist=len(selection.positions),
-                    )
-                selections.append(selection)
-                if selection.outcome != "prefiltered":
-                    continue
-                # Ranks count from the bucket's first row and ascend, so
-                # the first maximum keeps the exact tie-break.
-                key = int(query_charges[row]) if self.charge_aware else 0
-                shortlist = self._buckets[key][0] + selection.ranks
-                with tracer.span("score.rerank", rows=len(shortlist)):
-                    shortlist_scores = packed_dot_scores(
-                        self._rows[shortlist], queries[row], self._dim
-                    )
-                best = int(np.argmax(shortlist_scores))
-                rows[row], scores[row] = shortlist[best], shortlist_scores[best]
-                lows[row] = highs[row]  # answered: skip the window pass
-        for row in np.flatnonzero(highs > lows):
-            low = int(lows[row])
-            window_scores = packed_dot_scores(
-                self._rows[low : highs[row]], queries[row], self._dim, self._tile
-            )
+        prefiltered = skipped_rows = 0
+        tracer = get_tracer()
+        for row in np.flatnonzero(counts > 0):
+            low, high = int(lows[row]), int(highs[row])
+            if ann is None or not ann.shortlists(high - low):
+                window_scores = packed_dot_scores(
+                    self._rows[low:high], queries[row], self._dim, self._tile
+                )
+                best = int(np.argmax(window_scores))
+                rows[row], scores[row] = low + best, window_scores[best]
+                continue
+            with tracer.span("ann.prefilter", outcome="prefiltered", window=high - low):
+                # Ascending layout rows, so the first maximum below
+                # keeps the exact tie-break.
+                candidates = low + shortlist(
+                    self._rows[low:high], queries[row], ann, self._tile
+                )
+            with tracer.span("score.rerank", rows=len(candidates)):
+                window_scores = packed_dot_scores(
+                    self._rows[candidates], queries[row], self._dim
+                )
             best = int(np.argmax(window_scores))
-            rows[row], scores[row] = low + best, window_scores[best]
-        return WindowWinners(counts, rows, scores, selections)
+            rows[row], scores[row] = candidates[best], window_scores[best]
+            prefiltered += 1
+            skipped_rows += high - low - len(candidates)
+        outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
+        scored_rows = 0
+        if ann is not None:
+            # Every query is counted, empty windows as bypasses.
+            outcomes[OUTCOMES.index("prefiltered")] = prefiltered
+            outcomes[OUTCOMES.index("bypass")] = len(counts) - prefiltered
+            scored_rows = int(counts.sum()) - skipped_rows
+        return WindowWinners(counts, rows, scores, outcomes, scored_rows)
 
 
 def shard_payload(
@@ -208,8 +204,7 @@ def shard_payload(
     *,
     dim: int,
     charge_aware: bool,
-    ann=None,
-    ann_tables: Optional[HammingLSHIndex] = None,
+    ann: Optional[AnnConfig] = None,
 ) -> Dict:
     """Build one shard's scorer payload from whole-library arrays.
 
@@ -229,7 +224,6 @@ def shard_payload(
         "charges": charges[start:stop],
         "charge_aware": charge_aware,
         "ann": ann,
-        "ann_tables": ann_tables,
     }
 
 
@@ -238,8 +232,8 @@ class ShardScorer:
 
     The kernel holds the shard's rows in (charge, mass, position) order
     and scores each query against its contiguous window; this class
-    maps its winners back to (mass, global library position) and runs
-    the optional ANN prefilter in front of it.
+    maps its winners back to (mass, global library position) and hands
+    the kernel the optional ANN config.
     """
 
     def __init__(self, payload: Dict) -> None:
@@ -257,21 +251,10 @@ class ShardScorer:
         )
         # Layout row -> global library position of the winner.
         self._positions = np.asarray(payload["positions"])[self.kernel.positions]
-        # Optional ANN prefilter: each shard hashes its *own* rows, so
-        # the shortlist union across shards is at least as inclusive as
-        # one global prefilter (every shard gets its full candidate
-        # budget).  Pre-built tables (from the arena) are adopted as-is;
-        # building here from the same rows + config yields identical
-        # tables, so both paths stay bit-identical.
-        self.prefilter: Optional[CandidatePrefilter] = None
-        ann = payload.get("ann")
-        tables = payload.get("ann_tables")
-        if tables is None and ann is not None:
-            tables = HammingLSHIndex.build(packed, dim, ann)
-        if tables is not None:
-            self.prefilter = CandidatePrefilter(
-                tables, masses, charges, charge_aware=self.charge_aware
-            )
+        # Each part shortlists its *own* windows with the full candidate
+        # budget, so the union across parts is at least as inclusive as
+        # one library-wide shortlist.
+        self.ann: Optional[AnnConfig] = payload.get("ann")
 
     def score_batch(
         self,
@@ -287,18 +270,13 @@ class ShardScorer:
         ``(0, -inf, +inf, -1)`` so they lose every merge comparison.
         ``counts`` holds full precursor-window sizes (even under ANN) so
         ``min_candidates`` gating in the parent is unchanged;
-        ``ann_outcomes`` is a length-3 count vector in
-        :data:`repro.ann.OUTCOMES` order and ``ann_scored_rows`` the
-        rows actually scored (both all-zero without a prefilter).
+        ``ann_outcomes`` is a count vector in :data:`repro.ann.OUTCOMES`
+        order and ``ann_scored_rows`` the rows actually scored (both
+        all-zero without an ANN config).
         """
         winners = self.kernel.search(
-            query_hvs, query_masses, query_charges, half_width, self.prefilter
+            query_hvs, query_masses, query_charges, half_width, self.ann
         )
-        ann_outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
-        ann_scored = np.zeros(1, dtype=np.int64)
-        for selection in winners.selections:
-            ann_outcomes[OUTCOMES.index(selection.outcome)] += 1
-            ann_scored[0] += len(selection.positions)
         found = winners.rows >= 0
         best_masses = np.full(len(found), np.inf, dtype=np.float64)
         best_masses[found] = self.kernel.masses[winners.rows[found]]
@@ -309,6 +287,6 @@ class ShardScorer:
             winners.scores,
             best_masses,
             best_positions,
-            ann_outcomes,
-            ann_scored,
+            winners.ann_outcomes,
+            np.array([winners.ann_scored_rows], dtype=np.int64),
         )

@@ -119,14 +119,8 @@ class FanOutSearcher:
     # row layout: in-memory row ranges unless a provider overrides
     # ------------------------------------------------------------------
 
-    def _adopt_rows(
-        self, references, packed, masses, charges, dim, bounds, ann_tables=None
-    ) -> None:
-        """Lay in-memory library arrays out as contiguous row ranges.
-
-        ``ann_tables`` (prebuilt over exactly these rows with
-        ``config.ann``) is only meaningful for a single range.
-        """
+    def _adopt_rows(self, references, packed, masses, charges, dim, bounds) -> None:
+        """Lay in-memory library arrays out as contiguous row ranges."""
         self.references = references
         self._rows = (
             packed,
@@ -135,7 +129,6 @@ class FanOutSearcher:
             int(dim),
         )
         self._bounds = tuple(bounds)
-        self._ann_tables = ann_tables
 
     def warm(self) -> None:
         """Open every in-memory row range now, not under the first batch.
@@ -152,13 +145,8 @@ class FanOutSearcher:
                 self._scorer(part)
 
     def _adopt_index(self, index: "LibraryIndex", num_parts: int) -> None:
-        """Lay a library index out as ``num_parts`` row ranges.
-
-        One range reuses the index's persisted ANN tables when they were
-        built with ``config.ann`` and no reference noise is injected.
-        """
+        """Lay a library index out as ``num_parts`` row ranges."""
         packed = np.asarray(index.packed)
-        tables = index.ann if num_parts == 1 else None
         if self.config.reference_ber > 0:
             # Same RNG draw order as HDOmsSearcher: one flip pass over
             # the full matrix before any query is touched.
@@ -167,9 +155,6 @@ class FanOutSearcher:
                     index.hypervectors(), self.config.reference_ber, self._noise_rng
                 )
             )
-            tables = None
-        if tables is not None and tables.config != self.config.ann:
-            tables = None
         self._adopt_rows(
             index.records(),
             packed,
@@ -177,24 +162,19 @@ class FanOutSearcher:
             index.charges,
             index.dim,
             index.shard_bounds(num_parts),
-            tables,
         )
 
     def _parts_for(self, low: float, high: float) -> Sequence[int]:
         return range(len(self._bounds))
 
     def _part_payload(self, part: int) -> Dict:
-        return self._payload(
-            part, self._bounds[part], *self._rows, ann_tables=self._ann_tables
-        )
+        return self._payload(part, self._bounds[part], *self._rows)
 
     def _reference(self, position: int):
         """The record at library row ``position``."""
         return self.references[position]
 
-    def _payload(
-        self, part, bounds, packed, masses, charges, dim, ann_tables=None
-    ) -> Dict:
+    def _payload(self, part, bounds, packed, masses, charges, dim) -> Dict:
         """:func:`shard_payload` with this searcher's scoring knobs filled in."""
         return shard_payload(
             part,
@@ -205,7 +185,6 @@ class FanOutSearcher:
             dim=dim,
             charge_aware=self.windows.charge_aware,
             ann=self.config.ann,
-            ann_tables=ann_tables,
         )
 
     # ------------------------------------------------------------------

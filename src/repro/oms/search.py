@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..ann import AnnConfig, AnnStats, CandidatePrefilter, HammingLSHIndex
+from ..ann import AnnConfig, AnnRows, AnnStats, CandidatePrefilter
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.noise import flip_bits
 from ..hdc.packing import pack_bipolar
@@ -181,8 +181,8 @@ class HDSearchConfig:
     sign flips into query/stored hypervectors (Figure 11's x-axis).
 
     ``ann`` (optional :class:`~repro.ann.AnnConfig`) enables the
-    Hamming-LSH candidate prefilter: windows of at least
-    ``ann.ann_threshold`` rows are shortlisted approximately and only
+    truncated-precision candidate pass: windows of at least
+    ``ann.ann_threshold`` rows are shortlisted on a row prefix and only
     the shortlist is scored exactly.  ``min_candidates`` always gates
     on the *full* window size, not the shortlist size.
     """
@@ -300,37 +300,25 @@ class HDOmsSearcher:
         searcher.reference_hvs = reference_hvs
         searcher.backend.prepare(reference_hvs)
         searcher.index = CandidateIndex(searcher.references, searcher.windows)
-        searcher._init_prefilter(index=index)
+        searcher._init_prefilter()
         return searcher
 
-    def _init_prefilter(self, index: Optional["LibraryIndex"] = None) -> None:
-        """Build (or adopt) the ANN prefilter when ``config.ann`` is set.
+    def _init_prefilter(self) -> None:
+        """Set up the standalone coarse pass when ``config.ann`` is set.
 
-        Persisted hash tables from ``index`` are reused when they were
-        built with the same :class:`~repro.ann.AnnConfig` and no
-        reference-side bit errors are injected; otherwise fresh tables
-        are hashed from the (possibly noisy) reference hypervectors.
+        It reads the packed form of the (possibly noisy) reference
+        hypervectors this searcher scores.
         """
         self._prefilter: Optional[CandidatePrefilter] = None
         self.ann_stats: Optional[AnnStats] = None
         ann = self.config.ann
         if ann is None:
             return
-        lsh: Optional[HammingLSHIndex] = None
-        if (
-            index is not None
-            and self.config.reference_ber == 0
-            and index.ann is not None
-            and index.ann.config == ann
-        ):
-            lsh = index.ann
-        if lsh is None:
-            packed = pack_bipolar(self.reference_hvs)
-            lsh = HammingLSHIndex.build(packed, self.reference_hvs.shape[1], ann)
+        rows = AnnRows(pack_bipolar(self.reference_hvs), ann)
         masses = np.array([ref.neutral_mass for ref in self.references])
         charges = np.array([ref.precursor_charge for ref in self.references])
         self._prefilter = CandidatePrefilter(
-            lsh, masses, charges, charge_aware=self.windows.charge_aware
+            rows, masses, charges, charge_aware=self.windows.charge_aware
         )
         self.ann_stats = AnnStats()
 

@@ -326,8 +326,8 @@ class SearchClient:
           **add** a brand-new route when ``route`` names one the server
           does not serve yet;
         * ``remove=True`` — detach ``route`` and close it gracefully;
-        * ``ann=True`` / ``ann=False`` — toggle the route's Hamming-LSH
-          candidate prefilter on its already-loaded index (mutually
+        * ``ann=True`` / ``ann=False`` — toggle the route's ANN
+          candidate pass on its already-loaded index (mutually
           exclusive with the other forms).
         """
         if remove and index_path is not None:

@@ -383,7 +383,7 @@ class ServiceMetrics:
         self.ann_queries = self.registry.counter(
             "hdoms_service_ann_queries_total",
             "ANN prefilter decisions, by route and outcome "
-            "(bypass/prefiltered/fallback).",
+            "(bypass/prefiltered).",
             ("route", "outcome"),
         )
         self.ann_window_rows = self.registry.counter(
@@ -488,16 +488,11 @@ class RouteMetrics:
         """Record one batch's ANN counter increments.
 
         ``delta`` uses the :meth:`~repro.ann.AnnStats.snapshot` keys
-        (``bypassed`` / ``prefiltered`` / ``fallbacks`` / ``window_rows``
-        / ``scored_rows``); the candidate-ratio histogram gets one
+        (``bypassed`` / ``prefiltered`` / ``window_rows`` /
+        ``scored_rows``); the candidate-ratio histogram gets one
         sample per batch that touched at least one window row.
         """
-        outcomes = (
-            ("bypassed", "bypass"),
-            ("prefiltered", "prefiltered"),
-            ("fallbacks", "fallback"),
-        )
-        for key, outcome in outcomes:
+        for key, outcome in (("bypassed", "bypass"), ("prefiltered", "prefiltered")):
             count = delta.get(key, 0)
             if count > 0:
                 self.parent.ann_queries.inc(

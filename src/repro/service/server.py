@@ -106,7 +106,7 @@ class ServiceConfig:
     bit-identical PSMs.
 
     An ``engine_config.ann`` (:class:`~repro.ann.AnnConfig`) turns on
-    the Hamming-LSH candidate prefilter for this route's engine;
+    the truncated-precision candidate pass for this route's engine;
     results become approximate (see ``docs/ann-tuning.md``) and the
     cache fingerprint changes, so toggling it can never serve stale
     exact results for approximate requests or vice versa.

@@ -5,7 +5,7 @@ pair it with :func:`repro.ms.iter_spectra` and only ``segment_rows``
 spectra (plus one encode chunk) are ever resident — and flushes each
 full buffer as a tier-0 segment through the existing
 :meth:`~repro.index.library.LibraryIndex.build` pipeline (chunked
-charge-bucket encode, bit-packing, optional per-segment ANN tables).
+charge-bucket encode, bit-packing).
 The manifest is rewritten atomically after every segment, so a crash
 mid-ingest leaves a valid store holding the segments completed so far.
 
@@ -26,7 +26,6 @@ from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
-from ..ann import AnnConfig
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace, HDSpaceConfig
 from ..index.library import (
@@ -71,7 +70,6 @@ class StreamingStoreBuilder:
         binning: Optional[BinningConfig] = None,
         preprocessing: Optional[PreprocessingConfig] = None,
         encoder: Optional[SpectrumEncoder] = None,
-        ann: Optional[AnnConfig] = None,
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         source: str = "",
@@ -85,8 +83,6 @@ class StreamingStoreBuilder:
             binning: Peak binning config.
             preprocessing: Spectrum preprocessing config.
             encoder: Ready encoder to share across builds.
-            ann: When set, every segment gets persisted Hamming-LSH
-                tables built with this config.
             segment_rows: Spectra buffered per segment flush.
             chunk_size: Spectra per fused encode call inside a flush.
             source: Free-form origin recorded on each segment.
@@ -124,14 +120,11 @@ class StreamingStoreBuilder:
         preprocessing = preprocessing or PreprocessingConfig()
         self._encoder = encoder
         self._preprocessing = preprocessing
-        self._ann = ann
         self._segment_rows = segment_rows
         self._chunk_size = chunk_size
         self._source = source
         if manifest is not None:
-            manifest.validate_configs(
-                space_config, binning, preprocessing, ann, check_ann=True
-            )
+            manifest.validate_configs(space_config, binning, preprocessing)
             self.manifest = manifest
         else:
             if StoreManifest.manifest_path(self.root).exists():
@@ -140,7 +133,7 @@ class StreamingStoreBuilder:
                     "append_store() to add spectra to it"
                 )
             self.manifest = StoreManifest.from_configs(
-                space_config, binning, preprocessing, ann
+                space_config, binning, preprocessing
             )
         self._next_id = self.manifest.next_segment_id()
         self._buffer: List[Spectrum] = []
@@ -185,7 +178,6 @@ class StreamingStoreBuilder:
             preprocessing=self._preprocessing,
             chunk_size=self._chunk_size,
             source=self._source,
-            ann=self._ann,
         )
         self.num_dropped += len(buffer) - index.num_references
         name = f"seg-{self._next_id:06d}.npz"
@@ -237,7 +229,6 @@ def build_store(
     binning: Optional[BinningConfig] = None,
     preprocessing: Optional[PreprocessingConfig] = None,
     encoder: Optional[SpectrumEncoder] = None,
-    ann: Optional[AnnConfig] = None,
     segment_rows: int = DEFAULT_SEGMENT_ROWS,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     source: str = "",
@@ -256,7 +247,6 @@ def build_store(
         binning=binning,
         preprocessing=preprocessing,
         encoder=encoder,
-        ann=ann,
         segment_rows=segment_rows,
         chunk_size=chunk_size,
         source=source,
@@ -292,7 +282,7 @@ def append_store(
             holds no manifest.
     """
     manifest = StoreManifest.load(root)
-    stored_space, stored_binning, stored_pre, stored_ann = manifest.configs()
+    stored_space, stored_binning, stored_pre = manifest.configs()
     manifest.validate_configs(space_config, binning, preprocessing)
     if encoder is not None and encoder.space.config != stored_space:
         raise StoreCompatibilityError(
@@ -305,7 +295,6 @@ def append_store(
         binning=stored_binning,
         preprocessing=stored_pre,
         encoder=encoder,
-        ann=stored_ann,
         segment_rows=segment_rows,
         chunk_size=chunk_size,
         source=source,
@@ -337,7 +326,7 @@ def merge_store(
     """
     root = Path(root)
     manifest = StoreManifest.load(root)
-    space, binning, preprocessing, ann = manifest.configs()
+    space, binning, preprocessing = manifest.configs()
 
     groups: List[List[SegmentMeta]] = []
     for meta in manifest.segments:
@@ -388,10 +377,6 @@ def merge_store(
             preprocessing=preprocessing,
             source="merge",
         )
-        if ann is not None:
-            # Tables hash over the merged row set; rebuilt, not stitched
-            # (bucket contents depend on local row numbering).
-            merged.attach_ann(ann)
         name = f"seg-{next_id:06d}.npz"
         next_id += 1
         path = merged.save(root / SEGMENT_DIR / name)

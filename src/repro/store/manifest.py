@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..ann import AnnConfig
 from ..hdc.spaces import HDSpaceConfig
 from ..index.library import INDEX_FORMAT_VERSION
 from ..ms.preprocessing import PreprocessingConfig
@@ -109,14 +108,12 @@ class StoreManifest:
         space: Dict,
         binning: Dict,
         preprocessing: Dict,
-        ann: Optional[Dict] = None,
         segments: Optional[List[SegmentMeta]] = None,
     ) -> None:
         self.dim = int(dim)
         self.space = dict(space)
         self.binning = dict(binning)
         self.preprocessing = dict(preprocessing)
-        self.ann = dict(ann) if ann is not None else None
         self.segments: List[SegmentMeta] = list(segments or [])
 
     # ------------------------------------------------------------------
@@ -129,7 +126,6 @@ class StoreManifest:
         space_config: HDSpaceConfig,
         binning: BinningConfig,
         preprocessing: PreprocessingConfig,
-        ann: Optional[AnnConfig] = None,
     ) -> "StoreManifest":
         """Create an empty manifest recording the given provenance."""
         return cls(
@@ -137,7 +133,6 @@ class StoreManifest:
             space=dataclasses.asdict(space_config),
             binning=dataclasses.asdict(binning),
             preprocessing=dataclasses.asdict(preprocessing),
-            ann=dataclasses.asdict(ann) if ann is not None else None,
         )
 
     @classmethod
@@ -170,7 +165,6 @@ class StoreManifest:
             space=payload["space"],
             binning=payload["binning"],
             preprocessing=payload["preprocessing"],
-            ann=payload.get("ann"),
             segments=[SegmentMeta.from_dict(s) for s in payload["segments"]],
         )
 
@@ -183,7 +177,6 @@ class StoreManifest:
             "space": self.space,
             "binning": self.binning,
             "preprocessing": self.preprocessing,
-            "ann": self.ann,
             "segments": [meta.to_dict() for meta in self.segments],
         }
 
@@ -211,13 +204,12 @@ class StoreManifest:
 
     def configs(
         self,
-    ) -> Tuple[HDSpaceConfig, BinningConfig, PreprocessingConfig, Optional[AnnConfig]]:
+    ) -> Tuple[HDSpaceConfig, BinningConfig, PreprocessingConfig]:
         """Reconstruct the dataclass configs the manifest records."""
         return (
             HDSpaceConfig(**self.space),
             BinningConfig(**self.binning),
             PreprocessingConfig(**self.preprocessing),
-            AnnConfig(**self.ann) if self.ann is not None else None,
         )
 
     def validate_configs(
@@ -225,19 +217,16 @@ class StoreManifest:
         space_config: Optional[HDSpaceConfig] = None,
         binning: Optional[BinningConfig] = None,
         preprocessing: Optional[PreprocessingConfig] = None,
-        ann: Optional[AnnConfig] = None,
-        check_ann: bool = False,
     ) -> None:
         """Reject configs that disagree with the recorded provenance.
 
-        Only the arguments actually supplied are checked (``ann`` only
-        when ``check_ann`` is set, since ``None`` is a meaningful ANN
-        value), so callers can pass through user overrides untouched.
+        Only the arguments actually supplied are checked, so callers
+        can pass through user overrides untouched.
 
         Raises:
             StoreCompatibilityError: Naming every mismatched section.
         """
-        stored_space, stored_binning, stored_pre, stored_ann = self.configs()
+        stored_space, stored_binning, stored_pre = self.configs()
         mismatches = []
         if space_config is not None and space_config != stored_space:
             mismatches.append("space")
@@ -245,8 +234,6 @@ class StoreManifest:
             mismatches.append("binning")
         if preprocessing is not None and preprocessing != stored_pre:
             mismatches.append("preprocessing")
-        if check_ann and ann != stored_ann:
-            mismatches.append("ann")
         if mismatches:
             raise StoreCompatibilityError(
                 "store provenance mismatch on append: requested config "
@@ -287,7 +274,6 @@ class StoreManifest:
             "space": self.space,
             "binning": self.binning,
             "preprocessing": self.preprocessing,
-            "ann": self.ann,
             "num_references": self.num_references,
             "segments": [meta.to_dict() for meta in self.segments],
         }

@@ -124,9 +124,6 @@ class SegmentedSearcher(FanOutSearcher):
     def _part_payload(self, segment_id: int) -> Dict:
         """Open one segment: its payload, its records, one more open counted."""
         segment = self.store.segment(segment_id)
-        tables = segment.ann
-        if tables is not None and tables.config != self.config.ann:
-            tables = None
         payload = self._payload(
             segment_id,
             (0, segment.num_references),
@@ -134,7 +131,6 @@ class SegmentedSearcher(FanOutSearcher):
             segment.neutral_masses,
             segment.charges,
             segment.dim,
-            ann_tables=tables,
         )
         # Winners must carry *global* row numbers so the exact
         # tie-break (score, mass, position) matches a monolithic index.

@@ -13,13 +13,11 @@ laziness assertable in tests.
 from __future__ import annotations
 
 import threading
-import zipfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Union
 
 import numpy as np
 
-from ..ann import AnnConfig
 from ..hdc.spaces import HDSpaceConfig
 from ..index.library import LibraryIndex, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
@@ -114,7 +112,7 @@ class SegmentedStore:
         )
         try:
             index = LibraryIndex.load(self.root / meta.file, mmap=mmap)
-            index.validate(*self.manifest.configs()[:3])
+            index.validate(*self.manifest.configs())
             masses = index.neutral_masses
             found = (
                 index.num_references, index.dim, float(masses.min()), float(masses.max())
@@ -124,9 +122,9 @@ class SegmentedStore:
                     "its (rows, dim, mass_min, mass_max) is "
                     f"{found}, the manifest says {expected}"
                 )
-        # ValueError: the mismatch above, IndexCompatibilityError, or a
-        # truncated .npy member.
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as error:
+        # ValueError: the mismatch above or IndexCompatibilityError (an
+        # unreadable file, or one encoded under other configs).
+        except ValueError as error:
             raise SegmentIntegrityError(
                 f"segment {meta.file} cannot be used: "
                 f"{type(error).__name__}: {' '.join(str(error).split())}"
@@ -198,17 +196,12 @@ class SegmentedStore:
         """Preprocessing every segment's rows went through."""
         return self.manifest.configs()[2]
 
-    @property
-    def ann_config(self) -> Optional[AnnConfig]:
-        """ANN configuration persisted per segment (None = no tables)."""
-        return self.manifest.configs()[3]
-
     def make_encoder(self):
         """Reconstruct the query encoder from the recorded provenance."""
         from ..hdc.encoder import SpectrumEncoder
         from ..hdc.spaces import HDSpace
 
-        space, binning, _pre, _ann = self.manifest.configs()
+        space, binning, _pre = self.manifest.configs()
         return SpectrumEncoder(HDSpace(space), binning)
 
     def provenance(self) -> dict:
@@ -224,11 +217,10 @@ class SegmentedStore:
     def summary(self) -> str:
         """One-line human-readable description."""
         tiers = sorted({meta.tier for meta in self.manifest.segments})
-        suffix = "+ann" if self.manifest.ann is not None else ""
         return (
             f"SegmentedStore: {self.num_references} references in "
             f"{self.num_segments} segments (tiers {tiers}), dim "
-            f"{self.dim}{suffix}, at {self.root}"
+            f"{self.dim}, at {self.root}"
         )
 
     # ------------------------------------------------------------------
@@ -254,7 +246,7 @@ class SegmentedStore:
             self.segment(segment_id, mmap=mmap)
             for segment_id in range(self.num_segments)
         ]
-        space, binning, preprocessing, _ann = self.manifest.configs()
+        space, binning, preprocessing = self.manifest.configs()
         return LibraryIndex(
             packed=np.concatenate([np.asarray(part.packed) for part in parts]),
             dim=self.dim,

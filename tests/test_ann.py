@@ -1,31 +1,26 @@
-"""Tests for the Hamming-LSH candidate prefilter (`repro.ann`).
+"""Tests for the truncated-precision candidate pass (`repro.ann`).
 
-Covers the config validation, the LSH index itself (determinism,
-persistence round-trip, provenance checks), the prefilter's three
-outcomes — bypass under ``ann_threshold``, fallback on an empty
-shortlist, prefiltered otherwise — the library-index persistence
-plumbing, the searcher wiring, and a hypothesis property pinning the
-exact re-rank to brute force on the shortlisted rows.
+Covers the config validation, the one shortlist function (budget, the
+tie rule at the cut, full-width prefixes, odd row widths), the
+standalone prefilter's two outcomes — bypass under ``ann_threshold`` or
+at most ``candidate_budget`` rows, prefiltered otherwise (the same
+cases through the window kernel are in ``test_property_kernel.py``),
+archives written by builds that still persisted LSH tables, the searcher and service wiring, a recall floor
+on realistic queries, and a hypothesis property pinning the exact
+re-rank to brute force on the shortlisted rows.
 """
 
 import json
-import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann import (
-    ANN_FORMAT_VERSION,
-    AnnConfig,
-    AnnStats,
-    CandidatePrefilter,
-    HammingLSHIndex,
-)
+from repro.ann import AnnConfig, AnnRows, AnnStats, CandidatePrefilter, shortlist
 from repro.hdc.packing import pack_bipolar
-from repro.index.library import IndexCompatibilityError, LibraryIndex
-from repro.oms.search import HDOmsSearcher, HDSearchConfig
+from repro.index.library import LibraryIndex
+from repro.oms.search import HDOmsSearcher, HDSearchConfig, PackedBackend
 
 DIM = 256
 
@@ -36,13 +31,11 @@ def _random_bipolar(rng, rows, dim=DIM):
     )
 
 
-def _small_lsh(rows=64, seed=3, **config_kwargs):
-    rng = np.random.default_rng(seed)
-    hvs = _random_bipolar(rng, rows)
-    kwargs = {"num_tables": 4, "bits_per_hash": 8, "ann_threshold": 0}
-    kwargs.update(config_kwargs)
-    config = AnnConfig(**kwargs)
-    return hvs, HammingLSHIndex.build(pack_bipolar(hvs), DIM, config)
+def _flipped(rng, hv, flips):
+    noisy = hv.copy()
+    positions = rng.choice(len(hv), size=flips, replace=False)
+    noisy[positions] = -noisy[positions]
+    return noisy
 
 
 # ----------------------------------------------------------------------
@@ -53,93 +46,82 @@ def _small_lsh(rows=64, seed=3, **config_kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"num_tables": 0},
-        {"bits_per_hash": 0},
-        {"bits_per_hash": 33},
-        {"multiprobe_radius": -1},
-        {"multiprobe_radius": 3},
-        {"multiprobe_radius": 2, "bits_per_hash": 1},
+        {"prefix_words": 0},
+        {"prefix_words": -1},
         {"candidate_budget": 0},
         {"ann_threshold": -1},
+        # The Hamming-LSH knobs are gone, not silently accepted.
+        {"num_tables": 4},
+        {"bits_per_hash": 8},
+        {"multiprobe_radius": 1},
+        {"seed": 3},
     ],
 )
 def test_ann_config_rejects_bad_knobs(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises((TypeError, ValueError)):
         AnnConfig(**kwargs)
 
 
 def test_ann_config_defaults_are_valid():
     config = AnnConfig()
-    assert config.num_tables == 8
-    assert config.bits_per_hash == 16
-    assert config.candidate_budget == 256
+    assert (config.prefix_words, config.candidate_budget, config.ann_threshold) == (
+        32, 256, 1024,
+    )
+    assert config.prefix_bytes == 256
+    assert config.shortlists(1024) and not config.shortlists(1023)
+    # A window the budget already covers has nothing to cut.
+    assert not AnnConfig(ann_threshold=0, candidate_budget=8).shortlists(8)
 
 
 # ----------------------------------------------------------------------
-# LSH index
+# the shortlist function
 # ----------------------------------------------------------------------
 
 
-def test_lsh_build_is_deterministic():
-    hvs, lsh = _small_lsh()
-    _, again = _small_lsh()
-    rng = np.random.default_rng(9)
-    query = hvs[17]
-    assert np.array_equal(lsh.query(query), again.query(query))
-    noisy = query.copy()
-    flips = rng.choice(DIM, size=12, replace=False)
-    noisy[flips] = -noisy[flips]
-    assert np.array_equal(lsh.query(noisy), again.query(noisy))
+def test_shortlist_keeps_the_budget_nearest_rows_ascending():
+    rng = np.random.default_rng(3)
+    hvs = _random_bipolar(rng, 128)
+    config = AnnConfig(prefix_words=1, candidate_budget=5, ann_threshold=0)
+    for row in (0, 13, 127):
+        kept = shortlist(pack_bipolar(hvs), pack_bipolar(hvs[row]), config)
+        assert len(kept) == 5 and np.all(np.diff(kept) > 0)
+        # An identical row has prefix distance 0: always shortlisted.
+        assert row in kept
+    # Tiling the XOR never changes the result.
+    noisy = pack_bipolar(_flipped(rng, hvs[7], 40))
+    whole = shortlist(pack_bipolar(hvs), noisy, config)
+    for block_rows in (1, 3, 1 << 12):
+        assert np.array_equal(
+            shortlist(pack_bipolar(hvs), noisy, config, block_rows), whole
+        )
 
 
-def test_lsh_exact_row_is_always_shortlisted():
-    """A query identical to a library row collides in every table."""
-    hvs, lsh = _small_lsh()
-    for row in (0, 13, 63):
-        assert row in lsh.query(hvs[row])
+def test_shortlist_ties_at_the_cut_keep_the_lower_row():
+    rng = np.random.default_rng(4)
+    near, far = _random_bipolar(rng, 2)
+    # Rows 1, 3, 4, 6, 8 tie at distance 0; the budget cuts among them.
+    hvs = np.stack([far, near, far, near, near, far, near, far, near])
+    config = AnnConfig(prefix_words=4, candidate_budget=3, ann_threshold=0)
+    kept = shortlist(pack_bipolar(hvs), pack_bipolar(near), config)
+    assert kept.tolist() == [1, 3, 4]
 
 
-def test_lsh_respects_candidate_budget():
-    hvs, lsh = _small_lsh(rows=128, candidate_budget=5)
-    shortlist = lsh.query(hvs[0])
-    assert 0 < len(shortlist) <= 5
-
-
-def test_lsh_rejects_mismatched_packed_shape():
-    rng = np.random.default_rng(0)
-    hvs = _random_bipolar(rng, 8)
-    with pytest.raises(ValueError, match="does not match dim"):
-        HammingLSHIndex.build(pack_bipolar(hvs), DIM * 2)
-
-
-def test_lsh_rejects_dim_smaller_than_key():
-    rng = np.random.default_rng(0)
-    hvs = _random_bipolar(rng, 8, dim=8)
-    with pytest.raises(ValueError, match="smaller than bits_per_hash"):
-        HammingLSHIndex.build(pack_bipolar(hvs), 8, AnnConfig(bits_per_hash=16))
-
-
-def test_lsh_array_roundtrip_preserves_queries():
-    hvs, lsh = _small_lsh()
-    rebuilt = HammingLSHIndex.from_arrays(lsh.provenance(), lsh.to_arrays())
-    for row in (1, 30):
-        assert np.array_equal(lsh.query(hvs[row]), rebuilt.query(hvs[row]))
-
-
-def test_lsh_from_arrays_rejects_bad_version():
-    _, lsh = _small_lsh()
-    provenance = lsh.provenance()
-    provenance["format_version"] = ANN_FORMAT_VERSION + 1
-    with pytest.raises(ValueError, match="format version"):
-        HammingLSHIndex.from_arrays(provenance, lsh.to_arrays())
-
-
-def test_lsh_from_arrays_rejects_row_mismatch():
-    _, lsh = _small_lsh()
-    provenance = lsh.provenance()
-    provenance["num_rows"] = lsh.num_rows + 1
-    with pytest.raises(ValueError, match="rows"):
-        HammingLSHIndex.from_arrays(provenance, lsh.to_arrays())
+@pytest.mark.parametrize("dim", [64, 100, 8191])
+def test_shortlist_handles_any_row_width(dim):
+    """13- and 1024-byte rows; prefixes narrower and wider than the row."""
+    rng = np.random.default_rng(dim)
+    hvs = _random_bipolar(rng, 40, dim)
+    hvs[30] = hvs[10]  # an exact duplicate: the lower row must win
+    query = _flipped(rng, hvs[10], dim // 16)
+    packed, packed_query = pack_bipolar(hvs), pack_bipolar(query)
+    scores = hvs.astype(np.int64) @ query.astype(np.int64)
+    for words in (1, 2, 1 << 10):
+        config = AnnConfig(prefix_words=words, candidate_budget=4, ann_threshold=0)
+        kept = shortlist(packed, packed_query, config)
+        assert len(kept) == 4 and np.all(np.diff(kept) > 0)
+        if words * 64 >= dim:
+            # A prefix covering the row ranks by the exact score.
+            assert kept[int(np.argmax(scores[kept]))] == int(np.argmax(scores)) == 10
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +131,14 @@ def test_lsh_from_arrays_rejects_row_mismatch():
 
 def _prefilter_fixture(rows=64, seed=5, **config_kwargs):
     rng = np.random.default_rng(seed)
-    hvs, lsh = _small_lsh(rows=rows, seed=seed, **config_kwargs)
+    hvs = _random_bipolar(rng, rows)
+    kwargs = {"prefix_words": 1, "candidate_budget": 16, "ann_threshold": 0}
+    kwargs.update(config_kwargs)
     masses = rng.uniform(800.0, 1200.0, size=rows)
     charges = np.full(rows, 2, dtype=np.int64)
-    prefilter = CandidatePrefilter(lsh, masses, charges, charge_aware=True)
+    prefilter = CandidatePrefilter(
+        AnnRows(pack_bipolar(hvs), AnnConfig(**kwargs)), masses, charges
+    )
     return hvs, masses, prefilter
 
 
@@ -165,6 +151,14 @@ def test_prefilter_bypasses_small_windows():
     assert len(selection.positions) == len(masses)
     # Positions come back in (mass, position) order — brute force's.
     assert np.all(np.diff(masses[selection.positions]) >= 0)
+
+
+def test_prefilter_bypasses_windows_the_budget_covers():
+    """No ``argpartition`` on an array no longer than the budget."""
+    hvs, masses, prefilter = _prefilter_fixture(candidate_budget=64)
+    selection = prefilter.select(hvs[0], float(masses[0]), 2, 500.0)
+    assert selection.outcome == "bypass"
+    assert len(selection.positions) == selection.window_count == 64
 
 
 def test_prefilter_empty_window_is_a_bypass():
@@ -184,79 +178,36 @@ def test_prefilter_unknown_charge_is_a_bypass():
 
 def test_prefilter_prefiltered_rows_lie_in_window():
     hvs, masses, prefilter = _prefilter_fixture()
-    selection = prefilter.select(hvs[3], float(masses[3]), 2, 100.0)
+    selection = prefilter.select(hvs[3], float(masses[3]), 2, 150.0)
     assert selection.outcome == "prefiltered"
+    assert len(selection.positions) == 16 < selection.window_count
     assert 3 in selection.positions
-    assert np.all(np.abs(masses[selection.positions] - masses[3]) <= 100.0)
-    # Sorted ranks reproduce the exact scorer's tie-break order.
-    assert np.all(np.diff(selection.ranks) > 0)
-
-
-class _EmptyShortlistLSH:
-    """Stub LSH whose shortlist always misses (forces the fallback)."""
-
-    def __init__(self, num_rows, config):
-        self.num_rows = num_rows
-        self.config = config
-
-    def query(self, query_hv):
-        return np.empty(0, dtype=np.int64)
-
-
-def test_prefilter_empty_shortlist_falls_back_to_full_window():
-    """An empty shortlist must degrade to brute force, never to a miss."""
-    rng = np.random.default_rng(11)
-    rows = 32
-    masses = rng.uniform(900.0, 1100.0, size=rows)
-    charges = np.full(rows, 2, dtype=np.int64)
-    lsh = _EmptyShortlistLSH(rows, AnnConfig(ann_threshold=0))
-    prefilter = CandidatePrefilter(lsh, masses, charges, charge_aware=True)
-    selection = prefilter.select(
-        _random_bipolar(rng, 1)[0], float(masses[0]), 2, 500.0
-    )
-    assert selection.outcome == "fallback"
-    assert selection.window_count == len(selection.positions)
-    assert set(selection.positions) == set(
-        np.flatnonzero(np.abs(masses - masses[0]) <= 500.0)
-    )
+    assert np.all(np.abs(masses[selection.positions] - masses[3]) <= 150.0)
+    # (mass, position) order reproduces the exact scorer's tie-break.
+    assert np.all(np.diff(masses[selection.positions]) >= 0)
 
 
 def test_prefilter_rejects_metadata_length_mismatch():
-    _, lsh = _small_lsh(rows=16)
+    rows = AnnRows(pack_bipolar(_random_bipolar(np.random.default_rng(0), 16)), AnnConfig())
     with pytest.raises(ValueError, match="disagree"):
-        CandidatePrefilter(
-            lsh, np.zeros(15), np.zeros(15, dtype=np.int64), charge_aware=True
-        )
+        CandidatePrefilter(rows, np.zeros(15), np.zeros(15, dtype=np.int64))
 
 
 def test_ann_stats_accumulates_and_rejects_unknown():
     stats = AnnStats()
     stats.record("bypass", 10, 10)
     stats.record("prefiltered", 100, 8)
-    stats.record_batch(np.array([1, 0, 2]), 50, 30)
-    snapshot = stats.snapshot()
-    assert snapshot["bypassed"] == 2
-    assert snapshot["prefiltered"] == 1
-    assert snapshot["fallbacks"] == 2
-    assert snapshot["window_rows"] == 160
-    assert snapshot["scored_rows"] == 48
+    stats.record_batch(np.array([1, 2]), 50, 30)
+    assert stats.snapshot() == {
+        "bypassed": 2, "prefiltered": 3, "window_rows": 160, "scored_rows": 48,
+    }
     with pytest.raises(KeyError):
-        stats.record("nope", 1, 1)
+        stats.record("fallback", 1, 1)
 
 
 # ----------------------------------------------------------------------
-# library-index persistence
+# library-index persistence: nothing of the tier is stored
 # ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def ann_index(small_workload_module):
-    index = LibraryIndex.build(
-        small_workload_module.references,
-        space_config=_space_config(),
-        ann=AnnConfig(num_tables=4, bits_per_hash=8, ann_threshold=0),
-    )
-    return index
 
 
 def _space_config():
@@ -275,75 +226,49 @@ def small_workload_module():
     )
 
 
-def test_index_roundtrips_ann_tables(ann_index, tmp_path):
-    path = ann_index.save(tmp_path / "lib.npz")
-    loaded = LibraryIndex.load(path)
-    assert loaded.ann is not None
-    assert loaded.ann.config == ann_index.ann.config
-    assert loaded.ann.num_rows == ann_index.num_references
-    assert "ANN 4x8b" in loaded.summary()
-    assert loaded.provenance()["ann"] == ann_index.provenance()["ann"]
+SMALL_ANN = AnnConfig(prefix_words=2, candidate_budget=8, ann_threshold=0)
 
 
 def test_index_without_ann_loads_none(small_workload_module, tmp_path):
     index = LibraryIndex.build(
         small_workload_module.references, space_config=_space_config()
     )
-    loaded = LibraryIndex.load(index.save(tmp_path / "plain.npz"))
+    assert index.attach_ann(SMALL_ANN).packed is index.packed
+    path = index.save(tmp_path / "plain.npz")
+    with np.load(path) as archive:
+        assert not [name for name in archive.files if name.startswith("ann")]
+    loaded = LibraryIndex.load(path)
     assert loaded.ann is None
-    assert loaded.provenance()["ann"] is None
+    assert "ann" not in loaded.provenance()
 
 
-def test_index_load_rejects_tampered_ann_provenance(ann_index, tmp_path):
-    """A corrupted persisted ANN section must raise, not half-load."""
-    path = ann_index.save(tmp_path / "lib.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    provenance = json.loads(str(members["ann_json"][()]))
-    provenance["num_rows"] = provenance["num_rows"] + 1
-    members["ann_json"] = np.array(json.dumps(provenance))
-    tampered = tmp_path / "tampered.npz"
-    np.savez(tampered, **members)
-    with pytest.raises(IndexCompatibilityError, match="ANN"):
-        LibraryIndex.load(tampered)
-
-
-def test_index_load_rejects_missing_ann_arrays(ann_index, tmp_path):
-    path = ann_index.save(tmp_path / "lib.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    del members["ann_sorted_keys"]
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **members)
-    with pytest.raises(IndexCompatibilityError, match="ANN"):
-        LibraryIndex.load(broken)
-
-
-def test_index_rejects_foreign_ann_tables(small_workload_module):
-    """Constructor refuses tables whose rows disagree with the index."""
+def test_archive_with_old_ann_members_opens_and_searches_identically(
+    small_workload_module, tmp_path
+):
+    """Archives of LSH-era builds still carry ``ann_*``; it is never read."""
     index = LibraryIndex.build(
         small_workload_module.references, space_config=_space_config()
     )
-    rng = np.random.default_rng(6)
-    foreign = HammingLSHIndex.build(
-        pack_bipolar(_random_bipolar(rng, index.num_references + 3, dim=512)),
-        512,
-        AnnConfig(num_tables=2, bits_per_hash=8),
-    )
-    with pytest.raises(IndexCompatibilityError, match="ANN"):
-        LibraryIndex(
-            packed=index.packed,
-            dim=index.dim,
-            identifiers=index.identifiers,
-            peptide_keys=index.peptide_keys,
-            is_decoy=index.is_decoy,
-            neutral_masses=index.neutral_masses,
-            charges=index.charges,
-            space_config=index.space_config,
-            binning=index.binning,
-            preprocessing=index.preprocessing,
-            ann=foreign,
+    path = index.save(tmp_path / "new.npz")
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    provenance = json.loads(str(members["provenance_json"][()]))
+    provenance["ann"] = {"format_version": 1, "num_rows": 7, "config": {"num_tables": 4}}
+    members["provenance_json"] = np.array(json.dumps(provenance))
+    members["ann_json"] = np.array(json.dumps(provenance["ann"]))
+    members["ann_bit_positions"] = np.zeros((4, 8), dtype=np.int64)
+    members["ann_sorted_keys"] = np.zeros((4, 7), dtype=np.uint64)
+    np.savez(tmp_path / "old.npz", **members)
+    old = LibraryIndex.load(tmp_path / "old.npz")
+    assert old.ann is None and old.provenance() == index.provenance()
+    for config in (HDSearchConfig(), HDSearchConfig(ann=SMALL_ANN)):
+        expected = HDOmsSearcher.from_index(index, config=config).search(
+            small_workload_module.queries
         )
+        got = HDOmsSearcher.from_index(old, config=config).search(
+            small_workload_module.queries
+        )
+        assert got.psms == expected.psms
 
 
 # ----------------------------------------------------------------------
@@ -374,27 +299,7 @@ def test_searcher_with_huge_threshold_matches_brute_force(
     ] == [(p.query_id, p.reference_id, p.score) for p in ann_result.psms]
     snapshot = ann.ann_stats.snapshot()
     assert snapshot["prefiltered"] == 0
-    assert snapshot["fallbacks"] == 0
     assert snapshot["bypassed"] > 0
-
-
-def test_searcher_reuses_persisted_tables(ann_index):
-    searcher = HDOmsSearcher.from_index(
-        ann_index,
-        config=HDSearchConfig(ann=ann_index.ann.config),
-    )
-    assert searcher._prefilter is not None
-    assert searcher._prefilter.lsh is ann_index.ann
-
-
-def test_searcher_rebuilds_on_config_mismatch(ann_index):
-    other = AnnConfig(num_tables=2, bits_per_hash=8, ann_threshold=0)
-    searcher = HDOmsSearcher.from_index(
-        ann_index, config=HDSearchConfig(ann=other)
-    )
-    assert searcher._prefilter is not None
-    assert searcher._prefilter.lsh is not ann_index.ann
-    assert searcher._prefilter.lsh.config == other
 
 
 def test_service_set_ann_toggles_engine_and_clears_cache(
@@ -405,42 +310,79 @@ def test_service_set_ann_toggles_engine_and_clears_cache(
     from repro.service.server import SearchService, ServiceConfig
 
     index = LibraryIndex.build(
-        small_workload_module.references,
-        space_config=_space_config(),
-        ann=AnnConfig(num_tables=4, bits_per_hash=8, ann_threshold=0),
+        small_workload_module.references, space_config=_space_config()
     )
     path = index.save(tmp_path / "svc.npz")
     with SearchService(
-        path,
-        ServiceConfig(
-            engine_config=EngineConfig(
-                ann=AnnConfig(num_tables=4, bits_per_hash=8, ann_threshold=0)
-            )
-        ),
+        path, ServiceConfig(engine_config=EngineConfig(ann=SMALL_ANN))
     ) as service:
         assert service.engine_name == "shardedx1+ann"
         first = service.search_many(small_workload_module.queries[:6])
         ann_section = service.stats()["engine"]["ann"]
         assert ann_section["enabled"] is True
-        assert (
-            ann_section["prefiltered"]
-            + ann_section["fallbacks"]
-            + ann_section["bypassed"]
-            > 0
-        )
+        assert ann_section["prefiltered"] > 0
+        assert "fallbacks" not in ann_section
         label = service.set_ann(False)
         assert label == "shardedx1"
         assert service.stats()["engine"]["ann"] == {"enabled": False}
         exact = service.search_many(small_workload_module.queries[:6])
         assert len(exact) == len(first)
         # Re-enable without an explicit config: the remembered one
-        # comes back (4 tables, not the 8-table default).
+        # comes back (2 prefix words, not the 32-word default).
         assert service.set_ann(True) == "shardedx1+ann"
-        assert service.config.resolved_ann().num_tables == 4
+        assert service.config.resolved_ann() == SMALL_ANN
         # No-op toggle keeps the engine untouched.
         generation = service._generation
         assert service.set_ann(True) == "shardedx1+ann"
         assert service._generation == generation
+
+
+def test_default_config_recalls_the_top1_of_realistic_queries():
+    """45% modified / 10% foreign queries, windows above ``ann_threshold``."""
+    from repro.hdc.spaces import HDSpaceConfig
+    from repro.ms.synthetic import WorkloadConfig, build_workload
+    from repro.ms.vectorize import BinningConfig
+    from repro.oms import BatchedHDOmsSearcher
+
+    workload = build_workload(
+        WorkloadConfig(
+            name="ann-recall",
+            num_references=2600,
+            num_queries=120,
+            seed=11,
+            modification_probability=0.45,
+            foreign_fraction=0.10,
+            # One charge and a ~1.2 kDa mass span: every +-500 Da window
+            # holds more than 1024 rows.
+            charges=(2,),
+            charge_weights=(1.0,),
+            min_length=10,
+            max_length=16,
+        )
+    )
+    index = LibraryIndex.build(
+        workload.references,
+        space_config=HDSpaceConfig(dim=8192, num_bins=BinningConfig().num_bins, seed=2),
+    )
+    exact = HDOmsSearcher.from_index(index, backend=PackedBackend()).search(
+        workload.queries
+    )
+    searcher = BatchedHDOmsSearcher.from_index(index, ann=AnnConfig())
+    got = {psm.query_id: psm for psm in searcher.search(workload.queries).psms}
+    snapshot = searcher.ann_stats.snapshot()
+    assert snapshot["prefiltered"] >= 115  # a foreign mass may sit at the edge
+    assert snapshot["scored_rows"] < 0.35 * snapshot["window_rows"]
+    modified = {
+        query.identifier
+        for query in workload.queries
+        if query.peptide is not None and query.peptide.is_modified
+    }
+    for subset in (
+        exact.psms, [psm for psm in exact.psms if psm.query_id in modified]
+    ):
+        assert len(subset) >= 40
+        hits = sum(got.get(psm.query_id) == psm for psm in subset)
+        assert hits >= 0.97 * len(subset), (hits, len(subset))
 
 
 # ----------------------------------------------------------------------
@@ -463,17 +405,13 @@ def test_rerank_matches_brute_force_on_shortlist(seed, rows, half_width, flips):
     hvs = _random_bipolar(rng, rows)
     masses = rng.uniform(900.0, 1100.0, size=rows)
     charges = np.full(rows, 2, dtype=np.int64)
-    config = AnnConfig(
-        num_tables=4, bits_per_hash=8, ann_threshold=0, candidate_budget=16
+    config = AnnConfig(prefix_words=1, ann_threshold=0, candidate_budget=6)
+    prefilter = CandidatePrefilter(
+        AnnRows(pack_bipolar(hvs), config), masses, charges, charge_aware=True
     )
-    lsh = HammingLSHIndex.build(pack_bipolar(hvs), DIM, config)
-    prefilter = CandidatePrefilter(lsh, masses, charges, charge_aware=True)
 
     base = int(rng.integers(0, rows))
-    query = hvs[base].copy()
-    if flips:
-        positions = rng.choice(DIM, size=min(flips, DIM), replace=False)
-        query[positions] = -query[positions]
+    query = _flipped(rng, hvs[base], flips)
     mass = float(masses[base])
 
     # Brute force: stable (mass, position) candidate order, argmax.
@@ -492,14 +430,17 @@ def test_rerank_matches_brute_force_on_shortlist(seed, rows, half_width, flips):
 
     assert selection.window_count == len(window_positions)
     # The shortlist is always a subset of the window, in window order.
-    shortlist = selection.positions
-    assert set(shortlist).issubset(set(window_positions))
+    shortlist_rows = selection.positions
+    bypassed = selection.outcome == "bypass"
+    assert bypassed == (len(window_positions) <= 6)
+    assert len(shortlist_rows) == (len(window_positions) if bypassed else 6)
+    assert set(shortlist_rows).issubset(set(window_positions))
     order_of = {int(p): i for i, p in enumerate(window_positions)}
-    assert [order_of[int(p)] for p in shortlist] == sorted(
-        order_of[int(p)] for p in shortlist
+    assert [order_of[int(p)] for p in shortlist_rows] == sorted(
+        order_of[int(p)] for p in shortlist_rows
     )
 
-    shortlist_scores = hvs[shortlist].astype(np.int32) @ query.astype(np.int32)
-    ann_winner = int(shortlist[int(np.argmax(shortlist_scores))])
-    if brute_winner in set(int(p) for p in shortlist):
+    shortlist_scores = hvs[shortlist_rows].astype(np.int32) @ query.astype(np.int32)
+    ann_winner = int(shortlist_rows[int(np.argmax(shortlist_scores))])
+    if brute_winner in set(int(p) for p in shortlist_rows):
         assert ann_winner == brute_winner

@@ -25,7 +25,6 @@ _spec.loader.exec_module(trajectories)
 KEY_SETS = {
     "core": trajectories.CORE_KEYS,
     "score": trajectories.SCORE_KEYS,
-    "ann": trajectories.ANN_KEYS,
     "store": trajectories.STORE_KEYS,
     "coord": trajectories.COORD_KEYS,
 }
@@ -80,9 +79,6 @@ def test_required_scalars_must_be_numbers(results_dir):
         trajectories.record_trajectory(
             "BENCH_unit.json", entry, trajectories.CORE_KEYS
         )
-    # The ANN curve bodies are bench-specific, not scalars.
-    curve = dict(_entry(trajectories.ANN_KEYS), curve=[{"recall": 1.0}], flattening={})
-    trajectories.record_trajectory("BENCH_unit.json", curve, trajectories.ANN_KEYS)
 
 
 @pytest.mark.parametrize("leftover", ["{not json", '{"bench": "old"}'])

@@ -108,8 +108,8 @@ class TestShardedSearcherEngine:
         with pytest.raises(ValueError, match="conflicting ANN"):
             ShardedSearcher(
                 index,
-                config=HDSearchConfig(ann=AnnConfig(num_tables=2)),
-                engine=EngineConfig(ann=AnnConfig(num_tables=4)),
+                config=HDSearchConfig(ann=AnnConfig(prefix_words=2)),
+                engine=EngineConfig(ann=AnnConfig(prefix_words=4)),
             )
 
 
@@ -133,8 +133,8 @@ class TestFromIndexEngine:
         with pytest.raises(ValueError, match="conflicting ANN"):
             HDOmsSearcher.from_index(
                 index,
-                config=HDSearchConfig(ann=AnnConfig(num_tables=2)),
-                engine=EngineConfig(ann=AnnConfig(num_tables=4)),
+                config=HDSearchConfig(ann=AnnConfig(prefix_words=2)),
+                engine=EngineConfig(ann=AnnConfig(prefix_words=4)),
             )
 
     def test_batched_searcher_accepts_engine(self, index, queries):
@@ -150,8 +150,8 @@ class TestFromIndexEngine:
         with pytest.raises(ValueError, match="conflicting ANN"):
             BatchedHDOmsSearcher.from_index(
                 index,
-                ann=AnnConfig(num_tables=2),
-                engine=EngineConfig(ann=AnnConfig(num_tables=4)),
+                ann=AnnConfig(prefix_words=2),
+                engine=EngineConfig(ann=AnnConfig(prefix_words=4)),
             )
 
 

@@ -209,13 +209,12 @@ class TestPipelineMap:
 # ----------------------------------------------------------------------
 
 
-def _make_setup(arrays, *, ann=None, ann_provenance=None):
+def _make_setup(arrays, *, ann=None):
     return {
         "dim": DIM,
         "charge_aware": True,
         "bounds": _bounds(NUM_ROWS, NUM_SHARDS),
         "ann": ann,
-        "ann_provenance": ann_provenance,
     }
 
 
@@ -223,28 +222,15 @@ def _make_setup(arrays, *, ann=None, ann_provenance=None):
 def parity_env():
     """One arena + one process pool, shared by all hypothesis examples
     (pool startup is far too slow per-example)."""
-    from repro.ann import HammingLSHIndex
-
     _, packed, masses, charges = _library_arrays()
-    ann = AnnConfig(ann_threshold=1, candidate_budget=16, seed=3)
+    # Shards hold 32 rows of 4 words: a narrow prefix, a real cut.
+    ann = AnnConfig(prefix_words=1, candidate_budget=4, ann_threshold=1)
     arrays = {"packed": packed, "masses": masses, "charges": charges}
-    provenance = []
-    for start, stop in _bounds(NUM_ROWS, NUM_SHARDS):
-        lsh = HammingLSHIndex.build(packed[start:stop], DIM, ann)
-        provenance.append(lsh.provenance())
-        for key, value in lsh.to_arrays().items():
-            arrays[f"shard{len(provenance) - 1}.{key}"] = value
     arena = SharedShardArena.create(arrays)
 
     envs = {}
-    for label, ann_cfg, prov in [
-        ("exact", None, None),
-        ("ann", ann, tuple(provenance)),
-    ]:
-        setup = dict(
-            _make_setup(arrays, ann=ann_cfg, ann_provenance=prov),
-            spec=arena.spec(),
-        )
+    for label, ann_cfg in [("exact", None), ("ann", ann)]:
+        setup = dict(_make_setup(arrays, ann=ann_cfg), spec=arena.spec())
         process = ProcessShardExecutor(setup, num_workers=2)
         serial = [
             ShardScorer(arena_shard_payload(arena, setup, shard_id))

@@ -138,6 +138,58 @@ class TestRoundtrip:
             LibraryIndex.load(path)
 
 
+def _unreadable_index(index, tmp_path, fault):
+    """A path that cannot be loaded, the way ``fault`` says."""
+    if fault == "missing":
+        return tmp_path / "nope.npz"
+    if fault == "truncated":
+        whole = index.save(tmp_path / "mono.npz").read_bytes()
+        path = tmp_path / "trunc.npz"
+        path.write_bytes(whole[:20000])
+        return path
+    if fault == "member-missing":
+        with np.load(index.save(tmp_path / "mono.npz")) as archive:
+            members = {name: archive[name] for name in archive.files}
+        del members["neutral_masses"]
+        np.savez(tmp_path / "partial.npz", **members)
+        return tmp_path / "partial.npz"
+    path = tmp_path / "library.msp"  # "not-an-index": a text file
+    path.write_text("Name: PEPTIDE/2\nNum peaks: 1\n100.0 1.0\n" * 40)
+    return path
+
+
+@pytest.mark.parametrize(
+    "fault", ["missing", "truncated", "member-missing", "not-an-index"]
+)
+class TestUnreadableIndexFile:
+    """A monolithic index that cannot be read ends typed, never in a PSM."""
+
+    def test_load_raises_the_typed_error_naming_the_file(self, index, tmp_path, fault):
+        path = _unreadable_index(index, tmp_path, fault)
+        with pytest.raises(IndexCompatibilityError, match=path.name):
+            LibraryIndex.load(path)
+
+    def test_cli_reports_one_line_and_exits_2(
+        self, index, workload, tmp_path, capsys, fault
+    ):
+        from repro.cli import main
+        from repro.ms import write_mgf
+
+        write_mgf(workload.queries, tmp_path / "queries.mgf")
+        path = _unreadable_index(index, tmp_path, fault)
+        output = tmp_path / "psms.tsv"
+        capsys.readouterr()
+        assert main(
+            ["index", "search", "--index", str(path), "--queries",
+             str(tmp_path / "queries.mgf"), "--output", str(output)]
+        ) == 2
+        captured = capsys.readouterr()
+        report = captured.err.splitlines()[-1]
+        assert report.startswith("index search: ") and path.name in report
+        assert "Traceback" not in captured.err
+        assert "accepted" not in captured.out and not output.exists()
+
+
 class TestValidation:
     def test_matching_configs_pass(self, index, space_config, binning):
         index.validate(space_config, binning, index.preprocessing)

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.oms.kernel as kernel_module
-from repro.ann import AnnConfig, CandidatePrefilter, HammingLSHIndex
+from repro.ann import AnnConfig, AnnRows, CandidatePrefilter
 from repro.constants import PROTON_MASS
 from repro.engine import EngineConfig
 from repro.exec import ShardScorer, shard_payload
@@ -53,14 +53,8 @@ DIM = 64
 #: 12 Da open window edge, and far outliers.
 MASS_OFFSETS = (0.0, 0.0, 0.2, 0.4, 0.5, 0.6, 0.75, 1.0, 1.2, 11.5, 12.0, 12.5, 400.0)
 BASE_MASS = 1000.0
-TINY_ANN = AnnConfig(
-    num_tables=2,
-    bits_per_hash=4,
-    multiprobe_radius=0,
-    candidate_budget=4,
-    ann_threshold=2,
-    seed=1,
-)
+#: A one-word prefix covers a 64-dimensional row: the pass is exact.
+TINY_ANN = AnnConfig(prefix_words=1, candidate_budget=4, ann_threshold=2)
 
 
 @contextlib.contextmanager
@@ -140,7 +134,7 @@ def test_shard_scorer_equals_the_gather_loop(data):
     prefilter = None
     if payload["ann"] is not None:
         prefilter = CandidatePrefilter(
-            HammingLSHIndex.build(payload["packed"], dim, payload["ann"]),
+            AnnRows(payload["packed"], payload["ann"]),
             masses,
             charges,
             charge_aware=payload["charge_aware"],
@@ -190,6 +184,51 @@ def test_a_window_that_straddles_tiles_keeps_bounds_and_tie_break():
             assert winners.scores[query] == scores.max()
 
 
+def test_ann_ties_at_the_cut_keep_the_lower_mass_then_position():
+    rng = np.random.default_rng(8)
+    near, far = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2, 256))
+    # Library positions 1, 2, 4, 5 are identical rows; the lightest is
+    # position 4, then 1 and 5 share a mass (position breaks the tie).
+    hvs = np.stack([far, near, near, far, near, near, far])
+    masses = np.array([1000.0, 1002.0, 1003.0, 1001.0, 1000.5, 1002.0, 1004.0])
+    kernel = kernel_module.WindowKernel(pack_bipolar(hvs), masses, np.full(7, 2), dim=256)
+    ann = AnnConfig(prefix_words=1, candidate_budget=2, ann_threshold=0)
+    winners = kernel.search(near[None], np.array([1002.0]), np.array([2]), 10.0, ann)
+    assert winners.counts.tolist() == [7]
+    assert winners.ann_outcomes.tolist() == [0, 1] and winners.ann_scored_rows == 2
+    # Layout rows are (mass, position)-ordered: the first maximum of the
+    # shortlist is the lightest duplicate.
+    assert kernel.positions[winners.rows[0]] == 4
+    assert winners.scores[0] == 256
+
+
+@pytest.mark.parametrize("dim", [DIM, 100, 8191])
+def test_ann_bypasses_short_windows_and_equals_exact_at_full_width(dim):
+    rng = np.random.default_rng(dim + 1)
+    hvs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, dim))
+    masses = BASE_MASS + rng.integers(0, 6, 30)
+    charges = np.full(30, 2)
+    kernel = kernel_module.WindowKernel(pack_bipolar(hvs), masses, charges, dim=dim)
+    queries = hvs[:12].copy()
+    queries[rng.random(queries.shape) < 0.1] *= -1
+    batch = (queries, masses[:12], charges[:12], 2.0)
+    exact = kernel.search(*batch)
+    # A budget no window exceeds: every query bypasses (no argpartition
+    # on a too-short array), bit for bit.
+    bypass = kernel.search(*batch, AnnConfig(candidate_budget=30, ann_threshold=0))
+    assert bypass.ann_outcomes.tolist() == [12, 0]
+    assert bypass.ann_scored_rows == int(exact.counts.sum())
+    # A prefix at least as wide as the row: prefiltered, still exact.
+    full = kernel.search(
+        *batch, AnnConfig(prefix_words=1 << 10, candidate_budget=3, ann_threshold=0)
+    )
+    assert full.ann_outcomes[1] > 0
+    for got in (bypass, full):
+        assert np.array_equal(got.rows, exact.rows)
+        assert np.array_equal(got.scores, exact.scores)
+        assert np.array_equal(got.counts, exact.counts)
+
+
 # ----------------------------------------------------------------------
 # searcher level: every engine vs brute-force HDOmsSearcher
 # ----------------------------------------------------------------------
@@ -235,7 +274,8 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     kind=st.sampled_from(["sharded", "segmented", "batched"]),
     mode=st.sampled_from(["standard", "open", "cascade"]),
     parts=st.integers(1, 3),
-    use_ann=st.booleans(),
+    ann_case=st.sampled_from(["off", "full", "narrow"]),
+    budget=st.integers(1, 8),
     charge_aware=st.booleans(),
     min_candidates=st.sampled_from([1, 2, 5]),
     query_ber=st.sampled_from([0.0, 0.1]),
@@ -243,15 +283,22 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     tile=st.sampled_from([1, 5, 1 << 12]),
 )
 def test_every_engine_equals_brute_force(
-    references, queries, kind, mode, parts, use_ann, charge_aware,
+    references, queries, kind, mode, parts, ann_case, budget, charge_aware,
     min_candidates, query_ber, execution, tile,
 ):
-    if kind == "batched" or use_ann:
-        # Each shard hashes its own rows; only one shard sees exactly
+    # "full": the one-word prefix covers the 64-dimensional row, so the
+    # pass must equal the *exact* oracle in every cell.  "narrow": half
+    # of a 128-dimensional row, identical to the oracle running the same
+    # pass — whenever the true top-1 is shortlisted it is the winner.
+    ann = None
+    if ann_case != "off":
+        ann = AnnConfig(prefix_words=1, candidate_budget=budget, ann_threshold=2)
+    if kind == "batched" or ann_case == "narrow":
+        # Each shard shortlists its own rows; only one shard sees exactly
         # the rows (and so the shortlist) the oracle's prefilter sees.
         parts = 1
-    ann = TINY_ANN if use_ann else None
-    index = LibraryIndex.build(references, space_config=SPACE, binning=BINNING)
+    space = dataclasses.replace(SPACE, dim=2 * DIM) if ann_case == "narrow" else SPACE
+    index = LibraryIndex.build(references, space_config=space, binning=BINNING)
     parts = min(parts, index.num_references)
     windows = WindowConfig(
         standard_tolerance_da=0.5, open_window_da=12.0, charge_aware=charge_aware
@@ -261,13 +308,14 @@ def test_every_engine_equals_brute_force(
     config = HDSearchConfig(
         mode=mode, ann=ann, min_candidates=min_candidates, query_ber=query_ber
     )
-    expected = HDOmsSearcher.from_index(index, windows=windows, config=config).search(queries)
+    oracle = config if ann_case == "narrow" else dataclasses.replace(config, ann=None)
+    expected = HDOmsSearcher.from_index(index, windows=windows, config=oracle).search(queries)
 
     num_workers, executor = execution
     engine = EngineConfig(
         num_shards=parts, num_workers=num_workers, executor=executor
     )
-    with tile_rows(tile), tempfile.TemporaryDirectory() as scratch:
+    with tile_rows(tile, space.dim), tempfile.TemporaryDirectory() as scratch:
         if kind == "batched":
             searcher = BatchedHDOmsSearcher.from_index(
                 index,
@@ -286,7 +334,7 @@ def test_every_engine_equals_brute_force(
             store = build_store(
                 references,
                 Path(scratch) / "store",
-                space_config=SPACE,
+                space_config=space,
                 binning=BINNING,
                 segment_rows=math.ceil(index.num_references / parts),
             )
@@ -390,14 +438,18 @@ def test_a_warm_searcher_holds_packed_rows_only():
         binning=BINNING,
     )
     encoder = index.make_encoder()
-    tracemalloc.start()
-    try:
-        with ShardedSearcher(index, encoder=encoder) as searcher:
-            searcher.warm()
-            _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * index.packed.nbytes  # float32 rows would be 32x
+    # The candidate tier reads the kernel's own rows: nothing is built.
+    for ann in (None, AnnConfig()):
+        tracemalloc.start()
+        try:
+            with ShardedSearcher(
+                index, encoder=encoder, config=HDSearchConfig(ann=ann)
+            ) as searcher:
+                searcher.warm()
+                _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * index.packed.nbytes  # float32 rows would be 32x
     with pytest.raises(TypeError):
         EngineConfig(backend="packed")
     with pytest.raises(TypeError):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import _parse_index_routes
 from repro.hdc.spaces import HDSpaceConfig
-from repro.index import LibraryIndex
+from repro.index import IndexCompatibilityError, LibraryIndex
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.oms.search import HDOmsSearcher
 from repro.service import (
@@ -226,7 +226,7 @@ class TestIndexRegistry:
 
         monkeypatch.setattr(SearchService, "close", recording_close)
         before = threading.active_count()
-        with pytest.raises(OSError):
+        with pytest.raises(IndexCompatibilityError, match="missing.npz"):
             IndexRegistry(
                 {"alpha": path_a, "beta": tmp_path / "missing.npz"}
             )

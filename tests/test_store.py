@@ -464,31 +464,36 @@ class TestCloseTimeout:
 
 
 class TestAnnOnStore:
-    def test_persisted_tables_reused_and_parity(
-        self, tmp_path, references, queries, space_config, binning
+    def test_old_manifest_ann_key_is_ignored_and_parity(
+        self, tmp_path, references, queries, monolithic, space_config, binning
     ):
-        ann = AnnConfig(ann_threshold=1)
+        """Stores of LSH-era builds carry ``"ann"``; nothing reads it."""
         store = build_store(
             references,
             tmp_path / "store",
             space_config=space_config,
             binning=binning,
             segment_rows=20,
-            ann=ann,
         )
-        monolithic = LibraryIndex.build(
-            references, space_config=space_config, binning=binning, ann=ann
-        )
-        baseline = HDOmsSearcher.from_index(
-            monolithic, config=HDSearchConfig(ann=ann)
-        )
-        with SegmentedSearcher(
-            store, config=HDSearchConfig(ann=ann)
-        ) as searcher:
-            assert searcher.backend_name.endswith("+ann")
-            _search_pairs(searcher, baseline, queries)
-            assert searcher.ann_stats is not None
         store.close()
+        shutil.copytree(tmp_path / "store", tmp_path / "old")
+        manifest_path = tmp_path / "old" / "manifest.json"
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "ann" not in payload
+        payload["ann"] = {"num_tables": 8, "bits_per_hash": 16, "seed": 77}
+        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
+        # 32 prefix words cover a 512-bit row: every part's pass is
+        # exact, so any segmentation equals the exact oracle.
+        ann = AnnConfig(candidate_budget=4, ann_threshold=1)
+        baseline = HDOmsSearcher.from_index(monolithic)
+        for root in (tmp_path / "store", tmp_path / "old"):
+            with SegmentedSearcher(root, config=HDSearchConfig(ann=ann)) as searcher:
+                assert searcher.backend_name.endswith("+ann")
+                _search_pairs(searcher, baseline, queries)
+                assert searcher.ann_stats.snapshot()["prefiltered"] > 0
+        assert SegmentedStore.open(tmp_path / "old").provenance() == (
+            SegmentedStore.open(tmp_path / "store").provenance()
+        )
 
 
 class TestSegmentedSearcherValidation:
