@@ -1354,12 +1354,14 @@ def cmd_profile(args) -> int:
     import time
 
     from .constants import DEFAULT_STANDARD_WINDOW_DA
+    from .index import IndexCompatibilityError
     from .ms.mgf import read_mgf
     from .obs.export import chrome_trace
     from .obs.profile import render_stage_table, summarize_spans
     from .obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
     from .oms.candidates import WindowConfig
     from .oms.search import HDSearchConfig
+    from .store import StoreCompatibilityError
 
     try:
         ann = _ann_config_from_args(args)
@@ -1408,6 +1410,10 @@ def cmd_profile(args) -> int:
         elapsed = time.perf_counter() - start
         spans = tracer.records()
         trace = chrome_trace(tracer)
+    except (IndexCompatibilityError, StoreCompatibilityError) as error:
+        # Like `index search`: one line, exit 2, no trace file.
+        print(f"profile: {error}", file=sys.stderr)
+        return 2
     finally:
         if not was_enabled:
             tracer.disable()

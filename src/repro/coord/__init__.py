@@ -9,10 +9,10 @@
   and materialize each as a zero-copy store directory;
 * :mod:`repro.coord.fleet` — spawn/reap local ``repro serve`` workers
   for the one-command demo topology;
-* :mod:`repro.coord.coordinator` — routing, health probing, hedged
-  calls with bounded retry over the pooled
-  :class:`~repro.service.client.SearchClient`, and the exact
-  cross-worker winner merge;
+* :mod:`repro.coord.coordinator` — the fan-out core over remote
+  partitions: encode once, health probing (and the encoding cross-check),
+  hedged ``/score`` calls with bounded retry over the pooled
+  :class:`~repro.service.client.SearchClient`;
 * :mod:`repro.coord.server` — the HTTP front-end with backpressure
   admission, speaking the same JSON API as a worker;
 * :mod:`repro.coord.metrics` — the ``hdoms_coord_`` metric families.
@@ -20,7 +20,7 @@
 See ``docs/scale-out.md`` for topology and tuning guidance.
 """
 
-from .coordinator import Coordinator, CoordinatorError, merge_psm_payloads
+from .coordinator import Coordinator, CoordinatorError
 from .fleet import FleetError, LocalWorkerFleet
 from .metrics import CoordinatorMetrics
 from .partition import (
@@ -48,7 +48,6 @@ __all__ = [
     "PartitionSpec",
     "assign_replicas",
     "materialize_partitions",
-    "merge_psm_payloads",
     "serve_coordinate",
     "start_coordinator_server",
 ]

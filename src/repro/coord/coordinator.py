@@ -2,34 +2,31 @@
 
 :class:`Coordinator` fronts a fleet of ``repro serve`` workers, each
 serving one partition of a :class:`~repro.coord.partition.PartitionPlan`
-(optionally replicated).  Per query it:
+(optionally replicated).  It is a row-layout provider of the fan-out
+core, :class:`~repro.oms.loop.FanOutSearcher`, whose parts are the
+partitions and happen to be remote: the core preprocesses and encodes
+each query **once**, here, runs the cascade, routes each query to the
+partitions whose mass hull meets its window, merges their winners with
+its one ``np.lexsort`` rule and builds the PSMs.  What remoteness adds:
 
-1. **routes** — computes the precursor window ``[mass - hw, mass + hw]``
-   and scatters only to partitions whose mass hull intersects it (a
-   superset of the worker's own exact per-segment pruning, so skipping
-   never changes results);
-2. **calls** — per partition, picks replicas healthy-first in
-   round-robin order, fires the primary, hedges to a sibling when the
-   call exceeds a p99-derived deadline, and retries once on the next
-   replica after a failure;
-3. **merges** — combines per-worker winners with the exact global rule
-   every engine applies (max score, ties to lowest reference neutral
-   mass, then lowest global row), using the PSM merge fields
-   (``reference_mass``, ``library_position``) carried on the wire and
-   :meth:`PartitionSpec.to_global` for the row mapping.
+1. **calls** — a partition's share of a pass is one ``/score`` round
+   trip carrying packed query rows; replicas are tried healthy-first in
+   round-robin order, a call past a p99-derived deadline is hedged to a
+   sibling, and a failed one is retried on the next replica;
+2. **rows** — a worker answers in its own row numbering, mapped back
+   through :meth:`PartitionSpec.to_global`, with the winners' records;
+3. **the encoding** — the encoder and preprocessing are those workers
+   report on ``/healthz``, and the probe rejects a replica reporting
+   any other.
 
-Because per-row scores are independent of batch composition and JSON
-round-trips floats exactly, the merged output is **bit-identical** to a
-single-node search over the unpartitioned library.
-
-Worker calls go through the same pooled blocking
-:class:`~repro.service.client.SearchClient` every other caller uses,
-each on a thread of the target replica's own small pool — a wedged
-worker can exhaust only its own threads.  The scatter, the hedge timer
-and the merge run on the calling thread, so the public
+Per-row scores do not depend on batch composition and JSON round-trips
+floats exactly, so the output is **bit-identical** to a single-node
+search.  Worker calls run on the pooled blocking
+:class:`~repro.service.client.SearchClient`, each on a thread of the
+target replica's own pool — a wedged worker can exhaust only its own
+threads; everything else runs on the calling thread, so the
 ``search_payloads`` / ``wait_ready`` / ``close`` facade is plain
-blocking, thread-safe code that the ThreadingHTTPServer front-end in
-:mod:`repro.coord.server` calls straight into.
+blocking, thread-safe code for :mod:`repro.coord.server`.
 """
 
 from __future__ import annotations
@@ -38,11 +35,22 @@ import logging
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..ann import OUTCOMES
+from ..engine import EngineConfig
+from ..hdc.encoder import SpectrumEncoder
+from ..hdc.spaces import HDSpace
 from ..obs.trace import get_tracer
+from ..oms.candidates import WindowConfig
+from ..oms.loop import FanOutSearcher
+from ..oms.search import HDSearchConfig
 from ..service.client import SearchClient
 from ..service.protocol import spectrum_from_payload
+from ..store.manifest import StoreManifest
 from .metrics import CoordinatorMetrics
 from .partition import PartitionSpec
 
@@ -67,61 +75,6 @@ PROBE_TIMEOUT = 5.0
 
 class CoordinatorError(RuntimeError):
     """A partition could not be served by any of its replicas."""
-
-
-def merge_psm_payloads(
-    entries: Sequence[Tuple[Optional[dict], PartitionSpec]],
-) -> Optional[dict]:
-    """Merge per-partition winner payloads with the global engine rule.
-
-    ``entries`` pairs each consulted partition's PSM payload (or None)
-    with its :class:`PartitionSpec`.  The winner is chosen by max
-    score, ties to lowest reference neutral mass, then lowest *global*
-    library row — exactly ``np.lexsort((positions, masses, -scores))``
-    restricted to the per-partition winners, which equals the
-    single-node winner because each worker already applied the same
-    rule to its subset.
-
-    Cascade composition: a ``mode == "standard"`` candidate means the
-    single-node standard pass would have matched, so open-pass
-    candidates from other partitions are excluded before merging.
-
-    The returned payload is a copy with ``library_position`` rewritten
-    from worker-local to global row numbering.
-
-    Raises:
-        CoordinatorError: When a worker's PSM lacks the merge fields
-            (an old worker version that cannot be merged exactly).
-    """
-    candidates: List[Tuple[float, float, int, dict]] = []
-    for payload, spec in entries:
-        if payload is None:
-            continue
-        mass = payload.get("reference_mass")
-        position = payload.get("library_position")
-        if mass is None or position is None:
-            raise CoordinatorError(
-                f"worker PSM for partition p{spec.index} is missing the "
-                "merge fields (reference_mass/library_position); upgrade "
-                "the worker — exact cross-worker merging is impossible "
-                "without them"
-            )
-        candidates.append(
-            (
-                float(payload["score"]),
-                float(mass),
-                spec.to_global(int(position)),
-                payload,
-            )
-        )
-    if not candidates:
-        return None
-    if any(c[3].get("mode") == "standard" for c in candidates):
-        candidates = [c for c in candidates if c[3].get("mode") == "standard"]
-    best = min(candidates, key=lambda c: (-c[0], c[1], c[2]))
-    winner = dict(best[3])
-    winner["library_position"] = best[2]
-    return winner
 
 
 class WorkerHandle:
@@ -155,28 +108,7 @@ class WorkerHandle:
         return f"WorkerHandle(p{self.partition}, {self.url}, {state})"
 
 
-class _PartitionCall:
-    """One partition's share of a scatter while it is being gathered."""
-
-    def __init__(
-        self,
-        spec: PartitionSpec,
-        indices: List[int],
-        payloads: List[dict],
-        replicas: List[WorkerHandle],
-    ) -> None:
-        self.spec = spec
-        self.indices = indices  # positions of the routed queries in the batch
-        self.payloads = payloads
-        self.queue = replicas  # replicas not fired yet, preferred first
-        self.inflight: Dict[Future, WorkerHandle] = {}
-        self.hedge: Optional[Future] = None  # the one hedged call, once fired
-        self.hedge_at = 0.0  # monotonic time the running call is hedged at
-        self.errors: List[str] = []
-        self.reply: Optional[dict] = None  # the winning replica's answer
-
-
-class Coordinator:
+class Coordinator(FanOutSearcher):
     """Scatter-gather engine over the worker fleet (blocking, thread-safe).
 
     Args:
@@ -184,7 +116,7 @@ class Coordinator:
         worker_urls: Per-partition replica URL lists, aligned to
             ``partitions``; every partition needs at least one URL.
         mode: The workers' search mode (``open``/``standard``/
-            ``cascade``) — determines the routing half-width.
+            ``cascade``) — the passes this coordinator runs.
         standard_tolerance: Standard-window half-width in Dalton.
         open_window: Open-window half-width in Dalton.
         metrics: Shared metric schema (a fresh one by default).
@@ -192,6 +124,8 @@ class Coordinator:
         probe_interval: Seconds between health-probe rounds.
         hedge_floor_ms: Lower bound on the hedge deadline.
     """
+
+    part_name = "coord"
 
     def __init__(
         self,
@@ -214,9 +148,16 @@ class Coordinator:
             if not urls:
                 raise ValueError(f"partition p{spec.index} has no workers")
         self.partitions = list(partitions)
-        self.mode = mode
-        self.standard_tolerance = float(standard_tolerance)
-        self.open_window = float(open_window)
+        # No encoder until a worker reports its encoding (_check_encoding).
+        self._init_core(
+            encoder=None, preprocessing=None, config=HDSearchConfig(mode=mode),
+            windows=WindowConfig(float(standard_tolerance), float(open_window)),
+            engine=EngineConfig(), num_parts=len(partitions), label=f"coordx{len(partitions)}",
+        )
+        self._hulls = np.array([[spec.mass_min, spec.mass_max] for spec in self.partitions])
+        self._encoding: Optional[dict] = None
+        # Per searching thread: the request id and the pass's records.
+        self._pass = threading.local()
         self.metrics = metrics or CoordinatorMetrics()
         self.worker_timeout = float(worker_timeout)
         self.probe_interval = float(probe_interval)
@@ -225,8 +166,8 @@ class Coordinator:
             [WorkerHandle(url, spec.index, self.worker_timeout) for url in urls]
             for spec, urls in zip(partitions, worker_urls)
         ]
-        # Guards the round-robin cursors and the latency windows, which
-        # every searching thread and every call thread touches.
+        # Guards the round-robin cursors, the latency windows and the
+        # adopted encoding, which searching, call and probe threads touch.
         self._lock = threading.Lock()
         self._round_robin = [0] * len(self.partitions)
         self._latencies: List[List[float]] = [[] for _ in self.partitions]
@@ -247,12 +188,6 @@ class Coordinator:
             for handle in group:
                 handle.close()
         self._prober.join(timeout=PROBE_TIMEOUT + 5.0)
-
-    def __enter__(self) -> "Coordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _start(self, handle: WorkerHandle, function, *args) -> Future:
         """Run ``function(handle, *args)`` on one of the replica's threads."""
@@ -275,43 +210,58 @@ class Coordinator:
                 return
 
     def _probe_all(self) -> None:
-        """Probe every replica once, in parallel on their own threads."""
-        futures = [
-            self._start(handle, self._probe, spec)
+        """Probe all replicas at once; the first to pass, in plan order, sets the encoding."""
+        probes = [
+            (spec, handle, self._start(handle, lambda h: h.probe_client.healthz()))
             for spec, group in zip(self.partitions, self._workers)
             for handle in group
         ]
-        _, late = wait(futures, timeout=PROBE_TIMEOUT + 1.0)
-        for future in late:
-            # Still queued behind calls parked on a wedged worker; the
-            # next round probes again.
-            future.cancel()
+        wait([future for _, _, future in probes], timeout=PROBE_TIMEOUT + 1.0)
+        for spec, handle, future in probes:
+            if future.done() and not future.cancelled():
+                self._judge(handle, spec, future)
+            else:
+                # Still queued behind calls parked on a wedged worker;
+                # the next round probes again.
+                future.cancel()
 
     def _mismatch(self, body: dict, spec: PartitionSpec) -> Optional[str]:
         """Why a worker's ``/healthz`` rules it out for ``spec``, if it does.
 
-        A worker serving another library slice, or answering another
-        search (mode, window widths) than this coordinator routes and
-        merges for, would make the merged winners silently incorrect.
+        A worker serving another library slice, another search (mode,
+        window widths) or rows encoded otherwise (another seed, say)
+        would make the merged winners silently incorrect.
         """
         expected = {
             "num_references": spec.num_references,
-            "mode": self.mode,
-            "open_window_da": self.open_window,
-            "standard_tolerance_da": self.standard_tolerance,
+            "mode": self.config.mode,
+            "open_window_da": self.windows.open_window_da,
+            "standard_tolerance_da": self.windows.standard_tolerance_da,
         }
         wrong = [
             f"{key} {body[key]!r}, partition p{spec.index} expects {value!r}"
             for key, value in expected.items()
             if body.get(key) is not None and body[key] != value
-        ]
+        ] or self._check_encoding(body.get("encoding"))
         return "serves " + "; ".join(wrong) if wrong else None
 
-    def _probe(self, handle: WorkerHandle, spec: PartitionSpec) -> None:
+    def _check_encoding(self, encoding: Optional[dict]) -> List[str]:
+        """Adopt the first encoding a matching worker reports; name any other."""
+        if not isinstance(encoding, dict):
+            return ["no encoding"]
+        with self._lock:
+            if self._encoding is None:
+                space, binning, self.preprocessing = StoreManifest(dim=0, **encoding).configs()
+                self.encoder = SpectrumEncoder(HDSpace(space), binning)
+                self.encoder.space.id_bank()  # now, not on a request's critical path
+                self._encoding = encoding
+            differs = [key for key, value in self._encoding.items() if encoding.get(key) != value]
+        return [f"another {'/'.join(differs)} encoding than the fleet"] if differs else []
+
+    def _judge(self, handle: WorkerHandle, spec: PartitionSpec, probe: Future) -> None:
         try:
-            # A draining (or, for a nested coordinator, degraded)
-            # worker answers 503, which the client raises.
-            mismatch = self._mismatch(handle.probe_client.healthz(), spec)
+            # A draining worker answers 503, which the client raises.
+            mismatch = self._mismatch(probe.result(), spec)
         except Exception as error:  # noqa: BLE001 - probe boundary
             was_healthy = handle.healthy
             handle.healthy = False
@@ -362,76 +312,52 @@ class Coordinator:
             time.sleep(0.2)
 
     # ------------------------------------------------------------------
-    # scatter-gather
+    # the search: the fan-out core over remote partitions
     # ------------------------------------------------------------------
-
-    def _half_width(self) -> float:
-        if self.mode == "standard":
-            return self.standard_tolerance
-        # Open and cascade both route on the open window (a superset of
-        # the cascade's standard pass, so routing never misses a row).
-        return self.open_window
 
     def search_payloads(
         self,
         spectra_payloads: Sequence[dict],
         request_id: Optional[str] = None,
     ) -> List[Optional[dict]]:
-        """Scatter-gather a batch of spectrum payloads; aligned output.
+        """Search a batch of spectrum payloads; aligned output.
 
-        Each element of the result is the merged winner PSM payload
+        Each element of the result is the winning PSM payload
         (``library_position`` in *global* rows) or None; the list
         aligns with the input order exactly like a worker's
-        ``/search_batch``.  ``request_id`` names this request's spans
-        here and, forwarded as ``X-Request-Id``, on every worker called.
+        ``/search_batch``.  ``request_id``, forwarded as
+        ``X-Request-Id``, names the request on every worker called.
         """
-        payloads = list(spectra_payloads)
-        half_width = self._half_width()
-        # One sub-batch per partition, holding only the queries routed
-        # to it; worker replies align with the sub-batch order.
-        sub_batches: Dict[int, List[int]] = {}
-        with get_tracer().span("coord.route", request_id=request_id):
-            for query_index, payload in enumerate(payloads):
-                mass = spectrum_from_payload(payload).neutral_mass
-                fanout = 0
-                for spec in self.partitions:
-                    if spec.intersects(mass - half_width, mass + half_width):
-                        sub_batches.setdefault(spec.index, []).append(query_index)
-                        fanout += 1
-                    else:
-                        self.metrics.skipped.inc(partition=str(spec.index))
+        spectra = [spectrum_from_payload(payload) for payload in spectra_payloads]
+        if self._stop.is_set():
+            raise CoordinatorError("coordinator is closed")
+        if self.encoder is None:  # no probe has adopted an encoding yet
+            self._probe_all()
+        if self.encoder is None:
+            handles = [handle for group in self._workers for handle in group]
+            for handle in handles:
+                self.metrics.worker_errors.inc(worker=handle.url)
+            details = "; ".join(f"{handle.url}: {handle.last_error}" for handle in handles)
+            raise CoordinatorError(f"every replica failed or was rejected ({details})")
+        self._pass.request_id = request_id
+        return [psm.to_dict() if psm is not None else None for psm in self.search_aligned(spectra)]
+
+    def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """The core's hull mask over partitions, counted into the metrics."""
+        with get_tracer().span("coord.route", queries=len(lows)):
+            mask = super()._parts_for(lows, highs)
+            for spec, routed in zip(self.partitions, mask.sum(axis=1).tolist()):
+                for counter, count in ((self.metrics.scatter, routed),
+                                       (self.metrics.skipped, len(lows) - routed)):
+                    if count:
+                        counter.inc(count, partition=str(spec.index))
+            for fanout in mask.sum(axis=0).tolist():
                 self.metrics.fanout.observe(fanout)
-        calls = []
-        for partition_index, indices in sorted(sub_batches.items()):
-            self.metrics.scatter.inc(
-                len(indices), partition=str(partition_index)
-            )
-            calls.append(
-                _PartitionCall(
-                    self.partitions[partition_index],
-                    indices,
-                    [payloads[i] for i in indices],
-                    self._replicas_in_order(partition_index),
-                )
-            )
-        self._gather(calls, request_id)
-        # Per query, the (winner, partition) pairs of the partitions it
-        # was routed to, in partition order.
-        entries: List[List[Tuple[Optional[dict], PartitionSpec]]] = [
-            [] for _ in payloads
-        ]
-        for call in calls:
-            psms = call.reply.get("psms")
-            if not isinstance(psms, list) or len(psms) != len(call.indices):
-                raise CoordinatorError(
-                    f"partition p{call.spec.index} returned "
-                    f"{len(psms) if isinstance(psms, list) else 'no'} PSMs "
-                    f"for {len(call.indices)} queries"
-                )
-            for query_index, psm in zip(call.indices, psms):
-                entries[query_index].append((psm, call.spec))
-        with get_tracer().span("coord.merge", request_id=request_id):
-            return [merge_psm_payloads(routed) for routed in entries]
+        return mask
+
+    def _reference(self, position: int):
+        """The record a worker's reply carried for global row ``position``."""
+        return self._pass.records[position]
 
     # ------------------------------------------------------------------
     # per-partition calls with hedging and bounded retry
@@ -457,28 +383,34 @@ class Coordinator:
         return max(deadline, self.hedge_floor)
 
     def _call_worker(
-        self,
-        handle: WorkerHandle,
-        spec: PartitionSpec,
-        payloads: List[dict],
-        request_id: Optional[str],
-    ) -> dict:
-        """One ``/search_batch`` round trip; runs on a thread of ``handle``."""
+        self, handle: WorkerHandle, call: SimpleNamespace, request_id: Optional[str]
+    ) -> Tuple[float, Tuple, List]:
+        """One ``/score`` round trip; runs on a thread of ``handle``.
+
+        Returns ``(wall_seconds, score_batch columns, records)`` in global
+        rows; a row outside the partition fails like a transport error.
+        """
         started = time.perf_counter()
-        reply = handle.client.search_batch_raw(payloads, request_id=request_id)
+        queries, masses, charges, half_width = call.batch
+        counts, scores, best_masses, local, records = handle.client.score(
+            queries, self.encoder.space.dim, masses, charges, half_width, request_id=request_id
+        )
         elapsed = time.perf_counter() - started
         with self._lock:
-            samples = self._latencies[spec.index]
+            samples = self._latencies[call.spec.index]
             samples.append(elapsed)
             if len(samples) > LATENCY_WINDOW:
                 del samples[: len(samples) - LATENCY_WINDOW]
-        self.metrics.worker_latency.observe(elapsed, partition=str(spec.index))
-        return reply
+        self.metrics.worker_latency.observe(elapsed, partition=str(call.spec.index))
+        rows = [call.spec.to_global(row) if row >= 0 else -1 for row in local.tolist()]
+        # ANN outcome columns stay zero here: each worker counts its own.
+        no_ann = (np.zeros(len(OUTCOMES), np.int64), np.zeros(1, np.int64))
+        return elapsed, (counts, scores, best_masses, np.array(rows, np.int64), *no_ann), records
 
-    def _gather(
-        self, calls: List[_PartitionCall], request_id: Optional[str]
-    ) -> None:
-        """Fill in every call's ``reply``: healthy-first, hedge, retry.
+    def _map_parts(
+        self, jobs: Sequence[Tuple[int, Tuple]]
+    ) -> List[Tuple[float, Tuple]]:
+        """One ``/score`` call per routed partition: healthy-first, hedge, retry.
 
         Each partition's primary replica gets the request first; if it
         exceeds the partition's p99-derived hedge deadline, the same
@@ -487,18 +419,27 @@ class Coordinator:
         unfired replica.  Every replica is fired at most once per
         partition, so the work is bounded even in a full outage.  The
         calling thread drives all of it with one wait over every call
-        in flight.
+        in flight, then keeps the replies' records for :meth:`_reference`.
 
         Raises:
             CoordinatorError: When every replica of a partition failed.
         """
-        owner: Dict[Future, _PartitionCall] = {}
-
-        def fire(call: _PartitionCall) -> Future:
-            handle = call.queue.pop(0)
-            future = self._start(
-                handle, self._call_worker, call.spec, call.payloads, request_id
+        # One record per call: replicas not fired yet (preferred first),
+        # calls in flight, the one hedge once fired, the monotonic time
+        # the running call is hedged at, errors so far, the winning reply.
+        calls = [
+            SimpleNamespace(
+                spec=self.partitions[part], batch=batch, queue=self._replicas_in_order(part),
+                inflight={}, hedge=None, hedge_at=0.0, errors=[], reply=None,
             )
+            for part, batch in jobs
+        ]
+        request_id = self._pass.request_id
+        owner: Dict[Future, SimpleNamespace] = {}
+
+        def fire(call: SimpleNamespace) -> Future:
+            handle = call.queue.pop(0)
+            future = self._start(handle, self._call_worker, call, request_id)
             call.inflight[future] = handle
             owner[future] = call
             call.hedge_at = time.monotonic() + self._hedge_deadline(call.spec.index)
@@ -560,6 +501,12 @@ class Coordinator:
         finally:
             for future in owner:
                 future.cancel()
+        self._pass.records = {
+            row: record
+            for call in calls
+            for row, record in zip(call.reply[1][3].tolist(), call.reply[2])
+        }
+        return [call.reply[:2] for call in calls]
 
     # ------------------------------------------------------------------
     # introspection
@@ -568,9 +515,9 @@ class Coordinator:
     def stats(self) -> dict:
         """JSON-safe topology/health snapshot for ``/stats``."""
         return {
-            "mode": self.mode,
-            "standard_tolerance": self.standard_tolerance,
-            "open_window": self.open_window,
+            "mode": self.config.mode,
+            "standard_tolerance": self.windows.standard_tolerance_da,
+            "open_window": self.windows.open_window_da,
             "partitions": [
                 {
                     **spec.to_dict(),

@@ -162,11 +162,6 @@ class LocalWorkerFleet:
             self.close()
             raise
 
-    @property
-    def urls(self) -> List[str]:
-        """Bound URLs of workers that have reported one so far."""
-        return [worker.url for worker in self.workers if worker.url]
-
     def close(self, grace: float = 10.0) -> None:
         """Terminate every worker: SIGTERM, wait up to ``grace``, SIGKILL."""
         for worker in self.workers:

@@ -1,9 +1,9 @@
 """Precursor-partitioned scatter plans over a segmented store.
 
 A :class:`PartitionPlan` divides a store's segment manifest among N
-workers so a coordinator can scatter each query only to the workers
-whose precursor-mass range intersects the query window, then merge the
-per-worker winners bit-identically to a single-node search.  Two
+workers; each :class:`PartitionSpec` is one part of the coordinator's
+fan-out, routed to by its precursor-mass hull like a store segment,
+and its winners merge bit-identically to a single-node search.  Two
 strategies exist:
 
 * ``rows`` — contiguous runs of segments in manifest order, balanced
@@ -18,9 +18,8 @@ strategies exist:
 Either way, every partition lists its segment ids in ascending
 manifest order, so a worker's *local* row order is the global row
 order restricted to its subset — which is exactly what makes the
-coordinator's cross-worker tie-break (max score, lowest reference
-mass, lowest global row) equal the single-node
-``np.lexsort((positions, masses, -scores))`` rule.
+cross-worker tie-break (max score, lowest reference mass, lowest global
+row) equal the single-node rule.
 
 :func:`materialize_partitions` writes each partition as a real store
 directory whose manifest references the *original* segment archives by
@@ -65,10 +64,6 @@ class PartitionSpec:
     mass_max: float
     global_offsets: Tuple[int, ...]
     local_offsets: Tuple[int, ...]
-
-    def intersects(self, lo: float, hi: float) -> bool:
-        """Whether this partition's mass hull overlaps ``[lo, hi]``."""
-        return self.mass_max >= lo and self.mass_min <= hi
 
     def to_global(self, local_position: int) -> int:
         """Map a worker-local row number to the original global row."""
@@ -199,27 +194,6 @@ class PartitionPlan:
 
     def __len__(self) -> int:
         return len(self.partitions)
-
-    def partitions_for_range(self, lo: float, hi: float) -> List[int]:
-        """Indices of partitions whose mass hull intersects ``[lo, hi]``.
-
-        Routing to the hull is a superset of the exact per-segment
-        pruning the worker performs itself, so skipping non-intersecting
-        partitions never changes any result.
-        """
-        return [
-            spec.index
-            for spec in self.partitions
-            if spec.intersects(lo, hi)
-        ]
-
-    def to_dict(self) -> dict:
-        """JSON-safe summary (feeds the coordinator's ``/stats``)."""
-        return {
-            "strategy": self.strategy,
-            "num_references": self.num_references,
-            "partitions": [spec.to_dict() for spec in self.partitions],
-        }
 
 
 def materialize_partitions(

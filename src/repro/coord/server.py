@@ -88,7 +88,7 @@ class CoordinatorService:
             "status": "ok" if fleet_healthy else "degraded",
             "role": "coordinator",
             "route": DEFAULT_ROUTE,
-            "mode": self.coordinator.mode,
+            "mode": self.coordinator.config.mode,
             "num_partitions": len(self.coordinator.partitions),
             "num_references": sum(
                 spec.num_references for spec in self.coordinator.partitions

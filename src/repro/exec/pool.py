@@ -3,7 +3,7 @@
 :class:`ProcessShardExecutor` is a ``multiprocessing`` pool whose
 workers reattach the arena **by name** in their initializer; only the
 query batch and the per-shard winners cross the pipe, never index rows.
-It consumes task tuples ``(shard_id, query_hvs, query_masses,
+It consumes task tuples ``(shard_id, packed_queries, query_masses,
 query_charges, half_width)`` and returns ``(shard_id, wall_seconds,
 *score_batch_results)``.  Works under fork and spawn start methods (the
 setup dict is picklable).  In-process scoring — serial or on threads —

@@ -15,8 +15,8 @@ zero-copy row-range views of the packed matrix (the core's thread pool
 relies on the GIL-releasing NumPy kernels).  Only
 ``executor="process"`` copies the packed rows and precursor metadata
 into one :class:`~repro.exec.arena.SharedShardArena` segment that pool
-workers reattach by name, so only query batches and winners cross the
-pipe.
+workers reattach by name, so only packed query batches and winners
+cross the pipe.
 """
 
 from __future__ import annotations
@@ -114,11 +114,11 @@ class ShardedSearcher(FanOutSearcher):
         return arena, setup
 
     def _map_parts(
-        self, parts: Sequence[int], batch: Tuple
+        self, jobs: Sequence[Tuple[int, Tuple]]
     ) -> List[Tuple[float, Tuple]]:
         if self.executor_kind != "process":
-            return super()._map_parts(parts, batch)
-        raw = self._ensure_executor().run([(part,) + batch for part in parts])
+            return super()._map_parts(jobs)
+        raw = self._ensure_executor().run([(part,) + batch for part, batch in jobs])
         return [(result[1], result[2:]) for result in raw]
 
     def close(self, timeout: float = 10.0) -> None:

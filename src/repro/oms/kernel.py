@@ -28,7 +28,6 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..ann import OUTCOMES, AnnConfig, shortlist
-from ..hdc.packing import pack_bipolar
 from ..hdc.similarity import packed_dot_scores
 from ..obs.trace import get_tracer
 from .search import SCORE_BLOCK_BYTES
@@ -60,7 +59,7 @@ class WindowKernel:
     ----------
     packed:
         ``(rows, ceil(dim / 8))`` bit-packed hypervectors
-        (:func:`~repro.hdc.packing.pack_bipolar` layout), any row order.
+        (:mod:`repro.hdc.packing` layout), any row order.
     masses / charges:
         Per-row precursor neutral mass and charge, same order.
     dim:
@@ -141,7 +140,7 @@ class WindowKernel:
 
     def search(
         self,
-        query_hvs: np.ndarray,
+        queries: np.ndarray,
         query_masses: np.ndarray,
         query_charges: np.ndarray,
         half_width: float,
@@ -149,15 +148,15 @@ class WindowKernel:
     ) -> WindowWinners:
         """Best row per query inside its ``+-half_width`` precursor window.
 
-        With an ``ann`` config, a window it :meth:`~repro.ann.AnnConfig.
-        shortlists` is first ranked on the row prefix
+        ``queries`` are packed like the rows, one per query (the fan-out
+        core packs a pass once).  With an ``ann`` config, a window it
+        :meth:`~repro.ann.AnnConfig.shortlists` is first ranked on the row prefix
         (:func:`repro.ann.shortlist`, over the same contiguous range)
         and only the shortlist is scored at full width; every other
         window is scored whole.
         """
         lows, highs = self.windows(query_masses, query_charges, half_width)
         counts = highs - lows
-        queries = pack_bipolar(np.asarray(query_hvs))
         rows = np.full(len(counts), -1, dtype=np.int64)
         scores = np.full(len(counts), -np.inf, dtype=np.float64)
         prefiltered = skipped_rows = 0
@@ -258,12 +257,12 @@ class ShardScorer:
 
     def score_batch(
         self,
-        query_hvs: np.ndarray,
+        queries: np.ndarray,
         query_masses: np.ndarray,
         query_charges: np.ndarray,
         half_width: float,
     ) -> Tuple[np.ndarray, ...]:
-        """Best candidate per query within this shard.
+        """Best candidate per query (packed ``queries``) within this shard.
 
         Returns ``(counts, best_scores, best_masses, best_positions,
         ann_outcomes, ann_scored_rows)`` where empty windows yield
@@ -275,7 +274,7 @@ class ShardScorer:
         all-zero without an ANN config).
         """
         winners = self.kernel.search(
-            query_hvs, query_masses, query_charges, half_width, self.ann
+            queries, query_masses, query_charges, half_width, self.ann
         )
         found = winners.rows >= 0
         best_masses = np.full(len(found), np.inf, dtype=np.float64)

@@ -6,23 +6,26 @@ differently.  :class:`FanOutSearcher` is that dataflow, once: queries
 are preprocessed and encoded in micro-batches on a producer thread one
 stage ahead of scoring, BER noise is injected in the consumer in
 arrival order, cascade mode retries unmatched queries through the open
-pass, and each pass scores the batch against a list of *parts* (each a
+pass, and each pass packs the batch once, routes every query to the
+*parts* whose precursor-mass hull meets its window (each part a
 :class:`~repro.oms.kernel.ShardScorer` over a contiguous set of
-library rows), merges the per-part winners with the brute-force
-tie-break and builds the PSMs.
+library rows, or a remote worker), merges the per-part winners with the
+brute-force tie-break and builds the PSMs.
 
-The three searchers are row-layout providers on top of it — they say
-which parts a batch needs, how a part is opened and which record sits
-at library row *p*:
+The searchers are row-layout providers on top of it — they say which
+parts exist, how a part is opened and which record sits at library row
+*p*:
 
 * :class:`~repro.oms.batch.BatchedHDOmsSearcher` — one in-process part;
 * :class:`~repro.index.sharded.ShardedSearcher` — N row ranges of one
   index (optionally scored by a process pool over a shared arena);
 * :class:`~repro.store.search.SegmentedSearcher` — lazily opened,
-  mass-pruned store segments.
+  mass-pruned store segments;
+* :class:`~repro.coord.coordinator.Coordinator` — partitions scored by
+  ``repro serve`` workers over the ``/score`` hop.
 
 :class:`~repro.oms.search.HDOmsSearcher`, the per-query brute force, is
-deliberately *not* built on this: it is the oracle all three equal.
+deliberately *not* built on this: it is the oracle all of them equal.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann import AnnStats
+from ..ann import OUTCOMES, AnnStats
 from ..engine import EngineConfig
 from ..exec.pipeline import pipeline_map
 from ..hdc.noise import flip_bits
@@ -57,11 +60,9 @@ class FanOutSearcher:
 
     Subclasses call :meth:`_init_core`, then either hand over rows that
     are already in memory (:meth:`_adopt_rows` / :meth:`_adopt_index`:
-    contiguous row ranges, every range scored for every batch) or
-    override
+    contiguous row ranges, every range scored for every query) or set
+    :attr:`_hulls` and override
 
-    * ``_parts_for(low, high)`` — ids of the parts that may hold a row
-      with precursor mass in ``[low, high]``;
     * ``_part_payload(part)`` — the :func:`~repro.oms.kernel.shard_payload`
       of one part, with ``positions`` carrying *library-wide* row
       numbers (called once per part, under ``_open_lock``);
@@ -69,11 +70,14 @@ class FanOutSearcher:
     """
 
     #: Names one unit of fan-out in spans (``<part>.fanout`` /
-    #: ``<part>.score``).
+    #: ``<part>.score`` / ``<part>.merge``).
     part_name = "shard"
     #: The :attr:`EngineConfig.kind` this provider answers to besides
     #: ``"auto"`` (``None`` = any).
     engine_kind: Optional[str] = None
+    #: ``(parts, 2)`` precursor-mass hull ``[min, max]`` of every part,
+    #: or ``None`` to route every query to every part.
+    _hulls: Optional[np.ndarray] = None
 
     def _init_core(
         self,
@@ -164,8 +168,16 @@ class FanOutSearcher:
             index.shard_bounds(num_parts),
         )
 
-    def _parts_for(self, low: float, high: float) -> Sequence[int]:
-        return range(len(self._bounds))
+    def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """``(parts, queries)`` mask: may part *p* hold a row in ``[lows[q], highs[q]]``?
+
+        The one precursor-hull test: a part whose hull misses a window
+        adds neither candidates nor counts to it, so skipping the cell
+        is exact.  Without :attr:`_hulls` every query goes everywhere.
+        """
+        if self._hulls is None:
+            return np.ones((len(self._bounds), len(lows)), dtype=bool)
+        return (self._hulls[:, 1:] >= lows) & (self._hulls[:, :1] <= highs)
 
     def _part_payload(self, part: int) -> Dict:
         return self._payload(part, self._bounds[part], *self._rows)
@@ -261,20 +273,18 @@ class FanOutSearcher:
                     self._scorers[part] = scorer
         return scorer
 
-    def _map_parts(
-        self, parts: Sequence[int], batch: Tuple
-    ) -> List[Tuple[float, Tuple]]:
-        """``(wall_seconds, score_batch result)`` per part, in ``parts`` order."""
+    def _map_parts(self, jobs: Sequence[Tuple[int, Tuple]]) -> List[Tuple[float, Tuple]]:
+        """``(wall_seconds, score_batch result)`` per ``(part, batch)`` job, in order."""
         # Open in the caller thread; score concurrently.
-        scorers = [self._scorer(part) for part in parts]
+        work = [(self._scorer(part), batch) for part, batch in jobs]
 
-        def score(scorer: ShardScorer) -> Tuple[float, Tuple]:
+        def score(job: Tuple[ShardScorer, Tuple]) -> Tuple[float, Tuple]:
             started = time.perf_counter()
-            scored = scorer.score_batch(*batch)
+            scored = job[0].score_batch(*job[1])
             return time.perf_counter() - started, scored
 
-        if self._num_workers == 0 or len(scorers) <= 1:
-            return [score(scorer) for scorer in scorers]
+        if self._num_workers == 0 or len(work) <= 1:
+            return [score(job) for job in work]
         with self._open_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
@@ -282,88 +292,98 @@ class FanOutSearcher:
                     thread_name_prefix=f"{self.part_name}-score",
                 )
             pool = self._pool
-        return list(pool.map(score, scorers))
+        return list(pool.map(score, work))
 
-    def _run_pass(
-        self, pairs: Sequence[Tuple[Spectrum, np.ndarray]], mode: str
-    ) -> List[Optional[PSM]]:
-        """One windowed scoring pass over already-encoded queries."""
-        query_hvs = np.stack([hv for _, hv in pairs])
-        query_masses = np.array([q.neutral_mass for q, _ in pairs])
-        query_charges = np.array(
-            [q.precursor_charge for q, _ in pairs], dtype=np.int64
-        )
-        half_width = self.windows.half_width(mode)
-        # A part outside this interval holds no row within ±half_width of
-        # *any* query in the batch: it can add neither candidates nor
-        # counts, so skipping it is exact.
-        parts = self._parts_for(
-            float(query_masses.min()) - half_width,
-            float(query_masses.max()) + half_width,
-        )
-        if not parts:
-            return [None] * len(pairs)
+    def score_batch(self, queries, query_masses, query_charges, half_width: float) -> Tuple:
+        """Best row per packed query over every part: one scored, merged pass.
+
+        :meth:`ShardScorer.score_batch`'s arguments and columns for the
+        whole library plus the winners' records (``None`` for an empty
+        window); counts are summed over parts, the winner follows the
+        brute-force tie-break.  Each part scores only the queries
+        :meth:`_parts_for` routes to it; a skipped cell merges as
+        ``(0, -inf, +inf, -1)``.
+        """
+        query_masses = np.asarray(query_masses, dtype=np.float64)
+        query_charges = np.asarray(query_charges, dtype=np.int64)
+        mask = self._parts_for(query_masses - half_width, query_masses + half_width)
+        jobs = []
+        for part in np.flatnonzero(mask.any(axis=1)).tolist():
+            routed = slice(None) if mask[part].all() else mask[part]
+            batch = (queries[routed], query_masses[routed], query_charges[routed], half_width)
+            jobs.append((part, batch))
         tracer = get_tracer()
         with tracer.span(
             f"{self.part_name}.fanout",
             workers=self._num_workers,
             executor=self.executor_kind,
-            queries=len(pairs),
-            **{f"{self.part_name}s": len(parts)},
+            queries=len(query_masses),
+            **{f"{self.part_name}s": len(jobs)},
         ):
-            timed = self._map_parts(
-                parts, (query_hvs, query_masses, query_charges, half_width)
-            )
+            timed = self._map_parts(jobs)
             if tracer.enabled:
                 # Scorers time themselves (a bare float also crosses a
                 # process-pool boundary); the timings become spans on
                 # virtual per-part lanes under the fan-out span.
-                for part, (wall, _scored) in zip(parts, timed):
+                for (part, batch), (wall, _scored) in zip(jobs, timed):
                     tracer.emit(
                         f"{self.part_name}.score",
                         duration=float(wall),
                         thread=f"{self.part_name}-{part}",
-                        queries=len(pairs),
-                        **{self.part_name: int(part)},
+                        queries=len(batch[1]),
+                        **{self.part_name: part},
                     )
-        per_part = [scored for _wall, scored in timed]
-        if self.ann_stats is not None:
-            # Scorers pre-aggregate their outcome counts, one merge per
-            # part; counts are per (query, part) pair.
-            for scored in per_part:
-                self.ann_stats.record_batch(
-                    scored[4], int(scored[0].sum()), int(scored[5][0])
-                )
-        # (parts, queries) matrices; np.array on equal-length rows is the
-        # cheap spelling of np.stack, and this runs once per request.
-        totals = np.array([scored[0] for scored in per_part]).sum(axis=0)
-        scores = np.array([scored[1] for scored in per_part])
-        masses = np.array([scored[2] for scored in per_part])
-        positions = np.array([scored[3] for scored in per_part])
-        # Winner per query: max score, ties to lowest reference mass,
-        # then lowest library position — exactly HDOmsSearcher's argmax
-        # over its mass-sorted candidate window.
-        winner = np.lexsort((positions, masses, -scores), axis=0)[0]
+        # (parts, queries) tables of counts, scores, masses and positions;
+        # one empty row when nothing is routed.
+        shape = (max(len(jobs), 1), len(query_masses))
+        fills = (0, -np.inf, np.inf, -1)
+        counts, scores, masses, positions = (np.full(shape, fill) for fill in fills)
+        outcomes, scored_rows = np.zeros(len(OUTCOMES), dtype=np.int64), 0
+        for row, ((part, _batch), (_wall, scored)) in enumerate(zip(jobs, timed)):
+            for table, column in zip((counts, scores, masses, positions), scored):
+                table[row, mask[part]] = column
+            outcomes += scored[4]
+            scored_rows += int(scored[5][0])
+            if self.ann_stats is not None:  # per routed (query, part) pair
+                self.ann_stats.record_batch(scored[4], int(scored[0].sum()), int(scored[5][0]))
+        with tracer.span(f"{self.part_name}.merge", queries=len(query_masses)):
+            # Winner per query: exactly HDOmsSearcher's argmax over its
+            # mass-sorted candidate window.
+            winner = np.lexsort((positions, masses, -scores), axis=0)[0]
+            pick = (winner, np.arange(len(query_masses)))
+            records = [self._reference(p) if p >= 0 else None for p in positions[pick].tolist()]
+        return (
+            counts.sum(axis=0), scores[pick], masses[pick], positions[pick],
+            outcomes, np.array([scored_rows], dtype=np.int64), records,
+        )
 
+    def _run_pass(
+        self, queries: Sequence[Spectrum], packed: np.ndarray, mode: str
+    ) -> List[Optional[PSM]]:
+        """One windowed scoring pass over encoded queries, as PSMs."""
+        counts, scores, _masses, positions, _outcomes, _rows, records = self.score_batch(
+            packed,
+            np.array([query.neutral_mass for query in queries]),
+            np.array([query.precursor_charge for query in queries], dtype=np.int64),
+            self.windows.half_width(mode),
+        )
         results: List[Optional[PSM]] = []
-        for column, (query, _hv) in enumerate(pairs):
-            if totals[column] == 0 or totals[column] < self.config.min_candidates:
+        for column, (query, reference) in enumerate(zip(queries, records)):
+            if reference is None or counts[column] < self.config.min_candidates:
                 results.append(None)
                 continue
-            position = int(positions[winner[column], column])
-            reference = self._reference(position)
             results.append(
                 PSM(
                     query_id=query.identifier,
                     reference_id=reference.identifier,
                     peptide_key=reference.peptide_key(),
-                    score=float(scores[winner[column], column]),
+                    score=float(scores[column]),
                     is_decoy=reference.is_decoy,
                     precursor_mass_difference=query.neutral_mass
                     - reference.neutral_mass,
                     mode=mode,
                     reference_mass=float(reference.neutral_mass),
-                    library_position=position,
+                    library_position=int(positions[column]),
                 )
             )
         return results
@@ -373,40 +393,35 @@ class FanOutSearcher:
     # ------------------------------------------------------------------
 
     def _search_batch(
-        self, survivors: Sequence[Tuple[Spectrum, np.ndarray]]
+        self, queries: Sequence[Spectrum], query_hvs: np.ndarray
     ) -> List[Optional[PSM]]:
-        """Noise injection + mode dispatch for one encoded micro-batch.
+        """Noise injection + packing + mode dispatch for one encoded micro-batch.
 
         BER flips draw from the searcher's RNG here — in the consumer
         stage, for every preprocessed query in arrival order — so the
         noise stream is identical whether or not the encode stage ran
-        ahead, and identical to the oracle's.
+        ahead, and identical to the oracle's.  The batch is packed once;
+        every pass and part scores those rows.
         """
-        pairs: List[Tuple[Spectrum, np.ndarray]] = []
-        for query, query_hv in survivors:
-            if self.config.query_ber > 0:
-                query_hv = flip_bits(
-                    query_hv, self.config.query_ber, self._noise_rng
-                )
-            pairs.append((query, query_hv))
-        if not pairs:
+        if not len(queries):
             return []
+        if self.config.query_ber > 0:
+            query_hvs = flip_bits(query_hvs, self.config.query_ber, self._noise_rng)
+        packed = pack_bipolar(query_hvs)
         if self.config.mode == "cascade":
-            results = self._run_pass(pairs, "standard")
-            retry = [
-                column for column, psm in enumerate(results) if psm is None
-            ]
+            results = self._run_pass(queries, packed, "standard")
+            retry = [column for column, psm in enumerate(results) if psm is None]
             if retry:
                 reopened = self._run_pass(
-                    [pairs[column] for column in retry], "open"
+                    [queries[column] for column in retry], packed[retry], "open"
                 )
                 for column, psm in zip(retry, reopened):
                     results[column] = psm
             return results
-        return self._run_pass(pairs, self.config.mode)
+        return self._run_pass(queries, packed, self.config.mode)
 
-    def search(self, queries: Sequence[Spectrum]) -> SearchResult:
-        """Search all queries; PSM stream identical to HDOmsSearcher.
+    def search_aligned(self, queries: Sequence[Spectrum]) -> List[Optional[PSM]]:
+        """One PSM or ``None`` per query, in input order.
 
         Queries are preprocessed and encoded in micro-batches of
         ``engine.pipeline_batch`` on a producer thread running one stage
@@ -415,46 +430,30 @@ class FanOutSearcher:
         (the preprocess + fused ``encode_batch``) moves ahead;
         everything consuming the searcher's RNG (BER injection) stays in
         the consumer in arrival order, so the PSM stream is unchanged.
+        A query dropped by preprocessing answers ``None``.
         """
-        start = time.perf_counter()
-        unmatched = 0
         step = self.engine.pipeline_batch or ENCODE_BLOCK_SIZE
-        chunks = [
-            queries[position : position + step]
-            for position in range(0, len(queries), step)
-        ]
 
-        def encode_chunk(chunk):
-            survivors = []
-            dropped = 0
-            for query in chunk:
-                processed = preprocess(query, self.preprocessing)
-                if processed is None:
-                    dropped += 1
-                else:
-                    survivors.append((query, processed))
-            encoded = encode_queries(
-                self.encoder, [processed for _, processed in survivors]
-            )
-            return (
-                [
-                    (query, query_hv)
-                    for (query, _processed), query_hv in zip(survivors, encoded)
-                ],
-                dropped,
-            )
+        def encode_chunk(start: int):
+            chunk = queries[start : start + step]
+            processed = [preprocess(query, self.preprocessing) for query in chunk]
+            kept = [start + row for row, spectrum in enumerate(processed) if spectrum is not None]
+            return kept, encode_queries(self.encoder, [processed[row - start] for row in kept])
 
-        results: List[Optional[PSM]] = []
-        for survivors, dropped in pipeline_map(encode_chunk, chunks):
-            unmatched += dropped
-            results.extend(self._search_batch(survivors))
+        results: List[Optional[PSM]] = [None] * len(queries)
+        for kept, encoded in pipeline_map(encode_chunk, range(0, len(queries), step)):
+            for row, psm in zip(kept, self._search_batch([queries[row] for row in kept], encoded)):
+                results[row] = psm
+        return results
 
-        psms = [psm for psm in results if psm is not None]
-        unmatched += sum(1 for psm in results if psm is None)
+    def search(self, queries: Sequence[Spectrum]) -> SearchResult:
+        """Search all queries; PSM stream identical to HDOmsSearcher."""
+        start = time.perf_counter()
+        psms = [psm for psm in self.search_aligned(queries) if psm is not None]
         return SearchResult(
             psms=psms,
             num_queries=len(queries),
-            num_unmatched=unmatched,
+            num_unmatched=len(queries) - len(psms),
             elapsed_seconds=time.perf_counter() - start,
             backend_name=self.backend_name,
         )

@@ -11,6 +11,8 @@ remote service exactly like with a local
     psm = client.search(spectrum)           # Optional[PSM]
     psms = client.search_batch(spectra)     # aligned List[Optional[PSM]]
 
+A coordinator calls :meth:`SearchClient.score` with queries it encoded.
+
 Against a multi-index server, requests can target one of the loaded
 libraries per call or bind a default for the whole client::
 
@@ -34,10 +36,11 @@ import socket
 import threading
 import urllib.parse
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..ms.spectrum import Spectrum
 from ..oms.psm import PSM
+from .protocol import ProtocolError, score_reply_from_payload, score_request_to_payload
 from .protocol import spectrum_to_payload
 
 
@@ -246,11 +249,7 @@ class SearchClient:
         logs and with ``/debug/trace?request_id=...``.
         """
         body = {"spectrum": spectrum_to_payload(spectrum)}
-        resolved = self._resolve_route(route)
-        if resolved is not None:
-            body["route"] = resolved
-        headers = {"X-Request-Id": request_id} if request_id else None
-        return self._request("POST", "/search", body, headers=headers)
+        return self._post("/search", body, route, request_id)
 
     def search_batch(
         self,
@@ -259,31 +258,38 @@ class SearchClient:
         request_id: Optional[str] = None,
     ) -> List[Optional[PSM]]:
         """Search many spectra in one round trip; result aligns to input."""
-        reply = self.search_batch_raw(
-            [spectrum_to_payload(s) for s in spectra], route, request_id
-        )
+        body = {"spectra": [spectrum_to_payload(spectrum) for spectrum in spectra]}
         return [
             PSM.from_dict(payload) if payload is not None else None
-            for payload in reply["psms"]
+            for payload in self._post("/search_batch", body, route, request_id)["psms"]
         ]
 
-    def search_batch_raw(
-        self,
-        payloads: Sequence[dict],
-        route: Optional[str] = None,
-        request_id: Optional[str] = None,
-    ) -> dict:
-        """The raw ``/search_batch`` reply for already-serialized spectra.
+    def score(
+        self, queries, dim: int, masses, charges, half_width: float,
+        route: Optional[str] = None, request_id: Optional[str] = None,
+    ) -> Tuple:
+        """``(counts, scores, masses, positions, records)`` of packed query rows.
 
-        The coordinator's scatter hop forwards the payloads it received
-        without parsing them into spectra and back.
+        One ``/score`` round trip: the worker's winners, in its own rows.
+
+        Raises:
+            ServiceError: On a transport or HTTP failure, or a reply
+                that does not answer every query.
         """
-        body = {"spectra": list(payloads)}
+        body = score_request_to_payload(queries, dim, masses, charges, half_width)
+        try:
+            reply = self._post("/score", body, route, request_id)
+            return score_reply_from_payload(reply, len(masses))
+        except ProtocolError as error:
+            raise ServiceError(f"{self.base_url}: {error}") from None
+
+    def _post(self, path: str, body: dict, route: Optional[str], request_id: Optional[str]):
+        """POST ``body`` to ``path`` with the route and request id filled in."""
         resolved = self._resolve_route(route)
         if resolved is not None:
             body["route"] = resolved
         headers = {"X-Request-Id": request_id} if request_id else None
-        return self._request("POST", "/search_batch", body, headers=headers)
+        return self._request("POST", path, body, headers=headers)
 
     def healthz(self) -> dict:
         """Liveness probe payload (includes the per-route breakdown)."""

@@ -17,20 +17,25 @@ them:
   (:func:`route_from_payload`, :data:`ROUTE_PATTERN`): requests may
   name which loaded library they target, and both the server and the
   :class:`~repro.service.registry.IndexRegistry` validate route names
-  against the same pattern.
+  against the same pattern;
+* the ``/score`` hop: packed query rows out, per-query winners and
+  their records back, each side checking what arrives from outside.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..index.library import ReferenceRecord
 from ..ms.peptide import Peptide
 from ..ms.spectrum import Spectrum
 
@@ -171,3 +176,61 @@ def config_fingerprint(index_provenance: dict, windows, search_config) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: The per-query winner columns of a ``/score`` reply, and their dtypes.
+SCORE_COLUMNS = {
+    "counts": np.int64, "scores": np.float64, "masses": np.float64, "positions": np.int64
+}
+
+
+def score_request_to_payload(queries: np.ndarray, dim: int, masses, charges, half_width) -> dict:
+    """The ``/score`` body for packed ``(n, ceil(dim / 8))`` query rows."""
+    packed = base64.b64encode(np.ascontiguousarray(queries, np.uint8)).decode()
+    return {"packed": packed, "dim": int(dim), "masses": np.asarray(masses, np.float64).tolist(),
+            "charges": np.asarray(charges, np.int64).tolist(), "half_width": float(half_width)}
+
+
+def score_request_from_payload(payload: object, dim: int) -> Tuple:
+    """``(packed, masses, charges, half_width)`` of a ``/score`` body for a ``dim``-wide route.
+
+    Raises:
+        ProtocolError: Unless all is well typed, ``dim`` is the route's, each query has a mass,
+            a charge and a ``ceil(dim / 8)``-byte row, and the half-width is finite and >= 0.
+    """
+    try:
+        masses = np.asarray(payload["masses"], np.float64)
+        charges = np.asarray(payload["charges"], np.int64)
+        half_width = float(payload["half_width"])
+        packed = np.frombuffer(base64.b64decode(payload["packed"], validate=True), np.uint8)
+        sent_dim = payload["dim"]
+    except (KeyError, TypeError, ValueError) as error:  # binascii.Error too
+        raise ProtocolError(f"bad /score body: {type(error).__name__}: {error}") from None
+    rows, row_bytes = masses.size, (dim + 7) // 8
+    shaped = masses.shape == charges.shape == (rows,) and packed.size == rows * row_bytes
+    if sent_dim != dim or not shaped:
+        raise ProtocolError(
+            f"/score for dim {dim} got dim {sent_dim!r}, {rows} masses, {charges.size} "
+            f"charges and {packed.size} bytes for {rows} rows of {row_bytes}"
+        )
+    if not 0 <= half_width < math.inf:
+        raise ProtocolError(f"half_width must be finite and >= 0, got {half_width}")
+    return packed.reshape(rows, row_bytes), masses, charges, half_width
+
+
+def score_reply_from_payload(payload: object, num_queries: int) -> Tuple:
+    """``(counts, scores, masses, positions, records)`` of a ``/score`` reply.
+
+    Raises:
+        ProtocolError: Unless each column and the records hold one entry per query, with a
+            record exactly where a winner row is named.
+    """
+    try:
+        columns = [np.asarray(payload[name], dtype) for name, dtype in SCORE_COLUMNS.items()]
+        records = [None if r is None else ReferenceRecord(**r) for r in payload["records"]]
+    except (KeyError, TypeError, ValueError) as error:
+        raise ProtocolError(f"bad /score reply: {type(error).__name__}: {error}") from None
+    found = [record is not None for record in records]
+    if any(c.shape != (num_queries,) for c in columns) or found != (columns[3] >= 0).tolist():
+        raise ProtocolError(f"/score reply does not answer its {num_queries} queries")
+    return (*columns, records)

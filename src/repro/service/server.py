@@ -22,6 +22,8 @@ stdlib ``ThreadingHTTPServer`` JSON API:
 ========================  ====  ==========================================
 ``/search``               POST  one spectrum -> one PSM (or null)
 ``/search_batch``         POST  many spectra -> aligned PSM list
+``/score``                POST  packed query rows -> per-query winners
+                                (a coordinator's hop; nothing encoded)
 ``/healthz``              GET   liveness + per-route index summaries
 ``/stats``                GET   cache / scheduler / latency counters
 ``/metrics``              GET   Prometheus text exposition
@@ -42,7 +44,6 @@ terminated.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import logging
 import threading
@@ -76,6 +77,8 @@ from .protocol import (
     ProtocolError,
     config_fingerprint,
     route_from_payload,
+    SCORE_COLUMNS,
+    score_request_from_payload,
     spectrum_digest,
     spectrum_from_payload,
 )
@@ -278,52 +281,48 @@ class SearchService:
         )
         return engine, engine.backend_name, fingerprint
 
+    def _locked(self, run):
+        """``(run(engine), fingerprint, generation)`` under the engine lock.
+
+        Fingerprint and generation name the engine that produced the
+        result, so cache entries stay consistent across :meth:`reload`
+        swaps; its cumulative ANN counters are read while no other batch
+        runs, so per-batch deltas are well defined.
+        """
+        with self._engine_lock:
+            fingerprint, generation = self._fingerprint, self._generation
+            result = run(self._engine)
+            ann_stats = getattr(self._engine, "ann_stats", None)
+            ann_snapshot = ann_stats.snapshot() if ann_stats is not None else None
+        self._observe_ann(ann_snapshot, generation)
+        return result, fingerprint, generation
+
     def _run_batch(
         self, batch: List[Spectrum]
     ) -> List[Tuple[Optional[PSM], str, int]]:
-        """Score one coalesced batch; called by the scheduler thread.
+        """Score one coalesced batch by position; called by the scheduler thread."""
 
-        Requests are renamed to unique positional identifiers before the
-        batch search (client identifiers may collide across concurrent
-        requests) and renamed back on the way out.  Each result carries
-        the fingerprint and generation of the engine that produced it,
-        so cache entries stay consistent across concurrent
-        :meth:`reload` swaps.
-        """
-        renamed = []
-        for position, spectrum in enumerate(batch):
-            # Shallow copy, not dataclasses.replace: the peak arrays are
-            # shared read-only and re-running __post_init__ validation
-            # per request would be pure overhead on the hot path.
-            clone = copy.copy(spectrum)
-            clone.identifier = str(position)
-            renamed.append(clone)
-        with self._engine_lock:
-            fingerprint = self._fingerprint
-            generation = self._generation
+        def run(engine):
             with get_tracer().span(
-                "engine.search",
-                route=self.route,
-                batch=len(renamed),
-                engine=self._engine_label,
+                "engine.search", route=self.route, batch=len(batch), engine=self._engine_label
             ):
-                result = self._engine.search(renamed)
-            # Cumulative engine counters, captured while no other batch
-            # can run: successive snapshots of one generation are
-            # monotone, so per-batch deltas are well defined.
-            ann_stats = getattr(self._engine, "ann_stats", None)
-            ann_snapshot = (
-                ann_stats.snapshot() if ann_stats is not None else None
+                return engine.search_aligned(batch)
+
+        psms, fingerprint, generation = self._locked(run)
+        return [(psm, fingerprint, generation) for psm in psms]
+
+    def score_batch(self, queries, masses, charges, half_width: float, request_id=None) -> dict:
+        """The ``/score`` reply: the engine's ``score_batch`` under the batch lock, no cache."""
+        self._route_metrics.observe_request("score")
+        with get_tracer().span(
+            "service.score", request_id=request_id, route=self.route, queries=len(masses)
+        ):
+            scored = self._locked(
+                lambda engine: engine.score_batch(queries, masses, charges, half_width)
             )
-        self._observe_ann(ann_snapshot, generation)
-        by_position = {psm.query_id: psm for psm in result.psms}
-        out: List[Tuple[Optional[PSM], str, int]] = []
-        for position, spectrum in enumerate(batch):
-            psm = by_position.get(str(position))
-            if psm is not None:
-                psm = dataclasses.replace(psm, query_id=spectrum.identifier)
-            out.append((psm, fingerprint, generation))
-        return out
+        reply = {name: column.tolist() for name, column in zip(SCORE_COLUMNS, scored[0])}
+        reply["records"] = [None if r is None else dataclasses.asdict(r) for r in scored[0][-1]]
+        return reply
 
     def _observe_ann(
         self, snapshot: Optional[Dict[str, int]], generation: int
@@ -618,6 +617,7 @@ class SearchService:
 
     def healthz(self) -> Dict[str, object]:
         """Liveness payload: index summary, engine label, search config."""
+        provenance = self.index.provenance()
         return {
             "status": "ok",
             "route": self.route,
@@ -630,6 +630,7 @@ class SearchService:
             "mode": self.config.mode,
             "open_window_da": self.config.open_window_da,
             "standard_tolerance_da": self.config.standard_tolerance_da,
+            "encoding": {key: provenance[key] for key in ("space", "binning", "preprocessing")},
             "uptime_seconds": round(time.time() - self._started, 3),
         }
 
@@ -780,7 +781,8 @@ class SearchRequestHandler(JsonRequestHandler):
 
     server_version = "hdoms-service"
 
-    ROUTES = {**JsonRequestHandler.ROUTES, ("POST", "/reload"): "_handle_reload"}
+    ROUTES = {**JsonRequestHandler.ROUTES, ("POST", "/reload"): "_handle_reload",
+              ("POST", "/score"): "_handle_score"}
 
     @property
     def backend(self):
@@ -821,6 +823,16 @@ class SearchRequestHandler(JsonRequestHandler):
             "search_batch",
             {"psms": [psm.to_dict() if psm is not None else None for psm in psms]},
             spectra=len(spectra),
+        )
+
+    def _handle_score(self) -> None:
+        payload = self._read_json()
+        service = self.backend.get(route_from_payload(payload))
+        request_id, started = self._request_id(), time.perf_counter()
+        batch = score_request_from_payload(payload, service.index.dim)
+        reply = service.score_batch(*batch, request_id=request_id)
+        self._reply_search(
+            started, request_id, service.route, "score", reply, spectra=len(batch[1])
         )
 
     def _handle_reload(self) -> None:

@@ -93,10 +93,6 @@ class SegmentMeta:
             source=str(payload.get("source", "")),
         )
 
-    def intersects(self, lo: float, hi: float) -> bool:
-        """Whether this segment's mass range overlaps ``[lo, hi]``."""
-        return self.mass_max >= lo and self.mass_min <= hi
-
 
 class StoreManifest:
     """In-memory form of ``manifest.json`` with atomic persistence."""
@@ -145,28 +141,43 @@ class StoreManifest:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StoreManifest":
-        """Load a manifest from a store root (or the file itself)."""
+        """Load a manifest from a store root (or the file itself).
+
+        Raises:
+            StoreCompatibilityError: Naming the manifest path when the
+                file is missing, not a JSON object, or has a missing or
+                wrongly typed field or another format version.
+        """
         manifest_path = cls.manifest_path(path)
         try:
             payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+            version = payload.get("format_version")  # AttributeError: not an object
+            if version != STORE_FORMAT_VERSION:
+                raise StoreCompatibilityError(
+                    f"store format version mismatch: file has {version!r}, "
+                    f"this build reads {STORE_FORMAT_VERSION}"
+                )
+            manifest = cls(
+                dim=payload["dim"],
+                space=payload["space"],
+                binning=payload["binning"],
+                preprocessing=payload["preprocessing"],
+                segments=[SegmentMeta.from_dict(s) for s in payload["segments"]],
+            )
+            manifest.configs()  # a bad config field fails here, not mid-search
         except FileNotFoundError:
             raise StoreCompatibilityError(
                 f"{manifest_path.parent} is not a segmented store "
                 f"(no {MANIFEST_NAME})"
             ) from None
-        version = payload.get("format_version")
-        if version != STORE_FORMAT_VERSION:
+        except StoreCompatibilityError:
+            raise
+        # Unreadable bytes or JSON (OSError, ValueError), or a wrong shape.
+        except (OSError, ValueError, AttributeError, KeyError, TypeError) as error:
             raise StoreCompatibilityError(
-                f"store format version mismatch: file has {version!r}, "
-                f"this build reads {STORE_FORMAT_VERSION}"
-            )
-        return cls(
-            dim=payload["dim"],
-            space=payload["space"],
-            binning=payload["binning"],
-            preprocessing=payload["preprocessing"],
-            segments=[SegmentMeta.from_dict(s) for s in payload["segments"]],
-        )
+                f"{manifest_path} is not a usable manifest: {type(error).__name__}: {error}"
+            ) from None
+        return manifest
 
     def to_dict(self) -> dict:
         """JSON-safe dict form of the whole manifest."""

@@ -3,12 +3,12 @@
 A row-layout provider for the shared fan-out core
 (:class:`~repro.oms.loop.FanOutSearcher`, which owns the query loop,
 the scoring pass, the winner merge and the PSMs): the unit of fan-out
-is a manifest segment, and segments are strictly lazy.  A scoring pass
-asks for the batch's precursor-mass interval (widened by the active
-window half-width) and only segments whose recorded mass range
-intersects it are ever opened.  A skipped segment contributes zero
-candidate rows to *every* query in the batch by construction, so
-pruning is exact: results are bit-identical to a monolithic search,
+is a manifest segment, and segments are strictly lazy.  The core's hull
+test routes each query to the segments whose recorded mass range meets
+its window (widened by the active half-width); a segment only opens
+once a query is routed to it and only scores those queries.  A skipped
+(query, segment) cell contributes zero candidate rows by construction,
+so pruning is exact: results are bit-identical to a monolithic search,
 ``min_candidates`` gating included.
 
 Each opened segment is scored straight from its mmap'd arrays, with
@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -101,6 +101,8 @@ class SegmentedSearcher(FanOutSearcher):
                 self._num_workers,
             )
         self._offsets = store.offsets
+        hulls = [[meta.mass_min, meta.mass_max] for meta in store.segment_metas]
+        self._hulls = np.array(hulls).reshape(-1, 2)
         self._records: Dict[int, List[ReferenceRecord]] = {}
         # Guards the plain-int counters concurrent searches bump.
         self._stats_lock = threading.Lock()
@@ -111,15 +113,15 @@ class SegmentedSearcher(FanOutSearcher):
     # the row layout: lazily opened, mass-pruned segments
     # ------------------------------------------------------------------
 
-    def _parts_for(self, low: float, high: float) -> Sequence[int]:
-        """Segments whose mass range meets ``[low, high]`` (counted as scored)."""
-        relevant = self.store.segments_for_range(low, high)
+    def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """The core's routing mask; each segment it routes to counts as scored."""
+        mask = super()._parts_for(lows, highs)
         with self._stats_lock:
-            for segment_id in relevant:
+            for segment_id in np.flatnonzero(mask.any(axis=1)).tolist():
                 self._segment_batches[segment_id] = (
                     self._segment_batches.get(segment_id, 0) + 1
                 )
-        return relevant
+        return mask
 
     def _part_payload(self, segment_id: int) -> Dict:
         """Open one segment: its payload, its records, one more open counted."""

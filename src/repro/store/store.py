@@ -1,13 +1,11 @@
-"""Read side of a segmented store: lazy segments, range pruning.
+"""Read side of a segmented store: lazy segments.
 
 :class:`SegmentedStore` opens the manifest only; segment archives are
 memory-mapped on first touch (:meth:`SegmentedStore.segment`) and
-cached.  :meth:`SegmentedStore.segments_for_range` is the pruning
-primitive the searcher builds on: given a precursor-mass interval it
-names exactly the segments whose recorded range intersects it, so a
-window-restricted search never pays I/O — or scorer memory — for
-segments it cannot match.  Per-segment open counters make that
-laziness assertable in tests.
+cached.  The manifest's per-segment mass ranges are the hulls the
+searcher routes queries by, so a window-restricted search never pays
+I/O — or scorer memory — for segments it cannot match.  Per-segment
+open counters make that laziness assertable in tests.
 """
 
 from __future__ import annotations
@@ -131,14 +129,6 @@ class SegmentedStore:
             ) from error
         return index
 
-    def segments_for_range(self, lo: float, hi: float) -> List[int]:
-        """Ids of segments whose mass range intersects ``[lo, hi]``."""
-        return [
-            segment_id
-            for segment_id, meta in enumerate(self.manifest.segments)
-            if meta.intersects(lo, hi)
-        ]
-
     @property
     def offsets(self) -> np.ndarray:
         """Global row offset of each segment (manifest order)."""
@@ -149,10 +139,6 @@ class SegmentedStore:
     def open_counts(self) -> tuple:
         """Per-segment disk-open counts (the laziness assertion hook)."""
         return tuple(self._open_counts)
-
-    def reset_open_counts(self) -> None:
-        """Zero the open counters (for before/after assertions)."""
-        self._open_counts = [0] * len(self.manifest.segments)
 
     def close(self) -> None:
         """Drop cached segment arrays (mmaps release with them)."""

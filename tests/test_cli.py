@@ -302,6 +302,27 @@ class TestIndexSearchJsonl:
         assert code == 2
 
 
+@pytest.mark.parametrize("index", ["missing", "random-bytes"])
+def test_profile_on_an_unreadable_index_is_one_line_and_exit_2(
+    tmp_path, small_workload, capsys, index
+):
+    from repro.ms import write_mgf
+
+    queries, trace = tmp_path / "q.mgf", tmp_path / "trace.json"
+    write_mgf(small_workload.queries[:2], queries)
+    path = tmp_path / "nope.npz"
+    if index == "random-bytes":
+        path.write_bytes(bytes(range(256)) * 78 + bytes(32))  # 20 000 bytes
+    code = main(
+        ["profile", "--index", str(path), "--queries", str(queries), "--output", str(trace)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines()[-1].startswith("profile: ")
+    assert "Traceback" not in captured.err
+    assert not trace.exists()
+
+
 class TestExperimentCommand:
     def test_fig12_runs(self, capsys):
         assert main(["experiment", "fig12"]) == 0

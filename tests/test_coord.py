@@ -1,19 +1,22 @@
 """Tests for the scale-out coordinator tier (repro.coord).
 
-The load-bearing invariant: every engine resolves ties with the same
-rule — max score, then lowest reference neutral mass, then lowest
-global library row — and each partition lists its segments in
-ascending manifest order, so a worker's local row order is the global
-order restricted to its subset.  Merging per-partition winners with
-that rule (via the PSM merge fields on the wire) must therefore be
-**bit-identical** to a single-node search, for every partition count
-and strategy.  Everything else here — hedging, retry, the config
-cross-check, admission control, the HTTP front-end — is robustness
-plumbing around that invariant.
+The load-bearing invariant: the coordinator is the fan-out core over
+remote partitions — it encodes once, routes by the core's hull test and
+merges the workers' ``/score`` winners with the core's one rule (max
+score, then lowest reference neutral mass, then lowest global library
+row).  Each partition lists its segments in ascending manifest order,
+so a worker's local row order is the global order restricted to its
+subset, and the result must be **bit-identical** to a single-node
+search for every partition count, strategy and mode.  Everything else
+here — hedging, retry, the config and encoding cross-checks, admission
+control, the HTTP front-end — is robustness plumbing around that
+invariant.
 """
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import http.client
 import http.server
 import json
@@ -33,14 +36,17 @@ from repro.coord import (
     CoordinatorServer,
     CoordinatorService,
     PartitionPlan,
-    PartitionSpec,
     assign_replicas,
     materialize_partitions,
-    merge_psm_payloads,
     start_coordinator_server,
 )
 from repro.coord.partition import _contiguous_groups
+from repro.engine import EngineConfig
+from repro.hdc.packing import pack_bipolar
 from repro.hdc.spaces import HDSpaceConfig
+from repro.index import ReferenceRecord
+from repro.oms import HDSearchConfig
+from repro.oms.loop import FanOutSearcher
 from repro.service import (
     SearchClient,
     SearchService,
@@ -48,8 +54,10 @@ from repro.service import (
     ServiceError,
     start_server,
 )
-from repro.service.protocol import spectrum_to_payload
+from repro.service.protocol import score_request_to_payload, spectrum_to_payload
 from repro.store import SegmentedSearcher, SegmentedStore, build_store
+
+MODES = ("open", "standard", "cascade")
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +185,20 @@ class TestPartitionPlan:
         assert mins == sorted(mins)
 
     def test_range_routing_is_a_superset_of_segment_pruning(self, store):
+        # Both tiers route through the core's one hull test: a partition
+        # owning a segment a window reaches is itself routed to.
         plan = PartitionPlan.build(store, 3, "mass")
-        for lo, hi in ((0.0, 1e6), (900.0, 1100.0), (1e9, 2e9)):
-            routed = set(plan.partitions_for_range(lo, hi))
-            for segment_id in store.segments_for_range(lo, hi):
-                owners = [
-                    spec.index
-                    for spec in plan.partitions
-                    if segment_id in spec.segment_ids
-                ]
-                assert set(owners) <= routed
+        lows, highs = np.array([0.0, 900.0, 1e9]), np.array([1e6, 1100.0, 2e9])
+        with SegmentedSearcher(store) as searcher:
+            segments = searcher._parts_for(lows, highs)
+        with Coordinator(
+            plan.partitions, [["http://127.0.0.1:9"]] * len(plan), probe_interval=30.0
+        ) as coordinator:
+            partitions = coordinator._parts_for(lows, highs)
+        assert segments[:, 0].all() and not segments[:, 2].any()
+        for spec, routed in zip(plan.partitions, partitions):
+            for segment_id in spec.segment_ids:
+                assert (segments[segment_id] <= routed).all()
 
     def test_invalid_inputs_rejected(self, store):
         with pytest.raises(ValueError, match="unknown partition strategy"):
@@ -222,207 +234,194 @@ class TestAssignReplicas:
 
 
 # ----------------------------------------------------------------------
-# the merge rule
+# the merge rule: the core's, whatever the parts are
 # ----------------------------------------------------------------------
 
 
-def _spec(index: int, offset: int, rows: int) -> PartitionSpec:
-    return PartitionSpec(
-        index=index,
-        segment_ids=(index,),
-        num_references=rows,
-        mass_min=0.0,
-        mass_max=1e9,
-        global_offsets=(offset,),
-        local_offsets=(0,),
+class _CannedParts(FanOutSearcher):
+    """Parts that answer fixed winners, so only the core's merge decides.
+
+    ``winners[p]`` maps a mode to part *p*'s ``(score, mass, global
+    row)`` for every query, or to None (an empty window).  A remote
+    partition, a shard and a segment all reach the merge this way.
+    """
+
+    part_name = "canned"
+
+    def __init__(self, winners, mode="open"):
+        self._init_core(
+            encoder=None,
+            preprocessing=None,
+            windows=None,
+            config=HDSearchConfig(mode=mode),
+            engine=EngineConfig(),
+            num_parts=len(winners),
+            label="canned",
+        )
+        self._bounds = winners
+        self.answered = []
+
+    def _map_parts(self, jobs):
+        timed = []
+        for part, (_queries, masses, _charges, half_width) in jobs:
+            mode = "standard" if half_width == self.windows.half_width("standard") else "open"
+            winner = self._bounds[part].get(mode)
+            n = len(masses)
+            if winner is None:
+                columns = (np.zeros(n, np.int64), np.full(n, -np.inf), np.full(n, np.inf), np.full(n, -1))
+            else:
+                score, mass, row = winner
+                columns = (np.ones(n, np.int64), np.full(n, score), np.full(n, mass), np.full(n, row))
+            self.answered.append(columns)
+            timed.append((0.0, (*columns, np.zeros(2, np.int64), np.zeros(1, np.int64))))
+        return timed
+
+    def _reference(self, position):
+        return ReferenceRecord(f"r{position}", None, False, 500.0, 2)
+
+
+def _merged(*winners, mode="open"):
+    """The core's merged ``(score, mass, row)`` for one query over ``winners``."""
+    parts = _CannedParts([{mode: winner} for winner in winners], mode)
+    counts, scores, masses, rows, *_rest = parts.score_batch(
+        np.zeros((1, 1), np.uint8), [500.0], [2], 500.0
     )
-
-
-def _payload(score, mass, position, mode="open"):
-    return {
-        "query_id": "q",
-        "reference_id": f"r{position}",
-        "peptide_key": None,
-        "score": score,
-        "is_decoy": False,
-        "precursor_mass_difference": 0.0,
-        "mode": mode,
-        "q_value": None,
-        "reference_mass": mass,
-        "library_position": position,
-    }
+    return None if rows[0] < 0 else (scores[0], masses[0], rows[0])
 
 
 class TestMergeRule:
     def test_highest_score_wins(self):
-        merged = merge_psm_payloads(
-            [
-                (_payload(10.0, 500.0, 1), _spec(0, 0, 5)),
-                (_payload(12.0, 700.0, 2), _spec(1, 5, 5)),
-            ]
-        )
-        assert merged["reference_id"] == "r2"
-        assert merged["library_position"] == 7  # globalized
+        assert _merged((10.0, 500.0, 1), (12.0, 700.0, 7)) == (12.0, 700.0, 7)
 
     def test_score_tie_breaks_to_lower_mass(self):
-        merged = merge_psm_payloads(
-            [
-                (_payload(10.0, 700.0, 0), _spec(0, 0, 5)),
-                (_payload(10.0, 500.0, 0), _spec(1, 5, 5)),
-            ]
-        )
-        assert merged["reference_mass"] == 500.0
+        assert _merged((10.0, 700.0, 0), (10.0, 500.0, 5))[1] == 500.0
 
     def test_full_tie_breaks_to_lower_global_row(self):
-        merged = merge_psm_payloads(
-            [
-                (_payload(10.0, 500.0, 3), _spec(0, 0, 5)),
-                (_payload(10.0, 500.0, 0), _spec(1, 5, 5)),
-            ]
-        )
-        # Local row 0 of partition 1 is global row 5, local row 3 of
-        # partition 0 is global row 3: the lower global row wins even
-        # though its local row is higher.
-        assert merged["library_position"] == 3
+        assert _merged((10.0, 500.0, 3), (10.0, 500.0, 5))[2] == 3
 
-    def test_standard_candidates_exclude_open_ones(self):
-        # Cascade composition: any standard-pass winner means the
-        # single-node standard pass matched, so a higher-scoring
-        # open-pass candidate from another partition must lose.
-        merged = merge_psm_payloads(
-            [
-                (_payload(99.0, 500.0, 0, mode="open"), _spec(0, 0, 5)),
-                (_payload(1.0, 500.0, 0, mode="standard"), _spec(1, 5, 5)),
-            ]
+    def test_standard_candidates_exclude_open_ones(self, queries):
+        # Cascade: a partition matching in the standard window means the
+        # single-node standard pass matched, so a higher-scoring open
+        # candidate elsewhere must lose — the second pass never runs.
+        parts = _CannedParts(
+            [{"open": (99.0, 500.0, 0)}, {"standard": (1.0, 500.0, 5), "open": (1.0, 500.0, 5)}],
+            "cascade",
         )
-        assert merged["mode"] == "standard"
-        assert merged["score"] == 1.0
+        (psm,) = parts._search_batch([queries[0]], np.ones((1, 8), np.int8))
+        assert (psm.mode, psm.score, psm.library_position) == ("standard", 1.0, 5)
 
     def test_all_none_merges_to_none(self):
-        assert (
-            merge_psm_payloads(
-                [(None, _spec(0, 0, 5)), (None, _spec(1, 5, 5))]
-            )
-            is None
-        )
+        assert _merged(None, None) is None
 
-    def test_missing_merge_fields_raise(self):
-        stale = _payload(10.0, 500.0, 1)
-        stale["reference_mass"] = None
-        with pytest.raises(CoordinatorError, match="merge fields"):
-            merge_psm_payloads([(stale, _spec(0, 0, 5))])
+    def test_missing_merge_fields_raise(self, store, queries):
+        # A /score reply without its winner positions cannot be merged
+        # exactly: the call fails like a transport error.
+        worker = _StubWorker(_encoding(store), drop="positions")
+        plan = PartitionPlan.build(store, 1, "rows")
+        try:
+            with Coordinator(plan.partitions, [[worker.url]], probe_interval=30.0) as coordinator:
+                with pytest.raises(CoordinatorError, match="every replica.*positions"):
+                    coordinator.search_payloads([spectrum_to_payload(queries[0])])
+        finally:
+            worker.stop()
 
     def test_input_payloads_are_not_mutated(self):
-        payload = _payload(10.0, 500.0, 2)
-        merge_psm_payloads([(payload, _spec(0, 10, 5))])
-        assert payload["library_position"] == 2
+        parts = _CannedParts([{"open": (10.0, 500.0, 2)}, {"open": None}])
+        parts.score_batch(np.zeros((3, 1), np.uint8), [1.0, 2.0, 3.0], [2, 2, 2], 500.0)
+        assert [column.tolist() for column in parts.answered[0]] == [
+            [1, 1, 1], [10.0] * 3, [500.0] * 3, [2, 2, 2]
+        ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_partitioned_lexsort_merge_equals_global(data):
-    """Partition-local lexsort winners + merge == the global lexsort.
+    """Partition-local winners merged by the core == the global lexsort.
 
-    Draws a synthetic score/mass table with deliberate ties, splits it
-    into contiguous partitions, computes each partition's winner with
-    the engines' exact ``np.lexsort((positions, masses, -scores))``
-    rule, and asserts the merged winner is the global rule's winner —
-    the property that makes the coordinator bit-identical.
+    Draws a score/mass table with deliberate ties, splits it into
+    contiguous partitions, lets each answer its own
+    ``np.lexsort((positions, masses, -scores))`` winner in global rows,
+    and asserts the core's merge picks the global rule's winner.
     """
     num_rows = data.draw(st.integers(1, 24), label="rows")
-    scores = np.asarray(
-        data.draw(
-            st.lists(
-                st.sampled_from([1.0, 2.0, 3.0]),
-                min_size=num_rows,
-                max_size=num_rows,
-            ),
-            label="scores",
-        )
+    draw = lambda values, label: np.asarray(  # noqa: E731
+        data.draw(st.lists(st.sampled_from(values), min_size=num_rows, max_size=num_rows), label=label)
     )
-    masses = np.asarray(
-        data.draw(
-            st.lists(
-                st.sampled_from([100.0, 200.0, 300.0]),
-                min_size=num_rows,
-                max_size=num_rows,
-            ),
-            label="masses",
-        )
-    )
+    scores = draw([1.0, 2.0, 3.0], "scores")
+    masses = draw([100.0, 200.0, 300.0], "masses")
     num_parts = data.draw(st.integers(1, 4), label="parts")
     cuts = sorted(
         data.draw(
-            st.lists(
-                st.integers(0, num_rows),
-                min_size=num_parts - 1,
-                max_size=num_parts - 1,
-            ),
+            st.lists(st.integers(0, num_rows), min_size=num_parts - 1, max_size=num_parts - 1),
             label="cuts",
         )
     )
     bounds = [0, *cuts, num_rows]
     positions = np.arange(num_rows)
-    global_winner = int(np.lexsort((positions, masses, -scores))[0])
-
-    entries = []
-    for index in range(num_parts):
-        lo, hi = bounds[index], bounds[index + 1]
-        spec = _spec(index, lo, max(hi - lo, 1))
+    expected = int(np.lexsort((positions, masses, -scores))[0])
+    winners = []
+    for lo, hi in zip(bounds, bounds[1:]):
         if hi == lo:
-            entries.append((None, spec))
+            winners.append(None)
             continue
-        local = np.lexsort(
-            (positions[lo:hi] - lo, masses[lo:hi], -scores[lo:hi])
-        )[0]
-        entries.append(
-            (
-                _payload(
-                    float(scores[lo + local]),
-                    float(masses[lo + local]),
-                    int(local),
-                ),
-                spec,
-            )
-        )
-    merged = merge_psm_payloads(entries)
-    assert merged is not None
-    assert merged["library_position"] == global_winner
-    assert merged["score"] == scores[global_winner]
-    assert merged["reference_mass"] == masses[global_winner]
+        local = lo + int(np.lexsort((positions[lo:hi], masses[lo:hi], -scores[lo:hi]))[0])
+        winners.append((float(scores[local]), float(masses[local]), local))
+    assert _merged(*winners) == (scores[expected], masses[expected], expected)
 
 
 # ----------------------------------------------------------------------
-# bit-identity across partition counts and strategies (no HTTP)
+# bit-identity through the real coordinator: partitions x strategy x mode
 # ----------------------------------------------------------------------
+
+
+def _encoding(store):
+    """What a worker serving ``store`` reports as its encoding."""
+    provenance = store.provenance()
+    return {key: provenance[key] for key in ("space", "binning", "preprocessing")}
+
+
+class _Fleet:
+    """In-thread ``repro serve`` workers, one per store path."""
+
+    def __init__(self, paths, **config):
+        self.services, self.servers, self.urls = [], [], []
+        for path in paths:
+            service = SearchService(path, ServiceConfig(max_batch=8, max_wait_ms=2.0, **config))
+            server = start_server(service)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            self.services.append(service)
+            self.servers.append(server)
+            self.urls.append("http://%s:%s" % server.server_address[:2])
+
+    def close(self):
+        for service, server in zip(self.services, self.servers):
+            server.shutdown()
+            server.server_close()
+            service.close()
 
 
 @pytest.mark.parametrize("strategy", ["rows", "mass"])
 @pytest.mark.parametrize("num_partitions", [1, 2, 3, 5])
 def test_partitioned_search_merges_bit_identically(
-    store, queries, baseline, tmp_path, strategy, num_partitions
+    store, queries, tmp_path, strategy, num_partitions
 ):
     plan = PartitionPlan.build(store, num_partitions, strategy)
     paths = materialize_partitions(store, plan, root=tmp_path / "parts")
-    per_partition = {}
-    for spec in plan.partitions:
-        with SegmentedSearcher(paths[spec.index]) as searcher:
-            result = searcher.search(queries)
-        per_partition[spec.index] = {
-            psm.query_id: psm.to_dict() for psm in result.psms
-        }
-    for query in queries:
-        entries = [
-            (
-                per_partition[spec.index].get(query.identifier),
-                spec,
-            )
-            for spec in plan.partitions
-        ]
-        merged = merge_psm_payloads(entries)
-        assert merged == baseline.get(query.identifier), (
-            f"{strategy}/{num_partitions}: {query.identifier} diverged"
-        )
+    payloads = [spectrum_to_payload(query) for query in queries]
+    for mode in MODES:
+        with SegmentedSearcher(store, config=HDSearchConfig(mode=mode)) as searcher:
+            truth = [psm.to_dict() if psm else None for psm in searcher.search_aligned(queries)]
+        fleet = _Fleet([paths[spec.index] for spec in plan.partitions], mode=mode)
+        try:
+            with Coordinator(
+                plan.partitions, [[url] for url in fleet.urls], mode=mode, probe_interval=30.0
+            ) as coordinator:
+                coordinator.wait_ready(timeout=30)
+                assert coordinator.search_payloads(payloads) == truth, (
+                    f"{strategy}/{num_partitions}/{mode} diverged"
+                )
+        finally:
+            fleet.close()
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +509,7 @@ class TestCoordinatorHTTP:
             # worker-side span carries the id minted at the coordinator.
             names = {span.name for span in tracer.spans_for("coord-hop-1")}
             assert {"coord.request", "coord.route", "coord.merge"} <= names
-            assert "service.search_batch" in names
+            assert "service.score" in names
             events = client.debug_trace(request_id="coord-hop-1")["traceEvents"]
             assert "coord.request" in {
                 event["name"] for event in events if event.get("ph") == "X"
@@ -520,6 +519,29 @@ class TestCoordinatorHTTP:
         finally:
             if not was_enabled:
                 tracer.disable()
+
+    def test_queries_are_encoded_once_and_workers_only_score(
+        self, coordinator_stack, queries
+    ):
+        from repro.obs.trace import get_tracer
+
+        url, coordinator, _plan = coordinator_stack
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enable()
+        try:
+            SearchClient(url).search_batch(queries, request_id="coord-once-1")
+            names = [span.name for span in tracer.spans_for("coord-once-1")]
+        finally:
+            if not was_enabled:
+                tracer.disable()
+        # One open pass: one encode, here; one /score per routed partition.
+        assert names.count("encode.batch") == 1
+        assert names.count("service.score") == names.count("coord.score") >= 1
+        assert "service.search_batch" not in names
+        for partition in coordinator.stats()["partitions"]:
+            text = SearchClient(partition["workers"][0]["url"]).metrics()
+            assert 'endpoint="score"' in text and 'endpoint="search_batch"' not in text
 
     def test_healthz_reports_fleet_and_topology(self, coordinator_stack):
         url, _coordinator, plan = coordinator_stack
@@ -730,15 +752,17 @@ class TestStandardModeRouting:
 
 
 class _StubWorker(http.server.ThreadingHTTPServer):
-    """A worker that matches nothing; ``parked`` makes it never answer.
+    """A worker whose ``/score`` matches nothing; ``parked`` makes it never answer.
 
-    ``/healthz`` says ok without naming a row count or search config,
-    so the coordinator's cross-check has nothing to reject.
+    ``/healthz`` says ok and reports ``encoding`` without naming a row
+    count or search config, so the coordinator's cross-check has
+    nothing to reject.  ``status`` other than 200 fails every
+    ``/score``; ``drop`` removes one field from its reply.
     """
 
     daemon_threads = True
 
-    def __init__(self, parked: bool = False):
+    def __init__(self, encoding, parked: bool = False, status: int = 200, drop=None):
         self.parked = parked
         self.release = threading.Event()
         self.batches = 0
@@ -750,26 +774,34 @@ class _StubWorker(http.server.ThreadingHTTPServer):
             def log_message(self, *args):
                 pass
 
-            def _reply(self, payload):
+            def _reply(self, payload, status=200):
                 body = json.dumps(payload).encode()
-                self.send_response(200)
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
             def do_GET(self):  # noqa: N802 - http.server API
-                self._reply({"status": "ok"})
+                self._reply({"status": "ok", "encoding": encoding})
 
             def do_POST(self):  # noqa: N802 - http.server API
                 length = int(self.headers["Content-Length"])
-                spectra = json.loads(self.rfile.read(length))["spectra"]
+                n = len(json.loads(self.rfile.read(length))["masses"])
                 stub.batches += 1
                 if stub.parked:
                     stub.release.wait(60)
                     self.close_connection = True
                     return
-                self._reply({"psms": [None] * len(spectra)})
+                reply = {
+                    "counts": [0] * n,
+                    "scores": [-np.inf] * n,
+                    "masses": [np.inf] * n,
+                    "positions": [-1] * n,
+                    "records": [None] * n,
+                }
+                reply.pop(drop, None)
+                self._reply(reply if status == 200 else {"error": "boom"}, status)
 
         super().__init__(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -796,7 +828,8 @@ class TestHedging:
         # this constant; the real second would only slow the test.
         monkeypatch.setattr(coordinator_module, "DEFAULT_HEDGE_SECONDS", 0.1)
         plan = PartitionPlan.build(store, 1, "rows")
-        parked, sibling = _StubWorker(parked=True), _StubWorker()
+        parked = _StubWorker(_encoding(store), parked=True)
+        sibling = _StubWorker(_encoding(store))
         before = set(threading.enumerate())
         coordinator = Coordinator(
             plan.partitions,
@@ -839,7 +872,7 @@ class TestHedging:
 
     def test_search_after_close_is_a_coordinator_error(self, store, queries):
         plan = PartitionPlan.build(store, 1, "rows")
-        worker = _StubWorker()
+        worker = _StubWorker(_encoding(store))
         try:
             coordinator = Coordinator(
                 plan.partitions, [[worker.url]], probe_interval=30.0
@@ -885,27 +918,18 @@ class TestCoordinatorRobustness:
             coordinator.close()
 
     def test_failed_primary_retries_on_sibling(self, store, queries, baseline):
+        # A primary that probes healthy but fails its /score call: the
+        # retry must land on the live sibling and the answer stay exact.
         plan = PartitionPlan.build(store, 1, "rows")
-        probe = socketserver.TCPServer(("127.0.0.1", 0), None)
-        dead_host, dead_port = probe.server_address
-        probe.server_close()
-        service = SearchService(
-            store.root, ServiceConfig(max_batch=8, max_wait_ms=2.0)
-        )
-        server = start_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        failing = _StubWorker(_encoding(store), status=500)
+        fleet = _Fleet([store.root])
         coordinator = Coordinator(
             plan.partitions,
-            [[f"http://{dead_host}:{dead_port}", f"http://{host}:{port}"]],
+            [[failing.url, fleet.urls[0]]],
             probe_interval=30.0,
             worker_timeout=20.0,
         )
         try:
-            # No probes have run: both replicas look equally (un)healthy,
-            # so round-robin can pick the dead primary; the retry must
-            # land on the live sibling and the answer stay exact.
             for _ in range(4):  # cover both round-robin phases
                 merged = coordinator.search_payloads(
                     [spectrum_to_payload(queries[0])]
@@ -916,12 +940,11 @@ class TestCoordinatorRobustness:
                 partition=partition_label
             )
             assert retried >= 1
+            assert failing.batches >= 1
         finally:
             coordinator.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            service.close()
+            failing.stop()
+            fleet.close()
 
     def test_mismatched_worker_is_marked_unhealthy(self, store):
         # A worker serving the WHOLE store behind a partition spec for
@@ -952,6 +975,112 @@ class TestCoordinatorRobustness:
             server.server_close()
             thread.join(timeout=10)
             service.close()
+
+
+def _encoded(store, queries):
+    """Packed query rows, masses and charges, encoded as a coordinator would."""
+    from repro.ms.preprocessing import preprocess
+    from repro.oms.search import encode_queries
+
+    kept = [q for q in queries if preprocess(q, store.preprocessing) is not None]
+    processed = [preprocess(q, store.preprocessing) for q in kept]
+    return (
+        pack_bipolar(encode_queries(store.make_encoder(), processed)),
+        np.array([q.neutral_mass for q in kept]),
+        np.array([q.precursor_charge for q in kept]),
+    )
+
+
+class TestScoreHop:
+    """A worker's ``/score``: packed rows in, winners out, every field checked."""
+
+    @pytest.fixture
+    def worker(self, store, monkeypatch):
+        service = SearchService(store.root)
+        server = start_server(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        calls = []
+        real = service._engine.score_batch
+        monkeypatch.setattr(
+            service._engine, "score_batch", lambda *batch: calls.append(batch) or real(*batch)
+        )
+        yield SearchClient("http://%s:%s" % server.server_address[:2]), calls
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+    def test_replies_what_the_engine_scores(self, worker, store, queries):
+        client, calls = worker
+        packed, masses, charges = _encoded(store, queries)
+        got = client.score(packed, store.dim, masses, charges, 500.0)
+        with SegmentedSearcher(store) as searcher:
+            expected = searcher.score_batch(packed, masses, charges, 500.0)
+        for column, want in zip(got[:4], expected[:4]):
+            assert column.tolist() == want.tolist()
+        assert got[4] == expected[6] and any(got[4])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["short-block", "long-block", "wrong-dim", "ragged", "negative-width",
+         "nan-width", "not-base64", "missing-field"],
+    )
+    def test_bad_bodies_are_400_and_never_reach_the_engine(
+        self, worker, store, queries, damage
+    ):
+        client, calls = worker
+        packed, masses, charges = _encoded(store, queries[:3])
+        body = score_request_to_payload(packed, store.dim, masses, charges, 500.0)
+        block = base64.b64decode(body["packed"])
+        body.update(
+            {
+                "short-block": {"packed": base64.b64encode(block[:-1]).decode()},
+                "long-block": {"packed": base64.b64encode(block + block[:8]).decode()},
+                "wrong-dim": {"dim": store.dim * 2},
+                "ragged": {"masses": body["masses"] + [1000.0]},
+                "negative-width": {"half_width": -1.0},
+                "nan-width": {"half_width": float("nan")},
+                "not-base64": {"packed": "not base64!"},
+                "missing-field": {},
+            }[damage]
+        )
+        if damage == "missing-field":
+            del body["charges"]
+        with pytest.raises(ServiceError) as info:
+            client._request("POST", "/score", body)
+        assert info.value.status == 400
+        assert calls == []
+
+
+class TestEncodingCrossCheck:
+    def test_a_partition_built_with_another_seed_is_rejected(
+        self, store, references, space_config, binning, tmp_path
+    ):
+        # Same library and segmentation under another seed: the same
+        # rows, masses and mode, so only the encoding gives it away.
+        other = build_store(
+            references,
+            tmp_path / "other-seed",
+            space_config=dataclasses.replace(space_config, seed=space_config.seed + 1),
+            binning=binning,
+            segment_rows=13,
+        )
+        plan = PartitionPlan.build(store, 2, "rows")
+        mine = materialize_partitions(store, plan, root=tmp_path / "mine")
+        theirs = materialize_partitions(other, PartitionPlan.build(other, 2), root=tmp_path / "theirs")
+        fleet = _Fleet([mine[0], theirs[1]])
+        try:
+            with Coordinator(
+                plan.partitions, [[url] for url in fleet.urls], probe_interval=30.0
+            ) as coordinator:
+                with pytest.raises(CoordinatorError, match="no healthy worker"):
+                    coordinator.wait_ready(timeout=0.5)
+                first, second = (p["workers"][0] for p in coordinator.stats()["partitions"])
+                assert first["healthy"] and not second["healthy"]
+                assert "another space encoding" in second["last_error"]
+        finally:
+            fleet.close()
+            other.close()
 
 
 class TestSearchConfigCrossCheck:

@@ -35,6 +35,7 @@ from repro.exec import (
 )
 from repro.exec.arena import ARENA_ALIGN
 from repro.exec.pool import arena_shard_payload
+from repro.hdc.packing import pack_bipolar
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = str(REPO_ROOT / "src")
@@ -254,8 +255,8 @@ def test_process_scores_bit_identical_to_in_process(parity_env, data):
     # empty/sparse windows.
     half_width = data.draw(st.sampled_from([0.01, 5.0, 250.0, 1e9]))
     rng = np.random.default_rng(seed)
-    query_hvs = rng.choice(
-        np.array([-1, 1], dtype=np.int8), size=(num_queries, DIM)
+    query_hvs = pack_bipolar(
+        rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_queries, DIM))
     )
     query_masses = rng.uniform(float(masses[0]), float(masses[-1]), num_queries)
     query_charges = rng.integers(2, 4, num_queries).astype(np.int64)
@@ -281,7 +282,7 @@ def test_full_coverage_window_hits_fast_path(parity_env):
     this pins that the window really is full-coverage (fast path)."""
     envs, masses = parity_env
     process, _ = envs["exact"]
-    query_hvs = np.ones((2, DIM), dtype=np.int8)
+    query_hvs = pack_bipolar(np.ones((2, DIM), dtype=np.int8))
     query_masses = np.array([masses[0], masses[-1]])
     query_charges = np.array([2, 3], dtype=np.int64)
     tasks = [

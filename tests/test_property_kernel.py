@@ -150,7 +150,7 @@ def test_shard_scorer_equals_the_gather_loop(data):
 
     with tile_rows(data.draw(st.sampled_from([1, 3, 1 << 12]), label="tile"), dim):
         got = ShardScorer(payload).score_batch(
-            query_hvs, query_masses, query_charges, half_width
+            pack_bipolar(query_hvs), query_masses, query_charges, half_width
         )
     expected = gather_loop(
         payload, prefilter, query_hvs, query_masses, query_charges, half_width
@@ -176,7 +176,9 @@ def test_a_window_that_straddles_tiles_keeps_bounds_and_tie_break():
         window = [row for row in range(10) if abs(row - centre) <= half_width]
         # Every row is offered as the query, also the rows just outside
         # the window: a perfect match there must not win.
-        winners = kernel.search(hvs, np.full(10, masses[centre]), charges, half_width)
+        winners = kernel.search(
+            pack_bipolar(hvs), np.full(10, masses[centre]), charges, half_width
+        )
         assert winners.counts.tolist() == [len(window)] * 10
         for query in range(10):
             scores = hvs[window].astype(np.int64) @ hvs[query].astype(np.int64)
@@ -193,7 +195,9 @@ def test_ann_ties_at_the_cut_keep_the_lower_mass_then_position():
     masses = np.array([1000.0, 1002.0, 1003.0, 1001.0, 1000.5, 1002.0, 1004.0])
     kernel = kernel_module.WindowKernel(pack_bipolar(hvs), masses, np.full(7, 2), dim=256)
     ann = AnnConfig(prefix_words=1, candidate_budget=2, ann_threshold=0)
-    winners = kernel.search(near[None], np.array([1002.0]), np.array([2]), 10.0, ann)
+    winners = kernel.search(
+        pack_bipolar(near[None]), np.array([1002.0]), np.array([2]), 10.0, ann
+    )
     assert winners.counts.tolist() == [7]
     assert winners.ann_outcomes.tolist() == [0, 1] and winners.ann_scored_rows == 2
     # Layout rows are (mass, position)-ordered: the first maximum of the
@@ -211,7 +215,7 @@ def test_ann_bypasses_short_windows_and_equals_exact_at_full_width(dim):
     kernel = kernel_module.WindowKernel(pack_bipolar(hvs), masses, charges, dim=dim)
     queries = hvs[:12].copy()
     queries[rng.random(queries.shape) < 0.1] *= -1
-    batch = (queries, masses[:12], charges[:12], 2.0)
+    batch = (pack_bipolar(queries), masses[:12], charges[:12], 2.0)
     exact = kernel.search(*batch)
     # A budget no window exceeds: every query bypasses (no argpartition
     # on a too-short array), bit for bit.

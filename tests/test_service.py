@@ -955,14 +955,14 @@ class TestHttpApi:
         idle = SearchClient(f"http://{host}:{port}")
         busy = SearchClient(f"http://{host}:{port}")
         entered = threading.Event()
-        real_search = service._engine.search
+        real_search = service._engine.search_aligned
 
         def slow_search(batch):
             entered.set()
             time.sleep(0.5)
             return real_search(batch)
 
-        service._engine.search = slow_search
+        service._engine.search_aligned = slow_search
         replies = []
         query = workload.queries[0]
         caller = threading.Thread(

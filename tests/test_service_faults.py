@@ -350,14 +350,14 @@ class TestShutdownOrdering:
         )
         entered = threading.Event()
         release = threading.Event()
-        real_search = service._engine.search
+        real_search = service._engine.search_aligned
 
         def wedged_search(batch):
             entered.set()
             release.wait(30)
             return real_search(batch)
 
-        service._engine.search = wedged_search
+        service._engine.search_aligned = wedged_search
         try:
             future = service.scheduler.submit(workload_a.queries[0])
             assert entered.wait(5)
@@ -385,14 +385,14 @@ class TestShutdownOrdering:
         )
         entered = threading.Event()
         release = threading.Event()
-        real_search = service._engine.search
+        real_search = service._engine.search_aligned
 
         def wedged_search(batch):
             entered.set()
             release.wait(30)
             return real_search(batch)
 
-        service._engine.search = wedged_search
+        service._engine.search_aligned = wedged_search
         try:
             future = service.scheduler.submit(workload_a.queries[0])
             assert entered.wait(5)

@@ -346,6 +346,36 @@ class TestLazySegmentOpening:
             _search_pairs(searcher, baseline, queries)
 
 
+    def test_each_segment_scores_only_its_routed_queries(
+        self, sorted_store, queries, references, space_config, binning
+    ):
+        # One mixed-mass standard batch: the core's hull test routes each
+        # query to the few segments its window meets, so no segment
+        # scores the whole batch — and the answers stay exact.
+        from repro.obs.trace import get_tracer
+
+        ordered = sorted(references, key=lambda s: s.neutral_mass)
+        baseline = HDOmsSearcher.from_index(
+            LibraryIndex.build(ordered, space_config=space_config, binning=binning),
+            config=HDSearchConfig(mode="standard"),
+        )
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enable()
+        tracer.clear()
+        try:
+            with SegmentedSearcher(
+                sorted_store, config=HDSearchConfig(mode="standard")
+            ) as searcher:
+                got = searcher.search(queries)
+            scored = [span.tags["queries"] for span in tracer.records() if span.name == "segment.score"]
+        finally:
+            if not was_enabled:
+                tracer.disable()
+        assert scored and max(scored) < len(queries)
+        assert got.psms == baseline.search(queries).psms
+
+
 class TestThreadedCounterStorm:
     def test_storm_counts_exactly(
         self, tmp_path, references, queries, space_config, binning
@@ -789,6 +819,61 @@ class TestSegmentFileFaults:
         assert "Traceback" not in captured.err
         assert "compacted" not in captured.out
         assert snapshot() == before
+
+
+def _damage_manifest(root: Path, damage: str) -> None:
+    """Break ``root``'s manifest the way ``damage`` says."""
+    path = root / MANIFEST_NAME
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[:100])
+    elif damage == "bit-flipped":
+        path.write_bytes(bytes([data[0] ^ 0x01]) + data[1:])  # "{" becomes "z"
+    else:
+        payload = json.loads(data)
+        del payload["space"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bit-flipped", "missing-key"])
+class TestManifestFaults:
+    """A damaged ``manifest.json`` is a typed error naming it, never a traceback."""
+
+    def test_open_raises_the_typed_error(
+        self, tmp_path, references, space_config, binning, damage
+    ):
+        build_store(
+            references, tmp_path / "store", space_config=space_config, binning=binning
+        ).close()
+        _damage_manifest(tmp_path / "store", damage)
+        with pytest.raises(StoreCompatibilityError, match=MANIFEST_NAME):
+            SegmentedStore.open(tmp_path / "store")
+
+    def test_cli_reports_one_line_and_exits_2(
+        self, tmp_path, references, queries, capsys, damage
+    ):
+        from repro.cli import main
+        from repro.ms import write_mgf, write_msp
+
+        write_msp(references, tmp_path / "library.msp")
+        write_mgf(queries, tmp_path / "queries.mgf")
+        store, output = tmp_path / "store", tmp_path / "psms.tsv"
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(store), "--segment-rows", "25", "--dim", "512",
+             "--no-decoys"]
+        ) == 0
+        _damage_manifest(store, damage)
+        capsys.readouterr()
+        assert main(
+            ["index", "search", "--index", str(store), "--queries",
+             str(tmp_path / "queries.mgf"), "--output", str(output)]
+        ) == 2
+        captured = capsys.readouterr()
+        report = captured.err.splitlines()[-1]
+        assert report.startswith("index search: ") and MANIFEST_NAME in report
+        assert "Traceback" not in captured.err
+        assert not output.exists()
 
 
 class TestOpenSearchSource:
