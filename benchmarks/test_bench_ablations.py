@@ -9,6 +9,8 @@ from repro.experiments import (
     run_ablation_levels,
     run_ablation_weight_mapping,
 )
+from repro.experiments.report import ExperimentResult
+from repro.experiments.workloads import iprg2012_like
 
 
 def test_ablation_chunked_levels(benchmark, record):
@@ -24,11 +26,36 @@ def test_ablation_chunked_levels(benchmark, record):
     assert by_scheme["chunked"][2] < 0.25 * by_scheme["classic"][2]
 
 
+#: Codebook seeds the ID-precision claim is summed over: one seed's
+#: 3-bit / 1-bit identification ratio spans ~0.88-1.05 with the draw.
+ID_PRECISION_SEEDS = range(40, 45)
+
+
+def _id_precision_summed_over_seeds() -> ExperimentResult:
+    workload = iprg2012_like(scale=0.25)
+    per_seed = [
+        run_ablation_id_precision(workload=workload, seed=seed).column("identifications")
+        for seed in ID_PRECISION_SEEDS
+    ]
+    return ExperimentResult(
+        experiment_id="ablation_id_precision",
+        title="ID hypervector precision vs. identifications (Sec. 4.2.2)",
+        headers=["id_precision", "identifications"]
+        + [f"seed_{seed}" for seed in ID_PRECISION_SEEDS],
+        rows=[
+            [f"{bits}-bit", sum(counts), *counts]
+            for bits, counts in zip((1, 2, 3), zip(*per_seed))
+        ],
+        notes={"claim": "multi-bit IDs match or beat binary at no HW cost"},
+    )
+
+
 def test_ablation_id_precision(benchmark, record):
-    result = run_once(benchmark, run_ablation_id_precision)
+    result = run_once(benchmark, _id_precision_summed_over_seeds)
     record(result)
     ids = result.column("identifications")
-    # Multi-bit IDs never hurt; 3-bit at least matches 1-bit.
+    # Multi-bit IDs never hurt; 3-bit at least matches 1-bit, summed
+    # over several codebook draws rather than judged on one.
     assert ids[2] >= 0.95 * ids[0]
 
 

@@ -7,7 +7,8 @@ This benchmark races it against the *row-loop baseline* — the seed
 implementation: a Python loop over spectra, each paying per-spectrum
 quantisation, a per-peak Python loop stacking ID rows, and one einsum —
 and records the speed-up at batch 256 (a wall-clock ratio is a number to
-track, not a Tier-1 verdict: 5.0-6.1x on the reference host).
+track, not a Tier-1 verdict; the tracked encode throughput is
+``hdc.encode_batch_spectra_per_s`` in ``python3 bench/run.py --trace 1``).
 
 Parity is asserted before timing — that is the gate.  Results are
 appended to ``benchmarks/results/BENCH_encode.json`` as a per-machine
@@ -84,9 +85,8 @@ def test_bench_encode_fused_vs_row_loop(capsys):
         values = rng.gamma(2.0, 100.0, size=num_peaks)
         vectors.append(SparseVector(indices, values, binning.num_bins))
 
-    # Warm both paths: materialises the ID bank for the fused pipeline
-    # and the per-bin cache for the baseline, so neither pays one-time
-    # codebook generation inside the timed region.
+    # Warm both paths: draws the ID bank both of them gather from, so
+    # neither pays the one-time codebook draw inside the timed region.
     fused = encoder.encode_batch(vectors)
     baseline = _row_loop_encode_batch(encoder, vectors)
     assert np.array_equal(fused, baseline), "fused encode must be bit-identical"

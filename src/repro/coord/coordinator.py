@@ -44,6 +44,7 @@ from ..ann import OUTCOMES
 from ..engine import EngineConfig
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace
+from ..index.library import INDEX_FORMAT_VERSION
 from ..obs.trace import get_tracer
 from ..oms.candidates import WindowConfig
 from ..oms.loop import FanOutSearcher
@@ -246,14 +247,23 @@ class Coordinator(FanOutSearcher):
         return "serves " + "; ".join(wrong) if wrong else None
 
     def _check_encoding(self, encoding: Optional[dict]) -> List[str]:
-        """Adopt the first encoding a matching worker reports; name any other."""
+        """Adopt the first encoding a matching worker reports; name any other.
+
+        A worker on another index format encodes with another codebook
+        even under the same configs, so its version must equal this
+        build's.
+        """
         if not isinstance(encoding, dict):
             return ["no encoding"]
+        encoding = dict(encoding)
+        version = encoding.pop("format_version", None)
+        if version != INDEX_FORMAT_VERSION:
+            return [f"index format version {version!r}, this build reads {INDEX_FORMAT_VERSION}"]
         with self._lock:
             if self._encoding is None:
                 space, binning, self.preprocessing = StoreManifest(dim=0, **encoding).configs()
                 self.encoder = SpectrumEncoder(HDSpace(space), binning)
-                self.encoder.space.id_bank()  # now, not on a request's critical path
+                self.encoder.space.id_bank  # drawn now, not on a request's critical path
                 self._encoding = encoding
             differs = [key for key, value in self._encoding.items() if encoding.get(key) != value]
         return [f"another {'/'.join(differs)} encoding than the fleet"] if differs else []

@@ -100,11 +100,9 @@ class PermutationEncoder:
             return self.space.tiebreak.copy()
         levels, _ = quantize_intensities(vector.values, self.space.num_levels)
         accumulator = np.zeros(self.space.dim, dtype=np.int64)
-        for bin_index, level in zip(vector.indices, levels):
-            accumulator += np.roll(
-                self.space.id_vector(int(bin_index)).astype(np.int64),
-                int(level),
-            )
+        ids = self.space.id_matrix(vector.indices).astype(np.int64)
+        for row, level in zip(ids, levels):
+            accumulator += np.roll(row, int(level))
         return sign_with_tiebreak(accumulator, self.space.tiebreak)
 
     def encode(self, spectrum: Spectrum) -> np.ndarray:

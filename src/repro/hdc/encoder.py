@@ -171,10 +171,8 @@ class SpectrumEncoder:
                 block_end += 1
             low = int(starts[block_start])
             high = low + peaks
-            # (peaks, dim) int8 copy; the space gathers from its
-            # contiguous bank once cumulative demand warrants building
-            # it, and from lazily cached per-bin rows before that.
-            bound = space.gather_id_rows(flat_bins[low:high])
+            # (peaks, dim) int8 copy gathered from the space's ID bank.
+            bound = space.id_matrix(flat_bins[low:high])
             # |ID| <= 4 and LV in {-1, +1}, so the bound product fits
             # int8; accumulation happens in int32 inside the reduction.
             np.multiply(

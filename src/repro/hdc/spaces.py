@@ -10,19 +10,20 @@ An :class:`HDSpace` owns every random codebook the encoder needs:
   one (Section 4.2.1);
 * a fixed tiebreak vector so the ``sign`` in Eq. 1 is deterministic.
 
-ID vectors are generated lazily per bin from a counter-based seed and
-cached, so a space over 14k bins at D=8192 only materialises the rows a
-workload actually touches.  Batch encoding instead materialises the
-whole codebook once as a contiguous ``(num_bins, dim)`` *ID bank*
-(:meth:`HDSpace.id_bank`) so per-peak rows become one fancy-index
-gather instead of a Python loop; the bank reuses any rows the lazy
-cache already generated and both views stay bit-identical.
+The ID codebook is one contiguous, read-only ``(num_bins, dim)`` int8
+*bank* (:attr:`HDSpace.id_bank`) drawn from a single generator seeded
+with the space's ID seed: random bytes are written into the bank a
+fixed chunk of rows at a time and mapped in place onto the ID alphabet.
+Every encoder gathers its rows from the bank.  It is drawn on first
+access, so a process that only scores packed rows (a worker behind a
+coordinator) never holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .levels import ChunkedLevels, chunked_levels, flip_levels
 
 #: Allowed ID precisions and the magnitude range they imply.
 _ID_MAGNITUDES = {1: 1, 2: 2, 3: 4}
+
+#: Random bytes drawn per chunk of ID-bank rows (~512 KiB), so drawing
+#: the bank never holds more than about this much beside the bank.
+_BANK_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -101,11 +106,6 @@ class HDSpace:
         self.tiebreak = (
             tiebreak_rng.integers(0, 2, size=config.dim, dtype=np.int8) * 2 - 1
         ).astype(np.int8)
-        self._id_cache: Dict[int, np.ndarray] = {}
-        self._id_bank: Optional[np.ndarray] = None
-        #: Cumulative rows requested through gather_id_rows; once this
-        #: reaches num_bins the contiguous bank pays for itself.
-        self._id_demand = 0
 
     @property
     def dim(self) -> int:
@@ -117,99 +117,59 @@ class HDSpace:
         """Number of intensity quantisation levels."""
         return self.config.num_levels
 
-    def _make_id(self, bin_index: int) -> np.ndarray:
-        """Deterministically generate the ID hypervector of one bin."""
-        rng = np.random.default_rng((self._id_seed, bin_index))
+    @cached_property
+    def id_bank(self) -> np.ndarray:
+        """The ID codebook as one read-only ``(num_bins, dim)`` int8 array.
+
+        Drawn on first access from one generator.  Each chunk of rows
+        receives random bytes, which are masked to ``[0, 2m)``, shifted
+        by ``-m`` and bumped past zero in place, so every entry is
+        uniform on ``{-m..-1, 1..m}`` for the precision's magnitude
+        ``m``.  Filling chunk by chunk keeps the draw's temporaries at
+        ``_BANK_CHUNK_BYTES`` instead of the bank's size.
+        """
         magnitude = _ID_MAGNITUDES[self.config.id_precision_bits]
-        values = rng.integers(1, magnitude + 1, size=self.config.dim)
-        signs = rng.integers(0, 2, size=self.config.dim) * 2 - 1
-        return (values * signs).astype(np.int8)
+        rng = np.random.default_rng(self._id_seed)
+        bank = np.empty((self.config.num_bins, self.config.dim), dtype=np.int8)
+        rows = max(1, _BANK_CHUNK_BYTES // self.config.dim)
+        for start in range(0, self.config.num_bins, rows):
+            chunk = bank[start : start + rows]
+            chunk[...] = np.frombuffer(
+                rng.bytes(chunk.size), dtype=np.int8
+            ).reshape(chunk.shape)
+            chunk &= 2 * magnitude - 1
+            chunk -= magnitude
+            chunk += chunk >= 0
+        bank.setflags(write=False)
+        return bank
 
     def id_vector(self, bin_index: int) -> np.ndarray:
-        """ID hypervector for *bin_index* (cached, read-only)."""
+        """ID hypervector for *bin_index* (a read-only row of the bank)."""
         if not 0 <= bin_index < self.config.num_bins:
             raise IndexError(
                 f"bin_index {bin_index} outside [0, {self.config.num_bins})"
             )
-        cached = self._id_cache.get(bin_index)
-        if cached is None:
-            if self._id_bank is not None:
-                # Views of the read-only bank inherit its write protection.
-                cached = self._id_bank[bin_index]
-            else:
-                cached = self._make_id(bin_index)
-                cached.setflags(write=False)
-            self._id_cache[bin_index] = cached
-        return cached
-
-    def id_bank(self) -> np.ndarray:
-        """The full ID codebook as one contiguous ``(num_bins, dim)`` int8.
-
-        Built lazily on first use (reusing any rows the per-bin cache
-        already generated) and then shared: this is the gather target of
-        the fused batch encoder, turning per-peak row stacking into one
-        fancy-index operation.  The bank is read-only.
-        """
-        if self._id_bank is None:
-            bank = np.empty(
-                (self.config.num_bins, self.config.dim), dtype=np.int8
-            )
-            for bin_index in range(self.config.num_bins):
-                cached = self._id_cache.get(bin_index)
-                bank[bin_index] = (
-                    cached if cached is not None else self._make_id(bin_index)
-                )
-            bank.setflags(write=False)
-            self._id_bank = bank
-        return self._id_bank
-
-    def gather_id_rows(self, bin_indices: np.ndarray) -> np.ndarray:
-        """Gather bin rows into ``(n, dim)`` int8, adaptively.
-
-        Once the contiguous bank is materialised — or cumulative demand
-        across calls reaches ``num_bins``, at which point building it
-        pays for itself — rows come from one bank fancy-index.  Before
-        that, only the *distinct* bins actually touched are generated
-        (through the lazy per-bin cache) and gathered from a compact
-        per-call matrix, so a small one-off workload never pays
-        full-codebook generation (~100-200 ms at D=2048-8192).
-
-        Out-of-range indices raise :class:`IndexError` on both paths
-        (negative indices would otherwise silently wrap in the bank
-        gather; the check is O(n) against an O(n * dim) gather).
-        """
-        if bin_indices.size and (
-            int(bin_indices.min()) < 0
-            or int(bin_indices.max()) >= self.config.num_bins
-        ):
-            raise IndexError(
-                f"bin indices outside [0, {self.config.num_bins})"
-            )
-        if self._id_bank is None:
-            self._id_demand += len(bin_indices)
-            if self._id_demand < self.config.num_bins:
-                if len(bin_indices) == 0:
-                    return np.empty((0, self.config.dim), dtype=np.int8)
-                unique, compact = np.unique(bin_indices, return_inverse=True)
-                rows = np.stack(
-                    [self.id_vector(int(b)) for b in unique]
-                )
-                return rows[compact]
-        return self.id_bank()[bin_indices]
+        return self.id_bank[bin_index]
 
     def id_matrix(self, bin_indices: Iterable[int]) -> np.ndarray:
-        """Stack ID hypervectors for several bins into ``(n, dim)`` int8.
+        """Gather the ID rows of several bins into a new ``(n, dim)`` int8.
 
         Accepts any integer iterable *or* an ndarray (no ``.tolist()``
-        round trip); rows are gathered in one fancy-index operation via
-        :meth:`gather_id_rows`.
+        round trip).  Out-of-range indices raise :class:`IndexError`;
+        a negative one would otherwise silently wrap in the gather.
         """
         indices = np.asarray(
             bin_indices if isinstance(bin_indices, np.ndarray)
             else list(bin_indices),
             dtype=np.int64,
         )
-        return self.gather_id_rows(indices)
+        if indices.size and (
+            int(indices.min()) < 0 or int(indices.max()) >= self.config.num_bins
+        ):
+            raise IndexError(
+                f"bin indices outside [0, {self.config.num_bins})"
+            )
+        return self.id_bank[indices]
 
     def level_vector(self, level: int) -> np.ndarray:
         """Level hypervector for quantised intensity *level*."""
@@ -218,7 +178,3 @@ class HDSpace:
                 f"level {level} outside [0, {self.config.num_levels})"
             )
         return self.level_vectors[level]
-
-    def cache_size(self) -> int:
-        """Number of ID vectors generated so far (for memory accounting)."""
-        return len(self._id_cache)

@@ -49,8 +49,10 @@ from ..ms.vectorize import BinningConfig
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the on-disk layout changes incompatibly.
-INDEX_FORMAT_VERSION = 1
+#: Bump when the on-disk layout or the encoding changes incompatibly
+#: (2: the ID codebook is drawn from one generator, so every
+#: hypervector differs from version 1's).
+INDEX_FORMAT_VERSION = 2
 
 #: Default number of spectra encoded per ``encode_batch`` call.
 DEFAULT_CHUNK_SIZE = 512
@@ -308,13 +310,6 @@ class LibraryIndex:
         charges = np.array(
             [ref.precursor_charge for ref in kept_originals], dtype=np.int64
         )
-        # Materialise the contiguous ID bank up front: every chunk below
-        # goes through the fused encode_batch pipeline, which gathers ID
-        # rows from the bank, and building it once here keeps the first
-        # chunk from absorbing the codebook construction.
-        bank_builder = getattr(encoder.space, "id_bank", None)
-        if bank_builder is not None:
-            bank_builder()
         hypervectors = np.empty((num_kept, encoder.space.dim), dtype=np.int8)
         for charge in np.unique(charges):
             positions = np.flatnonzero(charges == charge)
@@ -456,8 +451,8 @@ class LibraryIndex:
             version = int(archive["format_version"])
             if version != INDEX_FORMAT_VERSION:
                 raise IndexCompatibilityError(
-                    f"index format version {version} unsupported "
-                    f"(expected {INDEX_FORMAT_VERSION})"
+                    f"{path} has index format version {version}, this "
+                    f"build reads {INDEX_FORMAT_VERSION}: rebuild the index"
                 )
             provenance = json.loads(str(archive["provenance_json"][()]))
             packed = None

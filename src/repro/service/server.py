@@ -630,7 +630,10 @@ class SearchService:
             "mode": self.config.mode,
             "open_window_da": self.config.open_window_da,
             "standard_tolerance_da": self.config.standard_tolerance_da,
-            "encoding": {key: provenance[key] for key in ("space", "binning", "preprocessing")},
+            "encoding": {
+                key: provenance[key]
+                for key in ("space", "binning", "preprocessing", "format_version")
+            },
             "uptime_seconds": round(time.time() - self._started, 3),
         }
 

@@ -38,8 +38,9 @@ from ..index.library import INDEX_FORMAT_VERSION
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.vectorize import BinningConfig
 
-#: Bumped when the manifest layout changes incompatibly.
-STORE_FORMAT_VERSION = 1
+#: Bumped when the manifest layout or the encoding changes incompatibly
+#: (2: follows index format version 2's new ID codebook).
+STORE_FORMAT_VERSION = 2
 
 #: The manifest file name inside a store directory.
 MANIFEST_NAME = "manifest.json"
@@ -154,8 +155,9 @@ class StoreManifest:
             version = payload.get("format_version")  # AttributeError: not an object
             if version != STORE_FORMAT_VERSION:
                 raise StoreCompatibilityError(
-                    f"store format version mismatch: file has {version!r}, "
-                    f"this build reads {STORE_FORMAT_VERSION}"
+                    f"store format version mismatch: {manifest_path} has "
+                    f"{version!r}, this build reads {STORE_FORMAT_VERSION}: "
+                    "rebuild the index"
                 )
             manifest = cls(
                 dim=payload["dim"],

@@ -44,7 +44,7 @@ from repro.coord.partition import _contiguous_groups
 from repro.engine import EngineConfig
 from repro.hdc.packing import pack_bipolar
 from repro.hdc.spaces import HDSpaceConfig
-from repro.index import ReferenceRecord
+from repro.index import INDEX_FORMAT_VERSION, ReferenceRecord
 from repro.oms import HDSearchConfig
 from repro.oms.loop import FanOutSearcher
 from repro.service import (
@@ -377,7 +377,9 @@ def test_partitioned_lexsort_merge_equals_global(data):
 def _encoding(store):
     """What a worker serving ``store`` reports as its encoding."""
     provenance = store.provenance()
-    return {key: provenance[key] for key in ("space", "binning", "preprocessing")}
+    return {
+        key: provenance[key] for key in ("space", "binning", "preprocessing", "format_version")
+    }
 
 
 class _Fleet:
@@ -1081,6 +1083,52 @@ class TestEncodingCrossCheck:
         finally:
             fleet.close()
             other.close()
+
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_a_worker_on_another_index_format_is_rejected(self, store, capsys, version):
+        # Same configs but an older codebook (or a build that predates
+        # the report): only the index format version gives it away.
+        from repro.cli import main
+
+        encoding = _encoding(store)
+        encoding.pop("format_version")
+        if version is not None:
+            encoding["format_version"] = version
+        worker = _StubWorker(encoding)
+        messages = []
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = lambda record: messages.append(record.getMessage())
+        logger = logging.getLogger("repro.coord")
+        logger.addHandler(handler)
+        exit_codes = []
+        # A coordinator that accepted the worker would serve forever:
+        # run it where that fails the test instead of hanging it.
+        runner = threading.Thread(
+            target=lambda: exit_codes.append(main(
+                ["coordinate", "--store", str(store.root), "--partitions", "1",
+                 "--worker", worker.url, "--port", "0", "--startup-timeout", "0.5"]
+            )),
+            daemon=True,
+        )
+        try:
+            runner.start()
+            runner.join(timeout=30)
+        finally:
+            logger.removeHandler(handler)
+            worker.stop()
+        assert not runner.is_alive(), "coordinate accepted a worker on another index format"
+        captured = capsys.readouterr()
+        assert exit_codes == [2]
+        report = captured.err.splitlines()[-1]
+        assert report.startswith("coordinate: partitions [0] have no healthy")
+        assert (
+            f"index format version {version!r}, this build reads {INDEX_FORMAT_VERSION}"
+            in report
+        )
+        assert "Traceback" not in captured.err
+        assert worker.batches == 0
+        assert len([message for message in messages if "rejected" in message]) == 1
 
 
 class TestSearchConfigCrossCheck:

@@ -8,6 +8,8 @@ scalar path walks one spectrum at a time.  Both are pure integer
 arithmetic, so equality is exact — any mismatch is a bug, not noise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,36 +221,48 @@ class TestEncodeBatchParity:
             encoder.encode_batch([negative])
 
 
-class TestIdBank:
-    def test_bank_matches_lazy_rows(self):
-        space = HDSpace(
-            HDSpaceConfig(dim=128, num_bins=40, num_levels=4, seed=13)
-        )
-        # Touch a few rows first so the bank has to reuse cached rows.
-        lazy = {b: space.id_vector(b).copy() for b in (0, 7, 39)}
-        bank = space.id_bank()
-        assert bank.shape == (40, 128)
-        assert bank.dtype == np.int8
-        for b, row in lazy.items():
-            assert np.array_equal(bank[b], row)
-        # Rows never touched lazily must match fresh generation too.
-        fresh = HDSpace(space.config)
-        for b in (3, 20, 38):
-            assert np.array_equal(bank[b], fresh.id_vector(b))
+#: Chi-square critical values at p = 0.001 for 1, 3 and 7 degrees of
+#: freedom (the 2-, 4- and 8-symbol ID alphabets).
+CHI2_CRITICAL_P001 = {1: 10.828, 3: 16.266, 7: 24.322}
 
-    def test_bank_is_read_only_and_cached(self):
+
+class TestIdBank:
+    @pytest.mark.parametrize("bits, magnitude", [(1, 1), (2, 2), (3, 4)])
+    def test_symbols_are_uniform_under_chi_square(self, bits, magnitude):
         space = HDSpace(
-            HDSpaceConfig(dim=64, num_bins=10, num_levels=4, seed=1)
+            HDSpaceConfig(dim=1024, num_bins=256, num_levels=4, id_precision_bits=bits, seed=9)
         )
-        bank = space.id_bank()
-        assert bank is space.id_bank()
+        _values, counts = np.unique(space.id_bank, return_counts=True)
+        expected = space.id_bank.size / (2 * magnitude)
+        statistic = float(np.sum((counts - expected) ** 2 / expected))
+        assert statistic < CHI2_CRITICAL_P001[2 * magnitude - 1]
+
+    def test_one_seed_one_bank(self):
+        config = HDSpaceConfig(dim=256, num_bins=40, num_levels=4, seed=13)
+        bank = HDSpace(config).id_bank
+        assert np.array_equal(bank, HDSpace(config).id_bank)
+        other = HDSpace(HDSpaceConfig(dim=256, num_bins=40, num_levels=4, seed=14)).id_bank
+        assert not np.array_equal(bank, other)
+
+    def test_bank_is_read_only(self):
+        space = HDSpace(HDSpaceConfig(dim=64, num_bins=10, num_levels=4, seed=1))
+        bank = space.id_bank
+        assert bank is space.id_bank  # drawn once
         with pytest.raises(ValueError):
             bank[0, 0] = 3
-        # id_vector served from the bank stays read-only and cached.
-        vector = space.id_vector(4)
-        assert vector is space.id_vector(4)
-        with pytest.raises(ValueError):
-            vector[0] = 3
+
+    def test_drawing_the_bank_allocates_little_beyond_it(self):
+        # The paper-size codebook (1 400 x 8 192): the draw fills the
+        # bank chunk by chunk, so it never holds a bank-sized temporary.
+        space = HDSpace(HDSpaceConfig())
+        tracemalloc.start()
+        try:
+            bank = space.id_bank
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bank.nbytes == 1400 * 8192
+        assert peak < 1.25 * bank.nbytes
 
     def test_id_matrix_accepts_ndarray_and_list(self):
         space = HDSpace(
