@@ -718,12 +718,30 @@ def _decoy_factory(seed: int):
     return factory
 
 
+class InputFileError(Exception):
+    """A library or query file that does not read as valid spectra."""
+
+
+def _read_spectra(path: Path, reader=None):
+    """Yield the spectra of *path*; a ``ValueError`` becomes :class:`InputFileError`.
+
+    That covers malformed files (``MgfFormatError``) and peaks a
+    :class:`~repro.ms.spectrum.Spectrum` rejects (negative or non-finite
+    values).  ``reader`` defaults to :func:`repro.ms.iter_spectra`.
+    """
+    if reader is None:
+        from .ms import iter_spectra as reader
+    try:
+        yield from reader(path)
+    except ValueError as error:
+        raise InputFileError(f"{path}: {error}") from error
+
+
 def _load_library(path: Path, no_decoys: bool, seed: int):
     """Read a spectral library, appending simulator decoys unless told not to."""
-    from .ms import iter_spectra
     from .ms.decoy import append_decoys
 
-    references = list(iter_spectra(path))
+    references = list(_read_spectra(path))
     if no_decoys:
         return references
     return append_decoys(references, _decoy_factory(seed), seed=seed)
@@ -741,15 +759,14 @@ def _iter_library(path: Path, no_decoys: bool, seed: int):
     """
     import random
 
-    from .ms import iter_spectra
     from .ms.decoy import make_decoy_spectrum
 
-    yield from iter_spectra(path)
+    yield from _read_spectra(path)
     if no_decoys:
         return
     factory = _decoy_factory(seed)
     rng = random.Random(seed)
-    for reference in iter_spectra(path):
+    for reference in _read_spectra(path):
         if reference.is_decoy:
             continue
         decoy = make_decoy_spectrum(reference, factory, rng)
@@ -904,10 +921,11 @@ def cmd_index(args) -> int:
     }
     try:
         return commands[args.index_command](args)
-    except (IndexCompatibilityError, StoreCompatibilityError) as error:
-        # An index file that cannot be read, or a store that is not what
-        # its manifest says (or not the format this build reads): one
-        # line, exit 2, never a PSM.
+    except (IndexCompatibilityError, StoreCompatibilityError, InputFileError) as error:
+        # An index file that cannot be read, a store that is not what
+        # its manifest says (or not the format this build reads), or a
+        # library / query file that is not valid spectra: one line,
+        # exit 2, never a PSM and never a partial index or store.
         print(f"index {args.index_command}: {error}", file=sys.stderr)
         return 2
 
@@ -1009,13 +1027,20 @@ def _stream_jsonl_search(args, searcher, queries, info) -> int:
             )
         else:
             handle = sys.stdout
-        for chunk in _iter_chunks(queries, args.chunk_size):
-            result = searcher.search(chunk)
-            num_queries += result.num_queries
-            num_psms += len(result.psms)
-            for psm in result.psms:
-                handle.write(json.dumps(psm.to_dict()) + "\n")
-            handle.flush()
+        try:
+            for chunk in _iter_chunks(queries, args.chunk_size):
+                result = searcher.search(chunk)
+                num_queries += result.num_queries
+                num_psms += len(result.psms)
+                for psm in result.psms:
+                    handle.write(json.dumps(psm.to_dict()) + "\n")
+                handle.flush()
+        except InputFileError:
+            # A bad query further down the file: no partial output file.
+            if args.output is not None:
+                stack.close()
+                args.output.unlink(missing_ok=True)
+            raise
     elapsed = time.perf_counter() - start
     print(
         f"streamed {num_psms} PSMs (pre-FDR, targets+decoys) for "
@@ -1118,11 +1143,11 @@ def _cmd_index_search(args) -> int:
     with searcher_cm as searcher:
         if streaming:
             code = _stream_jsonl_search(
-                args, searcher, read_mgf(args.queries), info
+                args, searcher, _read_spectra(args.queries, read_mgf), info
             )
             _print_ann_summary(searcher, info)
             return code
-        result = searcher.search(list(read_mgf(args.queries)))
+        result = searcher.search(list(_read_spectra(args.queries, read_mgf)))
         _print_ann_summary(searcher, info)
     accepted = grouped_fdr(result.psms, fdr)
     peptides = {psm.peptide_key for psm in accepted if psm.peptide_key}
@@ -1154,7 +1179,7 @@ def _verify_store(args, store) -> int:
     with SegmentedSearcher(
         store, config=HDSearchConfig(), engine=engine_config_from_args(args)
     ) as searcher:
-        result = searcher.search(list(read_mgf(args.verify_queries)))
+        result = searcher.search(list(_read_spectra(args.verify_queries, read_mgf)))
     print(
         f"verify: {len(result.psms)} PSMs for {result.num_queries} queries "
         f"on backend {result.backend_name!r}"

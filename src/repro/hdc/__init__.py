@@ -36,6 +36,7 @@ from .packing import (
 )
 from .noise import (
     flip_bits,
+    flip_packed,
     measured_bit_error_rate,
     perturb_accumulator,
     shift_cell_levels,
@@ -68,6 +69,7 @@ __all__ = [
     "unpack_bipolar",
     "unpack_cells",
     "flip_bits",
+    "flip_packed",
     "measured_bit_error_rate",
     "perturb_accumulator",
     "shift_cell_levels",

@@ -33,6 +33,40 @@ def flip_bits(
     return noisy
 
 
+#: Uniform draws per block of :func:`flip_packed` (float64, ~4 MiB).
+_FLIP_BLOCK_DRAWS = 1 << 19
+
+
+def flip_packed(
+    packed: np.ndarray,
+    dim: int,
+    bit_error_rate: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """:func:`flip_bits` for bit-packed ``(n, ceil(dim / 8))`` rows.
+
+    Draws exactly what :func:`flip_bits` draws for the unpacked
+    ``(n, dim)`` rows — ``rng.random((n, dim)) < bit_error_rate`` in
+    row-major order — packs the flip mask and XORs it in, so both forms
+    consume one noise stream and flip the same bits; pad bits stay
+    zero.  The draw runs a block of rows (about ``_FLIP_BLOCK_DRAWS``
+    floats) at a time.  A zero rate draws nothing and returns *packed*
+    itself.
+    """
+    if not 0 <= bit_error_rate <= 1:
+        raise ValueError(f"bit_error_rate must be in [0, 1], got {bit_error_rate}")
+    packed = np.asarray(packed)
+    if bit_error_rate == 0:
+        return packed
+    noisy = np.empty_like(packed)
+    rows = max(1, _FLIP_BLOCK_DRAWS // dim)
+    for start in range(0, len(packed), rows):
+        block = slice(start, start + rows)
+        flips = rng.random((len(noisy[block]), dim)) < bit_error_rate
+        np.bitwise_xor(packed[block], np.packbits(flips, axis=-1), out=noisy[block])
+    return noisy
+
+
 def measured_bit_error_rate(clean: np.ndarray, noisy: np.ndarray) -> float:
     """Fraction of differing components between two bipolar arrays."""
     clean = np.asarray(clean)

@@ -76,14 +76,15 @@ def pack_bipolar(vectors: np.ndarray) -> np.ndarray:
     Accepts ``(D,)`` or ``(n, D)``; returns uint8 with the last axis
     packed (``ceil(D/8)`` words).
     """
-    bits = (np.asarray(vectors) > 0).astype(np.uint8)
-    return np.packbits(bits, axis=-1)
+    return np.packbits(np.asarray(vectors) > 0, axis=-1)
 
 
 def unpack_bipolar(packed: np.ndarray, dim: int) -> np.ndarray:
     """Invert :func:`pack_bipolar`; ``dim`` trims the bit padding."""
-    bits = np.unpackbits(packed, axis=-1)[..., :dim]
-    return (bits.astype(np.int8) * 2 - 1).astype(np.int8)
+    bipolar = np.unpackbits(packed, axis=-1, count=dim).view(np.int8)
+    bipolar *= 2  # {0, 1} -> {-1, +1}, in the unpacked buffer itself
+    bipolar -= 1
+    return bipolar
 
 
 def bipolar_to_bits(vectors: np.ndarray) -> np.ndarray:

@@ -117,6 +117,11 @@ class HDSpace:
         """Number of intensity quantisation levels."""
         return self.config.num_levels
 
+    @property
+    def id_magnitude(self) -> int:
+        """Largest ``|entry|`` of an ID hypervector at this precision."""
+        return _ID_MAGNITUDES[self.config.id_precision_bits]
+
     @cached_property
     def id_bank(self) -> np.ndarray:
         """The ID codebook as one read-only ``(num_bins, dim)`` int8 array.
@@ -128,7 +133,7 @@ class HDSpace:
         ``m``.  Filling chunk by chunk keeps the draw's temporaries at
         ``_BANK_CHUNK_BYTES`` instead of the bank's size.
         """
-        magnitude = _ID_MAGNITUDES[self.config.id_precision_bits]
+        magnitude = self.id_magnitude
         rng = np.random.default_rng(self._id_seed)
         bank = np.empty((self.config.num_bins, self.config.dim), dtype=np.int8)
         rows = max(1, _BANK_CHUNK_BYTES // self.config.dim)

@@ -5,9 +5,9 @@ search-many workflow:
 
 * hypervectors are encoded in chunks, one precursor-charge bucket at a
   time (mirroring how the batched searcher and the accelerator schedule
-  the library), then *bit-packed* with the same
+  the library), straight to *bit-packed* rows in the
   :func:`~repro.hdc.packing.pack_bipolar` layout the digital search path
-  uses — 8x smaller on disk than the int8 bipolar matrix;
+  uses — 8x smaller than an int8 bipolar matrix, which is never formed;
 * per-reference metadata (identifier, canonical peptide key, decoy
   flag, neutral mass, charge) rides along so a searcher reconstructed
   from the index produces byte-identical PSMs without the original
@@ -40,8 +40,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..ann import AnnConfig, AnnRows
-from ..hdc.encoder import SpectrumEncoder
-from ..hdc.packing import pack_bipolar, unpack_bipolar
+from ..hdc.encoder import SpectrumEncoder, encode_packed_rows
+from ..hdc.packing import unpack_bipolar
 from ..hdc.spaces import HDSpace, HDSpaceConfig
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
@@ -310,17 +310,17 @@ class LibraryIndex:
         charges = np.array(
             [ref.precursor_charge for ref in kept_originals], dtype=np.int64
         )
-        hypervectors = np.empty((num_kept, encoder.space.dim), dtype=np.int8)
+        packed = np.empty((num_kept, -(-encoder.space.dim // 8)), dtype=np.uint8)
         for charge in np.unique(charges):
             positions = np.flatnonzero(charges == charge)
             for start in range(0, len(positions), chunk_size):
                 chunk = positions[start : start + chunk_size]
-                hypervectors[chunk] = encoder.encode_batch(
-                    [kept_processed[int(pos)] for pos in chunk]
+                packed[chunk] = encode_packed_rows(
+                    encoder, [kept_processed[int(pos)] for pos in chunk]
                 )
 
         index = cls(
-            packed=pack_bipolar(hypervectors),
+            packed=packed,
             dim=encoder.space.dim,
             identifiers=[ref.identifier for ref in kept_originals],
             peptide_keys=[ref.peptide_key() for ref in kept_originals],

@@ -9,7 +9,7 @@ here are pure — each returns a new :class:`Spectrum` — and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -137,18 +137,38 @@ def preprocess(
 
     Order matters: range restriction and precursor removal first (so the
     base-peak threshold is computed on informative peaks only), then the
-    intensity filter, then scaling and normalisation.
+    intensity filter, then scaling and normalisation.  One pass over the
+    two peak arrays builds one new :class:`Spectrum`; the result equals
+    chaining :func:`restrict_mz_range`, :func:`remove_precursor_peaks`,
+    :func:`filter_intensity`, :func:`scale_intensity` and
+    :func:`normalize_intensity`, array for array and dtype for dtype.
     """
     config = config or PreprocessingConfig()
-    processed = restrict_mz_range(spectrum, config.min_mz, config.max_mz)
+    mz, intensity = spectrum.mz, spectrum.intensity
+    keep = (mz >= config.min_mz) & (mz <= config.max_mz)
     if config.remove_precursor_tolerance is not None:
-        processed = remove_precursor_peaks(
-            processed, config.remove_precursor_tolerance
-        )
-    processed = filter_intensity(
-        processed, config.min_intensity_fraction, config.max_peaks
-    )
-    if len(processed) < config.min_peaks:
+        keep &= np.abs(mz - spectrum.precursor_mz) > config.remove_precursor_tolerance
+    mz, intensity = mz[keep], intensity[keep]
+    if len(mz):
+        threshold = float(intensity.max()) * config.min_intensity_fraction
+        keep = intensity >= threshold
+        mz, intensity = mz[keep], intensity[keep]
+        if len(mz) > config.max_peaks:
+            # stable sort on negative intensity keeps low-m/z winners on ties
+            top = np.argsort(-intensity, kind="stable")[: config.max_peaks]
+            top.sort()
+            mz, intensity = mz[top], intensity[top]
+    if len(mz) < config.min_peaks:
         return None
-    processed = scale_intensity(processed, config.scaling)
-    return normalize_intensity(processed)
+    if config.scaling == "sqrt":
+        intensity = np.sqrt(intensity.astype(np.float64)).astype(np.float32)
+    elif config.scaling == "rank":
+        ranks = np.empty(len(mz), dtype=np.float32)
+        ranks[np.argsort(intensity, kind="stable")] = np.arange(1, len(mz) + 1)
+        intensity = ranks
+    # np.linalg.norm's own arithmetic (a float32 dot, then sqrt), minus
+    # its dispatch overhead.
+    norm = float(np.sqrt(intensity.dot(intensity)))
+    if norm != 0.0:
+        intensity = intensity / norm
+    return replace(spectrum, mz=mz, intensity=intensity)

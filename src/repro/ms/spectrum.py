@@ -9,6 +9,7 @@ instead of re-checking them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -34,7 +35,8 @@ class Spectrum:
         Peak m/z values, 1-D float array.  Sorted ascending on
         construction.
     intensity:
-        Peak intensities, same length as ``mz``, non-negative.
+        Peak intensities, same length as ``mz``, non-negative.  Every
+        m/z, intensity and the precursor m/z must be finite.
     peptide:
         The annotated peptide for library/ground-truth spectra, or None
         for unidentified queries.
@@ -63,12 +65,22 @@ class Spectrum:
             )
         if self.precursor_charge < 1:
             raise ValueError(f"precursor_charge must be >= 1, got {self.precursor_charge}")
-        if self.precursor_mz <= 0:
-            raise ValueError(f"precursor_mz must be > 0, got {self.precursor_mz}")
+        if not math.isfinite(self.precursor_mz) or self.precursor_mz <= 0:
+            raise ValueError(
+                f"precursor_mz must be finite and > 0, got {self.precursor_mz}"
+            )
+        if len(self.mz) and not (
+            np.isfinite(self.mz).all() and np.isfinite(self.intensity).all()
+        ):
+            raise ValueError(
+                f"spectrum {self.identifier!r}: mz and intensity values must be finite"
+            )
         if len(self.intensity) and float(self.intensity.min()) < 0:
             raise ValueError("intensities must be non-negative")
-        order = np.argsort(self.mz, kind="stable")
-        if not np.array_equal(order, np.arange(len(order))):
+        # Finite values are non-decreasing exactly when the stable sort
+        # is the identity, so the sort only runs on unsorted input.
+        if not (self.mz[1:] >= self.mz[:-1]).all():
+            order = np.argsort(self.mz, kind="stable")
             self.mz = self.mz[order]
             self.intensity = self.intensity[order]
 

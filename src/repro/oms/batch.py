@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..ann import AnnConfig
 from ..engine import EngineConfig
-from ..hdc.noise import flip_bits
-from ..hdc.packing import pack_bipolar
+from ..hdc.encoder import encode_packed_rows
+from ..hdc.noise import flip_packed
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from .candidates import WindowConfig
@@ -58,7 +58,8 @@ class BatchedHDOmsSearcher(FanOutSearcher):
         """Encode *references* and lay them out for window scoring.
 
         Args:
-            encoder: Object with ``encode_batch(spectra) -> (n, dim)``.
+            encoder: Object with ``space`` and
+                ``encode_batch(spectra) -> (n, dim)``.
             references: Library spectra (targets and decoys).
             preprocessing: Spectrum preprocessing config.
             windows: Precursor window config.
@@ -95,15 +96,19 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             label="batched",
         )
         originals = [original for original, _ in kept]
-        hvs = encoder.encode_batch([processed for _, processed in kept])
-        if reference_ber > 0:
-            hvs = flip_bits(hvs, reference_ber, self._noise_rng)
+        dim = encoder.space.dim
+        packed = flip_packed(
+            encode_packed_rows(encoder, [processed for _, processed in kept]),
+            dim,
+            reference_ber,
+            self._noise_rng,
+        )
         self._adopt_rows(
             originals,
-            pack_bipolar(hvs),
+            packed,
             [reference.neutral_mass for reference in originals],
             [reference.precursor_charge for reference in originals],
-            hvs.shape[1],
+            dim,
             [(0, len(originals))],
         )
         self.warm()

@@ -5,8 +5,8 @@ score, best match — over reference memory that happens to be laid out
 differently.  :class:`FanOutSearcher` is that dataflow, once: queries
 are preprocessed and encoded in micro-batches on a producer thread one
 stage ahead of scoring, BER noise is injected in the consumer in
-arrival order, cascade mode retries unmatched queries through the open
-pass, and each pass packs the batch once, routes every query to the
+arrival order on the packed rows, cascade mode retries unmatched
+queries through the open pass, and each pass routes every query to the
 *parts* whose precursor-mass hull meets its window (each part a
 :class:`~repro.oms.kernel.ShardScorer` over a contiguous set of
 library rows, or a remote worker), merges the per-part winners with the
@@ -41,15 +41,14 @@ import numpy as np
 from ..ann import OUTCOMES, AnnStats
 from ..engine import EngineConfig
 from ..exec.pipeline import pipeline_map
-from ..hdc.noise import flip_bits
-from ..hdc.packing import pack_bipolar
+from ..hdc.noise import flip_packed
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
 from .candidates import WindowConfig
 from .kernel import ShardScorer, shard_payload
 from .psm import PSM, SearchResult
-from .search import ENCODE_BLOCK_SIZE, HDSearchConfig, encode_queries
+from .search import ENCODE_BLOCK_SIZE, HDSearchConfig, encode_queries_packed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.library import LibraryIndex
@@ -150,15 +149,11 @@ class FanOutSearcher:
 
     def _adopt_index(self, index: "LibraryIndex", num_parts: int) -> None:
         """Lay a library index out as ``num_parts`` row ranges."""
-        packed = np.asarray(index.packed)
-        if self.config.reference_ber > 0:
-            # Same RNG draw order as HDOmsSearcher: one flip pass over
-            # the full matrix before any query is touched.
-            packed = pack_bipolar(
-                flip_bits(
-                    index.hypervectors(), self.config.reference_ber, self._noise_rng
-                )
-            )
+        # Same RNG draw order as HDOmsSearcher: one flip pass over the
+        # full matrix before any query is touched.
+        packed = flip_packed(
+            index.packed, index.dim, self.config.reference_ber, self._noise_rng
+        )
         self._adopt_rows(
             index.records(),
             packed,
@@ -393,21 +388,22 @@ class FanOutSearcher:
     # ------------------------------------------------------------------
 
     def _search_batch(
-        self, queries: Sequence[Spectrum], query_hvs: np.ndarray
+        self, queries: Sequence[Spectrum], packed: np.ndarray
     ) -> List[Optional[PSM]]:
-        """Noise injection + packing + mode dispatch for one encoded micro-batch.
+        """Noise injection + mode dispatch for one packed, encoded micro-batch.
 
         BER flips draw from the searcher's RNG here — in the consumer
         stage, for every preprocessed query in arrival order — so the
         noise stream is identical whether or not the encode stage ran
-        ahead, and identical to the oracle's.  The batch is packed once;
-        every pass and part scores those rows.
+        ahead, and identical to the oracle's.  Every pass and part
+        scores these packed rows.
         """
         if not len(queries):
             return []
         if self.config.query_ber > 0:
-            query_hvs = flip_bits(query_hvs, self.config.query_ber, self._noise_rng)
-        packed = pack_bipolar(query_hvs)
+            packed = flip_packed(
+                packed, self.encoder.space.dim, self.config.query_ber, self._noise_rng
+            )
         if self.config.mode == "cascade":
             results = self._run_pass(queries, packed, "standard")
             retry = [column for column, psm in enumerate(results) if psm is None]
@@ -427,7 +423,7 @@ class FanOutSearcher:
         ``engine.pipeline_batch`` on a producer thread running one stage
         ahead of scoring (two-deep bounded queue — encode batch ``k+1``
         while batch ``k`` is scored and merged).  Deterministic work
-        (the preprocess + fused ``encode_batch``) moves ahead;
+        (the preprocess + fused ``encode_packed``) moves ahead;
         everything consuming the searcher's RNG (BER injection) stays in
         the consumer in arrival order, so the PSM stream is unchanged.
         A query dropped by preprocessing answers ``None``.
@@ -438,7 +434,9 @@ class FanOutSearcher:
             chunk = queries[start : start + step]
             processed = [preprocess(query, self.preprocessing) for query in chunk]
             kept = [start + row for row, spectrum in enumerate(processed) if spectrum is not None]
-            return kept, encode_queries(self.encoder, [processed[row - start] for row in kept])
+            return kept, encode_queries_packed(
+                self.encoder, [processed[row - start] for row in kept]
+            )
 
         results: List[Optional[PSM]] = [None] * len(queries)
         for kept, encoded in pipeline_map(encode_chunk, range(0, len(queries), step)):

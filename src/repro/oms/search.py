@@ -74,6 +74,19 @@ def encode_queries(encoder, processed: Sequence[Spectrum]) -> np.ndarray:
     return np.stack([encoder.encode(spectrum) for spectrum in processed])
 
 
+def encode_queries_packed(encoder, processed: Sequence[Spectrum]) -> np.ndarray:
+    """:func:`encode_queries` as bit-packed ``(n, ceil(dim / 8))`` uint8 rows.
+
+    The software encoder runs its fused packed kernel
+    (:meth:`~repro.hdc.encoder.SpectrumEncoder.encode_packed`), so no
+    ``(n, dim)`` block is formed; other encoders keep their
+    per-spectrum path and are packed after it.
+    """
+    if isinstance(encoder, SpectrumEncoder):
+        return encoder.encode_packed(processed)
+    return pack_bipolar(encode_queries(encoder, processed))
+
+
 class SimilarityBackend(Protocol):
     """Scores a query hypervector against stored reference rows."""
 

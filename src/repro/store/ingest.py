@@ -7,7 +7,9 @@ full buffer as a tier-0 segment through the existing
 :meth:`~repro.index.library.LibraryIndex.build` pipeline (chunked
 charge-bucket encode, bit-packing).
 The manifest is rewritten atomically after every segment, so a crash
-mid-ingest leaves a valid store holding the segments completed so far.
+mid-ingest leaves a valid store holding the segments completed so far;
+an exception (a malformed input file, say) instead rolls
+:func:`build_store` / :func:`append_store` back to the store as it was.
 
 Because each row's hypervector is a pure function of (spectrum,
 encoding config) and segments concatenate in ingestion order, any
@@ -136,6 +138,15 @@ class StreamingStoreBuilder:
                 space_config, binning, preprocessing
             )
         self._next_id = self.manifest.next_segment_id()
+        # What abort() restores: the segments recorded at open, and the
+        # directories that did not exist yet.
+        self._initial_segments = len(self.manifest.segments)
+        self._new_dirs = [
+            path
+            for path in (self.root / SEGMENT_DIR, self.root)
+            if not path.exists()
+        ]
+        self._written: List[Path] = []
         self._buffer: List[Spectrum] = []
         self.num_ingested = 0
         self.num_dropped = 0
@@ -183,6 +194,7 @@ class StreamingStoreBuilder:
         name = f"seg-{self._next_id:06d}.npz"
         self._next_id += 1
         written = index.save(self.root / SEGMENT_DIR / name)
+        self._written.append(written)
         self.manifest.segments.append(
             SegmentMeta(
                 file=f"{SEGMENT_DIR}/{written.name}",
@@ -203,6 +215,40 @@ class StreamingStoreBuilder:
             float(index.neutral_masses.min()),
             float(index.neutral_masses.max()),
         )
+
+    def abort(self) -> None:
+        """Undo every write of this builder.
+
+        Its segment files are deleted and the manifest goes back to the
+        segments it held when the builder opened — or, for a new store,
+        is removed with the directories the builder created.  Nothing
+        else in ``root`` is touched.
+        """
+        self._buffer = []
+        for path in self._written:
+            path.unlink(missing_ok=True)
+        self._written = []
+        del self.manifest.segments[self._initial_segments :]
+        if self._initial_segments:
+            self.manifest.save(self.root)
+        else:
+            StoreManifest.manifest_path(self.root).unlink(missing_ok=True)
+            for path in self._new_dirs:
+                if path.is_dir() and not any(path.iterdir()):
+                    path.rmdir()
+
+    def _ingest(self, spectra: Iterable[Spectrum]) -> SegmentedStore:
+        """:meth:`extend` then :meth:`finalize`, all or nothing.
+
+        An exception while reading or encoding the stream aborts the
+        ingest, so the store is left as it was found.
+        """
+        try:
+            self.extend(spectra)
+            return self.finalize()
+        except Exception:
+            self.abort()
+            raise
 
     def finalize(self) -> SegmentedStore:
         """Flush the tail buffer and return the opened store.
@@ -251,8 +297,7 @@ def build_store(
         chunk_size=chunk_size,
         source=source,
     )
-    builder.extend(spectra)
-    return builder.finalize()
+    return builder._ingest(spectra)
 
 
 def append_store(
@@ -300,8 +345,7 @@ def append_store(
         source=source,
         manifest=manifest,
     )
-    builder.extend(spectra)
-    return builder.finalize()
+    return builder._ingest(spectra)
 
 
 def merge_store(

@@ -333,3 +333,128 @@ class TestExperimentCommand:
     def test_fig7_runs(self, capsys):
         assert main(["experiment", "fig7"]) == 0
         assert "Bit error rate" in capsys.readouterr().out
+
+
+def _corrupt_last_spectrum(source, target, value):
+    """Copy a peak file, setting six intensities of its last spectrum to ``value``.
+
+    The last spectrum goes bad, so everything before it has already been
+    read (and, for streaming verbs, flushed) when the error surfaces.
+    """
+    lines = source.read_text().splitlines()
+    peak_rows = [row for row, line in enumerate(lines) if line[:1].isdigit()]
+    block_starts = [
+        row for row, line in enumerate(lines)
+        if line == "BEGIN IONS" or line.startswith("Name:")
+    ]
+    last = [row for row in peak_rows if row > block_starts[-1]][:6]
+    for row in last:
+        fields = lines[row].split()
+        lines[row] = "\t".join([fields[0], value, *fields[2:]])
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-5.0"])
+class TestMalformedInputFiles:
+    """A library or query file with a bad peak: one line, exit 2, nothing written."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("malformed-cli")
+        assert main(
+            ["workload", "--preset", "custom", "--references", "40", "--queries",
+             "10", "--seed", "5", "--output-dir", str(tmp_path)]
+        ) == 0
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(tmp_path / "library.npz"), "--dim", "512", "--seed", "5"]
+        ) == 0
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(tmp_path / "store"), "--segment-rows", "16",
+             "--dim", "512", "--seed", "5"]
+        ) == 0
+        return tmp_path
+
+    @staticmethod
+    def _fails_in_one_line(capsys, verb, argv):
+        capsys.readouterr()
+        assert main(["index", verb, *argv]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = captured.err.splitlines()[-1]
+        assert report.startswith(f"index {verb}: ")
+        return report
+
+    def test_search_query_file(self, files, tmp_path, capsys, value):
+        queries = _corrupt_last_spectrum(
+            files / "queries.mgf", tmp_path / "bad.mgf", value
+        )
+        for extra in ([], ["--output-format", "jsonl", "--chunk-size", "2"]):
+            output = tmp_path / "psms.out"
+            report = self._fails_in_one_line(
+                capsys, "search",
+                ["--index", str(files / "library.npz"), "--queries", str(queries),
+                 "--output", str(output), *extra],
+            )
+            assert "bad.mgf" in report
+            assert not output.exists()
+
+    def test_build_library_file(self, files, tmp_path, capsys, value):
+        library = _corrupt_last_spectrum(
+            files / "library.msp", tmp_path / "bad.msp", value
+        )
+        for output, extra in (
+            (tmp_path / "bad.npz", []),
+            (tmp_path / "bad-store", ["--segment-rows", "8"]),
+        ):
+            report = self._fails_in_one_line(
+                capsys, "build",
+                ["--library", str(library), "--output", str(output), "--dim", "512",
+                 *extra],
+            )
+            assert "bad.msp" in report
+            assert not output.exists()
+
+    def test_append_library_file_leaves_the_store_as_it_was(
+        self, files, tmp_path, capsys, value
+    ):
+        import shutil
+
+        store = tmp_path / "store"
+        shutil.copytree(files / "store", store)
+        before = sorted(path.name for path in store.rglob("*"))
+        manifest = (store / "manifest.json").read_bytes()
+        library = _corrupt_last_spectrum(
+            files / "library.msp", tmp_path / "bad.msp", value
+        )
+        self._fails_in_one_line(
+            capsys, "append",
+            ["--store", str(store), "--library", str(library), "--segment-rows", "8"],
+        )
+        assert sorted(path.name for path in store.rglob("*")) == before
+        assert (store / "manifest.json").read_bytes() == manifest
+
+
+def test_malformed_mgf_structure_is_one_line_and_exit_2(tmp_path, capsys):
+    queries = tmp_path / "broken.mgf"
+    queries.write_text("END IONS\n")
+    library = tmp_path / "library.msp"
+    assert main(
+        ["workload", "--preset", "custom", "--references", "20", "--queries", "2",
+         "--seed", "5", "--output-dir", str(tmp_path)]
+    ) == 0
+    assert main(
+        ["index", "build", "--library", str(library), "--output",
+         str(tmp_path / "library.npz"), "--dim", "256"]
+    ) == 0
+    capsys.readouterr()
+    output = tmp_path / "psms.tsv"
+    assert main(
+        ["index", "search", "--index", str(tmp_path / "library.npz"), "--queries",
+         str(queries), "--output", str(output)]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith("index search: ")
+    assert "END IONS" in captured.err and not output.exists()

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hdc.encoder import SpectrumEncoder
+from repro.hdc.packing import pack_bipolar
 from repro.hdc.spaces import HDSpace, HDSpaceConfig
 from repro.ms.preprocessing import preprocess
 from repro.ms.spectrum import Spectrum
@@ -64,21 +65,40 @@ class TestEncodeBatchParity:
         batch=st.integers(1, 24),
         precision=st.sampled_from([1, 2, 3]),
         chunked=st.booleans(),
+        # 1000 is not a multiple of the 32 chunks; 1003 not of 8 either,
+        # so its last packed byte carries pad bits.
+        dim=st.sampled_from([8192, 1000, 1003]),
     )
     @settings(max_examples=30, deadline=None)
     def test_random_spectra_bit_identical(
-        self, seed, batch, precision, chunked
+        self, seed, batch, precision, chunked, dim
     ):
-        """Property: fused == scalar for random sparse vectors."""
+        """Property: fused == scalar for random sparse vectors, packed or not."""
         encoder = make_encoder(
-            id_precision_bits=precision, chunked=chunked, seed=seed % 7
+            dim=dim, id_precision_bits=precision, chunked=chunked, seed=seed % 7
         )
         rng = np.random.default_rng(seed)
-        vectors = [random_vector(rng) for _ in range(batch)]
+        vectors = [random_vector(rng) for _ in range(batch)] + [empty_vector()]
+        # More occupied bins than the widest (1-bit, 127-row) int8
+        # partial sum holds, every bound row +|ID| in dimension 0 (equal
+        # values all quantise to the top level): a partial sum over too
+        # many rows would wrap there.
+        space = encoder.space
+        aligned = np.flatnonzero(space.id_bank[:, 0] * space.level_vectors[-1, 0] > 0)
+        wide = np.sort(rng.choice(aligned, size=min(200, len(aligned)), replace=False))
+        assert len(wide) > 127
+        vectors.insert(
+            int(rng.integers(0, batch + 1)),
+            SparseVector(wide.astype(np.int64), np.full(len(wide), 7.0), BINNING.num_bins),
+        )
+        scalar = np.stack([encoder.encode_vector(vector) for vector in vectors])
+        packed = encoder.encode_packed(vectors)
+        assert packed.dtype == np.uint8 and packed.shape == (len(vectors), -(-dim // 8))
+        assert np.array_equal(packed, pack_bipolar(scalar))
+        assert not np.unpackbits(packed, axis=-1)[:, dim:].any()
         fused = encoder.encode_batch(vectors)
         assert fused.dtype == np.int8
-        for row, vector in enumerate(vectors):
-            assert np.array_equal(fused[row], encoder.encode_vector(vector))
+        assert np.array_equal(fused, scalar)
 
     @given(seed=st.integers(0, 2**16), batch=st.integers(1, 16))
     @settings(max_examples=20, deadline=None)

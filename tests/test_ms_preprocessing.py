@@ -1,7 +1,11 @@
 """Tests for spectrum preprocessing (paper Section 3.1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ms.preprocessing import (
     PreprocessingConfig,
@@ -127,3 +131,62 @@ class TestFullChain:
             np.linspace(100, 150, 20), np.ones(20)
         )
         assert not is_high_quality(narrow)
+
+
+def _chained(spectrum, config):
+    """The five public steps composed one by one: the one-pass oracle."""
+    processed = restrict_mz_range(spectrum, config.min_mz, config.max_mz)
+    if config.remove_precursor_tolerance is not None:
+        processed = remove_precursor_peaks(processed, config.remove_precursor_tolerance)
+    processed = filter_intensity(processed, config.min_intensity_fraction, config.max_peaks)
+    if len(processed) < config.min_peaks:
+        return None
+    return normalize_intensity(scale_intensity(processed, config.scaling))
+
+
+class TestOnePassParity:
+    @given(
+        seed=st.integers(0, 2**16),
+        num_peaks=st.integers(0, 40),
+        scaling=st.sampled_from(["sqrt", "rank", "none"]),
+        tolerance=st.sampled_from([None, 1.5, 40.0]),
+        max_peaks=st.integers(1, 12),
+        min_peaks=st.sampled_from([0, 1, 5, 20]),
+        intensities=st.sampled_from(["ties", "continuous", "zeros"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_chain_array_for_array(
+        self, seed, num_peaks, scaling, tolerance, max_peaks, min_peaks, intensities
+    ):
+        """``preprocess`` == the five steps chained, values and dtypes.
+
+        Intensities drawn from a few integers tie at the ``max_peaks``
+        cut; all-zero spectra skip normalisation; ``min_peaks`` up to 20
+        drops many spectra.
+        """
+        rng = np.random.default_rng(seed)
+        mz = np.sort(rng.uniform(50.0, 1600.0, num_peaks))
+        if intensities == "ties":
+            intensity = rng.choice([1.0, 2.0, 5.0, 10.0], num_peaks)
+        elif intensities == "continuous":
+            intensity = rng.gamma(2.0, 50.0, num_peaks)
+        else:
+            intensity = np.zeros(num_peaks)
+        spectrum = spectrum_with(mz, intensity, precursor_mz=float(rng.uniform(300, 900)))
+        config = PreprocessingConfig(
+            scaling=scaling,
+            remove_precursor_tolerance=tolerance,
+            max_peaks=max_peaks,
+            min_peaks=min_peaks,
+        )
+        got, expected = preprocess(spectrum, config), _chained(spectrum, config)
+        if expected is None:
+            assert got is None
+            return
+        for field in dataclasses.fields(Spectrum):
+            ours, theirs = getattr(got, field.name), getattr(expected, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert ours.dtype == theirs.dtype, field.name
+                assert np.array_equal(ours, theirs), field.name
+            else:
+                assert ours == theirs, field.name

@@ -42,6 +42,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             make_spectrum(intensity=np.array([1.0, -2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"intensity": np.array([1.0, np.inf, 3.0])},
+            {"intensity": np.array([1.0, np.nan, 3.0])},
+            {"mz": np.array([100.0, np.nan, 300.0])},
+            {"mz": np.array([100.0, 200.0, np.inf])},
+            {"precursor_mz": np.nan},
+            {"precursor_mz": np.inf},
+        ],
+    )
+    def test_non_finite_values_raise(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            make_spectrum(**overrides)
+
     def test_bad_charge_raises(self):
         with pytest.raises(ValueError, match="precursor_charge"):
             make_spectrum(precursor_charge=0)

@@ -9,6 +9,7 @@ from repro.ms.vectorize import (
     cosine_similarity,
     quantize_intensities,
     vectorize,
+    vectorize_many,
 )
 
 
@@ -68,6 +69,27 @@ class TestVectorize:
         assert dense[1] == pytest.approx(2.0)
         assert dense[5] == pytest.approx(3.0)
         assert dense.sum() == pytest.approx(5.0)
+
+
+class TestVectorizeMany:
+    def test_equals_vectorize_spectrum_by_spectrum(self, small_workload):
+        """Shared bins, out-of-range peaks and empty spectra, all in one batch."""
+        config = BinningConfig(min_mz=200.0, max_mz=900.0, bin_width=1.0005)
+        spectra = [
+            spectrum_with([150.0, 250.1, 250.2, 250.3, 899.99, 950.0], [1, 2, 3, 4, 5, 6]),
+            spectrum_with([], []),
+            spectrum_with([100.0, 1000.0], [7, 8]),
+            *small_workload.references[:20],
+        ]
+        batched = vectorize_many(spectra, config)
+        assert len(batched) == len(spectra)
+        for spectrum, vector in zip(spectra, batched):
+            expected = vectorize(spectrum, config)
+            assert vector.num_bins == expected.num_bins
+            for name in ("indices", "values"):
+                ours, theirs = getattr(vector, name), getattr(expected, name)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        assert vectorize_many([], config) == []
 
 
 class TestCosine:

@@ -283,12 +283,13 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     charge_aware=st.booleans(),
     min_candidates=st.sampled_from([1, 2, 5]),
     query_ber=st.sampled_from([0.0, 0.1]),
+    reference_ber=st.sampled_from([0.0, 0.1]),
     execution=st.sampled_from([(0, "process"), (2, "thread")]),
     tile=st.sampled_from([1, 5, 1 << 12]),
 )
 def test_every_engine_equals_brute_force(
     references, queries, kind, mode, parts, ann_case, budget, charge_aware,
-    min_candidates, query_ber, execution, tile,
+    min_candidates, query_ber, reference_ber, execution, tile,
 ):
     # "full": the one-word prefix covers the 64-dimensional row, so the
     # pass must equal the *exact* oracle in every cell.  "narrow": half
@@ -309,8 +310,11 @@ def test_every_engine_equals_brute_force(
     )
     # Queries of charge 4 have no library bucket: they must still draw
     # their BER flips, or every later query's noise diverges.
+    if kind == "segmented":
+        reference_ber = 0.0  # SegmentedSearcher rejects reference_ber
     config = HDSearchConfig(
-        mode=mode, ann=ann, min_candidates=min_candidates, query_ber=query_ber
+        mode=mode, ann=ann, min_candidates=min_candidates, query_ber=query_ber,
+        reference_ber=reference_ber,
     )
     oracle = config if ann_case == "narrow" else dataclasses.replace(config, ann=None)
     expected = HDOmsSearcher.from_index(index, windows=windows, config=oracle).search(queries)
@@ -328,6 +332,7 @@ def test_every_engine_equals_brute_force(
                 ann=ann,
                 min_candidates=min_candidates,
                 query_ber=query_ber,
+                reference_ber=reference_ber,
                 engine=engine,
             )
         elif kind == "sharded":
