@@ -32,17 +32,17 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Keys of the speed-up trajectories (the BENCH_encode format).
 CORE_KEYS = {"bench", "timestamp", "batch", "dim", "speedup"}
 
-#: Extra keys the score trajectory pins for the executor comparison.
+#: Extra keys the score trajectory pins for the thread/serial comparison.
 SCORE_KEYS = CORE_KEYS | {
     "num_shards",
     "num_workers",
     "cpu_count",
-    "process_cold_seconds",
+    "serial_cold_seconds",
     "thread_cold_seconds",
-    "process_warm_seconds",
+    "serial_warm_seconds",
     "thread_warm_seconds",
     "warm_speedup",
-    "arena_mb",
+    "library_mb",
     "rss_extra_mb",
 }
 

@@ -8,7 +8,7 @@ production shape of the system:
 1. encode + persist the library as a ``.npz`` index (pay once);
 2. reload it (memory-mapped, milliseconds) and serve query batches —
    here twice: single-process via ``HDOmsSearcher.from_index`` and
-   sharded across worker processes via ``ShardedSearcher``;
+   sharded across scoring threads via ``ShardedSearcher``;
 3. verify both returned exactly the same PSMs as a searcher built from
    scratch.
 
@@ -79,7 +79,7 @@ with tempfile.TemporaryDirectory() as scratch:
 
     # --- 2b. search #2: same index, sharded fan-out -------------------
     start = time.perf_counter()
-    engine = EngineConfig(num_shards=4, num_workers=None)  # one worker per core
+    engine = EngineConfig(num_shards=4, num_workers=None)  # one thread per core
     with ShardedSearcher(loaded, engine=engine) as sharded:
         second = sharded.search(workload.queries)
     second_s = time.perf_counter() - start

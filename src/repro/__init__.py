@@ -19,7 +19,7 @@ Subpackages
     target-decoy FDR, end-to-end pipeline.
 ``repro.index``
     Persistent encoded-library index (build once, ``.npz`` on disk,
-    memory-mapped load) and the sharded multiprocessing searcher.
+    memory-mapped load) and the sharded searcher.
 ``repro.store``
     Out-of-core segmented library store: streaming ingest bounded by
     ``segment_rows``, append/merge compaction, manifest provenance,

@@ -133,7 +133,7 @@ def add_engine_args(parser, *, workers_default: Optional[int] = None) -> None:
 
     Args:
         parser: The subcommand parser to extend.
-        workers_default: Default ``--workers`` (``0`` = in-process,
+        workers_default: Default ``--workers`` (``0`` = serial,
             ``None`` = auto-size to the shard/segment count).
     """
     group = parser.add_argument_group(
@@ -147,19 +147,9 @@ def add_engine_args(parser, *, workers_default: Optional[int] = None) -> None:
         type=int,
         default=workers_default,
         help=(
-            "worker-pool size (0 = score in-process"
+            "scoring threads (0 = score serially"
             + (", default" if workers_default == 0 else "")
             + "; omitted = one per shard up to the CPU count)"
-        ),
-    )
-    group.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help=(
-            "parallel scoring mode: process = worker pool over a shared-"
-            "memory arena, thread = in-process threads (no arena, zero "
-            "IPC; segmented stores always score in-process)"
         ),
     )
 
@@ -176,7 +166,6 @@ def engine_config_from_args(args, ann=None):
     return EngineConfig(
         num_shards=args.shards,
         num_workers=args.workers,
-        executor=args.executor,
         ann=ann,
     )
 
@@ -1078,7 +1067,7 @@ def _open_searcher(index_path: Path, *, windows, config, engine):
     :class:`~repro.store.SegmentedSearcher`; anything else loads as a
     monolithic index behind a
     :class:`~repro.index.sharded.ShardedSearcher`.  Both support the
-    context-manager protocol and release pools and arenas on ``close``.
+    context-manager protocol and release their scoring threads on ``close``.
     """
     from .index import ShardedSearcher
     from .store import SegmentedSearcher, SegmentedStore, open_search_source
@@ -1398,6 +1387,12 @@ def cmd_profile(args) -> int:
     if args.limit is not None and args.limit < 1:
         print(f"--limit must be >= 1, got {args.limit}", file=sys.stderr)
         return 2
+    if args.trace_capacity is not None and args.trace_capacity < 1:
+        print(
+            f"profile: --trace-capacity must be >= 1, got {args.trace_capacity}",
+            file=sys.stderr,
+        )
+        return 2
 
     queries = list(read_mgf(args.queries))
     if args.limit is not None:
@@ -1498,10 +1493,12 @@ def cmd_info() -> int:
     print(f"  default m/z bin width : {DEFAULT_BIN_WIDTH} Da")
     print(f"  default open window   : +-{DEFAULT_OPEN_WINDOW_DA} Da")
     print(f"  default FDR threshold : {DEFAULT_FDR_THRESHOLD:.0%}")
-    print(
-        "  subcommands           : workload, search, index, serve, "
-        "profile, experiment, info"
-    )
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if action.dest == "command"
+    ]
+    print(f"  subcommands           : {', '.join(commands)}")
     return 0
 
 

@@ -1,8 +1,7 @@
 """Unified engine-construction configuration.
 
-The knobs that control *how* a searcher executes — shard count, worker
-pool, executor kind, pipeline batching, and the ANN prefilter — live in
-one place.
+The knobs that control *how* a searcher executes — shard count, scoring
+threads, pipeline batching, and the ANN prefilter — live in one place.
 :class:`EngineConfig` is the single way to name them: every entry point
 accepts one (the ``engine=`` keyword on the searchers, the
 ``engine_config`` field on :class:`~repro.service.server.ServiceConfig`,
@@ -27,7 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``sharded`` for monolithic indexes).
 ENGINE_KINDS = ("auto", "sharded", "segmented")
 
-#: The supported parallel execution modes.
+#: The values :attr:`EngineConfig.executor` accepts.  Both name the one
+#: in-process mode; see that field.
 EXECUTOR_KINDS = ("process", "thread")
 
 
@@ -40,12 +40,17 @@ class EngineConfig:
             lets the consumer pick.
         num_shards: Contiguous row partitions per index (each becomes
             one scoring task per query micro-batch).
-        num_workers: Worker count; ``None`` auto-sizes to
-            ``min(num_shards, cpu_count)``, ``0`` scores serially
-            in-process (as does an engine that resolves to one worker).
-        executor: ``"process"`` or ``"thread"`` (ignored when
-            ``num_workers == 0``; segmented searchers always score
-            in-process and treat ``"process"`` as ``"thread"``).
+        num_workers: Scoring-thread count; ``None`` auto-sizes to
+            ``min(num_shards, cpu_count)``, ``0`` scores serially in the
+            calling thread (as does an engine that resolves to one
+            worker).
+        executor: Validated but inert: ``"thread"`` and ``"process"``
+            both score in-process on the fan-out core's threads (any
+            other value is rejected).  It survives only because the
+            layer harness (``bench/layers.py``) still constructs
+            ``executor="process"`` engines for its ``exec.process_*``
+            rungs; the benchmark change that retires those rungs
+            deletes this field too.
         pipeline_batch: Queries per encode micro-batch; ``None`` uses
             :data:`~repro.oms.search.ENCODE_BLOCK_SIZE`.
         ann: Optional :class:`~repro.ann.AnnConfig` enabling the
@@ -55,7 +60,7 @@ class EngineConfig:
     kind: str = "auto"
     num_shards: int = 1
     num_workers: Optional[int] = 0
-    executor: str = "process"
+    executor: str = "thread"
     pipeline_batch: Optional[int] = None
     ann: Optional[AnnConfig] = None
 

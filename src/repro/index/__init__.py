@@ -11,8 +11,8 @@ for GPUs and ANN-SoLo makes for its on-disk ANN index).
 
 :class:`ShardedSearcher` consumes a loaded index, partitions it into N
 row shards, and scores every query batch against all of them through
-the shared fan-out core (:mod:`repro.oms.loop`) — serially, on threads,
-or on a ``multiprocessing`` pool over a shared-memory arena.  Results
+the shared fan-out core (:mod:`repro.oms.loop`) — serially or on the
+core's threads, in-process over the index's own packed rows.  Results
 are bit-identical to :class:`~repro.oms.search.HDOmsSearcher`.
 """
 

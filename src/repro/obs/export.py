@@ -8,8 +8,8 @@ understood by ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_:
 * every span becomes one complete (``"ph": "X"``) event with
   microsecond ``ts``/``dur`` relative to the tracer's recording epoch;
 * spans are laid out on one *lane* (``tid``) per originating thread —
-  including the virtual ``shard-N`` lanes the sharded searcher emits
-  for pool-worker timings — with ``"M"`` metadata events naming each
+  including the virtual ``shard-N`` lanes the fan-out core emits
+  for per-part scoring timings — with ``"M"`` metadata events naming each
   lane;
 * tags, request id, route, and span/parent ids ride in ``args`` so
   selecting an event in the viewer shows the full context.

@@ -16,10 +16,10 @@ into a bounded ring buffer.  The design constraints, in order:
   micro-batch;
 * **cross-thread linkage** — :meth:`Tracer.capture` snapshots the
   current span so a *different* thread (the micro-batch flusher, a
-  worker-pool parent) can :meth:`Tracer.emit` explicitly-timed spans
+  scoring thread) can :meth:`Tracer.emit` explicitly-timed spans
   under it; this carries a request's identity from the HTTP handler
-  thread into the batch that served it, and per-shard timings out of a
-  process pool into the parent's trace;
+  thread into the batch that served it, and per-shard timings into the
+  fan-out span's trace;
 * **request identity** — every span carries an optional ``request_id``
   (inherited from its parent unless given), generated at service
   ingress by :func:`new_request_id` and queried later to assemble one
@@ -300,8 +300,8 @@ class Tracer:
         This is how timings measured elsewhere join the trace: the
         scheduler emits each request's queue wait when its batch
         flushes (parented on the span :meth:`capture`\\ d at submit
-        time), and the sharded searcher emits per-shard scoring spans
-        timed inside pool workers onto virtual ``shard-N`` lanes.
+        time), and the fan-out core emits per-part scoring spans timed
+        by the scorers themselves onto virtual ``shard-N`` lanes.
         ``start`` is a ``perf_counter`` value; omitted, the span is
         assumed to have just ended.
         """

@@ -14,11 +14,11 @@ position — exactly the brute-force
 same integers with a GEMM.
 
 :class:`ShardScorer` is the unit of work the fan-out core
-(:mod:`repro.oms.loop`) and the process pool (:mod:`repro.exec.pool`)
-run: one part's kernel plus its optional ANN config, built from a
-*payload* dict (:func:`shard_payload`).  Serial, thread and process
-execution construct the identical scorer from identical inputs, which
-is what keeps the three modes bit-identical.
+(:mod:`repro.oms.loop`) runs, serially or on its threads, and a
+``repro serve`` worker runs behind the ``/score`` hop: one part's
+kernel plus its optional ANN config, built from a *payload* dict
+(:func:`shard_payload`).  Every caller constructs the identical scorer
+from identical inputs, which is what keeps them bit-identical.
 """
 
 from __future__ import annotations
@@ -208,8 +208,7 @@ def shard_payload(
     """Build one shard's scorer payload from whole-library arrays.
 
     ``packed`` / ``masses`` / ``charges`` are the *full* library arrays
-    (typically zero-copy views into a
-    :class:`~repro.exec.arena.SharedShardArena`); the shard's
+    (typically the index's own, possibly mmap'd, arrays); the shard's
     ``bounds = (start, stop)`` row range is sliced out as views, never
     copied — shards are contiguous row ranges by construction.
     """

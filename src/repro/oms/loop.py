@@ -18,7 +18,7 @@ parts exist, how a part is opened and which record sits at library row
 
 * :class:`~repro.oms.batch.BatchedHDOmsSearcher` — one in-process part;
 * :class:`~repro.index.sharded.ShardedSearcher` — N row ranges of one
-  index (optionally scored by a process pool over a shared arena);
+  index;
 * :class:`~repro.store.search.SegmentedSearcher` — lazily opened,
   mass-pruned store segments;
 * :class:`~repro.coord.coordinator.Coordinator` — partitions scored by
@@ -140,12 +140,10 @@ class FanOutSearcher:
         — in a multi-batch search that overlaps the next micro-batch's
         encode, which is what a one-shot CLI run wants.  A service calls
         this instead, so a route that reports ready (or was just
-        reloaded) answers its first request at full speed.  A process
-        pool's workers open their own ranges.
+        reloaded) answers its first request at full speed.
         """
-        if self.executor_kind != "process":
-            for part in range(len(self._bounds)):
-                self._scorer(part)
+        for part in range(len(self._bounds)):
+            self._scorer(part)
 
     def _adopt_index(self, index: "LibraryIndex", num_parts: int) -> None:
         """Lay a library index out as ``num_parts`` row ranges."""
@@ -210,12 +208,15 @@ class FanOutSearcher:
 
     @property
     def executor_kind(self) -> str:
-        """The active execution mode: ``serial``, ``thread`` or ``process``."""
+        """The active execution mode: ``serial`` or ``thread``."""
         return "serial" if self._num_workers == 0 else "thread"
 
     @property
     def arena_nbytes(self) -> int:
-        """Shared-memory bytes in use: 0 whenever scoring stays in-process."""
+        """Shared-memory bytes in use: always 0, scoring stays in-process.
+
+        Kept for the layer harness, which still reads it.
+        """
         return 0
 
     def close(self, timeout: float = 10.0) -> None:
@@ -317,9 +318,8 @@ class FanOutSearcher:
         ):
             timed = self._map_parts(jobs)
             if tracer.enabled:
-                # Scorers time themselves (a bare float also crosses a
-                # process-pool boundary); the timings become spans on
-                # virtual per-part lanes under the fan-out span.
+                # Each part's job times itself; the timings become spans
+                # on virtual per-part lanes under the fan-out span.
                 for (part, batch), (wall, _scored) in zip(jobs, timed):
                     tracer.emit(
                         f"{self.part_name}.score",

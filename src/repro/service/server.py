@@ -685,7 +685,6 @@ class SearchService:
                 "max_batch": self.config.max_batch,
                 "max_wait_ms": self.config.max_wait_ms,
                 "executor": getattr(self._engine, "executor_kind", "inline"),
-                "arena_bytes": int(getattr(self._engine, "arena_nbytes", 0)),
                 "config": self.config.resolved_engine().to_dict(),
                 "ann": self._ann_section(),
             },
@@ -697,7 +696,7 @@ class SearchService:
 
         The order matters: the scheduler drains *first* so queued
         requests are answered by a live engine, and only then is the
-        engine's worker pool closed.  ``timeout`` bounds the drain — a
+        engine's scoring threads closed.  ``timeout`` bounds the drain — a
         wedged engine fails the still-pending futures instead of
         hanging this call (see
         :meth:`MicroBatchScheduler.close <repro.service.scheduler.MicroBatchScheduler.close>`).

@@ -14,15 +14,11 @@ so pruning is exact: results are bit-identical to a monolithic search,
 Each opened segment is scored straight from its mmap'd arrays, with
 positions offset to global row numbers.  Scoring runs in-process —
 serially or on the core's thread pool over the GIL-releasing kernels —
-so nothing is ever copied into shared memory; ``executor="process"`` is
-accepted for config compatibility but downgraded to threads, because a
-process pool would force every segment open up front, defeating the
-pruning.
+so nothing is ever copied between processes.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -36,8 +32,6 @@ from ..oms.candidates import WindowConfig
 from ..oms.loop import FanOutSearcher
 from ..oms.search import HDSearchConfig
 from .store import SegmentedStore
-
-logger = logging.getLogger(__name__)
 
 
 class SegmentedSearcher(FanOutSearcher):
@@ -94,12 +88,6 @@ class SegmentedSearcher(FanOutSearcher):
             num_parts=store.num_segments,
             label=f"segmentedx{store.num_segments}",
         )
-        if engine.executor == "process" and self._num_workers > 0:
-            logger.info(
-                "segmented search scores in-process; executor='process' "
-                "downgraded to the thread pool (%d workers)",
-                self._num_workers,
-            )
         self._offsets = store.offsets
         hulls = [[meta.mass_min, meta.mass_max] for meta in store.segment_metas]
         self._hulls = np.array(hulls).reshape(-1, 2)

@@ -38,6 +38,18 @@ class TestInfo:
         assert "hdoms" in out
         assert "DAC 2024" in out
 
+    def test_info_lists_every_subcommand(self, capsys):
+        assert main(["info"]) == 0
+        listed = capsys.readouterr().out.split("subcommands", 1)[1]
+        listed = {name.strip() for name in listed.split(":", 1)[1].split(",")}
+        (commands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        assert "coordinate" in commands
+        assert listed == set(commands)
+
 
 class TestWorkloadCommand:
     def test_generates_files(self, tmp_path, capsys):
@@ -321,6 +333,53 @@ def test_profile_on_an_unreadable_index_is_one_line_and_exit_2(
     assert captured.err.splitlines()[-1].startswith("profile: ")
     assert "Traceback" not in captured.err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("capacity", ["0", "-1"])
+def test_profile_rejects_a_bad_trace_capacity(
+    tmp_path, small_workload, capsys, capacity
+):
+    """Like serve and coordinate: one stderr line, exit 2, no trace file."""
+    from repro.hdc.spaces import HDSpaceConfig
+    from repro.index import LibraryIndex
+    from repro.ms import write_mgf
+    from repro.ms.vectorize import BinningConfig
+
+    binning = BinningConfig()
+    index = LibraryIndex.build(
+        small_workload.references,
+        space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=3),
+        binning=binning,
+    ).save(tmp_path / "library.npz")
+    queries, trace = tmp_path / "q.mgf", tmp_path / "trace.json"
+    write_mgf(small_workload.queries[:2], queries)
+    capsys.readouterr()  # only what the verb itself prints is checked
+    code = main(
+        [
+            "profile", "--index", str(index), "--queries", str(queries),
+            "--output", str(trace), "--trace-capacity", capacity,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        f"profile: --trace-capacity must be >= 1, got {capacity}"
+    ]
+    assert not trace.exists()
+
+
+def test_executor_flag_is_gone():
+    """One execution mode: no verb takes --executor."""
+    for argv in (
+        ["index", "search", "--index", "i.npz", "--queries", "q.mgf"],
+        ["index", "append", "--store", "s", "--library", "l.msp"],
+        ["index", "merge", "--store", "s"],
+        ["serve", "--index", "i.npz"],
+        ["profile", "--index", "i.npz", "--queries", "q.mgf"],
+    ):
+        build_parser().parse_args(argv)  # the verb parses without it
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--executor", "thread"])
 
 
 class TestExperimentCommand:

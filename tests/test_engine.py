@@ -68,7 +68,7 @@ class TestEngineConfigValidation:
     def test_to_dict_is_json_safe(self):
         config = EngineConfig(ann=AnnConfig())
         payload = config.to_dict()
-        assert payload["kind"] == "auto"
+        assert (payload["kind"], payload["executor"]) == ("auto", "thread")
         assert set(payload) == {
             "kind", "num_shards", "num_workers", "executor", "pipeline_batch", "ann",
         }

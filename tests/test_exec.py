@@ -1,18 +1,14 @@
-"""Zero-copy executor tests: arena lifecycle, pipeline, process parity.
+"""Execution tests: the encode/score pipeline and the shard scorer.
 
-The contract under test is the tentpole guarantee of ``repro.exec``:
-process-pool scoring over the shared-memory arena returns results
-**bit-identical** to in-process scoring of the same rows (thread-pool
-scoring is a cell of ``tests/test_property_kernel.py``'s engine
-matrix), the encode/score pipeline never reorders results, and no
-execution path — graceful close, terminate fallback, crashing pool
-initializer, SIGTERM mid-storm — can leak a shared-memory segment.
+The encode/score pipeline (``repro.exec``) never reorders results, a
+pipelined search equals the one-batch schedule, and a full-coverage
+window counts every row of a shard.  Serial and thread-pool scoring
+are cells of ``tests/test_property_kernel.py``'s engine matrix.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -21,24 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ann import AnnConfig
-from repro.exec import (
-    ArenaSpec,
-    ProcessShardExecutor,
-    SharedShardArena,
-    ShardScorer,
-    pipeline_map,
-    shard_payload,
-)
-from repro.exec.arena import ARENA_ALIGN
-from repro.exec.pool import arena_shard_payload
+from repro.exec import pipeline_map
 from repro.hdc.packing import pack_bipolar
+from repro.oms.kernel import ShardScorer, shard_payload
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_PATH = str(REPO_ROOT / "src")
+SRC_PATH = str(Path(__file__).resolve().parent.parent / "src")
 
 DIM = 256
 NUM_ROWS = 96
@@ -47,11 +31,10 @@ NUM_SHARDS = 3
 
 def _library_arrays(seed: int = 5):
     rng = np.random.default_rng(seed)
-    bipolar = rng.choice(np.array([-1, 1], dtype=np.int8), size=(NUM_ROWS, DIM))
-    packed = np.packbits((bipolar > 0).astype(np.uint8), axis=-1)
+    packed = rng.integers(0, 256, size=(NUM_ROWS, DIM // 8), dtype=np.uint8)
     masses = np.sort(rng.uniform(300.0, 1500.0, NUM_ROWS))
     charges = rng.integers(2, 4, NUM_ROWS).astype(np.int64)
-    return bipolar, packed, masses, charges
+    return packed, masses, charges
 
 
 def _bounds(num_rows: int, num_shards: int):
@@ -62,78 +45,6 @@ def _bounds(num_rows: int, num_shards: int):
         bounds.append((start, stop))
         start = stop
     return tuple(bounds)
-
-
-# ----------------------------------------------------------------------
-# arena
-# ----------------------------------------------------------------------
-
-
-class TestSharedShardArena:
-    def test_roundtrip_attach_by_spec(self):
-        arrays = {
-            "packed": np.arange(24, dtype=np.uint8).reshape(3, 8),
-            "masses": np.linspace(0.5, 9.5, 7),
-            "charges": np.array([2, 3, 2], dtype=np.int64),
-            # Non-contiguous source: the arena must copy values, not
-            # assume layout.
-            "strided": np.arange(20, dtype=np.int32)[::2],
-        }
-        with SharedShardArena.create(arrays) as owner:
-            assert set(owner.keys()) == set(arrays)
-            assert owner.nbytes == owner.spec().size
-            for _, offset, _, _ in owner.spec().layout:
-                assert offset % ARENA_ALIGN == 0
-            attached = SharedShardArena.attach(owner.spec())
-            try:
-                for key, value in arrays.items():
-                    np.testing.assert_array_equal(owner.array(key), value)
-                    np.testing.assert_array_equal(attached.array(key), value)
-                # Worker-side views alias the owner's segment.
-                owner.array("charges")[0] = 9
-                assert attached.array("charges")[0] == 9
-            finally:
-                attached.close()
-
-    def test_spec_is_picklable(self):
-        import pickle
-
-        spec = ArenaSpec(
-            name="x", size=64, layout=(("a", 0, "<i8", (4,)),)
-        )
-        assert pickle.loads(pickle.dumps(spec)) == spec
-
-    def test_empty_arrays_rejected(self):
-        with pytest.raises(ValueError, match="at least one array"):
-            SharedShardArena.create({})
-
-    def test_unknown_key_and_closed_access(self):
-        arena = SharedShardArena.create({"a": np.zeros(3)})
-        with pytest.raises(KeyError):
-            arena.array("missing")
-        arena.close()
-        assert arena.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            arena.array("a")
-        arena.close()  # idempotent
-
-    def test_owner_close_unlinks_segment(self):
-        arena = SharedShardArena.create({"a": np.ones(5)})
-        name = arena.name.lstrip("/")
-        assert name in os.listdir("/dev/shm")
-        arena.close()
-        assert name not in os.listdir("/dev/shm")
-
-    def test_attacher_close_does_not_unlink(self):
-        owner = SharedShardArena.create({"a": np.ones(5)})
-        name = owner.name.lstrip("/")
-        try:
-            attached = SharedShardArena.attach(owner.spec())
-            attached.close()
-            assert name in os.listdir("/dev/shm")
-        finally:
-            owner.close()
-        assert name not in os.listdir("/dev/shm")
 
 
 # ----------------------------------------------------------------------
@@ -206,270 +117,34 @@ class TestPipelineMap:
 
 
 # ----------------------------------------------------------------------
-# process-pool vs in-process parity (hypothesis)
+# the shard scorer's full-coverage window
 # ----------------------------------------------------------------------
 
 
-def _make_setup(arrays, *, ann=None):
-    return {
-        "dim": DIM,
-        "charge_aware": True,
-        "bounds": _bounds(NUM_ROWS, NUM_SHARDS),
-        "ann": ann,
-    }
-
-
-@pytest.fixture(scope="module")
-def parity_env():
-    """One arena + one process pool, shared by all hypothesis examples
-    (pool startup is far too slow per-example)."""
-    _, packed, masses, charges = _library_arrays()
-    # Shards hold 32 rows of 4 words: a narrow prefix, a real cut.
-    ann = AnnConfig(prefix_words=1, candidate_budget=4, ann_threshold=1)
-    arrays = {"packed": packed, "masses": masses, "charges": charges}
-    arena = SharedShardArena.create(arrays)
-
-    envs = {}
-    for label, ann_cfg in [("exact", None), ("ann", ann)]:
-        setup = dict(_make_setup(arrays, ann=ann_cfg), spec=arena.spec())
-        process = ProcessShardExecutor(setup, num_workers=2)
-        serial = [
-            ShardScorer(arena_shard_payload(arena, setup, shard_id))
-            for shard_id in range(NUM_SHARDS)
-        ]
-        envs[label] = (process, serial)
-    yield envs, masses
-    for process, _ in envs.values():
-        process.close(timeout=5.0)
-    arena.close()
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_process_scores_bit_identical_to_in_process(parity_env, data):
-    envs, masses = parity_env
-    label = data.draw(st.sampled_from(["exact", "ann"]))
-    num_queries = data.draw(st.integers(1, 5))
-    seed = data.draw(st.integers(0, 2**31 - 1))
-    # Huge half-width produces full-coverage windows; tiny ones produce
-    # empty/sparse windows.
-    half_width = data.draw(st.sampled_from([0.01, 5.0, 250.0, 1e9]))
-    rng = np.random.default_rng(seed)
-    query_hvs = pack_bipolar(
-        rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_queries, DIM))
-    )
-    query_masses = rng.uniform(float(masses[0]), float(masses[-1]), num_queries)
-    query_charges = rng.integers(2, 4, num_queries).astype(np.int64)
-
-    tasks = [
-        (shard_id, query_hvs, query_masses, query_charges, half_width)
-        for shard_id in range(NUM_SHARDS)
-    ]
-    process, serial = envs[label]
-    from_process = process.run(tasks)
-    from_serial = [
-        (task[0], 0.0) + serial[task[0]].score_batch(*task[1:])
-        for task in tasks
-    ]
-    for result_p, result_s in zip(from_process, from_serial):
-        assert result_p[0] == result_s[0]
-        for column in range(2, 8):
-            np.testing.assert_array_equal(result_p[column], result_s[column])
-
-
-def test_full_coverage_window_hits_fast_path(parity_env):
-    """half_width=1e9 covers every row; parity already asserted above —
-    this pins that the window really is full-coverage (fast path)."""
-    envs, masses = parity_env
-    process, _ = envs["exact"]
+def test_full_coverage_window_hits_fast_path():
+    """half_width=1e9 covers every row: each shard counts every row of
+    the query's charge (the engine matrix in test_property_kernel.py
+    holds the scores bit-identical to brute force)."""
+    packed, masses, charges = _library_arrays()
     query_hvs = pack_bipolar(np.ones((2, DIM), dtype=np.int8))
     query_masses = np.array([masses[0], masses[-1]])
     query_charges = np.array([2, 3], dtype=np.int64)
-    tasks = [
-        (shard_id, query_hvs, query_masses, query_charges, 1e9)
-        for shard_id in range(NUM_SHARDS)
-    ]
-    results = process.run(tasks)
-    _, packed, _, charges = _library_arrays()
     for shard_id, (start, stop) in enumerate(_bounds(NUM_ROWS, NUM_SHARDS)):
-        for row in range(2):
-            expected = int(
-                np.sum(charges[start:stop] == query_charges[row])
+        scorer = ShardScorer(
+            shard_payload(
+                shard_id,
+                (start, stop),
+                packed,
+                masses,
+                charges,
+                dim=DIM,
+                charge_aware=True,
             )
-            assert int(results[shard_id][2][row]) == expected
-
-
-# ----------------------------------------------------------------------
-# executor error handling
-# ----------------------------------------------------------------------
-
-
-def test_process_pool_start_failure_raises_cleanly(monkeypatch):
-    """A crashing pool initializer becomes RuntimeError, not a hang."""
-    import repro.exec.pool as pool_module
-
-    _, packed, masses, charges = _library_arrays()
-    arena = SharedShardArena.create(
-        {"packed": packed, "masses": masses, "charges": charges}
-    )
-    try:
-        setup = dict(_make_setup(None), spec=arena.spec())
-
-        def bad_init(_setup):
-            raise RuntimeError("initializer died")
-
-        monkeypatch.setattr(pool_module, "_init_arena_worker", bad_init)
-        executor = ProcessShardExecutor(setup, num_workers=2, start_timeout=3.0)
-        tasks = [
-            (0, np.ones((1, DIM), dtype=np.int8), masses[:1], charges[:1], 1.0)
-        ]
-        with pytest.raises(RuntimeError, match="failed to start"):
-            executor.run(tasks)
-        executor.close()
-    finally:
-        arena.close()
-    assert arena.name.lstrip("/") not in os.listdir("/dev/shm")
-
-
-# ----------------------------------------------------------------------
-# lifecycle regressions (subprocess, -W error::UserWarning)
-# ----------------------------------------------------------------------
-
-
-def _run_lifecycle_script(body: str, *, timeout: float = 120.0):
-    """Run a lifecycle scenario in a clean interpreter with warnings
-    escalated — a leaked shared_memory segment surfaces as the resource
-    tracker's UserWarning at interpreter exit and fails the script."""
-    return subprocess.run(
-        [sys.executable, "-W", "error::UserWarning", "-c", body],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env={**os.environ, "PYTHONPATH": SRC_PATH},
-        cwd=str(REPO_ROOT),
-    )
-
-
-_SCRIPT_PRELUDE = """
-import os, sys, time
-import numpy as np
-from repro.ms.synthetic import WorkloadConfig, build_workload
-from repro.ms.vectorize import BinningConfig
-from repro.hdc.spaces import HDSpaceConfig
-from repro.index.library import LibraryIndex
-from repro.index.sharded import ShardedSearcher
-from repro.engine import EngineConfig
-
-TWO_PROCESSES = EngineConfig(num_shards=2, num_workers=2)
-wl = build_workload(WorkloadConfig(name="t", num_references=40, num_queries=8, seed=9))
-binning = BinningConfig()
-space = HDSpaceConfig(dim=256, num_bins=binning.num_bins, num_levels=8,
-                      id_precision_bits=3, chunked=True, seed=11)
-index = LibraryIndex.build(wl.references, space_config=space, binning=binning)
-before = set(os.listdir("/dev/shm"))
-"""
-
-_SCRIPT_CHECK = """
-leftover = set(os.listdir("/dev/shm")) - before
-assert not leftover, f"leaked segments: {leftover}"
-print("CLEAN")
-"""
-
-
-class TestLifecycleRegressions:
-    def _assert_clean(self, completed):
-        assert completed.returncode == 0, completed.stderr
-        assert "CLEAN" in completed.stdout, completed.stdout
-        assert "leaked" not in completed.stderr.lower(), completed.stderr
-
-    def test_normal_close_unlinks(self):
-        body = _SCRIPT_PRELUDE + """
-with ShardedSearcher(index, engine=TWO_PROCESSES) as searcher:
-    searcher.search(wl.queries)
-""" + _SCRIPT_CHECK
-        self._assert_clean(_run_lifecycle_script(body))
-
-    def test_terminate_fallback_still_unlinks(self):
-        """close() with a wedged worker terminates the pool AND unlinks."""
-        body = _SCRIPT_PRELUDE + """
-import threading
-import repro.exec.pool as pool_module
-
-original = pool_module._score_arena_task
-def slow_task(task):
-    time.sleep(60.0)
-    return original(task)
-# Patched before the pool forks, so workers inherit the slow task.
-pool_module._score_arena_task = slow_task
-
-searcher = ShardedSearcher(index, engine=TWO_PROCESSES)
-runner = threading.Thread(
-    target=lambda: searcher.search(wl.queries), daemon=True
-)
-runner.start()
-time.sleep(1.5)  # let the pool start and the map() get stuck
-searcher.close(timeout=0.5)  # wedged join -> terminate fallback
-""" + _SCRIPT_CHECK
-        self._assert_clean(_run_lifecycle_script(body))
-
-    def test_initializer_crash_unlinks(self):
-        """A pool initializer that raises mid-startup cannot leak."""
-        body = _SCRIPT_PRELUDE + """
-import repro.exec.pool as pool_module
-pool_module.POOL_START_TIMEOUT = 3.0
-
-def bad_init(setup):
-    raise RuntimeError("initializer died")
-pool_module._init_arena_worker = bad_init
-
-searcher = ShardedSearcher(index, engine=TWO_PROCESSES)
-try:
-    searcher.search(wl.queries)
-except RuntimeError as error:
-    assert "failed to start" in str(error), error
-else:
-    raise AssertionError("expected pool startup failure")
-searcher.close()
-""" + _SCRIPT_CHECK
-        self._assert_clean(_run_lifecycle_script(body))
-
-    def test_sigterm_during_search_storm_unlinks(self, tmp_path):
-        """SIGTERM mid-storm: the atexit/SIGTERM hook unlinks arenas."""
-        ready = tmp_path / "ready"
-        body = _SCRIPT_PRELUDE + f"""
-searcher = ShardedSearcher(index, engine=TWO_PROCESSES)
-searcher.search(wl.queries)  # warm the pool
-open({str(ready)!r}, "w").write(searcher._arena.name)
-while True:
-    searcher.search(wl.queries)
-"""
-        process = subprocess.Popen(
-            [sys.executable, "-c", body],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC_PATH},
-            cwd=str(REPO_ROOT),
         )
-        try:
-            deadline = time.time() + 60.0
-            while not ready.exists() and time.time() < deadline:
-                time.sleep(0.05)
-            assert ready.exists(), process.stderr.read() if process.stderr else ""
-            segment = ready.read_text().lstrip("/")
-            assert segment in os.listdir("/dev/shm")
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30.0)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-        # Died by SIGTERM (the hook re-raises it) and nothing leaked.
-        assert process.returncode == -signal.SIGTERM
-        deadline = time.time() + 10.0
-        while segment in os.listdir("/dev/shm") and time.time() < deadline:
-            time.sleep(0.05)
-        assert segment not in os.listdir("/dev/shm")
+        counts = scorer.score_batch(query_hvs, query_masses, query_charges, 1e9)[0]
+        for row in range(2):
+            expected = int(np.sum(charges[start:stop] == query_charges[row]))
+            assert int(counts[row]) == expected
 
 
 # ----------------------------------------------------------------------
@@ -522,3 +197,20 @@ def test_pipelined_search_matches_single_batch():
     assert run(pipeline_batch=1000) == run(pipeline_batch=3)
     # BER noise draws in the consumer stay in arrival order too.
     assert run(1000, query_ber=0.01) == run(3, query_ber=0.01)
+
+
+def test_entry_points_never_import_multiprocessing():
+    """Every engine scores in-process, so no entry point forks or maps shm."""
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.index, repro.store, repro.service, repro.coord\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC_PATH},
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -33,7 +33,7 @@ import repro.oms.kernel as kernel_module
 from repro.ann import AnnConfig, AnnRows, CandidatePrefilter
 from repro.constants import PROTON_MASS
 from repro.engine import EngineConfig
-from repro.exec import ShardScorer, shard_payload
+from repro.oms.kernel import ShardScorer, shard_payload
 from repro.hdc.packing import pack_bipolar, unpack_bipolar
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index import LibraryIndex, ShardedSearcher
@@ -284,12 +284,12 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     min_candidates=st.sampled_from([1, 2, 5]),
     query_ber=st.sampled_from([0.0, 0.1]),
     reference_ber=st.sampled_from([0.0, 0.1]),
-    execution=st.sampled_from([(0, "process"), (2, "thread")]),
+    num_workers=st.sampled_from([0, 2]),
     tile=st.sampled_from([1, 5, 1 << 12]),
 )
 def test_every_engine_equals_brute_force(
     references, queries, kind, mode, parts, ann_case, budget, charge_aware,
-    min_candidates, query_ber, reference_ber, execution, tile,
+    min_candidates, query_ber, reference_ber, num_workers, tile,
 ):
     # "full": the one-word prefix covers the 64-dimensional row, so the
     # pass must equal the *exact* oracle in every cell.  "narrow": half
@@ -319,10 +319,7 @@ def test_every_engine_equals_brute_force(
     oracle = config if ann_case == "narrow" else dataclasses.replace(config, ann=None)
     expected = HDOmsSearcher.from_index(index, windows=windows, config=oracle).search(queries)
 
-    num_workers, executor = execution
-    engine = EngineConfig(
-        num_shards=parts, num_workers=num_workers, executor=executor
-    )
+    engine = EngineConfig(num_shards=parts, num_workers=num_workers)
     with tile_rows(tile, space.dim), tempfile.TemporaryDirectory() as scratch:
         if kind == "batched":
             searcher = BatchedHDOmsSearcher.from_index(
@@ -393,19 +390,18 @@ def test_one_query_pass_under_all_three_searchers():
             assert getattr(searcher, name) is getattr(FanOutSearcher, name), (
                 searcher.__name__, name,
             )
-    # Only the process pool replaces how parts are mapped; in-process
-    # scoring (serial and threads) is the core's for all three.
-    assert BatchedHDOmsSearcher._map_parts is FanOutSearcher._map_parts
-    assert SegmentedSearcher._map_parts is FanOutSearcher._map_parts
+    # One execution mode: parts are scored in-process, serially or on
+    # the core's threads, for all three (only the coordinator's remote
+    # parts replace how parts are mapped).
+    for searcher in (BatchedHDOmsSearcher, ShardedSearcher, SegmentedSearcher):
+        assert searcher._map_parts is FanOutSearcher._map_parts, searcher.__name__
 
 
 def test_thread_mode_needs_no_arena():
     """Threads score the parent's own row views: nothing in /dev/shm."""
     index = LibraryIndex.build(WORKLOAD.references, space_config=SPACE, binning=BINNING)
     expected = HDOmsSearcher.from_index(index).search(WORKLOAD.queries).psms
-    engine = EngineConfig(
-        kind="sharded", num_shards=2, num_workers=2, executor="thread"
-    )
+    engine = EngineConfig(kind="sharded", num_shards=2, num_workers=2)
     shm = Path("/dev/shm")
     before = set(shm.iterdir()) if shm.is_dir() else set()
     with ShardedSearcher(index, engine=engine) as searcher:
@@ -430,7 +426,7 @@ def test_one_shard_default_searcher_is_serial_and_reopens():
         assert not searcher._scorers
         assert searcher.search(WORKLOAD.queries).psms == expected
         assert searcher.arena_nbytes == 0
-        assert searcher._executor is None
+        assert searcher._pool is None
         assert not shm.is_dir() or set(shm.iterdir()) <= before
         searcher.close()
         assert searcher.search(WORKLOAD.queries).psms == expected

@@ -20,7 +20,7 @@ import pytest
 from repro.ann import AnnConfig
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
-from repro.index.library import LibraryIndex
+from repro.index import LibraryIndex, ShardedSearcher
 from repro.oms.candidates import WindowConfig
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.store import (
@@ -162,7 +162,11 @@ class TestBuildParity:
     def test_search_allocates_no_shared_memory(
         self, tmp_path, references, queries, space_config, binning, monolithic
     ):
-        """Store search never leaves the process, so it maps no arena."""
+        """Search never leaves the process, so it maps no arena.
+
+        ``executor="process"`` is inert: store and index searchers alike
+        score on the core's threads.
+        """
         shm = Path("/dev/shm")
         if not shm.is_dir():
             pytest.skip("no /dev/shm on this platform")
@@ -173,14 +177,24 @@ class TestBuildParity:
             binning=binning,
             segment_rows=13,
         )
+        oracle = HDOmsSearcher.from_index(monolithic)
         before = set(shm.iterdir())
-        with SegmentedSearcher(
-            store, engine=EngineConfig(num_workers=2, executor="process")
-        ) as searcher:
-            _search_pairs(searcher, HDOmsSearcher.from_index(monolithic), queries)
-            assert searcher.segments_opened > 1
-            assert searcher.arena_nbytes == 0
-            assert set(shm.iterdir()) <= before
+        searchers = [
+            SegmentedSearcher(
+                store, engine=EngineConfig(num_workers=2, executor="process")
+            ),
+            ShardedSearcher(
+                monolithic,
+                engine=EngineConfig(num_shards=2, num_workers=2, executor="process"),
+            ),
+        ]
+        for searcher in searchers:
+            with searcher:
+                _search_pairs(searcher, oracle, queries)
+                assert searcher.executor_kind == "thread"
+                assert searcher.arena_nbytes == 0
+                assert set(shm.iterdir()) <= before
+        assert searchers[0].segments_opened > 1
         store.close()
 
     def test_empty_store_rejected(self, tmp_path, space_config, binning):
