@@ -8,22 +8,19 @@ best few, which the searchers re-rank with the exact full-width score.
 ``docs/ann-tuning.md`` covers the knobs.
 """
 
-from .config import AnnConfig
-from .prefilter import (
-    OUTCOMES,
-    AnnRows,
-    AnnStats,
-    CandidatePrefilter,
-    PrefilterSelection,
-    shortlist,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OUTCOMES",
-    "AnnConfig",
-    "AnnRows",
-    "AnnStats",
-    "CandidatePrefilter",
-    "PrefilterSelection",
-    "shortlist",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "config": ["AnnConfig"],
+        "prefilter": [
+            "OUTCOMES",
+            "AnnRows",
+            "AnnStats",
+            "CandidatePrefilter",
+            "PrefilterSelection",
+            "shortlist",
+        ],
+    },
+)

@@ -6,15 +6,14 @@ candidate-selection and FDR machinery of :mod:`repro.oms` so that
 Figure 10's Venn comparison is apples-to-apples.
 """
 
-from .annsolo import AnnSoloSearcher, shifted_dot_product
-from .brute_force import BruteForceSearcher
-from .common import VectorSearcherBase
-from .hyperoms import HyperOmsSearcher
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnnSoloSearcher",
-    "shifted_dot_product",
-    "BruteForceSearcher",
-    "VectorSearcherBase",
-    "HyperOmsSearcher",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "annsolo": ["AnnSoloSearcher", "shifted_dot_product"],
+        "brute_force": ["BruteForceSearcher"],
+        "common": ["VectorSearcherBase"],
+        "hyperoms": ["HyperOmsSearcher"],
+    },
+)

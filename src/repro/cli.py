@@ -10,7 +10,7 @@ Seven subcommands cover the library's user-facing workflows:
   once into a persistent ``.npz`` index (or, with ``--segment-rows``, a
   segmented store directory that never holds the whole library in RAM),
   then serve any number of query batches from it (optionally sharded
-  across worker processes);
+  across scoring threads);
 * ``hdoms index append`` / ``hdoms index merge`` — stream new spectra
   into an existing segmented store, and compact its segments, without a
   full rebuild (see ``docs/index-format.md``);
@@ -708,20 +708,25 @@ def _decoy_factory(seed: int):
 
 
 class InputFileError(Exception):
-    """A library or query file that does not read as valid spectra."""
+    """A library or query file that cannot be read, or not as valid spectra."""
 
 
 def _read_spectra(path: Path, reader=None):
-    """Yield the spectra of *path*; a ``ValueError`` becomes :class:`InputFileError`.
+    """Yield the spectra of *path*, raising :class:`InputFileError` on a bad file.
 
-    That covers malformed files (``MgfFormatError``) and peaks a
+    That covers a file that cannot be opened (missing, a directory,
+    unreadable), malformed files (``MgfFormatError``) and peaks a
     :class:`~repro.ms.spectrum.Spectrum` rejects (negative or non-finite
     values).  ``reader`` defaults to :func:`repro.ms.iter_spectra`.
     """
     if reader is None:
-        from .ms import iter_spectra as reader
+        from .ms.io import iter_spectra as reader
     try:
         yield from reader(path)
+    except OSError as error:
+        raise InputFileError(
+            f"cannot read {path}: {error.strerror or error}"
+        ) from error
     except ValueError as error:
         raise InputFileError(f"{path}: {error}") from error
 
@@ -836,7 +841,7 @@ def cmd_search(args) -> int:
     )
 
     references = _load_library(args.library, args.no_decoys, args.seed)
-    queries = list(read_mgf(args.queries))
+    queries = list(_read_spectra(args.queries, read_mgf))
     print(f"library (incl. decoys): {len(references)}, queries: {len(queries)}")
 
     binning = BinningConfig()
@@ -899,8 +904,7 @@ def cmd_search(args) -> int:
 
 def cmd_index(args) -> int:
     """Entry point for ``hdoms index`` (build/inspect/search indexes)."""
-    from .index import IndexCompatibilityError
-    from .store import StoreCompatibilityError
+    from .index.library import IndexCompatibilityError
 
     commands = {
         "build": _cmd_index_build,
@@ -910,11 +914,11 @@ def cmd_index(args) -> int:
     }
     try:
         return commands[args.index_command](args)
-    except (IndexCompatibilityError, StoreCompatibilityError, InputFileError) as error:
-        # An index file that cannot be read, a store that is not what
-        # its manifest says (or not the format this build reads), or a
-        # library / query file that is not valid spectra: one line,
-        # exit 2, never a PSM and never a partial index or store.
+    except IndexCompatibilityError as error:
+        # An index file that cannot be read, or a store that is not what
+        # its manifest says (a StoreCompatibilityError), or either not in
+        # the format this build reads: one line, exit 2, never a PSM and
+        # never a partial index or store.
         print(f"index {args.index_command}: {error}", file=sys.stderr)
         return 2
 
@@ -923,7 +927,7 @@ def _cmd_index_build(args) -> int:
     import time
 
     from .hdc.spaces import HDSpaceConfig
-    from .index import LibraryIndex
+    from .index.library import LibraryIndex
     from .ms.vectorize import BinningConfig
 
     try:
@@ -1063,19 +1067,21 @@ def _print_ann_summary(searcher, stream) -> None:
 def _open_searcher(index_path: Path, *, windows, config, engine):
     """Open the right searcher for a path: segmented store vs ``.npz``.
 
-    A directory (or an explicit ``manifest.json``) opens lazily as a
+    :func:`repro.index.open_search_source` decides: a directory (or an
+    explicit ``manifest.json``) opens lazily behind a
     :class:`~repro.store.SegmentedSearcher`; anything else loads as a
     monolithic index behind a
-    :class:`~repro.index.sharded.ShardedSearcher`.  Both support the
-    context-manager protocol and release their scoring threads on ``close``.
+    :class:`~repro.index.sharded.ShardedSearcher`, without importing the
+    store tier.  Both support the context-manager protocol and release
+    their scoring threads on ``close``.
     """
-    from .index import ShardedSearcher
-    from .store import SegmentedSearcher, SegmentedStore, open_search_source
+    from .index.library import LibraryIndex, open_search_source
 
     source = open_search_source(index_path)
-    searcher_type = (
-        SegmentedSearcher if isinstance(source, SegmentedStore) else ShardedSearcher
-    )
+    if isinstance(source, LibraryIndex):
+        from .index.sharded import ShardedSearcher as searcher_type
+    else:
+        from .store.search import SegmentedSearcher as searcher_type
     return searcher_type(source, windows=windows, config=config, engine=engine)
 
 
@@ -1368,14 +1374,13 @@ def cmd_profile(args) -> int:
     import time
 
     from .constants import DEFAULT_STANDARD_WINDOW_DA
-    from .index import IndexCompatibilityError
+    from .index.library import IndexCompatibilityError
     from .ms.mgf import read_mgf
     from .obs.export import chrome_trace
     from .obs.profile import render_stage_table, summarize_spans
     from .obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
     from .oms.candidates import WindowConfig
     from .oms.search import HDSearchConfig
-    from .store import StoreCompatibilityError
 
     try:
         ann = _ann_config_from_args(args)
@@ -1394,7 +1399,7 @@ def cmd_profile(args) -> int:
         )
         return 2
 
-    queries = list(read_mgf(args.queries))
+    queries = list(_read_spectra(args.queries, read_mgf))
     if args.limit is not None:
         queries = queries[: args.limit]
     if not queries:
@@ -1430,7 +1435,7 @@ def cmd_profile(args) -> int:
         elapsed = time.perf_counter() - start
         spans = tracer.records()
         trace = chrome_trace(tracer)
-    except (IndexCompatibilityError, StoreCompatibilityError) as error:
+    except IndexCompatibilityError as error:
         # Like `index search`: one line, exit 2, no trace file.
         print(f"profile: {error}", file=sys.stderr)
         return 2
@@ -1502,9 +1507,8 @@ def cmd_info() -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Console-script entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
+    """Dispatch parsed arguments to their subcommand."""
     if args.command == "workload":
         return cmd_workload(args)
     if args.command == "search":
@@ -1522,6 +1526,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "info":
         return cmd_info()
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Console-script entry point; returns the process exit code.
+
+    A library or query file that cannot be read, or not as valid
+    spectra, ends every verb the same way: one ``<verb>: ...`` line on
+    stderr, exit 2, and no output written.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except InputFileError as error:
+        verb = args.command
+        if verb == "index":
+            verb = f"index {args.index_command}"
+        print(f"{verb}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

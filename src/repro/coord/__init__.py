@@ -20,34 +20,21 @@
 See ``docs/scale-out.md`` for topology and tuning guidance.
 """
 
-from .coordinator import Coordinator, CoordinatorError
-from .fleet import FleetError, LocalWorkerFleet
-from .metrics import CoordinatorMetrics
-from .partition import (
-    PartitionPlan,
-    PartitionSpec,
-    materialize_partitions,
-)
-from .server import (
-    CoordinatorServer,
-    CoordinatorService,
-    assign_replicas,
-    serve_coordinate,
-    start_coordinator_server,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "CoordinatorError",
-    "CoordinatorMetrics",
-    "CoordinatorServer",
-    "CoordinatorService",
-    "FleetError",
-    "LocalWorkerFleet",
-    "PartitionPlan",
-    "PartitionSpec",
-    "assign_replicas",
-    "materialize_partitions",
-    "serve_coordinate",
-    "start_coordinator_server",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "coordinator": ["Coordinator", "CoordinatorError"],
+        "fleet": ["FleetError", "LocalWorkerFleet"],
+        "metrics": ["CoordinatorMetrics"],
+        "partition": ["PartitionPlan", "PartitionSpec", "materialize_partitions"],
+        "server": [
+            "CoordinatorServer",
+            "CoordinatorService",
+            "assign_replicas",
+            "serve_coordinate",
+            "start_coordinator_server",
+        ],
+    },
+)

@@ -9,6 +9,11 @@ searcher's own packed rows — nothing is copied between processes.
 See ``docs/performance.md`` for tuning guidance.
 """
 
-from .pipeline import PIPELINE_DEPTH, pipeline_map
+from .._lazy import lazy_exports
 
-__all__ = ["PIPELINE_DEPTH", "pipeline_map"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "pipeline": ["PIPELINE_DEPTH", "pipeline_map"],
+    },
+)

@@ -7,61 +7,34 @@ mirror what the paper plots; the corresponding benchmark under
 reproduced *shape* (orderings, monotonicity, crossovers).
 """
 
-from .report import ExperimentResult, format_table
-from .workloads import (
-    HEK293_LIKE,
-    IPRG2012_LIKE,
-    PAPER_SIZES,
-    both_workloads,
-    hek293_like,
-    iprg2012_like,
-)
-from .table1 import run_table1
-from .fig7_storage import run_fig7
-from .fig8_relaxation import FIG8_TIME_POINTS_S, run_fig8
-from .fig9_compute import run_fig9_encoding, run_fig9_search
-from .fig10_venn import run_fig10, venn_regions
-from .fig11_robustness import PAPER_BER_POINTS, run_fig11
-from .fig12_energy import (
-    PAPER_ENERGY_IMPROVEMENTS,
-    PAPER_SPEEDUPS,
-    run_fig12,
-)
-from .fig13_dimension import run_fig13
-from .ablations import (
-    run_ablation_encoding_scheme,
-    run_ablation_fdr,
-    run_ablation_id_precision,
-    run_ablation_levels,
-    run_ablation_weight_mapping,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "run_ablation_encoding_scheme",
-    "run_ablation_fdr",
-    "run_ablation_id_precision",
-    "run_ablation_levels",
-    "run_ablation_weight_mapping",
-    "ExperimentResult",
-    "format_table",
-    "HEK293_LIKE",
-    "IPRG2012_LIKE",
-    "PAPER_SIZES",
-    "both_workloads",
-    "hek293_like",
-    "iprg2012_like",
-    "run_table1",
-    "run_fig7",
-    "FIG8_TIME_POINTS_S",
-    "run_fig8",
-    "run_fig9_encoding",
-    "run_fig9_search",
-    "run_fig10",
-    "venn_regions",
-    "PAPER_BER_POINTS",
-    "run_fig11",
-    "PAPER_ENERGY_IMPROVEMENTS",
-    "PAPER_SPEEDUPS",
-    "run_fig12",
-    "run_fig13",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "report": ["ExperimentResult", "format_table"],
+        "workloads": [
+            "HEK293_LIKE",
+            "IPRG2012_LIKE",
+            "PAPER_SIZES",
+            "both_workloads",
+            "hek293_like",
+            "iprg2012_like",
+        ],
+        "table1": ["run_table1"],
+        "fig7_storage": ["run_fig7"],
+        "fig8_relaxation": ["FIG8_TIME_POINTS_S", "run_fig8"],
+        "fig9_compute": ["run_fig9_encoding", "run_fig9_search"],
+        "fig10_venn": ["run_fig10", "venn_regions"],
+        "fig11_robustness": ["PAPER_BER_POINTS", "run_fig11"],
+        "fig12_energy": ["PAPER_ENERGY_IMPROVEMENTS", "PAPER_SPEEDUPS", "run_fig12"],
+        "fig13_dimension": ["run_fig13"],
+        "ablations": [
+            "run_ablation_encoding_scheme",
+            "run_ablation_fdr",
+            "run_ablation_id_precision",
+            "run_ablation_levels",
+            "run_ablation_weight_mapping",
+        ],
+    },
+)

@@ -132,6 +132,10 @@ class HDSpace:
         uniform on ``{-m..-1, 1..m}`` for the precision's magnitude
         ``m``.  Filling chunk by chunk keeps the draw's temporaries at
         ``_BANK_CHUNK_BYTES`` instead of the bank's size.
+
+        A chunk's bytes are the little-endian bytes of ``ceil(n / 4)``
+        uint32 draws, cut to the chunk's ``n`` — exactly what
+        ``Generator.bytes(n)`` returns, without its two copies.
         """
         magnitude = self.id_magnitude
         rng = np.random.default_rng(self._id_seed)
@@ -139,9 +143,10 @@ class HDSpace:
         rows = max(1, _BANK_CHUNK_BYTES // self.config.dim)
         for start in range(0, self.config.num_bins, rows):
             chunk = bank[start : start + rows]
-            chunk[...] = np.frombuffer(
-                rng.bytes(chunk.size), dtype=np.int8
-            ).reshape(chunk.shape)
+            words = rng.integers(0, 2**32, size=-(-chunk.size // 4), dtype=np.uint32)
+            chunk.reshape(-1)[...] = (
+                words.astype("<u4", copy=False).view(np.int8)[: chunk.size]
+            )
             chunk &= 2 * magnitude - 1
             chunk -= magnitude
             chunk += chunk >= 0

@@ -16,18 +16,18 @@ core's threads, in-process over the index's own packed rows.  Results
 are bit-identical to :class:`~repro.oms.search.HDOmsSearcher`.
 """
 
-from .library import (
-    INDEX_FORMAT_VERSION,
-    IndexCompatibilityError,
-    LibraryIndex,
-    ReferenceRecord,
-)
-from .sharded import ShardedSearcher
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INDEX_FORMAT_VERSION",
-    "IndexCompatibilityError",
-    "LibraryIndex",
-    "ReferenceRecord",
-    "ShardedSearcher",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "library": [
+            "INDEX_FORMAT_VERSION",
+            "IndexCompatibilityError",
+            "LibraryIndex",
+            "ReferenceRecord",
+            "open_search_source",
+        ],
+        "sharded": ["ShardedSearcher"],
+    },
+)

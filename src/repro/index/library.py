@@ -21,8 +21,9 @@ search-many workflow:
 The file format is a plain uncompressed ``.npz``; :meth:`LibraryIndex.load`
 memory-maps the packed bit matrix straight out of the archive (falling
 back to a normal read if the member layout does not allow it), so a
-multi-gigabyte library costs near-zero load time and the OS page cache
-is shared between worker processes.
+multi-gigabyte library costs near-zero load time and processes that
+open the same file (``repro serve`` workers, say) share the OS page
+cache.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ INDEX_FORMAT_VERSION = 2
 
 #: Default number of spectra encoded per ``encode_batch`` call.
 DEFAULT_CHUNK_SIZE = 512
+
+#: The manifest file of a segmented store directory (:mod:`repro.store`).
+MANIFEST_NAME = "manifest.json"
 
 
 class IndexCompatibilityError(ValueError):
@@ -461,11 +465,9 @@ class LibraryIndex:
             if packed is None:
                 packed = archive["packed"]
             dim = int(archive["dim"])
-            identifiers = [str(name) for name in archive["identifiers"]]
-            peptide_keys = [
-                str(key) if str(key) else None
-                for key in archive["peptide_keys"]
-            ]
+            # ``tolist`` converts in C; the empty key stands for None.
+            identifiers = archive["identifiers"].tolist()
+            peptide_keys = [key or None for key in archive["peptide_keys"].tolist()]
             is_decoy = archive["is_decoy"]
             neutral_masses = archive["neutral_masses"]
             charges = archive["charges"]
@@ -544,18 +546,19 @@ class LibraryIndex:
         """The full bipolar ``(n, dim)`` int8 matrix (unpacked copy)."""
         return unpack_bipolar(np.asarray(self.packed), self.dim)
 
+    def record(self, row: int) -> ReferenceRecord:
+        """The spectrum-shaped metadata of one row (a search winner)."""
+        return ReferenceRecord(
+            identifier=self.identifiers[row],
+            peptide=self.peptide_keys[row],
+            is_decoy=bool(self.is_decoy[row]),
+            neutral_mass=float(self.neutral_masses[row]),
+            precursor_charge=int(self.charges[row]),
+        )
+
     def records(self) -> List[ReferenceRecord]:
-        """Spectrum-shaped metadata rows for the search path."""
-        return [
-            ReferenceRecord(
-                identifier=self.identifiers[row],
-                peptide=self.peptide_keys[row],
-                is_decoy=bool(self.is_decoy[row]),
-                neutral_mass=float(self.neutral_masses[row]),
-                precursor_charge=int(self.charges[row]),
-            )
-            for row in range(self.num_references)
-        ]
+        """Every row's :meth:`record`, in row order."""
+        return [self.record(row) for row in range(self.num_references)]
 
     def nbytes(self) -> int:
         """Approximate in-memory footprint of the packed matrix."""
@@ -570,3 +573,21 @@ class LibraryIndex:
             f"{self.nbytes() / 1024:.0f} KiB packed, "
             f"charges {sorted(set(self.charges.tolist()))}"
         )
+
+
+def open_search_source(path: Union[str, Path]):
+    """Open either index flavor from one path argument.
+
+    A directory (or an explicit ``manifest.json`` path) opens as a
+    :class:`~repro.store.SegmentedStore`; anything else loads as a
+    monolithic :class:`LibraryIndex` archive.  This is the dispatch every
+    CLI verb and service route uses, so segmented stores are accepted
+    anywhere a ``.npz`` path was.  The store tier is imported only for a
+    store path.
+    """
+    path = Path(path)
+    if path.is_dir() or path.name == MANIFEST_NAME:
+        from ..store.store import SegmentedStore
+
+        return SegmentedStore.open(path)
+    return LibraryIndex.load(path)

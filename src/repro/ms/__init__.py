@@ -8,87 +8,55 @@ FDR, and the synthetic workload generator that substitutes for the
 paper's public datasets.
 """
 
-from .elements import AMINO_ACIDS, RESIDUE_MASSES, residue_mass
-from .modifications import (
-    COMMON_MODIFICATIONS,
-    Modification,
-    ModificationSampler,
-    ModificationType,
-)
-from .peptide import Peptide, neutral_mass_from_mz
-from .spectrum import Spectrum
-from .preprocessing import (
-    PreprocessingConfig,
-    filter_intensity,
-    normalize_intensity,
-    preprocess,
-    remove_precursor_peaks,
-    restrict_mz_range,
-    scale_intensity,
-)
-from .vectorize import (
-    BinningConfig,
-    SparseVector,
-    cosine_similarity,
-    quantize_intensities,
-    vectorize,
-)
-from .mgf import read_mgf, write_mgf
-from .msp import read_msp, write_msp
-from .io import SPECTRUM_READERS, iter_spectra
-from .decoy import append_decoys, make_decoy_spectrum, reverse_sequence, shuffle_sequence
-from .synthetic import (
-    NoiseModel,
-    PeptideSampler,
-    QUERY_NOISE,
-    REFERENCE_NOISE,
-    SpectrumSimulator,
-    SyntheticWorkload,
-    WorkloadConfig,
-    build_workload,
-    scaled_config,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AMINO_ACIDS",
-    "RESIDUE_MASSES",
-    "residue_mass",
-    "COMMON_MODIFICATIONS",
-    "Modification",
-    "ModificationSampler",
-    "ModificationType",
-    "Peptide",
-    "neutral_mass_from_mz",
-    "Spectrum",
-    "PreprocessingConfig",
-    "filter_intensity",
-    "normalize_intensity",
-    "preprocess",
-    "remove_precursor_peaks",
-    "restrict_mz_range",
-    "scale_intensity",
-    "BinningConfig",
-    "SparseVector",
-    "cosine_similarity",
-    "quantize_intensities",
-    "vectorize",
-    "read_mgf",
-    "write_mgf",
-    "read_msp",
-    "write_msp",
-    "SPECTRUM_READERS",
-    "iter_spectra",
-    "append_decoys",
-    "make_decoy_spectrum",
-    "reverse_sequence",
-    "shuffle_sequence",
-    "NoiseModel",
-    "PeptideSampler",
-    "QUERY_NOISE",
-    "REFERENCE_NOISE",
-    "SpectrumSimulator",
-    "SyntheticWorkload",
-    "WorkloadConfig",
-    "build_workload",
-    "scaled_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "elements": ["AMINO_ACIDS", "RESIDUE_MASSES", "residue_mass"],
+        "modifications": [
+            "COMMON_MODIFICATIONS",
+            "Modification",
+            "ModificationSampler",
+            "ModificationType",
+        ],
+        "peptide": ["Peptide", "neutral_mass_from_mz"],
+        "spectrum": ["Spectrum"],
+        "preprocessing": [
+            "PreprocessingConfig",
+            "filter_intensity",
+            "normalize_intensity",
+            "preprocess",
+            "remove_precursor_peaks",
+            "restrict_mz_range",
+            "scale_intensity",
+        ],
+        "vectorize": [
+            "BinningConfig",
+            "SparseVector",
+            "cosine_similarity",
+            "quantize_intensities",
+            "vectorize",
+        ],
+        "mgf": ["read_mgf", "write_mgf"],
+        "msp": ["read_msp", "write_msp"],
+        "io": ["SPECTRUM_READERS", "iter_spectra"],
+        "decoy": [
+            "append_decoys",
+            "make_decoy_spectrum",
+            "reverse_sequence",
+            "shuffle_sequence",
+        ],
+        "synthetic": [
+            "NoiseModel",
+            "PeptideSampler",
+            "QUERY_NOISE",
+            "REFERENCE_NOISE",
+            "SpectrumSimulator",
+            "SyntheticWorkload",
+            "WorkloadConfig",
+            "build_workload",
+            "scaled_config",
+        ],
+    },
+)

@@ -20,48 +20,33 @@ See ``docs/observability.md`` for the tracing model and how the
 service endpoints fit together.
 """
 
-from .export import chrome_trace, spans_to_events
-from .logging import (
-    JsonFormatter,
-    LOG_FORMATS,
-    LOG_LEVELS,
-    ensure_default_logging,
-    setup_logging,
-)
-from .profile import render_stage_table, summarize_spans
-from .slowlog import (
-    DEFAULT_SLOW_CAPACITY,
-    DEFAULT_SLOW_MS,
-    SlowQueryLog,
-    stage_breakdown,
-)
-from .trace import (
-    DEFAULT_CAPACITY,
-    NULL_SPAN,
-    Span,
-    Tracer,
-    get_tracer,
-    new_request_id,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "chrome_trace",
-    "spans_to_events",
-    "JsonFormatter",
-    "LOG_FORMATS",
-    "LOG_LEVELS",
-    "ensure_default_logging",
-    "setup_logging",
-    "render_stage_table",
-    "summarize_spans",
-    "DEFAULT_SLOW_CAPACITY",
-    "DEFAULT_SLOW_MS",
-    "SlowQueryLog",
-    "stage_breakdown",
-    "DEFAULT_CAPACITY",
-    "NULL_SPAN",
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "new_request_id",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "export": ["chrome_trace", "spans_to_events"],
+        "logging": [
+            "JsonFormatter",
+            "LOG_FORMATS",
+            "LOG_LEVELS",
+            "ensure_default_logging",
+            "setup_logging",
+        ],
+        "profile": ["render_stage_table", "summarize_spans"],
+        "slowlog": [
+            "DEFAULT_SLOW_CAPACITY",
+            "DEFAULT_SLOW_MS",
+            "SlowQueryLog",
+            "stage_breakdown",
+        ],
+        "trace": [
+            "DEFAULT_CAPACITY",
+            "NULL_SPAN",
+            "Span",
+            "Tracer",
+            "get_tracer",
+            "new_request_id",
+        ],
+    },
+)

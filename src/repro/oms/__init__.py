@@ -5,54 +5,34 @@ pluggable backends, target-decoy FDR filtering, and the end-to-end
 pipeline of paper Figure 2.
 """
 
-from .candidates import CandidateIndex, WindowConfig
-from .psm import PSM, SearchResult, evaluate_against_truth
-from .fdr import assign_qvalues, decoy_statistics, filter_at_fdr, grouped_fdr
-from .search import (
-    DenseBackend,
-    HDOmsSearcher,
-    HDSearchConfig,
-    PackedBackend,
-    SimilarityBackend,
-)
-from .pipeline import (
-    OmsPipeline,
-    PipelineConfig,
-    PipelineResult,
-    decoy_factory_for,
-)
-from .batch import BatchedHDOmsSearcher
-from .modification_analysis import (
-    DeltaMassPeak,
-    ModificationReport,
-    analyze_modifications,
-    annotate_delta_mass,
-    delta_mass_histogram,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidateIndex",
-    "WindowConfig",
-    "PSM",
-    "SearchResult",
-    "evaluate_against_truth",
-    "assign_qvalues",
-    "decoy_statistics",
-    "filter_at_fdr",
-    "grouped_fdr",
-    "DenseBackend",
-    "HDOmsSearcher",
-    "HDSearchConfig",
-    "PackedBackend",
-    "SimilarityBackend",
-    "OmsPipeline",
-    "PipelineConfig",
-    "PipelineResult",
-    "decoy_factory_for",
-    "BatchedHDOmsSearcher",
-    "DeltaMassPeak",
-    "ModificationReport",
-    "analyze_modifications",
-    "annotate_delta_mass",
-    "delta_mass_histogram",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "candidates": ["CandidateIndex", "WindowConfig"],
+        "psm": ["PSM", "SearchResult", "evaluate_against_truth"],
+        "fdr": ["assign_qvalues", "decoy_statistics", "filter_at_fdr", "grouped_fdr"],
+        "search": [
+            "DenseBackend",
+            "HDOmsSearcher",
+            "HDSearchConfig",
+            "PackedBackend",
+            "SimilarityBackend",
+        ],
+        "pipeline": [
+            "OmsPipeline",
+            "PipelineConfig",
+            "PipelineResult",
+            "decoy_factory_for",
+        ],
+        "batch": ["BatchedHDOmsSearcher"],
+        "modification_analysis": [
+            "DeltaMassPeak",
+            "ModificationReport",
+            "analyze_modifications",
+            "annotate_delta_mass",
+            "delta_mass_histogram",
+        ],
+    },
+)

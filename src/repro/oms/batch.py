@@ -104,7 +104,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             self._noise_rng,
         )
         self._adopt_rows(
-            originals,
+            originals.__getitem__,
             packed,
             [reference.neutral_mass for reference in originals],
             [reference.precursor_charge for reference in originals],

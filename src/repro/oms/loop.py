@@ -65,7 +65,8 @@ class FanOutSearcher:
     * ``_part_payload(part)`` — the :func:`~repro.oms.kernel.shard_payload`
       of one part, with ``positions`` carrying *library-wide* row
       numbers (called once per part, under ``_open_lock``);
-    * ``_reference(position)`` — the record at a library row.
+    * ``_reference(position)`` — the record at a library row (built
+      for a winner only, never for every row at open).
     """
 
     #: Names one unit of fan-out in spans (``<part>.fanout`` /
@@ -122,9 +123,12 @@ class FanOutSearcher:
     # row layout: in-memory row ranges unless a provider overrides
     # ------------------------------------------------------------------
 
-    def _adopt_rows(self, references, packed, masses, charges, dim, bounds) -> None:
-        """Lay in-memory library arrays out as contiguous row ranges."""
-        self.references = references
+    def _adopt_rows(self, record, packed, masses, charges, dim, bounds) -> None:
+        """Lay in-memory library arrays out as contiguous row ranges.
+
+        ``record(p)`` returns the record at library row ``p``.
+        """
+        self._record = record
         self._rows = (
             packed,
             np.asarray(masses, dtype=np.float64),
@@ -153,7 +157,7 @@ class FanOutSearcher:
             index.packed, index.dim, self.config.reference_ber, self._noise_rng
         )
         self._adopt_rows(
-            index.records(),
+            index.record,
             packed,
             index.neutral_masses,
             index.charges,
@@ -177,7 +181,7 @@ class FanOutSearcher:
 
     def _reference(self, position: int):
         """The record at library row ``position``."""
-        return self.references[position]
+        return self._record(position)
 
     def _payload(self, part, bounds, packed, masses, charges, dim) -> Dict:
         """:func:`shard_payload` with this searcher's scoring knobs filled in."""
@@ -199,7 +203,7 @@ class FanOutSearcher:
     @property
     def num_references(self) -> int:
         """Total library rows across all parts."""
-        return len(self.references)
+        return len(self._rows[1])
 
     @property
     def backend_name(self) -> str:

@@ -7,59 +7,34 @@ voltage sensing and ADC quantisation, dense n-bit hypervector storage,
 and tiling of large matrices across arrays.
 """
 
-from .device import (
-    DEFAULT_COMPUTE_READ_TIME_S,
-    DeviceConfig,
-    PAPER_TIME_POINTS_S,
-    RRAMDeviceModel,
-)
-from .adc import ADC, ADCConfig
-from .crossbar import CrossbarArray, CrossbarConfig, CrossbarStats, sense_chunk
-from .mapping import TiledMatrix, TileShape, plan_tiles
-from .storage import HypervectorStore, StorageReadout
-from .chip import PAPER_CHIP_CELLS, ChipInventory, MLCRRAMChip
-from .metrics import (
-    bit_error_rate,
-    level_error_rate,
-    normalized_rmse,
-    sign_error_rate,
-)
-from .area import AreaModel, RRAM_CELL_AREA_F2, SRAM_BITCELL_AREA_F2
-from .writeverify import (
-    WriteVerifyConfig,
-    WriteVerifyResult,
-    residual_sigma_us,
-    write_verify,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_COMPUTE_READ_TIME_S",
-    "DeviceConfig",
-    "PAPER_TIME_POINTS_S",
-    "RRAMDeviceModel",
-    "ADC",
-    "ADCConfig",
-    "CrossbarArray",
-    "CrossbarConfig",
-    "CrossbarStats",
-    "sense_chunk",
-    "TiledMatrix",
-    "TileShape",
-    "plan_tiles",
-    "HypervectorStore",
-    "StorageReadout",
-    "PAPER_CHIP_CELLS",
-    "ChipInventory",
-    "MLCRRAMChip",
-    "bit_error_rate",
-    "level_error_rate",
-    "normalized_rmse",
-    "sign_error_rate",
-    "AreaModel",
-    "RRAM_CELL_AREA_F2",
-    "SRAM_BITCELL_AREA_F2",
-    "WriteVerifyConfig",
-    "WriteVerifyResult",
-    "residual_sigma_us",
-    "write_verify",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "device": [
+            "DEFAULT_COMPUTE_READ_TIME_S",
+            "DeviceConfig",
+            "PAPER_TIME_POINTS_S",
+            "RRAMDeviceModel",
+        ],
+        "adc": ["ADC", "ADCConfig"],
+        "crossbar": ["CrossbarArray", "CrossbarConfig", "CrossbarStats", "sense_chunk"],
+        "mapping": ["TiledMatrix", "TileShape", "plan_tiles"],
+        "storage": ["HypervectorStore", "StorageReadout"],
+        "chip": ["PAPER_CHIP_CELLS", "ChipInventory", "MLCRRAMChip"],
+        "metrics": [
+            "bit_error_rate",
+            "level_error_rate",
+            "normalized_rmse",
+            "sign_error_rate",
+        ],
+        "area": ["AreaModel", "RRAM_CELL_AREA_F2", "SRAM_BITCELL_AREA_F2"],
+        "writeverify": [
+            "WriteVerifyConfig",
+            "WriteVerifyResult",
+            "residual_sigma_us",
+            "write_verify",
+        ],
+    },
+)

@@ -38,67 +38,41 @@ configuration, independent of request order, concurrency, or batch
 composition.
 """
 
-from .cache import MISSING, ResultCache
-from .client import SearchClient, ServiceError
-from .metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    RouteMetrics,
-    STAGE_SPANS,
-    ServiceMetrics,
-)
-from .protocol import (
-    ProtocolError,
-    ROUTE_PATTERN,
-    config_fingerprint,
-    route_from_payload,
-    spectrum_digest,
-    spectrum_from_payload,
-    spectrum_to_payload,
-    validate_route_name,
-)
-from .registry import DEFAULT_ROUTE, IndexRegistry, UnknownRouteError
-from .scheduler import MicroBatchScheduler, SchedulerStats
-from .server import (
-    SearchRequestHandler,
-    SearchServer,
-    SearchService,
-    ServiceConfig,
-    ServiceStartupError,
-    serve,
-    start_server,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MISSING",
-    "ResultCache",
-    "SearchClient",
-    "ServiceError",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "RouteMetrics",
-    "STAGE_SPANS",
-    "ServiceMetrics",
-    "ProtocolError",
-    "ROUTE_PATTERN",
-    "config_fingerprint",
-    "route_from_payload",
-    "spectrum_digest",
-    "spectrum_from_payload",
-    "spectrum_to_payload",
-    "validate_route_name",
-    "DEFAULT_ROUTE",
-    "IndexRegistry",
-    "UnknownRouteError",
-    "MicroBatchScheduler",
-    "SchedulerStats",
-    "SearchRequestHandler",
-    "SearchServer",
-    "SearchService",
-    "ServiceConfig",
-    "ServiceStartupError",
-    "serve",
-    "start_server",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "cache": ["MISSING", "ResultCache"],
+        "client": ["SearchClient", "ServiceError"],
+        "metrics": [
+            "Counter",
+            "Histogram",
+            "MetricsRegistry",
+            "RouteMetrics",
+            "STAGE_SPANS",
+            "ServiceMetrics",
+        ],
+        "protocol": [
+            "ProtocolError",
+            "ROUTE_PATTERN",
+            "config_fingerprint",
+            "route_from_payload",
+            "spectrum_digest",
+            "spectrum_from_payload",
+            "spectrum_to_payload",
+            "validate_route_name",
+        ],
+        "registry": ["DEFAULT_ROUTE", "IndexRegistry", "UnknownRouteError"],
+        "scheduler": ["MicroBatchScheduler", "SchedulerStats"],
+        "server": [
+            "SearchRequestHandler",
+            "SearchServer",
+            "SearchService",
+            "ServiceConfig",
+            "ServiceStartupError",
+            "serve",
+            "start_server",
+        ],
+    },
+)

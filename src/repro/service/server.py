@@ -55,9 +55,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..ann import AnnConfig
 from ..constants import DEFAULT_OPEN_WINDOW_DA, DEFAULT_STANDARD_WINDOW_DA
 from ..engine import EngineConfig
-from ..index.library import LibraryIndex
+from ..index.library import LibraryIndex, open_search_source
 from ..index.sharded import ShardedSearcher
-from ..store import SegmentedSearcher, SegmentedStore, open_search_source
+from ..store import SegmentedSearcher, SegmentedStore
 from ..ms.spectrum import Spectrum
 from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer

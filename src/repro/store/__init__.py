@@ -11,39 +11,28 @@ query batch can actually hit — all bit-identical to a monolithic
 single-``.npz`` search.
 """
 
-from .ingest import (
-    DEFAULT_SEGMENT_ROWS,
-    StreamingStoreBuilder,
-    append_store,
-    build_store,
-    merge_store,
-)
-from .manifest import (
-    MANIFEST_NAME,
-    SEGMENT_DIR,
-    STORE_FORMAT_VERSION,
-    SegmentIntegrityError,
-    SegmentMeta,
-    StoreCompatibilityError,
-    StoreManifest,
-)
-from .search import SegmentedSearcher
-from .store import SegmentedStore, open_search_source
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SEGMENT_ROWS",
-    "MANIFEST_NAME",
-    "SEGMENT_DIR",
-    "STORE_FORMAT_VERSION",
-    "SegmentIntegrityError",
-    "SegmentMeta",
-    "SegmentedSearcher",
-    "SegmentedStore",
-    "StoreCompatibilityError",
-    "StoreManifest",
-    "StreamingStoreBuilder",
-    "append_store",
-    "build_store",
-    "merge_store",
-    "open_search_source",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ingest": [
+            "DEFAULT_SEGMENT_ROWS",
+            "StreamingStoreBuilder",
+            "append_store",
+            "build_store",
+            "merge_store",
+        ],
+        "manifest": [
+            "MANIFEST_NAME",
+            "SEGMENT_DIR",
+            "STORE_FORMAT_VERSION",
+            "SegmentIntegrityError",
+            "SegmentMeta",
+            "StoreCompatibilityError",
+            "StoreManifest",
+        ],
+        "search": ["SegmentedSearcher"],
+        "store": ["SegmentedStore", "open_search_source"],
+    },
+)

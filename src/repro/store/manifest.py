@@ -34,7 +34,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..hdc.spaces import HDSpaceConfig
-from ..index.library import INDEX_FORMAT_VERSION
+from ..index.library import (
+    INDEX_FORMAT_VERSION,
+    MANIFEST_NAME,
+    IndexCompatibilityError,
+)
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.vectorize import BinningConfig
 
@@ -42,15 +46,16 @@ from ..ms.vectorize import BinningConfig
 #: (2: follows index format version 2's new ID codebook).
 STORE_FORMAT_VERSION = 2
 
-#: The manifest file name inside a store directory.
-MANIFEST_NAME = "manifest.json"
-
 #: The subdirectory holding segment archives.
 SEGMENT_DIR = "segments"
 
 
-class StoreCompatibilityError(ValueError):
-    """A store's recorded provenance conflicts with the requested config."""
+class StoreCompatibilityError(IndexCompatibilityError):
+    """A store's recorded provenance conflicts with the requested config.
+
+    A store is the segmented flavour of an index, so whoever handles an
+    unreadable or mismatched index handles this too.
+    """
 
 
 class SegmentIntegrityError(StoreCompatibilityError):

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..engine import EngineConfig
-from ..index.library import IndexCompatibilityError, ReferenceRecord
+from ..index.library import IndexCompatibilityError, LibraryIndex, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
 from ..oms.candidates import WindowConfig
 from ..oms.loop import FanOutSearcher
@@ -91,7 +91,7 @@ class SegmentedSearcher(FanOutSearcher):
         self._offsets = store.offsets
         hulls = [[meta.mass_min, meta.mass_max] for meta in store.segment_metas]
         self._hulls = np.array(hulls).reshape(-1, 2)
-        self._records: Dict[int, List[ReferenceRecord]] = {}
+        self._opened: Dict[int, LibraryIndex] = {}
         # Guards the plain-int counters concurrent searches bump.
         self._stats_lock = threading.Lock()
         self._segments_opened_count = 0
@@ -112,7 +112,7 @@ class SegmentedSearcher(FanOutSearcher):
         return mask
 
     def _part_payload(self, segment_id: int) -> Dict:
-        """Open one segment: its payload, its records, one more open counted."""
+        """Open one segment: its payload, the segment kept, one more open counted."""
         segment = self.store.segment(segment_id)
         payload = self._payload(
             segment_id,
@@ -127,7 +127,7 @@ class SegmentedSearcher(FanOutSearcher):
         payload["positions"] = payload["positions"] + int(
             self._offsets[segment_id]
         )
-        self._records[segment_id] = segment.records()
+        self._opened[segment_id] = segment
         with self._stats_lock:
             self._segments_opened_count += 1
         return payload
@@ -138,15 +138,15 @@ class SegmentedSearcher(FanOutSearcher):
             int(np.searchsorted(self._offsets, global_position, side="right"))
             - 1
         )
-        return self._records[segment_id][
+        return self._opened[segment_id].record(
             global_position - int(self._offsets[segment_id])
-        ]
+        )
 
     def close(self, timeout: float = 10.0) -> None:
         """Release the thread pool and drop every opened segment."""
         super().close(timeout)
         with self._open_lock:
-            self._records.clear()
+            self._opened.clear()
         if self._owns_store:
             self.store.close()
 

@@ -18,10 +18,11 @@ import numpy as np
 
 from ..hdc.spaces import HDSpaceConfig
 from ..index.library import LibraryIndex, ReferenceRecord
+# Re-exported as ``repro.store.open_search_source``.
+from ..index.library import open_search_source as open_search_source
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.vectorize import BinningConfig
 from .manifest import (
-    MANIFEST_NAME,
     SegmentIntegrityError,
     SegmentMeta,
     StoreCompatibilityError,
@@ -248,20 +249,3 @@ class SegmentedStore:
             preprocessing=preprocessing,
             source=f"store:{self.root}",
         )
-
-
-def open_search_source(
-    path: Union[str, Path],
-) -> Union[LibraryIndex, SegmentedStore]:
-    """Open either index flavor from one path argument.
-
-    A directory (or an explicit ``manifest.json`` path) opens as a
-    :class:`SegmentedStore`; anything else loads as a monolithic
-    :class:`LibraryIndex` archive.  This is the dispatch every CLI verb
-    and service route uses, so segmented stores are accepted anywhere a
-    ``.npz`` path was.
-    """
-    path = Path(path)
-    if path.is_dir() or path.name == MANIFEST_NAME:
-        return SegmentedStore.open(path)
-    return LibraryIndex.load(path)

@@ -517,3 +517,118 @@ def test_malformed_mgf_structure_is_one_line_and_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1].startswith("index search: ")
     assert "END IONS" in captured.err and not output.exists()
+
+
+#: One case per verb that reads a spectra file: (verb as reported,
+#: argv builder over the fixture directory, the missing path and the
+#: output path).
+_MISSING_INPUT_CASES = {
+    "index-search-npz": (
+        "index search",
+        lambda files, missing, out: [
+            "index", "search", "--index", files / "library.npz",
+            "--queries", missing, "--output", out,
+        ],
+    ),
+    "index-search-store": (
+        "index search",
+        lambda files, missing, out: [
+            "index", "search", "--index", files / "store",
+            "--queries", missing, "--output", out,
+        ],
+    ),
+    "index-search-jsonl": (
+        "index search",
+        lambda files, missing, out: [
+            "index", "search", "--index", files / "library.npz",
+            "--queries", missing, "--output", out, "--output-format", "jsonl",
+        ],
+    ),
+    "index-build-npz": (
+        "index build",
+        lambda files, missing, out: [
+            "index", "build", "--library", missing, "--output", out, "--dim", "512",
+        ],
+    ),
+    "index-build-store": (
+        "index build",
+        lambda files, missing, out: [
+            "index", "build", "--library", missing, "--output", out,
+            "--dim", "512", "--segment-rows", "8",
+        ],
+    ),
+    "index-append": (
+        "index append",
+        lambda files, missing, out: [
+            "index", "append", "--store", out, "--library", missing,
+        ],
+    ),
+    "search-library": (
+        "search",
+        lambda files, missing, out: [
+            "search", "--library", missing, "--queries", files / "queries.mgf",
+            "--output", out, "--dim", "512",
+        ],
+    ),
+    "search-queries": (
+        "search",
+        lambda files, missing, out: [
+            "search", "--library", files / "library.msp", "--queries", missing,
+            "--output", out, "--dim", "512",
+        ],
+    ),
+    "profile": (
+        "profile",
+        lambda files, missing, out: [
+            "profile", "--index", files / "library.npz", "--queries", missing,
+            "--output", out,
+        ],
+    ),
+}
+
+
+class TestMissingInputFiles:
+    """A ``--queries`` / ``--library`` path that does not exist ends typed.
+
+    Like an unreadable ``--index``: one ``<verb>: cannot read PATH: ...``
+    line on stderr, exit 2, no traceback and nothing written.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("missing-input-cli")
+        assert main(
+            ["workload", "--preset", "custom", "--references", "30", "--queries",
+             "5", "--seed", "6", "--output-dir", str(tmp_path)]
+        ) == 0
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(tmp_path / "library.npz"), "--dim", "512", "--seed", "6"]
+        ) == 0
+        assert main(
+            ["index", "build", "--library", str(tmp_path / "library.msp"),
+             "--output", str(tmp_path / "store"), "--segment-rows", "16",
+             "--dim", "512", "--seed", "6"]
+        ) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("case", sorted(_MISSING_INPUT_CASES))
+    def test_one_line_exit_2_nothing_written(self, files, tmp_path, capsys, case):
+        import shutil
+
+        verb, argv = _MISSING_INPUT_CASES[case]
+        missing, out = tmp_path / "missing.mgf", tmp_path / "out"
+        if verb == "index append":
+            shutil.copytree(files / "store", out)
+        before = sorted(path.name for path in tmp_path.rglob("*"))
+        manifest = (out / "manifest.json").read_bytes() if out.is_dir() else None
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv(files, missing, out)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"{verb}: cannot read {missing}: No such file or directory"
+        )
+        assert sorted(path.name for path in tmp_path.rglob("*")) == before
+        if manifest is not None:
+            assert (out / "manifest.json").read_bytes() == manifest

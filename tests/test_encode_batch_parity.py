@@ -8,6 +8,7 @@ scalar path walks one spectrum at a time.  Both are pure integer
 arithmetic, so equality is exact — any mismatch is a bug, not noise.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -246,7 +247,47 @@ class TestEncodeBatchParity:
 CHI2_CRITICAL_P001 = {1: 10.828, 3: 16.266, 7: 24.322}
 
 
+#: SHA-1 of ``HDSpace(config).id_bank.tobytes()``: the realised ID
+#: codebook of index format 2.  A faster draw that is only *statistically*
+#: equal (``bit_generator.random_raw``, say) changes these — and every
+#: stored hypervector with them.  ``dim=8193`` and ``dim=100`` make a
+#: chunk's byte count not a multiple of 4, and ``num_bins=6000`` at
+#: ``dim=100`` spans several chunks.  At ``dim=1001`` a chunk that is not
+#: the last takes an odd number of 32-bit draws, so a draw that throws
+#: away the unused half of a 64-bit output shifts every later chunk.
+PINNED_BANK_SHA1 = {
+    "default": (HDSpaceConfig(), "ed2f2df167ccbb8544455eb1c72a963bc7687cc8"),
+    "dim8193-bins200": (
+        HDSpaceConfig(dim=8193, num_bins=200),
+        "c357564ed1589c2a2cd6cbdb5f60071e5b9a47ee",
+    ),
+    "dim100-bins6000": (
+        HDSpaceConfig(dim=100, num_bins=6000),
+        "840ec23840498f3bd1bf2e561bc2271899b234f2",
+    ),
+    "dim1001-bins1400": (
+        HDSpaceConfig(dim=1001, num_bins=1400),
+        "871257cf25242529907806ac4a30c7027cf2cd72",
+    ),
+    "1-bit": (
+        HDSpaceConfig(dim=1024, num_bins=700, id_precision_bits=1, seed=5),
+        "e418f8f38cd681ed6728b555edf4de030996bfd0",
+    ),
+    "2-bit": (
+        HDSpaceConfig(dim=2050, num_bins=300, id_precision_bits=2, seed=9),
+        "99d7101a23b302c2fd466bf936f3272caf815d12",
+    ),
+}
+
+
 class TestIdBank:
+    @pytest.mark.parametrize("name", sorted(PINNED_BANK_SHA1))
+    def test_bank_realisation_is_pinned(self, name):
+        config, digest = PINNED_BANK_SHA1[name]
+        bank = HDSpace(config).id_bank
+        assert bank.shape == (config.num_bins, config.dim)
+        assert hashlib.sha1(bank.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("bits, magnitude", [(1, 1), (2, 2), (3, 4)])
     def test_symbols_are_uniform_under_chi_square(self, bits, magnitude):
         space = HDSpace(

@@ -201,9 +201,13 @@ def test_pipelined_search_matches_single_batch():
 
 def test_entry_points_never_import_multiprocessing():
     """Every engine scores in-process, so no entry point forks or maps shm."""
+    # Package exports are lazy: read every name so each module loads.
     script = (
         "import sys\n"
         "import repro.cli, repro.index, repro.store, repro.service, repro.coord\n"
+        "for package in (repro.index, repro.store, repro.service, repro.coord):\n"
+        "    for name in package.__all__:\n"
+        "        getattr(package, name)\n"
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
     )
     completed = subprocess.run(
@@ -214,3 +218,56 @@ def test_entry_points_never_import_multiprocessing():
         env={**os.environ, "PYTHONPATH": SRC_PATH},
     )
     assert completed.returncode == 0, completed.stderr
+
+
+#: Modules a one-shot ``index search`` over an ``.npz`` has no use for.
+SEARCH_NEVER_IMPORTS = (
+    "repro.ms.synthetic",
+    "repro.store",
+    "repro.store.ingest",
+    "repro.oms.pipeline",
+    "repro.oms.modification_analysis",
+    "repro.hdc.alt_encoders",
+    "repro.experiments",
+    "repro.rram",
+    "repro.accelerator",
+    "repro.service",
+    "repro.coord",
+)
+
+
+def test_index_search_imports_only_what_it_runs(tmp_path, small_workload):
+    """A one-shot CLI search pays for the code it runs and no more."""
+    from repro.hdc.spaces import HDSpaceConfig
+    from repro.index import LibraryIndex
+    from repro.ms.mgf import write_mgf
+    from repro.ms.vectorize import BinningConfig
+
+    binning = BinningConfig()
+    index = LibraryIndex.build(
+        small_workload.references[:40],
+        space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=4),
+        binning=binning,
+    ).save(tmp_path / "library.npz")
+    queries = tmp_path / "q.mgf"
+    write_mgf(small_workload.queries[:1], queries)
+    argv = [
+        "index", "search", "--index", str(index), "--queries", str(queries),
+        "--output", str(tmp_path / "psms.tsv"),
+    ]
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"loaded = sorted(set({SEARCH_NEVER_IMPORTS!r}) & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC_PATH},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert (tmp_path / "psms.tsv").read_text().startswith("query_id\t")
