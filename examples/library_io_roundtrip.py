@@ -15,13 +15,13 @@ from repro.hdc import HDSpaceConfig
 from repro.ms import (
     WorkloadConfig,
     build_workload,
+    decoy_factory,
     read_mgf,
     read_msp,
     write_mgf,
     write_msp,
 )
 from repro.oms import OmsPipeline, PipelineConfig
-from repro.oms.pipeline import decoy_factory_for
 
 workload = build_workload(
     WorkloadConfig(name="io-demo", num_references=800, num_queries=120, seed=77)
@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     pipeline = OmsPipeline(
         references,
-        decoy_factory_for(workload),
+        decoy_factory(workload.config.seed),
         config=PipelineConfig(
             space=HDSpaceConfig(dim=2048, id_precision_bits=3, seed=3)
         ),

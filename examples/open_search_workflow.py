@@ -16,7 +16,7 @@ from collections import Counter
 
 from repro.baselines import AnnSoloSearcher
 from repro.hdc import HDSpaceConfig
-from repro.ms import append_decoys
+from repro.ms import append_decoys, decoy_factory
 from repro.oms import (
     HDSearchConfig,
     OmsPipeline,
@@ -24,7 +24,6 @@ from repro.oms import (
     analyze_modifications,
     grouped_fdr,
 )
-from repro.oms.pipeline import decoy_factory_for
 from repro.experiments import iprg2012_like
 
 FDR = 0.01
@@ -85,7 +84,7 @@ print("\nautomated modification report:")
 print(report.render())
 
 # --- 3. cross-check against the ANN-SoLo-style baseline -------------
-library = append_decoys(workload.references, decoy_factory_for(workload), seed=99)
+library = append_decoys(workload.references, decoy_factory(workload.config.seed), seed=99)
 annsolo = AnnSoloSearcher(library)
 baseline_accepted = grouped_fdr(annsolo.search(workload.queries).psms, FDR)
 baseline_ids = {psm.peptide_key for psm in baseline_accepted if psm.peptide_key}

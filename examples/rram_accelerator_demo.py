@@ -24,9 +24,8 @@ from repro.accelerator import (
     speedups_vs_this_work,
 )
 from repro.hdc import HDSpaceConfig
-from repro.ms import append_decoys
+from repro.ms import append_decoys, decoy_factory
 from repro.oms import HDOmsSearcher, PackedBackend, grouped_fdr
-from repro.oms.pipeline import decoy_factory_for
 from repro.rram import HypervectorStore, PAPER_TIME_POINTS_S
 from repro.hdc.encoder import SpectrumEncoder
 from repro.hdc.spaces import HDSpace
@@ -50,7 +49,7 @@ for bits in (1, 2, 3):
 # --- 2. index + search on the simulated accelerator ------------------
 print("\n== OMS on the simulated accelerator ==")
 workload = iprg2012_like(scale=0.25)
-library = append_decoys(workload.references, decoy_factory_for(workload), seed=5)
+library = append_decoys(workload.references, decoy_factory(workload.config.seed), seed=5)
 space_config = HDSpaceConfig(dim=DIM, num_levels=16, id_precision_bits=3, seed=3)
 
 accelerator = OmsAccelerator(

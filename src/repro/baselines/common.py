@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig, SparseVector, vectorize
 from ..oms.candidates import CandidateIndex, WindowConfig
@@ -47,7 +47,7 @@ class VectorSearcherBase(ABC):
             if processed is not None:
                 kept.append((reference, vectorize(processed, self.binning)))
         if not kept:
-            raise ValueError("no reference spectrum survived preprocessing")
+            raise EmptyLibraryError()
         self.references = [original for original, _ in kept]
         self.reference_vectors = [vector for _, vector in kept]
         self.index = CandidateIndex(self.references, self.windows)

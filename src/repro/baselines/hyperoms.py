@@ -3,10 +3,10 @@
 HyperOMS is the GPU accelerator the paper benchmarks against: the same
 ID-Level encoding pipeline but with strictly *binary* (1-bit) ID
 hypervectors, classic (non-chunked) level hypervectors, and exact
-digital Hamming search.  This wrapper configures the shared HD searcher
-accordingly, with an independent seed so its codebooks differ from this
-work's — matching the reality that two tools' random projections are
-uncorrelated.
+digital Hamming search.  This wrapper configures the fan-out core
+(:class:`~repro.oms.batch.BatchedHDOmsSearcher`) accordingly, with an
+independent seed so its codebooks differ from this work's — matching
+the reality that two tools' random projections are uncorrelated.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from ..hdc.spaces import HDSpace, HDSpaceConfig
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
+from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.candidates import WindowConfig
 from ..oms.psm import SearchResult
-from ..oms.search import HDOmsSearcher, HDSearchConfig, PackedBackend
 
 
 class HyperOmsSearcher:
@@ -51,13 +51,12 @@ class HyperOmsSearcher:
             )
         )
         encoder = SpectrumEncoder(space, binning)
-        self._searcher = HDOmsSearcher(
+        self._searcher = BatchedHDOmsSearcher(
             encoder,
             references,
             preprocessing=preprocessing,
             windows=windows,
-            config=HDSearchConfig(mode=mode),
-            backend=PackedBackend(),
+            mode=mode,
         )
 
     @property
@@ -66,11 +65,12 @@ class HyperOmsSearcher:
         return self._searcher.num_references
 
     def search(self, queries: Sequence[Spectrum]) -> SearchResult:
-        """Delegate to the shared HD searcher."""
+        """Delegate to the fan-out core."""
         result = self._searcher.search(queries)
         result.backend_name = self.name
         return result
 
     def search_one(self, query: Spectrum):
         """Best PSM for a single query."""
-        return self._searcher.search_one(query)
+        psms = self._searcher.search([query]).psms
+        return psms[0] if psms else None

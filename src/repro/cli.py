@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -206,9 +207,10 @@ def _add_search_parser(subparsers) -> None:
     parser.add_argument("--open-window", type=float, default=500.0)
     parser.add_argument(
         "--backend",
-        choices=("dense", "packed", "rram"),
-        default="dense",
-        help="similarity backend (rram = simulated MLC accelerator)",
+        choices=("packed", "rram"),
+        default="packed",
+        help="packed = exact XOR + popcount on the fan-out core; "
+        "rram = simulated MLC accelerator",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -692,21 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decoy_factory(seed: int):
-    """The simulator-backed decoy spectrum factory shared by all ingests."""
-    from .ms.synthetic import REFERENCE_NOISE, SpectrumSimulator
-
-    simulator = SpectrumSimulator(seed=seed)
-
-    def factory(peptide, charge, identifier):
-        """Generate one simulated decoy spectrum."""
-        return simulator.spectrum(
-            peptide, charge, identifier, noise=REFERENCE_NOISE
-        )
-
-    return factory
-
-
 class InputFileError(Exception):
     """A library or query file that cannot be read, or not as valid spectra."""
 
@@ -731,14 +718,30 @@ def _read_spectra(path: Path, reader=None):
         raise InputFileError(f"{path}: {error}") from error
 
 
+@contextmanager
+def _library_input(path: Path):
+    """Report a library that keeps no spectrum as a bad *path*.
+
+    A library none of whose spectra survives preprocessing cannot be
+    searched or indexed: it ends like an unreadable file, with
+    :class:`InputFileError`.
+    """
+    from .ms.preprocessing import EmptyLibraryError
+
+    try:
+        yield
+    except EmptyLibraryError as error:
+        raise InputFileError(f"{path}: {error}") from error
+
+
 def _load_library(path: Path, no_decoys: bool, seed: int):
     """Read a spectral library, appending simulator decoys unless told not to."""
-    from .ms.decoy import append_decoys
+    from .ms.decoy import append_decoys, decoy_factory
 
     references = list(_read_spectra(path))
     if no_decoys:
         return references
-    return append_decoys(references, _decoy_factory(seed), seed=seed)
+    return append_decoys(references, decoy_factory(seed), seed=seed)
 
 
 def _iter_library(path: Path, no_decoys: bool, seed: int):
@@ -753,12 +756,12 @@ def _iter_library(path: Path, no_decoys: bool, seed: int):
     """
     import random
 
-    from .ms.decoy import make_decoy_spectrum
+    from .ms.decoy import decoy_factory, make_decoy_spectrum
 
     yield from _read_spectra(path)
     if no_decoys:
         return
-    factory = _decoy_factory(seed)
+    factory = decoy_factory(seed)
     rng = random.Random(seed)
     for reference in _read_spectra(path):
         if reference.is_decoy:
@@ -833,12 +836,6 @@ def cmd_search(args) -> int:
     from .ms.vectorize import BinningConfig
     from .oms.candidates import WindowConfig
     from .oms.fdr import grouped_fdr
-    from .oms.search import (
-        DenseBackend,
-        HDOmsSearcher,
-        HDSearchConfig,
-        PackedBackend,
-    )
 
     references = _load_library(args.library, args.no_decoys, args.seed)
     queries = list(_read_spectra(args.queries, read_mgf))
@@ -849,43 +846,36 @@ def cmd_search(args) -> int:
         standard_tolerance_da=DEFAULT_STANDARD_WINDOW_DA,
         open_window_da=args.open_window,
     )
-    search_config = HDSearchConfig(mode=args.mode)
-    if args.backend == "rram":
-        from .accelerator.accelerator import OmsAccelerator
-        from .accelerator.config import AcceleratorConfig
+    space_config = HDSpaceConfig(
+        dim=args.dim,
+        num_bins=binning.num_bins,
+        num_levels=args.levels,
+        id_precision_bits=args.id_bits,
+        seed=args.seed,
+    )
+    with _library_input(args.library):
+        if args.backend == "rram":
+            from .accelerator.accelerator import OmsAccelerator
+            from .accelerator.config import AcceleratorConfig
+            from .oms.search import HDSearchConfig
 
-        accelerator = OmsAccelerator(
-            config=AcceleratorConfig(seed=args.seed),
-            space_config=HDSpaceConfig(
-                dim=args.dim,
-                num_levels=args.levels,
-                id_precision_bits=args.id_bits,
-                seed=args.seed,
-            ),
-            binning=binning,
-            windows=windows,
-            search=search_config,
-        )
-        searcher = accelerator.build_searcher(references)
-    else:
-        space = HDSpace(
-            HDSpaceConfig(
-                dim=args.dim,
-                num_bins=binning.num_bins,
-                num_levels=args.levels,
-                id_precision_bits=args.id_bits,
-                seed=args.seed,
+            accelerator = OmsAccelerator(
+                config=AcceleratorConfig(seed=args.seed),
+                space_config=space_config,
+                binning=binning,
+                windows=windows,
+                search=HDSearchConfig(mode=args.mode),
             )
-        )
-        encoder = SpectrumEncoder(space, binning)
-        backend = PackedBackend() if args.backend == "packed" else DenseBackend()
-        searcher = HDOmsSearcher(
-            encoder,
-            references,
-            windows=windows,
-            config=search_config,
-            backend=backend,
-        )
+            searcher = accelerator.build_searcher(references)
+        else:
+            from .oms.batch import BatchedHDOmsSearcher
+
+            searcher = BatchedHDOmsSearcher(
+                SpectrumEncoder(HDSpace(space_config), binning),
+                references,
+                windows=windows,
+                mode=args.mode,
+            )
 
     result = searcher.search(queries)
     accepted = grouped_fdr(result.psms, args.fdr)
@@ -947,15 +937,16 @@ def _cmd_index_build(args) -> int:
         from .store import build_store
 
         start = time.perf_counter()
-        store = build_store(
-            _iter_library(args.library, args.no_decoys, args.seed),
-            args.output,
-            space_config=space_config,
-            binning=binning,
-            segment_rows=args.segment_rows,
-            chunk_size=args.chunk_size,
-            source=str(args.library),
-        )
+        with _library_input(args.library):
+            store = build_store(
+                _iter_library(args.library, args.no_decoys, args.seed),
+                args.output,
+                space_config=space_config,
+                binning=binning,
+                segment_rows=args.segment_rows,
+                chunk_size=args.chunk_size,
+                source=str(args.library),
+            )
         build_seconds = time.perf_counter() - start
         print(store.summary())
         print(
@@ -968,13 +959,14 @@ def _cmd_index_build(args) -> int:
     references = _load_library(args.library, args.no_decoys, args.seed)
     print(f"library (incl. decoys): {len(references)}")
     start = time.perf_counter()
-    index = LibraryIndex.build(
-        references,
-        space_config=space_config,
-        binning=binning,
-        chunk_size=args.chunk_size,
-        source=str(args.library),
-    )
+    with _library_input(args.library):
+        index = LibraryIndex.build(
+            references,
+            space_config=space_config,
+            binning=binning,
+            chunk_size=args.chunk_size,
+            source=str(args.library),
+        )
     build_seconds = time.perf_counter() - start
     saved = index.save(args.output)
     print(index.summary())

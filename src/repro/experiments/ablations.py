@@ -26,24 +26,18 @@ import numpy as np
 
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace, HDSpaceConfig
-from ..ms.decoy import append_decoys
+from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.synthetic import SyntheticWorkload
 from ..ms.vectorize import BinningConfig
+from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.fdr import assign_qvalues, filter_at_fdr, grouped_fdr
-from ..oms.pipeline import decoy_factory_for
-from ..oms.search import HDOmsSearcher
+from ..oms.pipeline import OmsPipeline, PipelineConfig
 from ..rram.adc import ADC
 from ..rram.crossbar import CrossbarConfig
 from ..rram.device import DEFAULT_COMPUTE_READ_TIME_S, RRAMDeviceModel
 from ..rram.metrics import normalized_rmse
 from .report import ExperimentResult
 from .workloads import iprg2012_like
-
-
-def _identifications(searcher, queries, fdr_threshold: float) -> int:
-    result = searcher.search(queries)
-    accepted = grouped_fdr(result.psms, fdr_threshold)
-    return len({psm.peptide_key for psm in accepted if psm.peptide_key})
 
 
 def run_ablation_levels(
@@ -62,29 +56,29 @@ def run_ablation_levels(
     """
     if workload is None:
         workload = iprg2012_like(scale=0.25)
-    library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
-    )
-    binning = BinningConfig()
     rows = []
     max_active = CrossbarConfig().max_active_pairs
     avg_peaks = 100.0
     row_groups = -(-int(avg_peaks) // max_active)
     for chunked in (False, True):
-        space = HDSpace(
-            HDSpaceConfig(
-                dim=dim,
-                num_bins=binning.num_bins,
-                num_levels=num_levels,
-                id_precision_bits=3,
-                chunked=chunked,
-                seed=seed + int(chunked),
-            )
+        space_config = HDSpaceConfig(
+            dim=dim,
+            num_levels=num_levels,
+            id_precision_bits=3,
+            chunked=chunked,
+            seed=seed + int(chunked),
         )
-        searcher = HDOmsSearcher(SpectrumEncoder(space, binning), library)
-        ids = _identifications(searcher, workload.queries, fdr_threshold)
+        # A fresh factory per pipeline: the simulator's draws advance.
+        pipeline = OmsPipeline(
+            workload.references,
+            decoy_factory(workload.config.seed),
+            PipelineConfig(
+                space=space_config, fdr_threshold=fdr_threshold, decoy_seed=seed
+            ),
+        )
+        ids = pipeline.run(workload.queries).num_identifications
         if chunked:
-            cycles = space.config.resolved_num_chunks * row_groups
+            cycles = pipeline.encoder.space.config.resolved_num_chunks * row_groups
         else:
             cycles = dim * row_groups  # element-wise: one column at a time
         rows.append(
@@ -112,23 +106,19 @@ def run_ablation_id_precision(
     """Multi-bit ID hypervectors on a clean pipeline (Section 4.2.2)."""
     if workload is None:
         workload = iprg2012_like(scale=0.25)
-    library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
-    )
-    binning = BinningConfig()
     rows = []
     for bits in precisions:
-        space = HDSpace(
-            HDSpaceConfig(
-                dim=dim,
-                num_bins=binning.num_bins,
-                num_levels=32,
-                id_precision_bits=bits,
-                seed=seed,
-            )
+        config = PipelineConfig(
+            space=HDSpaceConfig(
+                dim=dim, num_levels=32, id_precision_bits=bits, seed=seed
+            ),
+            fdr_threshold=fdr_threshold,
+            decoy_seed=seed,
         )
-        searcher = HDOmsSearcher(SpectrumEncoder(space, binning), library)
-        ids = _identifications(searcher, workload.queries, fdr_threshold)
+        pipeline = OmsPipeline(
+            workload.references, decoy_factory(workload.config.seed), config
+        )
+        ids = pipeline.run(workload.queries).num_identifications
         rows.append([f"{bits}-bit", ids])
     return ExperimentResult(
         experiment_id="ablation_id_precision",
@@ -240,7 +230,7 @@ def run_ablation_encoding_scheme(
     if workload is None:
         workload = iprg2012_like(scale=0.25)
     library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
+        workload.references, decoy_factory(workload.config.seed), seed=seed
     )
     binning = BinningConfig()
     space = HDSpace(
@@ -259,8 +249,7 @@ def run_ablation_encoding_scheme(
     ]
     rows = []
     for name, encoder in encoders:
-        searcher = HDOmsSearcher(encoder, library)
-        result = searcher.search(workload.queries)
+        result = BatchedHDOmsSearcher(encoder, library).search(workload.queries)
         accepted = grouped_fdr(result.psms, fdr_threshold)
         ids = len({psm.peptide_key for psm in accepted if psm.peptide_key})
         correct = sum(
@@ -291,7 +280,7 @@ def run_ablation_fdr(
     if workload is None:
         workload = iprg2012_like(scale=0.25)
     library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
+        workload.references, decoy_factory(workload.config.seed), seed=seed
     )
     binning = BinningConfig()
     space = HDSpace(
@@ -299,7 +288,7 @@ def run_ablation_fdr(
             dim=dim, num_bins=binning.num_bins, id_precision_bits=3, seed=seed
         )
     )
-    searcher = HDOmsSearcher(SpectrumEncoder(space, binning), library)
+    searcher = BatchedHDOmsSearcher(SpectrumEncoder(space, binning), library)
     result = searcher.search(workload.queries)
     rows = []
     for name in ("global", "grouped"):

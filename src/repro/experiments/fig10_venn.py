@@ -20,10 +20,9 @@ from ..accelerator.config import AcceleratorConfig
 from ..baselines.annsolo import AnnSoloSearcher
 from ..baselines.hyperoms import HyperOmsSearcher
 from ..hdc.spaces import HDSpaceConfig
-from ..ms.decoy import append_decoys
+from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.synthetic import SyntheticWorkload
 from ..oms.fdr import grouped_fdr
-from ..oms.pipeline import decoy_factory_for
 from .report import ExperimentResult
 from .workloads import iprg2012_like
 
@@ -58,7 +57,7 @@ def run_fig10(
     if workload is None:
         workload = iprg2012_like(scale=0.3)
     library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
+        workload.references, decoy_factory(workload.config.seed), seed=seed
     )
 
     def identified(search_result) -> Set[str]:

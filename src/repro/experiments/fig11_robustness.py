@@ -7,68 +7,27 @@ both the stored reference hypervectors and each query hypervector
 flat up to ~10% BER and drop at 20%, with the multi-bit ID scheme
 consistently identifying more peptides.
 
-References are encoded once per precision; the BER sweep then reuses
-the clean hypervectors, which keeps the whole sweep fast.
+References are encoded once per precision into a library index; each
+BER point then searches that index on the fan-out core with its own
+noise seed, which flips the packed reference and query rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-import numpy as np
-
-from ..hdc.encoder import SpectrumEncoder
-from ..hdc.noise import flip_bits
-from ..hdc.spaces import HDSpace, HDSpaceConfig
-from ..ms.decoy import append_decoys
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..hdc.spaces import HDSpaceConfig
+from ..index.library import LibraryIndex
+from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.synthetic import SyntheticWorkload
-from ..ms.vectorize import BinningConfig, vectorize
-from ..oms.candidates import CandidateIndex, WindowConfig
+from ..ms.vectorize import BinningConfig
+from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.fdr import grouped_fdr
-from ..oms.pipeline import decoy_factory_for
-from ..oms.psm import PSM
 from .report import ExperimentResult
 from .workloads import iprg2012_like
 
 #: The paper's BER sweep points.
 PAPER_BER_POINTS = (0.0015, 0.01, 0.05, 0.10, 0.20)
-
-
-def _count_identifications(
-    queries,
-    query_hvs: np.ndarray,
-    reference_spectra,
-    reference_hvs: np.ndarray,
-    index: CandidateIndex,
-    ber: float,
-    fdr_threshold: float,
-    rng: np.random.Generator,
-) -> int:
-    """Inject BER into both sides, search, FDR-filter, count peptides."""
-    noisy_refs = flip_bits(reference_hvs, ber, rng).astype(np.float32)
-    noisy_queries = flip_bits(query_hvs, ber, rng)
-    psms: List[PSM] = []
-    for query, query_hv in zip(queries, noisy_queries):
-        positions = index.select_open(query)
-        if len(positions) == 0:
-            continue
-        scores = noisy_refs[positions] @ query_hv.astype(np.float32)
-        best = int(np.argmax(scores))
-        reference = reference_spectra[int(positions[best])]
-        psms.append(
-            PSM(
-                query_id=query.identifier,
-                reference_id=reference.identifier,
-                peptide_key=reference.peptide_key(),
-                score=float(scores[best]),
-                is_decoy=reference.is_decoy,
-                precursor_mass_difference=query.neutral_mass
-                - reference.neutral_mass,
-            )
-        )
-    accepted = grouped_fdr(psms, fdr_threshold)
-    return len({psm.peptide_key for psm in accepted if psm.peptide_key})
 
 
 def run_fig11(
@@ -84,64 +43,35 @@ def run_fig11(
     if workload is None:
         workload = iprg2012_like(scale=0.5)
     binning = BinningConfig()
-    preprocessing = PreprocessingConfig()
     library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
+        workload.references, decoy_factory(workload.config.seed), seed=seed
     )
-    kept: List[Tuple] = []
-    for reference in library:
-        processed = preprocess(reference, preprocessing)
-        if processed is not None:
-            kept.append((reference, processed))
-    reference_spectra = [original for original, _ in kept]
-    index = CandidateIndex(reference_spectra, WindowConfig())
-    processed_queries: List[Tuple] = []
-    for query in workload.queries:
-        processed = preprocess(query, preprocessing)
-        if processed is not None:
-            processed_queries.append((query, processed))
-
-    # Binning is shared across the precision sweep, so vectorise each
-    # spectrum once and feed SparseVectors straight into the fused
-    # batch encoder (encode_batch) for every precision.
-    reference_vectors = [vectorize(p, binning) for _, p in kept]
-    query_vectors = [vectorize(p, binning) for _, p in processed_queries]
-
-    columns = {precision: [] for precision in id_precisions}
+    columns = {}
     for precision in id_precisions:
-        space = HDSpace(
-            HDSpaceConfig(
-                dim=dim,
-                num_bins=binning.num_bins,
-                num_levels=num_levels,
-                id_precision_bits=precision,
-                chunked=True,
-                seed=seed + precision,
-            )
+        space_config = HDSpaceConfig(
+            dim=dim,
+            num_levels=num_levels,
+            id_precision_bits=precision,
+            chunked=True,
+            seed=seed + precision,
         )
-        encoder = SpectrumEncoder(space, binning)
-        reference_hvs = encoder.encode_batch(reference_vectors)
-        query_hvs = encoder.encode_batch(query_vectors)
-        rng = np.random.default_rng(seed + 100 * precision)
-        for ber in bers:
+        index = LibraryIndex.build(library, space_config=space_config, binning=binning)
+        columns[precision] = []
+        for point, ber in enumerate(bers):
+            searcher = BatchedHDOmsSearcher.from_index(
+                index,
+                query_ber=ber,
+                reference_ber=ber,
+                noise_seed=seed + 100 * precision + point,
+            )
+            accepted = grouped_fdr(searcher.search(workload.queries).psms, fdr_threshold)
             columns[precision].append(
-                _count_identifications(
-                    [q for q, _ in processed_queries],
-                    query_hvs,
-                    reference_spectra,
-                    reference_hvs,
-                    index,
-                    ber,
-                    fdr_threshold,
-                    rng,
-                )
+                len({psm.peptide_key for psm in accepted if psm.peptide_key})
             )
-    rows = []
-    for row_index, ber in enumerate(bers):
-        rows.append(
-            [f"{ber:.2%}"]
-            + [columns[precision][row_index] for precision in id_precisions]
-        )
+    rows = [
+        [f"{ber:.2%}"] + [columns[precision][point] for precision in id_precisions]
+        for point, ber in enumerate(bers)
+    ]
     return ExperimentResult(
         experiment_id="fig11",
         title=f"HD robustness on {workload.config.name}: identifications vs. BER",

@@ -18,20 +18,13 @@ from ..accelerator.accelerator import OmsAccelerator
 from ..accelerator.config import AcceleratorConfig
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace, HDSpaceConfig
-from ..ms.decoy import append_decoys
+from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.synthetic import SyntheticWorkload
 from ..ms.vectorize import BinningConfig
+from ..oms.batch import BatchedHDOmsSearcher
 from ..oms.fdr import grouped_fdr
-from ..oms.pipeline import decoy_factory_for
-from ..oms.search import HDOmsSearcher, PackedBackend
 from .report import ExperimentResult
 from .workloads import iprg2012_like
-
-
-def _count_ids(searcher, queries, fdr_threshold: float) -> int:
-    result = searcher.search(queries)
-    accepted = grouped_fdr(result.psms, fdr_threshold)
-    return len({psm.peptide_key for psm in accepted if psm.peptide_key})
 
 
 def run_fig13(
@@ -46,7 +39,7 @@ def run_fig13(
     if workload is None:
         workload = iprg2012_like(scale=0.2)
     library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=seed
+        workload.references, decoy_factory(workload.config.seed), seed=seed
     )
     binning = BinningConfig()
     rows = []
@@ -60,11 +53,9 @@ def run_fig13(
             seed=seed + dim,
         )
         # Ideal: exact digital encode + packed Hamming search.
-        ideal_encoder = SpectrumEncoder(HDSpace(space_config), binning)
-        ideal_searcher = HDOmsSearcher(
-            ideal_encoder, library, backend=PackedBackend()
+        ideal_searcher = BatchedHDOmsSearcher(
+            SpectrumEncoder(HDSpace(space_config), binning), library
         )
-        ideal_ids = _count_ids(ideal_searcher, workload.queries, fdr_threshold)
         # In-RRAM: analog encode + analog search + MLC storage round trip.
         accelerator = OmsAccelerator(
             config=AcceleratorConfig(
@@ -75,8 +66,12 @@ def run_fig13(
             store_query_hypervectors=True,
         )
         rram_searcher = accelerator.build_searcher(library)
-        rram_ids = _count_ids(rram_searcher, workload.queries, fdr_threshold)
-        rows.append([dim, ideal_ids, rram_ids])
+        counts = []
+        for searcher in (ideal_searcher, rram_searcher):
+            result = searcher.search(workload.queries)
+            accepted = grouped_fdr(result.psms, fdr_threshold)
+            counts.append(len({psm.peptide_key for psm in accepted if psm.peptide_key}))
+        rows.append([dim, *counts])
     return ExperimentResult(
         experiment_id="fig13",
         title=f"Identifications vs. HD dimension ({workload.config.name}, "

@@ -299,10 +299,18 @@ class SpectrumEncoder:
 def encode_packed_rows(encoder, spectra: Sequence[Spectrum]) -> np.ndarray:
     """``pack_bipolar(encoder.encode_batch(spectra))`` for any encoder.
 
-    A :class:`SpectrumEncoder` produces the same rows straight from its
-    fused :meth:`~SpectrumEncoder.encode_packed` kernel; other encoders
-    (analog, storage round-trip, alternative schemes) are packed after
-    their own ``encode_batch``.
+    The one encoder dispatch of the fan-out core, for references and
+    queries alike.  A :class:`SpectrumEncoder` produces the rows
+    straight from its fused :meth:`~SpectrumEncoder.encode_packed`
+    kernel; other encoders are packed after their own ``encode_batch``.
+    For the alternative schemes and the analog in-memory encoder that
+    encodes row by row, exactly like per-spectrum ``encode``.  The one
+    exception is the MLC storage round-trip wrapper
+    (:class:`~repro.accelerator.accelerator.StoredQueryEncoder`), whose
+    batch draws its noise differently from per-spectrum ``encode``; it
+    only runs behind the oracle, whose
+    :func:`~repro.oms.search.encode_queries` keeps the per-spectrum
+    order.
     """
     if isinstance(encoder, SpectrumEncoder):
         return encoder.encode_packed(spectra)

@@ -44,7 +44,7 @@ from ..ann import AnnConfig, AnnRows
 from ..hdc.encoder import SpectrumEncoder, encode_packed_rows
 from ..hdc.packing import unpack_bipolar
 from ..hdc.spaces import HDSpace, HDSpaceConfig
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
 
@@ -299,7 +299,7 @@ class LibraryIndex:
                 kept_originals.append(reference)
                 kept_processed.append(processed)
         if not kept_originals:
-            raise ValueError("no reference spectrum survived preprocessing")
+            raise EmptyLibraryError()
 
         num_kept = len(kept_originals)
         encode_started = time.perf_counter()

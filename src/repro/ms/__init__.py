@@ -23,6 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "peptide": ["Peptide", "neutral_mass_from_mz"],
         "spectrum": ["Spectrum"],
         "preprocessing": [
+            "EmptyLibraryError",
             "PreprocessingConfig",
             "filter_intensity",
             "normalize_intensity",
@@ -43,6 +44,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "io": ["SPECTRUM_READERS", "iter_spectra"],
         "decoy": [
             "append_decoys",
+            "decoy_factory",
             "make_decoy_spectrum",
             "reverse_sequence",
             "shuffle_sequence",

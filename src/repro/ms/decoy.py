@@ -45,6 +45,28 @@ def reverse_sequence(sequence: str) -> str:
     return sequence[-2::-1] + sequence[-1]
 
 
+def decoy_factory(seed: int) -> Callable[[Peptide, int, str], Spectrum]:
+    """The simulator-backed decoy spectrum factory, seeded with *seed*.
+
+    Decoys must look statistically like targets, so they are synthesised
+    by the same simulator as a synthetic workload's spectra (pass the
+    workload's ``config.seed`` to reproduce its generation model).  The
+    simulator is imported here, so a caller that never builds decoys
+    never loads :mod:`repro.ms.synthetic`.
+    """
+    from .synthetic import REFERENCE_NOISE, SpectrumSimulator
+
+    simulator = SpectrumSimulator(seed=seed)
+
+    def factory(peptide: Peptide, charge: int, identifier: str) -> Spectrum:
+        """Generate one simulated decoy spectrum."""
+        return simulator.spectrum(
+            peptide, charge, identifier, noise=REFERENCE_NOISE
+        )
+
+    return factory
+
+
 def make_decoy_spectrum(
     reference: Spectrum,
     spectrum_factory: Callable[[Peptide, int, str], Spectrum],

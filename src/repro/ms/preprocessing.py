@@ -23,6 +23,13 @@ from ..constants import (
 from .spectrum import Spectrum
 
 
+class EmptyLibraryError(ValueError):
+    """No reference spectrum of a library survived preprocessing."""
+
+    def __init__(self) -> None:
+        super().__init__("no reference spectrum survived preprocessing")
+
+
 @dataclass(frozen=True)
 class PreprocessingConfig:
     """Knobs for :func:`preprocess`.

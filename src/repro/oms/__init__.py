@@ -24,7 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "OmsPipeline",
             "PipelineConfig",
             "PipelineResult",
-            "decoy_factory_for",
         ],
         "batch": ["BatchedHDOmsSearcher"],
         "modification_analysis": [

@@ -23,7 +23,7 @@ from ..ann import AnnConfig
 from ..engine import EngineConfig
 from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from .candidates import WindowConfig
 from .loop import FanOutSearcher
@@ -83,7 +83,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             if processed is not None:
                 kept.append((reference, processed))
         if not kept:
-            raise ValueError("no reference spectrum survived preprocessing")
+            raise EmptyLibraryError()
         self._init_core(
             encoder=encoder,
             preprocessing=preprocessing,

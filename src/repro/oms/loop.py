@@ -41,6 +41,7 @@ import numpy as np
 from ..ann import OUTCOMES, AnnStats
 from ..engine import EngineConfig
 from ..exec.pipeline import pipeline_map
+from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
@@ -48,7 +49,7 @@ from ..obs.trace import get_tracer
 from .candidates import WindowConfig
 from .kernel import ShardScorer, shard_payload
 from .psm import PSM, SearchResult
-from .search import ENCODE_BLOCK_SIZE, HDSearchConfig, encode_queries_packed
+from .search import ENCODE_BLOCK_SIZE, HDSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.library import LibraryIndex
@@ -438,7 +439,7 @@ class FanOutSearcher:
             chunk = queries[start : start + step]
             processed = [preprocess(query, self.preprocessing) for query in chunk]
             kept = [start + row for row, spectrum in enumerate(processed) if spectrum is not None]
-            return kept, encode_queries_packed(
+            return kept, encode_packed_rows(
                 self.encoder, [processed[row - start] for row in kept]
             )
 

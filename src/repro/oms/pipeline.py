@@ -9,21 +9,24 @@ ground-truth precision/recall that only a synthetic workload can give).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 from ..constants import DEFAULT_FDR_THRESHOLD
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace, HDSpaceConfig
-from ..ms.decoy import append_decoys
+from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.spectrum import Spectrum
-from ..ms.synthetic import REFERENCE_NOISE, SpectrumSimulator, SyntheticWorkload
 from ..ms.vectorize import BinningConfig
+from .batch import BatchedHDOmsSearcher
 from .candidates import WindowConfig
 from .fdr import assign_qvalues, filter_at_fdr, grouped_fdr
 from .psm import PSM, SearchResult, evaluate_against_truth
-from .search import HDOmsSearcher, HDSearchConfig, SimilarityBackend
+from .search import HDSearchConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..ms.synthetic import SyntheticWorkload
 
 
 @dataclass(frozen=True)
@@ -62,28 +65,18 @@ class PipelineResult:
         return len(self.identified_peptides)
 
 
-def decoy_factory_for(workload: SyntheticWorkload) -> Callable:
-    """Spectrum factory reproducing the workload's generation model.
-
-    Decoys must look statistically like targets, so they are synthesised
-    by the same simulator (re-seeded from the workload config).
-    """
-    simulator = SpectrumSimulator(seed=workload.config.seed)
-
-    def factory(peptide, charge, identifier) -> Spectrum:
-        """Generate one simulated decoy spectrum."""
-        return simulator.spectrum(
-            peptide, charge, identifier, noise=REFERENCE_NOISE
-        )
-
-    return factory
+def _search_kwargs(search: HDSearchConfig) -> Dict:
+    """The :class:`HDSearchConfig` fields as searcher keyword arguments."""
+    return {item.name: getattr(search, item.name) for item in fields(search)}
 
 
 class OmsPipeline:
     """Reusable pipeline bound to one reference library.
 
     Construction cost (decoy generation + reference encoding) is paid
-    once; ``run`` can then be called with different query sets.
+    once; ``run`` can then be called with different query sets.  The
+    search stage is :class:`~repro.oms.batch.BatchedHDOmsSearcher`, the
+    fan-out core over one in-process part.
     """
 
     def __init__(
@@ -91,14 +84,12 @@ class OmsPipeline:
         references: Sequence[Spectrum],
         decoy_factory: Callable,
         config: Optional[PipelineConfig] = None,
-        encoder=None,
-        backend: Optional[SimilarityBackend] = None,
     ) -> None:
         self.config = config or PipelineConfig()
         timings: Dict[str, float] = {}
 
         start = time.perf_counter()
-        self.library = append_decoys(
+        self.library: Optional[List[Spectrum]] = append_decoys(
             list(references),
             decoy_factory,
             seed=self.config.decoy_seed,
@@ -107,27 +98,21 @@ class OmsPipeline:
         timings["decoy_generation"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        if encoder is None:
-            space = HDSpace(self.config.resolved_space())
-            encoder = SpectrumEncoder(space, self.config.binning)
-        self.encoder = encoder
-        self.searcher = HDOmsSearcher(
-            encoder,
+        space = HDSpace(self.config.resolved_space())
+        self.encoder = SpectrumEncoder(space, self.config.binning)
+        self.searcher = BatchedHDOmsSearcher(
+            self.encoder,
             self.library,
             preprocessing=self.config.preprocessing,
             windows=self.config.windows,
-            config=self.config.search,
-            backend=backend,
+            **_search_kwargs(self.config.search),
         )
         timings["reference_encoding"] = time.perf_counter() - start
         self._setup_timings = timings
 
     @classmethod
     def from_index(
-        cls,
-        index,
-        config: Optional[PipelineConfig] = None,
-        backend: Optional[SimilarityBackend] = None,
+        cls, index, config: Optional[PipelineConfig] = None
     ) -> "OmsPipeline":
         """Bind the pipeline to a persisted :class:`~repro.index.LibraryIndex`.
 
@@ -136,20 +121,19 @@ class OmsPipeline:
         encoding is skipped entirely.  The ``space``/``binning``/
         ``preprocessing`` members of *config* are superseded by the
         index provenance; ``windows``, ``search`` and the FDR knobs
-        still apply.
+        still apply.  ``library`` is ``None``: the searcher builds the
+        record of a winning row only.
         """
         pipeline = cls.__new__(cls)
         pipeline.config = config or PipelineConfig()
         start = time.perf_counter()
-        pipeline.library = index.records()
-        pipeline.encoder = index.make_encoder()
-        pipeline.searcher = HDOmsSearcher.from_index(
+        pipeline.library = None
+        pipeline.searcher = BatchedHDOmsSearcher.from_index(
             index,
             windows=pipeline.config.windows,
-            config=pipeline.config.search,
-            backend=backend,
-            encoder=pipeline.encoder,
+            **_search_kwargs(pipeline.config.search),
         )
+        pipeline.encoder = pipeline.searcher.encoder
         pipeline._setup_timings = {
             "decoy_generation": 0.0,
             "reference_encoding": 0.0,
@@ -159,19 +143,11 @@ class OmsPipeline:
 
     @classmethod
     def from_workload(
-        cls,
-        workload: SyntheticWorkload,
-        config: Optional[PipelineConfig] = None,
-        encoder=None,
-        backend: Optional[SimilarityBackend] = None,
+        cls, workload: SyntheticWorkload, config: Optional[PipelineConfig] = None
     ) -> "OmsPipeline":
         """Convenience constructor for synthetic workloads."""
         return cls(
-            workload.references,
-            decoy_factory_for(workload),
-            config=config,
-            encoder=encoder,
-            backend=backend,
+            workload.references, decoy_factory(workload.config.seed), config=config
         )
 
     def run(
@@ -206,7 +182,11 @@ class OmsPipeline:
             identified_peptides=identified,
             evaluation=evaluation,
             timings=timings,
-            num_references_with_decoys=len(self.library),
+            num_references_with_decoys=(
+                self.searcher.num_references
+                if self.library is None
+                else len(self.library)
+            ),
         )
 
     def run_workload(self, workload: SyntheticWorkload) -> PipelineResult:

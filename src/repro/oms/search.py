@@ -24,7 +24,7 @@ from ..hdc.encoder import SpectrumEncoder
 from ..hdc.noise import flip_bits
 from ..hdc.packing import pack_bipolar
 from ..hdc.similarity import packed_dot_scores
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
 from .candidates import CandidateIndex, WindowConfig
@@ -72,19 +72,6 @@ def encode_queries(encoder, processed: Sequence[Spectrum]) -> np.ndarray:
         ]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
     return np.stack([encoder.encode(spectrum) for spectrum in processed])
-
-
-def encode_queries_packed(encoder, processed: Sequence[Spectrum]) -> np.ndarray:
-    """:func:`encode_queries` as bit-packed ``(n, ceil(dim / 8))`` uint8 rows.
-
-    The software encoder runs its fused packed kernel
-    (:meth:`~repro.hdc.encoder.SpectrumEncoder.encode_packed`), so no
-    ``(n, dim)`` block is formed; other encoders keep their
-    per-spectrum path and are packed after it.
-    """
-    if isinstance(encoder, SpectrumEncoder):
-        return encoder.encode_packed(processed)
-    return pack_bipolar(encode_queries(encoder, processed))
 
 
 class SimilarityBackend(Protocol):
@@ -256,7 +243,7 @@ class HDOmsSearcher:
                 # Keep the original for metadata, the processed for encoding.
                 kept.append((reference, processed))
         if not kept:
-            raise ValueError("no reference spectrum survived preprocessing")
+            raise EmptyLibraryError()
         self.references: List[Spectrum] = [original for original, _ in kept]
         reference_hvs = encoder.encode_batch([p for _, p in kept])
         if self.config.reference_ber > 0:

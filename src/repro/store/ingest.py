@@ -35,7 +35,7 @@ from ..index.library import (
     IndexCompatibilityError,
     LibraryIndex,
 )
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
 from .manifest import (
@@ -261,7 +261,7 @@ class StreamingStoreBuilder:
             return SegmentedStore.open(self.root)
         self._flush()
         if not self.manifest.segments:
-            raise ValueError("no reference spectrum survived preprocessing")
+            raise EmptyLibraryError()
         self.manifest.save(self.root)
         self._finalized = True
         return SegmentedStore.open(self.root)

@@ -57,15 +57,14 @@ class TestShiftedDotProduct:
 
 @pytest.fixture(scope="module")
 def library_and_queries():
-    from repro.ms.decoy import append_decoys
+    from repro.ms.decoy import append_decoys, decoy_factory
     from repro.ms.synthetic import WorkloadConfig, build_workload
-    from repro.oms.pipeline import decoy_factory_for
 
     workload = build_workload(
         WorkloadConfig(name="bl", num_references=120, num_queries=30, seed=77)
     )
     library = append_decoys(
-        workload.references, decoy_factory_for(workload), seed=5
+        workload.references, decoy_factory(workload.config.seed), seed=5
     )
     return workload, library
 

@@ -22,7 +22,7 @@ class TestParser:
         assert args.dim == 8192
         assert args.id_bits == 3
         assert args.mode == "open"
-        assert args.backend == "dense"
+        assert args.backend == "packed"
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -128,6 +128,58 @@ class TestSearchCommand:
         assert len(lines) > 5  # found real matches
         out = capsys.readouterr().out
         assert "accepted" in out
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("search-cli")
+        assert main(
+            ["workload", "--preset", "custom", "--references", "120", "--queries",
+             "25", "--seed", "3", "--output-dir", str(tmp_path)]
+        ) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("mode", ["open", "standard", "cascade"])
+    def test_default_tsv_equals_the_dense_oracle(self, files, tmp_path, mode):
+        """`repro search` runs the fan-out core; its TSV is the oracle's."""
+        from repro.cli import _write_psm_tsv
+        from repro.constants import DEFAULT_STANDARD_WINDOW_DA
+        from repro.hdc import HDSpace, HDSpaceConfig, SpectrumEncoder
+        from repro.ms import BinningConfig, append_decoys, decoy_factory, read_mgf, read_msp
+        from repro.oms import DenseBackend, HDOmsSearcher, HDSearchConfig, WindowConfig
+        from repro.oms import grouped_fdr
+
+        output = tmp_path / "psms.tsv"
+        assert main(
+            ["search", "--library", str(files / "library.msp"), "--queries",
+             str(files / "queries.mgf"), "--dim", "1024", "--seed", "3",
+             "--mode", mode, "--output", str(output)]
+        ) == 0
+        binning = BinningConfig()
+        space = HDSpaceConfig(dim=1024, num_bins=binning.num_bins, seed=3)
+        library = append_decoys(
+            list(read_msp(files / "library.msp")), decoy_factory(3), seed=3
+        )
+        oracle = HDOmsSearcher(
+            SpectrumEncoder(HDSpace(space), binning),
+            library,
+            windows=WindowConfig(standard_tolerance_da=DEFAULT_STANDARD_WINDOW_DA),
+            config=HDSearchConfig(mode=mode),
+            backend=DenseBackend(),
+        )
+        result = oracle.search(list(read_mgf(files / "queries.mgf")))
+        expected = tmp_path / "oracle.tsv"
+        _write_psm_tsv(expected, grouped_fdr(result.psms, 0.01))
+        assert len(expected.read_text().splitlines()) > 5
+        assert output.read_bytes() == expected.read_bytes()
+
+    def test_dense_backend_is_gone(self, files, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["search", "--library", str(files / "library.msp"), "--queries",
+                 str(files / "queries.mgf"), "--backend", "dense"]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'dense'" in capsys.readouterr().err
 
 
 class TestServeParser:
@@ -632,3 +684,23 @@ class TestMissingInputFiles:
         assert sorted(path.name for path in tmp_path.rglob("*")) == before
         if manifest is not None:
             assert (out / "manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("case", ["search-library", "index-build-npz", "index-build-store"])
+    def test_library_with_no_usable_spectrum(self, files, tmp_path, capsys, case):
+        """A library none of whose spectra survives preprocessing ends typed too."""
+        verb, argv = _MISSING_INPUT_CASES[case]
+        library, out = tmp_path / "one-peak.msp", tmp_path / "out"
+        library.write_text(
+            "Name: PEPTIDEK/2\nMW: 927.45\nComment: Parent=464.73\n"
+            "Num peaks: 1\n200.1\t100\n\n"
+        )
+        before = sorted(path.name for path in tmp_path.rglob("*"))
+        capsys.readouterr()
+        args = [str(arg) for arg in argv(files, library, out)] + ["--no-decoys"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"{verb}: {library}: no reference spectrum survived preprocessing"
+        )
+        assert sorted(path.name for path in tmp_path.rglob("*")) == before

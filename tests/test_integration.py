@@ -5,14 +5,13 @@ import pytest
 
 from repro.accelerator import AcceleratorConfig, OmsAccelerator
 from repro.hdc import HDSpaceConfig
-from repro.ms import append_decoys, build_workload, WorkloadConfig
+from repro.ms import append_decoys, build_workload, decoy_factory, WorkloadConfig
 from repro.oms import (
     HDSearchConfig,
     OmsPipeline,
     PipelineConfig,
     grouped_fdr,
 )
-from repro.oms.pipeline import decoy_factory_for
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +98,14 @@ class TestAcceleratorEquivalence:
 
     def test_rram_and_digital_agree_on_most_identifications(self, workload):
         library = append_decoys(
-            workload.references, decoy_factory_for(workload), seed=4
+            workload.references, decoy_factory(workload.config.seed), seed=4
         )
         space_config = HDSpaceConfig(
             dim=1024, num_levels=16, id_precision_bits=3, seed=5
         )
         digital = OmsPipeline(
             library[: len(workload.references)],
-            decoy_factory_for(workload),
+            decoy_factory(workload.config.seed),
             PipelineConfig(space=space_config),
         ).run_workload(workload)
 

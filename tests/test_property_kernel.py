@@ -275,7 +275,7 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
 @given(
     references=_spectra("ref", (2, 3), 3, 24),
     queries=_spectra("query", (2, 3, 4), 1, 30),
-    kind=st.sampled_from(["sharded", "segmented", "batched"]),
+    kind=st.sampled_from(["sharded", "segmented", "batched", "spectra"]),
     mode=st.sampled_from(["standard", "open", "cascade"]),
     parts=st.integers(1, 3),
     ann_case=st.sampled_from(["off", "full", "narrow"]),
@@ -298,7 +298,7 @@ def test_every_engine_equals_brute_force(
     ann = None
     if ann_case != "off":
         ann = AnnConfig(prefix_words=1, candidate_budget=budget, ann_threshold=2)
-    if kind == "batched" or ann_case == "narrow":
+    if kind in ("batched", "spectra") or ann_case == "narrow":
         # Each shard shortlists its own rows; only one shard sees exactly
         # the rows (and so the shortlist) the oracle's prefilter sees.
         parts = 1
@@ -331,6 +331,19 @@ def test_every_engine_equals_brute_force(
                 query_ber=query_ber,
                 reference_ber=reference_ber,
                 engine=engine,
+            )
+        elif kind == "spectra":
+            # The raw-spectra constructor OmsPipeline, the experiments
+            # and `repro search` build on: it encodes the library itself.
+            searcher = BatchedHDOmsSearcher(
+                index.make_encoder(),
+                references,
+                windows=windows,
+                mode=mode,
+                ann=ann,
+                min_candidates=min_candidates,
+                query_ber=query_ber,
+                reference_ber=reference_ber,
             )
         elif kind == "sharded":
             searcher = ShardedSearcher(
