@@ -213,15 +213,19 @@ def test_bench_coordinator_scale_out(service_setup, tmp_path, capsys):
     """
     from repro.coord import (
         Coordinator,
-        CoordinatorService,
         LocalWorkerFleet,
         PartitionPlan,
         assign_replicas,
         materialize_partitions,
-        start_coordinator_server,
     )
     from repro.ms.vectorize import BinningConfig
-    from repro.service import SearchClient
+    from repro.service import (
+        IndexRegistry,
+        SearchClient,
+        ServiceConfig,
+        ServiceMetrics,
+        start_server,
+    )
     from repro.store import build_store
 
     workload, index, baseline = service_setup
@@ -247,6 +251,7 @@ def test_bench_coordinator_scale_out(service_setup, tmp_path, capsys):
                 extra_args=("--max-batch", "128", "--cache-size", "0"),
             )
             coordinator = None
+            registry = None
             front = None
             thread = None
             try:
@@ -255,9 +260,13 @@ def test_bench_coordinator_scale_out(service_setup, tmp_path, capsys):
                     plan.partitions, assign_replicas(urls, len(plan))
                 )
                 coordinator.wait_ready(timeout=120)
-                front = start_coordinator_server(
-                    CoordinatorService(coordinator, max_inflight=32)
+                # Served the way `repro coordinate` serves it.
+                registry = IndexRegistry(
+                    coordinator,
+                    config=ServiceConfig(cache_capacity=0, max_inflight=32),
+                    metrics=ServiceMetrics(coordinator.metrics.registry),
                 )
+                front = start_server(registry)
                 thread = threading.Thread(
                     target=front.serve_forever, daemon=True
                 )
@@ -279,6 +288,8 @@ def test_bench_coordinator_scale_out(service_setup, tmp_path, capsys):
                     front.server_close()
                 if thread is not None:
                     thread.join(timeout=10)
+                if registry is not None:
+                    registry.close()
                 if coordinator is not None:
                     coordinator.close()
                 fleet.close()

@@ -1,7 +1,7 @@
 """Configuration of the truncated-precision candidate pass.
 
 One frozen dataclass holds every knob of the approximate stage so it
-can ride inside :class:`~repro.oms.search.HDSearchConfig` and the
+can ride inside :class:`~repro.oms.candidates.HDSearchConfig` and the
 service configuration with a single ``dataclasses.asdict``
 serialisation.  See ``docs/ann-tuning.md`` for measured guidance on
 picking values.

@@ -857,7 +857,7 @@ def cmd_search(args) -> int:
         if args.backend == "rram":
             from .accelerator.accelerator import OmsAccelerator
             from .accelerator.config import AcceleratorConfig
-            from .oms.search import HDSearchConfig
+            from .oms.candidates import HDSearchConfig
 
             accelerator = OmsAccelerator(
                 config=AcceleratorConfig(seed=args.seed),
@@ -1084,7 +1084,7 @@ def _cmd_index_search(args) -> int:
     from .ms.mgf import read_mgf
     from .oms.candidates import WindowConfig
     from .oms.fdr import grouped_fdr
-    from .oms.search import HDSearchConfig
+    from .oms.candidates import HDSearchConfig
 
     if args.chunk_size < 1:
         print(f"--chunk-size must be >= 1, got {args.chunk_size}", file=sys.stderr)
@@ -1160,7 +1160,7 @@ def _verify_store(args, store) -> int:
     if args.verify_queries is None:
         return 0
     from .ms.mgf import read_mgf
-    from .oms.search import HDSearchConfig
+    from .oms.candidates import HDSearchConfig
     from .store import SegmentedSearcher
 
     with SegmentedSearcher(
@@ -1372,7 +1372,7 @@ def cmd_profile(args) -> int:
     from .obs.profile import render_stage_table, summarize_spans
     from .obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
     from .oms.candidates import WindowConfig
-    from .oms.search import HDSearchConfig
+    from .oms.candidates import HDSearchConfig
 
     try:
         ann = _ann_config_from_args(args)

@@ -13,9 +13,12 @@
   partitions: encode once, health probing (and the encoding cross-check),
   hedged ``/score`` calls with bounded retry over the pooled
   :class:`~repro.service.client.SearchClient`;
-* :mod:`repro.coord.server` — the HTTP front-end with backpressure
-  admission, speaking the same JSON API as a worker;
-* :mod:`repro.coord.metrics` — the ``hdoms_coord_`` metric families.
+* :mod:`repro.coord.server` — the ``repro coordinate`` process, which
+  serves the coordinator as the engine of a stock
+  :class:`~repro.service.server.SearchService` behind the same server
+  as ``repro serve`` (admission gate, no result cache);
+* :mod:`repro.coord.metrics` — the ``hdoms_coord_`` fan-out metric
+  families.
 
 See ``docs/scale-out.md`` for topology and tuning guidance.
 """
@@ -29,12 +32,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "fleet": ["FleetError", "LocalWorkerFleet"],
         "metrics": ["CoordinatorMetrics"],
         "partition": ["PartitionPlan", "PartitionSpec", "materialize_partitions"],
-        "server": [
-            "CoordinatorServer",
-            "CoordinatorService",
-            "assign_replicas",
-            "serve_coordinate",
-            "start_coordinator_server",
-        ],
+        "server": ["assign_replicas", "serve_coordinate"],
     },
 )

@@ -24,9 +24,12 @@ floats exactly, so the output is **bit-identical** to a single-node
 search.  Worker calls run on the pooled blocking
 :class:`~repro.service.client.SearchClient`, each on a thread of the
 target replica's own pool — a wedged worker can exhaust only its own
-threads; everything else runs on the calling thread, so the
-``search_payloads`` / ``wait_ready`` / ``close`` facade is plain
-blocking, thread-safe code for :mod:`repro.coord.server`.
+threads; everything else runs on the calling thread.  ``repro
+coordinate`` serves it as the engine of a stock
+:class:`~repro.service.server.SearchService`, which calls
+``search_aligned`` on each request's own thread (no micro-batcher:
+one request's failing partition fails only that request) and
+``health`` / ``stats`` for ``/healthz`` and ``/stats``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,11 +50,12 @@ from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace
 from ..index.library import INDEX_FORMAT_VERSION
 from ..obs.trace import get_tracer
-from ..oms.candidates import WindowConfig
+from ..ms.spectrum import Spectrum
+from ..oms.candidates import HDSearchConfig, WindowConfig
 from ..oms.loop import FanOutSearcher
-from ..oms.search import HDSearchConfig
+from ..oms.psm import PSM
 from ..service.client import SearchClient
-from ..service.protocol import spectrum_from_payload
+from ..service.protocol import UnavailableError, spectrum_from_payload
 from ..store.manifest import StoreManifest
 from .metrics import CoordinatorMetrics
 from .partition import PartitionSpec
@@ -74,8 +79,8 @@ MAX_CALLS_PER_WORKER = 32
 PROBE_TIMEOUT = 5.0
 
 
-class CoordinatorError(RuntimeError):
-    """A partition could not be served by any of its replicas."""
+class CoordinatorError(UnavailableError):
+    """A partition could not be served by any of its replicas (HTTP 503)."""
 
 
 class WorkerHandle:
@@ -120,7 +125,9 @@ class Coordinator(FanOutSearcher):
             ``cascade``) — the passes this coordinator runs.
         standard_tolerance: Standard-window half-width in Dalton.
         open_window: Open-window half-width in Dalton.
-        metrics: Shared metric schema (a fresh one by default).
+        metrics: The fan-out metric families (a fresh registry by
+            default; ``repro coordinate`` registers them into its
+            route's, so one ``/metrics`` renders both sets).
         worker_timeout: Socket timeout of worker calls in seconds.
         probe_interval: Seconds between health-probe rounds.
         hedge_floor_ms: Lower bound on the hedge deadline.
@@ -157,7 +164,8 @@ class Coordinator(FanOutSearcher):
         )
         self._hulls = np.array([[spec.mass_min, spec.mass_max] for spec in self.partitions])
         self._encoding: Optional[dict] = None
-        # Per searching thread: the request id and the pass's records.
+        # Per searching thread: the forwarded request id and the records
+        # of the pass's winners.
         self._pass = threading.local()
         self.metrics = metrics or CoordinatorMetrics()
         self.worker_timeout = float(worker_timeout)
@@ -325,20 +333,13 @@ class Coordinator(FanOutSearcher):
     # the search: the fan-out core over remote partitions
     # ------------------------------------------------------------------
 
-    def search_payloads(
-        self,
-        spectra_payloads: Sequence[dict],
-        request_id: Optional[str] = None,
-    ) -> List[Optional[dict]]:
-        """Search a batch of spectrum payloads; aligned output.
+    def _require_encoding(self) -> SpectrumEncoder:
+        """The adopted encoder, probing once if none is yet.
 
-        Each element of the result is the winning PSM payload
-        (``library_position`` in *global* rows) or None; the list
-        aligns with the input order exactly like a worker's
-        ``/search_batch``.  ``request_id``, forwarded as
-        ``X-Request-Id``, names the request on every worker called.
+        Raises:
+            CoordinatorError: When closed, or when no worker has
+                reported an acceptable encoding.
         """
-        spectra = [spectrum_from_payload(payload) for payload in spectra_payloads]
         if self._stop.is_set():
             raise CoordinatorError("coordinator is closed")
         if self.encoder is None:  # no probe has adopted an encoding yet
@@ -349,7 +350,54 @@ class Coordinator(FanOutSearcher):
                 self.metrics.worker_errors.inc(worker=handle.url)
             details = "; ".join(f"{handle.url}: {handle.last_error}" for handle in handles)
             raise CoordinatorError(f"every replica failed or was rejected ({details})")
-        self._pass.request_id = request_id
+        return self.encoder
+
+    @contextmanager
+    def _forwarding(self, request_id: Optional[str]):
+        """Forward ``request_id`` as ``X-Request-Id`` on this thread's worker calls.
+
+        A nested entry without an id (the core's passes calling
+        :meth:`score_batch`) keeps the outer one.
+        """
+        outer = getattr(self._pass, "request_id", None)
+        self._pass.request_id = request_id or outer
+        try:
+            yield
+        finally:
+            self._pass.request_id = outer
+
+    def search_aligned(
+        self, queries: Sequence[Spectrum], request_id: Optional[str] = None
+    ) -> List[Optional[PSM]]:
+        """The core's aligned search, once a worker's encoding is adopted.
+
+        ``request_id`` names the request on every worker called (sent as
+        ``X-Request-Id``).  The call runs on the calling thread, so
+        concurrent requests scatter concurrently and fail separately.
+
+        Raises:
+            CoordinatorError: See :meth:`_require_encoding`, or when
+                every replica of a routed partition failed.
+        """
+        self._require_encoding()
+        with self._forwarding(request_id):
+            return super().search_aligned(queries)
+
+    def score_batch(
+        self, queries, query_masses, query_charges, half_width: float, request_id: Optional[str] = None
+    ) -> Tuple:
+        """The core's merged pass over the fleet; ``request_id`` as in :meth:`search_aligned`."""
+        with self._forwarding(request_id):
+            return super().score_batch(queries, query_masses, query_charges, half_width)
+
+    def search_payloads(self, spectra_payloads: Sequence[dict]) -> List[Optional[dict]]:
+        """:meth:`search_aligned` over spectrum payloads, as PSM payloads.
+
+        Each element is the winning PSM payload (``library_position``
+        in *global* rows) or None, aligned with the input like a
+        worker's ``/search_batch``.
+        """
+        spectra = [spectrum_from_payload(payload) for payload in spectra_payloads]
         return [psm.to_dict() if psm is not None else None for psm in self.search_aligned(spectra)]
 
     def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -444,7 +492,7 @@ class Coordinator(FanOutSearcher):
             )
             for part, batch in jobs
         ]
-        request_id = self._pass.request_id
+        request_id = getattr(self._pass, "request_id", None)
         owner: Dict[Future, SimpleNamespace] = {}
 
         def fire(call: SimpleNamespace) -> Future:
@@ -522,9 +570,34 @@ class Coordinator(FanOutSearcher):
     # introspection
     # ------------------------------------------------------------------
 
+    @property
+    def num_references(self) -> int:
+        """Library rows over every partition."""
+        return sum(spec.num_references for spec in self.partitions)
+
+    @property
+    def dim(self) -> int:
+        """Hypervector dimension of the adopted encoding (a ``/score`` row's width).
+
+        Raises:
+            CoordinatorError: See :meth:`_require_encoding`.
+        """
+        return self._require_encoding().space.dim
+
+    def health(self) -> dict:
+        """The fleet's ``/healthz`` fields: ``degraded`` while a partition has no healthy worker."""
+        served = all(any(handle.healthy for handle in group) for group in self._workers)
+        return {
+            "status": "ok" if served else "degraded",
+            "role": "coordinator",
+            "num_partitions": len(self.partitions),
+            "num_references": self.num_references,
+        }
+
     def stats(self) -> dict:
         """JSON-safe topology/health snapshot for ``/stats``."""
         return {
+            "role": "coordinator",
             "mode": self.config.mode,
             "standard_tolerance": self.windows.standard_tolerance_da,
             "open_window": self.windows.open_window_da,
@@ -543,10 +616,3 @@ class Coordinator(FanOutSearcher):
                 for spec, group in zip(self.partitions, self._workers)
             ],
         }
-
-    def healthy(self) -> bool:
-        """Whether every partition has at least one healthy worker."""
-        return all(
-            any(handle.healthy for handle in group)
-            for group in self._workers
-        )

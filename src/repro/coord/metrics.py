@@ -1,11 +1,12 @@
-"""Coordinator-side metric schema (fan-out, hedges, retries).
+"""The coordinator's fan-out metric families (scatter, hedges, retries).
 
-Mirrors :class:`repro.service.metrics.ServiceMetrics` in spirit: one
-instance backs the coordinator's ``/metrics`` endpoint, stdlib-only,
-Prometheus text format via the shared
-:class:`~repro.service.metrics.MetricsRegistry`.  Families use the
-``hdoms_coord_`` prefix so a scraper watching a mixed fleet can tell
-the tier apart from the ``hdoms_service_`` workers.
+What only a fan-out over remote partitions has to count.  Requests,
+rejections and latency are the route's
+:class:`~repro.service.metrics.ServiceMetrics` families; ``repro
+coordinate`` registers these into that same
+:class:`~repro.service.metrics.MetricsRegistry`, so one ``/metrics``
+renders both.  The ``hdoms_coord_`` prefix tells them apart from the
+``hdoms_service_`` families every tier exports.
 """
 
 from __future__ import annotations
@@ -19,20 +20,10 @@ FANOUT_BUCKETS: Tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 
 class CoordinatorMetrics:
-    """The coordinator's metric families, pre-registered once."""
+    """The coordinator's fan-out families, registered once into ``registry``."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry or MetricsRegistry()
-        self.requests = self.registry.counter(
-            "hdoms_coord_requests_total",
-            "Requests received by the coordinator, by endpoint.",
-            ("endpoint",),
-        )
-        self.rejected = self.registry.counter(
-            "hdoms_coord_rejected_total",
-            "Requests rejected by backpressure admission (HTTP 429).",
-            ("endpoint",),
-        )
         self.scatter = self.registry.counter(
             "hdoms_coord_scatter_total",
             "Sub-queries scattered to workers, by partition.",
@@ -69,19 +60,9 @@ class CoordinatorMetrics:
             (),
             buckets=FANOUT_BUCKETS,
         )
-        self.latency = self.registry.histogram(
-            "hdoms_coord_request_latency_seconds",
-            "End-to-end coordinator request latency, by endpoint.",
-            ("endpoint",),
-            buckets=LATENCY_BUCKETS,
-        )
         self.worker_latency = self.registry.histogram(
             "hdoms_coord_worker_latency_seconds",
             "Latency of individual worker calls, by partition.",
             ("partition",),
             buckets=LATENCY_BUCKETS,
         )
-
-    def render(self) -> str:
-        """The full Prometheus text payload for ``/metrics``."""
-        return self.registry.render()

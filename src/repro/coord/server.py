@@ -1,209 +1,41 @@
-"""HTTP front-end of the coordinator tier (``repro coordinate``).
+"""The ``repro coordinate`` process: a coordinator behind the stock server.
 
-Speaks the same JSON API as :mod:`repro.service.server` — ``/search``,
-``/search_batch``, ``/healthz``, ``/stats``, ``/metrics``,
-``/debug/trace``, ``/debug/slow`` — through the same
-:class:`~repro.service.httpbase.JsonRequestHandler` skeleton, so a
-stock :class:`~repro.service.client.SearchClient` points at a
-coordinator without knowing it fronts a fleet.  Differences from a
-worker:
+:func:`serve_coordinate` optionally materializes the partition plan and
+spawns a local worker fleet, builds the
+:class:`~repro.coord.coordinator.Coordinator`, and serves it as the one
+route of a :class:`~repro.service.server.SearchServer` — the server
+``repro serve`` runs — so a stock
+:class:`~repro.service.client.SearchClient` points at a coordinator
+without knowing it fronts a fleet.  What the configuration changes
+from a worker's:
 
-* admission control — at most ``max_inflight`` search requests run at
-  once; excess requests get **429** with a ``Retry-After`` header
-  instead of queueing unboundedly (the coordinator's backlog lives in
-  its clients, where it belongs);
-* ``/healthz`` reflects the *fleet*: 200 only while every partition
-  has at least one healthy worker (and 503 with ``draining: true``
-  once shutdown begins, same as a worker);
-* ``/metrics`` exports the ``hdoms_coord_`` fan-out/hedge/retry
-  families instead of the worker's ``hdoms_service_`` ones.
-
-:func:`serve_coordinate` is the process runner behind the CLI verb: it
-optionally materializes the partition plan and spawns a local worker
-fleet, builds the coordinator, and hands the loop to
-:func:`repro.service.httpbase.run_server` like ``repro serve`` does.
+* admission control — ``ServiceConfig.max_inflight`` requests search
+  at once; one more gets **429** with ``Retry-After: 1`` instead of
+  queueing (the fleet's backlog lives in its clients);
+* no result cache — a worker's ``/reload`` could not clear it;
+* ``/healthz`` reflects the *fleet*: 503 ``degraded`` while a
+  partition has no healthy worker;
+* ``/metrics`` adds the ``hdoms_coord_`` fan-out families to the
+  route's ``hdoms_service_`` ones.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from ..obs.trace import DEFAULT_CAPACITY, get_tracer
-from ..service.httpbase import DrainingHTTPServer, JsonRequestHandler, run_server
-from ..service.protocol import DEFAULT_ROUTE, ProtocolError, spectrum_from_payload
+from ..obs.trace import DEFAULT_CAPACITY
+from ..service.httpbase import run_server
+from ..service.metrics import ServiceMetrics
+from ..service.registry import IndexRegistry
+from ..service.server import ServiceConfig, start_server
 from ..store.store import SegmentedStore
 from .coordinator import Coordinator, CoordinatorError
 from .fleet import LocalWorkerFleet
 from .partition import PartitionPlan, materialize_partitions
 
 logger = logging.getLogger("repro.coord")
-
-
-class CoordinatorService:
-    """Glue between the HTTP handlers and the :class:`Coordinator`.
-
-    Owns the admission gate: an atomic in-flight counter, checked and
-    bumped under one lock, bounded by ``max_inflight``.  No queue —
-    a full coordinator says 429 immediately and lets the client's own
-    retry policy provide the backpressure.
-    """
-
-    def __init__(self, coordinator: Coordinator, max_inflight: int = 64) -> None:
-        if max_inflight < 0:
-            raise ValueError(f"max_inflight must be >= 0, got {max_inflight}")
-        self.coordinator = coordinator
-        self.metrics = coordinator.metrics
-        self.max_inflight = max_inflight
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._started = time.time()
-
-    def try_admit(self) -> bool:
-        """Reserve one in-flight slot; False when the gate is full."""
-        with self._inflight_lock:
-            if self._inflight >= self.max_inflight:
-                return False
-            self._inflight += 1
-            return True
-
-    def release(self) -> None:
-        """Return one in-flight slot."""
-        with self._inflight_lock:
-            self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        """Search requests currently being scatter-gathered."""
-        with self._inflight_lock:
-            return self._inflight
-
-    def healthz(self) -> Dict[str, object]:
-        """Fleet-level liveness payload (status ok or degraded)."""
-        fleet_healthy = self.coordinator.healthy()
-        return {
-            "status": "ok" if fleet_healthy else "degraded",
-            "role": "coordinator",
-            "route": DEFAULT_ROUTE,
-            "mode": self.coordinator.config.mode,
-            "num_partitions": len(self.coordinator.partitions),
-            "num_references": sum(
-                spec.num_references for spec in self.coordinator.partitions
-            ),
-            "uptime_seconds": round(time.time() - self._started, 3),
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Topology, per-worker health, and the admission gate state."""
-        return {
-            "role": "coordinator",
-            "inflight": self.inflight,
-            "max_inflight": self.max_inflight,
-            **self.coordinator.stats(),
-        }
-
-    def render_metrics(self) -> str:
-        """The Prometheus text payload for ``/metrics``."""
-        return self.metrics.render()
-
-    def close(self) -> None:
-        """Shut the coordinator (probes, pooled worker connections) down."""
-        self.coordinator.close()
-
-
-class CoordinatorServer(DrainingHTTPServer):
-    """:class:`DrainingHTTPServer` carrying the coordinator service."""
-
-    def __init__(self, address, service: CoordinatorService, quiet: bool = True):
-        super().__init__(address, CoordinatorRequestHandler)
-        self.coordinator_service = service
-        self.quiet = quiet
-
-
-class CoordinatorRequestHandler(JsonRequestHandler):
-    """The coordinator tier's part of the JSON API: admission gate, scatter."""
-
-    server_version = "hdoms-coordinator"
-
-    # The fleet could not answer (every replica of some partition
-    # failed): unavailable, not a client error.
-    error_statuses = {**JsonRequestHandler.error_statuses, CoordinatorError: 503}
-
-    @property
-    def backend(self) -> CoordinatorService:
-        """The coordinator service owned by the server."""
-        return self.server.coordinator_service
-
-    # -- routes --------------------------------------------------------
-
-    def _handle_search(self) -> None:
-        route, payload = self._read_search()
-        self._scatter(
-            "search", route, [payload], lambda merged: {"psm": merged[0], "cached": False}
-        )
-
-    def _handle_search_batch(self) -> None:
-        route, spectra_payload = self._read_search_batch()
-        self._scatter(
-            "search_batch", route, spectra_payload, lambda merged: {"psms": merged}
-        )
-
-    def _scatter(self, endpoint: str, route: Optional[str], payloads: list, result) -> None:
-        """Validate, pass the admission gate, scatter-gather, reply."""
-        if route is not None and route != DEFAULT_ROUTE:
-            # The coordinator fronts exactly one logical library;
-            # accepting an unknown route name and answering from the
-            # fleet anyway would be the wrong-library leak the worker's
-            # routing layer exists to prevent.
-            raise ProtocolError(
-                f"coordinator serves only the {DEFAULT_ROUTE!r} route, got {route!r}"
-            )
-        for entry in payloads:
-            spectrum_from_payload(entry)  # validate before admission
-        service = self.backend
-        service.metrics.requests.inc(endpoint=endpoint)
-        if not service.try_admit():
-            service.metrics.rejected.inc(endpoint=endpoint)
-            self._send_json(
-                429,
-                {
-                    "error": (
-                        f"coordinator at capacity "
-                        f"({service.max_inflight} in-flight requests)"
-                    )
-                },
-                extra_headers={"Retry-After": "1"},
-            )
-            return
-        request_id = self._request_id()
-        started = time.perf_counter()
-        try:
-            with get_tracer().span(
-                "coord.request", request_id=request_id, route=DEFAULT_ROUTE
-            ):
-                merged = service.coordinator.search_payloads(
-                    payloads, request_id=request_id
-                )
-        finally:
-            service.release()
-        service.metrics.latency.observe(
-            time.perf_counter() - started, endpoint=endpoint
-        )
-        self._reply_search(
-            started, request_id, DEFAULT_ROUTE, endpoint, result(merged), spectra=len(payloads)
-        )
-
-
-def start_coordinator_server(
-    service: CoordinatorService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> CoordinatorServer:
-    """Bind a :class:`CoordinatorServer` (port 0 = ephemeral)."""
-    return CoordinatorServer((host, port), service)
 
 
 def assign_replicas(
@@ -267,14 +99,22 @@ def serve_coordinate(
 
     :func:`~repro.service.httpbase.run_server` owns the loop; shutdown
     closes the HTTP front first (new connections refused, in-flight
-    responses finish), then the coordinator (probes and pooled worker
-    connections), then any spawned fleet.
+    responses finish), then the route (the coordinator's probes and
+    pooled worker connections close), then any spawned fleet.
     """
 
     def build():
         fleet: Optional[LocalWorkerFleet] = None
         coordinator: Optional[Coordinator] = None
+        registry: Optional[IndexRegistry] = None
         try:
+            config = ServiceConfig(
+                mode=mode,
+                open_window_da=open_window,
+                standard_tolerance_da=standard_tolerance,
+                cache_capacity=0,
+                max_inflight=max_inflight,
+            )
             store = SegmentedStore.open(store_path)
             plan = PartitionPlan.build(store, num_partitions, strategy)
             if spawn_workers:
@@ -284,9 +124,7 @@ def serve_coordinate(
                     )
                 paths = materialize_partitions(store, plan)
                 logger.info(
-                    "materialized %d partition manifests under %s",
-                    len(paths),
-                    paths[0].parent,
+                    "materialized %d partition manifests under %s", len(paths), paths[0].parent
                 )
                 fleet = LocalWorkerFleet(
                     [paths[spec.index] for spec in plan.partitions],
@@ -314,26 +152,24 @@ def serve_coordinate(
                 hedge_floor_ms=hedge_floor_ms,
             )
             coordinator.wait_ready(timeout=startup_timeout)
-            service = CoordinatorService(coordinator, max_inflight=max_inflight)
-            server = start_coordinator_server(service, host, port)
+            registry = IndexRegistry(
+                coordinator, config=config, metrics=ServiceMetrics(coordinator.metrics.registry)
+            )
+            server = start_server(registry, host, port)
         except (ValueError, OSError, CoordinatorError):
-            if coordinator is not None:
-                coordinator.close()
-            if fleet is not None:
-                fleet.close()
+            # Closing the registry closes the coordinator too; both are idempotent.
+            for resource in (registry, coordinator, fleet):
+                if resource is not None:
+                    resource.close()
             raise
         for spec, urls in zip(plan.partitions, groups):
             logger.info(
                 "partition p%d: %d references, mass [%.2f, %.2f], workers %s",
-                spec.index,
-                spec.num_references,
-                spec.mass_min,
-                spec.mass_max,
-                ", ".join(urls),
+                spec.index, spec.num_references, spec.mass_min, spec.mass_max, ", ".join(urls),
             )
 
         def close(timeout: Optional[float] = None) -> None:
-            service.close()
+            registry.close(timeout=timeout)
             if fleet is not None:
                 fleet.close()
 
@@ -344,11 +180,7 @@ def serve_coordinate(
         return server, detail, close
 
     return run_server(
-        build,
-        name="coordinator",
-        quiet=quiet,
-        drain_timeout=drain_timeout,
-        trace=trace,
-        trace_capacity=trace_capacity,
+        build, name="coordinator", quiet=quiet, drain_timeout=drain_timeout,
+        trace=trace, trace_capacity=trace_capacity,
         startup_errors=(ValueError, OSError, CoordinatorError),
     )

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from .ann import AnnConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .oms.search import HDSearchConfig
+    from .oms.candidates import HDSearchConfig
 
 #: The engine families a config can request.  ``auto`` defers the
 #: choice to the consumer (``segmented`` for manifest-backed stores,
@@ -52,7 +52,7 @@ class EngineConfig:
             rungs; the benchmark change that retires those rungs
             deletes this field too.
         pipeline_batch: Queries per encode micro-batch; ``None`` uses
-            :data:`~repro.oms.search.ENCODE_BLOCK_SIZE`.
+            :data:`~repro.oms.candidates.ENCODE_BLOCK_SIZE`.
         ann: Optional :class:`~repro.ann.AnnConfig` enabling the
             truncated-precision candidate pass.
     """
@@ -110,7 +110,7 @@ class EngineConfig:
         """
         if config is None:
             # Lazy: repro.engine stays dependency-free at import time.
-            from .oms.search import HDSearchConfig
+            from .oms.candidates import HDSearchConfig
 
             config = HDSearchConfig()
         if self.ann is None or self.ann == config.ann:

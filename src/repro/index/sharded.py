@@ -24,7 +24,7 @@ from ..engine import EngineConfig
 from ..ms.preprocessing import PreprocessingConfig
 from ..oms.candidates import WindowConfig
 from ..oms.loop import FanOutSearcher
-from ..oms.search import HDSearchConfig
+from ..oms.candidates import HDSearchConfig
 from .library import LibraryIndex
 
 

@@ -378,8 +378,14 @@ class Tracer:
         return list(self._records)
 
     def spans_for(self, request_id: str) -> List[Span]:
-        """All recorded spans carrying ``request_id`` (oldest first)."""
-        return [s for s in self._records if s.request_id == request_id]
+        """All recorded spans carrying ``request_id`` (oldest first).
+
+        Filters a snapshot: other threads keep appending while the
+        filter runs Python code, and a deque refuses to go on iterating
+        once it has changed (copying it runs no Python code, so no
+        other thread runs meanwhile).
+        """
+        return [s for s in self.records() if s.request_id == request_id]
 
     def stage_durations(self, spans: Iterable[Span]) -> Dict[str, float]:
         """Summed duration (seconds) per span name over ``spans``."""

@@ -10,13 +10,18 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "candidates": ["CandidateIndex", "WindowConfig"],
+        "candidates": [
+            "CandidateIndex",
+            "ENCODE_BLOCK_SIZE",
+            "HDSearchConfig",
+            "SCORE_BLOCK_BYTES",
+            "WindowConfig",
+        ],
         "psm": ["PSM", "SearchResult", "evaluate_against_truth"],
         "fdr": ["assign_qvalues", "decoy_statistics", "filter_at_fdr", "grouped_fdr"],
         "search": [
             "DenseBackend",
             "HDOmsSearcher",
-            "HDSearchConfig",
             "PackedBackend",
             "SimilarityBackend",
         ],

@@ -25,9 +25,8 @@ from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
 from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
-from .candidates import WindowConfig
+from .candidates import HDSearchConfig, WindowConfig
 from .loop import FanOutSearcher
-from .search import HDSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.library import LibraryIndex
@@ -37,7 +36,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
     """Single-process open search: the fan-out core over one part.
 
     Same constructor contract as :class:`HDOmsSearcher` (encoder +
-    references), with the :class:`~repro.oms.search.HDSearchConfig`
+    references), with the :class:`~repro.oms.candidates.HDSearchConfig`
     fields spelled out as keyword arguments; ``search`` produces the
     same PSMs, each query scored against its contiguous packed window.
     """

@@ -13,12 +13,24 @@ per charge for O(log n) window queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..constants import DEFAULT_OPEN_WINDOW_DA, DEFAULT_STANDARD_WINDOW_DA
 from ..ms.spectrum import Spectrum
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..ann import AnnConfig
+
+#: Queries encoded per fused ``encode_batch`` call inside ``search``.
+ENCODE_BLOCK_SIZE = 256
+
+#: Target working-set bytes of one scoring block (reference rows
+#: gathered / XORed at a time).  Sized to sit inside a typical L2
+#: cache slice so the gather + reduce stays cache-resident; the row
+#: count is derived per backend from its bytes-per-row.
+SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,38 @@ class WindowConfig:
         if mode == "standard":
             return self.standard_tolerance_da
         return self.open_window_da
+
+
+@dataclass(frozen=True)
+class HDSearchConfig:
+    """Search-stage knobs.
+
+    ``mode`` is ``"open"`` (the paper's setting), ``"standard"``, or
+    ``"cascade"`` (standard first, open only when the narrow window
+    yields nothing).  ``query_ber`` / ``reference_ber`` inject random
+    sign flips into query/stored hypervectors (Figure 11's x-axis).
+
+    ``ann`` (optional :class:`~repro.ann.AnnConfig`) enables the
+    truncated-precision candidate pass: windows of at least
+    ``ann.ann_threshold`` rows are shortlisted on a row prefix and only
+    the shortlist is scored exactly.  ``min_candidates`` always gates
+    on the *full* window size, not the shortlist size.
+    """
+
+    mode: str = "open"
+    query_ber: float = 0.0
+    reference_ber: float = 0.0
+    noise_seed: int = 1234
+    min_candidates: int = 1
+    ann: Optional[AnnConfig] = None
+
+    def __post_init__(self) -> None:
+        """Validate mode and bit-error rates."""
+        if self.mode not in ("open", "standard", "cascade"):
+            raise ValueError(f"unknown search mode {self.mode!r}")
+        for rate in (self.query_ber, self.reference_ber):
+            if not 0 <= rate <= 1:
+                raise ValueError("bit error rates must be in [0, 1]")
 
 
 class CandidateIndex:

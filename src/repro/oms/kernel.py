@@ -30,7 +30,7 @@ import numpy as np
 from ..ann import OUTCOMES, AnnConfig, shortlist
 from ..hdc.similarity import packed_dot_scores
 from ..obs.trace import get_tracer
-from .search import SCORE_BLOCK_BYTES
+from .candidates import SCORE_BLOCK_BYTES
 
 
 class WindowWinners(NamedTuple):

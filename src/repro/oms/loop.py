@@ -46,10 +46,9 @@ from ..hdc.noise import flip_packed
 from ..ms.preprocessing import PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
-from .candidates import WindowConfig
+from .candidates import ENCODE_BLOCK_SIZE, HDSearchConfig, WindowConfig
 from .kernel import ShardScorer, shard_payload
 from .psm import PSM, SearchResult
-from .search import ENCODE_BLOCK_SIZE, HDSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.library import LibraryIndex

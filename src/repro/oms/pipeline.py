@@ -20,10 +20,9 @@ from ..ms.preprocessing import PreprocessingConfig
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
 from .batch import BatchedHDOmsSearcher
-from .candidates import WindowConfig
+from .candidates import HDSearchConfig, WindowConfig
 from .fdr import assign_qvalues, filter_at_fdr, grouped_fdr
 from .psm import PSM, SearchResult, evaluate_against_truth
-from .search import HDSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..ms.synthetic import SyntheticWorkload

@@ -14,12 +14,11 @@ the robustness study of Section 5.3.2 / Figure 11.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..ann import AnnConfig, AnnRows, AnnStats, CandidatePrefilter
+from ..ann import AnnRows, AnnStats, CandidatePrefilter
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.noise import flip_bits
 from ..hdc.packing import pack_bipolar
@@ -27,21 +26,18 @@ from ..hdc.similarity import packed_dot_scores
 from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
 from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
-from .candidates import CandidateIndex, WindowConfig
+from .candidates import (
+    ENCODE_BLOCK_SIZE,
+    SCORE_BLOCK_BYTES,
+    CandidateIndex,
+    HDSearchConfig,
+    WindowConfig,
+)
 from .psm import PSM, SearchResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine import EngineConfig
     from ..index.library import LibraryIndex
-
-#: Queries encoded per fused ``encode_batch`` call inside ``search``.
-ENCODE_BLOCK_SIZE = 256
-
-#: Target working-set bytes of one scoring block (reference rows
-#: gathered / XORed at a time).  Sized to sit inside a typical L2
-#: cache slice so the gather + reduce stays cache-resident; the row
-#: count is derived per backend from its bytes-per-row.
-SCORE_BLOCK_BYTES = 4 << 20
 
 #: Never tile below this many rows — tiny blocks would turn one BLAS
 #: call into a Python-loop of degenerate kernels.
@@ -169,38 +165,6 @@ class PackedBackend:
         return packed_dot_scores(
             self._packed[positions], packed_query, self._dim, block
         )
-
-
-@dataclass(frozen=True)
-class HDSearchConfig:
-    """Search-stage knobs.
-
-    ``mode`` is ``"open"`` (the paper's setting), ``"standard"``, or
-    ``"cascade"`` (standard first, open only when the narrow window
-    yields nothing).  ``query_ber`` / ``reference_ber`` inject random
-    sign flips into query/stored hypervectors (Figure 11's x-axis).
-
-    ``ann`` (optional :class:`~repro.ann.AnnConfig`) enables the
-    truncated-precision candidate pass: windows of at least
-    ``ann.ann_threshold`` rows are shortlisted on a row prefix and only
-    the shortlist is scored exactly.  ``min_candidates`` always gates
-    on the *full* window size, not the shortlist size.
-    """
-
-    mode: str = "open"
-    query_ber: float = 0.0
-    reference_ber: float = 0.0
-    noise_seed: int = 1234
-    min_candidates: int = 1
-    ann: Optional[AnnConfig] = None
-
-    def __post_init__(self) -> None:
-        """Validate mode and bit-error rates."""
-        if self.mode not in ("open", "standard", "cascade"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        for rate in (self.query_ber, self.reference_ber):
-            if not 0 <= rate <= 1:
-                raise ValueError("bit error rates must be in [0, 1]")
 
 
 class HDOmsSearcher:

@@ -23,10 +23,12 @@ concurrent clients over a stdlib HTTP JSON API:
 * :class:`~repro.service.server.SearchService` /
   :class:`~repro.service.server.SearchServer` — the engine room and
   its ``ThreadingHTTPServer`` front (``/search``, ``/search_batch``,
-  ``/healthz``, ``/stats``, ``/metrics``, ``/reload``);
-* :mod:`repro.service.httpbase` — the one HTTP stack under this
-  server and the coordinator's (:mod:`repro.coord.server`): draining
-  server, request-handler skeleton, process runner;
+  ``/score``, ``/healthz``, ``/stats``, ``/metrics``, ``/reload``),
+  the one front-end of both ``repro serve`` and ``repro coordinate``
+  (whose route's engine is the :class:`~repro.coord.Coordinator`);
+* :mod:`repro.service.httpbase` — the transport under it: draining
+  server, JSON request dispatch and one-segment replies, process
+  runner;
 * :class:`~repro.service.client.SearchClient` — a thin pooled
   ``http.client`` client returning first-class
   :class:`~repro.oms.psm.PSM` objects, with per-client or per-call

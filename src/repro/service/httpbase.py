@@ -1,22 +1,19 @@
-"""The one HTTP stack under the worker and coordinator front-ends.
+"""The HTTP stack under ``repro serve`` and ``repro coordinate``.
 
-Both tiers speak the same JSON-over-HTTP/1.1 wire protocol; everything
-they share lives here once:
+Both verbs serve one :class:`~repro.service.server.SearchServer`; the
+transport it stands on lives here:
 
 * :class:`DrainingHTTPServer` — a ``ThreadingHTTPServer`` whose
   shutdown joins its handler threads without waiting out idle
   keep-alive connections;
 * :class:`JsonRequestHandler` — table-driven dispatch (path -> method),
-  the one exception -> status map, the endpoints both tiers answer
-  identically (``/healthz``, ``/stats``, ``/metrics``,
-  ``/debug/trace``, ``/debug/slow``), the ``/search`` and
-  ``/search_batch`` body parsers and reply envelope, and the response
+  the one exception -> status table (:data:`ERROR_STATUSES`), the
+  tracer's ``/debug/trace`` and ``/debug/slow`` and the response
   writer that puts every reply on a ``TCP_NODELAY`` socket as **one**
   segment;
-* :func:`run_server` — the process runner behind ``repro serve`` and
-  ``repro coordinate``: tracer, signal handlers, the load-bearing
-  ``listening on http://host:port`` line, ``serve_forever`` and the
-  watchdog-bounded drain.
+* :func:`run_server` — the process runner: tracer, signal handlers,
+  the load-bearing ``listening on http://host:port`` line,
+  ``serve_forever`` and the watchdog-bounded drain.
 
 The one-segment rule is a latency fix, not a nicety.  ``http.server``
 flushes the header block and then the body as two small writes; on a
@@ -33,16 +30,15 @@ import re
 import signal
 import socket
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.export import chrome_trace
 from ..obs.logging import ensure_default_logging
-from ..obs.slowlog import SlowQueryLog, stage_breakdown
+from ..obs.slowlog import SlowQueryLog
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
-from .protocol import ProtocolError, UnknownRouteError, route_from_payload
+from .protocol import CapacityError, ProtocolError, UnavailableError, UnknownRouteError
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +49,18 @@ REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 class BodyTooLarge(ProtocolError):
     """Request body exceeds the server's acceptance limit."""
+
+
+#: Exception type -> reply status; the most specific listed base of an
+#: error decides, anything unlisted is a 500.  A 429 also carries
+#: ``Retry-After: 1``.
+ERROR_STATUSES: Dict[type, int] = {
+    BodyTooLarge: 413,
+    UnknownRouteError: 404,
+    ProtocolError: 400,
+    CapacityError: 429,
+    UnavailableError: 503,
+}
 
 
 class ServiceStartupError(RuntimeError):
@@ -147,12 +155,10 @@ def _hang_up(connection) -> None:
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
-    """The request skeleton both tiers' handlers fill in.
+    """JSON over HTTP/1.1: dispatch, error replies, one-segment writes.
 
-    A subclass provides ``backend`` (an object with ``healthz()``,
-    ``stats()`` and ``render_metrics()``) and the two search methods
-    named in :attr:`ROUTES`; it may extend that table and
-    :attr:`error_statuses`.
+    :class:`~repro.service.server.SearchRequestHandler` extends
+    :attr:`ROUTES` with the search API.
     """
 
     protocol_version = "HTTP/1.1"
@@ -168,20 +174,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     #: (HTTP method, path) -> name of the handler method that answers it.
     ROUTES: Dict[Tuple[str, str], str] = {
-        ("GET", "/healthz"): "_get_healthz",
-        ("GET", "/stats"): "_get_stats",
-        ("GET", "/metrics"): "_get_metrics",
         ("GET", "/debug/trace"): "_get_debug_trace",
         ("GET", "/debug/slow"): "_get_debug_slow",
-        ("POST", "/search"): "_handle_search",
-        ("POST", "/search_batch"): "_handle_search_batch",
-    }
-    #: Exception type -> reply status; the most specific listed base of
-    #: an error decides, anything unlisted is a 500.
-    error_statuses: Dict[type, int] = {
-        BodyTooLarge: 413,
-        UnknownRouteError: 404,
-        ProtocolError: 400,
     }
 
     # -- connection lifecycle ------------------------------------------
@@ -219,33 +213,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             else:
                 getattr(self, name)()
         except Exception as error:  # noqa: BLE001 - boundary
-            known = [k for k in type(error).__mro__ if k in self.error_statuses]
-            status = self.error_statuses[known[0]] if known else 500
-            self._send_json(status, {"error": str(error)})
+            known = [k for k in type(error).__mro__ if k in ERROR_STATUSES]
+            status = ERROR_STATUSES[known[0]] if known else 500
+            retry = {"Retry-After": "1"} if status == 429 else None
+            self._send_json(status, {"error": str(error)}, extra_headers=retry)
 
-    # -- endpoints both tiers answer identically -----------------------
-
-    def _get_healthz(self) -> None:
-        if self.server.draining:
-            # A draining server still answers in-flight work but must
-            # fail its readiness probe immediately, so load balancers
-            # and the coordinator's routing table stop sending new
-            # traffic before the socket goes away.
-            self._send_json(503, {"status": "draining", "draining": True})
-            return
-        payload = self.backend.healthz()
-        payload["draining"] = False
-        self._send_json(200 if payload["status"] == "ok" else 503, payload)
-
-    def _get_stats(self) -> None:
-        self._send_json(200, self.backend.stats())
-
-    def _get_metrics(self) -> None:
-        self._send_text(
-            200,
-            self.backend.render_metrics(),
-            "text/plain; version=0.0.4; charset=utf-8",
-        )
+    # -- the tracer's endpoints ----------------------------------------
 
     def _get_debug_trace(self) -> None:
         params = parse_qs(urlsplit(self.path).query)
@@ -254,71 +227,6 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     def _get_debug_slow(self) -> None:
         self._send_json(200, self.server.slowlog.snapshot())
-
-    # -- /search and /search_batch: body parsers, reply envelope -------
-
-    def _read_search(self) -> Tuple[Optional[str], object]:
-        """The ``/search`` body as ``(route or None, spectrum payload)``."""
-        payload = self._read_json()
-        if isinstance(payload, dict) and "spectrum" in payload:
-            return route_from_payload(payload), payload["spectrum"]
-        if isinstance(payload, dict) and "route" in payload:
-            # The legacy bare-spectrum form has no route slot; silently
-            # answering from the default route would be exactly the
-            # wrong-library leak the routing layer exists to prevent.
-            raise ProtocolError(
-                'a routed search must use the wrapped form '
-                '{"spectrum": {...}, "route": "<name>"}'
-            )
-        return None, payload
-
-    def _read_search_batch(self) -> Tuple[Optional[str], List[object]]:
-        """The ``/search_batch`` body as ``(route or None, spectrum payloads)``."""
-        payload = self._read_json()
-        if not isinstance(payload, dict) or "spectra" not in payload:
-            raise ProtocolError('body must be {"spectra": [...]}')
-        spectra_payload = payload["spectra"]
-        if not isinstance(spectra_payload, list):
-            raise ProtocolError('"spectra" must be a list')
-        return route_from_payload(payload), spectra_payload
-
-    def _reply_search(
-        self,
-        started: float,
-        request_id: str,
-        route: str,
-        endpoint: str,
-        result: Dict[str, object],
-        **slow_extra: object,
-    ) -> None:
-        """Send one search reply and offer the request to the slow log.
-
-        ``result`` holds the endpoint's own fields (``psm`` + ``cached``
-        or ``psms``); route, request id and elapsed time are appended
-        here.  ``slow_extra`` annotates the slow-log record.
-        """
-        response = {
-            **result,
-            "route": route,
-            "request_id": request_id,
-            "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
-        }
-        tracer = get_tracer()
-        with tracer.span("service.serialize", request_id=request_id, route=route):
-            self._send_json(200, response, request_id=request_id)
-        slowlog = self.server.slowlog
-        elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        stages = None
-        if tracer.enabled and elapsed_ms >= slowlog.threshold_ms:
-            stages = stage_breakdown(tracer.spans_for(request_id))
-        slowlog.observe(
-            elapsed_ms,
-            request_id=request_id,
-            route=route,
-            endpoint=endpoint,
-            stages=stages,
-            **slow_extra,
-        )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Per-request stderr logging, silenced unless ``quiet=False``."""

@@ -15,8 +15,8 @@ module provides the three pieces the service needs and nothing more:
   ``/metrics`` payload;
 * :class:`ServiceMetrics` / :class:`RouteMetrics` — the concrete
   instrumentation schema of the search service (per-route request
-  counters, cache hit/miss, micro-batch size and wait histograms,
-  request latency histograms), with :meth:`ServiceMetrics.for_route`
+  and admission-rejection counters, cache hit/miss, micro-batch size
+  and wait histograms, request latency histograms), with :meth:`ServiceMetrics.for_route`
   handing each route a pre-bound view so hot-path call sites never
   build label dicts.
 
@@ -343,6 +343,12 @@ class ServiceMetrics:
             "Search requests received, by route and endpoint.",
             ("route", "endpoint"),
         )
+        self.rejected = self.registry.counter(
+            "hdoms_service_rejected_total",
+            "Requests the admission gate answered 429 (max_inflight), "
+            "by route and endpoint.",
+            ("route", "endpoint"),
+        )
         self.cache_lookups = self.registry.counter(
             "hdoms_service_cache_lookups_total",
             "Result-cache lookups, by route and outcome (hit/miss).",
@@ -460,6 +466,10 @@ class RouteMetrics:
     def observe_request(self, endpoint: str) -> None:
         """Count one request to ``endpoint``."""
         self.parent.requests.inc(route=self.route, endpoint=endpoint)
+
+    def observe_rejected(self, endpoint: str) -> None:
+        """Count one request to ``endpoint`` turned away by the admission gate."""
+        self.parent.rejected.inc(route=self.route, endpoint=endpoint)
 
     def observe_latency(self, seconds: float) -> None:
         """Record one end-to-end request latency."""

@@ -19,7 +19,10 @@ them:
   :class:`~repro.service.registry.IndexRegistry` validate route names
   against the same pattern;
 * the ``/score`` hop: packed query rows out, per-query winners and
-  their records back, each side checking what arrives from outside.
+  their records back, each side checking what arrives from outside;
+* the errors the HTTP layer maps to a status without importing their
+  raisers (:class:`UnknownRouteError`, :class:`CapacityError`,
+  :class:`UnavailableError`).
 """
 
 from __future__ import annotations
@@ -65,6 +68,22 @@ class UnknownRouteError(LookupError):
             f"unknown route {route!r}; serving {sorted(known)}"
         )
         self.route = route
+
+
+class CapacityError(RuntimeError):
+    """A route's admission gate is full (HTTP 429 with ``Retry-After``).
+
+    Raised by a service whose ``ServiceConfig.max_inflight`` requests
+    are already searching; the client's retry policy is the queue.
+    """
+
+
+class UnavailableError(RuntimeError):
+    """The engine cannot answer right now (HTTP 503); a retry may.
+
+    The coordinator's ``CoordinatorError`` (no replica of a partition
+    answered) is one.
+    """
 
 
 def validate_route_name(route: str) -> str:

@@ -38,14 +38,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..index.library import LibraryIndex
 from ..obs.trace import get_tracer
+from ..oms.loop import FanOutSearcher
 from ..store import SegmentedStore
 from .metrics import ServiceMetrics
 from .protocol import DEFAULT_ROUTE, UnknownRouteError, validate_route_name
 from .server import SearchService, ServiceConfig
 
 #: One loadable index source: a path (``.npz`` file or segmented-store
-#: directory), a loaded index, or an open store.
-IndexSource = Union[str, Path, LibraryIndex, SegmentedStore]
+#: directory), a loaded index, an open store, or a ready engine (the
+#: coordinator, served as it is).
+IndexSource = Union[str, Path, LibraryIndex, SegmentedStore, FanOutSearcher]
 
 #: Anything the registry accepts as "the indexes to serve".
 IndexSources = Union[
@@ -67,7 +69,7 @@ def normalize_index_sources(indexes: IndexSources) -> "Dict[str, object]":
     A bare path / index becomes the single :data:`DEFAULT_ROUTE` entry,
     preserving the original single-index ``serve()`` signature.
     """
-    if isinstance(indexes, (str, Path, LibraryIndex, SegmentedStore)):
+    if isinstance(indexes, (str, Path, LibraryIndex, SegmentedStore, FanOutSearcher)):
         return {DEFAULT_ROUTE: indexes}
     if isinstance(indexes, Mapping):
         items = list(indexes.items())
@@ -242,6 +244,8 @@ class IndexRegistry:
             return service
         if index_path is None:
             raise UnknownRouteError(name, self.route_names())
+        # A coordinator's server fronts its fleet and nothing else.
+        self.get().check_reloadable()
         replacement = SearchService(
             Path(index_path),
             config=self.config,

@@ -36,6 +36,14 @@ stdlib ``ThreadingHTTPServer`` JSON API:
 selecting which loaded library answers; an unknown route is a 404 and
 an omitted one falls back to the registry's default route.
 
+``repro coordinate`` serves this same server over a registry of one
+route whose engine is the :class:`~repro.coord.coordinator.Coordinator`
+(the fan-out core over remote partitions): its requests take the same
+validation, micro-batcher, reply envelope, slow log and metrics, with
+``ServiceConfig.max_inflight`` as the admission gate (429 when full),
+no result cache, and ``/reload`` refused (400) because its workers own
+the rows.
+
 Shutdown is graceful: the HTTP loop stops accepting, each route's
 scheduler drains queued requests as final batches, and the sharded
 pools (when used) are closed with ``close()``/``join()`` rather than
@@ -48,6 +56,7 @@ import dataclasses
 import logging
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -59,11 +68,11 @@ from ..index.library import LibraryIndex, open_search_source
 from ..index.sharded import ShardedSearcher
 from ..store import SegmentedSearcher, SegmentedStore
 from ..ms.spectrum import Spectrum
-from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog
+from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog, stage_breakdown
 from ..obs.trace import DEFAULT_CAPACITY, get_tracer
-from ..oms.candidates import WindowConfig
+from ..oms.candidates import HDSearchConfig, WindowConfig
+from ..oms.loop import FanOutSearcher
 from ..oms.psm import PSM
-from ..oms.search import HDSearchConfig
 from .cache import MISSING, ResultCache
 from .httpbase import (
     DrainingHTTPServer,
@@ -74,6 +83,7 @@ from .httpbase import (
 from .metrics import RouteMetrics, ServiceMetrics
 from .protocol import (
     DEFAULT_ROUTE,
+    CapacityError,
     ProtocolError,
     config_fingerprint,
     route_from_payload,
@@ -119,7 +129,14 @@ class ServiceConfig:
     the CLI flags defer to them).  ``max_wait_ms=0`` is the
     work-conserving batcher: an idle flusher dispatches at once and
     batches form from back-pressure; a positive value opts into
-    lingering that long for a partial batch to fill.
+    lingering that long for a partial batch to fill.  A ready engine's
+    route (the coordinator's) has no batcher, so neither applies there.
+
+    ``max_inflight`` is the admission gate: with that many requests of
+    a route searching, the next one is answered 429 at once instead of
+    queueing.  ``None`` (``repro serve``) admits everything;
+    ``repro coordinate`` sets it, so a fleet's backlog waits in its
+    clients.
     """
 
     max_batch: int = 32
@@ -130,6 +147,7 @@ class ServiceConfig:
     standard_tolerance_da: float = DEFAULT_STANDARD_WINDOW_DA
     charge_aware: bool = True
     engine_config: Optional[EngineConfig] = None
+    max_inflight: Optional[int] = None
 
     def resolved_engine(self) -> EngineConfig:
         """The :class:`~repro.engine.EngineConfig` this service runs."""
@@ -146,9 +164,11 @@ class ServiceConfig:
         )
 
     def __post_init__(self) -> None:
-        """Fail fast on an unknown mode."""
+        """Fail fast on an unknown mode or a negative gate."""
         if self.mode not in ("open", "standard", "cascade"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.max_inflight is not None and self.max_inflight < 0:
+            raise ValueError(f"max_inflight must be >= 0, got {self.max_inflight}")
 
     def windows(self) -> WindowConfig:
         """The precursor-window config the engines search with."""
@@ -176,7 +196,11 @@ class SearchService:
     ----------
     index:
         A loaded :class:`LibraryIndex` or a path to a persisted one.
-        Passing a path enables argument-less :meth:`reload`.
+        Passing a path enables argument-less :meth:`reload`.  A ready
+        engine — the :class:`~repro.coord.coordinator.Coordinator`,
+        whose rows live on its workers — is served as it is: it
+        reports its own health and topology, it cannot be reloaded, and
+        it searches on each request's own thread (see :meth:`_search`).
     config:
         :class:`ServiceConfig`; defaults serve open-mode exact search
         with work-conserving micro-batches of up to 32 spectra.
@@ -192,7 +216,7 @@ class SearchService:
 
     def __init__(
         self,
-        index: Union[LibraryIndex, SegmentedStore, str, Path],
+        index: Union[LibraryIndex, SegmentedStore, FanOutSearcher, str, Path],
         config: Optional[ServiceConfig] = None,
         metrics: Optional[ServiceMetrics] = None,
         route: str = DEFAULT_ROUTE,
@@ -213,6 +237,8 @@ class SearchService:
         else:
             self.index_path = None
             self.index = index
+        #: False for a ready engine: nothing here can rebuild it.
+        self.reloadable = not isinstance(self.index, FanOutSearcher)
         self._engine_lock = threading.Lock()
         # Serialises cache writes against reload()'s cache clear so a
         # stale result can never be stored after the clear ran.
@@ -230,19 +256,21 @@ class SearchService:
             self.config.cache_capacity,
             observer=self._route_metrics.cache_event,
         )
-        self.scheduler = MicroBatchScheduler(
-            self._run_batch,
-            max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
-            flush_observer=self._route_metrics.flush_event,
-            route=route,
-        )
+        self.scheduler: Optional[MicroBatchScheduler] = None
+        if self.reloadable:
+            self.scheduler = MicroBatchScheduler(
+                self._run_batch,
+                max_batch=self.config.max_batch,
+                max_wait_ms=self.config.max_wait_ms,
+                flush_observer=self._route_metrics.flush_event,
+                route=route,
+            )
         self._stats_lock = threading.Lock()
-        self._search_requests = 0
-        self._batch_requests = 0
+        self._requests = {"search": 0, "search_batch": 0}
         self._reloads = 0
         self._latency_total = 0.0
         self._latency_count = 0
+        self._inflight = 0
         self._started = time.time()
         self._closed = False
 
@@ -252,18 +280,22 @@ class SearchService:
 
     def _build_engine(
         self,
-        index: Union[LibraryIndex, SegmentedStore],
+        index: Union[LibraryIndex, SegmentedStore, FanOutSearcher],
         config: Optional[ServiceConfig] = None,
     ):
         """Build the warm searcher + the cache fingerprint for it.
 
         A manifest-backed store gets the segmented searcher, a
         monolithic index the sharded one (a single in-process part by
-        default); ``EngineConfig.kind`` may only agree with that.
+        default); ``EngineConfig.kind`` may only agree with that.  A
+        ready engine is its own searcher.
         """
         config = config or self.config
         windows = config.windows()
         search_config = config.search_config()
+        if not self.reloadable:
+            provenance = {"engine": index.backend_name}
+            return index, index.backend_name, config_fingerprint(provenance, windows, search_config)
         segmented = isinstance(index, SegmentedStore)
         engine = (SegmentedSearcher if segmented else ShardedSearcher)(
             index,
@@ -311,17 +343,45 @@ class SearchService:
         psms, fingerprint, generation = self._locked(run)
         return [(psm, fingerprint, generation) for psm in psms]
 
-    def score_batch(self, queries, masses, charges, half_width: float, request_id=None) -> dict:
-        """The ``/score`` reply: the engine's ``score_batch`` under the batch lock, no cache."""
-        self._route_metrics.observe_request("score")
+    def _search(
+        self, spectra: List[Spectrum], request_id: Optional[str]
+    ) -> List[Tuple[Optional[PSM], str, int]]:
+        """Search cache misses: through the micro-batcher, or a ready engine here.
+
+        A ready engine (the coordinator) is thread-safe per call and
+        never swapped, so each request searches on its own handler
+        thread with its own id: concurrent requests overlap their
+        worker round trips, and a failing or wedged partition fails or
+        stalls only the requests routed to it.
+        """
+        if self.reloadable:
+            with get_tracer().span("service.await_batch"):
+                return [future.result() for future in self.scheduler.submit_many(spectra)]
         with get_tracer().span(
+            "engine.search", route=self.route, batch=len(spectra), engine=self._engine_label
+        ):
+            psms = self._engine.search_aligned(spectra, request_id=request_id)
+        return [(psm, self._fingerprint, self._generation) for psm in psms]
+
+    def score_batch(self, queries, masses, charges, half_width: float, request_id=None) -> dict:
+        """The ``/score`` reply: the engine's ``score_batch``, no cache.
+
+        Under the batch lock, except on a ready engine (see :meth:`_search`).
+        """
+        self._route_metrics.observe_request("score")
+        with self._admitted("score"), get_tracer().span(
             "service.score", request_id=request_id, route=self.route, queries=len(masses)
         ):
-            scored = self._locked(
-                lambda engine: engine.score_batch(queries, masses, charges, half_width)
-            )
-        reply = {name: column.tolist() for name, column in zip(SCORE_COLUMNS, scored[0])}
-        reply["records"] = [None if r is None else dataclasses.asdict(r) for r in scored[0][-1]]
+            if self.reloadable:
+                scored = self._locked(
+                    lambda engine: engine.score_batch(queries, masses, charges, half_width)
+                )[0]
+            else:
+                scored = self._engine.score_batch(
+                    queries, masses, charges, half_width, request_id=request_id
+                )
+        reply = {name: column.tolist() for name, column in zip(SCORE_COLUMNS, scored)}
+        reply["records"] = [None if r is None else dataclasses.asdict(r) for r in scored[-1]]
         return reply
 
     def _observe_ann(
@@ -352,14 +412,19 @@ class SearchService:
     # request API
     # ------------------------------------------------------------------
 
-    def _lookup(self, spectrum: Spectrum) -> Tuple[str, object]:
+    def _lookup(self, spectrum: Spectrum) -> Tuple[Optional[str], object]:
+        """``(digest, cached)``; a route without a cache skips both (``None``, a miss)."""
+        if not self.cache.capacity:
+            return None, MISSING
         digest = spectrum_digest(spectrum)
         return digest, self.cache.get((self._fingerprint, digest))
 
     def _finish(
-        self, digest: str, outcome: Tuple[Optional[PSM], str, int]
+        self, digest: Union[str, int, None], outcome: Tuple[Optional[PSM], str, int]
     ) -> Optional[PSM]:
         psm, fingerprint, generation = outcome
+        if not self.cache.capacity:  # no digest was taken (see _lookup)
+            return psm
         # Only cache results computed by the *current* engine: a result
         # from a pre-reload engine arriving after reload() cleared the
         # cache would otherwise be servable forever, even though a
@@ -380,6 +445,69 @@ class SearchService:
             self._latency_count += 1
         self._route_metrics.observe_latency(elapsed)
 
+    @contextmanager
+    def _admitted(self, endpoint: str):
+        """Hold one of the ``max_inflight`` slots, or raise :class:`CapacityError`."""
+        limit = self.config.max_inflight
+        with self._stats_lock:
+            admitted = limit is None or self._inflight < limit
+            self._inflight += admitted
+        if not admitted:
+            self._route_metrics.observe_rejected(endpoint)
+            raise CapacityError(
+                f"route {self.route!r} at capacity ({limit} in-flight requests)"
+            )
+        try:
+            yield
+        finally:
+            with self._stats_lock:
+                self._inflight -= 1
+
+    def _serve(
+        self, spectra: Sequence[Spectrum], request_id: Optional[str], endpoint: str
+    ) -> Tuple[List[Optional[PSM]], bool]:
+        """``(psms, every one served from the cache)``: ``/search`` and ``/search_batch``.
+
+        With a cache, duplicate spectra within the request are
+        coalesced: one search per unique digest, fanned back out to
+        every position.  Without one, every position is a miss.
+        ``request_id`` names the request's spans in the trace.
+        """
+        started = time.perf_counter()
+        tracer = get_tracer()
+        with self._stats_lock:
+            self._requests[endpoint] += 1
+        self._route_metrics.observe_request(endpoint)
+        with self._admitted(endpoint), tracer.span(
+            f"service.{endpoint}", request_id=request_id, route=self.route, spectra=len(spectra)
+        ) as root:
+            results: List[Optional[PSM]] = [None] * len(spectra)
+            misses: Dict[Union[str, int], List[int]] = {}
+            with tracer.span("service.cache_lookup") as span:
+                for position, spectrum in enumerate(spectra):
+                    digest, cached = self._lookup(spectrum)
+                    if cached is MISSING:
+                        misses.setdefault(digest or position, []).append(position)
+                    elif cached is not None:
+                        results[position] = dataclasses.replace(
+                            cached, query_id=spectrum.identifier
+                        )
+                span.tag(misses=len(misses), spectra=len(spectra))
+            root.tag(misses=len(misses), cached=not misses)
+            if misses:
+                outcomes = self._search(
+                    [spectra[positions[0]] for positions in misses.values()], request_id
+                )
+                for (key, positions), outcome in zip(misses.items(), outcomes):
+                    psm = self._finish(key, outcome)
+                    for position in positions:
+                        if psm is not None:
+                            results[position] = dataclasses.replace(
+                                psm, query_id=spectra[position].identifier
+                            )
+        self._record_latency(started)
+        return results, not misses
+
     def search_one_detailed(
         self, spectrum: Spectrum, request_id: Optional[str] = None
     ) -> Tuple[Optional[PSM], bool]:
@@ -388,41 +516,15 @@ class SearchService:
         ``request_id`` (ingress-generated by the HTTP handler, or any
         caller-chosen token) names this request's spans in the trace.
         """
-        started = time.perf_counter()
-        tracer = get_tracer()
-        with self._stats_lock:
-            self._search_requests += 1
-        self._route_metrics.observe_request("search")
-        with tracer.span(
-            "service.search", request_id=request_id, route=self.route
-        ) as root:
-            with tracer.span("service.cache_lookup") as span:
-                digest, cached = self._lookup(spectrum)
-                span.tag(hit=cached is not MISSING)
-            if cached is not MISSING:
-                psm = cached
-                if psm is not None:
-                    psm = dataclasses.replace(
-                        psm, query_id=spectrum.identifier
-                    )
-                root.tag(cached=True)
-                self._record_latency(started)
-                return psm, True
-            with tracer.span("service.await_batch"):
-                outcome = self.scheduler.submit(spectrum).result()
-            psm = self._finish(digest, outcome)
-            root.tag(cached=False)
-        self._record_latency(started)
-        return psm, False
+        psms, cached = self._serve([spectrum], request_id, "search")
+        return psms[0], cached
 
     def search_one(self, spectrum: Spectrum) -> Optional[PSM]:
         """Search one spectrum (micro-batched + cached under the hood)."""
         return self.search_one_detailed(spectrum)[0]
 
     def search_many(
-        self,
-        spectra: Sequence[Spectrum],
-        request_id: Optional[str] = None,
+        self, spectra: Sequence[Spectrum], request_id: Optional[str] = None
     ) -> List[Optional[PSM]]:
         """Search several spectra in one submission.
 
@@ -430,50 +532,7 @@ class SearchService:
         runs as one vectorized batch.  ``request_id`` names the whole
         submission's spans in the trace.
         """
-        started = time.perf_counter()
-        tracer = get_tracer()
-        with self._stats_lock:
-            self._batch_requests += 1
-        self._route_metrics.observe_request("search_batch")
-        with tracer.span(
-            "service.search_batch",
-            request_id=request_id,
-            route=self.route,
-            spectra=len(spectra),
-        ) as root:
-            results: List[Optional[PSM]] = [None] * len(spectra)
-            # Coalesce duplicate spectra within the request: one search
-            # per unique digest, fanned back out to every position.
-            misses: Dict[str, List[int]] = {}
-            with tracer.span("service.cache_lookup") as span:
-                for position, spectrum in enumerate(spectra):
-                    digest, cached = self._lookup(spectrum)
-                    if cached is not MISSING:
-                        if cached is not None:
-                            results[position] = dataclasses.replace(
-                                cached, query_id=spectrum.identifier
-                            )
-                        continue
-                    misses.setdefault(digest, []).append(position)
-                span.tag(misses=len(misses), spectra=len(spectra))
-            root.tag(misses=len(misses))
-            with tracer.span("service.await_batch"):
-                futures = self.scheduler.submit_many(
-                    [spectra[positions[0]] for positions in misses.values()]
-                )
-                outcomes = [future.result() for future in futures]
-            for (digest, positions), outcome in zip(misses.items(), outcomes):
-                psm = self._finish(digest, outcome)
-                for position in positions:
-                    results[position] = (
-                        dataclasses.replace(
-                            psm, query_id=spectra[position].identifier
-                        )
-                        if psm is not None
-                        else None
-                    )
-        self._record_latency(started)
-        return results
+        return self._serve(spectra, request_id, "search_batch")[0]
 
     def _swap_engine(self, built, install, what: str) -> None:
         """Put a freshly built engine in service; close the one it replaces.
@@ -529,8 +588,17 @@ class SearchService:
         self._route_metrics.observe_reload()
         old_engine.close()
 
+    def check_reloadable(self) -> None:
+        """Raise ValueError for a ready engine, which nothing here can rebuild."""
+        if not self.reloadable:
+            raise ValueError(
+                f"route {self.route!r} serves {self.engine_name} over its workers' "
+                "rows; reload the workers instead"
+            )
+
     def reload(self, index_path: Union[str, Path, None] = None) -> str:
         """Hot-swap the index (see :meth:`_swap_engine`); returns its summary."""
+        self.check_reloadable()
         if self._closed:
             # Building a replacement engine for a closed service would
             # leak it (nothing will ever serve from or close it).
@@ -581,9 +649,11 @@ class SearchService:
             The new engine label (e.g. ``"shardedx1+ann"``).
 
         Raises:
+            ValueError: For a ready engine (see :meth:`check_reloadable`).
             RuntimeError: If the service is closed or the in-flight
                 batch does not finish within ``ENGINE_SWAP_TIMEOUT``.
         """
+        self.check_reloadable()
         if self._closed:
             raise RuntimeError("service is closed")
         target = (ann or self._last_ann or AnnConfig()) if enabled else None
@@ -616,13 +686,15 @@ class SearchService:
         return self._engine_label
 
     def healthz(self) -> Dict[str, object]:
-        """Liveness payload: index summary, engine label, search config."""
-        provenance = self.index.provenance()
-        return {
+        """Liveness payload: index summary, engine label, search config.
+
+        A ready engine reports itself instead of an index (for the
+        coordinator: ``degraded`` while a partition has no healthy
+        worker, which the handler answers with 503).
+        """
+        payload: Dict[str, object] = {
             "status": "ok",
             "route": self.route,
-            "index": self.index.summary(),
-            "num_references": self.index.num_references,
             "engine": self.engine_name,
             "ann": self.config.resolved_ann() is not None,
             # What a coordinator must agree with before it may merge
@@ -630,12 +702,19 @@ class SearchService:
             "mode": self.config.mode,
             "open_window_da": self.config.open_window_da,
             "standard_tolerance_da": self.config.standard_tolerance_da,
-            "encoding": {
-                key: provenance[key]
-                for key in ("space", "binning", "preprocessing", "format_version")
-            },
             "uptime_seconds": round(time.time() - self._started, 3),
         }
+        if not self.reloadable:
+            payload.update(self.index.health())
+            return payload
+        provenance = self.index.provenance()
+        payload["index"] = self.index.summary()
+        payload["num_references"] = self.index.num_references
+        payload["encoding"] = {
+            key: provenance[key]
+            for key in ("space", "binning", "preprocessing", "format_version")
+        }
+        return payload
 
     def _ann_section(self) -> Dict[str, object]:
         """The ANN block of :meth:`stats` (present even when disabled)."""
@@ -656,13 +735,14 @@ class SearchService:
         return section
 
     def stats(self) -> Dict[str, object]:
-        """Counters for ``/stats``: requests, latency, cache, engine."""
+        """Counters for ``/stats``: requests, latency, gate, cache, engine.
+
+        A ready engine adds its own section (the coordinator: role and
+        partitions with their workers).
+        """
         with self._stats_lock:
-            requests = {
-                "search": self._search_requests,
-                "search_batch": self._batch_requests,
-                "reloads": self._reloads,
-            }
+            inflight = self._inflight
+            requests = {**self._requests, "reloads": self._reloads}
             latency = {
                 "count": self._latency_count,
                 "total_ms": round(1000.0 * self._latency_total, 3),
@@ -676,8 +756,10 @@ class SearchService:
             "route": self.route,
             "requests": requests,
             "latency": latency,
+            "inflight": inflight,
+            "max_inflight": self.config.max_inflight,
             "cache": self.cache.stats(),
-            "scheduler": self.scheduler.snapshot(),
+            "scheduler": self.scheduler.snapshot() if self.scheduler else None,
             "engine": {
                 "name": self.engine_name,
                 "mode": self.config.mode,
@@ -689,6 +771,7 @@ class SearchService:
                 "ann": self._ann_section(),
             },
             "uptime_seconds": round(time.time() - self._started, 3),
+            **({} if self.reloadable else self.index.stats()),
         }
 
     def close(self, timeout: Optional[float] = None) -> None:
@@ -713,7 +796,8 @@ class SearchService:
         # then close the engine it installed) or re-checks _closed
         # under the same lock and aborts, so the engine read here
         # cannot be displaced afterwards.
-        self.scheduler.close(drain=True, timeout=timeout)
+        if self.scheduler is not None:
+            self.scheduler.close(drain=True, timeout=timeout)
         with self._swap_lock:
             engine = self._engine
         if hasattr(engine, "close"):
@@ -779,57 +863,127 @@ class SearchServer(DrainingHTTPServer):
 
 
 class SearchRequestHandler(JsonRequestHandler):
-    """The worker tier's part of the JSON API: registry lookup, ``/reload``."""
+    """The JSON search API of ``repro serve`` and ``repro coordinate``.
+
+    Each request is answered by one route of the server's
+    :class:`~repro.service.registry.IndexRegistry`; a coordinator's
+    registry has one route, whose engine is the
+    :class:`~repro.coord.coordinator.Coordinator`.
+    """
 
     server_version = "hdoms-service"
 
-    ROUTES = {**JsonRequestHandler.ROUTES, ("POST", "/reload"): "_handle_reload",
-              ("POST", "/score"): "_handle_score"}
+    ROUTES = {
+        **JsonRequestHandler.ROUTES,
+        ("GET", "/healthz"): "_get_healthz",
+        ("GET", "/stats"): "_get_stats",
+        ("GET", "/metrics"): "_get_metrics",
+        ("POST", "/search"): "_handle_search",
+        ("POST", "/search_batch"): "_handle_search_batch",
+        ("POST", "/score"): "_handle_score",
+        ("POST", "/reload"): "_handle_reload",
+    }
 
-    @property
-    def backend(self):
-        """The index registry owned by the server."""
-        return self.server.registry
+    # -- read-only endpoints -------------------------------------------
 
-    # -- routes --------------------------------------------------------
+    def _get_healthz(self) -> None:
+        if self.server.draining:
+            # A draining server still answers in-flight work but must
+            # fail its readiness probe immediately, so load balancers
+            # and the coordinator's routing table stop sending new
+            # traffic before the socket goes away.
+            self._send_json(503, {"status": "draining", "draining": True})
+            return
+        payload = self.server.registry.healthz()
+        payload["draining"] = False
+        self._send_json(200 if payload["status"] == "ok" else 503, payload)
+
+    def _get_stats(self) -> None:
+        self._send_json(200, self.server.registry.stats())
+
+    def _get_metrics(self) -> None:
+        text = self.server.registry.render_metrics()
+        self._send_text(200, text, "text/plain; version=0.0.4; charset=utf-8")
+
+    # -- searches: body parsers, reply envelope ------------------------
+
+    def _read_search(self) -> Tuple[Optional[str], object]:
+        """The ``/search`` body as ``(route or None, spectrum payload)``."""
+        payload = self._read_json()
+        if isinstance(payload, dict) and "spectrum" in payload:
+            return route_from_payload(payload), payload["spectrum"]
+        if isinstance(payload, dict) and "route" in payload:
+            # The legacy bare-spectrum form has no route slot; silently
+            # answering from the default route would be exactly the
+            # wrong-library leak the routing layer exists to prevent.
+            raise ProtocolError(
+                'a routed search must use the wrapped form '
+                '{"spectrum": {...}, "route": "<name>"}'
+            )
+        return None, payload
+
+    def _read_search_batch(self) -> Tuple[Optional[str], List[object]]:
+        """The ``/search_batch`` body as ``(route or None, spectrum payloads)``."""
+        payload = self._read_json()
+        if not isinstance(payload, dict) or "spectra" not in payload:
+            raise ProtocolError('body must be {"spectra": [...]}')
+        spectra_payload = payload["spectra"]
+        if not isinstance(spectra_payload, list):
+            raise ProtocolError('"spectra" must be a list')
+        return route_from_payload(payload), spectra_payload
+
+    def _reply_search(
+        self, started: float, request_id: str, route: str, endpoint: str,
+        result: Dict[str, object], **slow_extra: object,
+    ) -> None:
+        """Send one search reply and offer the request to the slow log.
+
+        ``result`` holds the endpoint's own fields (``psm`` + ``cached``
+        or ``psms``); route, request id and elapsed time are appended
+        here.  ``slow_extra`` annotates the slow-log record.
+        """
+        response = {
+            **result,
+            "route": route,
+            "request_id": request_id,
+            "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
+        }
+        tracer = get_tracer()
+        with tracer.span("service.serialize", request_id=request_id, route=route):
+            self._send_json(200, response, request_id=request_id)
+        slowlog = self.server.slowlog
+        elapsed_ms = 1000.0 * (time.perf_counter() - started)
+        stages = None
+        if tracer.enabled and elapsed_ms >= slowlog.threshold_ms:
+            stages = stage_breakdown(tracer.spans_for(request_id))
+        slowlog.observe(
+            elapsed_ms, request_id=request_id, route=route, endpoint=endpoint, stages=stages,
+            **slow_extra,
+        )
 
     def _handle_search(self) -> None:
         route, payload = self._read_search()
-        service = self.backend.get(route)
+        service = self.server.registry.get(route)
         spectrum = spectrum_from_payload(payload)
-        request_id = self._request_id()
-        started = time.perf_counter()
-        psm, cached = service.search_one_detailed(
-            spectrum, request_id=request_id
-        )
-        self._reply_search(
-            started,
-            request_id,
-            service.route,
-            "search",
-            {"psm": psm.to_dict() if psm is not None else None, "cached": cached},
-            cached=cached,
-        )
+        request_id, started = self._request_id(), time.perf_counter()
+        psm, cached = service.search_one_detailed(spectrum, request_id=request_id)
+        result = {"psm": psm.to_dict() if psm is not None else None, "cached": cached}
+        self._reply_search(started, request_id, service.route, "search", result, cached=cached)
 
     def _handle_search_batch(self) -> None:
         route, spectra_payload = self._read_search_batch()
-        service = self.backend.get(route)
+        service = self.server.registry.get(route)
         spectra = [spectrum_from_payload(entry) for entry in spectra_payload]
-        request_id = self._request_id()
-        started = time.perf_counter()
+        request_id, started = self._request_id(), time.perf_counter()
         psms = service.search_many(spectra, request_id=request_id)
+        result = {"psms": [psm.to_dict() if psm is not None else None for psm in psms]}
         self._reply_search(
-            started,
-            request_id,
-            service.route,
-            "search_batch",
-            {"psms": [psm.to_dict() if psm is not None else None for psm in psms]},
-            spectra=len(spectra),
+            started, request_id, service.route, "search_batch", result, spectra=len(spectra)
         )
 
     def _handle_score(self) -> None:
         payload = self._read_json()
-        service = self.backend.get(route_from_payload(payload))
+        service = self.server.registry.get(route_from_payload(payload))
         request_id, started = self._request_id(), time.perf_counter()
         batch = score_request_from_payload(payload, service.index.dim)
         reply = service.score_batch(*batch, request_id=request_id)
@@ -863,59 +1017,35 @@ class SearchRequestHandler(JsonRequestHandler):
             # loaded on the route; mixing it with an index swap or a
             # route removal would be ambiguous about ordering.
             if index_path is not None or remove:
-                raise ProtocolError(
-                    '"ann" is mutually exclusive with "index" and "remove"'
-                )
-            service = self.backend.get(route)
+                raise ProtocolError('"ann" is mutually exclusive with "index" and "remove"')
+            service = self.server.registry.get(route)
             try:
                 label = service.set_ann(ann_flag)
-            except RuntimeError as error:
+            except (RuntimeError, ValueError) as error:
                 raise ProtocolError(str(error)) from None
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "route": service.route,
-                    "ann": ann_flag,
-                    "engine": label,
-                    "routes": self.backend.route_names(),
-                },
-            )
-            return
-        if remove:
+            reply = {"route": service.route, "ann": ann_flag, "engine": label}
+        elif remove:
             if index_path is not None:
-                raise ProtocolError(
-                    '"remove" and "index" are mutually exclusive'
-                )
+                raise ProtocolError('"remove" and "index" are mutually exclusive')
             if route is None:
                 raise ProtocolError('"remove" requires a "route"')
             try:
-                self.backend.remove_route(route)
+                self.server.registry.remove_route(route)
             except ValueError as error:
                 raise ProtocolError(str(error)) from None
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "removed": route,
-                    "routes": self.backend.route_names(),
-                },
-            )
-            return
-        try:
-            service = self.backend.reload_route(route, index_path)
-        except (ValueError, OSError) as error:
-            raise ProtocolError(str(error)) from None
-        self._send_json(
-            200,
-            {
-                "status": "ok",
+            reply = {"removed": route}
+        else:
+            try:
+                service = self.server.registry.reload_route(route, index_path)
+            except (ValueError, OSError) as error:
+                raise ProtocolError(str(error)) from None
+            reply = {
                 "route": service.route,
                 "index": service.index.summary(),
                 "num_references": service.index.num_references,
-                "routes": self.backend.route_names(),
-            },
-        )
+            }
+        routes = self.server.registry.route_names()
+        self._send_json(200, {"status": "ok", **reply, "routes": routes})
 
 
 def start_server(
@@ -971,12 +1101,7 @@ def serve(
             raise
         for name in registry.route_names():
             marker = " (default)" if name == registry.default_route else ""
-            logger.info(
-                "route %s%s: %s",
-                name,
-                marker,
-                registry.get(name).index.summary(),
-            )
+            logger.info("route %s%s: %s", name, marker, registry.get(name).index.summary())
         service_config = registry.get().config
         detail = (
             f"max_batch={service_config.max_batch}, "
@@ -986,10 +1111,6 @@ def serve(
         return server, detail, registry.close
 
     return run_server(
-        build,
-        name="service",
-        quiet=quiet,
-        drain_timeout=drain_timeout,
-        trace=trace,
-        trace_capacity=trace_capacity,
+        build, name="service", quiet=quiet, drain_timeout=drain_timeout,
+        trace=trace, trace_capacity=trace_capacity,
     )

@@ -30,7 +30,7 @@ from ..index.library import IndexCompatibilityError, LibraryIndex, ReferenceReco
 from ..ms.preprocessing import PreprocessingConfig
 from ..oms.candidates import WindowConfig
 from ..oms.loop import FanOutSearcher
-from ..oms.search import HDSearchConfig
+from ..oms.candidates import HDSearchConfig
 from .store import SegmentedStore
 
 

@@ -16,14 +16,20 @@ invariant.
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import http.client
 import http.server
 import json
 import logging
+import os
+import signal
 import socketserver
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +39,9 @@ from hypothesis import strategies as st
 from repro.coord import (
     Coordinator,
     CoordinatorError,
-    CoordinatorServer,
-    CoordinatorService,
     PartitionPlan,
     assign_replicas,
     materialize_partitions,
-    start_coordinator_server,
 )
 from repro.coord.partition import _contiguous_groups
 from repro.engine import EngineConfig
@@ -48,10 +51,12 @@ from repro.index import INDEX_FORMAT_VERSION, ReferenceRecord
 from repro.oms import HDSearchConfig
 from repro.oms.loop import FanOutSearcher
 from repro.service import (
+    IndexRegistry,
     SearchClient,
     SearchService,
     ServiceConfig,
     ServiceError,
+    ServiceMetrics,
     start_server,
 )
 from repro.service.protocol import score_request_to_payload, spectrum_to_payload
@@ -374,6 +379,68 @@ def test_partitioned_lexsort_merge_equals_global(data):
 # ----------------------------------------------------------------------
 
 
+def _coordinator_front(coordinator, max_inflight):
+    """``coordinator`` served the way ``repro coordinate`` serves it.
+
+    Returns ``(server, registry)``; closing the registry closes the
+    coordinator.
+    """
+    registry = IndexRegistry(
+        coordinator,
+        config=ServiceConfig(cache_capacity=0, max_inflight=max_inflight),
+        metrics=ServiceMetrics(coordinator.metrics.registry),
+    )
+    return start_server(registry), registry
+
+
+@contextlib.contextmanager
+def _served(coordinator, max_inflight=4):
+    """``coordinator`` behind a serving front; yields its URL, then closes both."""
+    front, registry = _coordinator_front(coordinator, max_inflight)
+    thread = threading.Thread(target=front.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield "http://%s:%s" % front.server_address[:2]
+    finally:
+        front.shutdown()
+        front.server_close()
+        thread.join(timeout=10)
+        registry.close()
+
+
+def _worker_counter(url, endpoint):
+    """A worker's ``hdoms_service_requests_total`` for ``endpoint``."""
+    line = f'hdoms_service_requests_total{{route="default",endpoint="{endpoint}"}} '
+    text = SearchClient(url).metrics()
+    return sum(float(row[len(line):]) for row in text.splitlines() if row.startswith(line))
+
+
+@contextlib.contextmanager
+def _coordinate_process(store, flags):
+    """A ``repro coordinate`` process over ``store``; yields its URL, then SIGTERMs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "coordinate", "--store", str(store.root),
+         "--partitions", "2", *flags, "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        for line in process.stdout:
+            if "listening on http://" in line:
+                yield "http://" + line.split("listening on http://", 1)[1].split()[0]
+                break
+        else:
+            pytest.fail("repro coordinate exited before listening")
+        process.send_signal(signal.SIGTERM)
+        assert "coordinator drained and closed" in process.communicate(timeout=30)[0]
+        assert process.returncode == 0
+    finally:
+        if process.poll() is None:  # pragma: no cover - cleanup
+            process.kill()
+            process.communicate(timeout=10)
+
+
 def _encoding(store):
     """What a worker serving ``store`` reports as its encoding."""
     provenance = store.provenance()
@@ -454,9 +521,7 @@ def coordinator_stack(store, tmp_path_factory):
         plan.partitions, [[url] for url in urls], probe_interval=0.5
     )
     coordinator.wait_ready(timeout=30)
-    front = start_coordinator_server(
-        CoordinatorService(coordinator, max_inflight=16)
-    )
+    front, registry = _coordinator_front(coordinator, max_inflight=16)
     front_thread = threading.Thread(target=front.serve_forever, daemon=True)
     front_thread.start()
     host, port = front.server_address[:2]
@@ -464,7 +529,7 @@ def coordinator_stack(store, tmp_path_factory):
     front.shutdown()
     front.server_close()
     front_thread.join(timeout=10)
-    coordinator.close()
+    registry.close()
     for service, server, thread in workers:
         server.shutdown()
         server.server_close()
@@ -510,10 +575,10 @@ class TestCoordinatorHTTP:
             # Workers and coordinator share this process's tracer: the
             # worker-side span carries the id minted at the coordinator.
             names = {span.name for span in tracer.spans_for("coord-hop-1")}
-            assert {"coord.request", "coord.route", "coord.merge"} <= names
+            assert {"service.search_batch", "coord.route", "coord.merge"} <= names
             assert "service.score" in names
             events = client.debug_trace(request_id="coord-hop-1")["traceEvents"]
-            assert "coord.request" in {
+            assert "service.search_batch" in {
                 event["name"] for event in events if event.get("ph") == "X"
             }
             slow = client.debug_slow()
@@ -540,7 +605,8 @@ class TestCoordinatorHTTP:
         # One open pass: one encode, here; one /score per routed partition.
         assert names.count("encode.batch") == 1
         assert names.count("service.score") == names.count("coord.score") >= 1
-        assert "service.search_batch" not in names
+        # The one service.search_batch is the coordinator's own route.
+        assert names.count("service.search_batch") == 1
         for partition in coordinator.stats()["partitions"]:
             text = SearchClient(partition["workers"][0]["url"]).metrics()
             assert 'endpoint="score"' in text and 'endpoint="search_batch"' not in text
@@ -570,22 +636,113 @@ class TestCoordinatorHTTP:
         client = SearchClient(url)
         client.search(queries[0])
         text = client.metrics()
-        assert "hdoms_coord_requests_total" in text
+        assert 'hdoms_service_requests_total{route="default",endpoint="search"}' in text
         assert "hdoms_coord_scatter_total" in text
         assert "hdoms_coord_fanout_partitions" in text
 
     def test_unknown_route_rejected(self, coordinator_stack, queries):
+        # The registry's UnknownRouteError, as on a worker.
         url, _coordinator, _plan = coordinator_stack
         client = SearchClient(url, route="yeast")
-        with pytest.raises(ServiceError, match="only the 'default'") as info:
+        with pytest.raises(ServiceError, match="unknown route 'yeast'") as info:
             client.search(queries[0])
-        assert info.value.status == 400
+        assert info.value.status == 404
 
     def test_unknown_path_is_404(self, coordinator_stack):
         url, _coordinator, _plan = coordinator_stack
         with pytest.raises(ServiceError) as info:
             SearchClient(url)._request("GET", "/nope")
         assert info.value.status == 404
+
+    def test_the_coordinator_caches_nothing(self, coordinator_stack, store, queries, baseline):
+        # A worker's /reload cannot reach a coordinator-side cache, so a
+        # repeat must be scored by the workers again, not served stale.
+        # The real `repro coordinate`, fronting this module's workers.
+        _url, coordinator, _plan = coordinator_stack
+        workers = [p["workers"][0]["url"] for p in coordinator.stats()["partitions"]]
+        query = next(q for q in queries if baseline.get(q.identifier) is not None)
+        flags = [flag for worker in workers for flag in ("--worker", worker)]
+        with _coordinate_process(store, flags) as url:
+            client = SearchClient(url, timeout=30)
+            for _ in range(2):
+                before = sum(_worker_counter(worker, "score") for worker in workers)
+                reply = client.search_detailed(query)
+                assert reply["psm"] == baseline[query.identifier]
+                assert reply["cached"] is False
+                assert sum(_worker_counter(worker, "score") for worker in workers) > before
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/reload", {}),
+            ("/reload", {"index": "STORE"}),
+            ("/reload", {"route": "extra", "index": "STORE"}),
+            ("/reload", {"ann": True}),
+            ("/reload", {"route": "default", "remove": True}),
+            ("/reload", {"route": "extra", "remove": True}),
+            ("/score", None),
+        ],
+        ids=["reload", "swap", "add-route", "ann", "remove-default", "remove-unknown", "score"],
+    )
+    def test_endpoints_new_to_the_coordinator_end_typed(
+        self, coordinator_stack, store, queries, baseline, path, body
+    ):
+        url, _coordinator, _plan = coordinator_stack
+        client = SearchClient(url, timeout=30)
+        if body is None:
+            # /score over the fleet: what one worker on the whole store answers.
+            packed, masses, charges = _encoded(store, queries)
+            got = client.score(packed, store.dim, masses, charges, 500.0)
+            with SegmentedSearcher(store) as searcher:
+                expected = searcher.score_batch(packed, masses, charges, 500.0)
+            for column, want in zip(got[:4], expected[:4]):
+                assert column.tolist() == want.tolist()
+            assert got[4] == expected[6] and any(got[4])
+        else:
+            body = {key: str(store.root) if value == "STORE" else value for key, value in body.items()}
+            with pytest.raises(ServiceError) as info:
+                client._request("POST", path, body)
+            assert 400 <= info.value.status < 500
+            assert "\n" not in str(info.value)
+        assert client.healthz()["routes"].keys() == {"default"}
+        psms = client.search_batch(queries)
+        assert [psm.to_dict() if psm else None for psm in psms] == [
+            baseline.get(query.identifier) for query in queries
+        ]
+
+    def test_before_any_encoding_is_adopted_searches_are_503(self, store, queries):
+        plan = PartitionPlan.build(store, 1, "rows")
+        coordinator = Coordinator(
+            plan.partitions, [["http://127.0.0.1:9"]], probe_interval=30.0, worker_timeout=5.0
+        )
+        front, registry = _coordinator_front(coordinator, max_inflight=4)
+        thread = threading.Thread(target=front.serve_forever, daemon=True)
+        thread.start()
+        url = "http://%s:%s" % front.server_address[:2]
+        try:
+            connection = http.client.HTTPConnection(*front.server_address[:2], timeout=10)
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            health = json.loads(response.read())
+            assert response.status == 503
+            assert (health["status"], health["role"]) == ("degraded", "coordinator")
+            connection.close()
+            client = SearchClient(url)
+            packed, masses, charges = _encoded(store, queries[:2])
+            score_body = score_request_to_payload(packed, store.dim, masses, charges, 500.0)
+            for call in (
+                lambda: client.search(queries[0]),
+                lambda: client.search_batch(queries[:2]),
+                lambda: client._request("POST", "/score", score_body),
+            ):
+                with pytest.raises(ServiceError, match="every replica failed") as info:
+                    call()
+                assert info.value.status == 503
+        finally:
+            front.shutdown()
+            front.server_close()
+            thread.join(timeout=10)
+            registry.close()
 
     def test_bad_spectrum_rejected_before_admission(self, coordinator_stack):
         url, coordinator, _plan = coordinator_stack
@@ -595,15 +752,14 @@ class TestCoordinatorHTTP:
             )
         assert info.value.status == 400
 
-    def test_full_admission_gate_says_429_with_retry_after(
-        self, coordinator_stack, queries
-    ):
-        _url, coordinator, _plan = coordinator_stack
-        # A sibling front-end sharing the coordinator but admitting
-        # nothing: every search must bounce with 429 + Retry-After.
-        front = start_coordinator_server(
-            CoordinatorService(coordinator, max_inflight=0)
+    def test_full_admission_gate_says_429_with_retry_after(self, store, queries):
+        # A front admitting nothing: every search must bounce with 429 +
+        # Retry-After before it reaches the coordinator.
+        plan = PartitionPlan.build(store, 1, "rows")
+        coordinator = Coordinator(
+            plan.partitions, [["http://127.0.0.1:9"]], probe_interval=30.0
         )
+        front, registry = _coordinator_front(coordinator, max_inflight=0)
         thread = threading.Thread(target=front.serve_forever, daemon=True)
         thread.start()
         host, port = front.server_address[:2]
@@ -623,13 +779,14 @@ class TestCoordinatorHTTP:
             assert response.status == 429
             assert response.getheader("Retry-After") == "1"
             assert "capacity" in payload["error"]
-            rejected = coordinator.metrics.rejected.value(endpoint="search")
+            rejected = registry.metrics.rejected.value(route="default", endpoint="search")
             assert rejected >= 1
             connection.close()
         finally:
             front.shutdown()
             front.server_close()
             thread.join(timeout=10)
+            registry.close()
 
     def test_draining_coordinator_says_503_on_healthz(self, store):
         # A dedicated front (shutting down the shared one would break
@@ -641,9 +798,7 @@ class TestCoordinatorHTTP:
             [["http://127.0.0.1:9"]],  # never probed successfully; fine
             probe_interval=30.0,
         )
-        front = start_coordinator_server(
-            CoordinatorService(coordinator, max_inflight=4)
-        )
+        front, registry = _coordinator_front(coordinator, max_inflight=4)
         thread = threading.Thread(target=front.serve_forever, daemon=True)
         thread.start()
         host, port = front.server_address[:2]
@@ -668,7 +823,7 @@ class TestCoordinatorHTTP:
             front.shutdown()
             front.server_close()
             thread.join(timeout=10)
-            coordinator.close()
+            registry.close()
 
 
 class TestStandardModeRouting:
@@ -768,6 +923,7 @@ class _StubWorker(http.server.ThreadingHTTPServer):
         self.parked = parked
         self.release = threading.Event()
         self.batches = 0
+        self.request_ids = []
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -791,6 +947,7 @@ class _StubWorker(http.server.ThreadingHTTPServer):
                 length = int(self.headers["Content-Length"])
                 n = len(json.loads(self.rfile.read(length))["masses"])
                 stub.batches += 1
+                stub.request_ids.append(self.headers.get("X-Request-Id"))
                 if stub.parked:
                     stub.release.wait(60)
                     self.close_connection = True
@@ -977,6 +1134,135 @@ class TestCoordinatorRobustness:
             server.server_close()
             thread.join(timeout=10)
             service.close()
+
+
+class TestFaultIsolation:
+    """Each coordinator request scatters on its own thread: one partition's
+    trouble reaches only the requests routed to it."""
+
+    @staticmethod
+    def _split(store, queries, tolerance=0.05):
+        """A 2-way plan, the partition to break, and two standard-mode queries.
+
+        The first query's window routes to the broken partition, the
+        second's only to the other one (the hulls may nest, so the
+        broken one is whichever leaves such a query).
+        """
+        plan = PartitionPlan.build(store, 2, "rows")
+
+        def routes(query, spec):
+            return query.neutral_mass - tolerance <= spec.mass_max and (
+                query.neutral_mass + tolerance >= spec.mass_min
+            )
+
+        for broken, other in (plan.partitions, plan.partitions[::-1]):
+            spared = [q for q in queries if routes(q, other) and not routes(q, broken)]
+            if spared:
+                hit = next(q for q in queries if routes(q, broken))
+                return plan, broken.index, hit, spared[0]
+        pytest.fail("no query window avoids either partition")
+
+    @staticmethod
+    def _coordinator(plan, broken, bad, good, **options):
+        """A standard-mode coordinator with stub ``bad`` behind partition ``broken``."""
+        groups = [[bad.url] if spec.index == broken else [good.url] for spec in plan.partitions]
+        return Coordinator(plan.partitions, groups, mode="standard", probe_interval=30.0, **options)
+
+    def test_a_wedged_partition_stalls_only_its_own_requests(self, store, queries):
+        plan, broken, to_wedged, to_healthy = self._split(store, queries)
+        wedged, healthy = _StubWorker(_encoding(store), parked=True), _StubWorker(_encoding(store))
+        coordinator = self._coordinator(plan, broken, wedged, healthy, worker_timeout=30.0)
+        stalled = {}
+
+        def search_wedged(url):
+            try:
+                SearchClient(url, timeout=60).search(to_wedged)
+            except ServiceError as error:
+                stalled["status"] = error.status
+
+        try:
+            coordinator.wait_ready(timeout=10)
+            with _served(coordinator) as url:
+                waiter = threading.Thread(target=search_wedged, args=(url,))
+                waiter.start()
+                try:
+                    deadline = time.monotonic() + 10
+                    while not wedged.batches and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert wedged.batches == 1
+                    started = time.monotonic()
+                    reply = SearchClient(url, timeout=30).search_detailed(to_healthy)
+                    assert time.monotonic() - started < 5.0  # not the wedged call's 30 s
+                    assert reply["psm"] is None  # the stub's empty window
+                finally:
+                    wedged.release.set()
+                    waiter.join(timeout=30)
+            assert stalled["status"] == 503
+        finally:
+            coordinator.close()
+            wedged.stop()
+            healthy.stop()
+
+    def test_a_failing_partition_fails_only_its_own_requests(self, store, queries):
+        plan, broken, to_failing, to_healthy = self._split(store, queries)
+        failing, healthy = _StubWorker(_encoding(store), status=500), _StubWorker(_encoding(store))
+        coordinator = self._coordinator(plan, broken, failing, healthy)
+        routed = {"failing": to_failing, "healthy": to_healthy}
+        statuses = {"failing": [], "healthy": []}
+
+        def drive(url, kind):
+            client = SearchClient(url, timeout=30)
+            for _ in range(5):
+                try:
+                    client.search(routed[kind])
+                    statuses[kind].append(200)
+                except ServiceError as error:
+                    statuses[kind].append(error.status)
+
+        try:
+            coordinator.wait_ready(timeout=10)
+            with _served(coordinator, max_inflight=16) as url:
+                threads = [
+                    threading.Thread(target=drive, args=(url, kind))
+                    for kind in ("failing", "healthy") * 4
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            assert statuses == {"failing": [503] * 20, "healthy": [200] * 20}
+        finally:
+            coordinator.close()
+            failing.stop()
+            healthy.stop()
+
+    @pytest.mark.parametrize("endpoint", ["search", "search_batch", "score"])
+    def test_request_id_reaches_the_workers_with_tracing_off(self, store, queries, endpoint):
+        from repro.obs.trace import get_tracer
+
+        plan = PartitionPlan.build(store, 1, "rows")
+        worker = _StubWorker(_encoding(store))
+        coordinator = Coordinator(plan.partitions, [[worker.url]], probe_interval=30.0)
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.disable()
+        try:
+            coordinator.wait_ready(timeout=10)
+            with _served(coordinator) as url:
+                client = SearchClient(url, timeout=30)
+                if endpoint == "search":
+                    client.search(queries[0], request_id="untraced-1")
+                elif endpoint == "search_batch":
+                    client.search_batch(queries[:3], request_id="untraced-1")
+                else:
+                    packed, masses, charges = _encoded(store, queries[:3])
+                    client.score(packed, store.dim, masses, charges, 500.0, request_id="untraced-1")
+            assert worker.request_ids and set(worker.request_ids) == {"untraced-1"}
+        finally:
+            if was_enabled:
+                tracer.enable()
+            coordinator.close()
+            worker.stop()
 
 
 def _encoded(store, queries):

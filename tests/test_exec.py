@@ -226,6 +226,7 @@ SEARCH_NEVER_IMPORTS = (
     "repro.store",
     "repro.store.ingest",
     "repro.oms.pipeline",
+    "repro.oms.search",
     "repro.oms.modification_analysis",
     "repro.hdc.alt_encoders",
     "repro.experiments",
@@ -271,3 +272,20 @@ def test_index_search_imports_only_what_it_runs(tmp_path, small_workload):
     )
     assert completed.returncode == 0, completed.stderr
     assert (tmp_path / "psms.tsv").read_text().startswith("query_id\t")
+
+
+def test_the_serving_path_never_imports_the_oracle():
+    """``repro serve`` and ``repro coordinate`` load no brute-force searcher."""
+    script = (
+        "import sys\n"
+        "import repro.coord.server, repro.service.server\n"
+        "assert 'repro.oms.search' not in sys.modules, 'the oracle module was imported'\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC_PATH},
+    )
+    assert completed.returncode == 0, completed.stderr

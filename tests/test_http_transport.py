@@ -1,7 +1,8 @@
-"""Transport invariants shared by the worker and coordinator front-ends.
+"""Transport invariants of the one front-end, for a worker and a coordinator.
 
-Both handlers subclass :class:`repro.service.httpbase.JsonRequestHandler`;
-these tests pin the two properties that removed the ~40 ms
+``repro serve`` and ``repro coordinate`` both serve a
+:class:`repro.service.server.SearchServer`; these tests pin the two
+properties that removed the ~40 ms
 Nagle/delayed-ACK floor from every round trip, without timing anything:
 
 * every accepted connection has ``TCP_NODELAY`` set, and
@@ -21,15 +22,16 @@ import threading
 
 import pytest
 
-from repro.coord import (
-    Coordinator,
-    CoordinatorService,
-    PartitionPlan,
-    start_coordinator_server,
-)
+from repro.coord import Coordinator, PartitionPlan
 from repro.hdc.spaces import HDSpaceConfig
-from repro.service import SearchServer, SearchService, start_server
-from repro.service.httpbase import DrainingHTTPServer, JsonRequestHandler
+from repro.service import (
+    IndexRegistry,
+    SearchService,
+    ServiceConfig,
+    ServiceMetrics,
+    start_server,
+)
+from repro.service.httpbase import JsonRequestHandler
 from repro.service.protocol import spectrum_to_payload
 from repro.store import build_store
 
@@ -52,16 +54,22 @@ def server(request, store):
     """A bound (not yet serving) front-end of either tier."""
     if request.param == "worker":
         backend = SearchService(store.root)
-        server = start_server(backend)
     else:
         # The worker URL is never reached: these tests only exercise
-        # endpoints the coordinator answers by itself.
-        backend = Coordinator(
+        # endpoints the coordinator answers by itself.  Served the way
+        # `repro coordinate` serves it.
+        coordinator = Coordinator(
             PartitionPlan.build(store, 1, "rows").partitions,
             [["http://127.0.0.1:9"]],
             probe_interval=3600.0,
         )
-        server = start_coordinator_server(CoordinatorService(backend))
+        backend = IndexRegistry(
+            coordinator,
+            config=ServiceConfig(cache_capacity=0, max_inflight=64),
+            metrics=ServiceMetrics(coordinator.metrics.registry),
+        )
+    server = start_server(backend)
+    server.tier = request.param
     yield server
     server.server_close()
     backend.close()
@@ -150,7 +158,7 @@ class TestOneSegmentReplies:
     def test_search_reply_with_request_id_is_a_single_write(
         self, server, small_workload
     ):
-        if not isinstance(server, SearchServer):
+        if server.tier == "coordinator":
             pytest.skip("the coordinator's /search needs a reachable worker")
         body = json.dumps(
             {"spectrum": spectrum_to_payload(small_workload.queries[0])}
@@ -235,16 +243,30 @@ def test_connect_burst_waits_in_the_listen_backlog(server):
     assert not thread.is_alive()
 
 
-def test_both_front_ends_share_the_one_response_writer():
-    from repro.coord.server import CoordinatorRequestHandler, CoordinatorServer
-    from repro.service.server import SearchRequestHandler
+def test_serve_and_coordinate_bind_the_same_server_and_handler(monkeypatch, store):
+    """Both verbs end in ``start_server``: one server class, one handler class."""
+    from repro.coord import server as coord_server
+    from repro.service import server as service_server
+    from repro.service.server import SearchRequestHandler, SearchServer
 
-    for handler in (SearchRequestHandler, CoordinatorRequestHandler):
-        assert issubclass(handler, JsonRequestHandler)
-        for name in (
-            "_send_body", "_send_json", "_send_text", "_read_json", "_request_id",
-            "do_GET", "do_POST", "_dispatch", "_reply_search",
-        ):
-            assert name not in vars(handler)
-    for server_class in (SearchServer, CoordinatorServer):
-        assert issubclass(server_class, DrainingHTTPServer)
+    bound = []
+
+    def run_server(build, **_kwargs):
+        server, _detail, close = build()
+        bound.append((type(server), server.RequestHandlerClass))
+        server.server_close()
+        close()
+        return 0
+
+    class Ready(Coordinator):
+        def wait_ready(self, timeout=60.0):
+            pass
+
+    for module in (service_server, coord_server):
+        monkeypatch.setattr(module, "run_server", run_server)
+    monkeypatch.setattr(coord_server, "Coordinator", Ready)
+    assert service_server.serve(store.root, port=0) == 0
+    assert coord_server.serve_coordinate(
+        store.root, 1, worker_urls=["http://127.0.0.1:9"], port=0, probe_interval=3600.0
+    ) == 0
+    assert bound == [(SearchServer, SearchRequestHandler)] * 2

@@ -9,6 +9,7 @@ summary helpers.
 import io
 import json
 import logging
+import sys
 import threading
 
 import pytest
@@ -195,6 +196,29 @@ class TestEmitAndCapture:
         with tracer.span("root", request_id="req-2"):
             with tracer.span("child"):
                 assert tracer.current_request_id() == "req-2"
+
+    def test_spans_for_while_other_threads_record(self, tracer):
+        # A server's slow log reads one request's spans while its other
+        # handler threads keep finishing spans into the same buffer.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        stop = threading.Event()
+
+        def record():
+            while not stop.is_set():
+                tracer.emit("shard.score", duration=0.0, request_id="other")
+
+        writers = [threading.Thread(target=record) for _ in range(4)]
+        for writer in writers:
+            writer.start()
+        try:
+            for _ in range(2000):
+                tracer.spans_for("req-1")
+        finally:
+            stop.set()
+            for writer in writers:
+                writer.join()
+            sys.setswitchinterval(switch_interval)
 
 
 class TestListeners:

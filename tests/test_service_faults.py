@@ -559,13 +559,12 @@ def coordinated_fleet(workload_a, binning, tmp_path_factory):
     """
     from repro.coord import (
         Coordinator,
-        CoordinatorService,
         LocalWorkerFleet,
         PartitionPlan,
         assign_replicas,
         materialize_partitions,
-        start_coordinator_server,
     )
+    from repro.service import IndexRegistry, ServiceConfig, ServiceMetrics, start_server
     from repro.store import SegmentedSearcher, build_store
 
     root = tmp_path_factory.mktemp("coord-faults")
@@ -588,6 +587,7 @@ def coordinated_fleet(workload_a, binning, tmp_path_factory):
         [paths[0], paths[1], paths[0], paths[1]], workers=0
     )
     coordinator = None
+    registry = None
     front = None
     front_thread = None
     try:
@@ -599,9 +599,13 @@ def coordinated_fleet(workload_a, binning, tmp_path_factory):
             worker_timeout=30.0,
         )
         coordinator.wait_ready(timeout=60)
-        front = start_coordinator_server(
-            CoordinatorService(coordinator, max_inflight=32)
+        # Served the way `repro coordinate` serves it.
+        registry = IndexRegistry(
+            coordinator,
+            config=ServiceConfig(cache_capacity=0, max_inflight=32),
+            metrics=ServiceMetrics(coordinator.metrics.registry),
         )
+        front = start_server(registry)
         front_thread = threading.Thread(
             target=front.serve_forever, daemon=True
         )
@@ -614,6 +618,8 @@ def coordinated_fleet(workload_a, binning, tmp_path_factory):
             front.server_close()
         if front_thread is not None:
             front_thread.join(timeout=10)
+        if registry is not None:
+            registry.close()
         if coordinator is not None:
             coordinator.close()
         fleet.close()
