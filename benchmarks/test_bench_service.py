@@ -4,8 +4,9 @@ The service exists so the hot path always runs the vectorized batch
 search even when clients send one spectrum at a time.  These benchmarks
 measure that amortisation directly:
 
-* **sequential** — one client, one spectrum per request, batching and
-  caching disabled: every request pays a full single-query search;
+* **sequential** — one client, one spectrum per request, caching
+  disabled: with nothing else queued, every request is a batch of one
+  and pays a full single-query search;
 * **micro-batched** — ``NUM_CLIENTS`` concurrent clients streaming
   their backlogs; the scheduler coalesces across clients into dense
   batch searches.
@@ -66,8 +67,8 @@ def _assert_parity(results, workload, baseline):
 
 
 def _run_sequential(index, queries):
-    """One spectrum per request, single client, no batching, no cache."""
-    config = ServiceConfig(max_batch=1, max_wait_ms=0.0, cache_capacity=0)
+    """One spectrum per request, single client (batches of one), no cache."""
+    config = ServiceConfig(cache_capacity=0)
     with SearchService(index, config) as service:
         for query in queries[: min(8, len(queries))]:  # warm the engine
             service.search_one(query)
@@ -83,7 +84,7 @@ def _run_sequential(index, queries):
 
 def _run_microbatched(index, queries):
     """NUM_CLIENTS concurrent clients, coalesced by the scheduler."""
-    config = ServiceConfig(max_batch=128, max_wait_ms=5.0, cache_capacity=0)
+    config = ServiceConfig(cache_capacity=0)
     with SearchService(index, config) as service:
         service.search_many(queries[: min(8, len(queries))])  # warm
         best = float("inf")
@@ -105,7 +106,7 @@ def _run_microbatched(index, queries):
             for thread in threads:
                 thread.join()
             best = min(best, time.perf_counter() - start)
-        stats = service.scheduler.stats.snapshot()
+        stats = service.stats()["scheduler"]
     return best, results, stats
 
 
@@ -145,10 +146,10 @@ def test_bench_service_microbatch_speedup(service_setup, capsys):
 def test_bench_cache_hot_path(service_setup, benchmark):
     """A fully warmed cache serves repeats without touching the engine."""
     workload, index, baseline = service_setup
-    config = ServiceConfig(max_batch=64, max_wait_ms=2.0, cache_capacity=4096)
+    config = ServiceConfig(cache_capacity=4096)
     with SearchService(index, config) as service:
         service.search_many(workload.queries)  # populate the cache
-        batches_before = service.scheduler.stats.snapshot()["batches"]
+        batches_before = service.stats()["scheduler"]["batches"]
 
         def cached_pass():
             return service.search_many(workload.queries)
@@ -163,10 +164,9 @@ def test_bench_cache_hot_path(service_setup, benchmark):
             baseline,
         )
         # Every repeat was a cache hit: the engine never ran again.
-        assert (
-            service.scheduler.stats.snapshot()["batches"] == batches_before
-        )
-        assert service.cache.stats()["hits"] >= len(workload.queries)
+        stats = service.stats()
+        assert stats["scheduler"]["batches"] == batches_before
+        assert stats["cache"]["hits"] >= len(workload.queries)
 
 
 def test_bench_http_round_trip(service_setup, capsys):
@@ -174,7 +174,7 @@ def test_bench_http_round_trip(service_setup, capsys):
     from repro.service import SearchClient, start_server
 
     workload, index, baseline = service_setup
-    config = ServiceConfig(max_batch=32, max_wait_ms=2.0)
+    config = ServiceConfig()
     sample = workload.queries[: min(16, len(workload.queries))]
     with SearchService(index, config) as service:
         server = start_server(service)
@@ -248,7 +248,7 @@ def test_bench_coordinator_scale_out(service_setup, tmp_path, capsys):
             fleet = LocalWorkerFleet(
                 [paths[spec.index] for spec in plan.partitions],
                 workers=0,
-                extra_args=("--max-batch", "128", "--cache-size", "0"),
+                extra_args=("--cache-size", "0"),
             )
             coordinator = None
             registry = None

@@ -29,12 +29,7 @@ from repro.index import LibraryIndex
 from repro.ms import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
 from repro.oms import HDOmsSearcher
-from repro.service import (
-    IndexRegistry,
-    SearchClient,
-    ServiceConfig,
-    start_server,
-)
+from repro.service import IndexRegistry, SearchClient, start_server
 
 binning = BinningConfig()
 
@@ -78,7 +73,6 @@ with tempfile.TemporaryDirectory() as tmp:
     registry = IndexRegistry(
         {"yeast": yeast_path, "human": human_path},
         default_route="yeast",
-        config=ServiceConfig(max_batch=32, max_wait_ms=5.0),
     )
     server = start_server(registry)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)

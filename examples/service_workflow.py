@@ -52,9 +52,7 @@ by_query = {psm.query_id: psm for psm in baseline.psms}
 
 with tempfile.TemporaryDirectory() as tmp:
     path = index.save(Path(tmp) / "library.npz")
-    service = SearchService(
-        path, ServiceConfig(max_batch=64, max_wait_ms=5.0, cache_capacity=2048)
-    )
+    service = SearchService(path, ServiceConfig(cache_capacity=2048))
     server = start_server(service)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

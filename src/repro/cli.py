@@ -454,24 +454,6 @@ def _add_serve_parser(subparsers) -> None:
         help="route answering requests that name none (default: first --index)",
     )
     _add_server_arguments(parser, port=8337)
-    # Unset micro-batch flags defer to ServiceConfig's defaults (their
-    # single definition); importing the service here would tax every
-    # CLI start-up.
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        help="largest micro-batch handed to the engine (default 32)",
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=None,
-        help=(
-            "linger this long for a partial micro-batch to fill (default "
-            "0: dispatch whenever the engine is idle, batch by back-pressure)"
-        ),
-    )
     parser.add_argument(
         "--cache-size",
         type=int,
@@ -1291,9 +1273,7 @@ def _service_config_from_args(args):
     from .constants import DEFAULT_STANDARD_WINDOW_DA
     from .service import ServiceConfig
 
-    batching = {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms}
     return ServiceConfig(
-        **{name: value for name, value in batching.items() if value is not None},
         cache_capacity=args.cache_size,
         mode=args.mode,
         open_window_da=args.open_window,

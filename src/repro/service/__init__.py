@@ -9,7 +9,7 @@ concurrent clients over a stdlib HTTP JSON API:
 * :class:`~repro.service.scheduler.MicroBatchScheduler` — dynamic
   work-conserving micro-batching; single-spectrum requests arriving
   while the engine is busy coalesce into one vectorized batch search
-  (up to ``max_batch``; ``max_wait_ms`` is an opt-in linger);
+  of up to ``MAX_BATCH`` spectra;
 * :class:`~repro.service.cache.ResultCache` — LRU result cache keyed
   by spectrum content digest + configuration fingerprint;
 * :class:`~repro.service.registry.IndexRegistry` — multi-index
@@ -66,7 +66,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "validate_route_name",
         ],
         "registry": ["DEFAULT_ROUTE", "IndexRegistry", "UnknownRouteError"],
-        "scheduler": ["MicroBatchScheduler", "SchedulerStats"],
+        "scheduler": ["MicroBatchScheduler"],
         "server": [
             "SearchRequestHandler",
             "SearchServer",

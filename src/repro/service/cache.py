@@ -8,15 +8,16 @@ re-run the full windowed scoring just to find nothing again), so the
 cache must distinguish "stored None" from "absent": :meth:`get` returns
 the :data:`MISSING` sentinel for absent keys.
 
-Statistics (hits / misses / evictions / hit rate) are tracked under the
-same lock and surface through the service's ``/stats`` endpoint.
+The cache keeps no counters of its own: it reports each hit, miss and
+eviction to its observer, the route's metric families, which both
+``/metrics`` and ``/stats`` read.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 #: Sentinel distinguishing "key absent" from a cached ``None`` result.
 MISSING = object()
@@ -26,8 +27,7 @@ class ResultCache:
     """Bounded LRU mapping of result keys to cached search outcomes.
 
     ``capacity=0`` disables storage entirely (every lookup misses, puts
-    are dropped) while keeping the stats counters alive, so a service
-    can run cache-less without branching at every call site.
+    are dropped).
 
     ``observer``, when given, is called with ``"hit"`` / ``"miss"`` /
     ``"eviction"`` once per event, *outside* the cache lock (so an
@@ -46,9 +46,6 @@ class ResultCache:
         self.observer = observer
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def _notify(self, event: str, count: int = 1) -> None:
         if self.observer is not None:
@@ -58,13 +55,9 @@ class ResultCache:
     def get(self, key: Hashable) -> object:
         """The cached value, or :data:`MISSING`; refreshes LRU order."""
         with self._lock:
-            if key not in self._entries:
-                self._misses += 1
-                value = MISSING
-            else:
+            value = self._entries.get(key, MISSING)
+            if value is not MISSING:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                value = self._entries[key]
         self._notify("miss" if value is MISSING else "hit")
         return value
 
@@ -79,28 +72,14 @@ class ResultCache:
             self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
                 evicted += 1
         self._notify("eviction", evicted)
 
     def clear(self) -> None:
-        """Drop every entry (stats counters are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def stats(self) -> Dict[str, Optional[float]]:
-        """Counters for the ``/stats`` endpoint."""
-        with self._lock:
-            lookups = self._hits + self._misses
-            return {
-                "capacity": self.capacity,
-                "size": len(self._entries),
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "hit_rate": (self._hits / lookups) if lookups else None,
-            }

@@ -1,8 +1,6 @@
 """Lock-safe Prometheus-style metrics for the search service.
 
-The service's ``/stats`` endpoint returns a JSON snapshot built from
-per-subsystem counters; that is fine for humans but useless for a
-scraper, which needs monotonic counters and bucketed histograms in the
+A scraper needs monotonic counters and bucketed histograms in the
 `Prometheus text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_.  This
 module provides the three pieces the service needs and nothing more:
@@ -19,6 +17,10 @@ module provides the three pieces the service needs and nothing more:
   and wait histograms, request latency histograms), with :meth:`ServiceMetrics.for_route`
   handing each route a pre-bound view so hot-path call sites never
   build label dicts.
+
+These families are the service's only tally: the JSON ``/stats``
+sections are a view of them (:meth:`RouteMetrics.stats`), so the two
+endpoints cannot disagree.
 
 Everything here is stdlib-only and dependency-free on purpose: the
 service must export metrics without requiring ``prometheus_client``.
@@ -70,8 +72,8 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     10.0,
 )
 
-#: Buckets for micro-batch sizes (spectra per flush).
-BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+#: Buckets for micro-batch sizes (spectra per flush, at most ``MAX_BATCH``).
+BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32)
 
 #: Buckets for the ANN candidate ratio (scored rows / window rows) —
 #: 0.01 means the prefilter cut 99% of the exact-scoring work.
@@ -364,12 +366,6 @@ class ServiceMetrics:
             "Index hot-swaps, by route.",
             ("route",),
         )
-        self.batch_flushes = self.registry.counter(
-            "hdoms_service_batch_flushes_total",
-            "Micro-batch flushes, by route and reason "
-            "(immediate/full/timeout/drain).",
-            ("route", "reason"),
-        )
         self.batch_size = self.registry.histogram(
             "hdoms_service_batch_size_spectra",
             "Spectra per flushed micro-batch, by route.",
@@ -378,7 +374,7 @@ class ServiceMetrics:
         )
         self.batch_wait = self.registry.histogram(
             "hdoms_service_batch_wait_seconds",
-            "Mean queue wait of a flushed micro-batch, by route.",
+            "Queue wait of each micro-batched spectrum, by route.",
             ("route",),
         )
         self.latency = self.registry.histogram(
@@ -486,13 +482,11 @@ class RouteMetrics:
         else:
             self.parent.cache_lookups.inc(route=self.route, outcome=event)
 
-    def flush_event(self, size: int, reason: str, wait_seconds: float) -> None:
-        """`MicroBatchScheduler` flush observer hook."""
-        self.parent.batch_flushes.inc(route=self.route, reason=reason)
-        self.parent.batch_size.observe(size, route=self.route)
-        self.parent.batch_wait.observe(
-            wait_seconds / size if size else 0.0, route=self.route
-        )
+    def observe_batch(self, waits: Sequence[float]) -> None:
+        """`MicroBatchScheduler` observer hook: one batch, each spectrum's queue wait."""
+        self.parent.batch_size.observe(len(waits), route=self.route)
+        for wait in waits:
+            self.parent.batch_wait.observe(wait, route=self.route)
 
     def observe_ann(self, delta: Dict[str, int]) -> None:
         """Record one batch's ANN counter increments.
@@ -517,3 +511,44 @@ class RouteMetrics:
             )
         if scored_rows > 0:
             self.parent.ann_scored_rows.inc(scored_rows, route=self.route)
+
+    def stats(self) -> Dict[str, Dict[str, object]]:
+        """This route's ``/stats`` sections, read from the families above.
+
+        The sections are ``requests``, ``latency``, ``cache`` and
+        ``scheduler``; the caller adds what is live (cache size, queue
+        depth).  Views of the shared families persist across a route's
+        remove and re-add, as ``/metrics`` does.
+        """
+        parent, route = self.parent, self.route
+        requests = {
+            endpoint: int(parent.requests.value(route=route, endpoint=endpoint))
+            for endpoint in ("search", "search_batch", "score")
+        }
+        requests["reloads"] = int(parent.reloads.value(route=route))
+        latency = parent.latency.snapshot(route=route)
+        hits = int(parent.cache_lookups.value(route=route, outcome="hit"))
+        misses = int(parent.cache_lookups.value(route=route, outcome="miss"))
+        sizes = parent.batch_size.snapshot(route=route)
+        waits = parent.batch_wait.snapshot(route=route)
+        return {
+            "requests": requests,
+            "latency": {
+                "count": latency["count"],
+                "total_ms": round(1000.0 * latency["sum"], 3),
+                "mean_ms": round(1000.0 * latency["sum"] / latency["count"], 3)
+                if latency["count"]
+                else None,
+            },
+            "cache": {
+                "hits": hits,
+                "misses": misses,
+                "evictions": int(parent.cache_evictions.value(route=route)),
+                "hit_rate": hits / (hits + misses) if hits + misses else None,
+            },
+            "scheduler": {  # an empty histogram's sum is 0, so its means read 0.0
+                "batches": sizes["count"],
+                "mean_batch_size": sizes["sum"] / max(sizes["count"], 1),
+                "mean_queue_wait_ms": 1000.0 * waits["sum"] / max(waits["count"], 1),
+            },
+        }

@@ -39,15 +39,14 @@ an omitted one falls back to the registry's default route.
 ``repro coordinate`` serves this same server over a registry of one
 route whose engine is the :class:`~repro.coord.coordinator.Coordinator`
 (the fan-out core over remote partitions): its requests take the same
-validation, micro-batcher, reply envelope, slow log and metrics, with
+validation, reply envelope, slow log and metrics (but no micro-batcher), with
 ``ServiceConfig.max_inflight`` as the admission gate (429 when full),
 no result cache, and ``/reload`` refused (400) because its workers own
 the rows.
 
 Shutdown is graceful: the HTTP loop stops accepting, each route's
-scheduler drains queued requests as final batches, and the sharded
-pools (when used) are closed with ``close()``/``join()`` rather than
-terminated.
+scheduler drains queued requests as final batches, and only then is
+its engine closed.
 """
 
 from __future__ import annotations
@@ -124,14 +123,6 @@ class ServiceConfig:
     cache fingerprint changes, so toggling it can never serve stale
     exact results for approximate requests or vice versa.
 
-    ``max_batch`` / ``max_wait_ms`` are the micro-batcher's knobs, and
-    these defaults are their only definition (the scheduler has none,
-    the CLI flags defer to them).  ``max_wait_ms=0`` is the
-    work-conserving batcher: an idle flusher dispatches at once and
-    batches form from back-pressure; a positive value opts into
-    lingering that long for a partial batch to fill.  A ready engine's
-    route (the coordinator's) has no batcher, so neither applies there.
-
     ``max_inflight`` is the admission gate: with that many requests of
     a route searching, the next one is answered 429 at once instead of
     queueing.  ``None`` (``repro serve``) admits everything;
@@ -139,8 +130,6 @@ class ServiceConfig:
     clients.
     """
 
-    max_batch: int = 32
-    max_wait_ms: float = 0.0
     cache_capacity: int = 1024
     mode: str = "open"
     open_window_da: float = DEFAULT_OPEN_WINDOW_DA
@@ -203,7 +192,7 @@ class SearchService:
         it searches on each request's own thread (see :meth:`_search`).
     config:
         :class:`ServiceConfig`; defaults serve open-mode exact search
-        with work-conserving micro-batches of up to 32 spectra.
+        through the work-conserving micro-batcher.
     metrics:
         Optional shared :class:`~repro.service.metrics.ServiceMetrics`.
         When several services sit behind one
@@ -259,17 +248,9 @@ class SearchService:
         self.scheduler: Optional[MicroBatchScheduler] = None
         if self.reloadable:
             self.scheduler = MicroBatchScheduler(
-                self._run_batch,
-                max_batch=self.config.max_batch,
-                max_wait_ms=self.config.max_wait_ms,
-                flush_observer=self._route_metrics.flush_event,
-                route=route,
+                self._run_batch, observer=self._route_metrics.observe_batch, route=route
             )
         self._stats_lock = threading.Lock()
-        self._requests = {"search": 0, "search_batch": 0}
-        self._reloads = 0
-        self._latency_total = 0.0
-        self._latency_count = 0
         self._inflight = 0
         self._started = time.time()
         self._closed = False
@@ -390,22 +371,27 @@ class SearchService:
         """Feed one batch's ANN counter delta into the route metrics.
 
         Engines report *cumulative* counters; Prometheus counters want
-        increments.  The last-seen snapshot is keyed by engine
+        increments.  Snapshots are read under the engine lock but
+        observed after it, so a ``/score`` thread and the flusher can
+        deliver them out of order: the baseline is the per-key maximum
+        seen, and a stale snapshot adds nothing.  It is keyed by engine
         generation so a reload / ANN toggle (fresh engine, counters back
-        at zero) restarts the delta baseline instead of producing
-        negative increments.
+        at zero) restarts it; a swapped-out engine's late snapshot is
+        dropped.
         """
         if snapshot is None:
             return
         with self._stats_lock:
-            if generation != self._ann_generation:
+            if generation < self._ann_generation:
+                return
+            if generation > self._ann_generation:
                 self._ann_generation = generation
                 self._ann_last = {}
-            delta = {
-                key: value - self._ann_last.get(key, 0)
-                for key, value in snapshot.items()
-            }
-            self._ann_last = dict(snapshot)
+            delta = {}
+            for key, value in snapshot.items():
+                last = self._ann_last.get(key, 0)
+                delta[key] = max(value - last, 0)
+                self._ann_last[key] = max(value, last)
         self._route_metrics.observe_ann(delta)
 
     # ------------------------------------------------------------------
@@ -438,13 +424,6 @@ class SearchService:
                 self.cache.put((fingerprint, digest), psm)
         return psm
 
-    def _record_latency(self, started: float) -> None:
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._latency_total += elapsed
-            self._latency_count += 1
-        self._route_metrics.observe_latency(elapsed)
-
     @contextmanager
     def _admitted(self, endpoint: str):
         """Hold one of the ``max_inflight`` slots, or raise :class:`CapacityError`."""
@@ -475,8 +454,6 @@ class SearchService:
         """
         started = time.perf_counter()
         tracer = get_tracer()
-        with self._stats_lock:
-            self._requests[endpoint] += 1
         self._route_metrics.observe_request(endpoint)
         with self._admitted(endpoint), tracer.span(
             f"service.{endpoint}", request_id=request_id, route=self.route, spectra=len(spectra)
@@ -505,7 +482,7 @@ class SearchService:
                             results[position] = dataclasses.replace(
                                 psm, query_id=spectra[position].identifier
                             )
-        self._record_latency(started)
+        self._route_metrics.observe_latency(time.perf_counter() - started)
         return results, not misses
 
     def search_one_detailed(
@@ -583,8 +560,6 @@ class SearchService:
         if closed:
             new_engine.close()
             raise RuntimeError("service is closed")
-        with self._stats_lock:
-            self._reloads += 1
         self._route_metrics.observe_reload()
         old_engine.close()
 
@@ -737,35 +712,27 @@ class SearchService:
     def stats(self) -> Dict[str, object]:
         """Counters for ``/stats``: requests, latency, gate, cache, engine.
 
-        A ready engine adds its own section (the coordinator: role and
-        partitions with their workers).
+        ``requests``, ``latency``, ``cache`` and ``scheduler`` are views
+        of the route's ``/metrics`` families (:meth:`RouteMetrics.stats
+        <repro.service.metrics.RouteMetrics.stats>`) plus the live cache
+        size and queue depth.  A ready engine adds its own section (the
+        coordinator: role and partitions with their workers).
         """
-        with self._stats_lock:
-            inflight = self._inflight
-            requests = {**self._requests, "reloads": self._reloads}
-            latency = {
-                "count": self._latency_count,
-                "total_ms": round(1000.0 * self._latency_total, 3),
-                "mean_ms": round(
-                    1000.0 * self._latency_total / self._latency_count, 3
-                )
-                if self._latency_count
-                else None,
-            }
+        sections = self._route_metrics.stats()
         return {
             "route": self.route,
-            "requests": requests,
-            "latency": latency,
-            "inflight": inflight,
+            "requests": sections["requests"],
+            "latency": sections["latency"],
+            "inflight": self._inflight,
             "max_inflight": self.config.max_inflight,
-            "cache": self.cache.stats(),
-            "scheduler": self.scheduler.snapshot() if self.scheduler else None,
+            "cache": {"capacity": self.cache.capacity, "size": len(self.cache), **sections["cache"]},
+            "scheduler": {**sections["scheduler"], "queue_depth": self.scheduler.queue_depth}
+            if self.scheduler
+            else None,
             "engine": {
                 "name": self.engine_name,
                 "mode": self.config.mode,
                 "num_references": self.index.num_references,
-                "max_batch": self.config.max_batch,
-                "max_wait_ms": self.config.max_wait_ms,
                 "executor": getattr(self._engine, "executor_kind", "inline"),
                 "config": self.config.resolved_engine().to_dict(),
                 "ann": self._ann_section(),
@@ -797,7 +764,7 @@ class SearchService:
         # under the same lock and aborts, so the engine read here
         # cannot be displaced afterwards.
         if self.scheduler is not None:
-            self.scheduler.close(drain=True, timeout=timeout)
+            self.scheduler.close(timeout=timeout)
         with self._swap_lock:
             engine = self._engine
         if hasattr(engine, "close"):
@@ -1102,13 +1069,7 @@ def serve(
         for name in registry.route_names():
             marker = " (default)" if name == registry.default_route else ""
             logger.info("route %s%s: %s", name, marker, registry.get(name).index.summary())
-        service_config = registry.get().config
-        detail = (
-            f"max_batch={service_config.max_batch}, "
-            f"max_wait_ms={service_config.max_wait_ms}, "
-            f"slow_ms={slow_ms}, trace={trace}"
-        )
-        return server, detail, registry.close
+        return server, f"slow_ms={slow_ms}, trace={trace}", registry.close
 
     return run_server(
         build, name="service", quiet=quiet, drain_timeout=drain_timeout,

@@ -190,20 +190,14 @@ class TestServeParser:
         assert args.cache_size == 1024
         assert args.mode == "open"
 
-    def test_micro_batch_flags_defer_to_service_config(self):
-        from repro.cli import _service_config_from_args
-        from repro.service import ServiceConfig
-
-        parse = build_parser().parse_args
-        config = _service_config_from_args(parse(["serve", "--index", "i.npz"]))
-        assert config.max_batch == ServiceConfig.max_batch
-        assert config.max_wait_ms == ServiceConfig.max_wait_ms == 0.0
-        config = _service_config_from_args(
-            parse(
-                ["serve", "--index", "i.npz", "--max-batch", "4", "--max-wait-ms", "2.5"]
-            )
-        )
-        assert (config.max_batch, config.max_wait_ms) == (4, 2.5)
+    @pytest.mark.parametrize("flag", ["--max-batch", "--max-wait-ms"])
+    def test_removed_batcher_flag_exits_2(self, flag, capsys):
+        # The micro-batcher has no knobs: it dispatches whatever is
+        # queued, up to 32 spectra, whenever the engine is idle.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--index", "i.npz", flag, "4"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
     def test_serve_requires_index(self):
         with pytest.raises(SystemExit):

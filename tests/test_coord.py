@@ -455,7 +455,7 @@ class _Fleet:
     def __init__(self, paths, **config):
         self.services, self.servers, self.urls = [], [], []
         for path in paths:
-            service = SearchService(path, ServiceConfig(max_batch=8, max_wait_ms=2.0, **config))
+            service = SearchService(path, ServiceConfig(**config))
             server = start_server(service)
             threading.Thread(target=server.serve_forever, daemon=True).start()
             self.services.append(service)
@@ -509,7 +509,7 @@ def coordinator_stack(store, tmp_path_factory):
     urls = []
     for spec in plan.partitions:
         service = SearchService(
-            paths[spec.index], ServiceConfig(max_batch=8, max_wait_ms=2.0)
+            paths[spec.index], ServiceConfig()
         )
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -857,9 +857,7 @@ class TestStandardModeRouting:
             for spec in plan.partitions:
                 service = SearchService(
                     paths[spec.index],
-                    ServiceConfig(
-                        max_batch=8, max_wait_ms=2.0, mode="standard"
-                    ),
+                    ServiceConfig(mode="standard"),
                 )
                 server = start_server(service)
                 thread = threading.Thread(
@@ -1110,7 +1108,7 @@ class TestCoordinatorRobustness:
         # half of it would merge garbage; the prober must reject it.
         plan = PartitionPlan.build(store, 2, "rows")
         service = SearchService(
-            store.root, ServiceConfig(max_batch=8, max_wait_ms=2.0)
+            store.root, ServiceConfig()
         )
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -167,7 +167,7 @@ class TestServiceConfigEngine:
             "engine", "num_shards", "num_workers", "backend", "executor",
             "score_block_rows", "ann",
         }
-        assert len(fields) == 9  # the newest is max_inflight, the admission gate
+        assert len(fields) == 7  # the newest is max_inflight, the admission gate
         with pytest.raises(TypeError, match="num_shards"):
             ServiceConfig(num_shards=4)
 

@@ -10,6 +10,7 @@ on ``/stats``.
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -81,9 +82,7 @@ class TestSchedulerSpans:
     def test_single_request_trace_covers_the_pipeline(
         self, index_path, workload, traced
     ):
-        with SearchService(
-            index_path, ServiceConfig(max_batch=4, max_wait_ms=5.0)
-        ) as service:
+        with SearchService(index_path, ServiceConfig()) as service:
             service.search_one_detailed(
                 workload.queries[0], request_id="req-single"
             )
@@ -129,26 +128,42 @@ class TestSchedulerSpans:
         self, index_path, workload, traced
     ):
         num = 6
-        with SearchService(
-            index_path, ServiceConfig(max_batch=num, max_wait_ms=500.0)
-        ) as service:
-            barrier = threading.Barrier(num)
+        with SearchService(index_path, ServiceConfig()) as service:
+            # Hold the engine on a first request, so the next ``num``
+            # queue behind it and leave as one batch (back-pressure).
+            entered, release = threading.Event(), threading.Event()
+            search_aligned = service._engine.search_aligned
 
-            def worker(i):
-                barrier.wait()
+            def gated(batch):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=10)
+                return search_aligned(batch)
+
+            service._engine.search_aligned = gated
+
+            def request(i):
                 service.search_one_detailed(
                     workload.queries[i], request_id=f"req-{i}"
                 )
 
+            holder = threading.Thread(target=request, args=(num,))
+            holder.start()
+            assert entered.wait(timeout=10)
             threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(num)
+                threading.Thread(target=request, args=(i,)) for i in range(num)
             ]
             for t in threads:
                 t.start()
-            for t in threads:
+            deadline = time.monotonic() + 10
+            while service.scheduler.queue_depth < 1 + num:  # held + queued
+                assert time.monotonic() < deadline, "requests never queued"
+                time.sleep(0.005)
+            release.set()
+            for t in [holder] + threads:
                 t.join()
         spans = by_name(traced.records())
-        # One full flush served every request: one batch, one engine pass.
+        # One flush served every queued request: one batch, one engine pass.
         batches = [s for s in spans["scheduler.batch"] if s.tags["size"] == num]
         assert len(batches) == 1
         assert sorted(batches[0].tags["requests"]) == [
@@ -174,9 +189,7 @@ class TestSchedulerSpans:
             )
 
     def test_cache_hit_skips_the_scheduler(self, index_path, workload, traced):
-        with SearchService(
-            index_path, ServiceConfig(max_batch=2, max_wait_ms=2.0)
-        ) as service:
+        with SearchService(index_path, ServiceConfig()) as service:
             service.search_one_detailed(workload.queries[0], request_id="miss")
             _psm, cached = service.search_one_detailed(
                 workload.queries[0], request_id="hit"
@@ -193,9 +206,7 @@ class TestSchedulerSpans:
         tracer = get_tracer()
         assert not tracer.enabled
         tracer.clear()
-        with SearchService(
-            index_path, ServiceConfig(max_batch=2, max_wait_ms=2.0)
-        ) as service:
+        with SearchService(index_path, ServiceConfig()) as service:
             psm, cached = service.search_one_detailed(workload.queries[1])
         assert cached is False
         assert tracer.records() == []
@@ -240,9 +251,7 @@ class TestShardedSpans:
 
 @pytest.fixture
 def server(index_path, traced):
-    service = SearchService(
-        index_path, ServiceConfig(max_batch=4, max_wait_ms=5.0)
-    )
+    service = SearchService(index_path, ServiceConfig())
     # slow_ms=0 turns /debug/slow into a rolling log of every request.
     srv = start_server(service, slow_ms=0.0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -384,4 +393,4 @@ class TestDebugAndMetricsEndpoints:
         stats = client.stats()
         assert stats["scheduler"]["queue_depth"] == 0
         assert stats["uptime_seconds"] >= 0.0
-        assert stats["scheduler"]["requests"] >= 1
+        assert stats["scheduler"]["batches"] >= 1

@@ -11,8 +11,10 @@ model, checking after *every* operation that
 * the eviction counter matches the model's evictions,
 * the observer stream agrees with the counters.
 
-A threaded smoke test then checks the same stats invariants survive
-genuinely concurrent interleavings.
+The counters are the route's metric families, fed by the cache's
+observer and read through the ``/stats`` view.  A threaded smoke test
+then checks the same stats invariants survive genuinely concurrent
+interleavings.
 """
 
 import threading
@@ -21,7 +23,19 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import MISSING, ResultCache
+from repro.service import MISSING, ResultCache, ServiceMetrics
+
+
+def observed_cache(capacity, events=None):
+    """A cache reporting into a fresh route's metric families."""
+    route = ServiceMetrics().for_route("r")
+
+    def observer(event):
+        route.cache_event(event)
+        if events is not None:
+            events.append(event)
+
+    return ResultCache(capacity, observer=observer), route
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 OPS = st.lists(
@@ -70,7 +84,7 @@ class LruModel:
 @given(capacity=st.integers(0, 4), ops=OPS)
 def test_cache_matches_lru_model_under_any_interleaving(capacity, ops):
     events = []
-    cache = ResultCache(capacity, observer=events.append)
+    cache, route = observed_cache(capacity, events)
     model = LruModel(capacity)
     for op in ops:
         if op[0] == "put":
@@ -89,7 +103,7 @@ def test_cache_matches_lru_model_under_any_interleaving(capacity, ops):
         else:
             cache.clear()
             model.clear()
-        stats = cache.stats()
+        stats = route.stats()["cache"]
         # Invariants hold after EVERY operation, whatever the order.
         assert stats["hits"] + stats["misses"] == (
             model.hits + model.misses
@@ -97,9 +111,8 @@ def test_cache_matches_lru_model_under_any_interleaving(capacity, ops):
         assert stats["hits"] == model.hits
         assert stats["misses"] == model.misses
         assert stats["evictions"] == model.evictions
-        assert stats["size"] == len(model.entries)
-        assert stats["size"] <= capacity
         assert len(cache) == len(model.entries)
+        assert len(cache) <= capacity
         lookups = stats["hits"] + stats["misses"]
         if lookups:
             assert stats["hit_rate"] == stats["hits"] / lookups
@@ -135,7 +148,7 @@ def test_cache_lru_order_matches_model(capacity):
 
 def test_cache_stats_invariants_under_real_concurrency():
     """Threads hammering put/get: counters never lose or double-count."""
-    cache = ResultCache(capacity=8)
+    cache, route = observed_cache(capacity=8)
     per_thread_gets = 400
     num_threads = 8
     errors = []
@@ -159,9 +172,8 @@ def test_cache_stats_invariants_under_real_concurrency():
     for thread in threads:
         thread.join(timeout=60)
     assert not errors
-    stats = cache.stats()
+    stats = route.stats()["cache"]
     assert stats["hits"] + stats["misses"] == num_threads * per_thread_gets
-    assert stats["size"] <= 8
     assert len(cache) <= 8
     # Everything ever inserted either still fits or was counted out.
-    assert stats["evictions"] >= stats["size"] == len(cache)
+    assert stats["evictions"] >= len(cache)

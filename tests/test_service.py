@@ -2,8 +2,8 @@
 
 Covers the satellite checklist: concurrent clients get PSMs
 bit-identical to a direct HDOmsSearcher run, repeated spectra hit the
-result cache, the ``max_wait_ms`` deadline actually coalesces batches,
-and ``/reload`` swaps the index without dropping queued requests.
+result cache, requests queued behind a busy engine coalesce into one
+batch, and ``/reload`` swaps the index without dropping queued requests.
 """
 
 import threading
@@ -28,12 +28,14 @@ from repro.service import (
     SearchService,
     ServiceConfig,
     ServiceError,
+    ServiceMetrics,
     config_fingerprint,
     spectrum_digest,
     spectrum_from_payload,
     spectrum_to_payload,
     start_server,
 )
+from repro.service.scheduler import MAX_BATCH
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +72,7 @@ def baseline(index, workload):
 
 
 def make_service(index_path, **overrides):
-    defaults = dict(max_batch=8, max_wait_ms=10.0)
-    defaults.update(overrides)
-    return SearchService(index_path, ServiceConfig(**defaults))
+    return SearchService(index_path, ServiceConfig(**overrides))
 
 
 # ----------------------------------------------------------------------
@@ -201,12 +201,12 @@ class TestPsmSerialization:
 
 class TestResultCache:
     def test_miss_then_hit(self):
-        cache = ResultCache(capacity=4)
+        events = []
+        cache = ResultCache(capacity=4, observer=events.append)
         assert cache.get("a") is MISSING
         cache.put("a", 1)
         assert cache.get("a") == 1
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert events == ["miss", "hit"]
 
     def test_stores_none_distinct_from_missing(self):
         cache = ResultCache(capacity=4)
@@ -215,7 +215,8 @@ class TestResultCache:
         assert cache.get("absent") is MISSING
 
     def test_lru_eviction_order(self):
-        cache = ResultCache(capacity=2)
+        events = []
+        cache = ResultCache(capacity=2, observer=events.append)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh a; b is now LRU
@@ -223,7 +224,7 @@ class TestResultCache:
         assert cache.get("b") is MISSING
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.stats()["evictions"] == 1
+        assert events.count("eviction") == 1
 
     def test_capacity_zero_disables_storage(self):
         cache = ResultCache(capacity=0)
@@ -236,12 +237,15 @@ class TestResultCache:
             ResultCache(capacity=-1)
 
     def test_clear_keeps_stats(self):
-        cache = ResultCache(capacity=4)
+        # The counters live in the route's metric families, which a
+        # clear (a reload) does not touch.
+        route = ServiceMetrics().for_route("r")
+        cache = ResultCache(capacity=4, observer=route.cache_event)
         cache.put("a", 1)
         cache.get("a")
         cache.clear()
         assert cache.get("a") is MISSING
-        assert cache.stats()["hits"] == 1
+        assert route.stats()["cache"]["hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -263,89 +267,43 @@ class RecordingRunner:
         return [f"done-{item}" for item in items]
 
 
+def submit(scheduler, item):
+    """The future of one item (the scheduler enqueues lists)."""
+    return scheduler.submit_many([item])[0]
+
+
 class TestScheduler:
     def test_full_batch_flushes_without_waiting(self):
         runner = RecordingRunner()
-        scheduler = MicroBatchScheduler(runner, max_batch=4, max_wait_ms=60_000)
+        scheduler = MicroBatchScheduler(runner)
         try:
-            futures = [scheduler.submit(i) for i in range(4)]
+            futures = scheduler.submit_many(list(range(MAX_BATCH)))
             results = [f.result(timeout=5) for f in futures]
-            assert results == [f"done-{i}" for i in range(4)]
-            assert runner.batches == [[0, 1, 2, 3]]
-            assert scheduler.stats.snapshot()["full_flushes"] == 1
-        finally:
-            scheduler.close()
-
-    def test_max_wait_flush_coalesces_trickle(self):
-        # Six submissions well inside the deadline must come out as ONE
-        # batch: the flusher holds the first request back max_wait_ms
-        # and everything arriving meanwhile rides along.
-        runner = RecordingRunner()
-        scheduler = MicroBatchScheduler(runner, max_batch=64, max_wait_ms=500)
-        try:
-            futures = [scheduler.submit(i) for i in range(6)]
-            for future in futures:
-                future.result(timeout=5)
-            assert runner.batches == [[0, 1, 2, 3, 4, 5]]
-            stats = scheduler.stats.snapshot()
-            assert stats["timeout_flushes"] == 1
-            assert stats["max_batch_size"] == 6
+            assert results == [f"done-{i}" for i in range(MAX_BATCH)]
+            assert runner.batches == [list(range(MAX_BATCH))]
         finally:
             scheduler.close()
 
     def test_oversize_burst_splits_into_max_batches(self):
         runner = RecordingRunner()
-        scheduler = MicroBatchScheduler(runner, max_batch=3, max_wait_ms=200)
+        scheduler = MicroBatchScheduler(runner)
         try:
-            futures = [scheduler.submit(i) for i in range(7)]
-            for future in futures:
+            for future in scheduler.submit_many(list(range(2 * MAX_BATCH + 3))):
                 future.result(timeout=5)
-            assert [len(batch) for batch in runner.batches[:2]] == [3, 3]
-            assert sum(len(batch) for batch in runner.batches) == 7
+            assert [len(batch) for batch in runner.batches] == [MAX_BATCH, MAX_BATCH, 3]
         finally:
             scheduler.close()
 
     def test_close_drains_queue(self):
         runner = RecordingRunner(delay=0.05)
-        scheduler = MicroBatchScheduler(runner, max_batch=2, max_wait_ms=60_000)
-        futures = [scheduler.submit(i) for i in range(5)]
-        scheduler.close(drain=True)
+        scheduler = MicroBatchScheduler(runner)
+        futures = [submit(scheduler, i) for i in range(5)]
+        scheduler.close()
         assert [f.result(timeout=0) for f in futures] == [
             f"done-{i}" for i in range(5)
         ]
-        # The odd-sized tail only flushed because close() drained it —
-        # the stats must attribute it to the drain, not a timeout.
-        snapshot = scheduler.stats.snapshot()
-        assert snapshot["drain_flushes"] >= 1
-        assert snapshot["timeout_flushes"] == 0
-
-    def test_close_without_drain_fails_futures(self):
-        runner = RecordingRunner(delay=0.2)
-        scheduler = MicroBatchScheduler(runner, max_batch=1, max_wait_ms=0)
-        first = scheduler.submit("a")  # occupies the runner
-        time.sleep(0.05)
-        queued = scheduler.submit("b")
-        scheduler.close(drain=False)
-        assert first.result(timeout=5) == "done-a"
         with pytest.raises(RuntimeError, match="closed"):
-            queued.result(timeout=5)
-        with pytest.raises(RuntimeError, match="closed"):
-            scheduler.submit("c")
-
-    def test_close_without_drain_mid_wait_runs_no_phantom_batch(self):
-        # The flusher is parked in its fill-wait when close(drain=False)
-        # empties the queue: no zero-size batch may reach the runner or
-        # the stats.
-        runner = RecordingRunner()
-        scheduler = MicroBatchScheduler(runner, max_batch=10, max_wait_ms=60_000)
-        futures = [scheduler.submit(i) for i in range(2)]
-        time.sleep(0.05)  # let the flusher enter the fill-wait
-        scheduler.close(drain=False)
-        for future in futures:
-            with pytest.raises(RuntimeError, match="closed"):
-                future.result(timeout=5)
-        assert runner.batches == []
-        assert scheduler.stats.snapshot()["batches"] == 0
+            submit(scheduler, "late")
 
     def test_runner_exception_fails_batch_not_scheduler(self):
         calls = {"n": 0}
@@ -356,33 +314,17 @@ class TestScheduler:
                 raise RuntimeError("boom")
             return list(items)
 
-        scheduler = MicroBatchScheduler(flaky, max_batch=1, max_wait_ms=0)
+        scheduler = MicroBatchScheduler(flaky)
         try:
             with pytest.raises(RuntimeError, match="boom"):
-                scheduler.submit("x").result(timeout=5)
-            assert scheduler.submit("y").result(timeout=5) == "y"
+                submit(scheduler, "x").result(timeout=5)
+            assert submit(scheduler, "y").result(timeout=5) == "y"
         finally:
             scheduler.close()
 
-    def test_rejects_bad_parameters(self):
-        runner = RecordingRunner()
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(runner, max_batch=0, max_wait_ms=0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(runner, max_batch=1, max_wait_ms=-1)
-
-
-def default_scheduler(runner, **overrides):
-    """A scheduler with ``ServiceConfig``'s micro-batch defaults."""
-    knobs = dict(
-        max_batch=ServiceConfig.max_batch, max_wait_ms=ServiceConfig.max_wait_ms
-    )
-    knobs.update(overrides)
-    return MicroBatchScheduler(runner, **knobs)
-
 
 class LingerRecorder(list):
-    """Every *timed* wait of the flusher (its only way to linger)."""
+    """Every *timed* wait of the flusher (there must be none: it never lingers)."""
 
     def __init__(self, scheduler):
         super().__init__()
@@ -418,68 +360,40 @@ class TestWorkConservingScheduler:
 
     def test_lone_submit_on_idle_flusher_dispatches_immediately(self):
         runner = RecordingRunner()
-        flushes = []
-        scheduler = default_scheduler(
-            runner, flush_observer=lambda *event: flushes.append(event)
-        )
+        observed = []
+        scheduler = MicroBatchScheduler(runner, observer=observed.append)
         lingers = LingerRecorder(scheduler)
         try:
-            assert scheduler.submit("solo").result(timeout=5) == "done-solo"
+            assert submit(scheduler, "solo").result(timeout=5) == "done-solo"
             assert runner.batches == [["solo"]]
-            assert [(size, reason) for size, reason, _wait in flushes] == [
-                (1, "immediate")
-            ]
+            assert [len(waits) for waits in observed] == [1]
             assert lingers == []
-            stats = scheduler.stats.snapshot()
-            assert stats["immediate_flushes"] == 1
-            assert stats["timeout_flushes"] == stats["full_flushes"] == 0
         finally:
             scheduler.close()
 
-    @pytest.mark.parametrize("later", [5, 11])
+    @pytest.mark.parametrize("later", [5, 11, 40])
     def test_batches_form_from_back_pressure(self, later):
-        max_batch = 8
         runner = ParkedRunner()
-        scheduler = default_scheduler(runner, max_batch=max_batch)
+        scheduler = MicroBatchScheduler(runner)
         lingers = LingerRecorder(scheduler)
         try:
-            first = scheduler.submit("first")
+            first = submit(scheduler, "first")
             assert runner.entered.wait(timeout=5)  # runner busy from here on
-            futures = [scheduler.submit(i) for i in range(later)]
+            futures = [submit(scheduler, i) for i in range(later)]
             runner.release.set()
             assert first.result(timeout=5) == "done-first"
             for future in futures:
                 future.result(timeout=5)
             # Everything that queued behind the busy runner left as one
-            # batch, capped at max_batch; only the overflow trails it.
-            coalesced = min(later, max_batch)
-            assert runner.batches[:2] == [["first"], list(range(coalesced))]
-            assert sum(map(len, runner.batches)) == 1 + later
+            # batch, capped at MAX_BATCH; only the overflow trails it
+            # (40 queued leave as 32 + 8).
+            assert runner.batches == [["first"]] + [
+                list(range(start, min(start + MAX_BATCH, later)))
+                for start in range(0, later, MAX_BATCH)
+            ]
             assert lingers == []
-            stats = scheduler.stats.snapshot()
-            assert stats["timeout_flushes"] == 0
-            assert stats["full_flushes"] == (1 if later >= max_batch else 0)
         finally:
             runner.release.set()
-            scheduler.close()
-
-    def test_explicit_max_wait_still_lingers_and_flushes_early_when_full(self):
-        runner = RecordingRunner()
-        scheduler = default_scheduler(runner, max_batch=3, max_wait_ms=60_000)
-        lingers = LingerRecorder(scheduler)
-        try:
-            partial = [scheduler.submit(i) for i in range(2)]
-            # Two of three queued: the flusher must be holding them back.
-            assert lingers.started.wait(timeout=5)
-            assert not any(future.done() for future in partial)
-            full = scheduler.submit(2)
-            assert full.result(timeout=5) == "done-2"
-            assert runner.batches == [[0, 1, 2]]
-            assert lingers and all(0 < linger <= 60.0 for linger in lingers)
-            stats = scheduler.stats.snapshot()
-            assert stats["full_flushes"] == 1
-            assert stats["immediate_flushes"] == stats["timeout_flushes"] == 0
-        finally:
             scheduler.close()
 
 
@@ -510,7 +424,7 @@ class TestSearchService:
     def test_concurrent_clients_identical(
         self, index_path, workload, baseline
     ):
-        with make_service(index_path, max_wait_ms=20.0) as service:
+        with make_service(index_path) as service:
             results = {}
             errors = []
 
@@ -535,8 +449,8 @@ class TestSearchService:
                 assert results[query.identifier] == baseline.get(
                     query.identifier
                 )
-            snapshot = service.scheduler.stats.snapshot()
-            assert snapshot["requests"] == len(workload.queries)
+            batched = service.metrics.batch_size.snapshot(route=service.route)
+            assert batched["sum"] == len(workload.queries)
 
     def test_repeated_spectrum_hits_cache(self, index_path, workload):
         with make_service(index_path) as service:
@@ -546,7 +460,7 @@ class TestSearchService:
             assert not cached_first
             assert cached_second
             assert first == second
-            assert service.cache.stats()["hits"] == 1
+            assert service.stats()["cache"]["hits"] == 1
 
     def test_cache_hit_rewrites_query_id(self, index_path, workload):
         import dataclasses
@@ -592,7 +506,8 @@ class TestSearchService:
                 expected, query_id="twin"
             )
             # One unique digest -> one scheduled search.
-            assert service.scheduler.stats.snapshot()["requests"] == 1
+            batched = service.metrics.batch_size.snapshot(route=service.route)
+            assert batched["sum"] == 1
 
     def test_default_engine_is_one_serial_part(self, index_path):
         with make_service(index_path) as service:
@@ -611,20 +526,19 @@ class TestSearchService:
     def test_search_many_aligns_and_coalesces(
         self, index_path, workload, baseline
     ):
-        with make_service(index_path, max_batch=64) as service:
+        with make_service(index_path) as service:
             results = service.search_many(workload.queries)
             assert len(results) == len(workload.queries)
             for query, psm in zip(workload.queries, results):
                 assert psm == baseline.get(query.identifier)
             # The whole list entered the scheduler together: far fewer
             # batches than requests.
-            snapshot = service.scheduler.stats.snapshot()
-            assert snapshot["batches"] < len(workload.queries)
+            assert service.stats()["scheduler"]["batches"] < len(workload.queries)
 
     def test_reload_swaps_without_dropping_queued_requests(
         self, index_path, workload, baseline
     ):
-        with make_service(index_path, max_wait_ms=20.0) as service:
+        with make_service(index_path) as service:
             results = {}
             errors = []
 
@@ -668,6 +582,28 @@ class TestSearchService:
             )
             assert service.cache.get(key) is None
 
+    def test_out_of_order_ann_snapshots_count_once(self, index_path):
+        # The flusher and a /score thread read the engine's cumulative
+        # ANN counters under the engine lock but report them after it,
+        # so the snapshots can arrive out of order (S2, S1, S3).
+        def snapshot(window_rows):
+            return {
+                "bypassed": 0,
+                "prefiltered": window_rows // 100,
+                "window_rows": window_rows,
+                "scored_rows": window_rows // 10,
+            }
+
+        with make_service(index_path) as service:
+            for window_rows in (200, 100, 300):
+                service._observe_ann(snapshot(window_rows), service._generation)
+            # A swapped-out engine's late snapshot adds nothing either.
+            service._observe_ann(snapshot(1000), service._generation - 1)
+            metrics, route = service.metrics, service.route
+            assert metrics.ann_window_rows.value(route=route) == 300
+            assert metrics.ann_scored_rows.value(route=route) == 30
+            assert metrics.ann_queries.value(route=route, outcome="prefiltered") == 3
+
     def test_reload_bumps_generation(self, index_path, workload):
         with make_service(index_path) as service:
             assert service._generation == 0
@@ -675,7 +611,7 @@ class TestSearchService:
             assert service._generation == 1
 
     def test_reload_requires_path_for_memory_index(self, index):
-        service = SearchService(index, ServiceConfig(max_wait_ms=0.0))
+        service = SearchService(index, ServiceConfig())
         try:
             with pytest.raises(ValueError, match="in-memory"):
                 service.reload()
@@ -727,9 +663,7 @@ class TestSearchService:
 
 @pytest.fixture(scope="module")
 def http_service(index_path):
-    service = SearchService(
-        index_path, ServiceConfig(max_batch=8, max_wait_ms=10.0)
-    )
+    service = SearchService(index_path, ServiceConfig())
     server = start_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -882,18 +816,16 @@ class TestHttpApi:
         finally:
             conn.close()
 
-    def test_oversized_body_is_413(self, http_service, workload):
+    def test_oversized_body_is_413(self, http_service, workload, monkeypatch):
         from repro.service.server import SearchRequestHandler
 
         _service, client = http_service
-        original = SearchRequestHandler.max_body_bytes
-        SearchRequestHandler.max_body_bytes = 10
-        try:
-            with pytest.raises(ServiceError) as excinfo:
-                client.search(workload.queries[0])
-            assert excinfo.value.status == 413
-        finally:
-            SearchRequestHandler.max_body_bytes = original
+        # monkeypatch deletes the attribute afterwards; restoring it by
+        # assignment would leave a subclass attribute shadowing the base.
+        monkeypatch.setattr(SearchRequestHandler, "max_body_bytes", 10)
+        with pytest.raises(ServiceError) as excinfo:
+            client.search(workload.queries[0])
+        assert excinfo.value.status == 413
 
     def test_unknown_path_is_404(self, http_service):
         _service, client = http_service
@@ -906,7 +838,7 @@ class TestHttpApi:
         # server_close() from joining its (non-daemon) handler thread.
         import http.client
 
-        service = SearchService(index_path, ServiceConfig(max_wait_ms=1.0))
+        service = SearchService(index_path, ServiceConfig())
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -948,7 +880,7 @@ class TestHttpApi:
         # requests) used to hold server_close() for the handler's whole
         # 10 s read timeout; a request in flight must still get its
         # full reply.
-        service = SearchService(index_path, ServiceConfig(max_wait_ms=1.0))
+        service = SearchService(index_path, ServiceConfig())
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -1011,7 +943,7 @@ class TestClientConnectionReuse:
             connections.append(handler.client_address)
             original_setup(handler)
 
-        service = SearchService(index_path, ServiceConfig(max_wait_ms=1.0))
+        service = SearchService(index_path, ServiceConfig())
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -1092,7 +1024,7 @@ class TestClientConnectionReuse:
         import http.client
         import json as json_module
 
-        service = SearchService(index_path, ServiceConfig(max_wait_ms=1.0))
+        service = SearchService(index_path, ServiceConfig())
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

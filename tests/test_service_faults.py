@@ -4,9 +4,10 @@ The scenarios a production deployment actually hits:
 
 * a request storm over two routes while one of them is hot-swapped by
   ``/reload`` — no dropped responses, no cross-routed responses, and
-  the ``/metrics`` counters reconcile with client-observed tallies;
-* the scheduler flush race under a tiny ``max_wait_ms`` (the deadline
-  expires while submitters are still piling on);
+  the ``/metrics`` counters (and ``/stats``, their view) reconcile with
+  client-observed tallies;
+* many submitters racing the flusher (every item batched exactly once,
+  no batch over ``MAX_BATCH``);
 * SIGTERM-style ``close()`` during an in-flight batch — every pending
   future resolves (result or error) instead of hanging, including the
   wedged-engine case where the drain can never finish.
@@ -34,6 +35,7 @@ from repro.service import (
     ServiceConfig,
     start_server,
 )
+from repro.service.scheduler import MAX_BATCH
 
 from test_service_metrics import parse_prometheus, sample_value
 
@@ -105,7 +107,6 @@ class TestRoutedStorm:
         registry = IndexRegistry(
             {"alpha": path_a, "beta": path_b},
             default_route="alpha",
-            config=ServiceConfig(max_batch=8, max_wait_ms=5.0),
         )
         server = start_server(registry)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -177,6 +178,7 @@ class TestRoutedStorm:
             samples, _types = parse_prometheus(
                 SearchClient(client_url).metrics()
             )
+            views = SearchClient(client_url).stats()["routes"]
             requests = "hdoms_service_requests_total"
             lookups = "hdoms_service_cache_lookups_total"
             latency = "hdoms_service_request_latency_seconds_count"
@@ -196,11 +198,20 @@ class TestRoutedStorm:
                 assert sample_value(samples, latency, route=route) == (
                     tallies[route]
                 )
+                # /stats reads the same families, so it cannot disagree.
+                view = views[route]
+                assert view["requests"]["search"] == observed
+                assert (view["cache"]["hits"], view["cache"]["misses"]) == (hits, misses)
+                assert view["latency"]["count"] == tallies[route]
+                assert view["scheduler"]["batches"] == sample_value(
+                    samples, "hdoms_service_batch_size_spectra_count", route=route
+                )
             # The reloader did exercise the swap path under load.
             reloads = sample_value(
                 samples, "hdoms_service_reloads_total", route="alpha"
             )
             assert reloads >= 1
+            assert views["alpha"]["requests"]["reloads"] == reloads
             assert registry.get("alpha")._generation == int(reloads)
         finally:
             server.shutdown()
@@ -210,21 +221,23 @@ class TestRoutedStorm:
 
 
 # ----------------------------------------------------------------------
-# scheduler flush race under a tiny max_wait_ms
+# submitters racing the flusher
 # ----------------------------------------------------------------------
 
 
 class TestFlushRace:
-    def test_tiny_max_wait_under_contention_loses_nothing(self):
+    def test_contention_loses_nothing(self):
         processed = []
+        sizes = []
         lock = threading.Lock()
 
         def runner(items):
             with lock:
                 processed.extend(items)
+                sizes.append(len(items))
             return [item * 2 for item in items]
 
-        scheduler = MicroBatchScheduler(runner, max_batch=4, max_wait_ms=0.2)
+        scheduler = MicroBatchScheduler(runner)
         results = {}
         errors = []
 
@@ -232,7 +245,7 @@ class TestFlushRace:
             try:
                 for offset in range(50):
                     value = base * 1000 + offset
-                    results[value] = scheduler.submit(value).result(
+                    results[value] = scheduler.submit_many([value])[0].result(
                         timeout=30
                     )
             except Exception as error:  # pragma: no cover - fail loudly
@@ -246,22 +259,14 @@ class TestFlushRace:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        scheduler.close(drain=True)
+        scheduler.close()
         assert not errors
         assert len(results) == 400
         assert all(value * 2 == out for value, out in results.items())
-        # Stats reconcile: every submission was batched exactly once.
+        # Every submission was batched exactly once, under the cap.
         assert sorted(processed) == sorted(results)
-        snapshot = scheduler.stats.snapshot()
-        assert snapshot["requests"] == 400
-        assert snapshot["batches"] >= 100  # max_batch=4 caps flush size
-        assert snapshot["max_batch_size"] <= 4
-        assert (
-            snapshot["full_flushes"]
-            + snapshot["timeout_flushes"]
-            + snapshot["drain_flushes"]
-            == snapshot["batches"]
-        )
+        assert sum(sizes) == 400
+        assert max(sizes) <= MAX_BATCH
 
 
 # ----------------------------------------------------------------------
@@ -275,12 +280,10 @@ class TestShutdownOrdering:
             time.sleep(0.15)
             return list(items)
 
-        scheduler = MicroBatchScheduler(
-            slow_echo, max_batch=2, max_wait_ms=60_000
-        )
-        futures = [scheduler.submit(value) for value in range(6)]
+        scheduler = MicroBatchScheduler(slow_echo)
+        futures = [scheduler.submit_many([value])[0] for value in range(6)]
         time.sleep(0.05)  # first batch is now in flight
-        scheduler.close(drain=True)
+        scheduler.close()
         assert [future.result(timeout=0) for future in futures] == list(
             range(6)
         )
@@ -294,11 +297,11 @@ class TestShutdownOrdering:
             release.wait(30)
             return list(items)
 
-        scheduler = MicroBatchScheduler(wedged, max_batch=2, max_wait_ms=0)
-        futures = [scheduler.submit(value) for value in range(5)]
+        scheduler = MicroBatchScheduler(wedged)
+        futures = [scheduler.submit_many([value])[0] for value in range(5)]
         assert entered.wait(5)
         started = time.monotonic()
-        scheduler.close(drain=True, timeout=0.5)
+        scheduler.close(timeout=0.5)
         elapsed = time.monotonic() - started
         assert elapsed < 5, "close() hung on the wedged runner"
         for future in futures:
@@ -316,14 +319,12 @@ class TestShutdownOrdering:
             time.sleep(0.1)
             return list(items)
 
-        scheduler = MicroBatchScheduler(
-            slow_echo, max_batch=2, max_wait_ms=60_000
-        )
-        futures = [scheduler.submit(value) for value in range(8)]
+        scheduler = MicroBatchScheduler(slow_echo)
+        futures = [scheduler.submit_many([value])[0] for value in range(8)]
         drained_at_return = []
 
         def closer():
-            scheduler.close(drain=True)
+            scheduler.close()
             drained_at_return.append(
                 all(future.done() for future in futures)
             )
@@ -345,9 +346,7 @@ class TestShutdownOrdering:
         self, index_a, workload_a
     ):
         _index, path = index_a
-        service = SearchService(
-            path, ServiceConfig(max_batch=4, max_wait_ms=5.0)
-        )
+        service = SearchService(path, ServiceConfig())
         entered = threading.Event()
         release = threading.Event()
         real_search = service._engine.search_aligned
@@ -359,7 +358,7 @@ class TestShutdownOrdering:
 
         service._engine.search_aligned = wedged_search
         try:
-            future = service.scheduler.submit(workload_a.queries[0])
+            future = service.scheduler.submit_many([workload_a.queries[0]])[0]
             assert entered.wait(5)
             started = time.monotonic()
             service.close(timeout=0.5)
@@ -380,9 +379,7 @@ class TestShutdownOrdering:
 
         monkeypatch.setattr(server_module, "ENGINE_SWAP_TIMEOUT", 0.2)
         _index, path = index_a
-        service = SearchService(
-            path, ServiceConfig(max_batch=4, max_wait_ms=5.0)
-        )
+        service = SearchService(path, ServiceConfig())
         entered = threading.Event()
         release = threading.Event()
         real_search = service._engine.search_aligned
@@ -394,7 +391,7 @@ class TestShutdownOrdering:
 
         service._engine.search_aligned = wedged_search
         try:
-            future = service.scheduler.submit(workload_a.queries[0])
+            future = service.scheduler.submit_many([workload_a.queries[0]])[0]
             assert entered.wait(5)
             with pytest.raises(RuntimeError, match="timed out"):
                 service.reload()
@@ -416,8 +413,6 @@ class TestShutdownOrdering:
         service = SearchService(
             path,
             ServiceConfig(
-                max_batch=4,
-                max_wait_ms=20.0,
                 engine_config=EngineConfig(
                     kind="sharded", num_shards=2, num_workers=2
                 ),

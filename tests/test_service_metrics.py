@@ -269,14 +269,21 @@ class TestServiceMetrics:
         # One family, declared once, however many routes observe it.
         assert metrics.render().count(f"# TYPE {name} ") == 1
 
-    def test_flush_event_observes_mean_wait(self):
+    def test_observe_batch_records_each_spectrum_wait(self):
         metrics = ServiceMetrics()
-        metrics.for_route("a").flush_event(4, "timeout", 0.4)
+        route = metrics.for_route("a")
+        route.observe_batch([0.1, 0.2, 0.3, 0.4])
+        route.observe_batch([1.0])
+        assert metrics.batch_size.snapshot(route="a") == {"count": 2, "sum": 5.0}
         assert metrics.batch_wait.snapshot(route="a") == {
-            "count": 1,
-            "sum": pytest.approx(0.1),
+            "count": 5,
+            "sum": pytest.approx(2.0),
         }
-        assert metrics.batch_flushes.value(route="a", reason="timeout") == 1
+        # /stats' spectrum-weighted mean wait: 2.0 s over 5 spectra.
+        scheduler = route.stats()["scheduler"]
+        assert scheduler["batches"] == 2
+        assert scheduler["mean_batch_size"] == 2.5
+        assert scheduler["mean_queue_wait_ms"] == pytest.approx(400.0)
 
     def test_cache_event_splits_lookups_and_evictions(self):
         metrics = ServiceMetrics()
@@ -317,9 +324,7 @@ class TestMetricsEndpoint:
     @pytest.fixture
     def served(self, metrics_index):
         path, workload = metrics_index
-        service = SearchService(
-            path, ServiceConfig(max_batch=4, max_wait_ms=5.0)
-        )
+        service = SearchService(path, ServiceConfig())
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -98,12 +98,10 @@ def baseline_b(index_b, workload_a):
 
 
 def make_registry(path_a, path_b, **config_overrides):
-    defaults = dict(max_batch=8, max_wait_ms=10.0)
-    defaults.update(config_overrides)
     return IndexRegistry(
         {"alpha": path_a, "beta": path_b},
         default_route="alpha",
-        config=ServiceConfig(**defaults),
+        config=ServiceConfig(**config_overrides),
     )
 
 
@@ -276,7 +274,7 @@ class TestIndexRegistry:
         assert drained_at_return == [True, True]
 
     def test_from_service_wraps_single_route(self, path_a):
-        service = SearchService(path_a, ServiceConfig(max_wait_ms=5.0))
+        service = SearchService(path_a, ServiceConfig())
         try:
             registry = IndexRegistry.from_service(service)
             assert registry.get() is service
@@ -286,7 +284,7 @@ class TestIndexRegistry:
             service.close()
 
     def test_close_added_routes_keeps_adopted_service(self, path_a, path_b):
-        service = SearchService(path_a, ServiceConfig(max_wait_ms=5.0))
+        service = SearchService(path_a, ServiceConfig())
         try:
             registry = IndexRegistry.from_service(service)
             added = registry.reload_route("extra", path_b)
@@ -306,7 +304,7 @@ class TestIndexRegistry:
         # Back-compat single-service server: routes added over /reload
         # live only in the implicit registry; server_close must drain
         # and close them (nobody else has a handle).
-        service = SearchService(path_a, ServiceConfig(max_wait_ms=5.0))
+        service = SearchService(path_a, ServiceConfig())
         server = start_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -356,8 +354,8 @@ class TestIndexRegistry:
         psm_b, cached = beta.search_one_detailed(query)
         assert not cached  # ...but never pre-warms beta
         assert psm_b == baseline_b.get(query.identifier)
-        assert alpha.cache.stats()["hits"] == 1
-        assert beta.cache.stats()["hits"] == 0
+        assert alpha.stats()["cache"]["hits"] == 1
+        assert beta.stats()["cache"]["hits"] == 0
 
     def test_reload_one_route_keeps_others_hot(self, registry, workload_a):
         query = workload_a.queries[0]
@@ -417,7 +415,7 @@ class TestIndexRegistry:
         assert "late-add" not in registry
 
     def test_service_reload_after_close_raises(self, path_a):
-        service = SearchService(path_a, ServiceConfig(max_wait_ms=5.0))
+        service = SearchService(path_a, ServiceConfig())
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.reload()
@@ -426,7 +424,7 @@ class TestIndexRegistry:
         # close() completes while reload() is mid-build (its entry
         # check already passed): the swap must abort and the fresh
         # engine must be released, not installed into a dead service.
-        service = SearchService(path_a, ServiceConfig(max_wait_ms=5.0))
+        service = SearchService(path_a, ServiceConfig())
         original_build = service._build_engine
         engines = []
 
