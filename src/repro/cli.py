@@ -731,26 +731,16 @@ def _iter_library(path: Path, no_decoys: bool, seed: int):
 
     The streaming twin of :func:`_load_library` for segmented-store
     ingest: the file is read twice (targets, then a decoy per target)
-    so at no point is the library resident, and one sequential RNG
-    seeded like :func:`~repro.ms.decoy.append_decoys` keeps the decoy
-    sequences — and therefore the stored rows — bit-identical to the
-    buffered path.
+    so at no point is the library resident, and
+    :func:`~repro.ms.decoy.iter_decoys` seeded like
+    :func:`~repro.ms.decoy.append_decoys` keeps the decoy sequences —
+    and therefore the stored rows — bit-identical to the buffered path.
     """
-    import random
-
-    from .ms.decoy import decoy_factory, make_decoy_spectrum
+    from .ms.decoy import decoy_factory, iter_decoys
 
     yield from _read_spectra(path)
-    if no_decoys:
-        return
-    factory = decoy_factory(seed)
-    rng = random.Random(seed)
-    for reference in _read_spectra(path):
-        if reference.is_decoy:
-            continue
-        decoy = make_decoy_spectrum(reference, factory, rng)
-        if decoy is not None:
-            yield decoy
+    if not no_decoys:
+        yield from iter_decoys(_read_spectra(path), decoy_factory(seed), seed=seed)
 
 
 def _write_psm_tsv(path: Path, accepted) -> None:

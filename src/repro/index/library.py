@@ -44,7 +44,7 @@ from ..ann import AnnConfig, AnnRows
 from ..hdc.encoder import SpectrumEncoder, encode_packed_rows
 from ..hdc.packing import unpack_bipolar
 from ..hdc.spaces import HDSpace, HDSpaceConfig
-from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess_many
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
 
@@ -293,8 +293,9 @@ class LibraryIndex:
 
         kept_originals: List[Spectrum] = []
         kept_processed: List[Spectrum] = []
-        for reference in references:
-            processed = preprocess(reference, preprocessing)
+        for reference, processed in zip(
+            references, preprocess_many(references, preprocessing)
+        ):
             if processed is not None:
                 kept_originals.append(reference)
                 kept_processed.append(processed)
@@ -315,7 +316,7 @@ class LibraryIndex:
             [ref.precursor_charge for ref in kept_originals], dtype=np.int64
         )
         packed = np.empty((num_kept, -(-encoder.space.dim // 8)), dtype=np.uint8)
-        for charge in np.unique(charges):
+        for charge in sorted(set(charges.tolist())):
             positions = np.flatnonzero(charges == charge)
             for start in range(0, len(positions), chunk_size):
                 chunk = positions[start : start + chunk_size]

@@ -15,49 +15,27 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "elements": ["AMINO_ACIDS", "RESIDUE_MASSES", "residue_mass"],
         "modifications": [
-            "COMMON_MODIFICATIONS",
-            "Modification",
-            "ModificationSampler",
-            "ModificationType",
+            "COMMON_MODIFICATIONS", "Modification", "ModificationSampler", "ModificationType",
         ],
         "peptide": ["Peptide", "neutral_mass_from_mz"],
         "spectrum": ["Spectrum"],
         "preprocessing": [
-            "EmptyLibraryError",
-            "PreprocessingConfig",
-            "filter_intensity",
-            "normalize_intensity",
-            "preprocess",
-            "remove_precursor_peaks",
-            "restrict_mz_range",
-            "scale_intensity",
+            "EmptyLibraryError", "PreprocessingConfig", "preprocess", "preprocess_many",
         ],
         "vectorize": [
-            "BinningConfig",
-            "SparseVector",
-            "cosine_similarity",
-            "quantize_intensities",
+            "BinningConfig", "SparseVector", "cosine_similarity", "quantize_intensities",
             "vectorize",
         ],
         "mgf": ["read_mgf", "write_mgf"],
         "msp": ["read_msp", "write_msp"],
         "io": ["SPECTRUM_READERS", "iter_spectra"],
         "decoy": [
-            "append_decoys",
-            "decoy_factory",
-            "make_decoy_spectrum",
-            "reverse_sequence",
+            "append_decoys", "decoy_factory", "iter_decoys", "reverse_sequence",
             "shuffle_sequence",
         ],
         "synthetic": [
-            "NoiseModel",
-            "PeptideSampler",
-            "QUERY_NOISE",
-            "REFERENCE_NOISE",
-            "SpectrumSimulator",
-            "SyntheticWorkload",
-            "WorkloadConfig",
-            "build_workload",
+            "NoiseModel", "PeptideSampler", "QUERY_NOISE", "REFERENCE_NOISE",
+            "SpectrumSimulator", "SyntheticWorkload", "WorkloadConfig", "build_workload",
             "scaled_config",
         ],
     },

@@ -11,11 +11,15 @@ residue multiset is unchanged.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .peptide import Peptide
 from .spectrum import Spectrum
+
+#: Decoys :func:`iter_decoys` simulates per block.
+DECOY_BLOCK = 128
 
 
 def shuffle_sequence(
@@ -52,7 +56,8 @@ def decoy_factory(seed: int) -> Callable[[Peptide, int, str], Spectrum]:
     by the same simulator as a synthetic workload's spectra (pass the
     workload's ``config.seed`` to reproduce its generation model).  The
     simulator is imported here, so a caller that never builds decoys
-    never loads :mod:`repro.ms.synthetic`.
+    never loads :mod:`repro.ms.synthetic`.  The factory's ``block``
+    attribute simulates many decoys in one call (:func:`iter_decoys`).
     """
     from .synthetic import REFERENCE_NOISE, SpectrumSimulator
 
@@ -60,36 +65,15 @@ def decoy_factory(seed: int) -> Callable[[Peptide, int, str], Spectrum]:
 
     def factory(peptide: Peptide, charge: int, identifier: str) -> Spectrum:
         """Generate one simulated decoy spectrum."""
-        return simulator.spectrum(
-            peptide, charge, identifier, noise=REFERENCE_NOISE
-        )
+        return simulator.spectrum(peptide, charge, identifier, noise=REFERENCE_NOISE)
 
+    factory.block = functools.partial(simulator.spectra, noise=REFERENCE_NOISE)
     return factory
 
 
-def make_decoy_spectrum(
-    reference: Spectrum,
-    spectrum_factory: Callable[[Peptide, int, str], Spectrum],
-    rng: random.Random,
-    method: str = "shuffle",
-) -> Optional[Spectrum]:
-    """Build a decoy spectrum from a target library entry.
-
-    Parameters
-    ----------
-    reference:
-        The target spectrum (must carry a peptide annotation).
-    spectrum_factory:
-        ``(peptide, charge, identifier) -> Spectrum``; typically the
-        synthetic generator's theoretical-spectrum builder, so decoys
-        share the targets' peak statistics.
-    method:
-        ``"shuffle"`` (default) or ``"reverse"``.
-
-    Returns None when the reference has no peptide or the decoy sequence
-    collapses onto the target sequence.
-    """
-    if reference.peptide is None:
+def _decoy_peptide(reference: Spectrum, rng: random.Random, method: str) -> Optional[Peptide]:
+    """The decoy peptide of *reference*: None without a peptide or a new sequence."""
+    if reference.is_decoy or reference.peptide is None:
         return None
     sequence = reference.peptide.sequence
     if method == "shuffle":
@@ -98,15 +82,49 @@ def make_decoy_spectrum(
         decoy_sequence = reverse_sequence(sequence)
     else:
         raise ValueError(f"unknown decoy method {method!r}")
-    if decoy_sequence == sequence:
-        return None
-    decoy = spectrum_factory(
-        Peptide(decoy_sequence),
-        reference.precursor_charge,
-        f"DECOY_{reference.identifier}",
+    return None if decoy_sequence == sequence else Peptide(decoy_sequence)
+
+
+def iter_decoys(
+    references: Iterable[Spectrum],
+    spectrum_factory: Callable[[Peptide, int, str], Spectrum],
+    seed: int = 0,
+    method: str = "shuffle",
+) -> Iterator[Spectrum]:
+    """Yield one decoy per target of *references* (where possible), in order.
+
+    ``method`` is ``"shuffle"`` (default) or ``"reverse"``; one
+    ``random.Random(seed)`` shuffles every target sequence in turn.
+    ``spectrum_factory`` is ``(peptide, charge, identifier) ->
+    Spectrum``, typically the simulator, so decoys share the targets'
+    peak statistics; its ``block`` attribute, when it has one, simulates
+    ``DECOY_BLOCK`` decoys per call.  Only one block is resident, so
+    *references* may be a stream.  A target without a peptide, or whose
+    decoy sequence collapses onto its own, gets no decoy.
+    """
+    rng = random.Random(seed)
+    simulate = getattr(spectrum_factory, "block", None) or (
+        lambda *columns: [spectrum_factory(*decoy) for decoy in zip(*columns)]
     )
-    decoy.is_decoy = True
-    return decoy
+    planned: List[Tuple[Peptide, int, str]] = []
+    for reference in references:
+        peptide = _decoy_peptide(reference, rng, method)
+        if peptide is not None:
+            planned.append(
+                (peptide, reference.precursor_charge, f"DECOY_{reference.identifier}")
+            )
+            if len(planned) >= DECOY_BLOCK:
+                yield from _simulated(simulate, planned)
+    yield from _simulated(simulate, planned)
+
+
+def _simulated(simulate, planned: List[Tuple[Peptide, int, str]]) -> List[Spectrum]:
+    """The decoy spectra of *planned*, which is emptied."""
+    decoys = simulate(*zip(*planned)) if planned else []
+    planned.clear()
+    for decoy in decoys:
+        decoy.is_decoy = True
+    return decoys
 
 
 def append_decoys(
@@ -121,12 +139,5 @@ def append_decoys(
     order within each group — convenient for tests and deterministic
     given ``seed``.
     """
-    rng = random.Random(seed)
-    decoys: List[Spectrum] = []
-    for reference in references:
-        if reference.is_decoy:
-            continue
-        decoy = make_decoy_spectrum(reference, spectrum_factory, rng, method)
-        if decoy is not None:
-            decoys.append(decoy)
-    return list(references) + decoys
+    references = list(references)
+    return references + list(iter_decoys(references, spectrum_factory, seed, method))

@@ -2,9 +2,9 @@
 
 One entry point — :func:`iter_spectra` — lazily streams spectra from
 any supported peak-list format, so ingest code (the CLI, the segmented
-store builder) never hard-codes a parser.  Both underlying readers are
-generators, so memory stays bounded by one spectrum regardless of file
-size.
+store builder) never hard-codes a parser.  Both readers convert one
+block of entries at a time (:mod:`repro.ms.peaklist`), so memory stays
+bounded by one block whatever the file size.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from .msp import read_msp
 from .spectrum import Spectrum
 
 #: Extension (lower-case, with dot) → lazy reader.
-SPECTRUM_READERS: Dict[str, Callable] = {
-    ".mgf": read_mgf,
-    ".msp": read_msp,
-}
+SPECTRUM_READERS: Dict[str, Callable] = {".mgf": read_mgf, ".msp": read_msp}
 
 
-def iter_spectra(
-    source: Union[str, Path],
-    format: Optional[str] = None,
-) -> Iterator[Spectrum]:
+def iter_spectra(source: Union[str, Path], format: Optional[str] = None) -> Iterator[Spectrum]:
     """Lazily yield spectra from a peak-list file of any known format.
 
     Args:
@@ -35,7 +29,8 @@ def iter_spectra(
             paths whose extension lies.
 
     Yields:
-        One :class:`Spectrum` at a time; nothing else is materialized.
+        One :class:`Spectrum` at a time; only the current block of
+        entries is materialized.
 
     Raises:
         ValueError: When the extension (or override) names no reader.

@@ -9,10 +9,11 @@ preserved on read and ignored on write.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, TextIO, Union
+from typing import Dict, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
+from .peaklist import PeakBlock
 from .peptide import Peptide
 from .spectrum import Spectrum
 
@@ -33,9 +34,8 @@ def _parse_charge(raw: str) -> int:
     return sign * int(digits)
 
 
-def _spectrum_from_block(
-    headers: Dict[str, str], peaks: List[List[float]], index: int
-) -> Spectrum:
+def _spectrum_from_block(record, mz: np.ndarray, intensity: np.ndarray) -> Spectrum:
+    headers, index = record
     if "PEPMASS" not in headers:
         raise MgfFormatError(f"spectrum #{index} is missing PEPMASS")
     pepmass = float(headers["PEPMASS"].split()[0])
@@ -45,73 +45,64 @@ def _spectrum_from_block(
     peptide = None
     if headers.get("SEQ"):
         peptide = Peptide(headers["SEQ"].strip())
-    peak_array = (
-        np.asarray(peaks, dtype=np.float64)
-        if peaks
-        else np.empty((0, 2), dtype=np.float64)
-    )
     return Spectrum(
-        identifier=title,
-        precursor_mz=pepmass,
-        precursor_charge=abs(charge),
-        mz=peak_array[:, 0] if len(peak_array) else np.empty(0),
-        intensity=peak_array[:, 1] if len(peak_array) else np.empty(0),
-        peptide=peptide,
-        retention_time=rt,
+        title, pepmass, abs(charge), mz, intensity, peptide, retention_time=rt
     )
 
 
 def read_mgf(source: Union[PathLike, TextIO]) -> Iterator[Spectrum]:
-    """Yield :class:`Spectrum` objects from an MGF file or file object."""
+    """Yield :class:`Spectrum` objects from an MGF file or file object.
+
+    Peak lines are converted a :class:`~repro.ms.peaklist.PeakBlock` at
+    a time, so memory is bounded by one block of entries.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             yield from read_mgf(handle)
         return
 
-    in_block = False
+    block = PeakBlock(
+        lambda number, line: MgfFormatError(f"malformed peak line {number}: {line!r}")
+    )
+    lines, numbers = block.lines, block.numbers
     headers: Dict[str, str] = {}
-    peaks: List[List[float]] = []
-    index = 0
+    in_block, index, start, pending = False, 0, 0, None
     for line_number, raw_line in enumerate(source, start=1):
+        # Most lines are peaks: take them before stripping anything.
+        if in_block and raw_line[:1].isdigit():
+            lines.append(raw_line)
+            numbers.append(line_number)
+            continue
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if line == "BEGIN IONS":
-            if in_block:
-                raise MgfFormatError(f"nested BEGIN IONS at line {line_number}")
-            in_block, headers, peaks = True, {}, []
-        elif line == "END IONS":
-            if not in_block:
-                raise MgfFormatError(f"END IONS without BEGIN at line {line_number}")
-            yield _spectrum_from_block(headers, peaks, index)
-            index += 1
-            in_block = False
-        elif in_block:
+        if in_block and line != "END IONS" and line != "BEGIN IONS":
             if "=" in line and not line[0].isdigit():
                 key, _, value = line.partition("=")
                 headers[key.strip().upper()] = value.strip()
             else:
-                fields = line.split()
-                if len(fields) < 2:
-                    raise MgfFormatError(
-                        f"malformed peak line {line_number}: {line!r}"
-                    )
-                peaks.append([float(fields[0]), float(fields[1])])
-    if in_block:
-        raise MgfFormatError("file ended inside a BEGIN IONS block")
-
-
-def iter_spectra(source: Union[PathLike, TextIO]) -> Iterator[Spectrum]:
-    """Lazily iterate spectra from an MGF source, one at a time.
-
-    The streaming counterpart of ``list(read_mgf(...))``: nothing
-    beyond the spectrum currently being parsed is resident, so
-    arbitrarily large files can feed streaming consumers (e.g. the
-    segmented store builder) in bounded memory.  Format-agnostic
-    callers should prefer :func:`repro.ms.iter_spectra`, which
-    dispatches on the file extension.
-    """
-    yield from read_mgf(source)
+                lines.append(line)
+                numbers.append(line_number)
+        elif line == "BEGIN IONS":
+            if in_block:
+                pending = MgfFormatError(f"nested BEGIN IONS at line {line_number}")
+                break
+            in_block, headers, start = True, {}, len(lines)
+        elif line == "END IONS":
+            if not in_block:
+                pending = MgfFormatError(f"END IONS without BEGIN at line {line_number}")
+                break
+            in_block = False
+            full = block.close((headers, index), start)
+            index += 1
+            if full:
+                yield from block.spectra(_spectrum_from_block)
+    else:
+        if in_block:
+            pending = MgfFormatError("file ended inside a BEGIN IONS block")
+    yield from block.spectra(_spectrum_from_block)
+    if pending is not None:
+        raise pending
 
 
 def write_mgf(

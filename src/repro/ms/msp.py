@@ -9,11 +9,12 @@ Comment flags (decoy detection), and the peak table.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, TextIO, Union
+from typing import Dict, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
 from .elements import is_valid_sequence
+from .peaklist import PeakBlock
 from .peptide import Peptide
 from .spectrum import Spectrum
 
@@ -40,9 +41,12 @@ def _parse_decoy_flag(comment: str, name: str) -> bool:
     return upper_name.startswith("DECOY_") or upper_name.startswith("DECOY-")
 
 
-def _finalise(
-    headers: Dict[str, str], peaks: List[List[float]], index: int
-) -> Spectrum:
+def _finalise(record, mz: np.ndarray, intensity: np.ndarray) -> Spectrum:
+    headers, expected_peaks, index = record
+    if expected_peaks >= 0 and len(mz) != expected_peaks:
+        raise MspFormatError(
+            f"entry #{index}: expected {expected_peaks} peaks, got {len(mz)}"
+        )
     name = headers.get("NAME", f"library_{index}")
     sequence, charge = name, 2
     if "/" in name:
@@ -60,85 +64,60 @@ def _finalise(
         precursor_mz = (float(headers["MW"]) + charge * PROTON_MASS) / charge
     else:
         raise MspFormatError(f"entry {name!r} has neither PrecursorMZ nor MW")
-    comment = headers.get("COMMENT", "")
-    is_decoy = _parse_decoy_flag(comment, name)
+    is_decoy = _parse_decoy_flag(headers.get("COMMENT", ""), name)
     peptide = Peptide(sequence) if is_valid_sequence(sequence) else None
-    peak_array = (
-        np.asarray(peaks, dtype=np.float64)
-        if peaks
-        else np.empty((0, 2), dtype=np.float64)
-    )
-    return Spectrum(
-        identifier=name,
-        precursor_mz=precursor_mz,
-        precursor_charge=charge,
-        mz=peak_array[:, 0] if len(peak_array) else np.empty(0),
-        intensity=peak_array[:, 1] if len(peak_array) else np.empty(0),
-        peptide=peptide,
-        is_decoy=is_decoy,
-    )
+    return Spectrum(name, precursor_mz, charge, mz, intensity, peptide, is_decoy)
 
 
 def read_msp(source: Union[PathLike, TextIO]) -> Iterator[Spectrum]:
-    """Yield :class:`Spectrum` objects from an MSP library."""
+    """Yield :class:`Spectrum` objects from an MSP library.
+
+    Entries end at a blank line or the next ``Name:``.  Peak lines are
+    converted a :class:`~repro.ms.peaklist.PeakBlock` at a time, so
+    memory is bounded by one block of entries.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             yield from read_msp(handle)
         return
 
+    block = PeakBlock(lambda _number, line: MspFormatError(f"malformed peak line: {line!r}"))
+    lines, numbers = block.lines, block.numbers
     headers: Dict[str, str] = {}
-    peaks: List[List[float]] = []
-    expected_peaks = -1
-    index = 0
-    in_entry = False
-
-    def flush() -> Iterator[Spectrum]:
-        """Yield the entry parsed so far, validating its peak count."""
-        nonlocal headers, peaks, expected_peaks, index, in_entry
-        if in_entry:
-            if expected_peaks >= 0 and len(peaks) != expected_peaks:
-                raise MspFormatError(
-                    f"entry #{index}: expected {expected_peaks} peaks, "
-                    f"got {len(peaks)}"
-                )
-            yield _finalise(headers, peaks, index)
-            index += 1
-        headers, peaks, expected_peaks, in_entry = {}, [], -1, False
-
-    for raw_line in source:
-        line = raw_line.strip()
-        if not line:
-            yield from flush()
+    expected_peaks, index, start, in_entry, pending = -1, 0, 0, False, None
+    for number, raw_line in enumerate(source, start=1):
+        # Most lines are peaks: take them before stripping anything.
+        peak = raw_line[:1].isdigit()
+        line = raw_line if peak else raw_line.strip()
+        if peak or line[:1].isdigit() or line[:1] == "-":
+            lines.append(line)
+            numbers.append(number)
             continue
-        if line[0].isdigit() or line[0] == "-":
-            fields = line.replace("\t", " ").split()
-            if len(fields) < 2:
-                raise MspFormatError(f"malformed peak line: {line!r}")
-            peaks.append([float(fields[0]), float(fields[1])])
-        else:
-            key, _, value = line.partition(":")
-            key_upper = key.strip().upper().replace(" ", "")
-            if key_upper == "NAME":
-                yield from flush()
-                in_entry = True
-            if key_upper == "NUMPEAKS":
-                expected_peaks = int(value.strip())
-            headers[key_upper] = value.strip()
-            in_entry = True
-    yield from flush()
-
-
-def iter_spectra(source: Union[PathLike, TextIO]) -> Iterator[Spectrum]:
-    """Lazily iterate spectra from an MSP library, one at a time.
-
-    The streaming counterpart of ``list(read_msp(...))``: nothing
-    beyond the entry currently being parsed is resident, so
-    arbitrarily large libraries can feed streaming consumers (e.g. the
-    segmented store builder) in bounded memory.  Format-agnostic
-    callers should prefer :func:`repro.ms.iter_spectra`, which
-    dispatches on the file extension.
-    """
-    yield from read_msp(source)
+        key, _, value = line.partition(":")
+        key = key.strip().upper().replace(" ", "")
+        if not line or key == "NAME":
+            # The entry so far ends; peak lines outside an entry are
+            # parsed but belong to none.
+            if in_entry:
+                full = block.close((headers, expected_peaks, index), start)
+                index += 1
+                if full:
+                    yield from block.spectra(_finalise)
+            headers, expected_peaks, in_entry, start = {}, -1, False, len(lines)
+        if line:
+            if key == "NUMPEAKS":
+                try:
+                    expected_peaks = int(value.strip())
+                except ValueError as error:
+                    pending = error
+                    break
+            headers[key], in_entry = value.strip(), True
+    else:
+        if in_entry:
+            block.close((headers, expected_peaks, index), start)
+    yield from block.spectra(_finalise)
+    if pending is not None:
+        raise pending
 
 
 def write_msp(

@@ -10,13 +10,27 @@ unmodified reference (roughly half the fragments still align).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..constants import PROTON_MASS, WATER_MASS
-from .elements import residue_mass
+from .elements import RESIDUE_MASSES, residue_mass
 from .modifications import Modification
+
+#: Residue mass by character code; NaN where the code names no residue.
+_MASS_BY_CODE = np.full(256, np.nan)
+for _residue, _mass in RESIDUE_MASSES.items():
+    _MASS_BY_CODE[ord(_residue)] = _mass
+
+
+def _residue_masses(sequence: str) -> np.ndarray:
+    """Unmodified residue masses of *sequence* from the lookup table."""
+    masses = _MASS_BY_CODE[np.frombuffer(sequence.encode("utf-8"), dtype=np.uint8)]
+    if np.isnan(masses).any():
+        for residue in sequence:
+            residue_mass(residue)  # raises the KeyError naming the residue
+    return masses
 
 
 @dataclass(frozen=True)
@@ -53,16 +67,9 @@ class Peptide:
         """True if the peptide carries at least one modification."""
         return bool(self.modifications)
 
-    @property
-    def modification_mass(self) -> float:
-        """Total mass delta contributed by all modifications (Da)."""
-        return sum(mod.mass_delta for mod in self.modifications)
-
     def residue_masses(self) -> np.ndarray:
         """Per-residue masses including any modification deltas (Da)."""
-        masses = np.array(
-            [residue_mass(aa) for aa in self.sequence], dtype=np.float64
-        )
+        masses = _residue_masses(self.sequence)
         for mod in self.modifications:
             masses[mod.position] += mod.mass_delta
         return masses
@@ -79,53 +86,30 @@ class Peptide:
         return (self.neutral_mass + charge * PROTON_MASS) / charge
 
     def fragment_mzs(self, max_fragment_charge: int = 1) -> np.ndarray:
-        """m/z values of all b/y fragment ions, sorted ascending.
+        """m/z values of all b/y fragment ions, sorted ascending."""
+        return np.sort([ion[3] for ion in self.fragment_ions(max_fragment_charge)])
 
-        Generates b_i and y_i for i = 1 .. len-1 at fragment charges
-        1 .. ``max_fragment_charge``.  Modifications shift exactly the
-        fragments that contain the modified residue:
+    def fragment_ions(
+        self, max_fragment_charge: int = 1
+    ) -> List[Tuple[str, int, int, float]]:
+        """Annotated fragments as ``(series, index, charge, mz)``, by m/z.
 
-        * ``b_i`` covers residues ``0 .. i-1`` — shifted when the
-          modification position is ``< i``;
-        * ``y_i`` covers residues ``len-i .. len-1`` — shifted when the
-          position is ``>= len - i``.
-
-        Both follow automatically from the cumulative-sum construction
-        over per-residue masses that already include the deltas.
+        ``b_i`` and ``y_i`` for ``i = 1 .. len-1`` at fragment charges 1
+        .. ``max_fragment_charge``.  A modification shifts exactly the
+        fragments holding its residue: ``b_i`` covers residues ``0 ..
+        i-1``, ``y_i`` residues ``len-i .. len-1`` (:func:`fragment_block`).
         """
         if max_fragment_charge < 1:
             raise ValueError(
                 f"max_fragment_charge must be >= 1, got {max_fragment_charge}"
             )
-        masses = self.residue_masses()
-        # Neutral fragment masses.  b-ion neutral mass = prefix sum;
-        # y-ion neutral mass = suffix sum + water.
-        prefix = np.cumsum(masses)[:-1]
-        suffix = np.cumsum(masses[::-1])[:-1] + WATER_MASS
-        mzs: List[np.ndarray] = []
-        for charge in range(1, max_fragment_charge + 1):
-            mzs.append((prefix + charge * PROTON_MASS) / charge)
-            mzs.append((suffix + charge * PROTON_MASS) / charge)
-        return np.sort(np.concatenate(mzs))
-
-    def fragment_ions(
-        self, max_fragment_charge: int = 1
-    ) -> List[Tuple[str, int, int, float]]:
-        """Annotated fragments as ``(series, index, charge, mz)`` tuples.
-
-        ``series`` is ``"b"`` or ``"y"``, ``index`` is the 1-based ion
-        index.  Useful for writing annotated MSP libraries and for
-        tests that pin individual ion masses.
-        """
-        masses = self.residue_masses()
-        prefix = np.cumsum(masses)[:-1]
-        suffix = np.cumsum(masses[::-1])[:-1] + WATER_MASS
-        ions: List[Tuple[str, int, int, float]] = []
-        for charge in range(1, max_fragment_charge + 1):
-            for index, neutral in enumerate(prefix, start=1):
-                ions.append(("b", index, charge, (neutral + charge * PROTON_MASS) / charge))
-            for index, neutral in enumerate(suffix, start=1):
-                ions.append(("y", index, charge, (neutral + charge * PROTON_MASS) / charge))
+        neutral, sites = fragment_block([self])[0], len(self) - 1
+        ions = [
+            (series, index, charge, (neutral[start + index - 1] + charge * PROTON_MASS) / charge)
+            for charge in range(1, max_fragment_charge + 1)
+            for series, start in (("b", 0), ("y", sites))
+            for index in range(1, sites + 1)
+        ]
         ions.sort(key=lambda ion: ion[3])
         return ions
 
@@ -150,6 +134,36 @@ class Peptide:
             if index in by_position:
                 parts.append(f"[{by_position[index].name}]")
         return "".join(parts)
+
+
+def fragment_block(peptides: Sequence[Peptide]) -> np.ndarray:
+    """Neutral b and y fragment masses of a block of peptides, padded.
+
+    Row ``i`` holds ``b_1 .. b_{n-1}`` (prefix sums) from column 0 and
+    ``y_1 .. y_{n-1}`` (suffix sums plus water) from column ``w``, for
+    ``n`` the length of peptide ``i`` and ``w`` the longest length less
+    one; unused columns are ``+inf``.
+    """
+    lengths = np.array([len(peptide) for peptide in peptides], dtype=np.int64)
+    columns = np.arange(int(lengths.max(initial=1)))
+    inside = columns < lengths[:, None]
+    masses = np.zeros(inside.shape)
+    masses[inside] = _residue_masses("".join(p.sequence for p in peptides))
+    for row, peptide in enumerate(peptides):
+        for mod in peptide.modifications:
+            masses[row, mod.position] += mod.mass_delta
+    # y ions sum the residues from the C-terminus: each row reversed.
+    reverse = np.zeros_like(masses)
+    reverse[inside] = masses[
+        np.repeat(np.arange(len(peptides)), lengths),
+        (lengths[:, None] - 1 - columns)[inside],
+    ]
+    neutral = np.concatenate(
+        [np.cumsum(masses, axis=1)[:, :-1], np.cumsum(reverse, axis=1)[:, :-1] + WATER_MASS],
+        axis=1,
+    )
+    neutral[~np.tile(inside[:, 1:], 2)] = np.inf
+    return neutral
 
 
 def neutral_mass_from_mz(precursor_mz: float, charge: int) -> float:

@@ -2,15 +2,15 @@
 
 The paper's preprocessing pipeline: keep peaks above an intensity
 threshold (1% of the base peak), retain at most ~150 peaks, restrict the
-m/z range, and scale intensities before vectorisation.  The functions
-here are pure — each returns a new :class:`Spectrum` — and
-:func:`preprocess` composes them according to a config object.
+m/z range, and scale intensities before vectorisation.
+:func:`preprocess_many` runs it over a block of spectra in one pass and
+:func:`preprocess` is a block of one; both return new spectra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -59,77 +59,6 @@ class PreprocessingConfig:
             raise ValueError(f"unknown scaling {self.scaling!r}")
 
 
-def restrict_mz_range(
-    spectrum: Spectrum, min_mz: float, max_mz: float
-) -> Spectrum:
-    """Drop peaks outside ``[min_mz, max_mz]``."""
-    mask = (spectrum.mz >= min_mz) & (spectrum.mz <= max_mz)
-    return spectrum.copy_with_peaks(spectrum.mz[mask], spectrum.intensity[mask])
-
-
-def remove_precursor_peaks(spectrum: Spectrum, tolerance: float) -> Spectrum:
-    """Drop peaks within ``tolerance`` Da of the precursor m/z.
-
-    Residual precursor signal is uninformative for fragment matching and
-    would otherwise dominate the binned vector.
-    """
-    mask = np.abs(spectrum.mz - spectrum.precursor_mz) > tolerance
-    return spectrum.copy_with_peaks(spectrum.mz[mask], spectrum.intensity[mask])
-
-
-def filter_intensity(
-    spectrum: Spectrum,
-    min_intensity_fraction: float = DEFAULT_MIN_INTENSITY_FRACTION,
-    max_peaks: int = DEFAULT_MAX_PEAKS,
-) -> Spectrum:
-    """Keep peaks above the relative threshold, at most ``max_peaks``.
-
-    When more than ``max_peaks`` survive the threshold, the most intense
-    ones are retained (ties broken towards lower m/z for determinism).
-    """
-    if not len(spectrum):
-        return spectrum
-    threshold = spectrum.base_peak_intensity * min_intensity_fraction
-    mask = spectrum.intensity >= threshold
-    mz, intensity = spectrum.mz[mask], spectrum.intensity[mask]
-    if len(mz) > max_peaks:
-        # stable sort on negative intensity keeps low-m/z winners on ties
-        keep = np.argsort(-intensity, kind="stable")[:max_peaks]
-        keep.sort()
-        mz, intensity = mz[keep], intensity[keep]
-    return spectrum.copy_with_peaks(mz, intensity)
-
-
-def scale_intensity(spectrum: Spectrum, scaling: str = "sqrt") -> Spectrum:
-    """Compress the intensity dynamic range.
-
-    ``sqrt`` is the proteomics default (dampens dominant peaks), ``rank``
-    replaces intensities with their ascending rank (1..n), ``none`` is a
-    pass-through.
-    """
-    if scaling == "none" or not len(spectrum):
-        return spectrum
-    if scaling == "sqrt":
-        intensity = np.sqrt(spectrum.intensity.astype(np.float64))
-    elif scaling == "rank":
-        ranks = np.empty(len(spectrum), dtype=np.float64)
-        ranks[np.argsort(spectrum.intensity, kind="stable")] = np.arange(
-            1, len(spectrum) + 1
-        )
-        intensity = ranks
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
-    return spectrum.copy_with_peaks(spectrum.mz, intensity)
-
-
-def normalize_intensity(spectrum: Spectrum) -> Spectrum:
-    """Scale intensities to unit Euclidean norm (no-op on empty spectra)."""
-    norm = float(np.linalg.norm(spectrum.intensity))
-    if norm == 0.0:
-        return spectrum
-    return spectrum.copy_with_peaks(spectrum.mz, spectrum.intensity / norm)
-
-
 def is_high_quality(spectrum: Spectrum, min_peaks: int = 5, min_mz_span: float = 100.0) -> bool:
     """Quality gate: enough peaks covering a wide-enough m/z span."""
     if len(spectrum) < min_peaks:
@@ -142,40 +71,71 @@ def preprocess(
 ) -> Optional[Spectrum]:
     """Run the full preprocessing chain; None if the spectrum fails QC.
 
-    Order matters: range restriction and precursor removal first (so the
-    base-peak threshold is computed on informative peaks only), then the
-    intensity filter, then scaling and normalisation.  One pass over the
-    two peak arrays builds one new :class:`Spectrum`; the result equals
-    chaining :func:`restrict_mz_range`, :func:`remove_precursor_peaks`,
-    :func:`filter_intensity`, :func:`scale_intensity` and
-    :func:`normalize_intensity`, array for array and dtype for dtype.
+    A block of one for :func:`preprocess_many`.  Order matters: range
+    restriction and precursor removal first (so the base-peak threshold
+    is computed on informative peaks only), then the intensity filter
+    (at most ``max_peaks``, the most intense, ties to the lower m/z),
+    then scaling (``sqrt``, ``rank`` or ``none``) and normalisation to
+    unit Euclidean norm.
+    """
+    return preprocess_many([spectrum], config)[0]
+
+
+def preprocess_many(
+    spectra: Sequence[Spectrum], config: Optional[PreprocessingConfig] = None
+) -> List[Optional[Spectrum]]:
+    """:func:`preprocess` of every spectrum, None where one fails QC.
+
+    One pass over the concatenated peaks of the block, each peak tagged
+    with its spectrum: the masks, each spectrum's maximum and threshold,
+    the top-``max_peaks`` cut and the scaling run on the flat arrays.
+    Only the norm stays one float32 ``dot`` per spectrum, whose
+    summation order no segmented reduction reproduces.
     """
     config = config or PreprocessingConfig()
-    mz, intensity = spectrum.mz, spectrum.intensity
+    if not spectra:
+        return []
+    mz = np.concatenate([spectrum.mz for spectrum in spectra])
+    intensity = np.concatenate([spectrum.intensity for spectrum in spectra])
+    owner = np.arange(len(spectra)).repeat([len(spectrum) for spectrum in spectra])
     keep = (mz >= config.min_mz) & (mz <= config.max_mz)
     if config.remove_precursor_tolerance is not None:
-        keep &= np.abs(mz - spectrum.precursor_mz) > config.remove_precursor_tolerance
-    mz, intensity = mz[keep], intensity[keep]
-    if len(mz):
-        threshold = float(intensity.max()) * config.min_intensity_fraction
-        keep = intensity >= threshold
-        mz, intensity = mz[keep], intensity[keep]
-        if len(mz) > config.max_peaks:
-            # stable sort on negative intensity keeps low-m/z winners on ties
-            top = np.argsort(-intensity, kind="stable")[: config.max_peaks]
-            top.sort()
-            mz, intensity = mz[top], intensity[top]
-    if len(mz) < config.min_peaks:
-        return None
+        precursors = np.array([spectrum.precursor_mz for spectrum in spectra])
+        keep &= np.abs(mz - precursors[owner]) > config.remove_precursor_tolerance
+    # Each spectrum's base peak among its kept peaks (intensities are >= 0);
+    # a float32 array meets a Python-float threshold in float32.
+    maxima = np.zeros(len(spectra), dtype=np.float32)
+    np.maximum.at(maxima, owner[keep], intensity[keep])
+    thresholds = maxima.astype(np.float64) * config.min_intensity_fraction
+    keep &= intensity >= thresholds.astype(np.float32)[owner]
+    mz, intensity, owner = mz[keep], intensity[keep], owner[keep]
+    counts = np.bincount(owner, minlength=len(spectra))
+    if counts.max() > config.max_peaks:
+        # stable sort on negative intensity keeps low-m/z winners on ties
+        keep = _ranks(np.lexsort((-intensity, owner)), counts) < config.max_peaks
+        mz, intensity, owner = mz[keep], intensity[keep], owner[keep]
+        counts = np.minimum(counts, config.max_peaks)
     if config.scaling == "sqrt":
         intensity = np.sqrt(intensity.astype(np.float64)).astype(np.float32)
     elif config.scaling == "rank":
-        ranks = np.empty(len(mz), dtype=np.float32)
-        ranks[np.argsort(intensity, kind="stable")] = np.arange(1, len(mz) + 1)
-        intensity = ranks
-    # np.linalg.norm's own arithmetic (a float32 dot, then sqrt), minus
-    # its dispatch overhead.
-    norm = float(np.sqrt(intensity.dot(intensity)))
-    if norm != 0.0:
-        intensity = intensity / norm
-    return replace(spectrum, mz=mz, intensity=intensity)
+        intensity = (_ranks(np.lexsort((intensity, owner)), counts) + 1).astype(np.float32)
+    results: List[Optional[Spectrum]] = []
+    stop = 0
+    for spectrum, count in zip(spectra, counts.tolist()):
+        start, stop = stop, stop + count
+        if count < config.min_peaks:
+            results.append(None)
+            continue
+        values = intensity[start:stop]
+        # np.linalg.norm's own arithmetic (a float32 dot, then sqrt),
+        # minus its dispatch overhead.
+        norm = float(np.sqrt(values.dot(values)))
+        results.append(spectrum.copy_with_peaks(mz[start:stop], values / norm if norm else values))
+    return results
+
+
+def _ranks(order: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each peak's position within its spectrum under *order*, which sorts by spectrum first."""
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ranks

@@ -10,7 +10,7 @@ instead of re-checking them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -69,17 +69,24 @@ class Spectrum:
             raise ValueError(
                 f"precursor_mz must be finite and > 0, got {self.precursor_mz}"
             )
-        if len(self.mz) and not (
-            np.isfinite(self.mz).all() and np.isfinite(self.intensity).all()
-        ):
+        if not len(self.mz):
+            return
+        # A NaN fails every comparison, so ascending m/z values are all
+        # finite exactly when both ends are, and the stable sort below
+        # only runs on unsorted input.
+        ascending = bool((self.mz[1:] >= self.mz[:-1]).all())
+        lowest, highest = float(self.intensity.min()), float(self.intensity.max())
+        finite_mz = (
+            math.isfinite(self.mz[0]) and math.isfinite(self.mz[-1])
+            if ascending else bool(np.isfinite(self.mz).all())
+        )
+        if not (finite_mz and math.isfinite(lowest + highest)):
             raise ValueError(
                 f"spectrum {self.identifier!r}: mz and intensity values must be finite"
             )
-        if len(self.intensity) and float(self.intensity.min()) < 0:
+        if lowest < 0:
             raise ValueError("intensities must be non-negative")
-        # Finite values are non-decreasing exactly when the stable sort
-        # is the identity, so the sort only runs on unsorted input.
-        if not (self.mz[1:] >= self.mz[:-1]).all():
+        if not ascending:
             order = np.argsort(self.mz, kind="stable")
             self.mz = self.mz[order]
             self.intensity = self.intensity[order]
@@ -104,7 +111,7 @@ class Spectrum:
 
     def copy_with_peaks(self, mz: np.ndarray, intensity: np.ndarray) -> "Spectrum":
         """Return a copy of this spectrum with replaced peak arrays."""
-        return replace(self, mz=np.asarray(mz), intensity=np.asarray(intensity))
+        return Spectrum(**{**vars(self), "mz": mz, "intensity": intensity})
 
     def peptide_key(self) -> Optional[str]:
         """Canonical peptide string used to compare identifications.

@@ -25,14 +25,14 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import DEFAULT_MAX_MZ, DEFAULT_MIN_MZ
+from ..constants import DEFAULT_MAX_MZ, DEFAULT_MIN_MZ, PROTON_MASS
 from .elements import AMINO_ACIDS, NATURAL_FREQUENCIES
 from .modifications import COMMON_MODIFICATIONS, ModificationSampler
-from .peptide import Peptide
+from .peptide import Peptide, fragment_block
 from .spectrum import Spectrum
 
 
@@ -123,6 +123,10 @@ class PeptideSampler:
         return [self.sample() for _ in range(count)]
 
 
+#: Spectra :meth:`SpectrumSimulator.spectra` simulates per padded block.
+SIMULATION_BLOCK = 128
+
+
 class SpectrumSimulator:
     """Generate theoretical spectra with a reproducible intensity model.
 
@@ -169,42 +173,117 @@ class SpectrumSimulator:
         rng: Optional[np.random.Generator] = None,
     ) -> Spectrum:
         """Simulate one measured spectrum of *peptide* at *charge*."""
-        if rng is None:
-            rng = np.random.default_rng(
-                (_stable_hash(identifier) + self.seed) % (2**63)
-            )
-        b_intensity, y_intensity = self.base_pattern(peptide.sequence)
-        ions = peptide.fragment_ions(max_fragment_charge=1)
+        rngs = None if rng is None else [rng]
+        return self.spectra([peptide], [charge], [identifier], noise, rngs)[0]
+
+    def spectra(
+        self, peptides: Sequence[Peptide], charges: Sequence[int], identifiers: Sequence[str],
+        noise: NoiseModel = REFERENCE_NOISE, rngs: Optional[Sequence[np.random.Generator]] = None,
+    ) -> List[Spectrum]:
+        """Simulate a block of spectra, one per ``(peptide, charge, identifier)``.
+
+        Each spectrum draws what a one-spectrum simulation draws, in
+        order, from its own generator (``rngs``, or one seeded from its
+        identifier).  The b/y ions and their stable m/z sort are padded
+        arrays of up to ``SIMULATION_BLOCK`` rows; so are the jitter and
+        the m/z-range mask, except under dropout, whose draws depend on
+        the data and keep a per-ion loop.
+        """
+        spectra: List[Spectrum] = []
+        for start in range(0, len(peptides), SIMULATION_BLOCK):
+            block = slice(start, start + SIMULATION_BLOCK)
+            generators = rngs[block] if rngs is not None else [
+                np.random.default_rng((_stable_hash(identifier) + self.seed) % (2**63))
+                for identifier in identifiers[block]
+            ]
+            spectra += [
+                Spectrum(identifier, peptide.precursor_mz(charge), charge, mz, intensity, peptide)
+                for peptide, charge, identifier, (mz, intensity) in zip(
+                    peptides[block], charges[block], identifiers[block],
+                    self._peaks(peptides[block], noise, generators),
+                )
+            ]
+        return spectra
+
+    def _peaks(self, peptides, noise, rngs) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(mz, intensity)`` of each peptide: jittered ions, then background."""
+        ions = fragment_block(peptides) + PROTON_MASS  # singly charged
+        base = np.zeros_like(ions)
+        base[np.isfinite(ions)] = np.concatenate(
+            [np.concatenate(self.base_pattern(p.sequence)) for p in peptides]
+        )
+        order = np.argsort(ions, axis=1, kind="stable")
+        ions, base = (np.take_along_axis(array, order, axis=1) for array in (ions, base))
+        counts = np.isfinite(ions).sum(axis=1)
+        if noise.dropout_probability:
+            return [
+                self._dropped_peaks(ions[row, :count], base[row, :count], noise, rng)
+                for row, (count, rng) in enumerate(zip(counts.tolist(), rngs))
+            ]
+        # Each ion draws an m/z then an intensity normal: one standard
+        # normal call per row, scaled as ``normal`` scales it; the row's
+        # background draws follow from the same generator.
+        normals, background = zip(*[
+            (rng.standard_normal(2 * count), self._background(rng, noise))
+            for count, rng in zip(counts, rngs)
+        ])
+        jitter = np.zeros(ions.shape + (2,))
+        jitter[np.arange(ions.shape[1]) < counts[:, None]] = np.concatenate(
+            normals
+        ).reshape(-1, 2)
+        mz = ions + noise.mz_jitter_sd * jitter[..., 0]
+        intensity = base * np.exp(noise.intensity_jitter_sd * jitter[..., 1])
+        keep = (self.min_mz <= mz) & (mz <= self.max_mz)
+        base_peaks = np.where(keep, intensity, -np.inf).max(axis=1, initial=-np.inf)
+        base_peaks[~keep.any(axis=1)] = 1.0
+        sizes = np.array([len(draws) for draws in background])
+        filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        noise_mz, noise_draws = np.full(filled.shape, np.inf), np.zeros(filled.shape)
+        if filled.any():
+            noise_mz[filled], noise_draws[filled] = np.array(
+                [draw for draws in background for draw in draws]
+            ).T
+        # ``rng.exponential(scale)`` is ``scale`` times the standard draw.
+        scales = noise.noise_intensity_fraction * base_peaks
+        mz = np.concatenate([np.where(keep, mz, np.inf), noise_mz], axis=1)
+        intensity = np.concatenate([intensity, scales[:, None] * noise_draws], axis=1)
+        # Sorted as Spectrum sorts them (stable), so it need not re-sort.
+        order = np.argsort(mz, axis=1, kind="stable")
+        mz, intensity = (np.take_along_axis(array, order, axis=1) for array in (mz, intensity))
+        real = np.isfinite(mz)
+        mz, intensity, sizes = mz[real], intensity[real].astype(np.float32), real.sum(axis=1)
+        return [
+            (mz[stop - size : stop], intensity[stop - size : stop])
+            for size, stop in zip(sizes.tolist(), np.cumsum(sizes).tolist())
+        ]
+
+    def _dropped_peaks(self, ions, base, noise, rng) -> Tuple[List[float], List[float]]:
+        """``(mz, intensity)`` of one row under dropout: the per-ion loop."""
         mz_list: List[float] = []
         intensity_list: List[float] = []
-        for series, index, _charge, mz in ions:
-            base = (
-                b_intensity[index - 1] if series == "b" else y_intensity[index - 1]
-            )
-            if noise.dropout_probability and rng.random() < noise.dropout_probability:
+        for mz, intensity in zip(ions.tolist(), base.tolist()):
+            if rng.random() < noise.dropout_probability:
                 continue
             jittered_mz = mz + rng.normal(0.0, noise.mz_jitter_sd)
-            jittered_intensity = base * float(
+            jittered_intensity = intensity * float(
                 np.exp(rng.normal(0.0, noise.intensity_jitter_sd))
             )
             if self.min_mz <= jittered_mz <= self.max_mz:
                 mz_list.append(jittered_mz)
                 intensity_list.append(jittered_intensity)
-        base_peak = max(intensity_list, default=1.0)
-        num_noise = int(rng.poisson(noise.noise_peaks)) if noise.noise_peaks else 0
-        for _ in range(num_noise):
-            mz_list.append(float(rng.uniform(self.min_mz, self.max_mz)))
-            intensity_list.append(
-                float(rng.exponential(noise.noise_intensity_fraction * base_peak))
-            )
-        return Spectrum(
-            identifier=identifier,
-            precursor_mz=peptide.precursor_mz(charge),
-            precursor_charge=charge,
-            mz=np.asarray(mz_list, dtype=np.float64),
-            intensity=np.asarray(intensity_list, dtype=np.float64),
-            peptide=peptide,
-        )
+        scale = noise.noise_intensity_fraction * max(intensity_list, default=1.0)
+        for noise_mz, draw in self._background(rng, noise):
+            mz_list.append(noise_mz)
+            intensity_list.append(float(scale * draw))
+        return mz_list, intensity_list
+
+    def _background(self, rng, noise: NoiseModel) -> List[Tuple[float, float]]:
+        """Background draws: a Poisson count, then (uniform m/z, exponential) pairs."""
+        count = int(rng.poisson(noise.noise_peaks)) if noise.noise_peaks else 0
+        return [
+            (float(rng.uniform(self.min_mz, self.max_mz)), rng.standard_exponential())
+            for _ in range(count)
+        ]
 
 
 @dataclass(frozen=True)
@@ -293,20 +372,14 @@ def build_workload(config: WorkloadConfig) -> SyntheticWorkload:
         return int(local.choice(config.charges, p=charge_weights))
 
     sequences = sampler.sample_many(config.num_references)
-    references: List[Spectrum] = []
-    for index, sequence in enumerate(sequences):
-        peptide = Peptide(sequence)
-        charge = pick_charge(sequence)
-        references.append(
-            simulator.spectrum(
-                peptide,
-                charge,
-                identifier=f"{config.name}_ref_{index}",
-                noise=config.reference_noise,
-            )
-        )
+    references = simulator.spectra(
+        [Peptide(sequence) for sequence in sequences],
+        [pick_charge(sequence) for sequence in sequences],
+        [f"{config.name}_ref_{index}" for index in range(len(sequences))],
+        noise=config.reference_noise,
+    )
 
-    queries: List[Spectrum] = []
+    planned: List[Tuple[Peptide, int, str]] = []
     truth: Dict[str, Optional[str]] = {}
     num_foreign = int(round(config.num_queries * config.foreign_fraction))
     num_library = config.num_queries - num_foreign
@@ -321,25 +394,16 @@ def build_workload(config: WorkloadConfig) -> SyntheticWorkload:
             if modification is not None:
                 peptide = peptide.with_modification(modification)
         identifier = f"{config.name}_query_{query_number}"
-        queries.append(
-            simulator.spectrum(
-                peptide, charge, identifier, noise=config.query_noise
-            )
-        )
+        planned.append((peptide, charge, identifier))
         truth[identifier] = f"{sequence}/{charge}"
 
     for foreign_number in range(num_foreign):
         sequence = sampler.sample()  # guaranteed absent from the library
-        peptide = Peptide(sequence)
-        charge = pick_charge(sequence)
         identifier = f"{config.name}_foreign_{foreign_number}"
-        queries.append(
-            simulator.spectrum(
-                peptide, charge, identifier, noise=config.query_noise
-            )
-        )
+        planned.append((Peptide(sequence), pick_charge(sequence), identifier))
         truth[identifier] = None
 
+    queries = simulator.spectra(*zip(*planned), noise=config.query_noise) if planned else []
     # Shuffle queries so foreign/modified spectra are interleaved.
     order = rng.permutation(len(queries))
     queries = [queries[i] for i in order]

@@ -83,19 +83,10 @@ def vectorize(spectrum: Spectrum, config: BinningConfig) -> SparseVector:
     """Bin a (preprocessed) spectrum into a sparse vector.
 
     Peaks outside ``[min_mz, max_mz)`` are discarded; intensities of
-    peaks sharing a bin are summed, exactly as the paper specifies.
+    peaks sharing a bin are summed, exactly as the paper specifies.  A
+    block of one for :func:`vectorize_many`.
     """
-    mask = (spectrum.mz >= config.min_mz) & (spectrum.mz < config.max_mz)
-    bins = config.bin_index(spectrum.mz[mask])
-    intensities = spectrum.intensity[mask].astype(np.float64)
-    if len(bins) == 0:
-        return SparseVector(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), config.num_bins
-        )
-    unique_bins, inverse = np.unique(bins, return_inverse=True)
-    summed = np.zeros(len(unique_bins), dtype=np.float64)
-    np.add.at(summed, inverse, intensities)
-    return SparseVector(unique_bins, summed, config.num_bins)
+    return vectorize_many([spectrum], config)[0]
 
 
 def vectorize_many(
@@ -103,10 +94,8 @@ def vectorize_many(
 ) -> List[SparseVector]:
     """:func:`vectorize` over many spectra in one pass over their peaks.
 
-    Equal, vector for vector, to ``[vectorize(s, config) for s in
-    spectra]``: peaks are keyed by (spectrum, bin), and each key's
-    intensities are summed by ``np.add.at`` in peak order, exactly as
-    the per-spectrum path sums them.
+    Peaks are keyed by (spectrum, bin), and each key's intensities are
+    summed by ``np.add.at`` in peak order.
     """
     if not spectra:
         return []

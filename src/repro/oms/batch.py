@@ -23,7 +23,7 @@ from ..ann import AnnConfig
 from ..engine import EngineConfig
 from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
-from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess_many
 from ..ms.spectrum import Spectrum
 from .candidates import HDSearchConfig, WindowConfig
 from .loop import FanOutSearcher
@@ -76,11 +76,13 @@ class BatchedHDOmsSearcher(FanOutSearcher):
                 survives preprocessing.
         """
         preprocessing = preprocessing or PreprocessingConfig()
-        kept: List[Tuple[Spectrum, Spectrum]] = []
-        for reference in references:
-            processed = preprocess(reference, preprocessing)
-            if processed is not None:
-                kept.append((reference, processed))
+        kept: List[Tuple[Spectrum, Spectrum]] = [
+            (reference, processed)
+            for reference, processed in zip(
+                references, preprocess_many(references, preprocessing)
+            )
+            if processed is not None
+        ]
         if not kept:
             raise EmptyLibraryError()
         self._init_core(

@@ -104,10 +104,10 @@ class CandidateIndex:
         masses = np.array([ref.neutral_mass for ref in references])
         charges = np.array([ref.precursor_charge for ref in references])
         if self.config.charge_aware:
-            for charge in np.unique(charges):
+            for charge in sorted(set(charges.tolist())):
                 positions = np.flatnonzero(charges == charge)
                 order = np.argsort(masses[positions], kind="stable")
-                self._by_charge[int(charge)] = (
+                self._by_charge[charge] = (
                     masses[positions][order],
                     positions[order],
                 )

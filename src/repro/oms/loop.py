@@ -43,7 +43,7 @@ from ..engine import EngineConfig
 from ..exec.pipeline import pipeline_map
 from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
-from ..ms.preprocessing import PreprocessingConfig, preprocess
+from ..ms.preprocessing import PreprocessingConfig, preprocess_many
 from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
 from .candidates import ENCODE_BLOCK_SIZE, HDSearchConfig, WindowConfig
@@ -436,7 +436,7 @@ class FanOutSearcher:
 
         def encode_chunk(start: int):
             chunk = queries[start : start + step]
-            processed = [preprocess(query, self.preprocessing) for query in chunk]
+            processed = preprocess_many(chunk, self.preprocessing)
             kept = [start + row for row, spectrum in enumerate(processed) if spectrum is not None]
             return kept, encode_packed_rows(
                 self.encoder, [processed[row - start] for row in kept]

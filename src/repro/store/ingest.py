@@ -35,7 +35,7 @@ from ..index.library import (
     IndexCompatibilityError,
     LibraryIndex,
 )
-from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig, preprocess
+from ..ms.preprocessing import EmptyLibraryError, PreprocessingConfig
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
 from .manifest import (
@@ -169,13 +169,17 @@ class StreamingStoreBuilder:
         buffer, self._buffer = self._buffer, []
         if not buffer:
             return
-        # LibraryIndex.build raises when *nothing* survives
-        # preprocessing; an all-dropped buffer is a legitimate
-        # streaming event, so detect it up front and skip the segment.
-        if not any(
-            preprocess(spectrum, self._preprocessing) is not None
-            for spectrum in buffer
-        ):
+        try:
+            index = LibraryIndex.build(
+                buffer,
+                encoder=self._encoder,
+                preprocessing=self._preprocessing,
+                chunk_size=self._chunk_size,
+                source=self._source,
+            )
+        except EmptyLibraryError:
+            # An all-dropped buffer is a legitimate streaming event:
+            # skip the segment.
             self.num_dropped += len(buffer)
             logger.info(
                 "segment buffer of %d spectra fully dropped by "
@@ -183,13 +187,6 @@ class StreamingStoreBuilder:
                 len(buffer),
             )
             return
-        index = LibraryIndex.build(
-            buffer,
-            encoder=self._encoder,
-            preprocessing=self._preprocessing,
-            chunk_size=self._chunk_size,
-            source=self._source,
-        )
         self.num_dropped += len(buffer) - index.num_references
         name = f"seg-{self._next_id:06d}.npz"
         self._next_id += 1

@@ -698,3 +698,86 @@ class TestMissingInputFiles:
             f"{verb}: {library}: no reference spectrum survived preprocessing"
         )
         assert sorted(path.name for path in tmp_path.rglob("*")) == before
+
+
+#: SHA-1 of every file the write path produces from a small seeded
+#: library, stage by stage.  A change to parsing, decoy simulation,
+#: preprocessing or encoding that moves any output bit changes one.
+_WRITE_PATH_SHA1 = {
+    "inputs": {
+        "library.msp": "aca922c4df3a03d9aa86e9f6c112ffac67b2996c",
+        "more.msp": "a5174dd6bf061be7bdf9fec4d986f40e54cf242f",
+        "queries.mgf": "f360754ea706c55a2326cb1a2389caaaf559459c",
+    },
+    "build": {"library.npz": "519f47bdb807568de0111597acfdd7f865d35575"},
+    "segments": {
+        "manifest.json": "31e3ab25df9c2b1dddf9afb6b3492679d2fb949d",
+        "segments/seg-000000.npz": "c81e7dded70f5b05db645c012dfff69c2fc8b3dd",
+        "segments/seg-000001.npz": "7dfc518309c272addc83caae933e932f75d2c98b",
+        "segments/seg-000002.npz": "6ac5695e34614cc8a1b1fc22d691df53d8a5ee80",
+        "segments/seg-000003.npz": "c3d86606b1760664585561777ceb8e1fb4440126",
+    },
+    "append": {
+        "manifest.json": "b668c7d6e06ed26d62d7beb8acfcfee38b097b8d",
+        "segments/seg-000000.npz": "c81e7dded70f5b05db645c012dfff69c2fc8b3dd",
+        "segments/seg-000001.npz": "7dfc518309c272addc83caae933e932f75d2c98b",
+        "segments/seg-000002.npz": "6ac5695e34614cc8a1b1fc22d691df53d8a5ee80",
+        "segments/seg-000003.npz": "c3d86606b1760664585561777ceb8e1fb4440126",
+        "segments/seg-000004.npz": "ac868d4882e547a40d186e4289ef63f5f6345f3d",
+        "segments/seg-000005.npz": "234e82670caae425b1dc5871bd29c203bccebf8a",
+        "segments/seg-000006.npz": "eeee9585dbd25ef4d78e8c86557df318b559e87f",
+    },
+    "merge": {
+        "manifest.json": "9fa297a8c11bfbbc1b6473532f5ceb72f09daf78",
+        "segments/seg-000007.npz": "287fac69fc0e65a1f297bdcce04b3e4bc8c62707",
+    },
+}
+
+
+def _sha1_tree(root):
+    import hashlib
+
+    return {
+        str(path.relative_to(root)): hashlib.sha1(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_write_path_outputs_are_byte_identical(tmp_path, monkeypatch):
+    """Inputs, ``.npz``, segments and manifest of build, append and merge.
+
+    Relative paths keep the stored ``source`` strings (and so the bytes)
+    independent of where the test runs.
+    """
+    from repro.ms import WorkloadConfig, build_workload, write_mgf, write_msp
+
+    monkeypatch.chdir(tmp_path)
+    library = build_workload(
+        WorkloadConfig(name="pin", num_references=80, num_queries=12, seed=21)
+    )
+    write_msp(library.references, "library.msp")
+    write_mgf(library.queries, "queries.mgf")
+    more = build_workload(
+        WorkloadConfig(name="more", num_references=30, num_queries=0, seed=22)
+    )
+    write_msp(more.references, "more.msp")
+    digests = {"inputs": _sha1_tree(tmp_path)}
+    shared = ["--dim", "512", "--seed", "21"]
+    assert main(
+        ["index", "build", "--library", "library.msp", "--output", "library.npz", *shared]
+    ) == 0
+    digests["build"] = {"library.npz": _sha1_tree(tmp_path)["library.npz"]}
+    assert main(
+        ["index", "build", "--library", "library.msp", "--output", "store",
+         "--segment-rows", "48", *shared]
+    ) == 0
+    digests["segments"] = _sha1_tree(tmp_path / "store")
+    assert main(
+        ["index", "append", "--store", "store", "--library", "more.msp",
+         "--segment-rows", "24", "--seed", "21"]
+    ) == 0
+    digests["append"] = _sha1_tree(tmp_path / "store")
+    assert main(["index", "merge", "--store", "store"]) == 0
+    digests["merge"] = _sha1_tree(tmp_path / "store")
+    assert digests == _WRITE_PATH_SHA1

@@ -274,6 +274,38 @@ def test_index_search_imports_only_what_it_runs(tmp_path, small_workload):
     assert (tmp_path / "psms.tsv").read_text().startswith("query_id\t")
 
 
+def test_index_build_and_append_load_no_numpy_ma(tmp_path, small_workload):
+    """The write path iterates charges itself: ``np.unique`` loads ``numpy.ma``."""
+    from repro.ms.msp import write_msp
+
+    write_msp(small_workload.references[:30], tmp_path / "library.msp")
+    write_msp(small_workload.references[30:45], tmp_path / "more.msp")
+    shared = ["--dim", "256", "--seed", "4"]
+    calls = [
+        ["index", "build", "--library", str(tmp_path / "library.msp"),
+         "--output", str(tmp_path / "library.npz"), *shared],
+        ["index", "build", "--library", str(tmp_path / "library.msp"),
+         "--output", str(tmp_path / "store"), "--segment-rows", "16", *shared],
+        ["index", "append", "--store", str(tmp_path / "store"),
+         "--library", str(tmp_path / "more.msp"), "--seed", "4"],
+    ]
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC_PATH},
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 def test_the_serving_path_never_imports_the_oracle():
     """``repro serve`` and ``repro coordinate`` load no brute-force searcher."""
     script = (

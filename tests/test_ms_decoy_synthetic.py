@@ -7,7 +7,7 @@ import pytest
 
 from repro.ms.decoy import (
     append_decoys,
-    make_decoy_spectrum,
+    iter_decoys,
     reverse_sequence,
     shuffle_sequence,
 )
@@ -41,8 +41,7 @@ class TestDecoySequences:
         def factory(pep, charge, ident):
             return simulator.spectrum(pep, charge, ident, noise=REFERENCE_NOISE)
         reference = small_workload.references[0]
-        decoy = make_decoy_spectrum(reference, factory, random.Random(2))
-        assert decoy is not None
+        decoy = next(iter_decoys([reference], factory, seed=2))
         assert decoy.is_decoy
         # Shuffling preserves the residue multiset, hence the mass.
         assert decoy.neutral_mass == pytest.approx(

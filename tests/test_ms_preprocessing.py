@@ -7,16 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ms.preprocessing import (
-    PreprocessingConfig,
-    filter_intensity,
-    is_high_quality,
-    normalize_intensity,
-    preprocess,
-    remove_precursor_peaks,
-    restrict_mz_range,
-    scale_intensity,
-)
+from repro.ms.preprocessing import PreprocessingConfig, is_high_quality, preprocess
 from repro.ms.spectrum import Spectrum
 
 
@@ -26,22 +17,36 @@ def spectrum_with(mz, intensity, **kw):
     return Spectrum(mz=np.asarray(mz, float), intensity=np.asarray(intensity, float), **defaults)
 
 
+def only(**step):
+    """A config that runs one step: no threshold, no precursor cut, no QC, no scaling."""
+    settings = dict(
+        min_intensity_fraction=0.0, remove_precursor_tolerance=None, min_peaks=0,
+        scaling="none",
+    )
+    return PreprocessingConfig(**{**settings, **step})
+
+
+def _proportional(values, expected):
+    expected = np.asarray(expected, dtype=np.float64)
+    return values == pytest.approx(expected / np.linalg.norm(expected))
+
+
 class TestRangeAndPrecursor:
     def test_restrict_mz_range(self):
         spectrum = spectrum_with([50, 150, 1600], [1, 2, 3])
-        out = restrict_mz_range(spectrum, 100, 1500)
+        out = preprocess(spectrum, only(min_mz=100, max_mz=1500))
         assert np.array_equal(out.mz, [150.0])
 
     def test_remove_precursor_peaks(self):
         spectrum = spectrum_with([599.0, 600.5, 800.0], [1, 5, 2])
-        out = remove_precursor_peaks(spectrum, tolerance=1.5)
+        out = preprocess(spectrum, only(remove_precursor_tolerance=1.5))
         assert np.array_equal(out.mz, [800.0])
 
 
 class TestIntensityFilter:
     def test_threshold_relative_to_base_peak(self):
         spectrum = spectrum_with([100, 200, 300], [100.0, 0.5, 50.0])
-        out = filter_intensity(spectrum, min_intensity_fraction=0.01)
+        out = preprocess(spectrum, only(min_intensity_fraction=0.01))
         assert 200.0 not in out.mz  # 0.5 < 1% of 100
         assert len(out) == 2
 
@@ -49,49 +54,49 @@ class TestIntensityFilter:
         mz = np.arange(100, 200, dtype=float)
         intensity = np.arange(100, dtype=float) + 1
         spectrum = spectrum_with(mz, intensity)
-        out = filter_intensity(spectrum, 0.0, max_peaks=10)
+        out = preprocess(spectrum, only(max_peaks=10))
         assert len(out) == 10
-        assert out.intensity.min() >= 91
+        assert out.mz.min() >= 190  # the ten most intense peaks
 
     def test_result_remains_sorted_by_mz(self):
         mz = np.arange(100, 160, dtype=float)
         intensity = np.linspace(60, 1, 60)
-        out = filter_intensity(spectrum_with(mz, intensity), 0.0, max_peaks=20)
+        out = preprocess(spectrum_with(mz, intensity), only(max_peaks=20))
         assert np.all(np.diff(out.mz) > 0)
 
     def test_empty_spectrum_passthrough(self):
         spectrum = spectrum_with([], [])
-        assert len(filter_intensity(spectrum)) == 0
+        assert len(preprocess(spectrum, only())) == 0
 
 
 class TestScaling:
     def test_sqrt_scaling(self):
         spectrum = spectrum_with([100, 200], [4.0, 16.0])
-        out = scale_intensity(spectrum, "sqrt")
-        assert out.intensity == pytest.approx([2.0, 4.0])
+        out = preprocess(spectrum, only(scaling="sqrt"))
+        assert _proportional(out.intensity, [2.0, 4.0])
 
     def test_rank_scaling(self):
         spectrum = spectrum_with([100, 200, 300], [5.0, 1.0, 3.0])
-        out = scale_intensity(spectrum, "rank")
-        assert out.intensity == pytest.approx([3.0, 1.0, 2.0])
+        out = preprocess(spectrum, only(scaling="rank"))
+        assert _proportional(out.intensity, [3.0, 1.0, 2.0])
 
     def test_none_scaling_is_identity(self):
-        spectrum = spectrum_with([100], [7.0])
-        out = scale_intensity(spectrum, "none")
-        assert out.intensity == pytest.approx([7.0])
+        spectrum = spectrum_with([100, 200], [7.0, 2.0])
+        out = preprocess(spectrum, only(scaling="none"))
+        assert _proportional(out.intensity, [7.0, 2.0])
 
     def test_unknown_scaling_raises(self):
         with pytest.raises(ValueError):
-            scale_intensity(spectrum_with([100], [1.0]), "log")
+            only(scaling="log")
 
     def test_normalize_unit_norm(self):
         spectrum = spectrum_with([100, 200], [3.0, 4.0])
-        out = normalize_intensity(spectrum)
+        out = preprocess(spectrum, only())
         assert np.linalg.norm(out.intensity) == pytest.approx(1.0)
 
     def test_normalize_zero_spectrum_safe(self):
         spectrum = spectrum_with([100], [0.0])
-        out = normalize_intensity(spectrum)
+        out = preprocess(spectrum, only())
         assert out.intensity == pytest.approx([0.0])
 
 
@@ -134,14 +139,33 @@ class TestFullChain:
 
 
 def _chained(spectrum, config):
-    """The five public steps composed one by one: the one-pass oracle."""
-    processed = restrict_mz_range(spectrum, config.min_mz, config.max_mz)
+    """The five preprocessing steps composed one by one: the one-pass oracle."""
+    mz, intensity = spectrum.mz, spectrum.intensity
+    keep = (mz >= config.min_mz) & (mz <= config.max_mz)
+    mz, intensity = mz[keep], intensity[keep]
     if config.remove_precursor_tolerance is not None:
-        processed = remove_precursor_peaks(processed, config.remove_precursor_tolerance)
-    processed = filter_intensity(processed, config.min_intensity_fraction, config.max_peaks)
-    if len(processed) < config.min_peaks:
+        keep = np.abs(mz - spectrum.precursor_mz) > config.remove_precursor_tolerance
+        mz, intensity = mz[keep], intensity[keep]
+    if len(mz):
+        keep = intensity >= float(intensity.max()) * config.min_intensity_fraction
+        mz, intensity = mz[keep], intensity[keep]
+        if len(mz) > config.max_peaks:
+            # stable sort on negative intensity keeps low-m/z winners on ties
+            top = np.sort(np.argsort(-intensity, kind="stable")[: config.max_peaks])
+            mz, intensity = mz[top], intensity[top]
+    if len(mz) < config.min_peaks:
         return None
-    return normalize_intensity(scale_intensity(processed, config.scaling))
+    if config.scaling == "sqrt" and len(mz):
+        intensity = np.sqrt(intensity.astype(np.float64))
+    elif config.scaling == "rank" and len(mz):
+        ranks = np.empty(len(mz), dtype=np.float64)
+        ranks[np.argsort(intensity, kind="stable")] = np.arange(1, len(mz) + 1)
+        intensity = ranks
+    scaled = spectrum.copy_with_peaks(mz, intensity)
+    norm = float(np.linalg.norm(scaled.intensity))
+    if norm == 0.0:
+        return scaled
+    return scaled.copy_with_peaks(scaled.mz, scaled.intensity / norm)
 
 
 class TestOnePassParity:
