@@ -31,6 +31,7 @@ spectra/s, 2.5-3.5x the int32-reduction kernel it replaced.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -117,18 +118,15 @@ class SpectrumEncoder:
         with a non-positive maximum quantise to level 0 throughout.
         """
         num_levels = self.space.num_levels
-        maxima = np.maximum.reduceat(flat_values, starts)
-        scales = np.repeat(maxima, counts)
-        levels = np.zeros(flat_values.shape[0], dtype=np.int64)
-        positive = scales > 0
-        if positive.any():
-            levels[positive] = np.minimum(
-                np.floor(
-                    flat_values[positive] / scales[positive] * num_levels
-                ).astype(np.int64),
-                num_levels - 1,
-            )
-        return levels
+        scales = np.repeat(np.maximum.reduceat(flat_values, starts), counts)
+        # value / scale where the scale is positive, 0 elsewhere.
+        levels = np.divide(
+            flat_values, scales, out=np.zeros_like(flat_values), where=scales > 0
+        )
+        levels *= num_levels
+        np.floor(levels, out=levels)
+        np.minimum(levels, num_levels - 1, out=levels)
+        return levels.astype(np.int64)
 
     def _accumulated_blocks(
         self, vectors: Sequence[SparseVector]
@@ -186,8 +184,8 @@ class SpectrumEncoder:
             low = int(starts[block_start])
             bound, levels = gathered[0, :peaks], gathered[1, :peaks]
             block = slice(low, low + peaks)
-            np.take(bank, flat_bins[block], axis=0, out=bound, mode="clip")
-            np.take(level_vectors, flat_levels[block], axis=0, out=levels, mode="clip")
+            bank.take(flat_bins[block], axis=0, out=bound, mode="clip")
+            level_vectors.take(flat_levels[block], axis=0, out=levels, mode="clip")
             # |ID| <= m and LV in {-1, +1}, so the bound product fits int8.
             np.multiply(bound, levels, out=bound)
             accumulators = np.empty((block_end - block_start, space.dim), dtype=np.int32)
@@ -261,14 +259,24 @@ class SpectrumEncoder:
                 item if isinstance(item, SparseVector) else next(binned)
                 for item in spectra
             ]
-            tiebreak = self.space.tiebreak > 0
-            out = np.empty((len(vectors), -(-self.space.dim // 8)), dtype=np.uint8)
-            out[:] = np.packbits(tiebreak)
+            floor, packed_tiebreak = self._sign_floor
+            out = np.empty((len(vectors), len(packed_tiebreak)), dtype=np.uint8)
+            out[:] = packed_tiebreak
             for rows, accumulators in self._accumulated_blocks(vectors):
-                out[rows] = np.packbits(
-                    (accumulators > 0) | ((accumulators == 0) & tiebreak), axis=-1
-                )
+                out[rows] = np.packbits(accumulators > floor, axis=-1)
             return out
+
+    @functools.cached_property
+    def _sign_floor(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(floor, packed tiebreak)`` of the fused kernel's binarisation.
+
+        ``accumulator > floor`` is the sign with ties to the tiebreak:
+        the floor is -1 where the tiebreak is +1 (so a zero sets the
+        bit) and 0 where it is -1.  The packed tiebreak is the row of an
+        empty spectrum.
+        """
+        tiebreak = self.space.tiebreak > 0
+        return -tiebreak.astype(np.int32), np.packbits(tiebreak)
 
     def encode_batch(
         self, spectra: Sequence[Union[Spectrum, SparseVector]]

@@ -46,16 +46,34 @@ else:  # pragma: no cover - exercised only on NumPy < 2.0
         return _popcount_lut(words)
 
 
+_UINT16, _INT64 = np.dtype(np.uint16), np.dtype(np.int64)
+_UINT16_MAX = int(np.iinfo(np.uint16).max)
+
+
+def hamming_dtype(row_bytes: int) -> np.dtype:
+    """The narrowest exact dtype of a Hamming distance over ``row_bytes`` bytes.
+
+    A distance is at most ``8 * row_bytes``, so ``uint16`` holds every
+    one up to 65 535 bits per row; wider rows are summed in ``int64``.
+    Widen before any score arithmetic: in ``uint16`` ``dim - 2 * h``
+    wraps around instead of going negative.
+    """
+    return _UINT16 if 8 * row_bytes <= _UINT16_MAX else _INT64
+
+
 def hamming_rowsums(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
     """Row-wise Hamming distances between packed bit arrays, fused.
 
     Equivalent to ``popcount(packed_a ^ packed_b).sum(axis=-1)`` but
     never materialises an int64 matrix 8x the packed size: the native
     ``bitwise_count`` path counts whole 64-bit words when the row length
-    allows, else in place in the uint8 XOR buffer.  On contiguous
-    slabs the XOR and popcount ufuncs release the GIL, which is what
-    lets thread-pool scoring overlap across shards.  Broadcasting
-    applies as in :func:`np.bitwise_xor`; the summed axis is the last.
+    allows, else in place in the uint8 XOR buffer, and the per-word
+    counts are summed in :func:`hamming_dtype` of the row width
+    (``uint16`` for any row of at most 65 535 bits, half the reduction
+    work of ``int64``).  On contiguous slabs the XOR and popcount
+    ufuncs release the GIL, which is what lets thread-pool scoring
+    overlap across shards.  Broadcasting applies as in
+    :func:`np.bitwise_xor`; the summed axis is the last.
     """
     xored = np.bitwise_xor(packed_a, packed_b)
     if hasattr(np, "bitwise_count"):
@@ -67,7 +85,7 @@ def hamming_rowsums(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
             counts = np.bitwise_count(xored, out=xored)
     else:  # pragma: no cover - exercised only on NumPy < 2.0
         counts = _POPCOUNT_TABLE[xored]
-    return counts.sum(axis=-1, dtype=np.int64)
+    return counts.sum(axis=-1, dtype=hamming_dtype(xored.shape[-1]))
 
 
 def pack_bipolar(vectors: np.ndarray) -> np.ndarray:

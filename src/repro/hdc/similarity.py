@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .packing import hamming_rowsums, pack_bipolar
+from .packing import hamming_dtype, hamming_rowsums, pack_bipolar
 
 __all__ = [
     "dot_similarity",
@@ -61,15 +61,30 @@ def batch_dot_similarity(
 
 
 def packed_hamming_distance(
-    packed_a: np.ndarray, packed_b: np.ndarray
+    packed_a: np.ndarray,
+    packed_b: np.ndarray,
+    block_rows: Optional[int] = None,
 ) -> np.ndarray:
     """Hamming distance between packed bit rows (uint8 words).
 
     Accepts ``(words,)`` or ``(n, words)`` arrays; broadcasting applies.
     This is the digital-hardware reference implementation (XOR +
-    popcount) used to cross-check the matmul path.
+    popcount) used to cross-check the matmul path.  Distances come in
+    :func:`~repro.hdc.packing.hamming_dtype` of the row width (``uint16``
+    up to 65 535 bits): widen them before any arithmetic.  With
+    ``block_rows`` set, the rows of an ``(n, words)`` ``packed_a`` are
+    XORed that many at a time, so the XOR buffer stays cache-resident —
+    the same distances either way.
     """
-    return hamming_rowsums(packed_a, packed_b)
+    rows = np.asarray(packed_a)
+    if not block_rows or rows.ndim != 2 or rows.shape[0] <= block_rows:
+        return hamming_rowsums(rows, packed_b)
+    out = np.empty(rows.shape[0], dtype=hamming_dtype(rows.shape[1]))
+    for start in range(0, rows.shape[0], block_rows):
+        out[start : start + block_rows] = hamming_rowsums(
+            rows[start : start + block_rows], packed_b
+        )
+    return out
 
 
 def packed_dot_scores(
@@ -81,23 +96,12 @@ def packed_dot_scores(
     """Dot-product scores of packed rows against one packed query.
 
     ``dot = dim - 2 * hamming`` for bipolar vectors, returned as int32
-    (matching :func:`batch_dot_similarity`).  With ``block_rows`` set, rows are
-    scored in blocks of that many at a time so the XOR buffer stays
-    cache-resident instead of streaming a ``(rows, words)`` temporary
-    through memory — bit-identical either way, since every row's score
-    is an independent integer.
+    (matching :func:`batch_dot_similarity`); ``block_rows`` tiles the
+    XOR as in :func:`packed_hamming_distance` — bit-identical either
+    way, since every row's score is an independent integer.
     """
-    rows = np.asarray(packed_rows)
-    num_rows = rows.shape[0]
-    if not block_rows or num_rows <= block_rows:
-        return (dim - 2 * hamming_rowsums(rows, packed_query)).astype(np.int32)
-    out = np.empty(num_rows, dtype=np.int32)
-    for start in range(0, num_rows, block_rows):
-        block = rows[start : start + block_rows]
-        out[start : start + len(block)] = (
-            dim - 2 * hamming_rowsums(block, packed_query)
-        ).astype(np.int32)
-    return out
+    distances = packed_hamming_distance(packed_rows, packed_query, block_rows)
+    return dim - 2 * distances.astype(np.int32)
 
 
 class PackedReferenceSet:

@@ -116,7 +116,7 @@ def preprocess_many(
         mz, intensity, owner = mz[keep], intensity[keep], owner[keep]
         counts = np.minimum(counts, config.max_peaks)
     if config.scaling == "sqrt":
-        intensity = np.sqrt(intensity.astype(np.float64)).astype(np.float32)
+        intensity = np.sqrt(intensity, dtype=np.float64).astype(np.float32)
     elif config.scaling == "rank":
         intensity = (_ranks(np.lexsort((intensity, owner)), counts) + 1).astype(np.float32)
     results: List[Optional[Spectrum]] = []
@@ -130,7 +130,11 @@ def preprocess_many(
         # np.linalg.norm's own arithmetic (a float32 dot, then sqrt),
         # minus its dispatch overhead.
         norm = float(np.sqrt(values.dot(values)))
-        results.append(spectrum.copy_with_peaks(mz[start:stop], values / norm if norm else values))
+        # A validated spectrum's peaks, subset in order and rescaled to
+        # finite non-negative float32: nothing for __post_init__ to check.
+        results.append(
+            spectrum._with_valid_peaks(mz[start:stop], values / norm if norm else values)
+        )
     return results
 
 

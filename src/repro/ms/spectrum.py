@@ -113,6 +113,22 @@ class Spectrum:
         """Return a copy of this spectrum with replaced peak arrays."""
         return Spectrum(**{**vars(self), "mz": mz, "intensity": intensity})
 
+    def _with_valid_peaks(self, mz: np.ndarray, intensity: np.ndarray) -> "Spectrum":
+        """:meth:`copy_with_peaks` for peaks that already meet every invariant.
+
+        The caller guarantees what ``__post_init__`` would check: 1-D
+        float64 ``mz`` ascending, float32 ``intensity`` of the same
+        length, every value finite and every intensity non-negative —
+        true of a subset of a validated spectrum's peaks rescaled to
+        finite non-negative values, which is what preprocessing makes.
+        The result equals the validated construction; only the checks
+        are skipped.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.mz, clone.intensity = mz, intensity
+        return clone
+
     def peptide_key(self) -> Optional[str]:
         """Canonical peptide string used to compare identifications.
 

@@ -95,31 +95,33 @@ def vectorize_many(
     """:func:`vectorize` over many spectra in one pass over their peaks.
 
     Peaks are keyed by (spectrum, bin), and each key's intensities are
-    summed by ``np.add.at`` in peak order.
+    summed by ``np.add.at`` in peak order.  A spectrum's peaks ascend
+    in m/z (a :class:`Spectrum` invariant) and the bin index is
+    monotone in m/z, so the keys already ascend: equal keys are runs,
+    and no sort is needed to find them.
     """
     if not spectra:
         return []
+    sizes = [len(spectrum.mz) for spectrum in spectra]
     mz = np.concatenate([spectrum.mz for spectrum in spectra])
-    owners = np.repeat(
-        np.arange(len(spectra), dtype=np.int64),
-        [len(spectrum.mz) for spectrum in spectra],
-    )
+    owners = np.repeat(np.arange(len(spectra), dtype=np.int64), sizes)
     intensities = np.concatenate([spectrum.intensity for spectrum in spectra])
     mask = (mz >= config.min_mz) & (mz < config.max_mz)
     # One key per (spectrum, bin); the stride leaves room for a bin
     # that floating point rounds up to num_bins.
     stride = config.num_bins + 1
-    keys, inverse = np.unique(
-        owners[mask] * stride + config.bin_index(mz[mask]), return_inverse=True
-    )
+    keys = owners[mask] * stride + config.bin_index(mz[mask])
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     summed = np.zeros(len(keys), dtype=np.float64)
-    np.add.at(summed, inverse, intensities[mask].astype(np.float64))
-    bounds = np.searchsorted(keys, np.arange(1, len(spectra)) * stride)
+    np.add.at(summed, np.cumsum(first) - 1, intensities[mask].astype(np.float64))
+    bins = keys % stride
+    edges = [0, *keys.searchsorted(np.arange(1, len(spectra)) * stride).tolist(), len(keys)]
     return [
-        SparseVector(bins, values, config.num_bins)
-        for bins, values in zip(
-            np.split(keys % stride, bounds), np.split(summed, bounds)
-        )
+        SparseVector(bins[low:high], summed[low:high], config.num_bins)
+        for low, high in zip(edges[:-1], edges[1:])
     ]
 
 

@@ -10,7 +10,8 @@ understood by ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_:
 * spans are laid out on one *lane* (``tid``) per originating thread —
   including the virtual ``shard-N`` lanes the fan-out core emits
   for per-part scoring timings — with ``"M"`` metadata events naming each
-  lane;
+  lane (a span records its thread's ident; the name is looked up here,
+  once per export, and a thread that has exited reads ``thread-<ident>``);
 * tags, request id, route, and span/parent ids ride in ``args`` so
   selecting an event in the viewer shows the full context.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from .trace import Span, Tracer
+from .trace import Span, Tracer, lane_name, thread_names
 
 __all__ = ["chrome_trace", "spans_to_events"]
 
@@ -45,21 +46,23 @@ def spans_to_events(
         A list of Chrome trace events: one ``"M"`` (``thread_name``)
         event per distinct lane followed by one ``"X"`` event per span.
     """
+    names = thread_names()
     lanes: Dict[str, int] = {}
     events: List[Dict[str, object]] = []
     metadata: List[Dict[str, object]] = []
     for span in spans:
-        tid = lanes.get(span.thread)
+        lane = lane_name(span.lane, names)
+        tid = lanes.get(lane)
         if tid is None:
             tid = len(lanes) + 1
-            lanes[span.thread] = tid
+            lanes[lane] = tid
             metadata.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
                     "pid": _PID,
                     "tid": tid,
-                    "args": {"name": span.thread},
+                    "args": {"name": lane},
                 }
             )
         args: Dict[str, object] = {

@@ -34,15 +34,17 @@ buffer, which :mod:`repro.obs.export` renders as Chrome
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
-import uuid
 from collections import deque
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
+    "lane_name",
+    "thread_names",
     "Tracer",
     "NULL_SPAN",
     "get_tracer",
@@ -54,14 +56,15 @@ __all__ = [
 DEFAULT_CAPACITY = 4096
 
 _SPAN_IDS = itertools.count(1)
+_get_ident = threading.get_ident
 
 #: The innermost open span of the current thread/task (None at top level).
 _CURRENT: ContextVar[Optional["Span"]] = ContextVar("repro_obs_span", default=None)
 
 
 def new_request_id() -> str:
-    """A fresh 16-hex-char request identifier (collision-safe via uuid4)."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-char request identifier: 64 random bits."""
+    return os.urandom(8).hex()
 
 
 class Span:
@@ -71,7 +74,10 @@ class Span:
     installs the span as the thread's current parent; exiting computes
     ``duration``, restores the parent, and hands the finished span to
     the tracer.  ``request_id`` and ``route`` are inherited from the
-    parent when not given explicitly.
+    parent when not given explicitly.  ``lane`` is where the span is
+    drawn: an explicit name (the fan-out core's virtual ``shard-N``
+    lanes) or the ident of the thread that opened it, which
+    :attr:`thread` resolves to a name only when it is read.
     """
 
     __slots__ = (
@@ -83,7 +89,7 @@ class Span:
         "start",
         "duration",
         "tags",
-        "thread",
+        "lane",
         "_tracer",
         "_token",
     )
@@ -102,19 +108,23 @@ class Span:
         self._token = None
         self.name = name
         self.span_id = next(_SPAN_IDS)
-        self.parent_id = parent.span_id if parent is not None else None
-        self.request_id = request_id if request_id is not None else (
-            parent.request_id if parent is not None else None
-        )
-        self.route = route if route is not None else (
-            parent.route if parent is not None else None
-        )
+        if parent is None:
+            self.parent_id = None
+            self.request_id = request_id
+            self.route = route
+        else:
+            self.parent_id = parent.span_id
+            self.request_id = parent.request_id if request_id is None else request_id
+            self.route = parent.route if route is None else route
         self.start = 0.0
         self.duration = 0.0
         self.tags: Dict[str, object] = tags if tags is not None else {}
-        self.thread = (
-            thread if thread is not None else threading.current_thread().name
-        )
+        self.lane: Union[str, int] = _get_ident() if thread is None else thread
+
+    @property
+    def thread(self) -> str:
+        """The lane's name: a virtual lane, or its thread's name (see :func:`lane_name`)."""
+        return lane_name(self.lane)
 
     def tag(self, **tags: object) -> "Span":
         """Attach (or overwrite) tags; returns self for chaining."""
@@ -157,6 +167,25 @@ class Span:
         )
 
 
+def thread_names() -> Dict[int, str]:
+    """Ident -> name of every live thread (one lookup for a whole export)."""
+    return {thread.ident: thread.name for thread in threading.enumerate()}
+
+
+def lane_name(lane: Union[str, int], names: Optional[Dict[int, str]] = None) -> str:
+    """The name of a span's :attr:`~Span.lane`.
+
+    A virtual lane is its own name; a thread ident is looked up among
+    ``names`` (default: the live threads, :func:`thread_names`).  A
+    thread that has exited since reads ``thread-<ident>``.
+    """
+    if isinstance(lane, str):
+        return lane
+    if names is None:
+        names = thread_names()
+    return names.get(lane, f"thread-{lane}")
+
+
 class _NullSpan:
     """Shared no-op stand-in returned by a disabled tracer.
 
@@ -175,6 +204,7 @@ class _NullSpan:
     start = 0.0
     duration = 0.0
     tags: Dict[str, object] = {}
+    lane = ""
     thread = ""
 
     def tag(self, **tags: object) -> "_NullSpan":
@@ -208,7 +238,8 @@ class Tracer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.enabled = False
         self._records: "deque[Span]" = deque(maxlen=capacity)
-        self._listeners: List[Callable[[Span], None]] = []
+        # Replaced, never mutated, so a finishing span iterates it as is.
+        self._listeners: Tuple[Callable[[Span], None], ...] = ()
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         self._epoch_wall = time.time()
@@ -275,14 +306,7 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        return Span(
-            self,
-            name,
-            parent=_CURRENT.get(),
-            request_id=request_id,
-            route=route,
-            tags=tags or None,
-        )
+        return Span(self, name, _CURRENT.get(), request_id, route, tags or None)
 
     def emit(
         self,
@@ -348,22 +372,21 @@ class Tracer:
         """Register a finished-span callback (idempotent per callable)."""
         with self._lock:
             if listener not in self._listeners:
-                self._listeners.append(listener)
+                self._listeners = self._listeners + (listener,)
 
     def remove_listener(self, listener: Callable[[Span], None]) -> None:
         """Unregister a callback registered with :meth:`add_listener`."""
         with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
+            self._listeners = tuple(
+                known for known in self._listeners if known != listener
+            )
 
     def _finish(self, span: Span) -> None:
         """Record one finished span and notify listeners."""
         if not self.enabled:
             return
         self._records.append(span)
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             try:
                 listener(span)
             except Exception:  # noqa: BLE001 - observability never raises

@@ -5,11 +5,11 @@ order, so every precursor window is a contiguous row range ``[low,
 high)`` and no candidate row is ever gathered — the layout HyperOMS and
 RapidOMS both use.  The rows stay bit-packed, one bit per dimension, as
 they are on disk: each query XORs its packed hypervector against its
-own contiguous range, popcounts, and takes the ``argmax``.  XOR/popcount
-has no reuse across queries, so nothing is shared between windows and
-nothing is masked.  The first maximum of a range in this layout is the
-highest score, then the lowest precursor mass, then the lowest library
-position — exactly the brute-force
+own contiguous range, popcounts, and takes the ``argmin`` distance.
+XOR/popcount has no reuse across queries, so nothing is shared between
+windows and nothing is masked.  The first minimum distance of a range
+in this layout is the highest score, then the lowest precursor mass,
+then the lowest library position — exactly the brute-force
 :class:`~repro.oms.search.HDOmsSearcher` tie-break, which scores the
 same integers with a GEMM.
 
@@ -28,7 +28,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..ann import OUTCOMES, AnnConfig, shortlist
-from ..hdc.similarity import packed_dot_scores
+from ..hdc.similarity import packed_hamming_distance
 from ..obs.trace import get_tracer
 from .candidates import SCORE_BLOCK_BYTES
 
@@ -94,14 +94,14 @@ class WindowKernel:
         # lexsort is stable, so equal (charge, mass) rows keep their
         # original — library position — order.
         self.positions = np.lexsort((masses, keys))
-        self.masses = masses[self.positions]
-        sorted_keys = keys[self.positions]
-        starts = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[:1] - 1))
-        stops = np.append(starts[1:], len(sorted_keys))
-        self._buckets: Dict[int, Tuple[int, int]] = {
-            int(sorted_keys[start]): (int(start), int(stop))
-            for start, stop in zip(starts, stops)
-        }
+        # Each layout row's (charge, mass) as one complex number: NumPy
+        # orders complex values by real part, then imaginary part, so
+        # one searchsorted over this array finds a window inside its
+        # charge's rows, for every query of a batch at once.
+        self._keyed = np.empty(len(masses), dtype=np.complex128)
+        self._keyed.real = keys[self.positions]
+        self._keyed.imag = masses[self.positions]
+        self.masses = self._keyed.imag
         self._rows = np.asarray(packed)[self.positions]
         self._dim = int(dim)
         # A window is XORed a tile at a time so the XOR buffer stays
@@ -116,27 +116,17 @@ class WindowKernel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Layout row range ``[low, high)`` of every query's window.
 
-        Queries whose charge has no bucket get the empty range
-        ``(0, 0)``.
+        A query whose charge has no rows gets an empty range.
         """
         query_masses = np.asarray(query_masses, dtype=np.float64)
-        lows = np.zeros(len(query_masses), dtype=np.int64)
-        highs = np.zeros(len(query_masses), dtype=np.int64)
-        for key, (start, stop) in self._buckets.items():
-            if self.charge_aware:
-                members = np.flatnonzero(np.asarray(query_charges) == key)
-                if members.size == 0:
-                    continue
-            else:
-                members = slice(None)
-            bucket = self.masses[start:stop]
-            lows[members] = start + np.searchsorted(
-                bucket, query_masses[members] - half_width, "left"
-            )
-            highs[members] = start + np.searchsorted(
-                bucket, query_masses[members] + half_width, "right"
-            )
-        return lows, highs
+        bounds = np.empty((2, len(query_masses)), dtype=np.complex128)
+        bounds.real = query_charges if self.charge_aware else 0
+        bounds.imag[0] = query_masses - half_width
+        bounds.imag[1] = query_masses + half_width
+        return (
+            self._keyed.searchsorted(bounds[0], "left"),
+            self._keyed.searchsorted(bounds[1], "right"),
+        )
 
     def search(
         self,
@@ -161,27 +151,28 @@ class WindowKernel:
         scores = np.full(len(counts), -np.inf, dtype=np.float64)
         prefiltered = skipped_rows = 0
         tracer = get_tracer()
-        for row in np.flatnonzero(counts > 0):
-            low, high = int(lows[row]), int(highs[row])
+        for row, (low, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+            if high <= low:
+                continue
+            # The first minimum distance is the first maximum score
+            # (dim - 2 * distance), so only the winner is converted.
             if ann is None or not ann.shortlists(high - low):
-                window_scores = packed_dot_scores(
-                    self._rows[low:high], queries[row], self._dim, self._tile
+                distances = packed_hamming_distance(
+                    self._rows[low:high], queries[row], self._tile
                 )
-                best = int(np.argmax(window_scores))
-                rows[row], scores[row] = low + best, window_scores[best]
+                best = int(distances.argmin())
+                rows[row], scores[row] = low + best, self._dim - 2 * int(distances[best])
                 continue
             with tracer.span("ann.prefilter", outcome="prefiltered", window=high - low):
-                # Ascending layout rows, so the first maximum below
+                # Ascending layout rows, so the first minimum below
                 # keeps the exact tie-break.
                 candidates = low + shortlist(
                     self._rows[low:high], queries[row], ann, self._tile
                 )
             with tracer.span("score.rerank", rows=len(candidates)):
-                window_scores = packed_dot_scores(
-                    self._rows[candidates], queries[row], self._dim
-                )
-            best = int(np.argmax(window_scores))
-            rows[row], scores[row] = candidates[best], window_scores[best]
+                distances = packed_hamming_distance(self._rows[candidates], queries[row])
+            best = int(distances.argmin())
+            rows[row], scores[row] = candidates[best], self._dim - 2 * int(distances[best])
             prefiltered += 1
             skipped_rows += high - low - len(candidates)
         outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
@@ -247,8 +238,13 @@ class ShardScorer:
             dim=dim,
             charge_aware=self.charge_aware,
         )
-        # Layout row -> global library position of the winner.
-        self._positions = np.asarray(payload["positions"])[self.kernel.positions]
+        # Layout row -> (mass, global library position) of the winner,
+        # plus a sentinel (+inf, -1) at the end that row -1, an empty
+        # window, indexes.
+        self._masses = np.append(self.kernel.masses, np.inf)
+        self._positions = np.append(
+            np.asarray(payload["positions"], dtype=np.int64)[self.kernel.positions], -1
+        )
         # Each part shortlists its *own* windows with the full candidate
         # budget, so the union across parts is at least as inclusive as
         # one library-wide shortlist.
@@ -275,16 +271,11 @@ class ShardScorer:
         winners = self.kernel.search(
             queries, query_masses, query_charges, half_width, self.ann
         )
-        found = winners.rows >= 0
-        best_masses = np.full(len(found), np.inf, dtype=np.float64)
-        best_masses[found] = self.kernel.masses[winners.rows[found]]
-        best_positions = np.full(len(found), -1, dtype=np.int64)
-        best_positions[found] = self._positions[winners.rows[found]]
         return (
             winners.counts,
             winners.scores,
-            best_masses,
-            best_positions,
+            self._masses[winners.rows],
+            self._positions[winners.rows],
             winners.ann_outcomes,
             np.array([winners.ann_scored_rows], dtype=np.int64),
         )

@@ -332,27 +332,37 @@ class FanOutSearcher:
                         queries=len(batch[1]),
                         **{self.part_name: part},
                     )
-        # (parts, queries) tables of counts, scores, masses and positions;
-        # one empty row when nothing is routed.
-        shape = (max(len(jobs), 1), len(query_masses))
-        fills = (0, -np.inf, np.inf, -1)
-        counts, scores, masses, positions = (np.full(shape, fill) for fill in fills)
+        single = len(jobs) == 1 and bool(mask[jobs[0][0]].all())
+        if single:
+            # One part answered every query: its winners are the winners.
+            counts, scores, masses, positions = timed[0][1][:4]
+        else:
+            # (parts, queries) tables of counts, scores, masses and
+            # positions; one empty row when nothing is routed.
+            shape = (max(len(jobs), 1), len(query_masses))
+            fills = (0, -np.inf, np.inf, -1)
+            counts, scores, masses, positions = (np.full(shape, fill) for fill in fills)
         outcomes, scored_rows = np.zeros(len(OUTCOMES), dtype=np.int64), 0
         for row, ((part, _batch), (_wall, scored)) in enumerate(zip(jobs, timed)):
-            for table, column in zip((counts, scores, masses, positions), scored):
-                table[row, mask[part]] = column
+            if not single:
+                for table, column in zip((counts, scores, masses, positions), scored):
+                    table[row, mask[part]] = column
             outcomes += scored[4]
             scored_rows += int(scored[5][0])
             if self.ann_stats is not None:  # per routed (query, part) pair
                 self.ann_stats.record_batch(scored[4], int(scored[0].sum()), int(scored[5][0]))
         with tracer.span(f"{self.part_name}.merge", queries=len(query_masses)):
-            # Winner per query: exactly HDOmsSearcher's argmax over its
-            # mass-sorted candidate window.
-            winner = np.lexsort((positions, masses, -scores), axis=0)[0]
-            pick = (winner, np.arange(len(query_masses)))
-            records = [self._reference(p) if p >= 0 else None for p in positions[pick].tolist()]
+            if not single:
+                # Winner per query: exactly HDOmsSearcher's argmax over its
+                # mass-sorted candidate window.
+                winner = np.lexsort((positions, masses, -scores), axis=0)[0]
+                pick = (winner, np.arange(len(query_masses)))
+                positions = positions[pick]
+            records = [self._reference(p) if p >= 0 else None for p in positions.tolist()]
+        if not single:
+            counts, scores, masses = counts.sum(axis=0), scores[pick], masses[pick]
         return (
-            counts.sum(axis=0), scores[pick], masses[pick], positions[pick],
+            counts, scores, masses, positions,
             outcomes, np.array([scored_rows], dtype=np.int64), records,
         )
 

@@ -20,18 +20,30 @@ flushes the header block and then the body as two small writes; on a
 keep-alive connection Nagle's algorithm holds the second until the
 first is acknowledged, and the peer's delayed ACK sits on that
 acknowledgement for ~40 ms — a fixed floor under every round trip.
+
+The request head is read once, too.  ``http.server`` hands the header
+lines to ``http.client.parse_headers``, which runs them through the
+``email`` package's feed parser — 14% of the server's CPU per
+``/search`` in a thread-time profile of two closed-loop clients (see
+``docs/observability.md``).  :meth:`JsonRequestHandler.parse_request` reads them
+into a :class:`RequestHeaders` mapping instead, with every check the
+standard library makes (:func:`read_headers`), and every reply's status
+line, headers and body are joined into one ``bytes`` before the write.
 """
 
 from __future__ import annotations
 
+import email.utils
+import html
 import json
 import logging
 import re
 import signal
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.export import chrome_trace
@@ -47,8 +59,119 @@ logger = logging.getLogger(__name__)
 REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
+#: The request-head limits ``http.client`` sets for ``http.server``: a
+#: request or header line of more than 65 536 bytes is a 414 or a 431,
+#: and so are more than 100 header lines (the blank line ending the
+#: head counts among them, as it does there).
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+#: A header line as the ``email`` parser behind ``http.server`` accepts
+#: one: a (possibly empty) name of printable non-colon characters, then
+#: a colon.
+_FIELD = re.compile(r"[\x21-\x39\x3b-\x7e]*:")
+
+
 class BodyTooLarge(ProtocolError):
     """Request body exceeds the server's acceptance limit."""
+
+
+class HeadTooLarge(Exception):
+    """A request head over :data:`MAX_LINE` or :data:`MAX_HEADERS` (a 431).
+
+    ``args`` are ``(reason, explanation)``, as ``http.server`` words them.
+    """
+
+
+class RequestHeaders:
+    """A request's header fields, looked up by case-insensitive name.
+
+    Holds what ``http.server``'s ``email.message.Message`` answers to
+    ``get``: the first field of a name, its value stripped of leading
+    blanks and the line end, folded continuation lines included.
+    :attr:`content_lengths` keeps every ``Content-Length`` value, so
+    a conflict can be refused.
+    """
+
+    __slots__ = ("_fields", "content_lengths")
+
+    def __init__(self, lines: List[bytes]) -> None:
+        fields: List[List[str]] = []
+        for raw in lines:
+            line = str(raw, "iso-8859-1")
+            if line[:1] in (" ", "\t"):  # continues the previous field
+                if fields:
+                    fields[-1][1] += line
+                continue
+            if line.startswith("From "):  # an mbox envelope line: skipped
+                continue
+            match = _FIELD.match(line)
+            if match is None:  # not a field: the email parser stops here
+                break
+            fields.append([line[: match.end() - 1], line[match.end() :].lstrip(" \t")])
+        self._fields: Dict[str, str] = {}
+        self.content_lengths: List[str] = []
+        for name, value in fields:
+            name, value = name.lower(), value.rstrip("\r\n")
+            self._fields.setdefault(name, value)
+            if name == "content-length":
+                self.content_lengths.append(value)
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        """The first value of field ``name`` (any case), else ``default``."""
+        return self._fields.get(name.lower(), default)
+
+
+def read_headers(rfile) -> RequestHeaders:
+    """Read a request's header block, up to and including its blank line.
+
+    Raises :class:`HeadTooLarge` past :data:`MAX_LINE` bytes in one line
+    or :data:`MAX_HEADERS` lines, exactly where ``http.client`` would.
+    """
+    lines: List[bytes] = []
+    while True:
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise HeadTooLarge(
+                "Line too long", f"got more than {MAX_LINE} bytes when reading header line"
+            )
+        lines.append(line)
+        if len(lines) > MAX_HEADERS:
+            raise HeadTooLarge("Too many headers", f"got more than {MAX_HEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return RequestHeaders(lines[:-1])
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` token, ``None`` if malformed.
+
+    The rules of ``http.server``: one dot, digits only, at most ten per
+    number, leading zeros ignored.
+    """
+    if not version.startswith("HTTP/"):
+        return None
+    numbers = version[5:].split(".")
+    if len(numbers) != 2 or any(
+        not number.isdigit() or len(number) > 10 for number in numbers
+    ):
+        return None
+    try:
+        return int(numbers[0]), int(numbers[1])
+    except ValueError:  # a Unicode digit int() does not read
+        return None
+
+
+#: ``(second, formatted)`` of the last ``Date`` header written.
+_DATE: Tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` header value for now, formatted once per second."""
+    global _DATE
+    now = int(time.time())
+    if _DATE[0] != now:
+        _DATE = (now, email.utils.formatdate(now, usegmt=True))
+    return _DATE[1]
 
 
 #: Exception type -> reply status; the most specific listed base of an
@@ -186,9 +309,72 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         super().handle_one_request()
 
     def parse_request(self) -> bool:
-        """Parse the request line just read; the connection is now busy."""
+        """Parse the request line just read and the header block after it.
+
+        The connection is busy from here on.  Every check is
+        ``http.server``'s: a malformed request line or version is a
+        400, a version of 2.0 or above a 505, a two-word line an
+        HTTP/0.9 ``GET`` (anything else a 400), an oversized head a 431
+        (:func:`read_headers`); ``Connection`` and the request version
+        decide keep-alive, and ``Expect: 100-continue`` is answered
+        before the body is read.  One addition: ``Content-Length``
+        fields that disagree are a 400, since either length would
+        misread the body or the next request.
+        """
         self.server.unpark(self.connection)
-        return super().parse_request()
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        # As http.server does: a leading '//' would read as a host to a
+        # client that follows the path (an open redirect).
+        self.command = command
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_headers(self.rfile)
+        except HeadTooLarge as error:
+            self.send_error(431, *error.args)
+            return False
+        if len(set(self.headers.content_lengths)) > 1:
+            self.send_error(400, "Conflicting Content-Length headers")
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def finish(self) -> None:
         """Forget the connection (it may have ended while parked)."""
@@ -251,22 +437,50 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             # after its in-flight response so shutdown can join the
             # handler threads.
             self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        if self.request_version == "HTTP/0.9":  # such replies carry no headers
+        self.log_request(status, len(body))
+        if self.request_version == "HTTP/0.9":  # such replies carry no head
             self.wfile.write(body)
-        else:
-            # end_headers() would flush the head by itself; queue the
-            # body behind it so both leave in a single write.
-            self._headers_buffer += (b"\r\n", body)
-            self.flush_headers()
+            return
+        reason = self.responses[status][0] if status in self.responses else ""
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {_http_date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if request_id is not None:
+            head += f"X-Request-Id: {request_id}\r\n"
+        for name, value in (extra_headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        # Status line, headers and body leave in a single write.
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
+        """``http.server``'s HTML error reply, written by :meth:`_send_body`.
+
+        So it is one write that closes the connection, like every other
+        reply.  ``message`` goes into the body; the status line keeps
+        the standard reason phrase.
+        """
+        short, long = self.responses.get(code, ("???", "???"))
+        message = short if message is None else message
+        self.log_error("code %d, message %s", code, message)
+        body = b""
+        # No body for 1xx, 204, 205 and 304, nor in reply to a HEAD.
+        if code >= 200 and code not in (204, 205, 304) and self.command != "HEAD":
+            body = (
+                self.error_message_format
+                % {
+                    "code": code,
+                    "message": html.escape(message, quote=False),
+                    "explain": html.escape(long if explain is None else explain, quote=False),
+                }
+            ).encode("utf-8", "replace")
+        self.close_connection = True
+        self._send_body(code, body, self.error_content_type)
 
     def _send_json(
         self,

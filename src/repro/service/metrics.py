@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.trace import Span, Tracer
@@ -137,12 +138,16 @@ class _Metric:
         self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, str]) -> Tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name} expects labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        # Exactly the declared names: as many labels, each one present.
+        try:
+            if len(labels) == len(self.labelnames):
+                return tuple([str(labels[name]) for name in self.labelnames])
+        except KeyError:
+            pass
+        raise ValueError(
+            f"{self.name} expects labels {self.labelnames}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
     def _header(self) -> List[str]:
         return [
@@ -168,7 +173,10 @@ class Counter(_Metric):
         """Add ``amount`` (>= 0) to the labelled child."""
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
-        key = self._key(labels)
+        self._add(self._key(labels), amount)
+
+    def _add(self, key: Tuple[str, ...], amount: float) -> None:
+        """:meth:`inc` of an already-validated label key (the hot paths)."""
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -192,8 +200,7 @@ class Counter(_Metric):
 class Histogram(_Metric):
     """Cumulative-bucket histogram (Prometheus semantics).
 
-    ``observe`` is O(number of buckets) under a plain lock — cheap
-    enough for a per-request hot path with a dozen buckets.
+    ``observe`` bisects the bucket bounds under a plain lock.
     """
 
     kind = "histogram"
@@ -220,19 +227,20 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels: str) -> None:
         """Record one observation into the labelled histogram."""
-        key = self._key(labels)
+        self._observe(self._key(labels), value)
+
+    def _observe(self, key: Tuple[str, ...], value: float) -> None:
+        """:meth:`observe` of an already-validated label key (the hot paths)."""
         value = float(value)
+        # The first bucket with value <= bound; NaN, like anything above
+        # the last bound, lands in the overflow slot.
+        slot = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             counts = self._counts.get(key)
             if counts is None:
                 counts = [0] * (len(self.buckets) + 1)
                 self._counts[key] = counts
                 self._sums[key] = 0.0
-            slot = len(self.buckets)
-            for position, bound in enumerate(self.buckets):
-                if value <= bound:
-                    slot = position
-                    break
             counts[slot] += 1
             self._sums[key] += value
 
@@ -431,7 +439,7 @@ class ServiceMetrics:
         stage = STAGE_SPANS.get(span.name)
         if stage is None or span.route is None:
             return
-        self.stage_seconds.observe(span.duration, route=span.route, stage=stage)
+        self.stage_seconds._observe((str(span.route), stage), span.duration)
 
     def attach(self, tracer: Tracer) -> None:
         """Bridge ``tracer``'s finished spans into the stage histogram."""
@@ -452,24 +460,26 @@ class RouteMetrics:
     The methods line up with the service's observation points (see the
     hooks in ``server.py``, ``cache.py``, ``scheduler.py``), so hot
     paths call e.g. ``metrics.observe_request("search")`` without
-    touching label plumbing.
+    touching label plumbing: the per-request observations go straight
+    in under label keys whose names the families declare.
     """
 
     def __init__(self, parent: ServiceMetrics, route: str) -> None:
         self.parent = parent
         self.route = route
+        self._key = (str(route),)
 
     def observe_request(self, endpoint: str) -> None:
         """Count one request to ``endpoint``."""
-        self.parent.requests.inc(route=self.route, endpoint=endpoint)
+        self.parent.requests._add(self._key + (endpoint,), 1.0)
 
     def observe_rejected(self, endpoint: str) -> None:
         """Count one request to ``endpoint`` turned away by the admission gate."""
-        self.parent.rejected.inc(route=self.route, endpoint=endpoint)
+        self.parent.rejected._add(self._key + (endpoint,), 1.0)
 
     def observe_latency(self, seconds: float) -> None:
         """Record one end-to-end request latency."""
-        self.parent.latency.observe(seconds, route=self.route)
+        self.parent.latency._observe(self._key, seconds)
 
     def observe_reload(self) -> None:
         """Count one successful engine reload."""
@@ -478,15 +488,15 @@ class RouteMetrics:
     def cache_event(self, event: str) -> None:
         """`ResultCache` observer hook: hit / miss / eviction."""
         if event == "eviction":
-            self.parent.cache_evictions.inc(route=self.route)
+            self.parent.cache_evictions._add(self._key, 1.0)
         else:
-            self.parent.cache_lookups.inc(route=self.route, outcome=event)
+            self.parent.cache_lookups._add(self._key + (event,), 1.0)
 
     def observe_batch(self, waits: Sequence[float]) -> None:
         """`MicroBatchScheduler` observer hook: one batch, each spectrum's queue wait."""
-        self.parent.batch_size.observe(len(waits), route=self.route)
+        self.parent.batch_size._observe(self._key, len(waits))
         for wait in waits:
-            self.parent.batch_wait.observe(wait, route=self.route)
+            self.parent.batch_wait._observe(self._key, wait)
 
     def observe_ann(self, delta: Dict[str, int]) -> None:
         """Record one batch's ANN counter increments.

@@ -13,12 +13,15 @@ from repro.hdc.packing import (
     bipolar_to_bits,
     bits_to_bipolar,
     cells_per_hypervector,
+    hamming_dtype,
+    hamming_rowsums,
     pack_bipolar,
     pack_cells,
     popcount,
     unpack_bipolar,
     unpack_cells,
 )
+from repro.hdc.similarity import packed_dot_scores, packed_hamming_distance
 
 
 class TestBitPacking:
@@ -154,3 +157,34 @@ class TestNoise:
         assert np.array_equal(
             perturb_accumulator(accumulator, 0.0, rng), accumulator
         )
+
+
+class TestHammingRowsums:
+    """The narrow (uint16) sum equals the int64 sum wherever it is used."""
+
+    @staticmethod
+    def _int64_sum(a, b):
+        return np.unpackbits(np.bitwise_xor(a, b), axis=-1).sum(axis=-1, dtype=np.int64)
+
+    @pytest.mark.parametrize("dim", [8192, 8000, 1000, 65528, 65536, 65600])
+    def test_parity_with_the_int64_sum(self, rng, dim):
+        words = -(-dim // 8)
+        rows = np.packbits(rng.integers(0, 2, (5, dim), dtype=np.uint8), axis=-1)
+        query = np.packbits(rng.integers(0, 2, dim, dtype=np.uint8))
+        complement = np.packbits(np.unpackbits(query, count=dim) ^ 1)
+        slab = np.vstack([rows, query, complement])
+        got = hamming_rowsums(slab, query)
+        assert got.dtype == hamming_dtype(words)
+        assert got.dtype == (np.uint16 if 8 * words <= 65535 else np.int64)
+        assert got.tolist() == self._int64_sum(slab, query).tolist()
+        # All-equal rows are at 0, the complement at every real bit.
+        assert got[-2] == 0 and got[-1] == dim
+
+    def test_scores_widen_before_the_arithmetic(self, rng):
+        """``dim - 2 * h`` of a far row is negative, never a uint16 wrap."""
+        dim = 8192
+        query = np.packbits(rng.integers(0, 2, dim, dtype=np.uint8))
+        far = np.packbits(np.unpackbits(query) ^ 1)[np.newaxis]
+        assert packed_dot_scores(far, query, dim).tolist() == [-dim]
+        assert packed_dot_scores(far, query, dim, block_rows=1).tolist() == [-dim]
+        assert packed_hamming_distance(np.repeat(far, 3, 0), query, 2).tolist() == [dim] * 3

@@ -10,6 +10,10 @@ Nagle/delayed-ACK floor from every round trip, without timing anything:
   and the draining variants that add ``Connection: close`` — reaches
   the socket as exactly one write holding status line, headers and
   body, and an error reply closes its connection.
+
+The handler reads the request head itself; a table of raw heads pins
+it to the standard library's ``BaseHTTPRequestHandler.parse_request``,
+the oracle: same status, same keep-alive decision, same header values.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import json
 import socket
 import threading
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -31,7 +36,7 @@ from repro.service import (
     ServiceMetrics,
     start_server,
 )
-from repro.service.httpbase import JsonRequestHandler
+from repro.service.httpbase import MAX_HEADERS, MAX_LINE, JsonRequestHandler
 from repro.service.protocol import spectrum_to_payload
 from repro.store import build_store
 
@@ -270,3 +275,160 @@ def test_serve_and_coordinate_bind_the_same_server_and_handler(monkeypatch, stor
         store.root, 1, worker_urls=["http://127.0.0.1:9"], port=0, probe_interval=3600.0
     ) == 0
     assert bound == [(SearchServer, SearchRequestHandler)] * 2
+
+
+# ----------------------------------------------------------------------
+# The head reader against http.server's own, as the oracle
+# ----------------------------------------------------------------------
+
+
+class Parsed:
+    """Records what ``parse_request`` made of the first request."""
+
+    parsed = None
+
+    def parse_request(self):
+        ok = super().parse_request()
+        if self.parsed is None:
+            headers = self.headers if ok else None
+            self.parsed = (
+                ok,
+                self.close_connection,
+                self.command,
+                self.path if ok else None,
+                self.request_version,
+                None if headers is None else tuple(
+                    headers.get(name)
+                    for name in ("Content-Length", "connection", "X-REQUEST-ID", "X-Folded")
+                ),
+            )
+        return ok
+
+
+class Oracle(Parsed, BaseHTTPRequestHandler):
+    """The standard library's head parsing, answering 200 to what it accepts."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):  # noqa: N802 - http.server API
+        body = b"{}"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+def run_head(handler_class, server, raw: bytes):
+    """``(handler, writes)`` of one raw request through ``handler_class``."""
+    connection = RecordingSocket(raw)
+    handler = handler_class(connection, ("127.0.0.1", 0), server)
+    return handler, connection.writes
+
+
+def final_status(writes):
+    """Status of the final reply in ``writes``; an interim 100 is skipped.
+
+    An HTTP/0.9 reply is a bare body: its status is the code an error
+    page names, else 200.
+    """
+    raw = b"".join(writes)
+    interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+    if raw.startswith(interim):
+        raw = raw[len(interim) :]
+    if raw.startswith(b"HTTP/"):
+        return int(raw.split(b" ", 2)[1])
+    marker = b"Error code: "
+    return int(raw.split(marker)[1][:3]) if marker in raw else 200
+
+
+def head(request_line: str, *fields: str) -> bytes:
+    return (request_line + "\r\n" + "".join(f + "\r\n" for f in fields) + "\r\n").encode(
+        "latin-1"
+    )
+
+
+HEADS = [
+    ("ok", head("GET /stats HTTP/1.1", "Host: t"), 200),
+    ("no words", head("   "), None),
+    ("one word", head("GET"), 400),  # answered as HTTP/0.9: a bare body
+    ("four words", head("GET /stats HTTP/1.1 extra"), 400),
+    ("not http", head("GET /stats FTP/1.1"), 400),
+    ("three numbers", head("GET /stats HTTP/1.1.1"), 400),
+    ("letters", head("GET /stats HTTP/1.x"), 400),
+    ("long number", head("GET /stats HTTP/12345678901.1"), 400),
+    ("leading zeros", head("GET /stats HTTP/01.01"), 200),
+    ("version 2.0", head("GET /stats HTTP/2.0"), 505),
+    ("version 10.1", head("GET /stats HTTP/10.1"), 505),
+    ("http 1.0", head("GET /stats HTTP/1.0"), 200),
+    ("http 1.0 keep-alive", head("GET /stats HTTP/1.0", "Connection: keep-alive"), 200),
+    ("http 0.9", head("GET /stats"), 200),
+    ("http 0.9 post", head("POST /stats"), 400),
+    ("double slash", head("GET //stats HTTP/1.1"), 200),
+    ("request line too long", head("GET /" + "a" * MAX_LINE + " HTTP/1.1"), 414),
+    ("header line too long", head("GET /stats HTTP/1.1", "X-Big: " + "a" * MAX_LINE), 431),
+    ("99 headers", head("GET /stats HTTP/1.1", *[f"X-{i}: {i}" for i in range(99)]), 200),
+    ("100 headers", head("GET /stats HTTP/1.1", *[f"X-{i}: {i}" for i in range(100)]), 431),
+    ("101 headers", head("GET /stats HTTP/1.1", *[f"X-{i}: {i}" for i in range(101)]), 431),
+    ("mixed case", head("GET /stats HTTP/1.1", "cOnNeCtIoN: CLOSE", "x-request-id: r-1"), 200),
+    ("connection close", head("GET /stats HTTP/1.1", "Connection: close"), 200),
+    ("blank padding", head("GET /stats HTTP/1.1", "Connection:   close  "), 200),
+    ("folded field", head("GET /stats HTTP/1.1", "X-Folded: a", "\tb", " c"), 200),
+    ("first line folded", head("GET /stats HTTP/1.1", " stray", "Connection: close"), 200),
+    ("not a field", head("GET /stats HTTP/1.1", "Bad Field: 1", "Connection: close"), 200),
+    ("envelope line", head("GET /stats HTTP/1.1", "From someone", "Connection: close"), 200),
+    ("duplicate field", head("GET /stats HTTP/1.1", "X-Request-Id: a", "X-Request-Id: b"), 200),
+    ("equal lengths", head("GET /stats HTTP/1.1", "Content-Length: 0", "content-length: 0"), 200),
+    ("expect 100", head("GET /stats HTTP/1.1", "Expect: 100-Continue"), 200),
+    ("expect on 1.0", head("GET /stats HTTP/1.0", "Expect: 100-continue"), 200),
+    ("bare newlines", b"GET /stats HTTP/1.1\nConnection: close\n\n", 200),
+]
+
+
+class TestHeadReader:
+    @pytest.mark.parametrize("name, raw, status", HEADS, ids=[h[0] for h in HEADS])
+    def test_head_is_read_as_http_server_reads_it(self, server, name, raw, status):
+        probe = type("Probe", (Parsed, server.RequestHandlerClass), {})
+        ours, writes = run_head(probe, server, raw)
+        oracle, oracle_writes = run_head(Oracle, None, raw)
+        assert ours.parsed == oracle.parsed
+        if status is None:  # an empty request line: no reply at all
+            assert writes == oracle_writes == []
+            return
+        assert final_status(writes) == final_status(oracle_writes) == status
+        # The final reply is one write, whatever the status (an interim
+        # 100 Continue goes first); an error closes the connection.
+        interim = writes[0].startswith(b"HTTP/1.1 100 ")
+        assert len(writes) == 1 + interim
+        if status >= 400:
+            assert ours.close_connection
+            if writes[-1].startswith(b"HTTP/"):
+                reply_head = writes[-1].split(b"\r\n\r\n", 1)[0]
+                assert b"\r\nConnection: close" in reply_head
+
+    def test_expect_100_gets_an_interim_reply_before_the_body_is_read(self, server):
+        raw = head("GET /stats HTTP/1.1", "Expect: 100-continue")
+        _handler, writes = run_head(server.RequestHandlerClass, server, raw)
+        assert writes[0] == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert len(writes) == 2 and final_status(writes[1:]) == 200
+
+    def test_conflicting_content_lengths_are_a_400(self, server):
+        body = b'{"spectrum": {}}'
+        raw = head(
+            "POST /search HTTP/1.1", f"Content-Length: {len(body)}", "Content-Length: 3"
+        ) + body
+        handler, writes = run_head(server.RequestHandlerClass, server, raw)
+        assert len(writes) == 1
+        status, headers, payload = parse_reply(writes[0])
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert b"Conflicting Content-Length" in payload
+        # The oracle takes the first length instead.
+        oracle, _writes = run_head(Oracle, None, raw)
+        assert oracle.parsed[0] is True
+
+    def test_limits_are_http_client_limits(self):
+        assert MAX_LINE == http.client._MAXLINE
+        assert MAX_HEADERS == http.client._MAXHEADERS

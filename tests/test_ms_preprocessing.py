@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ms.preprocessing import PreprocessingConfig, is_high_quality, preprocess
+from repro.ms.preprocessing import (
+    PreprocessingConfig,
+    is_high_quality,
+    preprocess,
+    preprocess_many,
+)
 from repro.ms.spectrum import Spectrum
 
 
@@ -214,3 +219,50 @@ class TestOnePassParity:
                 assert np.array_equal(ours, theirs), field.name
             else:
                 assert ours == theirs, field.name
+
+
+class TestTrustedOutputs:
+    def test_block_outputs_equal_the_validated_construction(self):
+        """Outputs skip ``__post_init__`` yet equal what it would build.
+
+        A mixed block: a kept spectrum, one QC drops, one over
+        ``max_peaks`` and one whose peaks all survive unscaled.
+        """
+        rng = np.random.default_rng(7)
+        kept = spectrum_with(np.sort(rng.uniform(150, 1400, 30)), rng.gamma(2.0, 50.0, 30))
+        dropped = spectrum_with([200.0, 300.0], [5.0, 6.0], identifier="qc")
+        crowded = spectrum_with(
+            np.linspace(120, 1450, 400), rng.choice([1.0, 2.0, 9.0], 400),
+            identifier="crowded", retention_time=12.5, is_decoy=True,
+        )
+        zeros = spectrum_with(np.linspace(120, 1450, 8), np.zeros(8), identifier="zeros")
+        block = [kept, dropped, crowded, zeros]
+        for config in (PreprocessingConfig(max_peaks=150), only(min_peaks=5)):
+            outputs = preprocess_many(block, config)
+            assert outputs[1] is None
+            assert len(outputs[2]) <= config.max_peaks
+            for spectrum, out in zip(block, outputs):
+                if out is None:
+                    continue
+                rebuilt = Spectrum(**{**vars(out)})
+                for field in dataclasses.fields(Spectrum):
+                    ours, theirs = getattr(out, field.name), getattr(rebuilt, field.name)
+                    if isinstance(theirs, np.ndarray):
+                        assert ours.dtype == theirs.dtype, field.name
+                        assert ours.ndim == 1, field.name
+                        assert np.array_equal(ours, theirs), field.name
+                    else:
+                        assert ours == theirs, field.name
+                assert out.identifier == spectrum.identifier
+                assert type(out) is Spectrum
+                assert np.all(out.mz[1:] >= out.mz[:-1])
+                assert np.isfinite(out.intensity).all() and (out.intensity >= 0).all()
+
+    def test_wire_and_file_spectra_stay_validated(self):
+        """Only preprocessing skips the checks: a bad spectrum still raises."""
+        with pytest.raises(ValueError):
+            spectrum_with([100.0, float("nan")], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            spectrum_with([100.0, 200.0], [1.0, 2.0]).copy_with_peaks(
+                np.array([100.0]), np.array([-1.0])
+            )
