@@ -8,18 +8,18 @@ into a bounded ring buffer.  The design constraints, in order:
   shared no-op singleton without allocating a span, touching a context
   variable, or taking a lock, so instrumentation can live permanently
   on hot paths (``encode_batch``, backend scoring, the micro-batch
-  flusher) and cost one method call plus a kwargs dict per site;
+  leader) and cost one method call plus a kwargs dict per site;
 * **implicit parenting via contextvars** — ``with tracer.span("a"):``
   makes every span opened inside (same thread / task) a child of
   ``a``, which is how one ``engine.search`` span ends up the shared
-  parent of the encode / prefilter / scoring spans of a whole flushed
+  parent of the encode / prefilter / scoring spans of a whole
   micro-batch;
 * **cross-thread linkage** — :meth:`Tracer.capture` snapshots the
-  current span so a *different* thread (the micro-batch flusher, a
-  scoring thread) can :meth:`Tracer.emit` explicitly-timed spans
-  under it; this carries a request's identity from the HTTP handler
-  thread into the batch that served it, and per-shard timings into the
-  fan-out span's trace;
+  current span so a *different* thread (the request that leads a
+  micro-batch, a scoring thread) can :meth:`Tracer.emit`
+  explicitly-timed spans under it; this carries a request's identity
+  from its HTTP handler thread into the batch that served it, and
+  per-shard timings into the fan-out span's trace;
 * **request identity** — every span carries an optional ``request_id``
   (inherited from its parent unless given), generated at service
   ingress by :func:`new_request_id` and queried later to assemble one
@@ -323,7 +323,7 @@ class Tracer:
 
         This is how timings measured elsewhere join the trace: the
         scheduler emits each request's queue wait when its batch
-        flushes (parented on the span :meth:`capture`\\ d at submit
+        starts (parented on the span :meth:`capture`\\ d at submit
         time), and the fan-out core emits per-part scoring spans timed
         by the scorers themselves onto virtual ``shard-N`` lanes.
         ``start`` is a ``perf_counter`` value; omitted, the span is

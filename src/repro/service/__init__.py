@@ -7,9 +7,10 @@ subpackage keeps all of that hot in a long-lived process and serves
 concurrent clients over a stdlib HTTP JSON API:
 
 * :class:`~repro.service.scheduler.MicroBatchScheduler` — dynamic
-  work-conserving micro-batching; single-spectrum requests arriving
-  while the engine is busy coalesce into one vectorized batch search
-  of up to ``MAX_BATCH`` spectra;
+  work-conserving micro-batching with no thread of its own;
+  single-spectrum requests arriving while the engine is busy coalesce
+  into one vectorized batch search of up to ``MAX_BATCH`` spectra, run
+  on the thread of one of the waiting requests;
 * :class:`~repro.service.cache.ResultCache` — LRU result cache keyed
   by spectrum content digest + configuration fingerprint;
 * :class:`~repro.service.registry.IndexRegistry` — multi-index

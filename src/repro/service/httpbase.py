@@ -13,7 +13,7 @@ transport it stands on lives here:
   segment;
 * :func:`run_server` — the process runner: tracer, signal handlers,
   the load-bearing ``listening on http://host:port`` line,
-  ``serve_forever`` and the watchdog-bounded drain.
+  ``serve_forever`` and the drain, bounded against a wedged backend.
 
 The one-segment rule is a latency fix, not a nicety.  ``http.server``
 flushes the header block and then the body as two small writes; on a
@@ -186,6 +186,11 @@ ERROR_STATUSES: Dict[type, int] = {
 }
 
 
+#: Seconds :func:`run_server` gives a backend, and then the handlers
+#: it failed, once ``drain_timeout`` has run out on a wedged one.
+WEDGED_GRACE = 5.0
+
+
 class ServiceStartupError(RuntimeError):
     """The server could not start (bad config / unreadable index).
 
@@ -196,21 +201,24 @@ class ServiceStartupError(RuntimeError):
 
 
 class DrainingHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` whose shutdown can join its handlers.
+    """``ThreadingHTTPServer`` whose shutdown joins its handlers, with a bound.
 
-    Handler threads are non-daemon so ``server_close()`` joins them:
-    responses for already-accepted requests are fully written before
-    shutdown proceeds (daemon threads would be killed at interpreter
-    exit mid-write).  Two mechanisms keep keep-alive clients from
-    delaying that join: the ``draining`` flag set by :meth:`shutdown`
-    makes every subsequent response close its connection (active
-    pollers would otherwise keep a persistent connection served
-    forever), and :meth:`server_close` hangs up on connections that are
-    idle *between* requests, whose handler threads would otherwise sit
-    in a read until the idle timeout.
+    ``server_close()`` waits until every accepted request is answered:
+    responses are fully written before shutdown proceeds.  The handler
+    threads are daemon threads counted in and out here, not joined by
+    ``ThreadingMixIn``, so that wait can be bounded: a handler leading
+    a batch inside a wedged engine never returns, and a non-daemon
+    thread would then hold the process open at interpreter exit.  Two
+    mechanisms keep keep-alive clients from delaying the wait: the
+    ``draining`` flag set by :meth:`shutdown` makes every subsequent
+    response close its connection (active pollers would otherwise keep
+    a persistent connection served forever), and :meth:`server_close`
+    hangs up on connections that are idle *between* requests, whose
+    handler threads would otherwise sit in a read until the idle
+    timeout.
     """
 
-    daemon_threads = False
+    daemon_threads = True
     allow_reuse_address = True
     # http.server's listen backlog of 5 resets or stalls a burst of
     # simultaneous connects before the accept loop gets to them.
@@ -231,11 +239,46 @@ class DrainingHTTPServer(ThreadingHTTPServer):
         self._idle_lock = threading.Lock()
         self._idle: set = set()
         self._hanging_up = False
+        # Handler threads started and not yet finished; notified at zero.
+        self._handlers = 0
+        self._handlers_done = threading.Condition(self._idle_lock)
 
     def shutdown(self) -> None:
         """Stop accepting requests and drain keep-alive connections."""
         self.draining = True
         super().shutdown()
+
+    def process_request(self, request, client_address) -> None:
+        """Count the handler in, then start its thread.
+
+        Counted before the thread starts, so no accepted request can
+        slip past a join that begins right after serve_forever returns.
+        """
+        with self._idle_lock:
+            self._handlers += 1
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._handler_done()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        """Serve one connection on its handler thread, then count it out."""
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._handler_done()
+
+    def _handler_done(self) -> None:
+        with self._idle_lock:
+            self._handlers -= 1
+            if not self._handlers:
+                self._handlers_done.notify_all()
+
+    def join_handlers(self, timeout: Optional[float] = None) -> bool:
+        """Wait until every accepted request is answered; False past ``timeout``."""
+        with self._idle_lock:
+            return self._handlers_done.wait_for(lambda: not self._handlers, timeout)
 
     def park(self, connection) -> None:
         """Note that ``connection`` is waiting for its next request line."""
@@ -249,20 +292,22 @@ class DrainingHTTPServer(ThreadingHTTPServer):
         with self._idle_lock:
             self._idle.discard(connection)
 
-    def server_close(self) -> None:
+    def server_close(self, timeout: Optional[float] = None) -> bool:
         """Close the listener, hang up on idle connections, join handlers.
 
         A connection whose request is being read or answered is not
         touched — it gets its full reply, then closes because the
         server is draining.  One idle between requests has nothing in
         flight; without the hang-up its handler thread would hold the
-        join for the whole idle read timeout.
+        join for the whole idle read timeout.  Returns False if a
+        handler is still running after ``timeout`` seconds.
         """
         with self._idle_lock:
             self._hanging_up = True
             for connection in self._idle:
                 _hang_up(connection)
         super().server_close()
+        return self.join_handlers(timeout)
 
 
 def _hang_up(connection) -> None:
@@ -561,10 +606,13 @@ def run_server(
     (restored on exit), sizing its ring buffer to ``trace_capacity``
     spans.  Shutdown order matters: stop accepting connections, join
     the in-flight handlers (their replies complete), then ``close``.
-    ``drain_timeout`` bounds that join against a wedged backend: if it
-    takes longer, a watchdog calls ``close`` early, which fails the
-    parked handlers' pending work (clients get errors, not silence) so
-    the process still exits.  ``name`` labels the final log line.
+    ``drain_timeout`` bounds that join against a wedged backend: past
+    it, ``close`` runs early and fails the handlers' pending work
+    (waiting clients get errors, not silence), they get
+    :data:`WEDGED_GRACE` seconds to answer, and the process exits.  A
+    handler stuck inside the wedged backend itself (the one leading a
+    micro-batch) never answers; it is a daemon thread, so it does not
+    hold the exit.  ``name`` labels the final log line.
     """
     ensure_default_logging()
     tracer = get_tracer()
@@ -600,16 +648,16 @@ def run_server(
         try:
             server.serve_forever()
         finally:
-            watchdog = threading.Timer(
-                drain_timeout, close, kwargs={"timeout": 5.0}
-            )
-            watchdog.daemon = True
-            watchdog.start()
+            drained = False
             try:
-                server.server_close()
+                drained = server.server_close(timeout=drain_timeout)
             finally:
-                watchdog.cancel()
-                close(timeout=drain_timeout)
+                close(timeout=drain_timeout if drained else WEDGED_GRACE)
+            if not drained and not server.join_handlers(WEDGED_GRACE):
+                logger.warning(
+                    "%s: a request is still inside the wedged backend; "
+                    "exiting without its reply", name,
+                )
             for signum, previous in installed:
                 signal.signal(signum, previous)
             logger.info("%s drained and closed", name)

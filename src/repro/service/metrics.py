@@ -73,7 +73,7 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     10.0,
 )
 
-#: Buckets for micro-batch sizes (spectra per flush, at most ``MAX_BATCH``).
+#: Buckets for micro-batch sizes (spectra per batch, at most ``MAX_BATCH``).
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32)
 
 #: Buckets for the ANN candidate ratio (scored rows / window rows) —
@@ -376,7 +376,7 @@ class ServiceMetrics:
         )
         self.batch_size = self.registry.histogram(
             "hdoms_service_batch_size_spectra",
-            "Spectra per flushed micro-batch, by route.",
+            "Spectra per micro-batch, by route.",
             ("route",),
             buckets=BATCH_SIZE_BUCKETS,
         )

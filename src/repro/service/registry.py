@@ -58,8 +58,9 @@ IndexSources = Union[
 
 #: Drain bound for closes the registry performs on behalf of a live
 #: request (/reload remove/swap cleanup): a wedged engine fails its
-#: pending futures after this many seconds instead of parking the
-#: handler thread forever.
+#: queued requests after this many seconds instead of parking the
+#: /reload handler thread forever (the request leading the wedged
+#: batch stays inside the engine).
 ROUTE_CLOSE_TIMEOUT = 30.0
 
 
@@ -129,7 +130,7 @@ class IndexRegistry:
         except BaseException:
             # A failure after services were built — a later index not
             # loading, or a bad default_route — must not leak them
-            # (flusher threads, engines), especially for callers that
+            # (engines and their scoring pools), especially for callers that
             # retry construction.
             for service in self._services.values():
                 service.close(timeout=ROUTE_CLOSE_TIMEOUT)
@@ -346,9 +347,8 @@ class IndexRegistry:
         is still draining them — ``SearchService.close`` is idempotent
         and blocking, so the per-service calls are safe to repeat and
         every caller returns only once the drain is done.  That
-        matters in ``serve()``: the watchdog and the main thread both
-        call this, and the main thread must not report a finished
-        shutdown mid-drain.
+        matters in ``serve()``: its main thread must not report a
+        finished shutdown while the routes are still draining.
         """
         with self._lock:
             self._closed = True

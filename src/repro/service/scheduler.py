@@ -2,56 +2,82 @@
 
 The service's hot path is a *vectorized batch search* (one fused
 ``encode_batch`` pass, then XOR/popcount over packed windows), but
-online clients arrive one spectrum at a time.
-The :class:`MicroBatchScheduler` bridges the two: ``submit_many``
-enqueues spectra and returns one :class:`~concurrent.futures.Future`
-each; a single background flusher thread collects the queue into
-batches and hands them to the runner callback.
-
-The flusher is **work-conserving**: whenever it is idle and anything is
-queued it dispatches the whole queue (up to :data:`MAX_BATCH`) at once,
-so a lone client never waits for company that is not coming.  Batches
-form from back-pressure instead: the runner executes outside the queue
-lock, clients keep enqueuing while a batch is being scored, and the
-flusher takes everything that piled up when it comes back.  That is
-what lets batches grow exactly when there is load to amortise (the
-HyperOMS observation: OMS throughput is batching).
+online clients arrive one spectrum at a time.  The
+:class:`MicroBatchScheduler` bridges the two without a thread of its
+own (flat combining: Hendler et al., SPAA 2010).  ``run_many`` enqueues
+a caller's items; a caller that finds no batch running becomes the
+**leader** and runs the oldest queued entries, up to :data:`MAX_BATCH`,
+on its own thread.  After each batch the leader hands the lead to the
+owner of the oldest entry still queued — waking exactly that thread —
+or, with nothing queued, drops it.  A lone client never waits for
+company, and batches form from back-pressure: what queues while a batch
+is scored leaves together (HyperOMS: OMS throughput is batching).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from contextvars import Context
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.trace import Span, get_tracer
+from .protocol import UnavailableError
 
 #: Largest batch handed to the runner; a deeper queue leaves in several.
 MAX_BATCH = 32
 
 
+class _Submission:
+    """One ``run_many`` call: its results, and whether they are all in.
+
+    Its owner waits on ``wake`` for two separate things: "your items are
+    done" (``pending`` reaches 0, or ``error`` is set) and "you lead
+    now" (the scheduler's ``_leader`` is this submission).  A submission
+    split across batches is partly resolved by another leader's batch,
+    and that wake-up must not be read as the lead.
+    """
+
+    __slots__ = ("results", "pending", "error", "wake")
+
+    def __init__(self, count: int, lock: threading.Lock) -> None:
+        self.results: List[object] = [None] * count
+        self.pending = count
+        self.error: Optional[BaseException] = None
+        self.wake = threading.Condition(lock)
+
+    def fail(self, error: BaseException) -> None:
+        """Fail the whole submission (first error wins) and wake its owner."""
+        if self.error is None:
+            self.error = error
+            self.wake.notify()
+
+
+#: (item, submission, position in it, enqueue_monotonic, submitter's span).
+_Entry = Tuple[object, _Submission, int, float, Optional[Span]]
+
+
 class MicroBatchScheduler:
-    """Queue single requests, flush them to a batch runner.
+    """Queue single requests, run them in batches on the callers' threads.
 
     Parameters
     ----------
     runner:
         ``runner(items) -> results`` where ``items`` is the list of
-        submitted objects in arrival order and ``results`` is a
-        same-length sequence; ``results[i]`` resolves the future of
-        ``items[i]``.  A runner exception fails every future in the
-        batch (clients see the error, the scheduler survives).
+        queued objects in arrival order and ``results`` is a
+        same-length sequence; ``results[i]`` answers ``items[i]``.  A
+        runner exception fails every submission in the batch (callers
+        see the error, the scheduler survives).
     observer:
-        Optional ``observer(waits)`` called once per flushed batch with
-        each item's queue wait in seconds (so ``len(waits)`` is the
-        batch size).  Used by the service's metrics export; observer
-        exceptions are swallowed so instrumentation can never kill the
-        flusher.
+        Optional ``observer(waits)`` called once per batch with each
+        item's queue wait in seconds (so ``len(waits)`` is the batch
+        size).  Used by the service's metrics export; observer
+        exceptions are swallowed so instrumentation can never fail a
+        batch.
     route:
         Optional route label stamped onto the scheduler's trace spans
         (``scheduler.batch`` / ``scheduler.queue_wait``), so per-stage
-        histograms attribute flusher time to the right route.
+        histograms attribute batch time to the right route.
     """
 
     def __init__(
@@ -64,157 +90,151 @@ class MicroBatchScheduler:
         self._runner = runner
         self._observer = observer
         self.route = route
-        #: Queue entries: (item, future, enqueue_monotonic, trace_ctx).
-        #: ``trace_ctx`` is the submitter's current span (or None), so
-        #: the flusher can parent each request's queue-wait span on the
-        #: HTTP request that enqueued it.
-        self._queue: List[Tuple[object, Future, float, Optional[Span]]] = []
-        self._inflight: List[Tuple[object, Future, float, Optional[Span]]] = []
+        #: Queued entries, oldest first; a running batch is the prefix
+        #: it was cut from, removed once the batch is settled.
+        self._queue: List[_Entry] = []
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        #: Notified when the lead is dropped after close(): the drain is over.
+        self._idle = threading.Condition(self._lock)
+        #: The submission whose owner runs (or is about to run) the next batch.
+        self._leader: Optional[_Submission] = None
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._flush_loop, name="microbatch-flusher", daemon=True
-        )
-        self._thread.start()
 
-    # ------------------------------------------------------------------
-    # client side
-    # ------------------------------------------------------------------
+    def run_many(self, items: Sequence[object]) -> List[object]:
+        """Results for ``items``, aligned, once the batches holding them ran.
 
-    def submit_many(self, items: Sequence[object]) -> List["Future"]:
-        """Enqueue requests under one lock; each future resolves after its batch runs.
-
-        The lock and the flusher wake-up are paid once per call, so a
-        whole spectrum list (``/search_batch``) enters the queue at once.
+        The whole list enters the queue under one lock.  The caller runs
+        batches while it holds the lead and waits otherwise; an error
+        from any batch holding its items is raised here.
         """
-        futures: List[Future] = [Future() for _ in items]
+        mine = _Submission(len(items), self._lock)
         now = time.monotonic()
         ctx = get_tracer().capture()
-        with self._wakeup:
+        with self._lock:
             if self._closed:
-                raise RuntimeError("scheduler is closed")
-            for item, future in zip(items, futures):
-                self._queue.append((item, future, now, ctx))
-            self._wakeup.notify()
-        return futures
+                raise UnavailableError("scheduler is closed")
+            self._queue.extend(
+                (item, mine, position, now, ctx) for position, item in enumerate(items)
+            )
+            if self._leader is None:
+                self._leader = mine
+            while self._leader is mine or (mine.pending and mine.error is None):
+                if self._leader is mine:
+                    self._lead(mine)
+                else:
+                    mine.wake.wait()
+        if mine.error is not None:
+            raise mine.error
+        return mine.results
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Stop the flusher once queued requests ran (idempotent, concurrent-safe).
+        """Refuse new work, wait until queued requests ran (idempotent, concurrent-safe).
 
-        ``timeout`` bounds the join: if the flusher is still alive after
-        ``timeout`` seconds (a wedged runner — e.g. a worker pool that
-        will never answer), every future still pending — queued *and*
-        in-flight — is failed with :class:`RuntimeError` so no client
-        hangs on ``result()``, and the daemon flusher thread is left to
-        die with the process.  A concurrent second ``close()`` call also
-        waits for the drain rather than returning while batches are
-        still running (callers close the engine right after, which must
-        not happen under a live flusher).
+        Every caller waits, since callers close the engine next.  Past
+        ``timeout`` seconds (a wedged runner) every submission queued or
+        in flight fails with :class:`UnavailableError` and its owner is
+        woken — except the leader stuck inside the runner, which
+        returns the error once the runner does.
         """
-        with self._wakeup:
+        with self._lock:
             self._closed = True
-            self._wakeup.notify_all()
-        self._thread.join(timeout)
-        if not self._thread.is_alive():
-            return
-        # Wedged runner: the drain will never finish.  Resolve every
-        # pending future with an error; _run_batch's guarded result
-        # delivery makes a late runner completion harmless.
-        with self._wakeup:
-            pending = self._queue + self._inflight
+            if self._idle.wait_for(lambda: self._leader is None, timeout):
+                return
+            error = UnavailableError(
+                "scheduler closed with a batch still in flight "
+                f"(runner did not finish within {timeout}s)"
+            )
+            for entry in self._queue:
+                entry[1].fail(error)
             self._queue = []
-        error = RuntimeError(
-            "scheduler closed with a batch still in flight "
-            f"(runner did not finish within {timeout}s)"
-        )
-        for entry in pending:
-            _fail_future(entry[1], error)
 
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting (queued plus in-flight)."""
         with self._lock:
-            return len(self._queue) + len(self._inflight)
+            return len(self._queue)
 
-    # ------------------------------------------------------------------
-    # flusher side
-    # ------------------------------------------------------------------
+    def _lead(self, mine: _Submission) -> None:
+        """Run the oldest queued batch, then hand the lead on (lock held)."""
+        batch = self._queue[:MAX_BATCH]
+        try:
+            if batch:
+                self._lock.release()
+                try:
+                    # A fresh context: the batch span is a root span, not
+                    # a child of whichever request happens to lead.
+                    results, error = Context().run(self._run_batch, batch), None
+                except BaseException as raised:  # noqa: BLE001 - forwarded to callers
+                    results, error = None, raised
+                finally:
+                    self._lock.acquire()
+                # A timed-out close() emptied the queue; else the batch
+                # is still its prefix (nothing else removes entries).
+                del self._queue[: len(batch)]
+                self._settle(batch, results, error)
+        finally:
+            self._leader = self._queue[0][1] if self._queue else None
+            if self._leader is None:
+                if self._closed:
+                    self._idle.notify_all()
+            elif self._leader is not mine:
+                self._leader.wake.notify()
 
-    def _flush_loop(self) -> None:
-        while True:
-            with self._wakeup:
-                while not self._queue and not self._closed:
-                    self._wakeup.wait()
-                if not self._queue:
-                    return  # closed and drained
-                batch = self._queue[:MAX_BATCH]
-                del self._queue[:MAX_BATCH]
-                self._inflight = batch
-            self._run_batch(batch)
-            with self._lock:
-                self._inflight = []
+    def _settle(self, batch: List[_Entry], results, error: Optional[BaseException]) -> None:
+        """Deliver one batch's outcome, waking each submission it completed."""
+        if error is not None:
+            for entry in batch:
+                entry[1].fail(error)
+            # A failed caller returns at once: its entries still queued
+            # must neither run nor make it the next leader.
+            self._queue = [entry for entry in self._queue if entry[1].error is None]
+            return
+        for (_item, owner, position, _t, _ctx), result in zip(batch, results):
+            if owner.error is None:  # else a timed-out close() failed it
+                owner.results[position] = result
+                owner.pending -= 1
+                if not owner.pending:
+                    owner.wake.notify()
 
-    def _run_batch(self, batch: List[Tuple[object, Future, float, Optional[Span]]]) -> None:
+    def _run_batch(self, batch: List[_Entry]) -> Sequence[object]:
         now = time.monotonic()
-        waits = [now - entry[2] for entry in batch]
+        waits = [now - entry[3] for entry in batch]
         if self._observer is not None:
             try:
                 self._observer(waits)
-            except Exception:  # noqa: BLE001 - metrics must never kill us
+            except Exception:  # noqa: BLE001 - metrics must never fail a batch
                 pass
         tracer = get_tracer()
         request_ids: List[str] = []
         if tracer.enabled:
             # Each request's queue wait joins the trace under the span
-            # that submitted it (the HTTP handler), even though it is
-            # measured here on the flusher thread.
+            # that submitted it, whichever thread leads the batch.
             for entry, wait in zip(batch, waits):
+                ctx = entry[4]
                 tracer.emit(
-                    "scheduler.queue_wait", duration=wait, parent=entry[3], route=self.route
+                    "scheduler.queue_wait", duration=wait, parent=ctx, route=self.route
                 )
-                ctx = entry[3]
                 if (
                     ctx is not None
                     and ctx.request_id
                     and ctx.request_id not in request_ids
                 ):
                     request_ids.append(ctx.request_id)
-        try:
-            # A batch serving exactly one request inherits its id, so
-            # that request's trace reaches through the engine spans
-            # (encode / prefilter / scoring); a shared batch instead
-            # lists every request it coalesced.
-            with tracer.span(
-                "scheduler.batch",
-                request_id=request_ids[0] if len(request_ids) == 1 else None,
-                route=self.route,
-                size=len(batch),
-                requests=list(request_ids),
-            ):
-                results = self._runner([entry[0] for entry in batch])
-            if len(results) != len(batch):
-                raise RuntimeError(
-                    f"runner returned {len(results)} results for a batch "
-                    f"of {len(batch)}"
-                )
-        except BaseException as error:  # noqa: BLE001 - forwarded to futures
-            for entry in batch:
-                _fail_future(entry[1], error)
-            return
-        for (_item, future, _t, _ctx), result in zip(batch, results):
-            # A timed-out close() may have failed this future already;
-            # delivering into a done future would raise InvalidStateError
-            # and kill the flusher mid-batch.
-            try:
-                future.set_result(result)
-            except InvalidStateError:
-                pass
-
-
-def _fail_future(future: "Future", error: BaseException) -> None:
-    """``set_exception`` tolerating an already-resolved future."""
-    try:
-        future.set_exception(error)
-    except InvalidStateError:
-        pass
+        # A batch serving exactly one request inherits its id, so that
+        # request's trace reaches through the engine spans (encode /
+        # prefilter / scoring); a shared batch instead lists every
+        # request it coalesced.
+        with tracer.span(
+            "scheduler.batch",
+            request_id=request_ids[0] if len(request_ids) == 1 else None,
+            route=self.route,
+            size=len(batch),
+            requests=list(request_ids),
+        ):
+            results = self._runner([entry[0] for entry in batch])
+        if len(results) != len(batch):
+            raise RuntimeError(
+                f"runner returned {len(results)} results for a batch "
+                f"of {len(batch)}"
+            )
+        return results

@@ -5,11 +5,11 @@
 searcher behind a :class:`~repro.service.scheduler.MicroBatchScheduler`
 (single-spectrum requests coalesce into batch searches), and fronts
 everything with a :class:`~repro.service.cache.ResultCache` keyed by
-spectrum content digest + configuration fingerprint.  Every flushed
-micro-batch reaches the engine as one ``search`` call, so the whole
-batch is *encoded* through the fused vectorized
-``SpectrumEncoder.encode_batch`` pipeline and *scored* in one fan-out
-pass over the bit-packed rows.  Results are
+spectrum content digest + configuration fingerprint.  Every
+micro-batch (run on the thread of the request that finds the engine
+idle) reaches the engine as one ``search`` call, so the whole batch is
+*encoded* through the fused ``SpectrumEncoder.encode_batch`` pipeline
+and *scored* in one fan-out pass over the bit-packed rows.  Results are
 bit-identical to a direct :class:`~repro.oms.search.HDOmsSearcher` run
 on the same index and configuration, whatever order or batch the
 requests arrive in.
@@ -313,7 +313,7 @@ class SearchService:
     def _run_batch(
         self, batch: List[Spectrum]
     ) -> List[Tuple[Optional[PSM], str, int]]:
-        """Score one coalesced batch by position; called by the scheduler thread."""
+        """Score one coalesced batch by position; run on the leading request's thread."""
 
         def run(engine):
             with get_tracer().span(
@@ -337,7 +337,7 @@ class SearchService:
         """
         if self.reloadable:
             with get_tracer().span("service.await_batch"):
-                return [future.result() for future in self.scheduler.submit_many(spectra)]
+                return self.scheduler.run_many(spectra)
         with get_tracer().span(
             "engine.search", route=self.route, batch=len(spectra), engine=self._engine_label
         ):
@@ -372,7 +372,7 @@ class SearchService:
 
         Engines report *cumulative* counters; Prometheus counters want
         increments.  Snapshots are read under the engine lock but
-        observed after it, so a ``/score`` thread and the flusher can
+        observed after it, so a ``/score`` thread and a batch leader can
         deliver them out of order: the baseline is the per-key maximum
         seen, and a stale snapshot adds nothing.  It is keyed by engine
         generation so a reload / ANN toggle (fresh engine, counters back
@@ -745,17 +745,17 @@ class SearchService:
         """Drain the scheduler, then close the engine (idempotent).
 
         The order matters: the scheduler drains *first* so queued
-        requests are answered by a live engine, and only then is the
-        engine's scoring threads closed.  ``timeout`` bounds the drain — a
-        wedged engine fails the still-pending futures instead of
-        hanging this call (see
-        :meth:`MicroBatchScheduler.close <repro.service.scheduler.MicroBatchScheduler.close>`).
+        requests are answered by a live engine, and only then are the
+        engine's scoring threads closed.  ``timeout`` bounds the drain:
+        a wedged engine fails the still-pending requests instead of
+        hanging this call (see :meth:`MicroBatchScheduler.close
+        <repro.service.scheduler.MicroBatchScheduler.close>`).
         """
         self._closed = True
         # Every step below is idempotent, so close() runs in full on
         # every call: a concurrent second caller also waits for the
-        # drain (it must not tear down shared state under a live
-        # flusher), and a re-close after a racing reload() swapped in a
+        # drain (it must not tear down shared state under a running
+        # batch), and a re-close after a racing reload() swapped in a
         # fresh engine closes *that* engine instead of leaking it.  The
         # engine read takes the *swap* lock (brief pointer swaps only —
         # never held during a search, so a wedged batch cannot block
@@ -818,15 +818,16 @@ class SearchServer(DrainingHTTPServer):
             self._implicit_registry = False
         self.quiet = quiet
 
-    def server_close(self) -> None:
+    def server_close(self, timeout: Optional[float] = None) -> bool:
         """Close the socket, then drain routes this server itself added."""
-        super().server_close()
+        drained = super().server_close(timeout)
         if self._implicit_registry:
             # The caller owns only the service it passed in; routes
             # hot-added over /reload exist solely inside the registry
             # this server created, so they are drained and closed here
-            # — otherwise their flusher threads and worker pools leak.
+            # — otherwise their engines and scoring pools leak.
             self.registry.close_added_routes(timeout=30.0)
+        return drained
 
 
 class SearchRequestHandler(JsonRequestHandler):
@@ -1051,9 +1052,10 @@ def serve(
     and the shutdown order: stop accepting connections first, then
     drain each route's micro-batch queue (queued requests still get
     real answers), then close the sharded pools gracefully; past
-    ``drain_timeout`` a wedged engine's pending futures are failed so
-    the process still exits.  ``slow_ms`` is the ``/debug/slow``
-    recording threshold.
+    ``drain_timeout`` a wedged engine's queued requests are failed and
+    the process still exits, leaving unanswered only the request whose
+    thread is inside the wedged engine.  ``slow_ms`` is the
+    ``/debug/slow`` recording threshold.
     """
     from .registry import IndexRegistry
 

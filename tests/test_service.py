@@ -8,6 +8,7 @@ batch, and ``/reload`` swaps the index without dropping queued requests.
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.oms.psm import PSM, SearchResult
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.service import (
     MISSING,
+    IndexRegistry,
     MicroBatchScheduler,
     ProtocolError,
     ResultCache,
@@ -256,88 +258,57 @@ class TestResultCache:
 class RecordingRunner:
     """Echo runner that records every batch it executes."""
 
-    def __init__(self, delay: float = 0.0):
+    def __init__(self):
         self.batches = []
-        self.delay = delay
 
     def __call__(self, items):
-        if self.delay:
-            time.sleep(self.delay)
         self.batches.append(list(items))
         return [f"done-{item}" for item in items]
 
 
+def on_thread(call):
+    """Run ``call()`` on a thread of its own; its outcome as a Future.
+
+    ``run_many`` blocks its caller (who may lead the batch), so every
+    concurrent caller in these tests is a thread of its own.
+    """
+    future = Future()
+
+    def run():
+        try:
+            future.set_result(call())
+        except BaseException as error:  # noqa: BLE001 - handed to the test
+            future.set_exception(error)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future
+
+
 def submit(scheduler, item):
-    """The future of one item (the scheduler enqueues lists)."""
-    return scheduler.submit_many([item])[0]
+    """``scheduler.run_many([item])[0]`` on a thread of its own, as a Future."""
+    return on_thread(lambda: scheduler.run_many([item])[0])
 
 
-class TestScheduler:
-    def test_full_batch_flushes_without_waiting(self):
-        runner = RecordingRunner()
-        scheduler = MicroBatchScheduler(runner)
-        try:
-            futures = scheduler.submit_many(list(range(MAX_BATCH)))
-            results = [f.result(timeout=5) for f in futures]
-            assert results == [f"done-{i}" for i in range(MAX_BATCH)]
-            assert runner.batches == [list(range(MAX_BATCH))]
-        finally:
-            scheduler.close()
-
-    def test_oversize_burst_splits_into_max_batches(self):
-        runner = RecordingRunner()
-        scheduler = MicroBatchScheduler(runner)
-        try:
-            for future in scheduler.submit_many(list(range(2 * MAX_BATCH + 3))):
-                future.result(timeout=5)
-            assert [len(batch) for batch in runner.batches] == [MAX_BATCH, MAX_BATCH, 3]
-        finally:
-            scheduler.close()
-
-    def test_close_drains_queue(self):
-        runner = RecordingRunner(delay=0.05)
-        scheduler = MicroBatchScheduler(runner)
-        futures = [submit(scheduler, i) for i in range(5)]
-        scheduler.close()
-        assert [f.result(timeout=0) for f in futures] == [
-            f"done-{i}" for i in range(5)
-        ]
-        with pytest.raises(RuntimeError, match="closed"):
-            submit(scheduler, "late")
-
-    def test_runner_exception_fails_batch_not_scheduler(self):
-        calls = {"n": 0}
-
-        def flaky(items):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("boom")
-            return list(items)
-
-        scheduler = MicroBatchScheduler(flaky)
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                submit(scheduler, "x").result(timeout=5)
-            assert submit(scheduler, "y").result(timeout=5) == "y"
-        finally:
-            scheduler.close()
+def wait_queued(scheduler, depth):
+    """Block until ``queue_depth`` reaches ``depth``."""
+    deadline = time.monotonic() + 10
+    while scheduler.queue_depth < depth:
+        assert time.monotonic() < deadline, "submission never queued"
+        time.sleep(0.001)
 
 
-class LingerRecorder(list):
-    """Every *timed* wait of the flusher (there must be none: it never lingers)."""
+def submit_queued(scheduler, items):
+    """:func:`submit` each item once the one before it is queued (arrival order).
 
-    def __init__(self, scheduler):
-        super().__init__()
-        self.started = threading.Event()
-        wait = scheduler._wakeup.wait
-
-        def recording_wait(timeout=None):
-            if timeout is not None:
-                self.append(timeout)
-                self.started.set()
-            return wait(timeout)
-
-        scheduler._wakeup.wait = recording_wait
+    For a parked runner only: nothing leaves the queue, so its depth
+    grows by one per submission.
+    """
+    futures = []
+    for item in items:
+        depth = scheduler.queue_depth
+        futures.append(submit(scheduler, item))
+        wait_queued(scheduler, depth + 1)
+    return futures
 
 
 class ParkedRunner(RecordingRunner):
@@ -355,19 +326,119 @@ class ParkedRunner(RecordingRunner):
         return super().__call__(items)
 
 
+class TestScheduler:
+    def test_full_batch_flushes_without_waiting(self):
+        runner = RecordingRunner()
+        scheduler = MicroBatchScheduler(runner)
+        try:
+            results = scheduler.run_many(list(range(MAX_BATCH)))
+            assert results == [f"done-{i}" for i in range(MAX_BATCH)]
+            assert runner.batches == [list(range(MAX_BATCH))]
+        finally:
+            scheduler.close()
+
+    def test_oversize_burst_splits_into_max_batches(self):
+        runner = RecordingRunner()
+        scheduler = MicroBatchScheduler(runner)
+        try:
+            items = list(range(2 * MAX_BATCH + 3))
+            assert scheduler.run_many(items) == [f"done-{i}" for i in items]
+            assert [len(batch) for batch in runner.batches] == [MAX_BATCH, MAX_BATCH, 3]
+        finally:
+            scheduler.close()
+
+    def test_close_drains_queue(self):
+        runner = ParkedRunner()
+        scheduler = MicroBatchScheduler(runner)
+        futures = submit_queued(scheduler, range(5))
+        assert runner.entered.is_set()
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive(), "close() returned with requests still queued"
+        runner.release.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        # Everything queued ran before close() returned.
+        assert runner.batches == [[0], [1, 2, 3, 4]]
+        assert scheduler.queue_depth == 0
+        assert [f.result(timeout=5) for f in futures] == [f"done-{i}" for i in range(5)]
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.run_many(["late"])
+
+    def test_runner_exception_fails_batch_not_scheduler(self):
+        calls = {"n": 0}
+
+        def flaky(items):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("boom")
+            return list(items)
+
+        scheduler = MicroBatchScheduler(flaky)
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                scheduler.run_many(["x"])
+            assert scheduler.run_many(["y"]) == ["y"]
+        finally:
+            scheduler.close()
+
+    def test_runner_exception_fails_only_its_batch(self):
+        runner = ParkedRunner()
+
+        def runner_failing_on_bad(items):
+            if "bad" in items:
+                raise RuntimeError("boom")
+            return runner(items)
+
+        scheduler = MicroBatchScheduler(runner_failing_on_bad)
+        try:
+            first = submit(scheduler, "first")
+            assert runner.entered.wait(timeout=5)
+            # A submission split by the cut fails with its first batch:
+            # its tail entry must not run, nor make it the next leader.
+            split = ["bad"] + [f"x{i}" for i in range(MAX_BATCH)]
+            failed = on_thread(lambda: scheduler.run_many(split))
+            wait_queued(scheduler, 1 + len(split))
+            (tail,) = submit_queued(scheduler, ["tail"])
+            runner.release.set()
+            assert first.result(timeout=5) == "done-first"
+            with pytest.raises(RuntimeError, match="boom"):
+                failed.result(timeout=5)
+            assert tail.result(timeout=5) == "done-tail"
+            assert runner.batches == [["first"], ["tail"]]
+        finally:
+            runner.release.set()
+            scheduler.close()
+
+
 class TestWorkConservingScheduler:
     """Proven without sleeping: events gate the runner, not the clock."""
 
-    def test_lone_submit_on_idle_flusher_dispatches_immediately(self):
+    def test_lone_submit_on_idle_scheduler_runs_immediately(self):
         runner = RecordingRunner()
         observed = []
         scheduler = MicroBatchScheduler(runner, observer=observed.append)
-        lingers = LingerRecorder(scheduler)
         try:
-            assert submit(scheduler, "solo").result(timeout=5) == "done-solo"
+            assert scheduler.run_many(["solo"]) == ["done-solo"]
             assert runner.batches == [["solo"]]
             assert [len(waits) for waits in observed] == [1]
-            assert lingers == []
+        finally:
+            scheduler.close()
+
+    def test_lone_request_runs_on_the_callers_thread(self):
+        threads = []
+
+        def runner(items):
+            threads.append(threading.get_ident())
+            return list(items)
+
+        scheduler = MicroBatchScheduler(runner)
+        try:
+            assert scheduler.run_many(["solo"]) == ["solo"]
+            assert submit(scheduler, "other").result(timeout=5) == "other"
+            assert threads[0] == threading.get_ident()
+            assert threads[1] != threading.get_ident()
         finally:
             scheduler.close()
 
@@ -375,11 +446,10 @@ class TestWorkConservingScheduler:
     def test_batches_form_from_back_pressure(self, later):
         runner = ParkedRunner()
         scheduler = MicroBatchScheduler(runner)
-        lingers = LingerRecorder(scheduler)
         try:
             first = submit(scheduler, "first")
             assert runner.entered.wait(timeout=5)  # runner busy from here on
-            futures = [submit(scheduler, i) for i in range(later)]
+            futures = submit_queued(scheduler, range(later))
             runner.release.set()
             assert first.result(timeout=5) == "done-first"
             for future in futures:
@@ -391,10 +461,27 @@ class TestWorkConservingScheduler:
                 list(range(start, min(start + MAX_BATCH, later)))
                 for start in range(0, later, MAX_BATCH)
             ]
-            assert lingers == []
         finally:
             runner.release.set()
             scheduler.close()
+
+
+class TestNoSchedulerThread:
+    def test_service_starts_no_thread(self, index_path):
+        before = set(threading.enumerate())
+        service = make_service(index_path)
+        try:
+            assert set(threading.enumerate()) <= before
+        finally:
+            service.close()
+
+    def test_two_route_registry_starts_no_thread(self, index_path):
+        before = set(threading.enumerate())
+        registry = IndexRegistry({"alpha": index_path, "beta": index_path})
+        try:
+            assert set(threading.enumerate()) <= before
+        finally:
+            registry.close()
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ The scenarios a production deployment actually hits:
   ``/reload`` — no dropped responses, no cross-routed responses, and
   the ``/metrics`` counters (and ``/stats``, their view) reconcile with
   client-observed tallies;
-* many submitters racing the flusher (every item batched exactly once,
-  no batch over ``MAX_BATCH``);
+* many submitters racing each other for the lead (every item batched
+  exactly once, no batch over ``MAX_BATCH``, never two batches at once);
 * SIGTERM-style ``close()`` during an in-flight batch — every pending
   future resolves (result or error) instead of hanging, including the
   wedged-engine case where the drain can never finish.
@@ -19,12 +19,14 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index import LibraryIndex, ShardedSearcher
+from repro.ms.mgf import write_mgf
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.oms.search import HDOmsSearcher
 from repro.service import (
@@ -37,7 +39,66 @@ from repro.service import (
 )
 from repro.service.scheduler import MAX_BATCH
 
+from test_service import ParkedRunner, submit, submit_queued
 from test_service_metrics import parse_prometheus, sample_value
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: ``python -c`` program for the wedged-engine SIGTERM test: serve one
+#: index whose engine never returns, lead a batch into it with one
+#: request, queue a second, SIGTERM, then print what each client got.
+WEDGED_SERVE = r"""
+import os, signal, sys, threading, time
+from repro.ms.mgf import read_mgf
+from repro.service import SearchClient, SearchService, ServiceConfig, ServiceError
+from repro.service import httpbase, start_server
+
+httpbase.WEDGED_GRACE = 0.5
+service = SearchService(sys.argv[1], ServiceConfig())
+queries = list(read_mgf(sys.argv[2]))
+entered = threading.Event()
+
+def wedged_search(batch):
+    entered.set()
+    threading.Event().wait()
+
+service._engine.search_aligned = wedged_search
+listening = {}
+
+def build():
+    listening["server"] = start_server(service)
+    return listening["server"], "wedged", service.close
+
+outcomes = {"leader": [], "queued": []}
+
+def client(name, query, url):
+    try:
+        SearchClient(url, timeout=60).search(query)
+        outcomes[name].append(200)
+    except ServiceError as error:
+        outcomes[name].append(error.status)
+
+def traffic():
+    while "server" not in listening:
+        time.sleep(0.01)
+    host, port = listening["server"].server_address[:2]
+    url = f"http://{host}:{port}"
+    threading.Thread(target=client, args=("leader", queries[0], url), daemon=True).start()
+    assert entered.wait(30)
+    queued = threading.Thread(target=client, args=("queued", queries[1], url), daemon=True)
+    queued.start()
+    while service.scheduler.queue_depth < 2:
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGTERM)
+    queued.join(30)
+
+driver = threading.Thread(target=traffic, daemon=True)
+driver.start()
+code = httpbase.run_server(build, name="wedged", drain_timeout=0.5)
+driver.join(30)
+print("queued:", outcomes["queued"], "leader:", outcomes["leader"], flush=True)
+sys.exit(code)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +282,7 @@ class TestRoutedStorm:
 
 
 # ----------------------------------------------------------------------
-# submitters racing the flusher
+# submitters racing for the lead
 # ----------------------------------------------------------------------
 
 
@@ -245,9 +306,7 @@ class TestFlushRace:
             try:
                 for offset in range(50):
                     value = base * 1000 + offset
-                    results[value] = scheduler.submit_many([value])[0].result(
-                        timeout=30
-                    )
+                    results[value] = scheduler.run_many([value])[0]
             except Exception as error:  # pragma: no cover - fail loudly
                 errors.append(error)
 
@@ -268,6 +327,62 @@ class TestFlushRace:
         assert sum(sizes) == 400
         assert max(sizes) <= MAX_BATCH
 
+    def test_split_submission_under_contention(self):
+        # One submission larger than two batches races eight single
+        # submitters: its partial completions by other leaders' batches
+        # must never be read as the lead (two runners at once).
+        processed = []
+        sizes = []
+        running = {"now": 0, "max": 0}
+        lock = threading.Lock()
+
+        def runner(items):
+            with lock:
+                running["now"] += 1
+                running["max"] = max(running["max"], running["now"])
+            time.sleep(0.0005)
+            with lock:
+                processed.extend(items)
+                sizes.append(len(items))
+                running["now"] -= 1
+            return [item * 2 for item in items]
+
+        scheduler = MicroBatchScheduler(runner)
+        big = list(range(100_000, 100_000 + 2 * MAX_BATCH + 3))
+        singles = {}
+        errors = []
+        start = threading.Barrier(9)
+
+        def submitter(base):
+            try:
+                start.wait(timeout=10)
+                for offset in range(40):
+                    value = base * 1000 + offset
+                    singles[value] = scheduler.run_many([value])[0]
+            except Exception as error:  # pragma: no cover - fail loudly
+                errors.append(error)
+
+        threads = [threading.Thread(target=submitter, args=(base,)) for base in range(8)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            start.wait(timeout=10)
+            time.sleep(0.002)
+            assert scheduler.run_many(big) == [value * 2 for value in big]
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        scheduler.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(value * 2 == out for value, out in singles.items())
+        assert sorted(processed) == sorted(list(singles) + big)
+        assert max(sizes) <= MAX_BATCH
+        assert running["max"] == 1
+
 
 # ----------------------------------------------------------------------
 # shutdown ordering: close() during an in-flight batch must not hang
@@ -276,98 +391,164 @@ class TestFlushRace:
 
 class TestShutdownOrdering:
     def test_close_during_inflight_batch_resolves_all(self):
-        def slow_echo(items):
-            time.sleep(0.15)
-            return list(items)
-
-        scheduler = MicroBatchScheduler(slow_echo)
-        futures = [scheduler.submit_many([value])[0] for value in range(6)]
-        time.sleep(0.05)  # first batch is now in flight
-        scheduler.close()
-        assert [future.result(timeout=0) for future in futures] == list(
-            range(6)
-        )
+        runner = ParkedRunner()
+        scheduler = MicroBatchScheduler(runner)
+        futures = submit_queued(scheduler, range(6))  # first batch in flight
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()
+        runner.release.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert scheduler.queue_depth == 0
+        assert [future.result(timeout=5) for future in futures] == [
+            f"done-{value}" for value in range(6)
+        ]
 
     def test_wedged_runner_close_fails_pending_instead_of_hanging(self):
+        # The second batch, [1, 2, 3, 4], wedges on the thread of caller
+        # 1, which leads it.  close(timeout) answers every other caller
+        # in time with an error, in flight (2, 3, 4) or queued (5, 6).
+        # Caller 1 runs the wedged runner itself: it gets its error once
+        # the runner returns.
+        first = threading.Event()
         entered = threading.Event()
         release = threading.Event()
+        calls = []
 
         def wedged(items):
-            entered.set()
-            release.wait(30)
+            calls.append(list(items))
+            if len(calls) == 1:
+                assert first.wait(10)
+            else:
+                entered.set()
+                release.wait(30)
             return list(items)
 
         scheduler = MicroBatchScheduler(wedged)
-        futures = [scheduler.submit_many([value])[0] for value in range(5)]
+        futures = submit_queued(scheduler, range(5))
+        first.set()
         assert entered.wait(5)
+        assert calls == [[0], [1, 2, 3, 4]]
+        futures += submit_queued(scheduler, [5, 6])
         started = time.monotonic()
         scheduler.close(timeout=0.5)
         elapsed = time.monotonic() - started
         assert elapsed < 5, "close() hung on the wedged runner"
-        for future in futures:
+        assert futures[0].result(timeout=5) == 0
+        for future in futures[2:]:
             with pytest.raises(RuntimeError, match="in flight"):
                 future.result(timeout=1)
-        # Un-wedge; the late completion must be harmless (the guarded
-        # future delivery swallows the already-failed futures) and the
-        # flusher must exit cleanly.
+        # Un-wedge; the late completion must be harmless (it delivers
+        # nothing into the failed submissions) and the leader returns.
         release.set()
-        scheduler._thread.join(timeout=5)
-        assert not scheduler._thread.is_alive()
+        with pytest.raises(RuntimeError, match="in flight"):
+            futures[1].result(timeout=5)
+        assert scheduler.queue_depth == 0
 
     def test_concurrent_close_callers_both_wait_for_drain(self):
-        def slow_echo(items):
-            time.sleep(0.1)
-            return list(items)
-
-        scheduler = MicroBatchScheduler(slow_echo)
-        futures = [scheduler.submit_many([value])[0] for value in range(8)]
+        runner = ParkedRunner()
+        scheduler = MicroBatchScheduler(runner)
+        futures = submit_queued(scheduler, range(8))
         drained_at_return = []
 
         def closer():
             scheduler.close()
             drained_at_return.append(
-                all(future.done() for future in futures)
+                sum(len(batch) for batch in runner.batches) == 8
+                and scheduler.queue_depth == 0
             )
 
         closers = [threading.Thread(target=closer) for _ in range(2)]
         for thread in closers:
             thread.start()
         for thread in closers:
+            thread.join(timeout=0.2)
+        assert drained_at_return == []  # both wait for the parked batch
+        runner.release.set()
+        for thread in closers:
             thread.join(timeout=30)
         # Both callers — not just the first — returned only after every
         # queued batch drained; a caller tearing down the engine next
-        # would otherwise race the still-running flusher.
+        # would otherwise race a still-running batch.
         assert drained_at_return == [True, True]
-        assert [future.result(timeout=0) for future in futures] == list(
-            range(8)
-        )
+        assert [future.result(timeout=5) for future in futures] == [
+            f"done-{value}" for value in range(8)
+        ]
 
     def test_service_close_with_wedged_engine_fails_pending(
         self, index_a, workload_a
     ):
+        # The batch of queries 1 and 2 wedges on the thread of the
+        # request that leads it (query 1); query 3 queues behind it.
         _index, path = index_a
         service = SearchService(path, ServiceConfig())
+        first = threading.Event()
         entered = threading.Event()
         release = threading.Event()
         real_search = service._engine.search_aligned
+        calls = []
 
         def wedged_search(batch):
-            entered.set()
-            release.wait(30)
+            calls.append(len(batch))
+            if len(calls) == 1:
+                assert first.wait(10)
+            else:
+                entered.set()
+                release.wait(30)
             return real_search(batch)
 
         service._engine.search_aligned = wedged_search
+        queries = workload_a.queries
         try:
-            future = service.scheduler.submit_many([workload_a.queries[0]])[0]
+            futures = submit_queued(service.scheduler, queries[:3])
+            first.set()
             assert entered.wait(5)
+            assert calls == [1, 2]
+            futures += submit_queued(service.scheduler, queries[3:4])
             started = time.monotonic()
             service.close(timeout=0.5)
             assert time.monotonic() - started < 5
-            with pytest.raises(RuntimeError, match="in flight"):
-                future.result(timeout=1)
+            futures[0].result(timeout=5)  # answered before the wedge
+            for future in futures[2:]:  # in flight, then queued
+                with pytest.raises(RuntimeError, match="in flight"):
+                    future.result(timeout=1)
         finally:
             release.set()
-            service.scheduler._thread.join(timeout=5)
+            with pytest.raises(RuntimeError, match="in flight"):
+                futures[1].result(timeout=5)
+
+    def test_run_server_exits_with_wedged_engine(self, index_a, workload_a, tmp_path):
+        """SIGTERM with a request leading a batch inside a wedged engine.
+
+        ``drain_timeout`` bounds the wait for the handlers: the queued
+        request is failed with a 503, and the process exits although
+        the leading request's thread never comes back from the engine.
+        """
+        _index, path = index_a
+        queries = tmp_path / "queries.mgf"
+        write_mgf(workload_a.queries[:2], queries)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", WEDGED_SERVE, str(path), str(queries)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            out, err = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup
+                process.kill()
+                process.communicate(timeout=10)
+        assert process.returncode == 0, err
+        assert "queued: [503]" in out
+        assert "leader: []" in out  # never answered
+        assert "still inside the wedged backend" in err
+        assert "wedged drained and closed" in err
 
     def test_reload_times_out_on_wedged_engine(
         self, index_a, workload_a, monkeypatch
@@ -391,7 +572,7 @@ class TestShutdownOrdering:
 
         service._engine.search_aligned = wedged_search
         try:
-            future = service.scheduler.submit_many([workload_a.queries[0]])[0]
+            future = submit(service.scheduler, workload_a.queries[0])
             assert entered.wait(5)
             with pytest.raises(RuntimeError, match="timed out"):
                 service.reload()

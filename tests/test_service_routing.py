@@ -31,7 +31,10 @@ from repro.service import (
     start_server,
     validate_route_name,
 )
+from repro.service.protocol import UnavailableError
 from repro.service.registry import DEFAULT_ROUTE, normalize_index_sources
+
+from test_service import submit_queued
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +216,8 @@ class TestIndexRegistry:
         self, path_a, tmp_path, monkeypatch
     ):
         # Route "alpha" loads fine; "beta" fails.  The already-built
-        # alpha service (flusher thread + engine) must be closed, not
-        # leaked, or retrying construction accumulates live threads.
+        # alpha service (engine and its scoring pool) must be closed,
+        # not leaked, or retrying construction accumulates live threads.
         closed = []
         original_close = SearchService.close
 
@@ -235,7 +238,7 @@ class TestIndexRegistry:
         self, path_a, path_b, monkeypatch
     ):
         # Validation failing *after* the services were built must not
-        # leak their flusher threads either.
+        # leak their engines either.
         closed = []
         original_close = SearchService.close
 
@@ -250,28 +253,44 @@ class TestIndexRegistry:
             )
         assert sorted(closed) == ["alpha", "beta"]
 
-    def test_concurrent_close_callers_both_wait(self, path_a, path_b):
+    def test_concurrent_close_callers_both_wait(self, path_a, path_b, workload_a):
         # Neither caller may return while the other is still draining:
         # serve()'s main thread reports "drained and closed" on return.
+        # Each route holds a request in a parked engine and one queued
+        # behind it; both must be answered before either close returns.
         registry = make_registry(path_a, path_b)
-        flushers = [
-            registry.get(name).scheduler._thread
-            for name in registry.route_names()
-        ]
+        services = [registry.get(name) for name in registry.route_names()]
+        release = threading.Event()
+        answered = []
+        futures = []
+        for service in services:
+
+            def parked(batch, real_search=service._engine.search_aligned):
+                assert release.wait(10)
+                results = real_search(batch)
+                answered.append(len(batch))
+                return results
+
+            service._engine.search_aligned = parked
+            futures += submit_queued(service.scheduler, workload_a.queries[:2])
         drained_at_return = []
 
         def closer():
             registry.close()
-            drained_at_return.append(
-                not any(thread.is_alive() for thread in flushers)
-            )
+            drained_at_return.append(sum(answered))
 
         closers = [threading.Thread(target=closer) for _ in range(2)]
         for thread in closers:
             thread.start()
         for thread in closers:
+            thread.join(timeout=0.2)
+        assert drained_at_return == []  # both wait for the parked engines
+        release.set()
+        for thread in closers:
             thread.join(timeout=30)
-        assert drained_at_return == [True, True]
+        assert drained_at_return == [4, 4]
+        for future in futures:
+            assert future.result(timeout=5) is not None
 
     def test_from_service_wraps_single_route(self, path_a):
         service = SearchService(path_a, ServiceConfig())
@@ -290,11 +309,12 @@ class TestIndexRegistry:
             added = registry.reload_route("extra", path_b)
             registry.close_added_routes()
             # The hot-added route drained and closed...
-            assert not added.scheduler._thread.is_alive()
+            with pytest.raises(UnavailableError, match="closed"):
+                added.scheduler.run_many([])
             assert added._closed
             # ...but the adopted service stays live for its owner.
             assert not service._closed
-            assert service.scheduler._thread.is_alive()
+            assert service.scheduler.run_many([]) == []
         finally:
             service.close()
 
@@ -318,10 +338,34 @@ class TestIndexRegistry:
             server.server_close()
             thread.join(timeout=10)
             assert added._closed
-            assert not added.scheduler._thread.is_alive()
+            with pytest.raises(UnavailableError, match="closed"):
+                added.scheduler.run_many([])
             assert not service._closed  # still the caller's to close
         finally:
             service.close()
+
+    def test_request_to_a_closed_route_is_unavailable(self, path_a, workload_a):
+        # A /search that resolved its route just before /reload removed
+        # (and closed) it meets a closed service: a 503 the client may
+        # retry, not a 500 "internal error".
+        service = SearchService(path_a, ServiceConfig())
+        server = start_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        client = SearchClient(f"http://{host}:{port}")
+        try:
+            service.close()
+            with pytest.raises(UnavailableError, match="closed"):
+                service.search_one(workload_a.queries[0])
+            with pytest.raises(ServiceError, match="closed") as raised:
+                client.search(workload_a.queries[0])
+            assert raised.value.status == 503
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
 
     def test_routes_share_one_metrics_registry(self, registry):
         assert registry.get("alpha").metrics is registry.get("beta").metrics
