@@ -1,7 +1,5 @@
 """Bench: ablations of the paper's design choices (DESIGN.md Section 5)."""
 
-from conftest import run_once
-
 from repro.experiments import (
     run_ablation_encoding_scheme,
     run_ablation_fdr,
@@ -13,8 +11,8 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.workloads import iprg2012_like
 
 
-def test_ablation_chunked_levels(benchmark, record):
-    result = run_once(benchmark, run_ablation_levels)
+def test_ablation_chunked_levels(record):
+    result = run_ablation_levels()
     record(result)
     by_scheme = {row[0]: row for row in result.rows}
     classic_ids = by_scheme["classic"][1]
@@ -50,8 +48,8 @@ def _id_precision_summed_over_seeds() -> ExperimentResult:
     )
 
 
-def test_ablation_id_precision(benchmark, record):
-    result = run_once(benchmark, _id_precision_summed_over_seeds)
+def test_ablation_id_precision(record):
+    result = _id_precision_summed_over_seeds()
     record(result)
     ids = result.column("identifications")
     # Multi-bit IDs never hurt; 3-bit at least matches 1-bit, summed
@@ -59,8 +57,8 @@ def test_ablation_id_precision(benchmark, record):
     assert ids[2] >= 0.95 * ids[0]
 
 
-def test_ablation_weight_mapping(benchmark, record):
-    result = run_once(benchmark, run_ablation_weight_mapping)
+def test_ablation_weight_mapping(record):
+    result = run_ablation_weight_mapping()
     record(result)
     for row in result.rows:
         _active, differential, nondifferential = row
@@ -69,8 +67,8 @@ def test_ablation_weight_mapping(benchmark, record):
         assert differential < nondifferential
 
 
-def test_ablation_encoding_scheme(benchmark, record):
-    result = run_once(benchmark, run_ablation_encoding_scheme)
+def test_ablation_encoding_scheme(record):
+    result = run_ablation_encoding_scheme()
     record(result)
     by_encoder = {row[0]: row[1] for row in result.rows}
     # Section 3.2's claim: ID-Level captures m/z + intensity better than
@@ -81,8 +79,8 @@ def test_ablation_encoding_scheme(benchmark, record):
     assert all(count > 0 for count in by_encoder.values())
 
 
-def test_ablation_fdr_grouping(benchmark, record):
-    result = run_once(benchmark, run_ablation_fdr)
+def test_ablation_fdr_grouping(record):
+    result = run_ablation_fdr()
     record(result)
     by_variant = {row[0]: row for row in result.rows}
     # Subgroup FDR accepts at least as many modified PSMs as global FDR.

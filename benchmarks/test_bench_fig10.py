@@ -1,12 +1,10 @@
 """Bench: regenerate Figure 10 (Venn diagram of identified peptides)."""
 
-from conftest import run_once
-
 from repro.experiments import run_fig10
 
 
-def test_fig10_venn_of_identifications(benchmark, record):
-    result = run_once(benchmark, run_fig10)
+def test_fig10_venn_of_identifications(record):
+    result = run_fig10()
     record(result)
     regions = {row[0]: row[1] for row in result.rows}
     # The triple intersection dominates: most identified peptides are

@@ -1,13 +1,12 @@
 """Bench: regenerate Figure 11 (HD robustness vs. bit error rate)."""
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import run_fig11
 
 
-def test_fig11_hd_robustness(benchmark, record):
-    result = run_once(benchmark, run_fig11)
+def test_fig11_hd_robustness(record):
+    result = run_fig11()
     record(result)
     for precision in (1, 2, 3):
         series = result.column(f"ID_precision_{precision}bit")

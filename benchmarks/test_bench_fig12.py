@@ -1,13 +1,11 @@
 """Bench: regenerate Figure 12 + Section 5.3.3 (energy & speedup)."""
 
-from conftest import run_once
-
 from repro.experiments import run_fig12
 from repro.accelerator import PAPER_HEK293_SHAPE
 
 
-def test_fig12_energy_and_speedup(benchmark, record):
-    result = run_once(benchmark, run_fig12)
+def test_fig12_energy_and_speedup(record):
+    result = run_fig12()
     record(result)
     energy = {row[0]: row[3] for row in result.rows}
     speedup = {
@@ -29,9 +27,9 @@ def test_fig12_energy_and_speedup(benchmark, record):
     assert 1.2 <= speedup["hyperoms-gpu-rtx4090"] <= 3.0
 
 
-def test_fig12_scales_to_hek293(benchmark, record):
+def test_fig12_scales_to_hek293(record):
     """The paper expects the advantage to persist at 3x the library."""
-    result = run_once(benchmark, run_fig12, shape=PAPER_HEK293_SHAPE)
+    result = run_fig12(shape=PAPER_HEK293_SHAPE)
     result.experiment_id = "fig12_hek293"
     record(result)
     energy = {row[0]: row[3] for row in result.rows}

@@ -1,12 +1,10 @@
 """Bench: regenerate Figure 13 (identifications vs. HD dimension)."""
 
-from conftest import run_once
-
 from repro.experiments import run_fig13
 
 
-def test_fig13_hd_dimension(benchmark, record):
-    result = run_once(benchmark, run_fig13)
+def test_fig13_hd_dimension(record):
+    result = run_fig13()
     record(result)
     dims = result.column("hd_dim")
     ideal = result.column("ideal")

@@ -1,12 +1,10 @@
 """Bench: regenerate Figure 7 (storage bit error rate vs. time)."""
 
-from conftest import run_once
-
 from repro.experiments import run_fig7
 
 
-def test_fig7_storage_bit_error_rate(benchmark, record):
-    result = run_once(benchmark, run_fig7, num_hypervectors=64, dim=4096)
+def test_fig7_storage_bit_error_rate(record):
+    result = run_fig7(num_hypervectors=64, dim=4096)
     record(result)
     ber_1 = result.column("1_bit_per_cell")
     ber_2 = result.column("2_bits_per_cell")

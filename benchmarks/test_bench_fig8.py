@@ -1,12 +1,10 @@
 """Bench: regenerate Figure 8 (conductance relaxation histograms)."""
 
-from conftest import run_once
-
 from repro.experiments import run_fig8
 
 
-def test_fig8_conductance_relaxation(benchmark, record):
-    result = run_once(benchmark, run_fig8, cells_per_level=4000)
+def test_fig8_conductance_relaxation(record):
+    result = run_fig8(cells_per_level=4000)
     record(result)
     rows = {(row[0], row[1]): row for row in result.rows}
     for levels in (2, 4, 8):

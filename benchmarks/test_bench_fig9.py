@@ -1,7 +1,6 @@
 """Bench: regenerate Figure 9 (computation errors vs. activated rows)."""
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import run_fig9_encoding, run_fig9_search
 
@@ -10,8 +9,8 @@ def _mean(values):
     return float(np.mean(values))
 
 
-def test_fig9a_encoding_errors(benchmark, record):
-    result = run_once(benchmark, run_fig9_encoding, dim=1024, num_spectra=12)
+def test_fig9a_encoding_errors(record):
+    result = run_fig9_encoding(dim=1024, num_spectra=12)
     record(result)
     for column in ("1_bit_per_cell", "2_bits_per_cell", "3_bits_per_cell"):
         series = result.column(column)
@@ -28,8 +27,8 @@ def test_fig9a_encoding_errors(benchmark, record):
     assert row_64[3] < 20.0
 
 
-def test_fig9b_search_errors(benchmark, record):
-    result = run_once(benchmark, run_fig9_search, num_mvms=30)
+def test_fig9b_search_errors(record):
+    result = run_fig9_search(num_mvms=30)
     record(result)
     for column in ("1_bit_per_cell", "2_bits_per_cell", "3_bits_per_cell"):
         series = result.column(column)

@@ -24,9 +24,7 @@ overhead is substantial (>= 96 MB), and under 0.9x of it at CI smoke
 scale where both overheads are small and noisy.  Row-count parity
 between the two builds is asserted so the memory win can never come
 from silently ingesting less.  ``REPRO_BENCH_SCALE`` (default 1.0)
-scales the library size.  Results append to
-``benchmarks/results/BENCH_store.json`` (one entry per run;
-gitignored).
+scales the library size.
 """
 
 from __future__ import annotations
@@ -35,11 +33,9 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
-from conftest import STORE_KEYS, record_trajectory
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -159,11 +155,9 @@ def test_streaming_ingest_bounds_peak_rss(tmp_path):
     msp_path = tmp_path / "library.msp"
     write_msp(_spectra(), msp_path)
 
-    started = time.perf_counter()
     baseline = _run_child("baseline", msp_path, tmp_path / "unused")
     monolithic = _run_child("monolithic", msp_path, tmp_path / "unused")
     streaming = _run_child("streaming", msp_path, tmp_path / "store")
-    seconds = time.perf_counter() - started
 
     # The memory win must not come from ingesting fewer rows.
     assert baseline["num_references"] == NUM_REFERENCES
@@ -182,21 +176,6 @@ def test_streaming_ingest_bounds_peak_rss(tmp_path):
     rss_cap_mb = baseline["hwm_mb"] + factor * mono_extra
     memory_ratio = max(0.0, streaming_extra) / mono_extra
 
-    entry = {
-        "bench": "store_streaming_ingest",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "references": NUM_REFERENCES,
-        "dim": DIM,
-        "segment_rows": SEGMENT_ROWS,
-        "segments": streaming["segments"],
-        "baseline_mb": round(baseline["hwm_mb"], 2),
-        "monolithic_rss_mb": round(monolithic["hwm_mb"], 2),
-        "streaming_rss_mb": round(streaming["hwm_mb"], 2),
-        "rss_cap_mb": round(rss_cap_mb, 2),
-        "memory_ratio": round(memory_ratio, 4),
-        "seconds": round(seconds, 2),
-    }
-    record_trajectory("BENCH_store.json", entry, STORE_KEYS)
     print(
         f"\nstore ingest: {NUM_REFERENCES} refs, baseline "
         f"{baseline['hwm_mb']:.0f} MB, monolithic +{mono_extra:.0f} MB, "

@@ -1,12 +1,10 @@
 """Bench: regenerate Table 1 (OMS workload settings)."""
 
-from conftest import run_once
-
 from repro.experiments import run_table1
 
 
-def test_table1_workload_settings(benchmark, record):
-    result = run_once(benchmark, run_table1, scale=0.5)
+def test_table1_workload_settings(record):
+    result = run_table1(scale=0.5)
     record(result)
     queries = result.column("queries")
     references = result.column("references")

@@ -32,7 +32,6 @@ setup(
     extras_require={
         "dev": [
             "pytest",
-            "pytest-benchmark",
             "hypothesis",
             "ruff",
         ],

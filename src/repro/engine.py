@@ -1,7 +1,7 @@
 """Unified engine-construction configuration.
 
 The knobs that control *how* a searcher executes — shard count, scoring
-threads, pipeline batching, and the ANN prefilter — live in one place.
+threads and the ANN prefilter — live in one place.
 :class:`EngineConfig` is the single way to name them: every entry point
 accepts one (the ``engine=`` keyword on the searchers, the
 ``engine_config`` field on :class:`~repro.service.server.ServiceConfig`,
@@ -51,8 +51,6 @@ class EngineConfig:
             ``executor="process"`` engines for its ``exec.process_*``
             rungs; the benchmark change that retires those rungs
             deletes this field too.
-        pipeline_batch: Queries per encode micro-batch; ``None`` uses
-            :data:`~repro.oms.candidates.ENCODE_BLOCK_SIZE`.
         ann: Optional :class:`~repro.ann.AnnConfig` enabling the
             truncated-precision candidate pass.
     """
@@ -61,7 +59,6 @@ class EngineConfig:
     num_shards: int = 1
     num_workers: Optional[int] = 0
     executor: str = "thread"
-    pipeline_batch: Optional[int] = None
     ann: Optional[AnnConfig] = None
 
     def __post_init__(self) -> None:
@@ -80,10 +77,6 @@ class EngineConfig:
                 f"unknown executor {self.executor!r}; expected one of "
                 f"{EXECUTOR_KINDS}"
             )
-        if self.pipeline_batch is not None and self.pipeline_batch < 1:
-            raise ValueError(
-                f"pipeline_batch must be >= 1, got {self.pipeline_batch}"
-            )
 
     def replace(self, **changes) -> "EngineConfig":
         """Return a copy with ``changes`` applied (re-validated)."""
@@ -96,7 +89,6 @@ class EngineConfig:
             "num_shards": self.num_shards,
             "num_workers": self.num_workers,
             "executor": self.executor,
-            "pipeline_batch": self.pipeline_batch,
             "ann": dataclasses.asdict(self.ann) if self.ann is not None else None,
         }
 

@@ -106,6 +106,17 @@ class JsonFormatter(logging.Formatter):
         return json.dumps(payload)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler on ``sys.stderr`` as it is at each emit, not at setup."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> TextIO:
+        return sys.stderr
+
+
 def _resolve_level(level: str) -> int:
     try:
         return getattr(logging, str(level).upper())
@@ -126,8 +137,10 @@ def setup_logging(
         level: One of :data:`LOG_LEVELS` (case-insensitive).
         fmt: ``"text"`` for classic single-line records, ``"json"`` for
             one JSON object per line.
-        stream: Target stream; defaults to ``sys.stderr`` so stdout
-            stays clean for command output (TSV/JSONL streams).
+        stream: Target stream; by default whatever ``sys.stderr`` is
+            when a record is emitted (one swapped in and closed by an
+            in-process CLI run does not swallow later records), so
+            stdout stays clean for command output (TSV/JSONL streams).
 
     Returns:
         The configured ``"repro"`` package logger.
@@ -140,7 +153,7 @@ def setup_logging(
             f"unknown log format {fmt!r}; expected one of {LOG_FORMATS}"
         )
     resolved = _resolve_level(level)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = _StderrHandler() if stream is None else logging.StreamHandler(stream)
     handler.setFormatter(
         JsonFormatter() if fmt == "json" else logging.Formatter(TEXT_FORMAT)
     )

@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
@@ -409,13 +409,6 @@ class Tracer:
         other thread runs meanwhile).
         """
         return [s for s in self.records() if s.request_id == request_id]
-
-    def stage_durations(self, spans: Iterable[Span]) -> Dict[str, float]:
-        """Summed duration (seconds) per span name over ``spans``."""
-        stages: Dict[str, float] = {}
-        for span in spans:
-            stages[span.name] = stages.get(span.name, 0.0) + span.duration
-        return stages
 
 
 #: Process-global tracer shared by all instrumentation sites.

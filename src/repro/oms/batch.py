@@ -145,8 +145,7 @@ class BatchedHDOmsSearcher(FanOutSearcher):
                 index provenance).
             ann: Optional ANN prefilter config.
             engine: Optional :class:`~repro.engine.EngineConfig`
-                supplying ``pipeline_batch``, and ``ann`` when the
-                explicit kwarg is unset.
+                supplying ``ann`` when the explicit kwarg is unset.
             min_candidates: Smallest precursor window that may yield a
                 match.
 

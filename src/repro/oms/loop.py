@@ -434,7 +434,7 @@ class FanOutSearcher:
         """One PSM or ``None`` per query, in input order.
 
         Queries are preprocessed and encoded in micro-batches of
-        ``engine.pipeline_batch`` on a producer thread running one stage
+        ``ENCODE_BLOCK_SIZE`` on a producer thread running one stage
         ahead of scoring (two-deep bounded queue — encode batch ``k+1``
         while batch ``k`` is scored and merged).  Deterministic work
         (the preprocess + fused ``encode_packed``) moves ahead;
@@ -442,10 +442,8 @@ class FanOutSearcher:
         the consumer in arrival order, so the PSM stream is unchanged.
         A query dropped by preprocessing answers ``None``.
         """
-        step = self.engine.pipeline_batch or ENCODE_BLOCK_SIZE
-
         def encode_chunk(start: int):
-            chunk = queries[start : start + step]
+            chunk = queries[start : start + ENCODE_BLOCK_SIZE]
             processed = preprocess_many(chunk, self.preprocessing)
             kept = [start + row for row, spectrum in enumerate(processed) if spectrum is not None]
             return kept, encode_packed_rows(
@@ -453,7 +451,7 @@ class FanOutSearcher:
             )
 
         results: List[Optional[PSM]] = [None] * len(queries)
-        for kept, encoded in pipeline_map(encode_chunk, range(0, len(queries), step)):
+        for kept, encoded in pipeline_map(encode_chunk, range(0, len(queries), ENCODE_BLOCK_SIZE)):
             for row, psm in zip(kept, self._search_batch([queries[row] for row in kept], encoded)):
                 results[row] = psm
         return results

@@ -55,9 +55,10 @@ class TestEngineConfigValidation:
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        # The scoring representation is not a choice any more: its two
-        # former fields are unknown keywords, not bad values.
-        removed = kwargs.keys() & {"backend", "score_block_rows"}
+        # The scoring representation and the encode block size are not
+        # choices any more: their former fields are unknown keywords,
+        # not bad values.
+        removed = kwargs.keys() & {"backend", "score_block_rows", "pipeline_batch"}
         with pytest.raises(TypeError if removed else ValueError):
             EngineConfig(**kwargs)
 
@@ -70,7 +71,7 @@ class TestEngineConfigValidation:
         payload = config.to_dict()
         assert (payload["kind"], payload["executor"]) == ("auto", "thread")
         assert set(payload) == {
-            "kind", "num_shards", "num_workers", "executor", "pipeline_batch", "ann",
+            "kind", "num_shards", "num_workers", "executor", "ann",
         }
         assert isinstance(payload["ann"], dict)
 
@@ -137,14 +138,14 @@ class TestFromIndexEngine:
                 engine=EngineConfig(ann=AnnConfig(prefix_words=4)),
             )
 
-    def test_batched_searcher_accepts_engine(self, index, queries):
-        baseline = BatchedHDOmsSearcher.from_index(index)
-        engined = BatchedHDOmsSearcher.from_index(
-            index, engine=EngineConfig(pipeline_batch=3)
-        )
-        assert [_psm_key(p) for p in engined.search(queries).psms] == [
-            _psm_key(p) for p in baseline.search(queries).psms
+    def test_batched_searcher_accepts_engine(self, index, queries, monkeypatch):
+        expected = [
+            _psm_key(p) for p in BatchedHDOmsSearcher.from_index(index).search(queries).psms
         ]
+        # Blocks of 3 split the 8 queries over three encode chunks.
+        monkeypatch.setattr("repro.oms.loop.ENCODE_BLOCK_SIZE", 3)
+        engined = BatchedHDOmsSearcher.from_index(index, engine=EngineConfig())
+        assert [_psm_key(p) for p in engined.search(queries).psms] == expected
 
     def test_batched_searcher_engine_ann_conflict(self, index):
         with pytest.raises(ValueError, match="conflicting ANN"):

@@ -3,7 +3,9 @@
 The encode/score pipeline (``repro.exec``) never reorders results, a
 pipelined search equals the one-batch schedule, and a full-coverage
 window counts every row of a shard.  Serial and thread-pool scoring
-are cells of ``tests/test_property_kernel.py``'s engine matrix.
+are cells of ``tests/test_property_kernel.py``'s engine matrix; here a
+4 096-row library holds both to the oracle at batch 256 and bounds the
+memory the scoring threads add.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def test_full_coverage_window_hits_fast_path():
 # ----------------------------------------------------------------------
 
 
-def test_pipelined_search_matches_single_batch():
+def test_pipelined_search_matches_single_batch(monkeypatch):
     """Multi-chunk pipelined search equals the one-chunk schedule."""
     from repro.ms.synthetic import WorkloadConfig, build_workload
     from repro.ms.vectorize import BinningConfig
@@ -176,16 +178,12 @@ def test_pipelined_search_matches_single_batch():
     )
     index = LibraryIndex.build(wl.references, space_config=space, binning=binning)
 
-    def run(pipeline_batch, query_ber=0.0):
+    def run(block_size, query_ber=0.0):
+        monkeypatch.setattr("repro.oms.loop.ENCODE_BLOCK_SIZE", block_size)
         with ShardedSearcher(
             index,
             config=HDSearchConfig(mode="cascade", query_ber=query_ber),
-            engine=EngineConfig(
-                num_shards=2,
-                num_workers=2,
-                executor="thread",
-                pipeline_batch=pipeline_batch,
-            ),
+            engine=EngineConfig(num_shards=2, num_workers=2),
         ) as searcher:
             result = searcher.search(wl.queries)
         return [
@@ -193,10 +191,60 @@ def test_pipelined_search_matches_single_batch():
             for psm in result.psms
         ]
 
-    # 17 queries with batch 3 -> 6 chunks in flight through the pipeline.
-    assert run(pipeline_batch=1000) == run(pipeline_batch=3)
+    # 17 queries in blocks of 3 -> 6 chunks in flight through the pipeline.
+    assert run(1000) == run(3)
     # BER noise draws in the consumer stay in arrival order too.
     assert run(1000, query_ber=0.01) == run(3, query_ber=0.01)
+
+
+def _rss_mb() -> float:
+    for line in open("/proc/self/status"):
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024.0
+    return 0.0  # pragma: no cover - non-Linux
+
+
+def test_thread_and_serial_scoring_equal_brute_force_without_copying():
+    """Two scoring threads and serial scoring both equal the oracle.
+
+    Threads score views of the index's own packed rows; what they add
+    is one permuted copy per shard, i.e. about the library's size —
+    never a per-worker multiple of it.  Generous slack for allocator
+    noise.
+    """
+    from repro.engine import EngineConfig
+    from repro.hdc.spaces import HDSpaceConfig
+    from repro.index import LibraryIndex, ShardedSearcher
+    from repro.ms.synthetic import WorkloadConfig, build_workload
+    from repro.ms.vectorize import BinningConfig
+    from repro.oms import HDOmsSearcher
+
+    workload = build_workload(
+        WorkloadConfig(
+            name="bench-score", num_references=4096, num_queries=256, seed=17
+        )
+    )
+    binning = BinningConfig()
+    index = LibraryIndex.build(
+        workload.references,
+        space_config=HDSpaceConfig(dim=4096, num_bins=binning.num_bins, seed=29),
+        binning=binning,
+    )
+    expected = HDOmsSearcher.from_index(index).search(workload.queries).psms
+    library_mb = sum(
+        array.nbytes for array in (index.packed, index.neutral_masses, index.charges)
+    ) / (1024.0 * 1024.0)
+    for num_workers in (2, 0):
+        rss_before = _rss_mb()
+        engine = EngineConfig(kind="sharded", num_shards=2, num_workers=num_workers)
+        with ShardedSearcher(index, engine=engine) as searcher:
+            assert searcher.search(workload.queries).psms == expected
+            rss_extra_mb = _rss_mb() - rss_before
+        if num_workers:
+            assert rss_extra_mb <= max(64.0, 0.2 * rss_before + 2.0 * library_mb), (
+                f"thread-mode scoring added {rss_extra_mb:.1f} MB RSS over the "
+                f"{rss_before:.1f} MB single-process baseline"
+            )
 
 
 def test_entry_points_never_import_multiprocessing():

@@ -1,5 +1,7 @@
 """Tests for the persistent library index and the sharded searcher."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,85 @@ class TestFromIndex:
             map(key, direct.psms)
         )
         assert "index_load" in result.timings
+
+
+class CountingEncoder:
+    """Delegating encoder that counts how often encoding is invoked."""
+
+    def __init__(self, encoder: SpectrumEncoder) -> None:
+        self._encoder = encoder
+        self.space = encoder.space
+        self.binning = encoder.binning
+        self.encode_calls = 0
+        self.encode_batch_calls = 0
+
+    def encode(self, spectrum):
+        self.encode_calls += 1
+        return self._encoder.encode(spectrum)
+
+    def encode_batch(self, spectra):
+        self.encode_batch_calls += 1
+        return self._encoder.encode_batch(spectra)
+
+
+@pytest.fixture(scope="module")
+def saved_library(tmp_path_factory, binning):
+    """A 900-reference library persisted once, with its oracle PSMs."""
+    workload = build_workload(
+        WorkloadConfig(
+            name="bench-index", num_references=900, num_queries=50, seed=23
+        )
+    )
+    encoder = SpectrumEncoder(
+        HDSpace(
+            HDSpaceConfig(
+                dim=2048, num_bins=binning.num_bins, num_levels=16, seed=5
+            )
+        ),
+        binning,
+    )
+    path = LibraryIndex.build(workload.references, encoder=encoder).save(
+        tmp_path_factory.mktemp("saved-library") / "library.npz"
+    )
+    baseline = HDOmsSearcher(encoder, workload.references).search(
+        workload.queries
+    )
+    return workload, encoder, path, baseline
+
+
+class TestBuildOnceSearchMany:
+    def test_search_from_index_skips_encoding(self, saved_library):
+        """Index-backed search never re-encodes the library (call-counted)."""
+        workload, _encoder, path, baseline = saved_library
+        loaded = LibraryIndex.load(path)
+        counting = CountingEncoder(loaded.make_encoder())
+        result = HDOmsSearcher.from_index(loaded, encoder=counting).search(
+            workload.queries
+        )
+        # Reference encoding must have been skipped entirely: the only
+        # encoder activity is one `encode` per preprocessed query.
+        assert counting.encode_batch_calls == 0
+        assert counting.encode_calls > 0
+        assert result.psms == baseline.psms
+
+    def test_load_and_search_beats_encode_and_search(self, saved_library):
+        """Amortisation: load+search must beat encode-from-scratch+search."""
+        workload, encoder, path, baseline = saved_library
+
+        start = time.perf_counter()
+        fresh_result = HDOmsSearcher(encoder, workload.references).search(
+            workload.queries
+        )
+        fresh_seconds = time.perf_counter() - start
+
+        start = time.perf_counter()
+        amortised = HDOmsSearcher.from_index(LibraryIndex.load(path))
+        amortised_result = amortised.search(workload.queries)
+        amortised_seconds = time.perf_counter() - start
+
+        assert amortised_result.psms == fresh_result.psms == baseline.psms
+        # The whole point of the index: skipping encoding must win.
+        assert amortised_seconds < fresh_seconds
 
 
 class TestShardedSearcher:

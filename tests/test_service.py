@@ -543,11 +543,15 @@ class TestSearchService:
         with make_service(index_path) as service:
             query = workload.queries[0]
             first, cached_first = service.search_one_detailed(query)
+            batches = service.stats()["scheduler"]["batches"]
             second, cached_second = service.search_one_detailed(query)
             assert not cached_first
             assert cached_second
             assert first == second
-            assert service.stats()["cache"]["hits"] == 1
+            # The hit was answered without running the engine again.
+            stats = service.stats()
+            assert stats["cache"]["hits"] == 1
+            assert stats["scheduler"]["batches"] == batches
 
     def test_cache_hit_rewrites_query_id(self, index_path, workload):
         import dataclasses
