@@ -17,7 +17,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.fig10_venn import venn_regions
-from repro.experiments.report import ExperimentResult, format_table
+from repro.experiments.report import ExperimentResult, format_cell, format_table
 from repro.experiments.workloads import (
     PAPER_SIZES,
     hek293_like,
@@ -33,6 +33,21 @@ class TestReport:
         assert lines[0] == "T"
         assert "a" in lines[2] and "bb" in lines[2]
         assert len(lines) == 6
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.0, "0"),
+            (1234.5, "1.23e+03"),  # large: three significant digits
+            (-0.001234, "-0.00123"),  # small: three significant digits
+            (12.3456, "12.346"),  # mid-range: three decimals
+            (2.0, "2"),  # trailing zeros and the bare point dropped
+            (list(range(9)), "<list with 9 entries>"),
+            ((1, 2), "(1, 2)"),  # short containers print whole
+        ],
+    )
+    def test_format_cell(self, value, text):
+        assert format_cell(value) == text
 
     def test_result_column_access(self):
         result = ExperimentResult("x", "t", ["h1", "h2"], [[1, 2], [3, 4]])

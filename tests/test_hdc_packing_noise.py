@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.hdc import noise
 from repro.hdc.noise import (
     flip_bits,
+    flip_packed,
     measured_bit_error_rate,
     perturb_accumulator,
     shift_cell_levels,
@@ -130,6 +132,35 @@ class TestNoise:
     def test_invalid_rate_raises(self, rng):
         with pytest.raises(ValueError):
             flip_bits(np.ones(4, dtype=np.int8), 1.5, rng)
+
+    @pytest.mark.parametrize("dim", [8, 13, 1000])
+    def test_flip_packed_flips_what_flip_bits_flips(self, dim):
+        # One noise stream, two layouts: the packed rows must come out as
+        # the packed form of the unpacked flips, pad bits (dim 13) zero.
+        vectors = bits_to_bipolar(np.random.default_rng(1).integers(0, 2, (6, dim)))
+        expected = pack_bipolar(flip_bits(vectors, 0.2, np.random.default_rng(9)))
+        got = flip_packed(pack_bipolar(vectors), dim, 0.2, np.random.default_rng(9))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
+    def test_flip_packed_blocks_draw_one_stream(self, monkeypatch):
+        # Three rows per block over seven rows: the block seams must not
+        # shift the stream against the one-shot unpacked draw.
+        monkeypatch.setattr(noise, "_FLIP_BLOCK_DRAWS", 3 * 64)
+        vectors = bits_to_bipolar(np.random.default_rng(2).integers(0, 2, (7, 64)))
+        expected = pack_bipolar(flip_bits(vectors, 0.3, np.random.default_rng(4)))
+        got = flip_packed(pack_bipolar(vectors), 64, 0.3, np.random.default_rng(4))
+        assert np.array_equal(got, expected)
+
+    def test_flip_packed_zero_rate_draws_nothing(self):
+        packed = pack_bipolar(np.ones((3, 40), dtype=np.int8))
+        rng = np.random.default_rng(5)
+        assert flip_packed(packed, 40, 0.0, rng) is packed
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_flip_packed_invalid_rate_raises(self, rng):
+        with pytest.raises(ValueError):
+            flip_packed(np.zeros((1, 1), dtype=np.uint8), 8, -0.1, rng)
 
     def test_measured_ber_mismatched_shapes(self):
         with pytest.raises(ValueError):

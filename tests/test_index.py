@@ -375,6 +375,23 @@ class TestBuildOnceSearchMany:
 
 
 class TestShardedSearcher:
+    @pytest.mark.parametrize("num_shards", [1, 7, "one per row"])
+    def test_shard_bounds_follow_array_split(self, index, num_shards):
+        # Contiguous row ranges, the first ``n % k`` one row longer.
+        total = index.num_references
+        if num_shards == "one per row":
+            num_shards = total
+        rows = np.array_split(np.arange(total), num_shards)
+        expected = [(int(part[0]), int(part[-1]) + 1) for part in rows]
+        assert index.shard_bounds(num_shards) == expected
+
+    @pytest.mark.parametrize("num_shards", [0, "one past the rows"])
+    def test_shard_bounds_reject_counts_outside_the_rows(self, index, num_shards):
+        if num_shards == "one past the rows":
+            num_shards = index.num_references + 1
+        with pytest.raises(ValueError, match="cannot split"):
+            index.shard_bounds(num_shards)
+
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_psms_identical_serial(
         self, index, workload, baseline_result, num_shards

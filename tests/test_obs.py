@@ -491,6 +491,17 @@ class TestLoggingSetup:
         assert "Logging error" not in output
         assert output.rstrip().endswith("WARNING repro.service: after close")
 
+    def test_explicit_stream_stays_bound_when_stderr_changes(
+        self, clean_repro_logger, monkeypatch
+    ):
+        stream = io.StringIO()
+        setup_logging(level="info", stream=stream)
+        elsewhere = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", elsewhere)
+        logging.getLogger("repro.service").warning("to the given stream")
+        assert stream.getvalue().rstrip().endswith("WARNING repro.service: to the given stream")
+        assert elsewhere.getvalue() == ""
+
     def test_setup_rejects_unknown_level_and_format(self):
         with pytest.raises(ValueError, match="log level"):
             setup_logging(level="loud")

@@ -64,6 +64,22 @@ class TestCandidateIndex:
         query = reference(500.0, 5, "q")
         assert len(index.select_open(query)) == 0
 
+    def test_window_edges_are_inclusive(self):
+        refs = [reference(500.0, 2, "a"), reference(540.0, 2, "b")]
+        index = CandidateIndex(refs, WindowConfig())
+        low, high = refs[0].neutral_mass, refs[1].neutral_mass
+        gap = high - low
+        assert index.select_window(high, 2, gap).tolist() == [0, 1]
+        assert index.select_window(low, 2, gap).tolist() == [0, 1]
+        narrower = gap * (1 - 1e-12)
+        assert index.select_window(high, 2, narrower).tolist() == [1]
+        assert index.select_window(low, 2, narrower).tolist() == [0]
+
+    def test_equal_masses_keep_library_order(self):
+        refs = [reference(500.0, 2, "a"), reference(450.0, 2, "b"), reference(500.0, 2, "c")]
+        index = CandidateIndex(refs, WindowConfig())
+        assert index.select_window(refs[0].neutral_mass, 2, 0.0).tolist() == [0, 2]
+
     def test_positions_match_brute_force(self, small_workload):
         index = CandidateIndex(small_workload.references, WindowConfig())
         for query in small_workload.queries[:10]:
@@ -143,6 +159,20 @@ class TestFdr:
         accepted = grouped_fdr(all_psms, 0.3)
         open_accepted = [psm for psm in accepted if psm.is_modified_match]
         assert len(open_accepted) == 4
+
+    def test_grouped_fdr_takes_a_custom_group_key(self):
+        # All PSMs are standard; only a per-charge key keeps the charge-3
+        # decoy on top from costing the clean charge-2 targets.
+        charge2 = [PSM(f"q2{i}", f"t2{i}", f"PEP{i}K/2", 10.0 - i, False, 0.0) for i in range(3)]
+        charge3 = [PSM(f"q3{i}", f"t3{i}", f"PEP{i}R/3", 7.0 - i, False, 0.0) for i in range(2)]
+        decoy3 = [PSM("q3d", "d3", "DECOYR/3", 20.0, True, 0.0)]
+
+        def by_charge(psm):
+            return psm.peptide_key.rsplit("/", 1)[1]
+
+        assert grouped_fdr(charge2 + charge3 + decoy3, 0.1) == []
+        accepted = grouped_fdr(charge2 + charge3 + decoy3, 0.1, group_key=by_charge)
+        assert sorted(psm.query_id for psm in accepted) == ["q20", "q21", "q22"]
 
     def test_decoy_statistics(self):
         psms = make_psms([1, 2, 3], [4])

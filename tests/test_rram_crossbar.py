@@ -44,6 +44,17 @@ class TestADC:
         reconstructed = adc.convert(voltages)
         assert np.abs(reconstructed - voltages).max() <= adc.config.step
 
+    @pytest.mark.parametrize("bits", [1, 3, 8])
+    def test_dequantize_returns_each_codes_bin_centre(self, bits):
+        # bits=1 is the sign-only ADC encoding columns may use.
+        adc = ADC(ADCConfig(bits=bits, v_min=0.4, v_max=0.6))
+        codes = np.arange(adc.config.num_codes)
+        assert adc.config.num_codes == 2**bits
+        centres = adc.dequantize(codes)
+        assert np.allclose(np.diff(centres), adc.config.step)
+        assert centres[0] == pytest.approx(0.4 + adc.config.step / 2)
+        assert adc.quantize(centres).tolist() == codes.tolist()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ADCConfig(bits=0)

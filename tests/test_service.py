@@ -6,6 +6,7 @@ result cache, requests queued behind a busy engine coalesce into one
 batch, and ``/reload`` swaps the index without dropping queued requests.
 """
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig
-from repro.index import LibraryIndex
+from repro.index import LibraryIndex, ReferenceRecord
 from repro.hdc.spaces import HDSpaceConfig
 from repro.ms.spectrum import Spectrum
 from repro.ms.synthetic import WorkloadConfig, build_workload
@@ -37,6 +38,7 @@ from repro.service import (
     spectrum_to_payload,
     start_server,
 )
+from repro.service.protocol import score_reply_from_payload
 from repro.service.scheduler import MAX_BATCH
 
 
@@ -142,6 +144,51 @@ class TestProtocol:
             index.provenance(), WindowConfig(), HDSearchConfig(ann=AnnConfig())
         )
         assert len({base, other_mode, other_window, other_ann}) == 4
+
+
+def _score_reply():
+    """A two-query ``/score`` reply as a worker sends it: one winner, one miss."""
+    record = ReferenceRecord("r7", "PEPTIDEK/2", False, 1001.5, 2)
+    return {
+        "counts": [3, 0],
+        "scores": [412.0, 0.0],
+        "masses": [1001.5, 0.0],
+        "positions": [7, -1],
+        "records": [dataclasses.asdict(record), None],
+    }
+
+
+class TestScoreReply:
+    """The coordinator checks each worker's ``/score`` reply before merging it."""
+
+    def test_reply_parses_into_typed_columns_and_records(self):
+        counts, scores, masses, positions, records = score_reply_from_payload(_score_reply(), 2)
+        assert counts.dtype == np.int64 and positions.dtype == np.int64
+        assert scores.dtype == np.float64 and masses.dtype == np.float64
+        assert positions.tolist() == [7, -1]
+        assert records == [ReferenceRecord("r7", "PEPTIDEK/2", False, 1001.5, 2), None]
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing-column", "short-column", "record-without-winner",
+         "winner-without-record", "unknown-record-field", "other-query-count"],
+    )
+    def test_malformed_reply_raises(self, damage):
+        reply, num_queries = _score_reply(), 2
+        if damage == "missing-column":
+            del reply["positions"]
+        elif damage == "short-column":
+            reply["scores"] = [412.0]
+        elif damage == "record-without-winner":
+            reply["records"][1] = dict(reply["records"][0])
+        elif damage == "winner-without-record":
+            reply["records"][0] = None
+        elif damage == "unknown-record-field":
+            reply["records"][0]["spectrum"] = []
+        else:
+            num_queries = 3
+        with pytest.raises(ProtocolError):
+            score_reply_from_payload(reply, num_queries)
 
 
 # ----------------------------------------------------------------------
