@@ -3,14 +3,14 @@
 HyperOMS and RapidOMS each describe *one* dataflow — encode, window,
 score, best match — over reference memory that happens to be laid out
 differently.  :class:`FanOutSearcher` is that dataflow, once: queries
-are preprocessed and encoded in micro-batches on a producer thread one
-stage ahead of scoring, BER noise is injected in the consumer in
-arrival order on the packed rows, cascade mode retries unmatched
-queries through the open pass, and each pass routes every query to the
-*parts* whose precursor-mass hull meets its window (each part a
-:class:`~repro.oms.kernel.ShardScorer` over a contiguous set of
-library rows, or a remote worker), merges the per-part winners with the
-brute-force tie-break and builds the PSMs.
+are preprocessed and encoded in micro-batches on the caller's thread,
+BER noise is injected in arrival order on the packed rows, cascade mode
+retries unmatched queries through the open pass, and each pass routes
+every query to the *parts* whose precursor-mass hull meets its window
+(each part a :class:`~repro.oms.kernel.ShardScorer` over a contiguous
+set of library rows, or a remote worker), merges the per-part winners
+with the brute-force tie-break and builds the PSMs.  The only thread
+the core starts is the part-scoring pool.
 
 The searchers are row-layout providers on top of it — they say which
 parts exist, how a part is opened and which record sits at library row
@@ -40,7 +40,6 @@ import numpy as np
 
 from ..ann import OUTCOMES, AnnStats
 from ..engine import EngineConfig
-from ..exec.pipeline import pipeline_map
 from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
 from ..ms.preprocessing import PreprocessingConfig, preprocess_many
@@ -55,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class FanOutSearcher:
-    """Preprocess → encode-ahead → BER → mode/cascade → scored, merged pass.
+    """Preprocess → encode → BER → mode/cascade → scored, merged pass.
 
     Subclasses call :meth:`_init_core`, then either hand over rows that
     are already in memory (:meth:`_adopt_rows` / :meth:`_adopt_index`:
@@ -140,9 +139,8 @@ class FanOutSearcher:
     def warm(self) -> None:
         """Open every in-memory row range now, not under the first batch.
 
-        Left alone, a range is laid out by the first pass that scores it
-        — in a multi-batch search that overlaps the next micro-batch's
-        encode, which is what a one-shot CLI run wants.  A service calls
+        Left alone, a range is laid out by the first pass that scores
+        it, which is what a one-shot CLI run wants.  A service calls
         this instead, so a route that reports ready (or was just
         reloaded) answers its first request at full speed.
         """
@@ -246,12 +244,6 @@ class FanOutSearcher:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # one scoring pass
@@ -406,11 +398,9 @@ class FanOutSearcher:
     ) -> List[Optional[PSM]]:
         """Noise injection + mode dispatch for one packed, encoded micro-batch.
 
-        BER flips draw from the searcher's RNG here — in the consumer
-        stage, for every preprocessed query in arrival order — so the
-        noise stream is identical whether or not the encode stage ran
-        ahead, and identical to the oracle's.  Every pass and part
-        scores these packed rows.
+        BER flips draw from the searcher's RNG here, for every
+        preprocessed query in arrival order, so the noise stream is the
+        oracle's.  Every pass and part scores these packed rows.
         """
         if not len(queries):
             return []
@@ -433,27 +423,19 @@ class FanOutSearcher:
     def search_aligned(self, queries: Sequence[Spectrum]) -> List[Optional[PSM]]:
         """One PSM or ``None`` per query, in input order.
 
-        Queries are preprocessed and encoded in micro-batches of
-        ``ENCODE_BLOCK_SIZE`` on a producer thread running one stage
-        ahead of scoring (two-deep bounded queue — encode batch ``k+1``
-        while batch ``k`` is scored and merged).  Deterministic work
-        (the preprocess + fused ``encode_packed``) moves ahead;
-        everything consuming the searcher's RNG (BER injection) stays in
-        the consumer in arrival order, so the PSM stream is unchanged.
-        A query dropped by preprocessing answers ``None``.
+        Each ``ENCODE_BLOCK_SIZE`` block is preprocessed, encoded to
+        packed rows and searched before the next one is read, all on
+        the caller's thread, so its spans keep the caller's parent and
+        request id.  A query dropped by preprocessing answers ``None``.
         """
-        def encode_chunk(start: int):
+        results: List[Optional[PSM]] = [None] * len(queries)
+        for start in range(0, len(queries), ENCODE_BLOCK_SIZE):
             chunk = queries[start : start + ENCODE_BLOCK_SIZE]
             processed = preprocess_many(chunk, self.preprocessing)
-            kept = [start + row for row, spectrum in enumerate(processed) if spectrum is not None]
-            return kept, encode_packed_rows(
-                self.encoder, [processed[row - start] for row in kept]
-            )
-
-        results: List[Optional[PSM]] = [None] * len(queries)
-        for kept, encoded in pipeline_map(encode_chunk, range(0, len(queries), ENCODE_BLOCK_SIZE)):
-            for row, psm in zip(kept, self._search_batch([queries[row] for row in kept], encoded)):
-                results[row] = psm
+            kept = [row for row, spectrum in enumerate(processed) if spectrum is not None]
+            encoded = encode_packed_rows(self.encoder, [processed[row] for row in kept])
+            for row, psm in zip(kept, self._search_batch([chunk[row] for row in kept], encoded)):
+                results[start + row] = psm
         return results
 
     def search(self, queries: Sequence[Spectrum]) -> SearchResult:

@@ -314,7 +314,7 @@ class SearchClient:
         """
         path = "/debug/trace"
         if request_id is not None:
-            path += f"?request_id={request_id}"
+            path += "?" + urllib.parse.urlencode({"request_id": request_id})
         return self._request("GET", path)
 
     def reload(

@@ -414,6 +414,38 @@ def test_profile_rejects_a_bad_trace_capacity(
     assert not trace.exists()
 
 
+def test_profile_trace_names_the_run_on_every_encode_block(tmp_path, small_workload):
+    """A run longer than one encode block keeps its request id on every block."""
+    import json
+
+    from repro.hdc.spaces import HDSpaceConfig
+    from repro.index import LibraryIndex
+    from repro.ms import write_mgf
+    from repro.ms.vectorize import BinningConfig
+    from repro.oms.candidates import ENCODE_BLOCK_SIZE
+
+    binning = BinningConfig()
+    index = LibraryIndex.build(
+        small_workload.references,
+        space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=3),
+        binning=binning,
+    ).save(tmp_path / "library.npz")
+    count = ENCODE_BLOCK_SIZE + 44
+    queries, trace = tmp_path / "q.mgf", tmp_path / "trace.json"
+    repeats = count // len(small_workload.queries) + 1
+    write_mgf((small_workload.queries * repeats)[:count], queries)
+    argv = [
+        "profile", "--index", str(index), "--queries", str(queries),
+        "--output", str(trace), "--mode", "standard", "--shards", "2", "--workers", "2",
+    ]
+    assert main(argv) == 0
+    events = [e for e in json.loads(trace.read_text())["traceEvents"] if e["ph"] == "X"]
+    (run,) = [e for e in events if e["name"] == "profile.run"]
+    encodes = [e for e in events if e["name"] == "encode.batch"]
+    assert len(encodes) == 2
+    assert {e["args"].get("request_id") for e in encodes} == {run["args"]["request_id"]}
+
+
 def test_executor_flag_is_gone():
     """One execution mode: no verb takes --executor."""
     for argv in (

@@ -1,11 +1,11 @@
-"""Execution tests: the encode/score pipeline and the shard scorer.
+"""Execution tests: the query loop, the shard scorer and the scoring threads.
 
-The encode/score pipeline (``repro.exec``) never reorders results, a
-pipelined search equals the one-batch schedule, and a full-coverage
-window counts every row of a shard.  Serial and thread-pool scoring
-are cells of ``tests/test_property_kernel.py``'s engine matrix; here a
-4 096-row library holds both to the oracle at batch 256 and bounds the
-memory the scoring threads add.
+A search split over many encode blocks equals the one-block schedule,
+and a full-coverage window counts every row of a shard.  Serial and
+thread-pool scoring are cells of ``tests/test_property_kernel.py``'s
+engine matrix; here a 4 096-row library holds both to the oracle at
+batch 256 and bounds the memory the scoring threads add.  A searcher
+nobody closed neither hangs interpreter exit nor leaks its threads.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.exec import pipeline_map
 from repro.hdc.packing import pack_bipolar
 from repro.oms.kernel import ShardScorer, shard_payload
 
@@ -47,75 +45,6 @@ def _bounds(num_rows: int, num_shards: int):
         bounds.append((start, stop))
         start = stop
     return tuple(bounds)
-
-
-# ----------------------------------------------------------------------
-# pipeline
-# ----------------------------------------------------------------------
-
-
-class TestPipelineMap:
-    def test_single_item_runs_inline(self):
-        thread_names = []
-
-        def func(item):
-            thread_names.append(threading.current_thread().name)
-            return item * 2
-
-        assert list(pipeline_map(func, [21])) == [42]
-        assert thread_names == [threading.current_thread().name]
-
-    def test_results_in_submit_order_with_producer_ahead(self):
-        """Batch k+1 encodes before batch k is consumed; order holds."""
-        ahead = threading.Event()
-        produced = []
-
-        def encode(item):
-            produced.append(item)
-            if item == 1:
-                ahead.set()
-            return item
-
-        consumed = []
-        for result in pipeline_map(encode, [0, 1, 2, 3]):
-            if result == 0:
-                # The producer must be able to finish item 1 while item
-                # 0 sits unconsumed — that is the overlap.
-                assert ahead.wait(timeout=5.0)
-            consumed.append(result)
-        assert consumed == [0, 1, 2, 3]
-        assert produced == [0, 1, 2, 3]
-
-    def test_error_propagates_at_position(self):
-        def encode(item):
-            if item == 2:
-                raise RuntimeError("boom at 2")
-            return item
-
-        received = []
-        with pytest.raises(RuntimeError, match="boom at 2"):
-            for result in pipeline_map(encode, [0, 1, 2, 3]):
-                received.append(result)
-        assert received == [0, 1]
-
-    def test_early_close_stops_producer(self):
-        started = []
-
-        def encode(item):
-            started.append(item)
-            return item
-
-        generator = pipeline_map(encode, list(range(100)))
-        assert next(generator) == 0
-        generator.close()
-        time.sleep(0.2)
-        # Producer stopped promptly: at most the in-flight + queued
-        # depth was encoded, not all 100 items.
-        assert len(started) <= 5
-
-    def test_depth_validated(self):
-        with pytest.raises(ValueError, match="depth"):
-            list(pipeline_map(lambda x: x, [1, 2], depth=0))
 
 
 # ----------------------------------------------------------------------
@@ -150,12 +79,12 @@ def test_full_coverage_window_hits_fast_path():
 
 
 # ----------------------------------------------------------------------
-# pipelined search ordering (end to end)
+# the query loop's encode blocks (end to end)
 # ----------------------------------------------------------------------
 
 
-def test_pipelined_search_matches_single_batch(monkeypatch):
-    """Multi-chunk pipelined search equals the one-chunk schedule."""
+def test_multi_block_search_matches_single_block(monkeypatch):
+    """A search over many encode blocks equals the one-block schedule."""
     from repro.ms.synthetic import WorkloadConfig, build_workload
     from repro.ms.vectorize import BinningConfig
     from repro.hdc.spaces import HDSpaceConfig
@@ -191,9 +120,9 @@ def test_pipelined_search_matches_single_batch(monkeypatch):
             for psm in result.psms
         ]
 
-    # 17 queries in blocks of 3 -> 6 chunks in flight through the pipeline.
+    # 17 queries in blocks of 3 -> 6 encode blocks.
     assert run(1000) == run(3)
-    # BER noise draws in the consumer stay in arrival order too.
+    # BER noise draws stay in arrival order too.
     assert run(1000, query_ber=0.01) == run(3, query_ber=0.01)
 
 
@@ -245,6 +174,71 @@ def test_thread_and_serial_scoring_equal_brute_force_without_copying():
                 f"thread-mode scoring added {rss_extra_mb:.1f} MB RSS over the "
                 f"{rss_before:.1f} MB single-process baseline"
             )
+
+
+#: Searches on two scoring threads, keeps the searcher unclosed in a
+#: module global and exits: the searcher is collected at finalization.
+UNCLOSED_SEARCHER = """
+from repro.engine import EngineConfig
+from repro.hdc.spaces import HDSpaceConfig
+from repro.index import LibraryIndex, ShardedSearcher
+from repro.ms.synthetic import WorkloadConfig, build_workload
+from repro.ms.vectorize import BinningConfig
+
+workload = build_workload(WorkloadConfig(name="t", num_references=40, num_queries=4, seed=3))
+binning = BinningConfig()
+index = LibraryIndex.build(
+    workload.references,
+    space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=3),
+    binning=binning,
+)
+searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2, num_workers=2))
+searcher.search(workload.queries)
+assert searcher._pool is not None, "the scoring threads never started"
+"""
+
+
+def test_an_unclosed_threaded_searcher_lets_the_interpreter_exit():
+    completed = subprocess.run(
+        [sys.executable, "-c", UNCLOSED_SEARCHER],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC_PATH},
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def _scoring_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("shard-score")]
+
+
+def test_dropped_searchers_leak_no_scoring_threads(small_workload):
+    """A collected searcher's idle scoring threads stop by themselves."""
+    import gc
+
+    from repro.engine import EngineConfig
+    from repro.hdc.spaces import HDSpaceConfig
+    from repro.index import LibraryIndex, ShardedSearcher
+    from repro.ms.vectorize import BinningConfig
+
+    binning = BinningConfig()
+    index = LibraryIndex.build(
+        small_workload.references,
+        space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=3),
+        binning=binning,
+    )
+    baseline = len(_scoring_threads())
+    for _ in range(5):
+        searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2, num_workers=2))
+        searcher.search(small_workload.queries[:4])
+        assert searcher._pool is not None
+        del searcher
+        gc.collect()
+    deadline = time.monotonic() + 10.0
+    while len(_scoring_threads()) > baseline and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert len(_scoring_threads()) == baseline
 
 
 def test_entry_points_never_import_multiprocessing():

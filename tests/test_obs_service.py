@@ -21,6 +21,7 @@ from repro.index import LibraryIndex
 from repro.index.sharded import ShardedSearcher
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.obs import get_tracer
+from repro.oms.candidates import ENCODE_BLOCK_SIZE
 from repro.service import (
     SearchClient,
     SearchService,
@@ -243,6 +244,24 @@ class TestShardedSpans:
             for child in children:
                 assert child.duration > 0.0
 
+    def test_encode_spans_keep_the_callers_parent_across_blocks(
+        self, index, workload, traced
+    ):
+        """Every encode block runs on the caller's thread, inside its span."""
+        count = 2 * ENCODE_BLOCK_SIZE + 1
+        queries = (workload.queries * (count // len(workload.queries) + 1))[:count]
+        with ShardedSearcher(
+            index, engine=EngineConfig(num_shards=2, num_workers=2)
+        ) as searcher:
+            with traced.span("caller", request_id="blocks") as caller:
+                searcher.search(queries)
+        encodes = by_name(traced.records())["encode.batch"]
+        assert len(encodes) == 3
+        for span in encodes:
+            assert span.request_id == "blocks"
+            assert span.parent_id is not None
+            assert span.lane == caller.lane
+
 
 # ----------------------------------------------------------------------
 # HTTP round trip
@@ -359,6 +378,20 @@ class TestRequestIdRoundTrip:
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert "service.search_batch" in names
         assert "service.cache_lookup" in names
+
+    def test_debug_trace_encodes_the_request_id(self, server, workload):
+        """An id with ``&`` or a space is sent as one query value."""
+        client, _srv = server
+        client.search_detailed(workload.queries[4], request_id="a")
+
+        def spans(request_id):
+            trace = client.debug_trace(request_id=request_id)
+            return [e for e in trace["traceEvents"] if e["ph"] == "X"]
+
+        assert spans("a")
+        # No request carries either id, so neither may match request "a".
+        assert spans("a&b") == []
+        assert spans("a b") == []
 
 
 class TestDebugAndMetricsEndpoints:

@@ -21,7 +21,7 @@ import pytest
 SRC_PATH = str(Path(__file__).resolve().parent.parent / "src")
 
 PACKAGES = [
-    "accelerator", "ann", "baselines", "coord", "exec", "experiments", "hdc",
+    "accelerator", "ann", "baselines", "coord", "experiments", "hdc",
     "index", "ms", "obs", "oms", "rram", "service", "store",
 ]
 
