@@ -1,7 +1,9 @@
 """Execution tests: the query loop, the shard scorer and the scoring threads.
 
 A search split over many encode blocks equals the one-block schedule,
-and a full-coverage window counts every row of a shard.  Serial and
+encodes each block on the caller's thread and answers ``None`` where
+preprocessing dropped a query; a full-coverage window counts every row
+of a shard.  Serial and
 thread-pool scoring are cells of ``tests/test_property_kernel.py``'s
 engine matrix; here a 4 096-row library holds both to the oracle at
 batch 256 and bounds the memory the scoring threads add.  A searcher
@@ -83,15 +85,12 @@ def test_full_coverage_window_hits_fast_path():
 # ----------------------------------------------------------------------
 
 
-def test_multi_block_search_matches_single_block(monkeypatch):
-    """A search over many encode blocks equals the one-block schedule."""
+def _block_workload():
+    """17 queries against a 40-row index: 6 encode blocks of 3."""
     from repro.ms.synthetic import WorkloadConfig, build_workload
     from repro.ms.vectorize import BinningConfig
     from repro.hdc.spaces import HDSpaceConfig
     from repro.index.library import LibraryIndex
-    from repro.engine import EngineConfig
-    from repro.index.sharded import ShardedSearcher
-    from repro.oms.search import HDSearchConfig
 
     wl = build_workload(
         WorkloadConfig(name="t", num_references=40, num_queries=17, seed=21)
@@ -105,7 +104,48 @@ def test_multi_block_search_matches_single_block(monkeypatch):
         chunked=True,
         seed=11,
     )
-    index = LibraryIndex.build(wl.references, space_config=space, binning=binning)
+    return wl, LibraryIndex.build(wl.references, space_config=space, binning=binning)
+
+
+def _block_searcher(index):
+    from repro.engine import EngineConfig
+    from repro.index.sharded import ShardedSearcher
+    from repro.oms.search import HDSearchConfig
+
+    return ShardedSearcher(
+        index,
+        config=HDSearchConfig(mode="cascade"),
+        engine=EngineConfig(num_shards=2, num_workers=2),
+    )
+
+
+def _sparse_query(identifier: str, precursor_mz: float):
+    """A query with fewer peaks than preprocessing keeps: it is dropped."""
+    from repro.ms.spectrum import Spectrum
+
+    return Spectrum(
+        identifier=identifier,
+        precursor_mz=precursor_mz,
+        precursor_charge=2,
+        mz=np.array([300.0, 400.0]),
+        intensity=np.array([1.0, 2.0]),
+    )
+
+
+def _keys(psms):
+    return [
+        None if psm is None else (psm.query_id, psm.reference_id, psm.score, psm.mode)
+        for psm in psms
+    ]
+
+
+def test_multi_block_search_matches_single_block(monkeypatch):
+    """A search over many encode blocks equals the one-block schedule."""
+    from repro.engine import EngineConfig
+    from repro.index.sharded import ShardedSearcher
+    from repro.oms.search import HDSearchConfig
+
+    wl, index = _block_workload()
 
     def run(block_size, query_ber=0.0):
         monkeypatch.setattr("repro.oms.loop.ENCODE_BLOCK_SIZE", block_size)
@@ -125,6 +165,63 @@ def test_multi_block_search_matches_single_block(monkeypatch):
     # BER noise draws stay in arrival order too.
     assert run(1000, query_ber=0.01) == run(3, query_ber=0.01)
 
+
+def test_every_encode_block_runs_on_the_callers_thread(monkeypatch):
+    """One encode call per block, each on the thread that searches."""
+    import repro.oms.loop as loop
+
+    wl, index = _block_workload()
+    calls = []
+    encode = loop.encode_packed_rows
+
+    def recording(encoder, spectra):
+        calls.append((threading.get_ident(), len(spectra)))
+        return encode(encoder, spectra)
+
+    monkeypatch.setattr("repro.oms.loop.ENCODE_BLOCK_SIZE", 3)
+    monkeypatch.setattr(loop, "encode_packed_rows", recording)
+    with _block_searcher(index) as searcher:
+        searcher.search_aligned(wl.queries)
+    assert [size for _, size in calls] == [3, 3, 3, 3, 3, 2]
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+
+
+def _search_with_dropped(monkeypatch, dropped):
+    """PSM keys of the workload with sparse queries inserted at
+    ``dropped`` (ascending final positions) in blocks of 3, and of the
+    workload alone in one block."""
+    wl, index = _block_workload()
+    queries = list(wl.queries)
+    for position in dropped:
+        queries.insert(position, _sparse_query(f"sparse-{position}", 500.0))
+    with _block_searcher(index) as searcher:
+        alone = _keys(searcher.search_aligned(wl.queries))
+    monkeypatch.setattr("repro.oms.loop.ENCODE_BLOCK_SIZE", 3)
+    with _block_searcher(index) as searcher:
+        aligned = _keys(searcher.search_aligned(queries))
+    assert len(aligned) == len(wl.queries) + len(dropped)
+    return aligned, alone
+
+
+def test_dropped_queries_answer_none_at_block_seams(monkeypatch):
+    """A query preprocessing drops answers ``None`` where it stood, at
+    the first, last and next-first row of a block; every other query
+    keeps the PSM it gets alone in one block."""
+    dropped = (0, 2, 3, 17)
+    aligned, alone = _search_with_dropped(monkeypatch, dropped)
+    assert [aligned[position] for position in dropped] == [None] * len(dropped)
+    assert [
+        psm for position, psm in enumerate(aligned) if position not in dropped
+    ] == alone
+
+
+def test_a_block_preprocessing_empties_answers_none_throughout(monkeypatch):
+    """Rows 9-11 are the whole of block 3: it answers three ``None`` and
+    the blocks around it search as before."""
+    dropped = (9, 10, 11)
+    aligned, alone = _search_with_dropped(monkeypatch, dropped)
+    assert aligned[9:12] == [None, None, None]
+    assert aligned[:9] + aligned[12:] == alone
 
 def _rss_mb() -> float:
     for line in open("/proc/self/status"):
