@@ -19,9 +19,9 @@ its one ``np.lexsort`` rule and builds the PSMs.  What remoteness adds:
    report on ``/healthz``, and the probe rejects a replica reporting
    any other.
 
-Per-row scores do not depend on batch composition and JSON round-trips
-floats exactly, so the output is **bit-identical** to a single-node
-search.  Worker calls run on the pooled blocking
+Per-row scores do not depend on batch composition and the ``/score``
+frames carry floats as their IEEE bytes, so the output is
+**bit-identical** to a single-node search.  Worker calls run on the pooled blocking
 :class:`~repro.service.client.SearchClient`, each on a thread of the
 target replica's own pool — a wedged worker can exhaust only its own
 threads; everything else runs on the calling thread.  ``repro

@@ -40,8 +40,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..ms.spectrum import Spectrum
 from ..oms.psm import PSM
-from .protocol import ProtocolError, score_reply_from_payload, score_request_to_payload
-from .protocol import spectrum_to_payload
+from .protocol import SCORE_CONTENT_TYPE, ProtocolError, decode_score_reply
+from .protocol import encode_score_request, spectrum_to_payload
 
 
 class ServiceError(RuntimeError):
@@ -151,19 +151,17 @@ class SearchClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _request(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[dict] = None,
-        parse_json: bool = True,
-        headers: Optional[dict] = None,
-    ):
+    def _request(self, method: str, path: str, payload: Optional[dict] = None, headers=None):
+        """One JSON round trip: ``payload`` (if any) out, the parsed reply back."""
         body = None
         headers = {"Accept": "application/json", **(headers or {})}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        return json.loads(self._exchange(method, path, body, headers).decode("utf-8"))
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes], headers: dict) -> bytes:
+        """One round trip of raw bodies; an HTTP error status raises :class:`ServiceError`."""
         # A stale keep-alive socket fails on the *first* reused request
         # after the server closed its end; the request never reached a
         # handler, so exactly one transparent retry on a fresh
@@ -213,8 +211,7 @@ class SearchClient:
                     + (f": {detail}" if detail else ""),
                     status=response.status,
                 )
-            text = data.decode("utf-8")
-            return json.loads(text) if parse_json else text
+            return data
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _resolve_route(self, route: Optional[str]) -> Optional[str]:
@@ -270,16 +267,22 @@ class SearchClient:
     ) -> Tuple:
         """``(counts, scores, masses, positions, records)`` of packed query rows.
 
-        One ``/score`` round trip: the worker's winners, in its own rows.
+        One ``/score`` round trip of binary frames (:mod:`~repro.service.protocol`):
+        the worker's winners, in its own rows.
 
         Raises:
             ServiceError: On a transport or HTTP failure, or a reply
                 that does not answer every query.
         """
-        body = score_request_to_payload(queries, dim, masses, charges, half_width)
+        path, resolved = "/score", self._resolve_route(route)
+        if resolved is not None:
+            path += "?" + urllib.parse.urlencode({"route": resolved})
+        headers = {"Content-Type": SCORE_CONTENT_TYPE}
+        if request_id:
+            headers["X-Request-Id"] = request_id
+        body = encode_score_request(queries, dim, masses, charges, half_width)
         try:
-            reply = self._post("/score", body, route, request_id)
-            return score_reply_from_payload(reply, len(masses))
+            return decode_score_reply(self._exchange("POST", path, body, headers), len(masses))
         except ProtocolError as error:
             raise ServiceError(f"{self.base_url}: {error}") from None
 
@@ -301,7 +304,7 @@ class SearchClient:
 
     def metrics(self) -> str:
         """The raw Prometheus text payload of ``/metrics``."""
-        return self._request("GET", "/metrics", parse_json=False)
+        return self._exchange("GET", "/metrics", None, {}).decode("utf-8")
 
     def debug_slow(self) -> dict:
         """The server's slow-query ring buffer (``/debug/slow``)."""

@@ -568,7 +568,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 f"bad Content-Length header: {raw!r}"
             ) from None
 
-    def _read_json(self) -> object:
+    def _read_body(self) -> bytes:
         length = self._content_length()
         if length <= 0:
             raise ProtocolError("request body required")
@@ -577,8 +577,11 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{self.max_body_bytes} byte limit"
             )
+        return self.rfile.read(length)
+
+    def _read_json(self) -> object:
         try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
+            return json.loads(self._read_body().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(f"bad JSON body: {error}") from None
 

@@ -18,8 +18,9 @@ them:
   name which loaded library they target, and both the server and the
   :class:`~repro.service.registry.IndexRegistry` validate route names
   against the same pattern;
-* the ``/score`` hop: packed query rows out, per-query winners and
-  their records back, each side checking what arrives from outside;
+* the ``/score`` hop's binary frames: packed query rows, masses and
+  charges out, fixed-width winner columns and one JSON array of their
+  records back, each side checking what arrives from outside;
 * the errors the HTTP layer maps to a status without importing their
   raisers (:class:`UnknownRouteError`, :class:`CapacityError`,
   :class:`UnavailableError`).
@@ -27,7 +28,6 @@ them:
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
@@ -197,59 +197,89 @@ def config_fingerprint(index_provenance: dict, windows, search_config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: The per-query winner columns of a ``/score`` reply, and their dtypes.
-SCORE_COLUMNS = {
-    "counts": np.int64, "scores": np.float64, "masses": np.float64, "positions": np.int64
-}
+#: The ``/score`` frames' media type, both ways.
+SCORE_CONTENT_TYPE = "application/octet-stream"
+#: The start of every ``/score`` frame: magic ``HDSC`` and version 1 as ``<I``.
+SCORE_PREAMBLE = b"HDSC" + struct.pack("<I", 1)
+#: Little-endian heads after the preamble: the request's ``dim``, query count and
+#: half-width, or the reply's query count.
+_REQUEST_HEAD, _REPLY_HEAD = struct.Struct("<8sqqd"), struct.Struct("<8sq")
+#: The per-query winner columns of a ``/score`` reply, in order, and their wire dtypes.
+SCORE_COLUMNS = {"counts": "<i8", "scores": "<f8", "masses": "<f8", "positions": "<i8"}
 
 
-def score_request_to_payload(queries: np.ndarray, dim: int, masses, charges, half_width) -> dict:
+def _frame_head(head: struct.Struct, body: bytes, what: str) -> tuple:
+    """The head fields after the preamble of a ``/score`` frame, or :class:`ProtocolError`."""
+    if body[:8] != SCORE_PREAMBLE or len(body) < head.size:
+        raise ProtocolError(f"{what} of {len(body)} bytes starting {body[:8]!r} is not a "
+                            f"{SCORE_PREAMBLE!r} {SCORE_CONTENT_TYPE} frame")
+    return head.unpack_from(body)[1:]
+
+
+def encode_score_request(queries: np.ndarray, dim: int, masses, charges, half_width) -> bytes:
     """The ``/score`` body for packed ``(n, ceil(dim / 8))`` query rows."""
-    packed = base64.b64encode(np.ascontiguousarray(queries, np.uint8)).decode()
-    return {"packed": packed, "dim": int(dim), "masses": np.asarray(masses, np.float64).tolist(),
-            "charges": np.asarray(charges, np.int64).tolist(), "half_width": float(half_width)}
+    masses, charges = np.asarray(masses, "<f8"), np.asarray(charges, "<i8")
+    head = _REQUEST_HEAD.pack(SCORE_PREAMBLE, dim, masses.size, half_width)
+    packed = np.ascontiguousarray(queries, np.uint8).tobytes()
+    return b"".join((head, packed, masses.tobytes(), charges.tobytes()))
 
 
-def score_request_from_payload(payload: object, dim: int) -> Tuple:
+def decode_score_request(body: bytes, dim: int) -> Tuple:
     """``(packed, masses, charges, half_width)`` of a ``/score`` body for a ``dim``-wide route.
 
     Raises:
-        ProtocolError: Unless all is well typed, ``dim`` is the route's, each query has a mass,
-            a charge and a ``ceil(dim / 8)``-byte row, and the half-width is finite and >= 0.
+        ProtocolError: Unless the head is a request's for ``dim`` and exactly its rows of
+            ``ceil(dim / 8)`` bytes, masses and charges follow, with every mass finite, every
+            charge >= 1 and the half-width finite and >= 0.
     """
-    try:
-        masses = np.asarray(payload["masses"], np.float64)
-        charges = np.asarray(payload["charges"], np.int64)
-        half_width = float(payload["half_width"])
-        packed = np.frombuffer(base64.b64decode(payload["packed"], validate=True), np.uint8)
-        sent_dim = payload["dim"]
-    except (KeyError, TypeError, ValueError) as error:  # binascii.Error too
-        raise ProtocolError(f"bad /score body: {type(error).__name__}: {error}") from None
-    rows, row_bytes = masses.size, (dim + 7) // 8
-    shaped = masses.shape == charges.shape == (rows,) and packed.size == rows * row_bytes
-    if sent_dim != dim or not shaped:
-        raise ProtocolError(
-            f"/score for dim {dim} got dim {sent_dim!r}, {rows} masses, {charges.size} "
-            f"charges and {packed.size} bytes for {rows} rows of {row_bytes}"
-        )
+    sent_dim, rows, half_width = _frame_head(_REQUEST_HEAD, body, "/score body")
+    row_bytes, offset = (dim + 7) // 8, _REQUEST_HEAD.size
+    if sent_dim != dim or len(body) != offset + rows * (row_bytes + 16):
+        raise ProtocolError(f"/score for dim {dim} got dim {sent_dim} and {len(body) - offset} "
+                            f"bytes for {rows} queries of {row_bytes} + 16")
     if not 0 <= half_width < math.inf:
         raise ProtocolError(f"half_width must be finite and >= 0, got {half_width}")
-    return packed.reshape(rows, row_bytes), masses, charges, half_width
+    packed = np.frombuffer(body, np.uint8, rows * row_bytes, offset).reshape(rows, row_bytes)
+    masses = np.frombuffer(body, "<f8", rows, offset + packed.size).astype(np.float64)
+    charges = np.frombuffer(body, "<i8", rows, offset + packed.size + 8 * rows).astype(np.int64)
+    if not np.isfinite(masses).all() or (charges < 1).any():
+        raise ProtocolError("every /score mass must be finite and every charge >= 1")
+    return packed, masses, charges, half_width
 
 
-def score_reply_from_payload(payload: object, num_queries: int) -> Tuple:
+def encode_score_reply(counts, scores, masses, positions, records) -> bytes:
+    """The ``/score`` reply: the winner columns, then one JSON array of records."""
+    columns = zip((counts, scores, masses, positions), SCORE_COLUMNS.values())
+    tail = [None if r is None else (r.identifier, r.peptide, r.is_decoy, r.neutral_mass,
+                                    r.precursor_charge) for r in records]
+    return b"".join([_REPLY_HEAD.pack(SCORE_PREAMBLE, len(records)),
+                     *(np.asarray(column, dtype).tobytes() for column, dtype in columns),
+                     json.dumps(tail).encode()])
+
+
+def decode_score_reply(body: bytes, num_queries: int) -> Tuple:
     """``(counts, scores, masses, positions, records)`` of a ``/score`` reply.
 
     Raises:
-        ProtocolError: Unless each column and the records hold one entry per query, with a
-            record exactly where a winner row is named.
+        ProtocolError: Unless the head is a reply's for ``num_queries``, each column is whole,
+            and one JSON array holds a five-field record exactly where a winner row is named.
     """
+    (rows,) = _frame_head(_REPLY_HEAD, body, "/score reply")
+    if rows != num_queries:
+        raise ProtocolError(f"/score reply for {rows} queries does not answer its {num_queries}")
+    columns, offset = [], _REPLY_HEAD.size
+    for name, dtype in SCORE_COLUMNS.items():
+        if len(body) < offset + 8 * rows:
+            raise ProtocolError(f"/score reply of {len(body)} bytes ends inside its {name} column")
+        columns.append(np.frombuffer(body, dtype, rows, offset).astype(dtype[1:]))
+        offset += 8 * rows
     try:
-        columns = [np.asarray(payload[name], dtype) for name, dtype in SCORE_COLUMNS.items()]
-        records = [None if r is None else ReferenceRecord(**r) for r in payload["records"]]
-    except (KeyError, TypeError, ValueError) as error:
-        raise ProtocolError(f"bad /score reply: {type(error).__name__}: {error}") from None
-    found = [record is not None for record in records]
-    if any(c.shape != (num_queries,) for c in columns) or found != (columns[3] >= 0).tolist():
-        raise ProtocolError(f"/score reply does not answer its {num_queries} queries")
+        tail = json.loads(body[offset:])
+        if not isinstance(tail, list) or not all(r is None or isinstance(r, list) for r in tail):
+            raise TypeError("records must be an array of arrays and nulls")
+        records = [None if r is None else ReferenceRecord(*r) for r in tail]
+    except (TypeError, ValueError) as error:  # UnicodeDecodeError and JSONDecodeError too
+        raise ProtocolError(f"bad /score reply records: {type(error).__name__}: {error}") from None
+    if [r is not None for r in records] != (columns[3] >= 0).tolist():
+        raise ProtocolError(f"/score reply records do not match its {num_queries} winner rows")
     return (*columns, records)

@@ -59,6 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+from urllib.parse import parse_qsl, urlsplit
 
 from ..ann import AnnConfig
 from ..constants import DEFAULT_OPEN_WINDOW_DA, DEFAULT_STANDARD_WINDOW_DA
@@ -86,8 +87,9 @@ from .protocol import (
     ProtocolError,
     config_fingerprint,
     route_from_payload,
-    SCORE_COLUMNS,
-    score_request_from_payload,
+    SCORE_CONTENT_TYPE,
+    decode_score_request,
+    encode_score_reply,
     spectrum_digest,
     spectrum_from_payload,
 )
@@ -344,8 +346,8 @@ class SearchService:
             psms = self._engine.search_aligned(spectra, request_id=request_id)
         return [(psm, self._fingerprint, self._generation) for psm in psms]
 
-    def score_batch(self, queries, masses, charges, half_width: float, request_id=None) -> dict:
-        """The ``/score`` reply: the engine's ``score_batch``, no cache.
+    def score_batch(self, queries, masses, charges, half_width: float, request_id=None) -> Tuple:
+        """The engine's ``score_batch`` columns and records, no cache.
 
         Under the batch lock, except on a ready engine (see :meth:`_search`).
         """
@@ -361,9 +363,7 @@ class SearchService:
                 scored = self._engine.score_batch(
                     queries, masses, charges, half_width, request_id=request_id
                 )
-        reply = {name: column.tolist() for name, column in zip(SCORE_COLUMNS, scored)}
-        reply["records"] = [None if r is None else dataclasses.asdict(r) for r in scored[-1]]
-        return reply
+        return (*scored[:4], scored[-1])
 
     def _observe_ann(
         self, snapshot: Optional[Dict[str, int]], generation: int
@@ -916,9 +916,13 @@ class SearchRequestHandler(JsonRequestHandler):
             "request_id": request_id,
             "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
         }
-        tracer = get_tracer()
-        with tracer.span("service.serialize", request_id=request_id, route=route):
+        with get_tracer().span("service.serialize", request_id=request_id, route=route):
             self._send_json(200, response, request_id=request_id)
+        self._observe_slow(started, request_id, route, endpoint, **slow_extra)
+
+    def _observe_slow(self, started: float, request_id, route, endpoint, **slow_extra) -> None:
+        """Offer a request answered since ``started`` to the slow log."""
+        tracer = get_tracer()
         slowlog = self.server.slowlog
         elapsed_ms = 1000.0 * (time.perf_counter() - started)
         stages = None
@@ -950,14 +954,15 @@ class SearchRequestHandler(JsonRequestHandler):
         )
 
     def _handle_score(self) -> None:
-        payload = self._read_json()
-        service = self.server.registry.get(route_from_payload(payload))
+        body = self._read_body()
+        query = dict(parse_qsl(urlsplit(self.path).query, keep_blank_values=True))
+        service = self.server.registry.get(route_from_payload(query))
         request_id, started = self._request_id(), time.perf_counter()
-        batch = score_request_from_payload(payload, service.index.dim)
-        reply = service.score_batch(*batch, request_id=request_id)
-        self._reply_search(
-            started, request_id, service.route, "score", reply, spectra=len(batch[1])
-        )
+        batch = decode_score_request(body, service.index.dim)
+        scored = service.score_batch(*batch, request_id=request_id)
+        with get_tracer().span("service.serialize", request_id=request_id, route=service.route):
+            self._send_body(200, encode_score_reply(*scored), SCORE_CONTENT_TYPE, request_id=request_id)
+        self._observe_slow(started, request_id, service.route, "score", spectra=len(batch[1]))
 
     def _handle_reload(self) -> None:
         payload: object = {}

@@ -15,7 +15,6 @@ invariant.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import dataclasses
 import http.client
@@ -59,7 +58,13 @@ from repro.service import (
     ServiceMetrics,
     start_server,
 )
-from repro.service.protocol import score_request_to_payload, spectrum_to_payload
+from repro.service.protocol import (
+    SCORE_CONTENT_TYPE,
+    decode_score_request,
+    encode_score_reply,
+    encode_score_request,
+    spectrum_to_payload,
+)
 from repro.store import SegmentedSearcher, SegmentedStore, build_store
 
 MODES = ("open", "standard", "cascade")
@@ -681,8 +686,10 @@ class TestCoordinatorHTTP:
             ("/reload", {"route": "default", "remove": True}),
             ("/reload", {"route": "extra", "remove": True}),
             ("/score", None),
+            ("/score", {"packed": "", "dim": 256, "masses": [], "charges": [], "half_width": 1.0}),
         ],
-        ids=["reload", "swap", "add-route", "ann", "remove-default", "remove-unknown", "score"],
+        ids=["reload", "swap", "add-route", "ann", "remove-default", "remove-unknown", "score",
+             "score-json-body"],
     )
     def test_endpoints_new_to_the_coordinator_end_typed(
         self, coordinator_stack, store, queries, baseline, path, body
@@ -729,11 +736,10 @@ class TestCoordinatorHTTP:
             connection.close()
             client = SearchClient(url)
             packed, masses, charges = _encoded(store, queries[:2])
-            score_body = score_request_to_payload(packed, store.dim, masses, charges, 500.0)
             for call in (
                 lambda: client.search(queries[0]),
                 lambda: client.search_batch(queries[:2]),
-                lambda: client._request("POST", "/score", score_body),
+                lambda: client.score(packed, store.dim, masses, charges, 500.0),
             ):
                 with pytest.raises(ServiceError, match="every replica failed") as info:
                     call()
@@ -912,12 +918,16 @@ class _StubWorker(http.server.ThreadingHTTPServer):
     ``/healthz`` says ok and reports ``encoding`` without naming a row
     count or search config, so the coordinator's cross-check has
     nothing to reject.  ``status`` other than 200 fails every
-    ``/score``; ``drop`` removes one field from its reply.
+    ``/score``; ``drop`` removes one column from its reply; ``json_reply``
+    answers in the JSON reply of the codec before binary frames, with
+    every query winning row 0.
     """
 
     daemon_threads = True
 
-    def __init__(self, encoding, parked: bool = False, status: int = 200, drop=None):
+    def __init__(
+        self, encoding, parked: bool = False, status: int = 200, drop=None, json_reply=False
+    ):
         self.parked = parked
         self.release = threading.Event()
         self.batches = 0
@@ -931,9 +941,11 @@ class _StubWorker(http.server.ThreadingHTTPServer):
                 pass
 
             def _reply(self, payload, status=200):
-                body = json.dumps(payload).encode()
+                body, kind = payload, SCORE_CONTENT_TYPE
+                if not isinstance(payload, bytes):
+                    body, kind = json.dumps(payload).encode(), "application/json"
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Type", kind)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
@@ -943,21 +955,28 @@ class _StubWorker(http.server.ThreadingHTTPServer):
 
             def do_POST(self):  # noqa: N802 - http.server API
                 length = int(self.headers["Content-Length"])
-                n = len(json.loads(self.rfile.read(length))["masses"])
+                body = self.rfile.read(length)
+                n = len(decode_score_request(body, encoding["space"]["dim"])[1])
                 stub.batches += 1
                 stub.request_ids.append(self.headers.get("X-Request-Id"))
                 if stub.parked:
                     stub.release.wait(60)
                     self.close_connection = True
                     return
-                reply = {
-                    "counts": [0] * n,
-                    "scores": [-np.inf] * n,
-                    "masses": [np.inf] * n,
-                    "positions": [-1] * n,
-                    "records": [None] * n,
+                if json_reply:
+                    record = dataclasses.asdict(ReferenceRecord("r0", "PEPTIDEK/2", False, 1000.0, 2))
+                    self._reply({"counts": [1] * n, "scores": [9.0] * n, "masses": [1000.0] * n,
+                                 "positions": [0] * n, "records": [record] * n})
+                    return
+                columns = {
+                    "counts": np.zeros(n, np.int64),
+                    "scores": np.full(n, -np.inf),
+                    "masses": np.full(n, np.inf),
+                    "positions": np.full(n, -1),
                 }
-                reply.pop(drop, None)
+                if drop is not None:
+                    columns[drop] = columns[drop][:0]
+                reply = encode_score_reply(**columns, records=[None] * n)
                 self._reply(reply if status == 200 else {"error": "boom"}, status)
 
         super().__init__(("127.0.0.1", 0), Handler)
@@ -1101,6 +1120,31 @@ class TestCoordinatorRobustness:
         finally:
             coordinator.close()
             failing.stop()
+            fleet.close()
+
+    def test_a_worker_answering_the_json_reply_fails_its_call(self, store, queries, baseline):
+        # Version skew: a worker still on the JSON /score reply names a
+        # winner for every query.  Its call fails like a transport error:
+        # retried on a sibling, or the partition's "every replica
+        # failed" -- never a PSM built from it.
+        plan = PartitionPlan.build(store, 1, "rows")
+        stale = _StubWorker(_encoding(store), json_reply=True)
+        fleet = _Fleet([store.root])
+        payloads = [spectrum_to_payload(query) for query in queries[:3]]
+        expected = [baseline.get(query.identifier) for query in queries[:3]]
+        try:
+            with Coordinator(
+                plan.partitions, [[stale.url, fleet.urls[0]]], probe_interval=30.0
+            ) as coordinator:
+                for _ in range(2):  # both round-robin phases
+                    assert coordinator.search_payloads(payloads) == expected
+                assert coordinator.metrics.retries.value(partition=str(plan.partitions[0].index)) == 1
+            with Coordinator(plan.partitions, [[stale.url]], probe_interval=30.0) as coordinator:
+                with pytest.raises(CoordinatorError, match="every replica failed.*HDSC"):
+                    coordinator.search_payloads(payloads)
+            assert stale.batches == 2
+        finally:
+            stale.stop()
             fleet.close()
 
     def test_mismatched_worker_is_marked_unhealthy(self, store):
@@ -1309,33 +1353,70 @@ class TestScoreHop:
     @pytest.mark.parametrize(
         "damage",
         ["short-block", "long-block", "wrong-dim", "ragged", "negative-width",
-         "nan-width", "not-base64", "missing-field"],
+         "nan-width", "bad-magic", "missing-field", "bad-version", "truncated-head",
+         "trailing-bytes", "empty"],
     )
     def test_bad_bodies_are_400_and_never_reach_the_engine(
         self, worker, store, queries, damage
     ):
         client, calls = worker
         packed, masses, charges = _encoded(store, queries[:3])
-        body = score_request_to_payload(packed, store.dim, masses, charges, 500.0)
-        block = base64.b64decode(body["packed"])
-        body.update(
-            {
-                "short-block": {"packed": base64.b64encode(block[:-1]).decode()},
-                "long-block": {"packed": base64.b64encode(block + block[:8]).decode()},
-                "wrong-dim": {"dim": store.dim * 2},
-                "ragged": {"masses": body["masses"] + [1000.0]},
-                "negative-width": {"half_width": -1.0},
-                "nan-width": {"half_width": float("nan")},
-                "not-base64": {"packed": "not base64!"},
-                "missing-field": {},
-            }[damage]
-        )
-        if damage == "missing-field":
-            del body["charges"]
+        body = encode_score_request(packed, store.dim, masses, charges, 500.0)
+        block = packed.tobytes()
+        head, tail = body[: body.index(block)], body[body.index(block) + len(block) :]
+        body = {
+            "short-block": head + block[:-1] + tail,
+            "long-block": head + block + block[:8] + tail,
+            "wrong-dim": encode_score_request(packed, store.dim * 2, masses, charges, 500.0),
+            "ragged": encode_score_request(
+                packed, store.dim, np.append(masses, 1000.0), charges, 500.0
+            ),
+            "negative-width": encode_score_request(packed, store.dim, masses, charges, -1.0),
+            "nan-width": encode_score_request(packed, store.dim, masses, charges, float("nan")),
+            "bad-magic": b"JSON" + body[4:],
+            "missing-field": head + block + tail[: 8 * len(masses)],
+            "bad-version": body[:4] + (2).to_bytes(4, "little") + body[8:],
+            "truncated-head": head[:-1],
+            "trailing-bytes": body + b"\0",
+            "empty": b"",
+        }[damage]
         with pytest.raises(ServiceError) as info:
-            client._request("POST", "/score", body)
+            client._exchange("POST", "/score", body, {"Content-Type": SCORE_CONTENT_TYPE})
         assert info.value.status == 400
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "mass, charge", [(float("nan"), 2), (float("inf"), 2), (-float("inf"), 2), (1000.0, 0),
+                         (1000.0, -3)],
+        ids=["nan-mass", "inf-mass", "minus-inf-mass", "zero-charge", "negative-charge"],
+    )
+    def test_corrupt_masses_and_charges_are_400(self, worker, store, queries, mass, charge):
+        # Scored, a non-finite mass is a silent empty window and a
+        # charge below 1 an empty or wrong one: refused before the engine.
+        client, calls = worker
+        packed, masses, charges = _encoded(store, queries[:2])
+        masses[1], charges[1] = mass, charge
+        with pytest.raises(ServiceError, match="finite.*charge >= 1") as info:
+            client.score(packed, store.dim, masses, charges, 500.0)
+        assert info.value.status == 400
+        assert calls == []
+
+    def test_a_json_body_is_400_naming_the_codec(self, worker):
+        client, calls = worker
+        with pytest.raises(ServiceError, match="application/octet-stream") as info:
+            client._request("POST", "/score", {"packed": "", "dim": 256, "masses": []})
+        assert info.value.status == 400
+        assert calls == []
+
+    def test_route_travels_in_the_query_string(self, worker, store, queries):
+        client, calls = worker
+        packed, masses, charges = _encoded(store, queries[:2])
+        assert len(client.score(packed, store.dim, masses, charges, 500.0, route="default")[4]) == 2
+        for route, status in (("nope", 404), ("bad name!", 400), ("", 400)):
+            with pytest.raises(ServiceError) as info:
+                client.score(packed, store.dim, masses, charges, 500.0, route=route)
+            assert info.value.status == status
+        assert len(calls) == 1
 
 
 class TestEncodingCrossCheck:

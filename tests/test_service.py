@@ -13,6 +13,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EngineConfig
 from repro.index import LibraryIndex, ReferenceRecord
@@ -38,7 +40,12 @@ from repro.service import (
     spectrum_to_payload,
     start_server,
 )
-from repro.service.protocol import score_reply_from_payload
+from repro.service.protocol import (
+    decode_score_reply,
+    decode_score_request,
+    encode_score_reply,
+    encode_score_request,
+)
 from repro.service.scheduler import MAX_BATCH
 
 
@@ -146,49 +153,112 @@ class TestProtocol:
         assert len({base, other_mode, other_window, other_ann}) == 4
 
 
-def _score_reply():
+_RECORD = ReferenceRecord("r7", "PEPTIDEK/2", False, 1001.5, 2)
+
+
+def _score_reply(**changes):
     """A two-query ``/score`` reply as a worker sends it: one winner, one miss."""
-    record = ReferenceRecord("r7", "PEPTIDEK/2", False, 1001.5, 2)
-    return {
+    reply = {
         "counts": [3, 0],
-        "scores": [412.0, 0.0],
-        "masses": [1001.5, 0.0],
+        "scores": [412.0, -np.inf],
+        "masses": [1001.5, np.inf],
         "positions": [7, -1],
-        "records": [dataclasses.asdict(record), None],
+        "records": [_RECORD, None],
     }
+    return encode_score_reply(**{**reply, **changes})
 
 
 class TestScoreReply:
     """The coordinator checks each worker's ``/score`` reply before merging it."""
 
     def test_reply_parses_into_typed_columns_and_records(self):
-        counts, scores, masses, positions, records = score_reply_from_payload(_score_reply(), 2)
+        counts, scores, masses, positions, records = decode_score_reply(_score_reply(), 2)
         assert counts.dtype == np.int64 and positions.dtype == np.int64
         assert scores.dtype == np.float64 and masses.dtype == np.float64
         assert positions.tolist() == [7, -1]
-        assert records == [ReferenceRecord("r7", "PEPTIDEK/2", False, 1001.5, 2), None]
+        assert records == [_RECORD, None]
+
+    def test_records_travel_as_one_json_array_after_the_columns(self):
+        tail = b'[["r7", "PEPTIDEK/2", false, 1001.5, 2], null]'
+        assert _score_reply().endswith(tail)
+        assert len(_score_reply()) == 16 + 4 * 2 * 8 + len(tail)
 
     @pytest.mark.parametrize(
         "damage",
         ["missing-column", "short-column", "record-without-winner",
-         "winner-without-record", "unknown-record-field", "other-query-count"],
+         "winner-without-record", "unknown-record-field", "other-query-count",
+         "truncated-head", "bad-magic", "bad-version", "trailing-bytes", "json-reply",
+         "records-not-an-array"],
     )
     def test_malformed_reply_raises(self, damage):
         reply, num_queries = _score_reply(), 2
+        tail = b'[["r7", "PEPTIDEK/2", false, 1001.5, 2], null]'
         if damage == "missing-column":
-            del reply["positions"]
+            reply = _score_reply(positions=[])
         elif damage == "short-column":
-            reply["scores"] = [412.0]
+            reply = _score_reply(scores=[412.0])
         elif damage == "record-without-winner":
-            reply["records"][1] = dict(reply["records"][0])
+            reply = _score_reply(records=[_RECORD, _RECORD])
         elif damage == "winner-without-record":
-            reply["records"][0] = None
+            reply = _score_reply(records=[None, None])
         elif damage == "unknown-record-field":
-            reply["records"][0]["spectrum"] = []
-        else:
+            reply = reply.replace(tail, b'[["r7", "PEPTIDEK/2", false, 1001.5, 2, []], null]')
+        elif damage == "other-query-count":
             num_queries = 3
+        elif damage == "truncated-head":
+            reply = reply[:15]
+        elif damage == "bad-magic":
+            reply = b"JSON" + reply[4:]
+        elif damage == "bad-version":
+            reply = reply[:4] + (2).to_bytes(4, "little") + reply[8:]
+        elif damage == "trailing-bytes":
+            reply += b"\0"
+        elif damage == "json-reply":  # the codec before binary frames
+            reply = b'{"counts": [3, 0], "positions": [7, -1], "records": []}'
+        else:
+            reply = reply.replace(tail, b'{"r7": null}')
         with pytest.raises(ProtocolError):
-            score_reply_from_payload(reply, num_queries)
+            decode_score_reply(reply, num_queries)
+
+
+class TestScoreCodec:
+    """Both ``/score`` frames round-trip exactly, at any width and query count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 33]),
+        dim=st.sampled_from([8, 13, 8192]),
+        half_width=st.floats(0.0, 1e6),
+        data=st.data(),
+    )
+    def test_request_and_reply_round_trip(self, n, dim, half_width, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        packed = rng.integers(0, 256, (n, (dim + 7) // 8), dtype=np.uint8)
+        masses = rng.uniform(100.0, 5000.0, n)
+        charges = rng.integers(1, 6, n)
+        body = encode_score_request(packed, dim, masses, charges, half_width)
+        got = decode_score_request(body, dim)
+        assert np.array_equal(got[0], packed) and got[0].shape == packed.shape
+        assert got[1].tolist() == masses.tolist() and got[2].tolist() == charges.tolist()
+        assert got[3] == half_width
+        found = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        records = [
+            ReferenceRecord(f"q{i}", data.draw(st.none() | st.text()), data.draw(st.booleans()),
+                            data.draw(st.floats(allow_nan=False)), data.draw(st.integers(1, 9)))
+            if hit else None
+            for i, hit in enumerate(found)
+        ]
+        # A miss is the empty-window row (0, -inf, +inf, -1).
+        columns = (
+            np.array([rng.integers(1, 1000) if hit else 0 for hit in found], np.int64),
+            np.array([rng.normal() if hit else -np.inf for hit in found]),
+            np.array([rng.uniform(0, 1e4) if hit else np.inf for hit in found]),
+            np.array([rng.integers(0, 10**9) if hit else -1 for hit in found], np.int64),
+        )
+        decoded = decode_score_reply(encode_score_reply(*columns, records), n)
+        for column, want in zip(decoded[:4], columns):
+            assert column.dtype == want.dtype and column.tolist() == want.tolist()
+        assert decoded[4] == records
 
 
 # ----------------------------------------------------------------------
