@@ -8,7 +8,9 @@ production shape of the system:
 1. encode + persist the library as a ``.npz`` index (pay once);
 2. reload it (memory-mapped, milliseconds) and serve query batches —
    here twice: single-process via ``HDOmsSearcher.from_index`` and
-   sharded across scoring threads via ``ShardedSearcher``;
+   sharded across scoring threads via ``SegmentedSearcher``, which
+   adopts the loaded index as a one-segment store and splits it into
+   row ranges;
 3. verify both returned exactly the same PSMs as a searcher built from
    scratch.
 
@@ -28,10 +30,11 @@ from pathlib import Path
 from repro.ann import AnnConfig
 from repro.engine import EngineConfig
 from repro.hdc import HDSpaceConfig, SpectrumEncoder, HDSpace
-from repro.index import LibraryIndex, ShardedSearcher
+from repro.index import LibraryIndex
 from repro.ms import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
 from repro.oms import HDOmsSearcher, HDSearchConfig
+from repro.store import SegmentedSearcher
 
 USE_ANN = "--ann" in sys.argv[1:]
 # A low threshold and a quarter-row prefix (8 of the 32 words of a
@@ -80,7 +83,7 @@ with tempfile.TemporaryDirectory() as scratch:
     # --- 2b. search #2: same index, sharded fan-out -------------------
     start = time.perf_counter()
     engine = EngineConfig(num_shards=4, num_workers=None)  # one thread per core
-    with ShardedSearcher(loaded, engine=engine) as sharded:
+    with SegmentedSearcher(loaded, engine=engine) as sharded:
         second = sharded.search(workload.queries)
     second_s = time.perf_counter() - start
     print(

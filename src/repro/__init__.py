@@ -19,11 +19,12 @@ Subpackages
     target-decoy FDR, end-to-end pipeline.
 ``repro.index``
     Persistent encoded-library index (build once, ``.npz`` on disk,
-    memory-mapped load) and the sharded searcher.
+    memory-mapped load).
 ``repro.store``
-    Out-of-core segmented library store: streaming ingest bounded by
-    ``segment_rows``, append/merge compaction, manifest provenance,
-    and the lazily-opening ``SegmentedSearcher``.
+    Out-of-core segmented library store and the one read path: streaming
+    ingest bounded by ``segment_rows``, append/merge compaction, manifest
+    provenance, and ``SegmentedSearcher``, which searches every library
+    (a bare ``.npz`` opens as a one-segment store).
 ``repro.engine``
     ``EngineConfig`` — the single engine-construction config accepted
     by every searcher, the service layer, and the CLI flag group.

@@ -20,8 +20,9 @@ def lazy_exports(
 
     Args:
         namespace: The package's ``globals()``.
-        table: Submodule name (relative to the package) -> the public
-            names it defines, in ``__all__`` order.
+        table: Submodule name (relative to the package; a leading
+            ``.`` climbs to the parent, as in a relative import) -> the
+            public names it defines, in ``__all__`` order.
 
     A name that is also the name of its own submodule (``repro.ms``'s
     ``vectorize``) is bound at once: importing the submodule later would
@@ -31,7 +32,7 @@ def lazy_exports(
     home = {name: module for module, names in table.items() for name in names}
 
     def resolve(name: str) -> object:
-        value = getattr(importlib.import_module(f"{package}.{home[name]}"), name)
+        value = getattr(importlib.import_module(f".{home[name]}", package), name)
         namespace[name] = value  # later reads skip __getattr__
         return value
 

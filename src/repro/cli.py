@@ -1028,27 +1028,6 @@ def _print_ann_summary(searcher, stream) -> None:
     )
 
 
-def _open_searcher(index_path: Path, *, windows, config, engine):
-    """Open the right searcher for a path: segmented store vs ``.npz``.
-
-    :func:`repro.index.open_search_source` decides: a directory (or an
-    explicit ``manifest.json``) opens lazily behind a
-    :class:`~repro.store.SegmentedSearcher`; anything else loads as a
-    monolithic index behind a
-    :class:`~repro.index.sharded.ShardedSearcher`, without importing the
-    store tier.  Both support the context-manager protocol and release
-    their scoring threads on ``close``.
-    """
-    from .index.library import LibraryIndex, open_search_source
-
-    source = open_search_source(index_path)
-    if isinstance(source, LibraryIndex):
-        from .index.sharded import ShardedSearcher as searcher_type
-    else:
-        from .store.search import SegmentedSearcher as searcher_type
-    return searcher_type(source, windows=windows, config=config, engine=engine)
-
-
 def _cmd_index_search(args) -> int:
     import time
 
@@ -1057,6 +1036,7 @@ def _cmd_index_search(args) -> int:
     from .oms.candidates import WindowConfig
     from .oms.fdr import grouped_fdr
     from .oms.candidates import HDSearchConfig
+    from .store.search import SegmentedSearcher
 
     if args.chunk_size < 1:
         print(f"--chunk-size must be >= 1, got {args.chunk_size}", file=sys.stderr)
@@ -1085,15 +1065,15 @@ def _cmd_index_search(args) -> int:
         open_window_da=args.open_window,
     )
     start = time.perf_counter()
-    searcher_cm = _open_searcher(
+    # Any library path: a store opens lazily, a .npz as one segment.
+    searcher_cm = SegmentedSearcher(
         args.index_path,
         windows=windows,
         config=HDSearchConfig(mode=args.mode, ann=ann),
         engine=engine,
     )
     load_seconds = time.perf_counter() - start
-    source = getattr(searcher_cm, "store", None) or searcher_cm.index
-    print(source.summary(), file=info)
+    print(searcher_cm.store.summary(), file=info)
     print(
         f"opened {args.index_path} in {load_seconds * 1000:.1f} ms "
         "(encoding skipped)",
@@ -1343,6 +1323,7 @@ def cmd_profile(args) -> int:
     from .obs.trace import DEFAULT_CAPACITY, get_tracer, new_request_id
     from .oms.candidates import WindowConfig
     from .oms.candidates import HDSearchConfig
+    from .store.search import SegmentedSearcher
 
     try:
         ann = _ann_config_from_args(args)
@@ -1383,7 +1364,7 @@ def cmd_profile(args) -> int:
     )
     try:
         start = time.perf_counter()
-        with _open_searcher(
+        with SegmentedSearcher(
             args.index_path,
             windows=windows,
             config=HDSearchConfig(mode=args.mode, ann=ann),

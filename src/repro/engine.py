@@ -21,9 +21,8 @@ from .ann import AnnConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .oms.candidates import HDSearchConfig
 
-#: The engine families a config can request.  ``auto`` defers the
-#: choice to the consumer (``segmented`` for manifest-backed stores,
-#: ``sharded`` for monolithic indexes).
+#: The values :attr:`EngineConfig.kind` accepts.  All name the one
+#: library provider; see that field.
 ENGINE_KINDS = ("auto", "sharded", "segmented")
 
 #: The values :attr:`EngineConfig.executor` accepts.  Both name the one
@@ -36,12 +35,16 @@ class EngineConfig:
     """How to build and drive a search engine.
 
     Attributes:
-        kind: Engine family — one of :data:`ENGINE_KINDS`.  ``auto``
-            lets the consumer pick.
-        num_shards: Contiguous row partitions per index (each becomes
-            one scoring task per query micro-batch).
+        kind: Validated but inert: every library is searched by
+            :class:`~repro.store.SegmentedSearcher`, whatever this names
+            (any value outside :data:`ENGINE_KINDS` is rejected).  Like
+            ``executor`` it survives only because the layer harness
+            (``bench/layers.py``) still passes it.
+        num_shards: Least number of contiguous row-range parts (store
+            segments split to reach it; each part is one scoring task
+            per query micro-batch).
         num_workers: Scoring-thread count; ``None`` auto-sizes to
-            ``min(num_shards, cpu_count)``, ``0`` scores serially in the
+            ``min(parts, cpu_count)``, ``0`` scores serially in the
             calling thread (as does an engine that resolves to one
             worker).
         executor: Validated but inert: ``"thread"`` and ``"process"``
@@ -50,7 +53,7 @@ class EngineConfig:
             layer harness (``bench/layers.py``) still constructs
             ``executor="process"`` engines for its ``exec.process_*``
             rungs; the benchmark change that retires those rungs
-            deletes this field too.
+            deletes this field and ``kind`` too.
         ann: Optional :class:`~repro.ann.AnnConfig` enabling the
             truncated-precision candidate pass.
     """

@@ -1,4 +1,4 @@
-"""Persistent encoded-library index and sharded parallel search.
+"""Persistent encoded-library index.
 
 The expensive half of open modification search — encoding a spectral
 library into hypervectors — is a pure function of (space config, binning
@@ -9,11 +9,9 @@ bit matrix back on load so a service process can start searching without
 re-paying the build cost (the same amortisation argument HyperOMS makes
 for GPUs and ANN-SoLo makes for its on-disk ANN index).
 
-:class:`ShardedSearcher` consumes a loaded index, partitions it into N
-row shards, and scores every query batch against all of them through
-the shared fan-out core (:mod:`repro.oms.loop`) — serially or on the
-core's threads, in-process over the index's own packed rows.  Results
-are bit-identical to :class:`~repro.oms.search.HDOmsSearcher`.
+Searching goes through the store tier: :class:`repro.store.SegmentedSearcher`
+opens a ``.npz`` (or adopts a loaded index) as a one-segment store and
+splits it into ``EngineConfig.num_shards`` row-range parts.
 """
 
 from .._lazy import lazy_exports
@@ -26,8 +24,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "IndexCompatibilityError",
             "LibraryIndex",
             "ReferenceRecord",
-            "open_search_source",
         ],
-        "sharded": ["ShardedSearcher"],
+        # The layer harness's name for repro.store.SegmentedSearcher.
+        ".store.search": ["ShardedSearcher"],
     },
 )

@@ -36,7 +36,7 @@ import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,9 +57,6 @@ INDEX_FORMAT_VERSION = 2
 
 #: Default number of spectra encoded per ``encode_batch`` call.
 DEFAULT_CHUNK_SIZE = 512
-
-#: The manifest file of a segmented store directory (:mod:`repro.store`).
-MANIFEST_NAME = "manifest.json"
 
 
 class IndexCompatibilityError(ValueError):
@@ -204,31 +201,6 @@ class LibraryIndex:
             )
         #: Set by :meth:`attach_ann`; never persisted.
         self.ann: Optional[AnnRows] = None
-
-    def shard_bounds(self, num_shards: int) -> List[Tuple[int, int]]:
-        """Contiguous ``[start, stop)`` row ranges splitting the library.
-
-        Matches ``np.array_split`` semantics (the first ``n % k`` shards
-        get one extra row), so shard payloads can be zero-copy row-range
-        views of the packed matrix — contiguity is what lets the exec
-        layer share slabs instead of gather copies.
-
-        Raises:
-            ValueError: If ``num_shards`` is outside ``[1, num_rows]``.
-        """
-        total = self.num_references
-        if not 1 <= num_shards <= total:
-            raise ValueError(
-                f"cannot split {total} references into {num_shards} shards"
-            )
-        base, extra = divmod(total, num_shards)
-        bounds: List[Tuple[int, int]] = []
-        start = 0
-        for shard in range(num_shards):
-            stop = start + base + (1 if shard < extra else 0)
-            bounds.append((start, stop))
-            start = stop
-        return bounds
 
     # ------------------------------------------------------------------
     # construction
@@ -574,21 +546,3 @@ class LibraryIndex:
             f"{self.nbytes() / 1024:.0f} KiB packed, "
             f"charges {sorted(set(self.charges.tolist()))}"
         )
-
-
-def open_search_source(path: Union[str, Path]):
-    """Open either index flavor from one path argument.
-
-    A directory (or an explicit ``manifest.json`` path) opens as a
-    :class:`~repro.store.SegmentedStore`; anything else loads as a
-    monolithic :class:`LibraryIndex` archive.  This is the dispatch every
-    CLI verb and service route uses, so segmented stores are accepted
-    anywhere a ``.npz`` path was.  The store tier is imported only for a
-    store path.
-    """
-    path = Path(path)
-    if path.is_dir() or path.name == MANIFEST_NAME:
-        from ..store.store import SegmentedStore
-
-        return SegmentedStore.open(path)
-    return LibraryIndex.load(path)

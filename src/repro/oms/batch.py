@@ -173,6 +173,15 @@ class BatchedHDOmsSearcher(FanOutSearcher):
             num_parts=1,
             label="batched",
         )
-        searcher._adopt_index(index, 1)
+        # Same RNG draw order as HDOmsSearcher: one flip pass over the
+        # full matrix before any query is touched.
+        searcher._adopt_rows(
+            index.record,
+            flip_packed(index.packed, index.dim, reference_ber, searcher._noise_rng),
+            index.neutral_masses,
+            index.charges,
+            index.dim,
+            [(0, index.num_references)],
+        )
         searcher.warm()
         return searcher

@@ -16,11 +16,11 @@ The searchers are row-layout providers on top of it — they say which
 parts exist, how a part is opened and which record sits at library row
 *p*:
 
-* :class:`~repro.oms.batch.BatchedHDOmsSearcher` — one in-process part;
-* :class:`~repro.index.sharded.ShardedSearcher` — N row ranges of one
-  index;
-* :class:`~repro.store.search.SegmentedSearcher` — lazily opened,
-  mass-pruned store segments;
+* :class:`~repro.oms.batch.BatchedHDOmsSearcher` — one in-process part
+  over raw spectra or an index;
+* :class:`~repro.store.search.SegmentedSearcher` — the one library
+  provider: row ranges of lazily opened, mass-pruned store segments
+  (a ``.npz`` or in-memory index is a one-segment store);
 * :class:`~repro.coord.coordinator.Coordinator` — partitions scored by
   ``repro serve`` workers over the ``/score`` hop.
 
@@ -34,7 +34,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,16 +49,13 @@ from .candidates import ENCODE_BLOCK_SIZE, HDSearchConfig, WindowConfig
 from .kernel import ShardScorer, shard_payload
 from .psm import PSM, SearchResult
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..index.library import LibraryIndex
-
 
 class FanOutSearcher:
     """Preprocess → encode → BER → mode/cascade → scored, merged pass.
 
     Subclasses call :meth:`_init_core`, then either hand over rows that
-    are already in memory (:meth:`_adopt_rows` / :meth:`_adopt_index`:
-    contiguous row ranges, every range scored for every query) or set
+    are already in memory (:meth:`_adopt_rows`: contiguous row ranges,
+    every range scored for every query) or set
     :attr:`_hulls` and override
 
     * ``_part_payload(part)`` — the :func:`~repro.oms.kernel.shard_payload`
@@ -71,9 +68,6 @@ class FanOutSearcher:
     #: Names one unit of fan-out in spans (``<part>.fanout`` /
     #: ``<part>.score`` / ``<part>.merge``).
     part_name = "shard"
-    #: The :attr:`EngineConfig.kind` this provider answers to besides
-    #: ``"auto"`` (``None`` = any).
-    engine_kind: Optional[str] = None
     #: ``(parts, 2)`` precursor-mass hull ``[min, max]`` of every part,
     #: or ``None`` to route every query to every part.
     _hulls: Optional[np.ndarray] = None
@@ -95,10 +89,6 @@ class FanOutSearcher:
         (``None`` = one per part up to the CPU count); zero or one
         worker scores serially in the calling thread.
         """
-        if self.engine_kind and engine.kind not in ("auto", self.engine_kind):
-            raise ValueError(
-                f"{type(self).__name__} cannot host engine kind {engine.kind!r}"
-            )
         self.encoder = encoder
         self.preprocessing = preprocessing
         self.windows = windows or WindowConfig()
@@ -146,22 +136,6 @@ class FanOutSearcher:
         """
         for part in range(len(self._bounds)):
             self._scorer(part)
-
-    def _adopt_index(self, index: "LibraryIndex", num_parts: int) -> None:
-        """Lay a library index out as ``num_parts`` row ranges."""
-        # Same RNG draw order as HDOmsSearcher: one flip pass over the
-        # full matrix before any query is touched.
-        packed = flip_packed(
-            index.packed, index.dim, self.config.reference_ber, self._noise_rng
-        )
-        self._adopt_rows(
-            index.record,
-            packed,
-            index.neutral_masses,
-            index.charges,
-            index.dim,
-            index.shard_bounds(num_parts),
-        )
 
     def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """``(parts, queries)`` mask: may part *p* hold a row in ``[lows[q], highs[q]]``?

@@ -70,12 +70,12 @@ def normalize_index_sources(indexes: IndexSources) -> "Dict[str, object]":
     A bare path / index becomes the single :data:`DEFAULT_ROUTE` entry,
     preserving the original single-index ``serve()`` signature.
     """
-    if isinstance(indexes, (str, Path, LibraryIndex, SegmentedStore, FanOutSearcher)):
-        return {DEFAULT_ROUTE: indexes}
     if isinstance(indexes, Mapping):
         items = list(indexes.items())
-    else:
+    elif isinstance(indexes, (list, tuple)):
         items = [tuple(entry) for entry in indexes]
+    else:
+        return {DEFAULT_ROUTE: indexes}
     if not items:
         raise ValueError("at least one index route is required")
     out: Dict[str, object] = {}

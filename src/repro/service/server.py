@@ -64,8 +64,7 @@ from urllib.parse import parse_qsl, urlsplit
 from ..ann import AnnConfig
 from ..constants import DEFAULT_OPEN_WINDOW_DA, DEFAULT_STANDARD_WINDOW_DA
 from ..engine import EngineConfig
-from ..index.library import LibraryIndex, open_search_source
-from ..index.sharded import ShardedSearcher
+from ..index.library import LibraryIndex
 from ..store import SegmentedSearcher, SegmentedStore
 from ..ms.spectrum import Spectrum
 from ..obs.slowlog import DEFAULT_SLOW_MS, SlowQueryLog, stage_breakdown
@@ -114,10 +113,9 @@ class ServiceConfig:
 
     Engine construction is configured by ``engine_config`` (an
     :class:`~repro.engine.EngineConfig`, default: one shard scored
-    in-process).  The index decides the engine family — a segmented
-    searcher for manifest-backed stores, a sharded one for monolithic
-    indexes — and every configuration over the same index rows returns
-    bit-identical PSMs.
+    in-process).  Every library is searched by the one
+    :class:`~repro.store.SegmentedSearcher`, and every configuration
+    over the same index rows returns bit-identical PSMs.
 
     An ``engine_config.ann`` (:class:`~repro.ann.AnnConfig`) turns on
     the truncated-precision candidate pass for this route's engine;
@@ -186,8 +184,11 @@ class SearchService:
     Parameters
     ----------
     index:
-        A loaded :class:`LibraryIndex` or a path to a persisted one.
-        Passing a path enables argument-less :meth:`reload`.  A ready
+        A loaded :class:`LibraryIndex`, an open
+        :class:`~repro.store.SegmentedStore`, or a path to either (a
+        ``.npz`` or a store directory); the service searches it with
+        :class:`~repro.store.SegmentedSearcher`.  Passing a path enables
+        argument-less :meth:`reload`.  A ready
         engine — the :class:`~repro.coord.coordinator.Coordinator`,
         whose rows live on its workers — is served as it is: it
         reports its own health and topology, it cannot be reloaded, and
@@ -221,10 +222,9 @@ class SearchService:
         # idempotent, so routes sharing one ServiceMetrics attach once.
         self.metrics.attach(get_tracer())
         if isinstance(index, (str, Path)):
-            # A directory (or manifest.json) opens as a SegmentedStore;
-            # anything else loads as a monolithic .npz index.
+            # Any library path opens as a store the service owns.
             self.index_path: Optional[Path] = Path(index)
-            self.index = open_search_source(self.index_path)
+            self.index = SegmentedStore.open(self.index_path)
         else:
             self.index_path = None
             self.index = index
@@ -268,10 +268,9 @@ class SearchService:
     ):
         """Build the warm searcher + the cache fingerprint for it.
 
-        A manifest-backed store gets the segmented searcher, a
-        monolithic index the sharded one (a single in-process part by
-        default); ``EngineConfig.kind`` may only agree with that.  A
-        ready engine is its own searcher.
+        Every library is searched by :class:`SegmentedSearcher` (one
+        in-process part per segment by default); a ready engine is its
+        own searcher.
         """
         config = config or self.config
         windows = config.windows()
@@ -279,18 +278,16 @@ class SearchService:
         if not self.reloadable:
             provenance = {"engine": index.backend_name}
             return index, index.backend_name, config_fingerprint(provenance, windows, search_config)
-        segmented = isinstance(index, SegmentedStore)
-        engine = (SegmentedSearcher if segmented else ShardedSearcher)(
+        engine = SegmentedSearcher(
             index,
             windows=windows,
             config=search_config,
             engine=config.resolved_engine(),
         )
-        if not segmented:
-            # The rows are in memory: lay them out before the route
-            # takes (or a reload hands over) its first request.  Store
-            # segments stay lazy, that is their pruning.
-            engine.warm()
+        # Rows already in memory (a .npz) are laid out before the route
+        # takes (or a reload hands over) its first request; manifest
+        # segments stay lazy, that is their pruning.
+        engine.warm()
         fingerprint = config_fingerprint(
             index.provenance(), windows, search_config
         )
@@ -584,8 +581,9 @@ class SearchService:
                 "service was built from an in-memory index; "
                 "pass index_path to reload"
             )
-        new_index = open_search_source(path)
-        old_index = self.index
+        new_index = SegmentedStore.open(path)
+        # The service closes only a store it opened itself.
+        old_index = self.index if self.index_path is not None else None
 
         def install() -> None:
             self.index = new_index
@@ -593,7 +591,7 @@ class SearchService:
 
         built = self._build_engine(new_index)
         self._swap_engine(built, install, "reload")
-        if isinstance(old_index, SegmentedStore) and old_index is not new_index:
+        if old_index is not None:
             old_index.close()
         logger.info(
             "route %s reloaded from %s (%d references, engine=%s)",
@@ -769,9 +767,9 @@ class SearchService:
             engine = self._engine
         if hasattr(engine, "close"):
             engine.close()
-        if self.index_path is not None and isinstance(self.index, SegmentedStore):
+        if self.index_path is not None:
             # The service opened this store itself (path source), so it
-            # owns the mmap'd segment cache; caller-provided stores are
+            # owns the mmap'd segment cache; a caller-provided library is
             # the caller's to close.
             self.index.close()
         if self._owns_metrics:

@@ -9,6 +9,10 @@ precursor-mass range.  Streaming ingest (:func:`build_store` /
 :class:`SegmentedSearcher` opens only the segments whose mass range a
 query batch can actually hit — all bit-identical to a monolithic
 single-``.npz`` search.
+
+This tier is the one read path: :meth:`SegmentedStore.open` also opens
+a bare ``.npz`` as a read-only one-segment store, and
+:class:`SegmentedSearcher` is the one library row-layout provider.
 """
 
 from .._lazy import lazy_exports
@@ -33,6 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "StoreManifest",
         ],
         "search": ["SegmentedSearcher"],
-        "store": ["SegmentedStore", "open_search_source"],
+        "store": ["SegmentedStore"],
     },
 )

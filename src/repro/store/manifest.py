@@ -34,17 +34,16 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..hdc.spaces import HDSpaceConfig
-from ..index.library import (
-    INDEX_FORMAT_VERSION,
-    MANIFEST_NAME,
-    IndexCompatibilityError,
-)
+from ..index.library import INDEX_FORMAT_VERSION, IndexCompatibilityError
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.vectorize import BinningConfig
 
 #: Bumped when the manifest layout or the encoding changes incompatibly
 #: (2: follows index format version 2's new ID codebook).
 STORE_FORMAT_VERSION = 2
+
+#: The manifest file of a store directory.
+MANIFEST_NAME = "manifest.json"
 
 #: The subdirectory holding segment archives.
 SEGMENT_DIR = "segments"

@@ -1,146 +1,209 @@
-"""Window-pruned search over a :class:`~repro.store.store.SegmentedStore`.
+"""The one library row-layout provider: store segments split into parts.
 
 A row-layout provider for the shared fan-out core
 (:class:`~repro.oms.loop.FanOutSearcher`, which owns the query loop,
-the scoring pass, the winner merge and the PSMs): the unit of fan-out
-is a manifest segment, and segments are strictly lazy.  The core's hull
-test routes each query to the segments whose recorded mass range meets
-its window (widened by the active half-width); a segment only opens
-once a query is routed to it and only scores those queries.  A skipped
-(query, segment) cell contributes zero candidate rows by construction,
-so pruning is exact: results are bit-identical to a monolithic search,
-``min_candidates`` gating included.
+the scoring pass, the winner merge and the PSMs).  Every library is a
+:class:`~repro.store.store.SegmentedStore` — a manifest store, a bare
+``.npz`` or an in-memory :class:`~repro.index.library.LibraryIndex`
+adopted as one segment — and every part is a contiguous row range of
+one segment: a segment is one part unless ``EngineConfig.num_shards``
+asks for more parts than there are segments.
 
-Each opened segment is scored straight from its mmap'd arrays, with
-positions offset to global row numbers.  Scoring runs in-process —
+The core's hull test routes each query to the parts whose segment's
+recorded mass range meets its window (widened by the active
+half-width); a segment only opens once a query is routed to it, and a
+part only scores those queries.  A skipped (query, part) cell
+contributes zero candidate rows by construction, so pruning is exact:
+results are bit-identical to a monolithic search, ``min_candidates``
+gating included.
+
+Each opened part is scored straight from its segment's mmap'd arrays,
+with positions offset to global row numbers.  Scoring runs in-process —
 serially or on the core's thread pool over the GIL-releasing kernels —
 so nothing is ever copied between processes.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..engine import EngineConfig
+from ..hdc.noise import flip_packed
 from ..index.library import IndexCompatibilityError, LibraryIndex, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
 from ..oms.candidates import WindowConfig
 from ..oms.loop import FanOutSearcher
 from ..oms.candidates import HDSearchConfig
+from .manifest import SegmentMeta
 from .store import SegmentedStore
 
 
+def part_layout(
+    segments: Sequence[SegmentMeta], num_parts: int
+) -> List[Tuple[int, int, int]]:
+    """``(segment, start, stop)`` of every part, in global row order.
+
+    Each segment is one part until ``num_parts`` asks for more; the
+    extra parts go, one at a time, to the segment with the most rows
+    per part, and a segment of *k* parts splits like ``np.array_split``
+    (the first ``rows % k`` parts one row longer).
+
+    Raises:
+        ValueError: If ``num_parts`` exceeds the library's rows.
+    """
+    rows = [meta.num_references for meta in segments]
+    if not rows:
+        return []
+    if num_parts > sum(rows):
+        raise ValueError(f"cannot split {sum(rows)} references into {num_parts} shards")
+    counts = [1] * len(rows)
+    for _ in range(num_parts - len(rows)):
+        widest = max(range(len(rows)), key=lambda s: rows[s] / counts[s])
+        counts[widest] += 1
+    layout = []
+    for segment, (total, count) in enumerate(zip(rows, counts)):
+        base, extra = divmod(total, count)
+        start = 0
+        for part in range(count):
+            stop = start + base + (1 if part < extra else 0)
+            layout.append((segment, start, stop))
+            start = stop
+    return layout
+
+
 class SegmentedSearcher(FanOutSearcher):
-    """Search a segmented store, opening only the segments a batch needs.
+    """Search a library, opening only the segments a batch needs.
 
     Parameters
     ----------
-    store:
-        An opened :class:`SegmentedStore` (or a path to one).
-    preprocessing / windows / config / encoder:
-        Same semantics as :class:`~repro.index.sharded.ShardedSearcher`.
+    library:
+        An opened :class:`SegmentedStore`, a :class:`LibraryIndex`
+        (adopted as a one-segment store) or a path
+        :meth:`SegmentedStore.open` accepts.
+    preprocessing / windows / config:
+        Stage configurations; preprocessing defaults to the library's
+        own.  ``config.reference_ber`` flips every segment, in manifest
+        order, at construction.
     engine:
-        :class:`~repro.engine.EngineConfig`; ``num_workers`` picks the
-        scoring thread count (``0`` = serial, ``None`` = auto up to the
-        segment count), ``num_shards`` is ignored (the manifest decides
-        the partitioning).
+        The :class:`~repro.engine.EngineConfig`: ``num_shards`` is the
+        least number of parts (segments split into contiguous row
+        ranges to reach it), ``num_workers`` the scoring thread count
+        (``0`` = serial, ``None`` = auto up to the part count), plus ANN.
+    encoder:
+        Optional pre-built query encoder; validated against the library
+        provenance.  By default it is rebuilt from the provenance.
     """
-
-    part_name = "segment"
-    engine_kind = "segmented"
 
     def __init__(
         self,
-        store: Union[SegmentedStore, str, Path],
+        library: Union[SegmentedStore, LibraryIndex, str, Path],
         preprocessing: Optional[PreprocessingConfig] = None,
         windows: Optional[WindowConfig] = None,
         config: Optional[HDSearchConfig] = None,
         engine: Optional[EngineConfig] = None,
         encoder=None,
     ) -> None:
-        if config is not None and config.reference_ber > 0:
-            raise ValueError(
-                "SegmentedSearcher does not support reference_ber: noise "
-                "injection over the full library would force every segment "
-                "open, defeating lazy segment pruning"
-            )
         # A searcher that opened the store itself owns it (and closes
         # it); a caller-provided store stays the caller's to close.
-        self._owns_store = not isinstance(store, SegmentedStore)
-        if self._owns_store:
-            store = SegmentedStore.open(store)
-        self.store = store
-        if encoder is not None and encoder.space.config != store.space_config:
+        self._owns_store = not isinstance(library, SegmentedStore)
+        if isinstance(library, LibraryIndex):
+            library = SegmentedStore.from_index(library)
+        elif self._owns_store:
+            library = SegmentedStore.open(library)
+        self.store = store = library
+        if encoder is not None and (
+            encoder.space.config, encoder.binning
+        ) != (store.space_config, store.binning):
             raise IndexCompatibilityError(
-                "encoder space config disagrees with the store provenance"
+                "encoder configuration disagrees with the library provenance"
             )
         engine = engine or EngineConfig()
+        metas = store.segment_metas
+        self._parts = part_layout(metas, engine.num_shards)
         self._init_core(
             encoder=encoder if encoder is not None else store.make_encoder(),
             preprocessing=preprocessing or store.preprocessing,
             windows=windows,
             config=config,
             engine=engine,
-            num_parts=store.num_segments,
-            label=f"segmentedx{store.num_segments}",
+            num_parts=len(self._parts),
+            label=f"shardedx{len(self._parts)}",
         )
-        self._offsets = store.offsets
-        hulls = [[meta.mass_min, meta.mass_max] for meta in store.segment_metas]
+        self._offsets = store.offsets.tolist()
+        hulls = [(metas[segment].mass_min, metas[segment].mass_max) for segment, *_ in self._parts]
         self._hulls = np.array(hulls).reshape(-1, 2)
         self._opened: Dict[int, LibraryIndex] = {}
+        self._flipped: Dict[int, np.ndarray] = {}
+        if self.config.reference_ber > 0:
+            # Same RNG draw order as HDOmsSearcher: flip_packed draws one
+            # row-major stream, so flipping the segments in manifest order
+            # is its one pass over the full matrix, before any query.
+            for segment in range(len(metas)):
+                self._flipped[segment] = flip_packed(
+                    store.segment(segment).packed, store.dim,
+                    self.config.reference_ber, self._noise_rng,
+                )
         # Guards the plain-int counters concurrent searches bump.
         self._stats_lock = threading.Lock()
         self._segments_opened_count = 0
         self._segment_batches: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # the row layout: lazily opened, mass-pruned segments
+    # the row layout: lazily opened, mass-pruned segment parts
     # ------------------------------------------------------------------
+
+    def warm(self) -> None:
+        """Lay out now every part of a segment that is already open.
+
+        Never opens a segment: an adopted ``.npz`` answers its first
+        request at full speed, a manifest store stays lazy — that is its
+        pruning.  A service calls this when it builds or reloads a route.
+        """
+        opened = self.store.open_segment_ids
+        for part, (segment, _start, _stop) in enumerate(self._parts):
+            if segment in opened:
+                self._scorer(part)
 
     def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """The core's routing mask; each segment it routes to counts as scored."""
         mask = super()._parts_for(lows, highs)
+        hits = mask.any(axis=1).tolist()
+        routed = {segment for (segment, *_), hit in zip(self._parts, hits) if hit}
         with self._stats_lock:
-            for segment_id in np.flatnonzero(mask.any(axis=1)).tolist():
-                self._segment_batches[segment_id] = (
-                    self._segment_batches.get(segment_id, 0) + 1
-                )
+            for segment in routed:
+                self._segment_batches[segment] = self._segment_batches.get(segment, 0) + 1
         return mask
 
-    def _part_payload(self, segment_id: int) -> Dict:
-        """Open one segment: its payload, the segment kept, one more open counted."""
-        segment = self.store.segment(segment_id)
+    def _part_payload(self, part: int) -> Dict:
+        """One part's payload, its segment opened (and counted) on first use."""
+        segment_id, start, stop = self._parts[part]
+        segment = self._opened.get(segment_id)
+        if segment is None:
+            segment = self._opened[segment_id] = self.store.segment(segment_id)
+            with self._stats_lock:
+                self._segments_opened_count += 1
         payload = self._payload(
-            segment_id,
-            (0, segment.num_references),
-            np.asarray(segment.packed),
+            part,
+            (start, stop),
+            self._flipped.get(segment_id, segment.packed),
             segment.neutral_masses,
             segment.charges,
             segment.dim,
         )
         # Winners must carry *global* row numbers so the exact
         # tie-break (score, mass, position) matches a monolithic index.
-        payload["positions"] = payload["positions"] + int(
-            self._offsets[segment_id]
-        )
-        self._opened[segment_id] = segment
-        with self._stats_lock:
-            self._segments_opened_count += 1
+        payload["positions"] = payload["positions"] + self._offsets[segment_id]
         return payload
 
     def _reference(self, global_position: int) -> ReferenceRecord:
         """Resolve a global row number to its segment's record."""
-        segment_id = (
-            int(np.searchsorted(self._offsets, global_position, side="right"))
-            - 1
-        )
-        return self._opened[segment_id].record(
-            global_position - int(self._offsets[segment_id])
-        )
+        segment_id = bisect.bisect_right(self._offsets, global_position) - 1
+        return self._opened[segment_id].record(global_position - self._offsets[segment_id])
 
     def close(self, timeout: float = 10.0) -> None:
         """Release the thread pool and drop every opened segment."""
@@ -170,3 +233,7 @@ class SegmentedSearcher(FanOutSearcher):
         """Per-segment count of scored batches (a stats snapshot)."""
         with self._stats_lock:
             return dict(self._segment_batches)
+
+
+#: The name the layer harness (``bench/layers.py``) still imports.
+ShardedSearcher = SegmentedSearcher

@@ -1,28 +1,28 @@
-"""Read side of a segmented store: lazy segments.
+"""Read side of a segmented store: lazy segments, and the one read path.
 
 :class:`SegmentedStore` opens the manifest only; segment archives are
 memory-mapped on first touch (:meth:`SegmentedStore.segment`) and
 cached.  The manifest's per-segment mass ranges are the hulls the
 searcher routes queries by, so a window-restricted search never pays
 I/O — or scorer memory — for segments it cannot match.  Per-segment
-open counters make that laziness assertable in tests.
+open counters make that laziness assertable in tests.  A bare ``.npz``
+(or an in-memory :class:`LibraryIndex`) opens as a one-segment store.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Iterator, List, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..hdc.spaces import HDSpaceConfig
 from ..index.library import LibraryIndex, ReferenceRecord
-# Re-exported as ``repro.store.open_search_source``.
-from ..index.library import open_search_source as open_search_source
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.vectorize import BinningConfig
 from .manifest import (
+    MANIFEST_NAME,
     SegmentIntegrityError,
     SegmentMeta,
     StoreCompatibilityError,
@@ -48,6 +48,8 @@ class SegmentedStore:
         """
         self.root = Path(root)
         self.manifest = manifest
+        # Adopted (in-memory) segments: never reloaded, never dropped.
+        self._resident: dict[int, LibraryIndex] = {}
         self._segments: dict[int, LibraryIndex] = {}
         self._open_counts = [0] * len(manifest.segments)
         # Searchers may share one store across scoring threads; the
@@ -56,9 +58,44 @@ class SegmentedStore:
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "SegmentedStore":
-        """Open a store from its root directory (or the manifest file)."""
-        manifest_path = StoreManifest.manifest_path(path)
-        return cls(manifest_path.parent, StoreManifest.load(manifest_path))
+        """Open any library path as a store.
+
+        A directory (or its ``manifest.json``) opens lazily from its
+        manifest; anything else loads as a :class:`LibraryIndex` archive
+        adopted by :meth:`from_index`.
+        """
+        path = Path(path)
+        if path.is_dir() or path.name == MANIFEST_NAME:
+            manifest_path = StoreManifest.manifest_path(path)
+            return cls(manifest_path.parent, StoreManifest.load(manifest_path))
+        return cls.from_index(LibraryIndex.load(path), path)
+
+    @classmethod
+    def from_index(
+        cls, index: LibraryIndex, path: Optional[Union[str, Path]] = None
+    ) -> "SegmentedStore":
+        """A read-only one-segment store over ``index``; nothing is written.
+
+        The manifest is built in memory from the index's provenance and
+        mass range; ``path``, the archive ``index`` came from, if any, is
+        the store root.  The segment stays resident: :meth:`close` keeps it.
+        """
+        manifest = StoreManifest.from_configs(
+            index.space_config, index.binning, index.preprocessing
+        )
+        masses = index.neutral_masses
+        manifest.segments.append(
+            SegmentMeta(
+                file="",
+                num_references=index.num_references,
+                mass_min=float(masses.min()),
+                mass_max=float(masses.max()),
+                source=index.source,
+            )
+        )
+        store = cls(path if path is not None else "<memory>", manifest)
+        store._resident[0] = store._segments[0] = index
+        return store
 
     # ------------------------------------------------------------------
     # segment access
@@ -131,6 +168,11 @@ class SegmentedStore:
         return index
 
     @property
+    def open_segment_ids(self) -> Tuple[int, ...]:
+        """Ids of the segments whose arrays are in memory now."""
+        return tuple(sorted(self._segments))
+
+    @property
     def offsets(self) -> np.ndarray:
         """Global row offset of each segment (manifest order)."""
         counts = [meta.num_references for meta in self.manifest.segments]
@@ -142,8 +184,9 @@ class SegmentedStore:
         return tuple(self._open_counts)
 
     def close(self) -> None:
-        """Drop cached segment arrays (mmaps release with them)."""
-        self._segments.clear()
+        """Drop cached segment arrays (mmaps release with them), bar adopted ones."""
+        with self._segment_lock:
+            self._segments = dict(self._resident)
 
     def __enter__(self) -> "SegmentedStore":
         return self
@@ -202,7 +245,9 @@ class SegmentedStore:
         return self.manifest.provenance()
 
     def summary(self) -> str:
-        """One-line human-readable description."""
+        """One-line human-readable description (an adopted index's own)."""
+        if self._resident:
+            return self._resident[0].summary()
         tiers = sorted({meta.tier for meta in self.manifest.segments})
         return (
             f"SegmentedStore: {self.num_references} references in "

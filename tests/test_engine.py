@@ -1,6 +1,6 @@
 """Tests for the unified EngineConfig API.
 
-Every engine entry point — :class:`ShardedSearcher`,
+Every engine entry point — :class:`SegmentedSearcher`,
 :class:`HDOmsSearcher.from_index`, :class:`BatchedHDOmsSearcher`,
 :class:`ServiceConfig` — accepts one :class:`EngineConfig`, and it is
 the only way to name an execution knob: the per-entry-point kwargs and
@@ -17,7 +17,7 @@ from repro.ann import AnnConfig
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index.library import LibraryIndex
-from repro.index.sharded import ShardedSearcher
+from repro.store import SegmentedSearcher
 from repro.oms.batch import BatchedHDOmsSearcher
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.service.server import ServiceConfig
@@ -83,31 +83,27 @@ class TestEngineConfigValidation:
 
 class TestShardedSearcherEngine:
     def test_bare_call_is_one_serial_shard(self, index, queries):
-        with ShardedSearcher(index) as searcher:
+        with SegmentedSearcher(index) as searcher:
             assert searcher.engine == EngineConfig()
-            assert (searcher.num_shards, searcher.executor_kind) == (1, "serial")
+            assert (searcher.backend_name, searcher.executor_kind) == ("shardedx1", "serial")
             assert len(searcher.search(queries).psms) > 0
 
     def test_legacy_kwargs_are_gone(self, index):
         for name in ("num_shards", "num_workers", "backend", "executor",
                      "score_block_rows", "pipeline_batch"):
             with pytest.raises(TypeError, match=name):
-                ShardedSearcher(index, **{name: None})
-
-    def test_engine_kind_mismatch_rejected(self, index):
-        with pytest.raises(ValueError, match="cannot host engine kind"):
-            ShardedSearcher(index, engine=EngineConfig(kind="segmented"))
+                SegmentedSearcher(index, **{name: None})
 
     def test_engine_ann_folds_into_config(self, index):
         ann = AnnConfig(ann_threshold=1)
-        searcher = ShardedSearcher(index, engine=EngineConfig(ann=ann))
+        searcher = SegmentedSearcher(index, engine=EngineConfig(ann=ann))
         assert searcher.config.ann == ann
         assert searcher.ann_stats is not None
         searcher.close()
 
     def test_engine_ann_conflict_rejected(self, index):
         with pytest.raises(ValueError, match="conflicting ANN"):
-            ShardedSearcher(
+            SegmentedSearcher(
                 index,
                 config=HDSearchConfig(ann=AnnConfig(prefix_words=2)),
                 engine=EngineConfig(ann=AnnConfig(prefix_words=4)),

@@ -109,10 +109,10 @@ def _block_workload():
 
 def _block_searcher(index):
     from repro.engine import EngineConfig
-    from repro.index.sharded import ShardedSearcher
+    from repro.store import SegmentedSearcher
     from repro.oms.search import HDSearchConfig
 
-    return ShardedSearcher(
+    return SegmentedSearcher(
         index,
         config=HDSearchConfig(mode="cascade"),
         engine=EngineConfig(num_shards=2, num_workers=2),
@@ -142,14 +142,14 @@ def _keys(psms):
 def test_multi_block_search_matches_single_block(monkeypatch):
     """A search over many encode blocks equals the one-block schedule."""
     from repro.engine import EngineConfig
-    from repro.index.sharded import ShardedSearcher
+    from repro.store import SegmentedSearcher
     from repro.oms.search import HDSearchConfig
 
     wl, index = _block_workload()
 
     def run(block_size, query_ber=0.0):
         monkeypatch.setattr("repro.oms.loop.ENCODE_BLOCK_SIZE", block_size)
-        with ShardedSearcher(
+        with SegmentedSearcher(
             index,
             config=HDSearchConfig(mode="cascade", query_ber=query_ber),
             engine=EngineConfig(num_shards=2, num_workers=2),
@@ -240,7 +240,8 @@ def test_thread_and_serial_scoring_equal_brute_force_without_copying():
     """
     from repro.engine import EngineConfig
     from repro.hdc.spaces import HDSpaceConfig
-    from repro.index import LibraryIndex, ShardedSearcher
+    from repro.index import LibraryIndex
+    from repro.store import SegmentedSearcher
     from repro.ms.synthetic import WorkloadConfig, build_workload
     from repro.ms.vectorize import BinningConfig
     from repro.oms import HDOmsSearcher
@@ -263,7 +264,7 @@ def test_thread_and_serial_scoring_equal_brute_force_without_copying():
     for num_workers in (2, 0):
         rss_before = _rss_mb()
         engine = EngineConfig(kind="sharded", num_shards=2, num_workers=num_workers)
-        with ShardedSearcher(index, engine=engine) as searcher:
+        with SegmentedSearcher(index, engine=engine) as searcher:
             assert searcher.search(workload.queries).psms == expected
             rss_extra_mb = _rss_mb() - rss_before
         if num_workers:
@@ -278,7 +279,8 @@ def test_thread_and_serial_scoring_equal_brute_force_without_copying():
 UNCLOSED_SEARCHER = """
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
-from repro.index import LibraryIndex, ShardedSearcher
+from repro.index import LibraryIndex
+from repro.store import SegmentedSearcher
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
 
@@ -289,7 +291,7 @@ index = LibraryIndex.build(
     space_config=HDSpaceConfig(dim=256, num_bins=binning.num_bins, seed=3),
     binning=binning,
 )
-searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2, num_workers=2))
+searcher = SegmentedSearcher(index, engine=EngineConfig(num_shards=2, num_workers=2))
 searcher.search(workload.queries)
 assert searcher._pool is not None, "the scoring threads never started"
 """
@@ -316,7 +318,8 @@ def test_dropped_searchers_leak_no_scoring_threads(small_workload):
 
     from repro.engine import EngineConfig
     from repro.hdc.spaces import HDSpaceConfig
-    from repro.index import LibraryIndex, ShardedSearcher
+    from repro.index import LibraryIndex
+    from repro.store import SegmentedSearcher
     from repro.ms.vectorize import BinningConfig
 
     binning = BinningConfig()
@@ -327,7 +330,7 @@ def test_dropped_searchers_leak_no_scoring_threads(small_workload):
     )
     baseline = len(_scoring_threads())
     for _ in range(5):
-        searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2, num_workers=2))
+        searcher = SegmentedSearcher(index, engine=EngineConfig(num_shards=2, num_workers=2))
         searcher.search(small_workload.queries[:4])
         assert searcher._pool is not None
         del searcher
@@ -359,10 +362,10 @@ def test_entry_points_never_import_multiprocessing():
     assert completed.returncode == 0, completed.stderr
 
 
-#: Modules a one-shot ``index search`` over an ``.npz`` has no use for.
+#: Modules a one-shot ``index search`` over an ``.npz`` has no use for
+#: (the store's read side is the one read path; its write side is not).
 SEARCH_NEVER_IMPORTS = (
     "repro.ms.synthetic",
-    "repro.store",
     "repro.store.ingest",
     "repro.oms.pipeline",
     "repro.oms.search",

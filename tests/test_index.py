@@ -12,7 +12,6 @@ from repro.index import (
     IndexCompatibilityError,
     LibraryIndex,
     ReferenceRecord,
-    ShardedSearcher,
 )
 from repro.ms.preprocessing import PreprocessingConfig
 from repro.ms.synthetic import WorkloadConfig, build_workload
@@ -21,6 +20,8 @@ from repro.oms.batch import BatchedHDOmsSearcher
 from repro.oms.candidates import WindowConfig
 from repro.oms.pipeline import OmsPipeline, PipelineConfig
 from repro.oms.search import HDOmsSearcher, HDSearchConfig, PackedBackend
+from repro.store import SegmentedSearcher, SegmentedStore
+from repro.store.search import part_layout
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +275,7 @@ class TestFromIndex:
             index, windows=windows
         ).search(workload.queries)
         assert batched.psms == expected.psms
-        sharded = ShardedSearcher(
+        sharded = SegmentedSearcher(
             index, windows=windows, engine=EngineConfig(num_shards=2)
         ).search(workload.queries)
         assert sharded.psms == expected.psms
@@ -383,20 +384,21 @@ class TestShardedSearcher:
             num_shards = total
         rows = np.array_split(np.arange(total), num_shards)
         expected = [(int(part[0]), int(part[-1]) + 1) for part in rows]
-        assert index.shard_bounds(num_shards) == expected
+        metas = SegmentedStore.from_index(index).segment_metas
+        assert [(start, stop) for _, start, stop in part_layout(metas, num_shards)] == expected
 
     @pytest.mark.parametrize("num_shards", [0, "one past the rows"])
     def test_shard_bounds_reject_counts_outside_the_rows(self, index, num_shards):
         if num_shards == "one past the rows":
             num_shards = index.num_references + 1
-        with pytest.raises(ValueError, match="cannot split"):
-            index.shard_bounds(num_shards)
+        with pytest.raises(ValueError, match="num_shards must be >= 1|cannot split"):
+            SegmentedSearcher(index, engine=EngineConfig(num_shards=num_shards))
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_psms_identical_serial(
         self, index, workload, baseline_result, num_shards
     ):
-        searcher = ShardedSearcher(
+        searcher = SegmentedSearcher(
             index, engine=EngineConfig(num_shards=num_shards)
         )
         result = searcher.search(workload.queries)
@@ -407,7 +409,7 @@ class TestShardedSearcher:
     def test_psms_identical_process_pool(
         self, index, workload, baseline_result
     ):
-        with ShardedSearcher(
+        with SegmentedSearcher(
             index, engine=EngineConfig(num_shards=3, num_workers=2)
         ) as searcher:
             first = searcher.search(workload.queries)
@@ -421,7 +423,7 @@ class TestShardedSearcher:
         expected = HDOmsSearcher(
             encoder, workload.references, backend=PackedBackend()
         ).search(workload.queries)
-        searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2))
+        searcher = SegmentedSearcher(index, engine=EngineConfig(num_shards=2))
         assert searcher.search(workload.queries).psms == expected.psms
 
     @pytest.mark.parametrize("mode", ["standard", "cascade"])
@@ -430,7 +432,7 @@ class TestShardedSearcher:
         expected = HDOmsSearcher(
             encoder, workload.references, config=config
         ).search(workload.queries)
-        searcher = ShardedSearcher(
+        searcher = SegmentedSearcher(
             index, config=config, engine=EngineConfig(num_shards=2)
         )
         result = searcher.search(workload.queries)
@@ -444,20 +446,20 @@ class TestShardedSearcher:
         expected = HDOmsSearcher(
             encoder, workload.references, config=config
         ).search(workload.queries)
-        searcher = ShardedSearcher(
+        searcher = SegmentedSearcher(
             index, config=config, engine=EngineConfig(num_shards=2)
         )
         assert searcher.search(workload.queries).psms == expected.psms
 
     def test_backend_name_reports_shards(self, index):
-        searcher = ShardedSearcher(index, engine=EngineConfig(num_shards=2))
+        searcher = SegmentedSearcher(index, engine=EngineConfig(num_shards=2))
         assert searcher.backend_name == "shardedx2"
 
     def test_rejects_bad_shard_counts(self, index):
         with pytest.raises(ValueError):
             EngineConfig(num_shards=0)
         with pytest.raises(ValueError, match="cannot split"):
-            ShardedSearcher(
+            SegmentedSearcher(
                 index, engine=EngineConfig(num_shards=index.num_references + 1)
             )
 

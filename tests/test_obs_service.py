@@ -18,7 +18,7 @@ import pytest
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index import LibraryIndex
-from repro.index.sharded import ShardedSearcher
+from repro.store import SegmentedSearcher
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.obs import get_tracer
 from repro.oms.candidates import ENCODE_BLOCK_SIZE
@@ -221,7 +221,7 @@ class TestSchedulerSpans:
 class TestShardedSpans:
     def test_shard_scores_merge_under_fanout(self, index, workload, traced):
         num_shards = 3
-        with ShardedSearcher(
+        with SegmentedSearcher(
             index, engine=EngineConfig(num_shards=num_shards)
         ) as searcher:
             searcher.search(workload.queries[:4])
@@ -250,7 +250,7 @@ class TestShardedSpans:
         """Every encode block runs on the caller's thread, inside its span."""
         count = 2 * ENCODE_BLOCK_SIZE + 1
         queries = (workload.queries * (count // len(workload.queries) + 1))[:count]
-        with ShardedSearcher(
+        with SegmentedSearcher(
             index, engine=EngineConfig(num_shards=2, num_workers=2)
         ) as searcher:
             with traced.span("caller", request_id="blocks") as caller:
@@ -418,6 +418,27 @@ class TestDebugAndMetricsEndpoints:
         text = client.metrics()
         assert "hdoms_service_stage_seconds" in text
         for stage in ("encode", "engine", "queue_wait", "serialize"):
+            assert f'stage="{stage}"' in text, f"missing stage {stage}"
+
+    def test_store_routes_export_the_scoring_stages(
+        self, workload, binning, traced, tmp_path
+    ):
+        """A store route scores through the same shard spans as a ``.npz``."""
+        from repro.store import build_store
+
+        build_store(
+            workload.references,
+            tmp_path / "store",
+            space_config=HDSpaceConfig(
+                dim=512, num_bins=binning.num_bins, num_levels=8, seed=13
+            ),
+            binning=binning,
+            segment_rows=50,
+        ).close()
+        with SearchService(tmp_path / "store", ServiceConfig()) as service:
+            service.search_many(workload.queries[:4])
+            text = service.metrics.render()
+        for stage in ("shard_fanout", "shard_score"):
             assert f'stage="{stage}"' in text, f"missing stage {stage}"
 
     def test_stats_exposes_queue_depth_and_uptime(self, server, workload):

@@ -277,7 +277,8 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     queries=_spectra("query", (2, 3, 4), 1, 30),
     kind=st.sampled_from(["sharded", "segmented", "batched", "spectra"]),
     mode=st.sampled_from(["standard", "open", "cascade"]),
-    parts=st.integers(1, 3),
+    parts=st.integers(1, 4),
+    segments=st.integers(1, 3),
     ann_case=st.sampled_from(["off", "full", "narrow"]),
     budget=st.integers(1, 8),
     charge_aware=st.booleans(),
@@ -288,7 +289,7 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     tile=st.sampled_from([1, 5, 1 << 12]),
 )
 def test_every_engine_equals_brute_force(
-    references, queries, kind, mode, parts, ann_case, budget, charge_aware,
+    references, queries, kind, mode, parts, segments, ann_case, budget, charge_aware,
     min_candidates, query_ber, reference_ber, num_workers, tile,
 ):
     # "full": the one-word prefix covers the 64-dimensional row, so the
@@ -301,7 +302,7 @@ def test_every_engine_equals_brute_force(
     if kind in ("batched", "spectra") or ann_case == "narrow":
         # Each shard shortlists its own rows; only one shard sees exactly
         # the rows (and so the shortlist) the oracle's prefilter sees.
-        parts = 1
+        parts = segments = 1
     space = dataclasses.replace(SPACE, dim=2 * DIM) if ann_case == "narrow" else SPACE
     index = LibraryIndex.build(references, space_config=space, binning=BINNING)
     parts = min(parts, index.num_references)
@@ -310,8 +311,6 @@ def test_every_engine_equals_brute_force(
     )
     # Queries of charge 4 have no library bucket: they must still draw
     # their BER flips, or every later query's noise diverges.
-    if kind == "segmented":
-        reference_ber = 0.0  # SegmentedSearcher rejects reference_ber
     config = HDSearchConfig(
         mode=mode, ann=ann, min_candidates=min_candidates, query_ber=query_ber,
         reference_ber=reference_ber,
@@ -346,19 +345,24 @@ def test_every_engine_equals_brute_force(
                 reference_ber=reference_ber,
             )
         elif kind == "sharded":
-            searcher = ShardedSearcher(
+            searcher = SegmentedSearcher(
                 index, windows=windows, config=config, engine=engine
             )
         else:
+            # ``parts`` lands above, at and below the segment count: a
+            # segment splits into row ranges only when more are asked.
             store = build_store(
                 references,
                 Path(scratch) / "store",
                 space_config=space,
                 binning=BINNING,
-                segment_rows=math.ceil(index.num_references / parts),
+                segment_rows=math.ceil(index.num_references / segments),
             )
             searcher = SegmentedSearcher(
                 store, windows=windows, config=config, engine=engine
+            )
+            assert searcher.backend_name.startswith(
+                f"shardedx{max(parts, store.num_segments)}"
             )
         with searcher:
             got = searcher.search(queries)
@@ -390,23 +394,24 @@ def test_batched_draws_ber_for_queries_without_a_charge_bucket():
     expected = HDOmsSearcher.from_index(index, config=config).search(queries).psms
     assert len(expected) == 39
     assert BatchedHDOmsSearcher.from_index(index, query_ber=0.3).search(queries).psms == expected
-    with ShardedSearcher(index, config=config) as sharded:
+    with SegmentedSearcher(index, config=config) as sharded:
         assert sharded.search(queries).psms == expected
 
 
-def test_one_query_pass_under_all_three_searchers():
-    """Batched, Sharded and Segmented only say how rows are laid out."""
+def test_one_query_pass_under_both_searchers():
+    """Batched and Segmented only say how rows are laid out."""
     from repro.oms.loop import FanOutSearcher
 
-    for searcher in (BatchedHDOmsSearcher, ShardedSearcher, SegmentedSearcher):
+    assert ShardedSearcher is SegmentedSearcher  # the layer harness's name
+    for searcher in (BatchedHDOmsSearcher, SegmentedSearcher):
         for name in ("search", "_search_batch", "_run_pass", "_scorer"):
             assert getattr(searcher, name) is getattr(FanOutSearcher, name), (
                 searcher.__name__, name,
             )
     # One execution mode: parts are scored in-process, serially or on
-    # the core's threads, for all three (only the coordinator's remote
-    # parts replace how parts are mapped).
-    for searcher in (BatchedHDOmsSearcher, ShardedSearcher, SegmentedSearcher):
+    # the core's threads, for both (only the coordinator's remote parts
+    # replace how parts are mapped).
+    for searcher in (BatchedHDOmsSearcher, SegmentedSearcher):
         assert searcher._map_parts is FanOutSearcher._map_parts, searcher.__name__
 
 
@@ -417,7 +422,7 @@ def test_thread_mode_needs_no_arena():
     engine = EngineConfig(kind="sharded", num_shards=2, num_workers=2)
     shm = Path("/dev/shm")
     before = set(shm.iterdir()) if shm.is_dir() else set()
-    with ShardedSearcher(index, engine=engine) as searcher:
+    with SegmentedSearcher(index, engine=engine) as searcher:
         assert searcher.executor_kind == "thread"
         assert searcher.search(WORKLOAD.queries).psms == expected
         assert searcher.arena_nbytes == 0
@@ -432,7 +437,7 @@ def test_one_shard_default_searcher_is_serial_and_reopens():
     engine = EngineConfig(kind="sharded", num_shards=1, num_workers=None)
     shm = Path("/dev/shm")
     before = set(shm.iterdir()) if shm.is_dir() else set()
-    with ShardedSearcher(index, engine=engine) as searcher:
+    with SegmentedSearcher(index, engine=engine) as searcher:
         assert searcher.executor_kind == "serial"
         # Rows are laid out by the first pass (overlapping the next
         # micro-batch's encode), not by the constructor.
@@ -460,7 +465,7 @@ def test_a_warm_searcher_holds_packed_rows_only():
     for ann in (None, AnnConfig()):
         tracemalloc.start()
         try:
-            with ShardedSearcher(
+            with SegmentedSearcher(
                 index, encoder=encoder, config=HDSearchConfig(ann=ann)
             ) as searcher:
                 searcher.warm()

@@ -840,12 +840,6 @@ class TestSearchService:
         with pytest.raises(ValueError, match="mode"):
             ServiceConfig(mode="sideways")
 
-    def test_engine_kind_must_match_the_index(self, index, tmp_path):
-        with pytest.raises(ValueError, match="cannot host engine kind"):
-            SearchService(
-                index, ServiceConfig(engine_config=EngineConfig(kind="segmented"))
-            )
-
     def test_stats_shape(self, index_path, workload):
         with make_service(index_path) as service:
             service.search_one(workload.queries[0])
@@ -1265,9 +1259,9 @@ class TestClientConnectionReuse:
 
 class TestGracefulShardedClose:
     def test_close_joins_pool_gracefully(self, index, workload, baseline):
-        from repro.index import ShardedSearcher
+        from repro.store import SegmentedSearcher
 
-        searcher = ShardedSearcher(
+        searcher = SegmentedSearcher(
             index, engine=EngineConfig(num_shards=2, num_workers=2)
         )
         result = searcher.search(workload.queries)
@@ -1280,9 +1274,9 @@ class TestGracefulShardedClose:
     def test_searcher_usable_after_close_reopens_pool(
         self, index, workload, baseline
     ):
-        from repro.index import ShardedSearcher
+        from repro.store import SegmentedSearcher
 
-        with ShardedSearcher(
+        with SegmentedSearcher(
             index, engine=EngineConfig(num_shards=2, num_workers=2)
         ) as searcher:
             searcher.search(workload.queries)

@@ -25,7 +25,8 @@ import pytest
 
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
-from repro.index import LibraryIndex, ShardedSearcher
+from repro.index import LibraryIndex
+from repro.store import SegmentedSearcher
 from repro.ms.mgf import write_mgf
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.oms.search import HDOmsSearcher
@@ -698,7 +699,7 @@ class TestShutdownOrdering:
 
     def test_sharded_close_during_inflight_search(self, index_a, workload_a):
         index, _path = index_a
-        searcher = ShardedSearcher(
+        searcher = SegmentedSearcher(
             index, engine=EngineConfig(num_shards=2, num_workers=2)
         )
         outcome = {}
@@ -741,7 +742,7 @@ def coordinated_fleet(workload_a, binning, tmp_path_factory):
         materialize_partitions,
     )
     from repro.service import IndexRegistry, ServiceConfig, ServiceMetrics, start_server
-    from repro.store import SegmentedSearcher, build_store
+    from repro.store import build_store
 
     root = tmp_path_factory.mktemp("coord-faults")
     store = build_store(

@@ -20,7 +20,7 @@ import pytest
 from repro.ann import AnnConfig
 from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
-from repro.index import LibraryIndex, ShardedSearcher
+from repro.index import LibraryIndex
 from repro.oms.candidates import WindowConfig
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.store import (
@@ -33,7 +33,6 @@ from repro.store import (
     append_store,
     build_store,
     merge_store,
-    open_search_source,
 )
 
 
@@ -183,7 +182,7 @@ class TestBuildParity:
             SegmentedSearcher(
                 store, engine=EngineConfig(num_workers=2, executor="process")
             ),
-            ShardedSearcher(
+            SegmentedSearcher(
                 monolithic,
                 engine=EngineConfig(num_shards=2, num_workers=2, executor="process"),
             ),
@@ -384,7 +383,7 @@ class TestLazySegmentOpening:
                 sorted_store, config=HDSearchConfig(mode="standard")
             ) as searcher:
                 got = searcher.search(queries)
-            scored = [span.tags["queries"] for span in tracer.records() if span.name == "segment.score"]
+            scored = [span.tags["queries"] for span in tracer.records() if span.name == "shard.score"]
         finally:
             if not was_enabled:
                 tracer.disable()
@@ -542,34 +541,64 @@ class TestAnnOnStore:
         )
 
 
-class TestSegmentedSearcherValidation:
-    def test_rejects_foreign_engine_kind(
-        self, tmp_path, references, space_config, binning
-    ):
+class TestSegmentedSearcherLayout:
+    @pytest.fixture()
+    def two_segments(self, tmp_path, references, space_config, binning):
         store = build_store(
-            references[:10],
+            references[:60],
             tmp_path / "store",
             space_config=space_config,
             binning=binning,
+            segment_rows=30,
         )
-        with pytest.raises(ValueError, match="cannot host engine kind"):
-            SegmentedSearcher(store, engine=EngineConfig(kind="sharded"))
+        assert store.num_segments == 2
+        yield store
         store.close()
 
-    def test_rejects_reference_ber(
-        self, tmp_path, references, space_config, binning
+    def test_reference_ber_flips_segments_in_manifest_order(
+        self, two_segments, queries, references, space_config, binning
     ):
-        store = build_store(
-            references[:10],
-            tmp_path / "store",
-            space_config=space_config,
-            binning=binning,
-        )
-        with pytest.raises(ValueError, match="reference_ber"):
-            SegmentedSearcher(
-                store, config=HDSearchConfig(reference_ber=0.01)
-            )
-        store.close()
+        # One row-major noise stream over the segments in order is the
+        # oracle's one pass over the full matrix.
+        config = HDSearchConfig(reference_ber=0.05, query_ber=0.02, noise_seed=9)
+        expected = HDOmsSearcher.from_index(
+            LibraryIndex.build(references[:60], space_config=space_config, binning=binning),
+            config=config,
+        ).search(queries).psms
+        for shards in (1, 3):
+            with SegmentedSearcher(
+                two_segments, config=config, engine=EngineConfig(num_shards=shards)
+            ) as searcher:
+                assert searcher.search(queries).psms == expected
+
+    def test_shards_split_segments_into_row_ranges(self, two_segments):
+        for shards, parts in ((1, 2), (2, 2), (3, 3), (5, 5)):
+            with SegmentedSearcher(
+                two_segments, engine=EngineConfig(num_shards=shards)
+            ) as searcher:
+                assert searcher.backend_name == f"shardedx{parts}"
+                # Each part keeps its segment's manifest hull.
+                metas = two_segments.segment_metas
+                assert [tuple(hull) for hull in searcher._hulls] == [
+                    (metas[segment].mass_min, metas[segment].mass_max)
+                    for segment, _start, _stop in searcher._parts
+                ]
+        with pytest.raises(ValueError, match="cannot split"):
+            SegmentedSearcher(two_segments, engine=EngineConfig(num_shards=61))
+
+    def test_warm_lays_out_open_segments_only(self, two_segments):
+        with SegmentedSearcher(
+            two_segments, engine=EngineConfig(num_shards=3)
+        ) as searcher:
+            searcher.warm()  # nothing is open: a manifest store stays lazy
+            assert not searcher._scorers
+            assert two_segments.open_counts == (0, 0)
+            two_segments.segment(1)
+            searcher.warm()
+            assert sorted(searcher._scorers) == [
+                part for part, (segment, *_) in enumerate(searcher._parts) if segment == 1
+            ]
+            assert two_segments.open_counts == (0, 1)
 
 
 class TestServiceOverStore:
@@ -592,7 +621,9 @@ class TestServiceOverStore:
         baseline = SearchService(monolithic)
         service = SearchService(store_path)
         try:
-            assert service.engine_name.startswith("segmentedx")
+            assert service.engine_name.startswith("shardedx")
+            # A manifest route stays lazy until a request needs a segment.
+            assert service.index.open_counts == (0,) * service.index.num_segments
             stats = service.stats()["engine"]
             assert stats["config"]["kind"] == "auto"
             assert [_psm_key(p) for p in service.search_many(queries)] == [
@@ -609,12 +640,16 @@ class TestServiceOverStore:
             service.close()
             baseline.close()
 
-    def test_explicit_kind_mismatch_rejected(self, store_path):
+    def test_npz_route_answers_its_first_request_warm(
+        self, tmp_path, monolithic
+    ):
         from repro.service.server import SearchService, ServiceConfig
 
-        config = ServiceConfig(engine_config=EngineConfig(kind="sharded"))
-        with pytest.raises(ValueError, match="SegmentedSearcher cannot host"):
-            SearchService(store_path, config=config)
+        path = monolithic.save(tmp_path / "mono.npz")
+        config = ServiceConfig(engine_config=EngineConfig(num_shards=2))
+        with SearchService(path, config=config) as service:
+            assert service.engine_name == "shardedx2"
+            assert sorted(service._engine._scorers) == [0, 1]
 
 
 class TestCliStoreVerbs:
@@ -684,6 +719,39 @@ class TestCliStoreVerbs:
             == 0
         )
         assert len(StoreManifest.load(store).segments) == 1
+
+    def test_search_shards_split_a_one_segment_store(self, tmp_path, files):
+        from repro.ms import read_mgf
+        from repro.obs.trace import get_tracer
+
+        library, _extra, query_file = files
+        store, out = tmp_path / "store", tmp_path / "psms.jsonl"
+        assert self._run(
+            ["index", "build", "--library", str(library), "--output", str(store),
+             "--segment-rows", "1000", "--dim", "512", "--no-decoys"]
+        ) == 0
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enable()
+        tracer.clear()
+        try:
+            assert self._run(
+                ["index", "search", "--index", str(store), "--queries", str(query_file),
+                 "--shards", "3", "--output-format", "jsonl", "--output", str(out)]
+            ) == 0
+            scored = {span.tags["shard"] for span in tracer.records() if span.name == "shard.score"}
+        finally:
+            if not was_enabled:
+                tracer.disable()
+            tracer.clear()
+        assert scored == {0, 1, 2}
+        with SegmentedStore.open(store) as opened:
+            assert opened.num_segments == 1
+            oracle = HDOmsSearcher.from_index(opened.to_index())
+        expected = oracle.search(list(read_mgf(query_file))).psms
+        assert expected
+        got = [json.loads(line) for line in out.read_text().splitlines()]
+        assert got == [psm.to_dict() for psm in expected]
 
     def test_append_provenance_mismatch_exits_2(self, tmp_path, files):
         library, extra, _ = files
@@ -892,8 +960,10 @@ class TestManifestFaults:
         assert not output.exists()
 
 
-class TestOpenSearchSource:
-    def test_dispatch(self, tmp_path, references, space_config, binning):
+class TestStoreOpen:
+    def test_every_library_form_opens_as_a_store(
+        self, tmp_path, references, space_config, binning
+    ):
         build_store(
             references[:10],
             tmp_path / "store",
@@ -904,15 +974,27 @@ class TestOpenSearchSource:
             references[:10], space_config=space_config, binning=binning
         )
         index.save(tmp_path / "mono.npz")
-        opened_store = open_search_source(tmp_path / "store")
-        assert isinstance(opened_store, SegmentedStore)
-        opened_store.close()
-        opened_manifest = open_search_source(tmp_path / "store" / MANIFEST_NAME)
-        assert isinstance(opened_manifest, SegmentedStore)
-        opened_manifest.close()
-        assert isinstance(
-            open_search_source(tmp_path / "mono.npz"), LibraryIndex
+        for path in (tmp_path / "store", tmp_path / "store" / MANIFEST_NAME):
+            with SegmentedStore.open(path) as opened:
+                assert opened.open_counts == (0,)
+        files_before = sorted(tmp_path.rglob("*"))
+        adopted_stores = (
+            SegmentedStore.open(tmp_path / "mono.npz"), SegmentedStore.from_index(index)
         )
+        for adopted in adopted_stores:
+            # A read-only one-segment store, its manifest built in memory.
+            assert adopted.num_segments == 1
+            assert adopted.open_segment_ids == (0,)
+            meta = adopted.segment_metas[0]
+            masses = index.neutral_masses
+            assert (meta.num_references, meta.mass_min, meta.mass_max) == (
+                10, float(masses.min()), float(masses.max())
+            )
+            assert adopted.provenance()["space"] == index.provenance()["space"]
+            adopted.close()  # the adopted segment is resident: it stays
+            assert adopted.open_segment_ids == (0,)
+            assert adopted.to_index().identifiers == index.identifiers
+        assert sorted(tmp_path.rglob("*")) == files_before
 
 
 def _write_version_1(path: Path) -> None:
