@@ -4,7 +4,7 @@ HyperOMS is the GPU accelerator the paper benchmarks against: the same
 ID-Level encoding pipeline but with strictly *binary* (1-bit) ID
 hypervectors, classic (non-chunked) level hypervectors, and exact
 digital Hamming search.  This wrapper configures the fan-out core
-(:class:`~repro.oms.batch.BatchedHDOmsSearcher`) accordingly, with an
+(:class:`~repro.store.search.BatchedHDOmsSearcher`) accordingly, with an
 independent seed so its codebooks differ from this work's — matching
 the reality that two tools' random projections are uncorrelated.
 """
@@ -18,7 +18,7 @@ from ..hdc.spaces import HDSpace, HDSpaceConfig
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
-from ..oms.batch import BatchedHDOmsSearcher
+from ..store.search import BatchedHDOmsSearcher
 from ..oms.candidates import WindowConfig
 from ..oms.psm import SearchResult
 

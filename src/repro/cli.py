@@ -150,7 +150,7 @@ def add_engine_args(parser, *, workers_default: Optional[int] = None) -> None:
         help=(
             "scoring threads (0 = score serially"
             + (", default" if workers_default == 0 else "")
-            + "; omitted = one per shard up to the CPU count)"
+            + "; omitted = one per shard up to the CPUs this process may use)"
         ),
     )
 
@@ -840,7 +840,7 @@ def cmd_search(args) -> int:
             )
             searcher = accelerator.build_searcher(references)
         else:
-            from .oms.batch import BatchedHDOmsSearcher
+            from .store.search import BatchedHDOmsSearcher
 
             searcher = BatchedHDOmsSearcher(
                 SpectrumEncoder(HDSpace(space_config), binning),

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann import OUTCOMES
 from ..engine import EngineConfig
 from ..hdc.encoder import SpectrumEncoder
 from ..hdc.spaces import HDSpace
@@ -445,7 +444,7 @@ class Coordinator(FanOutSearcher):
     ) -> Tuple[float, Tuple, List]:
         """One ``/score`` round trip; runs on a thread of ``handle``.
 
-        Returns ``(wall_seconds, score_batch columns, records)`` in global
+        Returns ``(wall_seconds, winner columns, records)`` in global
         rows; a row outside the partition fails like a transport error.
         """
         started = time.perf_counter()
@@ -461,9 +460,7 @@ class Coordinator(FanOutSearcher):
                 del samples[: len(samples) - LATENCY_WINDOW]
         self.metrics.worker_latency.observe(elapsed, partition=str(call.spec.index))
         rows = [call.spec.to_global(row) if row >= 0 else -1 for row in local.tolist()]
-        # ANN outcome columns stay zero here: each worker counts its own.
-        no_ann = (np.zeros(len(OUTCOMES), np.int64), np.zeros(1, np.int64))
-        return elapsed, (counts, scores, best_masses, np.array(rows, np.int64), *no_ann), records
+        return elapsed, (counts, scores, best_masses, np.array(rows, np.int64)), records
 
     def _map_parts(
         self, jobs: Sequence[Tuple[int, Tuple]]

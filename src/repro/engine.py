@@ -44,9 +44,10 @@ class EngineConfig:
             segments split to reach it; each part is one scoring task
             per query micro-batch).
         num_workers: Scoring-thread count; ``None`` auto-sizes to
-            ``min(parts, cpu_count)``, ``0`` scores serially in the
-            calling thread (as does an engine that resolves to one
-            worker).
+            ``min(parts, usable CPUs)`` — the CPUs in this process's
+            affinity mask where the platform has one, else
+            ``os.cpu_count()`` — ``0`` scores serially in the calling
+            thread (as does an engine that resolves to one worker).
         executor: Validated but inert: ``"thread"`` and ``"process"``
             both score in-process on the fan-out core's threads (any
             other value is rejected).  It survives only because the

@@ -29,7 +29,7 @@ from ..hdc.spaces import HDSpace, HDSpaceConfig
 from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.synthetic import SyntheticWorkload
 from ..ms.vectorize import BinningConfig
-from ..oms.batch import BatchedHDOmsSearcher
+from ..store.search import BatchedHDOmsSearcher
 from ..oms.fdr import assign_qvalues, filter_at_fdr, grouped_fdr
 from ..oms.pipeline import OmsPipeline, PipelineConfig
 from ..rram.adc import ADC

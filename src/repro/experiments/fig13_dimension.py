@@ -21,7 +21,7 @@ from ..hdc.spaces import HDSpace, HDSpaceConfig
 from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.synthetic import SyntheticWorkload
 from ..ms.vectorize import BinningConfig
-from ..oms.batch import BatchedHDOmsSearcher
+from ..store.search import BatchedHDOmsSearcher
 from ..oms.fdr import grouped_fdr
 from .report import ExperimentResult
 from .workloads import iprg2012_like

@@ -30,7 +30,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PipelineConfig",
             "PipelineResult",
         ],
-        "batch": ["BatchedHDOmsSearcher"],
+        # The raw-spectra SegmentedSearcher (bench/layers.py imports it here).
+        ".store.search": ["BatchedHDOmsSearcher"],
         "modification_analysis": [
             "DeltaMassPeak",
             "ModificationReport",

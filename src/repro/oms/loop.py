@@ -6,23 +6,22 @@ differently.  :class:`FanOutSearcher` is that dataflow, once: queries
 are preprocessed and encoded in micro-batches on the caller's thread,
 BER noise is injected in arrival order on the packed rows, cascade mode
 retries unmatched queries through the open pass, and each pass routes
-every query to the *parts* whose precursor-mass hull meets its window
-(each part a :class:`~repro.oms.kernel.ShardScorer` over a contiguous
-set of library rows, or a remote worker), merges the per-part winners
-with the brute-force tie-break and builds the PSMs.  The only thread
-the core starts is the part-scoring pool.
+every query to the *parts* whose precursor-mass hull meets its window,
+merges the per-part winners with the brute-force tie-break and builds
+the PSMs.  The only thread the core starts is the part-scoring pool.
 
-The searchers are row-layout providers on top of it — they say which
-parts exist, how a part is opened and which record sits at library row
-*p*:
+There is one part type, :class:`~repro.oms.kernel.WindowKernel` over a
+contiguous set of library rows, and two row-layout providers on top of
+the core — they say which parts exist, how a part is opened and which
+record sits at library row *p*:
 
-* :class:`~repro.oms.batch.BatchedHDOmsSearcher` — one in-process part
-  over raw spectra or an index;
-* :class:`~repro.store.search.SegmentedSearcher` — the one library
-  provider: row ranges of lazily opened, mass-pruned store segments
-  (a ``.npz`` or in-memory index is a one-segment store);
-* :class:`~repro.coord.coordinator.Coordinator` — partitions scored by
-  ``repro serve`` workers over the ``/score`` hop.
+* :class:`~repro.store.search.SegmentedSearcher` — the in-process
+  provider: row ranges of lazily opened, mass-pruned store segments (a
+  ``.npz``, an in-memory index or raw spectra encoded by
+  :class:`~repro.store.search.BatchedHDOmsSearcher` is a one-segment
+  store);
+* :class:`~repro.coord.coordinator.Coordinator` — the remote provider:
+  partitions scored by ``repro serve`` workers over the ``/score`` hop.
 
 :class:`~repro.oms.search.HDOmsSearcher`, the per-query brute force, is
 deliberately *not* built on this: it is the oracle all of them equal.
@@ -38,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann import OUTCOMES, AnnStats
+from ..ann import AnnStats
 from ..engine import EngineConfig
 from ..hdc.encoder import encode_packed_rows
 from ..hdc.noise import flip_packed
@@ -46,31 +45,23 @@ from ..ms.preprocessing import PreprocessingConfig, preprocess_many
 from ..ms.spectrum import Spectrum
 from ..obs.trace import get_tracer
 from .candidates import ENCODE_BLOCK_SIZE, HDSearchConfig, WindowConfig
-from .kernel import ShardScorer, shard_payload
+from .kernel import WindowKernel
 from .psm import PSM, SearchResult
 
 
 class FanOutSearcher:
     """Preprocess → encode → BER → mode/cascade → scored, merged pass.
 
-    Subclasses call :meth:`_init_core`, then either hand over rows that
-    are already in memory (:meth:`_adopt_rows`: contiguous row ranges,
-    every range scored for every query) or set
-    :attr:`_hulls` and override
-
-    * ``_part_payload(part)`` — the :func:`~repro.oms.kernel.shard_payload`
-      of one part, with ``positions`` carrying *library-wide* row
-      numbers (called once per part, under ``_open_lock``);
-    * ``_reference(position)`` — the record at a library row (built
-      for a winner only, never for every row at open).
+    Providers call :meth:`_init_core`, set :attr:`_hulls` and override
+    :meth:`_open_part` (or, for remote parts, :meth:`_map_parts`) and
+    :meth:`_reference`.
     """
 
     #: Names one unit of fan-out in spans (``<part>.fanout`` /
     #: ``<part>.score`` / ``<part>.merge``).
     part_name = "shard"
-    #: ``(parts, 2)`` precursor-mass hull ``[min, max]`` of every part,
-    #: or ``None`` to route every query to every part.
-    _hulls: Optional[np.ndarray] = None
+    #: ``(parts, 2)`` precursor-mass hull ``[min, max]`` of every part.
+    _hulls: np.ndarray
 
     def _init_core(
         self,
@@ -86,8 +77,8 @@ class FanOutSearcher:
         """Adopt the search-stage configs and size the scoring threads.
 
         ``engine.num_workers`` threads score parts concurrently
-        (``None`` = one per part up to the CPU count); zero or one
-        worker scores serially in the calling thread.
+        (``None`` = one per part up to the CPUs this process may run
+        on); zero or one worker scores serially in the calling thread.
         """
         self.encoder = encoder
         self.preprocessing = preprocessing
@@ -98,10 +89,15 @@ class FanOutSearcher:
         self._noise_rng = np.random.default_rng(self.config.noise_seed)
         workers = engine.num_workers
         if workers is None:
-            workers = min(max(num_parts, 1), os.cpu_count() or 1)
+            # The affinity mask, not the machine: `taskset -c 0` is one CPU.
+            usable = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            )
+            workers = min(max(num_parts, 1), usable)
         # One worker scores exactly what the caller would, one hand-off later.
         self._num_workers = 0 if workers == 1 else workers
-        self._scorers: Dict[int, ShardScorer] = {}
+        self._scorers: Dict[int, WindowKernel] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         # Concurrent searches share one searcher (service batches, the
         # coordinator's workers): part opens and pool creation serialize.
@@ -109,73 +105,32 @@ class FanOutSearcher:
         self.ann_stats = AnnStats() if self.config.ann is not None else None
 
     # ------------------------------------------------------------------
-    # row layout: in-memory row ranges unless a provider overrides
+    # what a provider says: its parts, their hulls and its records
     # ------------------------------------------------------------------
 
-    def _adopt_rows(self, record, packed, masses, charges, dim, bounds) -> None:
-        """Lay in-memory library arrays out as contiguous row ranges.
+    def _open_part(self, part: int) -> WindowKernel:
+        """The part's kernel, its rows numbered *library-wide*.
 
-        ``record(p)`` returns the record at library row ``p``.
+        Called once per part, under ``_open_lock``.
         """
-        self._record = record
-        self._rows = (
-            packed,
-            np.asarray(masses, dtype=np.float64),
-            np.asarray(charges, dtype=np.int64),
-            int(dim),
-        )
-        self._bounds = tuple(bounds)
+        raise NotImplementedError
 
-    def warm(self) -> None:
-        """Open every in-memory row range now, not under the first batch.
-
-        Left alone, a range is laid out by the first pass that scores
-        it, which is what a one-shot CLI run wants.  A service calls
-        this instead, so a route that reports ready (or was just
-        reloaded) answers its first request at full speed.
-        """
-        for part in range(len(self._bounds)):
-            self._scorer(part)
+    def _reference(self, position: int):
+        """The record at library row ``position`` (built for a winner only)."""
+        raise NotImplementedError
 
     def _parts_for(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """``(parts, queries)`` mask: may part *p* hold a row in ``[lows[q], highs[q]]``?
 
         The one precursor-hull test: a part whose hull misses a window
         adds neither candidates nor counts to it, so skipping the cell
-        is exact.  Without :attr:`_hulls` every query goes everywhere.
+        is exact.
         """
-        if self._hulls is None:
-            return np.ones((len(self._bounds), len(lows)), dtype=bool)
         return (self._hulls[:, 1:] >= lows) & (self._hulls[:, :1] <= highs)
-
-    def _part_payload(self, part: int) -> Dict:
-        return self._payload(part, self._bounds[part], *self._rows)
-
-    def _reference(self, position: int):
-        """The record at library row ``position``."""
-        return self._record(position)
-
-    def _payload(self, part, bounds, packed, masses, charges, dim) -> Dict:
-        """:func:`shard_payload` with this searcher's scoring knobs filled in."""
-        return shard_payload(
-            part,
-            bounds,
-            packed,
-            masses,
-            charges,
-            dim=dim,
-            charge_aware=self.windows.charge_aware,
-            ann=self.config.ann,
-        )
 
     # ------------------------------------------------------------------
     # properties and lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def num_references(self) -> int:
-        """Total library rows across all parts."""
-        return len(self._rows[1])
 
     @property
     def backend_name(self) -> str:
@@ -223,31 +178,41 @@ class FanOutSearcher:
     # one scoring pass
     # ------------------------------------------------------------------
 
-    def _scorer(self, part: int) -> ShardScorer:
-        """The part's scorer, opened on first use.
+    def _scorer(self, part: int) -> WindowKernel:
+        """The part's kernel, opened on first use.
 
         The fast path is lock-free — dict reads are atomic and entries
         are only added (until :meth:`close`); a racing first use builds
-        the scorer once, under ``_open_lock``.
+        the kernel once, under ``_open_lock``.
         """
         scorer = self._scorers.get(part)
         if scorer is None:
             with self._open_lock:
                 scorer = self._scorers.get(part)
                 if scorer is None:
-                    scorer = ShardScorer(self._part_payload(part))
+                    scorer = self._open_part(part)
                     self._scorers[part] = scorer
         return scorer
 
     def _map_parts(self, jobs: Sequence[Tuple[int, Tuple]]) -> List[Tuple[float, Tuple]]:
-        """``(wall_seconds, score_batch result)`` per ``(part, batch)`` job, in order."""
+        """``(wall_seconds, winner columns)`` per ``(part, batch)`` job, in order.
+
+        The columns start ``(counts, scores, masses, positions)``; each
+        part's ANN tally goes into :attr:`ann_stats` where it ran.
+        """
         # Open in the caller thread; score concurrently.
         work = [(self._scorer(part), batch) for part, batch in jobs]
+        ann, stats = self.config.ann, self.ann_stats
 
-        def score(job: Tuple[ShardScorer, Tuple]) -> Tuple[float, Tuple]:
+        def score(job: Tuple[WindowKernel, Tuple]) -> Tuple[float, Tuple]:
             started = time.perf_counter()
-            scored = job[0].score_batch(*job[1])
-            return time.perf_counter() - started, scored
+            winners = job[0].search(*job[1], ann)
+            wall = time.perf_counter() - started
+            if stats is not None:  # per routed (query, part) pair
+                stats.record_batch(
+                    winners.ann_outcomes, int(winners.counts.sum()), winners.ann_scored_rows
+                )
+            return wall, winners
 
         if self._num_workers == 0 or len(work) <= 1:
             return [score(job) for job in work]
@@ -263,9 +228,10 @@ class FanOutSearcher:
     def score_batch(self, queries, query_masses, query_charges, half_width: float) -> Tuple:
         """Best row per packed query over every part: one scored, merged pass.
 
-        :meth:`ShardScorer.score_batch`'s arguments and columns for the
-        whole library plus the winners' records (``None`` for an empty
-        window); counts are summed over parts, the winner follows the
+        :meth:`WindowKernel.search`'s arguments; returns ``(counts,
+        scores, masses, positions, records)`` for the whole library,
+        ``records`` holding the winners' records (``None`` for an empty
+        window).  Counts are summed over parts, the winner follows the
         brute-force tie-break.  Each part scores only the queries
         :meth:`_parts_for` routes to it; a skipped cell merges as
         ``(0, -inf, +inf, -1)``.
@@ -308,15 +274,9 @@ class FanOutSearcher:
             shape = (max(len(jobs), 1), len(query_masses))
             fills = (0, -np.inf, np.inf, -1)
             counts, scores, masses, positions = (np.full(shape, fill) for fill in fills)
-        outcomes, scored_rows = np.zeros(len(OUTCOMES), dtype=np.int64), 0
-        for row, ((part, _batch), (_wall, scored)) in enumerate(zip(jobs, timed)):
-            if not single:
+            for row, ((part, _batch), (_wall, scored)) in enumerate(zip(jobs, timed)):
                 for table, column in zip((counts, scores, masses, positions), scored):
                     table[row, mask[part]] = column
-            outcomes += scored[4]
-            scored_rows += int(scored[5][0])
-            if self.ann_stats is not None:  # per routed (query, part) pair
-                self.ann_stats.record_batch(scored[4], int(scored[0].sum()), int(scored[5][0]))
         with tracer.span(f"{self.part_name}.merge", queries=len(query_masses)):
             if not single:
                 # Winner per query: exactly HDOmsSearcher's argmax over its
@@ -327,16 +287,13 @@ class FanOutSearcher:
             records = [self._reference(p) if p >= 0 else None for p in positions.tolist()]
         if not single:
             counts, scores, masses = counts.sum(axis=0), scores[pick], masses[pick]
-        return (
-            counts, scores, masses, positions,
-            outcomes, np.array([scored_rows], dtype=np.int64), records,
-        )
+        return counts, scores, masses, positions, records
 
     def _run_pass(
         self, queries: Sequence[Spectrum], packed: np.ndarray, mode: str
     ) -> List[Optional[PSM]]:
         """One windowed scoring pass over encoded queries, as PSMs."""
-        counts, scores, _masses, positions, _outcomes, _rows, records = self.score_batch(
+        counts, scores, _masses, positions, records = self.score_batch(
             packed,
             np.array([query.neutral_mass for query in queries]),
             np.array([query.precursor_charge for query in queries], dtype=np.int64),

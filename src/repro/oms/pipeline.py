@@ -19,7 +19,7 @@ from ..ms.decoy import append_decoys, decoy_factory
 from ..ms.preprocessing import PreprocessingConfig
 from ..ms.spectrum import Spectrum
 from ..ms.vectorize import BinningConfig
-from .batch import BatchedHDOmsSearcher
+from ..store.search import BatchedHDOmsSearcher
 from .candidates import HDSearchConfig, WindowConfig
 from .fdr import assign_qvalues, filter_at_fdr, grouped_fdr
 from .psm import PSM, SearchResult, evaluate_against_truth
@@ -74,8 +74,8 @@ class OmsPipeline:
 
     Construction cost (decoy generation + reference encoding) is paid
     once; ``run`` can then be called with different query sets.  The
-    search stage is :class:`~repro.oms.batch.BatchedHDOmsSearcher`, the
-    fan-out core over one in-process part.
+    search stage is :class:`~repro.store.search.BatchedHDOmsSearcher`, the
+    fan-out core over the library adopted as one store segment.
     """
 
     def __init__(

@@ -353,14 +353,12 @@ class SearchService:
             "service.score", request_id=request_id, route=self.route, queries=len(masses)
         ):
             if self.reloadable:
-                scored = self._locked(
+                return self._locked(
                     lambda engine: engine.score_batch(queries, masses, charges, half_width)
                 )[0]
-            else:
-                scored = self._engine.score_batch(
-                    queries, masses, charges, half_width, request_id=request_id
-                )
-        return (*scored[:4], scored[-1])
+            return self._engine.score_batch(
+                queries, masses, charges, half_width, request_id=request_id
+            )
 
     def _observe_ann(
         self, snapshot: Optional[Dict[str, int]], generation: int

@@ -1,11 +1,13 @@
-"""The one library row-layout provider: store segments split into parts.
+"""The in-process row-layout provider: store segments split into parts.
 
-A row-layout provider for the shared fan-out core
+The one in-process provider of the shared fan-out core
 (:class:`~repro.oms.loop.FanOutSearcher`, which owns the query loop,
 the scoring pass, the winner merge and the PSMs).  Every library is a
 :class:`~repro.store.store.SegmentedStore` — a manifest store, a bare
-``.npz`` or an in-memory :class:`~repro.index.library.LibraryIndex`
-adopted as one segment — and every part is a contiguous row range of
+``.npz``, or an in-memory :class:`~repro.index.library.LibraryIndex`
+(raw spectra are encoded into one by :class:`BatchedHDOmsSearcher`)
+adopted as one segment — and every part is a
+:class:`~repro.oms.kernel.WindowKernel` over a contiguous row range of
 one segment: a segment is one part unless ``EngineConfig.num_shards``
 asks for more parts than there are segments.
 
@@ -17,8 +19,8 @@ contributes zero candidate rows by construction, so pruning is exact:
 results are bit-identical to a monolithic search, ``min_candidates``
 gating included.
 
-Each opened part is scored straight from its segment's mmap'd arrays,
-with positions offset to global row numbers.  Scoring runs in-process —
+Each opened part is laid out from its segment's mmap'd arrays, with
+its rows numbered globally.  Scoring runs in-process —
 serially or on the core's thread pool over the GIL-releasing kernels —
 so nothing is ever copied between processes.
 """
@@ -32,13 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..ann import AnnConfig
 from ..engine import EngineConfig
 from ..hdc.noise import flip_packed
 from ..index.library import IndexCompatibilityError, LibraryIndex, ReferenceRecord
 from ..ms.preprocessing import PreprocessingConfig
-from ..oms.candidates import WindowConfig
+from ..ms.spectrum import Spectrum
+from ..oms.candidates import HDSearchConfig, WindowConfig
+from ..oms.kernel import WindowKernel
 from ..oms.loop import FanOutSearcher
-from ..oms.candidates import HDSearchConfig
 from .manifest import SegmentMeta
 from .store import SegmentedStore
 
@@ -179,26 +183,25 @@ class SegmentedSearcher(FanOutSearcher):
                 self._segment_batches[segment] = self._segment_batches.get(segment, 0) + 1
         return mask
 
-    def _part_payload(self, part: int) -> Dict:
-        """One part's payload, its segment opened (and counted) on first use."""
+    def _open_part(self, part: int) -> WindowKernel:
+        """One part's kernel, its segment opened (and counted) on first use."""
         segment_id, start, stop = self._parts[part]
         segment = self._opened.get(segment_id)
         if segment is None:
             segment = self._opened[segment_id] = self.store.segment(segment_id)
             with self._stats_lock:
                 self._segments_opened_count += 1
-        payload = self._payload(
-            part,
-            (start, stop),
-            self._flipped.get(segment_id, segment.packed),
-            segment.neutral_masses,
-            segment.charges,
-            segment.dim,
-        )
         # Winners must carry *global* row numbers so the exact
         # tie-break (score, mass, position) matches a monolithic index.
-        payload["positions"] = payload["positions"] + self._offsets[segment_id]
-        return payload
+        offset = self._offsets[segment_id]
+        return WindowKernel(
+            self._flipped.get(segment_id, segment.packed)[start:stop],
+            segment.neutral_masses[start:stop],
+            segment.charges[start:stop],
+            np.arange(offset + start, offset + stop, dtype=np.int64),
+            dim=segment.dim,
+            charge_aware=self.windows.charge_aware,
+        )
 
     def _reference(self, global_position: int) -> ReferenceRecord:
         """Resolve a global row number to its segment's record."""
@@ -233,6 +236,91 @@ class SegmentedSearcher(FanOutSearcher):
         """Per-segment count of scored batches (a stats snapshot)."""
         with self._stats_lock:
             return dict(self._segment_batches)
+
+
+class BatchedHDOmsSearcher(SegmentedSearcher):
+    """:class:`SegmentedSearcher` over one library, with the oracle's constructor.
+
+    Same constructor contract as :class:`~repro.oms.search.HDOmsSearcher`
+    (encoder + references), with the
+    :class:`~repro.oms.candidates.HDSearchConfig` fields spelled out as
+    keyword arguments; ``search`` produces the same PSMs.  The
+    references are encoded by :meth:`LibraryIndex.build
+    <repro.index.library.LibraryIndex.build>` and searched as a
+    one-segment store.
+    """
+
+    def __init__(
+        self,
+        encoder,
+        references: Sequence[Spectrum],
+        preprocessing: Optional[PreprocessingConfig] = None,
+        windows: Optional[WindowConfig] = None,
+        mode: str = "open",
+        query_ber: float = 0.0,
+        reference_ber: float = 0.0,
+        noise_seed: int = 1234,
+        ann: Optional[AnnConfig] = None,
+        min_candidates: int = 1,
+    ) -> None:
+        """Encode *references* and search them as one segment.
+
+        Args:
+            encoder: Object with ``space``, ``binning`` and
+                ``encode_batch(spectra) -> (n, dim)``.
+            references: Library spectra (targets and decoys).
+            preprocessing: Spectrum preprocessing config.
+            windows: Precursor window config.
+            mode: ``"open"``, ``"standard"`` or ``"cascade"``.
+            query_ber: Per-query random bit-flip rate.
+            reference_ber: Reference-side random bit-flip rate.
+            noise_seed: Seed of the bit-flip generator.
+            ann: Optional ANN config; when set, large windows are
+                shortlisted on a row prefix before exact scoring.
+            min_candidates: Smallest precursor window that may yield a
+                match.
+
+        Raises:
+            ValueError: On an unknown ``mode`` or when no reference
+                survives preprocessing.
+        """
+        config = HDSearchConfig(mode, query_ber, reference_ber, noise_seed, min_candidates, ann)
+        index = LibraryIndex.build(references, encoder=encoder, preprocessing=preprocessing)
+        super().__init__(index, windows=windows, config=config, encoder=encoder)
+
+    @classmethod
+    def from_index(
+        cls,
+        index: LibraryIndex,
+        windows: Optional[WindowConfig] = None,
+        mode: str = "open",
+        query_ber: float = 0.0,
+        reference_ber: float = 0.0,
+        noise_seed: int = 1234,
+        encoder=None,
+        ann: Optional[AnnConfig] = None,
+        engine: Optional[EngineConfig] = None,
+        min_candidates: int = 1,
+    ) -> "BatchedHDOmsSearcher":
+        """Search a persisted library index; its references are not re-encoded.
+
+        Args are the constructor's, plus ``encoder`` (an optional shared
+        query encoder, validated against the index provenance) and
+        ``engine`` (an optional :class:`~repro.engine.EngineConfig`
+        supplying ``ann`` when the explicit kwarg is unset).
+
+        Raises:
+            ValueError: On an unknown ``mode`` or when ``engine.ann``
+                disagrees with an explicit ``ann``.
+            IndexCompatibilityError: If ``encoder`` disagrees with the
+                index provenance.
+        """
+        config = HDSearchConfig(mode, query_ber, reference_ber, noise_seed, min_candidates, ann)
+        searcher = cls.__new__(cls)
+        SegmentedSearcher.__init__(
+            searcher, index, windows=windows, config=config, engine=engine, encoder=encoder
+        )
+        return searcher
 
 
 #: The name the layer harness (``bench/layers.py``) still imports.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.oms.batch import BatchedHDOmsSearcher
+from repro.oms import BatchedHDOmsSearcher
 from repro.oms.search import DenseBackend, HDOmsSearcher, HDSearchConfig
 from repro.rram.writeverify import (
     WriteVerifyConfig,
@@ -97,7 +97,7 @@ class TestBatchedSearcher:
         result = BatchedHDOmsSearcher(
             encoder, workload.references
         ).search(workload.queries[:3])
-        assert result.backend_name == "batched"
+        assert result.backend_name == "shardedx1"
 
     def test_reference_ber_injection(self, batch_setup):
         workload, encoder = batch_setup

@@ -269,6 +269,8 @@ class _CannedParts(FanOutSearcher):
             label="canned",
         )
         self._bounds = winners
+        # Full-range hulls: every query reaches every part.
+        self._hulls = np.array([[-np.inf, np.inf]] * len(winners))
         self.answered = []
 
     def _map_parts(self, jobs):
@@ -283,7 +285,7 @@ class _CannedParts(FanOutSearcher):
                 score, mass, row = winner
                 columns = (np.ones(n, np.int64), np.full(n, score), np.full(n, mass), np.full(n, row))
             self.answered.append(columns)
-            timed.append((0.0, (*columns, np.zeros(2, np.int64), np.zeros(1, np.int64))))
+            timed.append((0.0, columns))
         return timed
 
     def _reference(self, position):
@@ -293,7 +295,7 @@ class _CannedParts(FanOutSearcher):
 def _merged(*winners, mode="open"):
     """The core's merged ``(score, mass, row)`` for one query over ``winners``."""
     parts = _CannedParts([{mode: winner} for winner in winners], mode)
-    counts, scores, masses, rows, *_rest = parts.score_batch(
+    counts, scores, masses, rows, _records = parts.score_batch(
         np.zeros((1, 1), np.uint8), [500.0], [2], 500.0
     )
     return None if rows[0] < 0 else (scores[0], masses[0], rows[0])
@@ -704,7 +706,7 @@ class TestCoordinatorHTTP:
                 expected = searcher.score_batch(packed, masses, charges, 500.0)
             for column, want in zip(got[:4], expected[:4]):
                 assert column.tolist() == want.tolist()
-            assert got[4] == expected[6] and any(got[4])
+            assert got[4] == expected[4] and any(got[4])
         else:
             body = {key: str(store.root) if value == "STORE" else value for key, value in body.items()}
             with pytest.raises(ServiceError) as info:
@@ -1347,7 +1349,7 @@ class TestScoreHop:
             expected = searcher.score_batch(packed, masses, charges, 500.0)
         for column, want in zip(got[:4], expected[:4]):
             assert column.tolist() == want.tolist()
-        assert got[4] == expected[6] and any(got[4])
+        assert got[4] == expected[4] and any(got[4])
         assert len(calls) == 1
 
     @pytest.mark.parametrize(

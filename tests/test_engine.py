@@ -10,6 +10,7 @@ fields it replaced are gone.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.engine import EngineConfig
 from repro.hdc.spaces import HDSpaceConfig
 from repro.index.library import LibraryIndex
 from repro.store import SegmentedSearcher
-from repro.oms.batch import BatchedHDOmsSearcher
+from repro.oms import BatchedHDOmsSearcher
 from repro.oms.search import HDOmsSearcher, HDSearchConfig
 from repro.service.server import ServiceConfig
 
@@ -87,6 +88,15 @@ class TestShardedSearcherEngine:
             assert searcher.engine == EngineConfig()
             assert (searcher.backend_name, searcher.executor_kind) == ("shardedx1", "serial")
             assert len(searcher.search(queries).psms) > 0
+
+    def test_auto_workers_count_only_the_cpus_this_process_may_use(self, index, monkeypatch):
+        # `taskset -c 0` on a two-CPU host: cpu_count 2, affinity 1.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        engine = EngineConfig(num_shards=2, num_workers=None)
+        for affinity, kind in (({0}, "serial"), ({0, 1}, "thread")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            with SegmentedSearcher(index, engine=engine) as searcher:
+                assert searcher.executor_kind == kind, affinity
 
     def test_legacy_kwargs_are_gone(self, index):
         for name in ("num_shards", "num_workers", "backend", "executor",

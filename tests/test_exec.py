@@ -1,9 +1,9 @@
-"""Execution tests: the query loop, the shard scorer and the scoring threads.
+"""Execution tests: the query loop, the window kernel and the scoring threads.
 
 A search split over many encode blocks equals the one-block schedule,
 encodes each block on the caller's thread and answers ``None`` where
 preprocessing dropped a query; a full-coverage window counts every row
-of a shard.  Serial and
+of a part, and threads tally ANN outcomes as the serial loop does.  Serial and
 thread-pool scoring are cells of ``tests/test_property_kernel.py``'s
 engine matrix; here a 4 096-row library holds both to the oracle at
 batch 256 and bounds the memory the scoring threads add.  A searcher
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.hdc.packing import pack_bipolar
-from repro.oms.kernel import ShardScorer, shard_payload
+from repro.oms.kernel import WindowKernel
 
 SRC_PATH = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -50,7 +50,7 @@ def _bounds(num_rows: int, num_shards: int):
 
 
 # ----------------------------------------------------------------------
-# the shard scorer's full-coverage window
+# a part kernel's full-coverage window
 # ----------------------------------------------------------------------
 
 
@@ -62,22 +62,41 @@ def test_full_coverage_window_hits_fast_path():
     query_hvs = pack_bipolar(np.ones((2, DIM), dtype=np.int8))
     query_masses = np.array([masses[0], masses[-1]])
     query_charges = np.array([2, 3], dtype=np.int64)
-    for shard_id, (start, stop) in enumerate(_bounds(NUM_ROWS, NUM_SHARDS)):
-        scorer = ShardScorer(
-            shard_payload(
-                shard_id,
-                (start, stop),
-                packed,
-                masses,
-                charges,
-                dim=DIM,
-                charge_aware=True,
-            )
+    for start, stop in _bounds(NUM_ROWS, NUM_SHARDS):
+        kernel = WindowKernel(
+            packed[start:stop], masses[start:stop], charges[start:stop], dim=DIM
         )
-        counts = scorer.score_batch(query_hvs, query_masses, query_charges, 1e9)[0]
+        counts = kernel.search(query_hvs, query_masses, query_charges, 1e9).counts
         for row in range(2):
             expected = int(np.sum(charges[start:stop] == query_charges[row]))
             assert int(counts[row]) == expected
+
+
+def test_threads_tally_ann_like_the_serial_loop():
+    """Each part records its ANN tally on the thread that scored it:
+    four threads on a tiny switch interval lose no update."""
+    from repro.ann import AnnConfig
+    from repro.engine import EngineConfig
+    from repro.oms.search import HDSearchConfig
+    from repro.store import SegmentedSearcher
+
+    wl, index = _block_workload()
+    config = HDSearchConfig(ann=AnnConfig(prefix_words=1, candidate_budget=2, ann_threshold=0))
+    snapshots = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (0, 4):
+            engine = EngineConfig(num_shards=4, num_workers=workers)
+            with SegmentedSearcher(index, config=config, engine=engine) as searcher:
+                assert searcher.executor_kind == ("thread" if workers else "serial")
+                for _ in range(5):
+                    searcher.search(wl.queries)
+                snapshots.append(searcher.ann_stats.snapshot())
+    finally:
+        sys.setswitchinterval(interval)
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0]["prefiltered"] > 0
 
 
 # ----------------------------------------------------------------------

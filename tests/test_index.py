@@ -16,7 +16,7 @@ from repro.index import (
 from repro.ms.preprocessing import PreprocessingConfig
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
-from repro.oms.batch import BatchedHDOmsSearcher
+from repro.oms import BatchedHDOmsSearcher
 from repro.oms.candidates import WindowConfig
 from repro.oms.pipeline import OmsPipeline, PipelineConfig
 from repro.oms.search import HDOmsSearcher, HDSearchConfig, PackedBackend

@@ -70,7 +70,7 @@ def test_importing_a_submodule_runs_none_of_its_siblings():
         "import repro.ms.spectrum, repro.oms.kernel, repro.hdc.packing\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
         "unwanted = {'repro.ms.synthetic', 'repro.ms.decoy', 'repro.ms.msp',\n"
-        "            'repro.oms.pipeline', 'repro.oms.batch',\n"
+        "            'repro.oms.pipeline', 'repro.store.search',\n"
         "            'repro.oms.modification_analysis', 'repro.hdc.alt_encoders'}\n"
         "assert not unwanted & set(loaded), sorted(unwanted & set(loaded))\n"
     )

@@ -2,7 +2,7 @@
 
 Two oracles, both brute force:
 
-* at the shard level, the per-query gather loop the kernel replaced is
+* at the part level, the per-query gather loop the kernel replaced is
   kept here as the reference implementation — select the window rows,
   order them by (mass, position), score every one, take the first
   maximum;
@@ -33,9 +33,9 @@ import repro.oms.kernel as kernel_module
 from repro.ann import AnnConfig, AnnRows, CandidatePrefilter
 from repro.constants import PROTON_MASS
 from repro.engine import EngineConfig
-from repro.oms.kernel import ShardScorer, shard_payload
+from repro.hdc.alt_encoders import PermutationEncoder, RandomProjectionEncoder
 from repro.hdc.packing import pack_bipolar, unpack_bipolar
-from repro.hdc.spaces import HDSpaceConfig
+from repro.hdc.spaces import HDSpace, HDSpaceConfig
 from repro.index import LibraryIndex, ShardedSearcher
 from repro.ms.synthetic import WorkloadConfig, build_workload
 from repro.ms.vectorize import BinningConfig
@@ -43,6 +43,7 @@ from repro.oms import (
     BatchedHDOmsSearcher,
     HDOmsSearcher,
     HDSearchConfig,
+    PackedBackend,
     WindowConfig,
 )
 from repro.store import SegmentedSearcher, build_store
@@ -69,19 +70,20 @@ def tile_rows(rows: int, dim: int = DIM):
 
 
 # ----------------------------------------------------------------------
-# shard level: ShardScorer vs the gather loop it replaced
+# part level: WindowKernel vs the gather loop it replaced
 # ----------------------------------------------------------------------
 
 
-def gather_loop(payload, prefilter, query_hvs, query_masses, query_charges, half_width):
-    """Reference ``score_batch``: one gathered window per query."""
-    rows = unpack_bipolar(payload["packed"], payload["dim"]).astype(np.int64)
-    masses = np.asarray(payload["masses"], dtype=np.float64)
-    charges = np.asarray(payload["charges"])
+def gather_loop(
+    packed, dim, masses, charges, positions, charge_aware, prefilter,
+    query_hvs, query_masses, query_charges, half_width,
+):
+    """Reference kernel search: one gathered window per query."""
+    rows = unpack_bipolar(packed, dim).astype(np.int64)
     expected = []
     for hv, mass, charge in zip(query_hvs, query_masses, query_charges):
         inside = (masses >= mass - half_width) & (masses <= mass + half_width)
-        if payload["charge_aware"]:
+        if charge_aware:
             inside &= charges == charge
         window = np.flatnonzero(inside)
         window = window[np.lexsort((window, masses[window]))]
@@ -100,7 +102,7 @@ def gather_loop(payload, prefilter, query_hvs, query_masses, query_charges, half
                 count,
                 float(scores[best]),
                 float(masses[window[best]]),
-                int(payload["positions"][window[best]]),
+                int(positions[window[best]]),
             )
         )
     return expected
@@ -108,7 +110,7 @@ def gather_loop(payload, prefilter, query_hvs, query_masses, query_charges, half
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_shard_scorer_equals_the_gather_loop(data):
+def test_window_kernel_equals_the_gather_loop(data):
     num_rows = data.draw(st.integers(1, 40), label="rows")
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
     # 100 and 8191 leave pad bits in the last packed byte.
@@ -120,24 +122,15 @@ def test_shard_scorer_equals_the_gather_loop(data):
     masses = BASE_MASS + rng.choice(MASS_OFFSETS, num_rows)
     charges = rng.integers(2, 4, num_rows).astype(np.int64)
     start = data.draw(st.integers(0, 100), label="position offset")
-    payload = shard_payload(
-        0,
-        (0, num_rows),
-        pack_bipolar(hvs),
-        masses,
-        charges,
-        dim=dim,
-        charge_aware=data.draw(st.booleans(), label="charge_aware"),
-        ann=data.draw(st.sampled_from([None, TINY_ANN]), label="ann"),
-    )
-    payload["positions"] = payload["positions"] + start
+    # The part's library row numbers: a row range of a larger library.
+    positions = np.arange(start, start + num_rows, dtype=np.int64)
+    packed = pack_bipolar(hvs)
+    charge_aware = data.draw(st.booleans(), label="charge_aware")
+    ann = data.draw(st.sampled_from([None, TINY_ANN]), label="ann")
     prefilter = None
-    if payload["ann"] is not None:
+    if ann is not None:
         prefilter = CandidatePrefilter(
-            AnnRows(payload["packed"], payload["ann"]),
-            masses,
-            charges,
-            charge_aware=payload["charge_aware"],
+            AnnRows(packed, ann), masses, charges, charge_aware=charge_aware
         )
 
     num_queries = data.draw(st.integers(1, 24), label="queries")
@@ -149,17 +142,21 @@ def test_shard_scorer_equals_the_gather_loop(data):
     half_width = data.draw(st.sampled_from([0.0, 0.3, 0.5, 12.0, 1e9]), label="half width")
 
     with tile_rows(data.draw(st.sampled_from([1, 3, 1 << 12]), label="tile"), dim):
-        got = ShardScorer(payload).score_batch(
-            pack_bipolar(query_hvs), query_masses, query_charges, half_width
+        kernel = kernel_module.WindowKernel(
+            packed, masses, charges, positions, dim=dim, charge_aware=charge_aware
+        )
+        got = kernel.search(
+            pack_bipolar(query_hvs), query_masses, query_charges, half_width, ann
         )
     expected = gather_loop(
-        payload, prefilter, query_hvs, query_masses, query_charges, half_width
+        packed, dim, masses, charges, positions, charge_aware, prefilter,
+        query_hvs, query_masses, query_charges, half_width,
     )
     assert list(zip(*(column.tolist() for column in got[:4]))) == expected
     if prefilter is None:
-        assert not got[4].any() and not got[5].any()
+        assert not got.ann_outcomes.any() and not got.ann_scored_rows
     else:
-        assert int(got[4].sum()) == num_queries
+        assert int(got.ann_outcomes.sum()) == num_queries
 
 
 def test_a_window_that_straddles_tiles_keeps_bounds_and_tie_break():
@@ -182,7 +179,7 @@ def test_a_window_that_straddles_tiles_keeps_bounds_and_tie_break():
         assert winners.counts.tolist() == [len(window)] * 10
         for query in range(10):
             scores = hvs[window].astype(np.int64) @ hvs[query].astype(np.int64)
-            assert winners.rows[query] == window[int(np.argmax(scores))]
+            assert winners.positions[query] == window[int(np.argmax(scores))]
             assert winners.scores[query] == scores.max()
 
 
@@ -202,7 +199,7 @@ def test_ann_ties_at_the_cut_keep_the_lower_mass_then_position():
     assert winners.ann_outcomes.tolist() == [0, 1] and winners.ann_scored_rows == 2
     # Layout rows are (mass, position)-ordered: the first maximum of the
     # shortlist is the lightest duplicate.
-    assert kernel.positions[winners.rows[0]] == 4
+    assert winners.positions[0] == 4
     assert winners.scores[0] == 256
 
 
@@ -228,7 +225,7 @@ def test_ann_bypasses_short_windows_and_equals_exact_at_full_width(dim):
     )
     assert full.ann_outcomes[1] > 0
     for got in (bypass, full):
-        assert np.array_equal(got.rows, exact.rows)
+        assert np.array_equal(got.positions, exact.positions)
         assert np.array_equal(got.scores, exact.scores)
         assert np.array_equal(got.counts, exact.counts)
 
@@ -287,10 +284,11 @@ def _spectra(prefix: str, charges, min_size: int, max_size: int):
     reference_ber=st.sampled_from([0.0, 0.1]),
     num_workers=st.sampled_from([0, 2]),
     tile=st.sampled_from([1, 5, 1 << 12]),
+    encoder_kind=st.sampled_from(["id-level", "projection", "permutation"]),
 )
 def test_every_engine_equals_brute_force(
     references, queries, kind, mode, parts, segments, ann_case, budget, charge_aware,
-    min_candidates, query_ber, reference_ber, num_workers, tile,
+    min_candidates, query_ber, reference_ber, num_workers, tile, encoder_kind,
 ):
     # "full": the one-word prefix covers the 64-dimensional row, so the
     # pass must equal the *exact* oracle in every cell.  "narrow": half
@@ -317,6 +315,15 @@ def test_every_engine_equals_brute_force(
     )
     oracle = config if ann_case == "narrow" else dataclasses.replace(config, ann=None)
     expected = HDOmsSearcher.from_index(index, windows=windows, config=oracle).search(queries)
+    encoder = index.make_encoder()
+    if kind == "spectra" and encoder_kind != "id-level":
+        # The raw-spectra path encodes with whatever encoder it is
+        # given; the oracle encodes the same library with the same one.
+        alternative = {"projection": RandomProjectionEncoder, "permutation": PermutationEncoder}
+        encoder = alternative[encoder_kind](HDSpace(space), BINNING)
+        expected = HDOmsSearcher(
+            encoder, references, windows=windows, config=oracle, backend=PackedBackend()
+        ).search(queries)
 
     engine = EngineConfig(num_shards=parts, num_workers=num_workers)
     with tile_rows(tile, space.dim), tempfile.TemporaryDirectory() as scratch:
@@ -335,7 +342,7 @@ def test_every_engine_equals_brute_force(
             # The raw-spectra constructor OmsPipeline, the experiments
             # and `repro search` build on: it encodes the library itself.
             searcher = BatchedHDOmsSearcher(
-                index.make_encoder(),
+                encoder,
                 references,
                 windows=windows,
                 mode=mode,

@@ -466,17 +466,17 @@ class TestCloseTimeout:
         import threading
         import time
 
-        from repro.oms.kernel import ShardScorer
+        from repro.oms.kernel import WindowKernel
 
         parked, release = threading.Event(), threading.Event()
-        score_batch = ShardScorer.score_batch
+        search = WindowKernel.search
 
-        def wedged(scorer, *batch):
+        def wedged(kernel, *batch):
             parked.set()
             release.wait(60.0)
-            return score_batch(scorer, *batch)
+            return search(kernel, *batch)
 
-        monkeypatch.setattr(ShardScorer, "score_batch", wedged)
+        monkeypatch.setattr(WindowKernel, "search", wedged)
         store = build_store(
             references[:30],
             tmp_path / "wedged-store",
